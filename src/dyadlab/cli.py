@@ -74,37 +74,6 @@ def _finalize(command: str, config: dict, checks: list[dict], out: Path,
 def _schema(props: dict) -> dict:
     return {"type": "object", "properties": props, "additionalProperties": False}
 
-_num = {"type": "number"}
-_int = {"type": "integer"}
-_intlist = {"type": "array", "items": {"type": "integer"}}
-
-SCHEMAS = {
-    "haar-suite": _schema({"d": _int, "L": _int, "seed": _int, "N": _int}),
-    "shift-eval": _schema({"d": _int, "L": _int, "n": _int, "N": _int,
-                           "complexity": _intlist, "cancellative": _intlist,
-                           "seed": _int, "scale": _num, "blocks": _int,
-                           "tuples_per_block": _int, "oracle_cap": _int,
-                           "shift_file": {"type": "string"},
-                           "clamp": {"type": "boolean"}}),
-    "reduce-verify": _schema({"d": _int, "L": _int, "n": _int, "N": _int,
-                              "complexity": _intlist, "cancellative": _intlist,
-                              "seed": _int, "scale": _num, "blocks": _int,
-                              "tuples_per_block": _int}),
-    "sparse-verify": _schema({"L": _int, "N": _int, "trials": _int, "seed": _int,
-                              "eta": _num, "max_n": _int, "max_kappa": _int}),
-    "rad-suite": _schema({"M": _int, "N": _int, "seed": _int, "trials": _int,
-                          "band": _num}),
-    "decouple": _schema({"d": _int, "L": _int, "k": _int, "j": _int, "l": _int,
-                         "p": _num, "samples": _int, "seed": _int, "N": _int,
-                         "band": _num}),
-    "factorize": _schema({"N": _int, "seed": _int, "trials": _int,
-                          "budget": _int}),
-    "leibniz-study": _schema({"resolutions": _intlist, "pairs": _int,
-                              "band_limit": _int, "s": _num, "seed": _int,
-                              "N": _int, "drift_band": _num}),
-    "kernel-const": _schema({"s": _num, "budgets": _intlist, "seed": _int,
-                             "stability_band": _num}),
-}
 
 DEFAULTS = {
     "haar-suite": {"d": 1, "L": 4, "seed": 0, "N": 2},
@@ -125,6 +94,33 @@ DEFAULTS = {
     "kernel-const": {"s": 1.5, "budgets": [200, 800], "seed": 0,
                      "stability_band": 0.05},
 }
+
+
+_pos = {"type": "integer", "minimum": 1}
+_nonneg = {"type": "integer", "minimum": 0}
+
+# one schema per config field, shared by every command that has the field
+FIELDS = {
+    **dict.fromkeys(["d", "L", "N", "n", "M", "trials", "blocks", "tuples_per_block",
+                     "max_n", "budget", "pairs", "band_limit"], _pos),
+    **dict.fromkeys(["k", "j", "l", "max_kappa", "oracle_cap"], _nonneg),
+    **dict.fromkeys(["p", "s", "band", "drift_band", "stability_band"], {"type": "number"}),
+    "seed": {"type": "integer"},
+    "scale": {"type": "number", "minimum": 0, "maximum": 1},
+    "eta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    "complexity": {"type": "array", "items": _nonneg},
+    "cancellative": {"type": "array", "items": _pos},
+    # a standard error needs two samples; monotonicity compares budgets
+    "samples": {"type": "integer", "minimum": 2},
+    "budgets": {"type": "array", "items": _pos, "minItems": 2},
+    "resolutions": {"type": "array", "items": _pos, "minItems": 1},
+    "shift_file": {"type": "string"},
+    "clamp": {"type": "boolean"},
+}
+SCHEMAS = {command: _schema({f: FIELDS[f] for f in defaults})
+           for command, defaults in DEFAULTS.items()}
+SCHEMAS["shift-eval"]["properties"].update(shift_file=FIELDS["shift_file"],
+                                           clamp=FIELDS["clamp"])
 
 
 def load_config(command: str, path: str | None, seed_override: int | None) -> dict:
@@ -373,7 +369,7 @@ def run_decouple(config, out, fmt):
     ratio, se = rz.decoupling_ratio(fsc, config["j"], config["k"],
                                     min(config["l"], config["k"]), 2.0,
                                     rz.abs_norm, samp, ens)
-    ok = abs(ratio - 1.0) <= 3.0 * se or se == 0.0
+    ok = abs(ratio - 1.0) <= 3.0 * se
     checks.append(_check("decoupling-scalar-p2-anchor", HARD, ok,
                          ratio=ratio, stderr=se))
     fm = lt.random_grid_function(lat, N=config["N"], seed=config["seed"] + 3)

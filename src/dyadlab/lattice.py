@@ -97,9 +97,6 @@ class Cube:
     def dim(self) -> int:
         return len(self.index)
 
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
     def measure(self) -> float:
         return 2.0 ** (-self.level * self.dim)
 
@@ -109,11 +106,6 @@ class Cube:
             out.append(Cube(self.level + 1,
                             tuple(2 * i + int(b) for i, b in zip(self.index, e))))
         return out
-
-    def parent(self) -> "Cube":
-        if self.level == 0:
-            raise ValueError("top cube has no parent")
-        return Cube(self.level - 1, tuple(i >> 1 for i in self.index))
 
     def ancestor(self, k: int) -> "Cube":
         """Q^(k): the ancestor k levels up (k=0 is Q itself)."""
@@ -457,12 +449,33 @@ def sublattice(lat: Lattice, j: int, k: int) -> list[Cube]:
 # fast pairing pyramid
 # ---------------------------------------------------------------------------
 
+def _heap_size(depth: int, d: int) -> int:
+    """Number of cubes of all levels 0..depth."""
+    return ((1 << ((depth + 1) * d)) - 1) // ((1 << d) - 1)
+
+
+def _heap_number(level: np.ndarray, index: np.ndarray, d: int) -> np.ndarray:
+    """Position of each cube in the order of ``Lattice.cubes()``."""
+    out = ((1 << (level * d)) - 1) // ((1 << d) - 1)
+    for a in range(d):
+        out = out + (index[..., a] << (level * (d - 1 - a)))
+    return out
+
+
+def _level_views(flat: np.ndarray, depth: int, d: int) -> list[np.ndarray]:
+    """Views of an array indexed by heap number, one per level, each of
+    shape (2^l,)*d + flat.shape[1:]."""
+    return [flat[_heap_size(lv - 1, d):_heap_size(lv, d)].reshape((1 << lv,) * d + flat.shape[1:])
+            for lv in range(depth + 1)]
+
+
 class HaarPyramid:
     """All pairings <f, h_Q^eta> from a single bottom-up sweep.
 
     ``coef(Q, eta_mask)`` returns the pairing for any cube and any eta
-    bitmask (0 = non-cancellative).  Storage per level l is an array of
-    shape (2^l,)*d + (2^d,) + value_shape.
+    bitmask (0 = non-cancellative).  ``flat`` holds every pairing in one
+    array of shape (#cubes, 2^d) + value_shape indexed by heap number;
+    ``levels[l]`` views level l as shape (2^l,)*d + (2^d,) + value_shape.
     """
 
     def __init__(self, f: GridFunction):
@@ -475,23 +488,15 @@ class HaarPyramid:
         # sign[eta, e] = prod_a (-1)^(eta_a * e_a) with the child tuple e
         # flattened in C order (axis 0 contributes the high bit)
         m = 1 << d
-        signs = np.ones((m, m), dtype=float)
-        for eta in range(m):
-            for flat, e in enumerate(np.ndindex(*(2,) * d)):
-                par = sum(((eta >> a) & 1) * e[a] for a in range(d))
-                signs[eta, flat] = (-1.0) ** par
-        self.levels: list[np.ndarray] = [None] * (L + 1)
-        lvl = np.zeros((1 << L,) * d + (m,) + vs, dtype=np.complex128)
-        lvl[(slice(None),) * d + (0,)] = sums * 2.0 ** (L * d / 2.0)
-        self.levels[L] = lvl
+        bits = (np.arange(m)[:, None] >> np.arange(d)) & 1
+        signs = (-1.0) ** (bits @ bits[:, ::-1].T)
+        self.flat = np.zeros((_heap_size(L, d), m) + vs, dtype=np.complex128)
+        self.levels = _level_views(self.flat, L, d)
+        self.levels[L][(slice(None),) * d + (0,)] = sums * 2.0 ** (L * d / 2.0)
         cur = sums
         for l in range(L - 1, -1, -1):
             # gather the 2^d child sums of each level-l cube
-            shape = []
-            for _ in range(d):
-                shape += [1 << l, 2]
-            shape += list(vs)
-            r = cur.reshape(tuple(shape))
+            r = cur.reshape((1 << l, 2) * d + vs)
             # move the d child axes (1,3,..) to one trailing axis of size 2^d
             child_axes = tuple(2 * ax + 1 for ax in range(d))
             r = np.moveaxis(r, child_axes, tuple(range(d, 2 * d)))
@@ -499,8 +504,7 @@ class HaarPyramid:
             # contract the child axis against the sign matrix; the new eta
             # axis lands at the end, move it back next to the grid axes
             lvl = np.tensordot(r, signs, axes=([d], [1]))
-            lvl = np.moveaxis(lvl, -1, d) * 2.0 ** (l * d / 2.0)
-            self.levels[l] = lvl
+            np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=self.levels[l])
             cur = r.sum(axis=d)
 
     def coef(self, Q: Cube, eta_mask: int):
@@ -557,15 +561,55 @@ def grid_function_to_json(f: GridFunction) -> str:
 
 
 def grid_function_from_json(text: str) -> GridFunction:
+    """Load a grid function; a missing field, a wrong shape and a
+    non-finite value raise ValueError naming the field."""
     obj = json.loads(text)
-    lat = build_lattice(obj["dim"], obj["depth"], obj["shift"])
-    vals = np.array([complex(re, im) for re, im in obj["values"]],
-                    dtype=np.complex128)
-    if obj["kind"] == "scalar":
-        vs: tuple[int, ...] = ()
-    elif obj["kind"] == "matrix":
-        vs = (obj["N"], obj["N"])
-    else:
-        vs = tuple(obj["shape"])
+    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _field(obj, "shift"))
+    kind = _field(obj, "kind")
+    if kind not in ("scalar", "matrix", "nested"):
+        raise ValueError("field kind must be scalar, matrix or nested")
+    vs = (() if kind == "scalar" else (_int(obj, "N"),) * 2 if kind == "matrix"
+          else tuple(_ints(_field(obj, "shape"), None, "shape")))
     shape = (lat.cells_per_axis,) * lat.dim + vs
-    return GridFunction(lat, vals.reshape(shape))
+    try:
+        pairs = np.array(_field(obj, "values"), dtype=np.float64)
+    except (TypeError, ValueError):
+        pairs = np.zeros(0)
+    if pairs.shape != (np.prod(shape, dtype=int), 2) or not np.isfinite(pairs).all():
+        raise ValueError(f"field values must hold {np.prod(shape, dtype=int)} finite "
+                         "[re, im] pairs")
+    return GridFunction(lat, pairs.view(np.complex128).reshape(shape))
+
+
+# loader helpers: each failure names the field at ``path``
+
+def _field(obj, key: str, path: str | None = None):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {path or key}")
+    return obj[key]
+
+
+def _int(obj, key: str) -> int:
+    if type(x := _field(obj, key)) is not int:
+        raise ValueError(f"field {key} must be an integer")
+    return x
+
+
+def _ints(x, count: int | None, path: str) -> list[int]:
+    """A JSON list of ``count`` integers (of any length for None)."""
+    if not isinstance(x, list) or count not in (None, len(x)) or any(type(v) is not int for v in x):
+        raise ValueError(f"field {path} must be a list of {count or 'any number of'} integers")
+    return x
+
+
+def _finite(obj, key: str, path: str) -> float:
+    if type(x := _field(obj, key, path)) not in (int, float) or not np.isfinite(x):
+        raise ValueError(f"field {path} must be a finite number")
+    return x
+
+
+def _cube_json(c, d: int, path: str) -> tuple[int, list[int]]:
+    """A JSON cube [level, [indices]] as (level, indices)."""
+    if not isinstance(c, list) or len(c) != 2 or type(c[0]) is not int:
+        raise ValueError(f"field {path} must hold cubes [level, [{d} indices]]")
+    return c[0], _ints(c[1], d, path)

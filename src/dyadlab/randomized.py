@@ -89,17 +89,6 @@ def schatten(p: float) -> Callable:
     return _norm
 
 
-def nested(space, j: int) -> Callable:
-    from .ncspaces import nested_norm
-
-    def _norm(values):
-        values = np.asarray(values)
-        if values.shape == space.value_shape():
-            return nested_norm(values, space, j)
-        return np.array([nested_norm(v, space, j) for v in values])
-    return _norm
-
-
 def _signed_sums(xs: Sequence, eps: np.ndarray) -> np.ndarray:
     stack = np.stack([np.asarray(x, dtype=np.complex128) for x in xs])
     return np.tensordot(eps, stack, axes=(1, 0))

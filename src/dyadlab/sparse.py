@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Cube, GridFunction, Lattice, _cell_block, from_aligned
+from .lattice import (Cube, GridFunction, Lattice, _block_means, _cell_block, _expand,
+                      from_aligned)
 from .ncspaces import schatten_norms
 
 MEASURE_SLACK = 1e-12
@@ -45,20 +46,9 @@ def multilinear_maximal(fs: list[GridFunction]) -> GridFunction:
         w = 1 << (L - lv)
         prod = np.ones((1 << lv,) * d)
         for m in mats:
-            prod = prod * _block_mean(m, w, d)
-        expanded = prod
-        for ax in range(d):
-            expanded = np.repeat(expanded, w, axis=ax)
-        best = np.maximum(best, expanded)
+            prod = prod * _block_means(m, w, d)
+        best = np.maximum(best, _expand(prod, w, d))
     return from_aligned(lat, best)
-
-
-def _block_mean(a: np.ndarray, w: int, d: int) -> np.ndarray:
-    shape = []
-    for ax in range(d):
-        shape += [a.shape[ax] // w, w]
-    r = a.reshape(tuple(shape))
-    return r.mean(axis=tuple(2 * ax + 1 for ax in range(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def build_sparse_stopping(fs: list[GridFunction], theta: float) -> SparseCollect
         levels = []
         a = np.abs(f.aligned())
         for lv in range(L + 1):
-            levels.append(_block_mean(a, 1 << (L - lv), d))
+            levels.append(_block_means(a, 1 << (L - lv), d))
         pyramids.append(levels)
 
     def avg(j, Q):

@@ -73,12 +73,49 @@ def test_seed_changes_report(tmp_path):
     assert (a / "shift-eval.json").read_bytes() != (b / "shift-eval.json").read_bytes()
 
 
-def test_config_schema_violation_reports_path(tmp_path, capsys):
+def _config_error(tmp_path, command, field, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"L": "four"}))
+    cfg.write_text(json.dumps({field: value}))
     with pytest.raises(SystemExit) as exc:
-        run("haar-suite", tmp_path, ["--config", str(cfg)])
-    assert "L" in str(exc.value)
+        run(command, tmp_path, ["--config", str(cfg)])
+    return str(exc.value)
+
+
+def test_config_schema_violation_reports_path(tmp_path):
+    assert "config error at L" in _config_error(tmp_path, "haar-suite", "L", "four")
+
+
+# one case per bounded field: sizes and counts that would leave a check
+# without evidence fail at load time
+@pytest.mark.parametrize("command, field, value", [
+    ("haar-suite", "d", 0),
+    ("haar-suite", "L", 0),
+    ("haar-suite", "N", 0),
+    ("shift-eval", "n", 0),
+    ("shift-eval", "complexity", [1, -1, 1]),
+    ("shift-eval", "cancellative", [0, 3]),
+    ("shift-eval", "scale", 1.5),
+    ("shift-eval", "blocks", 0),
+    ("shift-eval", "tuples_per_block", 0),
+    ("shift-eval", "oracle_cap", -1),
+    ("sparse-verify", "trials", 0),
+    ("sparse-verify", "eta", 1.0),
+    ("sparse-verify", "max_n", 0),
+    ("sparse-verify", "max_kappa", -1),
+    ("rad-suite", "M", 0),
+    ("decouple", "samples", 1),
+    ("decouple", "k", -1),
+    ("decouple", "j", -1),
+    ("decouple", "l", -1),
+    ("factorize", "budget", 0),
+    ("leibniz-study", "resolutions", []),
+    ("leibniz-study", "pairs", 0),
+    ("leibniz-study", "band_limit", 0),
+    ("kernel-const", "budgets", []),
+    ("kernel-const", "budgets", [200]),
+])
+def test_config_schema_bound_reports_path(tmp_path, command, field, value):
+    assert f"config error at {field}" in _config_error(tmp_path, command, field, value)
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -115,9 +152,8 @@ def test_shift_eval_from_file_with_clamp(tmp_path):
     from dyadlab import modelops as mo
 
     lat = dl.build_lattice(1, 3)
-    K = lat.top()
-    spec = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, {(K, (K, K), (1, 1)): 2.0},
-                        clamp=True)
+    table = mo.CoeffTable([[0, 0, 0]], [[[0], [0], [0]]], [[1, 1]], [2.0])
+    spec = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, table, clamp=True)
     path = tmp_path / "shift.json"
     path.write_text(mo.shift_to_json(spec))
     # tamper: push the coefficient over the bound

@@ -264,3 +264,20 @@ def test_aligned_roundtrip():
     lat = dl.build_lattice(1, 3, (0.25,))
     f = dl.random_grid_function(lat, seed=2, scalar=True)
     assert np.array_equal(from_aligned(lat, f.aligned()).values, f.values)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda o: o.pop("dim"), "dim"),
+    (lambda o: o.pop("shift"), "shift"),
+    (lambda o: o.pop("kind"), "kind"),
+    (lambda o: o.update(N="two"), "N"),
+    (lambda o: o["values"].pop(), "values"),
+    (lambda o: o["values"][3].append(0.0), "values"),
+    (lambda o: o["values"][3].__setitem__(0, float("nan")), "values"),
+])
+def test_serialization_loader_names_bad_field(edit, field):
+    lat = dl.build_lattice(1, 2)
+    obj = json.loads(dl.grid_function_to_json(dl.random_grid_function(lat, N=2, seed=3)))
+    edit(obj)
+    with pytest.raises(ValueError, match=rf"field {field}( |$)"):
+        dl.grid_function_from_json(json.dumps(obj))

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -9,13 +13,26 @@ def _lat(L=4):
     return dl.build_lattice(1, L)
 
 
+def _table(coeffs, shape=(3, 2)):
+    """CoeffTable from a dict {(K, Qs, etas): a} or {(K, eta): a};
+    ``shape`` gives the cubes and etas per row of an empty dict."""
+    rows = [((k[0], *k[1]), k[2]) if len(k) == 3 else ((k[0],), (k[1],)) for k in coeffs]
+    if rows:
+        shape = (len(rows[0][0]), len(rows[0][1]))
+    d = rows[0][0][0].dim if rows else 1
+    return mo.CoeffTable(
+        np.reshape([[c.level for c in cs] for cs, _ in rows], (-1, shape[0])),
+        np.reshape([[c.index for c in cs] for cs, _ in rows], (-1, shape[0], d)),
+        np.reshape([es for _, es in rows], (-1, shape[1])), list(coeffs.values()))
+
+
 def _top(lat):
     return lat.top()
 
 
 def _unit_shift(lat):
     K = lat.top()
-    return mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, {(K, (K, K), (1, 1)): 1.0})
+    return mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, _table({(K, (K, K), (1, 1)): 1.0}))
 
 
 def test_trivial_shift_on_haar():
@@ -38,11 +55,11 @@ def test_normalization_reject_and_clamp():
     K = lat.top()
     Q = dl.Cube(1, (0,))
     # bound for complexity (1,1): |Q1|^(1/2)|Q2|^(1/2)/|K| = 1/2
-    coeffs = {(K, (Q, Q), (1, 1)): 0.9}
+    coeffs = _table({(K, (Q, Q), (1, 1)): 0.9})
     with pytest.raises(ValueError):
         mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs)
     spec = mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs, clamp=True)
-    assert abs(spec.coeffs[(K, (Q, Q), (1, 1))]) == pytest.approx(0.5)
+    assert abs(dict(spec.coeffs.items())[(K, (Q, Q), (1, 1))]) == pytest.approx(0.5)
 
 
 def test_spec_rejects_wrong_ancestry_or_eta():
@@ -50,11 +67,11 @@ def test_spec_rejects_wrong_ancestry_or_eta():
     K = lat.top()
     Q = dl.Cube(1, (0,))
     with pytest.raises(ValueError):
-        mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, {(K, (Q, K), (1, 1)): 0.1})
+        mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, _table({(K, (Q, K), (1, 1)): 0.1}))
     with pytest.raises(ValueError):
-        mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, {(K, (Q, Q), (0, 1)): 0.1})
+        mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, _table({(K, (Q, Q), (0, 1)): 0.1}))
     with pytest.raises(ValueError):
-        mo.ShiftSpec(lat, 1, (1, 1), {1}, {})
+        mo.ShiftSpec(lat, 1, (1, 1), {1}, _table({}))
 
 
 def test_make_random_shift_deterministic_and_scaled():
@@ -67,8 +84,8 @@ def test_make_random_shift_deterministic_and_scaled():
     # scale 1 with everything on the top cube: |a| = bound = 1
     full = mo.make_random_shift(lat, 1, (0, 0), {1, 2}, seed=1, scale=1.0,
                                 blocks=1, tuples_per_block=1)
-    (key, val), = full.coeffs.items()
-    assert abs(abs(val) - mo._coeff_bound(key[0], key[1], 1)) < 1e-12
+    (_key, val), = full.coeffs.items()
+    assert abs(abs(val) - mo._coeff_bound(full.coeffs.level, 1, 1)[0]) < 1e-12
 
 
 def test_complexity_incompatible_with_depth():
@@ -126,11 +143,11 @@ def test_paraproduct_examples():
     K = lat.top()
     one = dl.GridFunction(lat, np.ones(16))
     h = dl.haar(lat, (K, 1))
-    pp = mo.ParaproductSpec(lat, 1, 2, {(K, 1): 0.8})
+    pp = mo.ParaproductSpec(lat, 1, 2, _table({(K, 1): 0.8}))
     assert mo.eval_paraproduct_form(pp, [one, h]) == pytest.approx(0.8)
     # constants in every slot pair a constant against a cancellative Haar
     eye = dl.GridFunction(lat, np.broadcast_to(np.eye(2), (16, 2, 2)).copy())
-    pp2 = mo.ParaproductSpec(lat, 2, 1, {(K, 1): 1.0})
+    pp2 = mo.ParaproductSpec(lat, 2, 1, _table({(K, 1): 1.0}))
     assert abs(mo.eval_paraproduct_form(pp2, [eye, eye, eye])) < 1e-14
 
 
@@ -155,11 +172,11 @@ def test_bmo_coeffs():
     K = lat.top()
     h = dl.haar(lat, (K, 1))
     coeffs = mo.make_bmo_coeffs(lat, h)
-    assert set(coeffs) == {(K, 1)}
-    assert coeffs[(K, 1)] == pytest.approx(1.0)
+    assert dict(coeffs.items()).keys() == {(K, 1)}
+    assert dict(coeffs.items())[(K, 1)] == pytest.approx(1.0)
     # homogeneity
     five = mo.make_bmo_coeffs(lat, 5.0 * h)
-    assert five[(K, 1)] == pytest.approx(1.0)
+    assert dict(five.items())[(K, 1)] == pytest.approx(1.0)
     # normalized output attains Carleson constant one
     g = dl.random_grid_function(lat, seed=7, scalar=True)
     pp = mo.ParaproductSpec(lat, 1, 1, mo.make_bmo_coeffs(lat, g))
@@ -176,7 +193,7 @@ def test_carleson_violation_rejected():
     lat = _lat()
     K = lat.top()
     with pytest.raises(ValueError):
-        mo.ParaproductSpec(lat, 1, 1, {(K, 1): 2.0})
+        mo.ParaproductSpec(lat, 1, 1, _table({(K, 1): 2.0}))
 
 
 def test_adjoint_trivial_shift_maps_haar_to_haar():
@@ -185,7 +202,7 @@ def test_adjoint_trivial_shift_maps_haar_to_haar():
     h = dl.haar(lat, (lat.top(), 1))
     g = mo.adjoint_eval(spec, 2, [h])
     assert np.abs(g.values - h.values).max() < 1e-12
-    zero = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, {})
+    zero = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, _table({}))
     gz = mo.adjoint_eval(zero, 2, [h])
     assert np.abs(gz.values).max() == 0.0
 
@@ -291,7 +308,7 @@ def test_shift_json_eta_default_and_clamp():
     with pytest.raises(ValueError):
         mo.shift_from_json(json.dumps(payload))
     spec = mo.shift_from_json(json.dumps(payload), clamp=True)
-    assert abs(spec.coeffs[(K, (K, K), (1, 1))]) == pytest.approx(1.0)
+    assert abs(dict(spec.coeffs.items())[(K, (K, K), (1, 1))]) == pytest.approx(1.0)
 
 
 def test_paraproduct_json_roundtrip():
@@ -302,6 +319,119 @@ def test_paraproduct_json_roundtrip():
     again = mo.paraproduct_from_json(text)
     assert again.coeffs == pp.coeffs
     assert again.haar_position == pp.haar_position
+
+
+# recorded from the serializer that kept coefficients in a dict and
+# sorted entries by key; the rows of this table come in that order
+SHIFT_JSON_SHA256 = "c7b41c6f56d0805f215a04efaa2d21c569b7b8b315c30253272b127b1e4133ee"
+
+
+def test_shift_json_bytes_pinned():
+    lat = dl.build_lattice(2, 3)
+    spec = mo.make_random_shift(lat, 1, (1, 0), {1, 2}, seed=0,
+                                blocks=2, tuples_per_block=2)
+    assert len(spec.coeffs) == 36
+    text = mo.shift_to_json(spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == SHIFT_JSON_SHA256
+    assert mo.shift_to_json(mo.shift_from_json(text)) == text
+
+
+def _shift_payload():
+    lat = dl.build_lattice(1, 3)
+    spec = mo.make_random_shift(lat, 1, (1, 0), {1, 2}, seed=2,
+                                blocks=2, tuples_per_block=2)
+    return json.loads(mo.shift_to_json(spec))
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda o: o.pop("dim"), "dim"),
+    (lambda o: o.pop("n"), "n"),
+    (lambda o: o.pop("cancellative"), "cancellative"),
+    (lambda o: o.pop("coeffs"), "coeffs"),
+    (lambda o: o.update(complexity=[1]), "complexity"),
+    (lambda o: o["coeffs"][1].pop("K"), "coeffs[1].K"),
+    (lambda o: o["coeffs"][1]["Qs"].pop(), "coeffs[1].Qs"),
+    (lambda o: o["coeffs"][1]["Qs"][0].__setitem__(1, [0, 0]), "coeffs[1].Qs"),
+    (lambda o: o["coeffs"][1].update(etas=[1]), "coeffs[1].etas"),
+    (lambda o: o["coeffs"][1].pop("im"), "coeffs[1].im"),
+    (lambda o: o["coeffs"][1].update(re=float("nan")), "coeffs[1].re"),
+    (lambda o: o["coeffs"][1].update(im=float("inf")), "coeffs[1].im"),
+])
+def test_shift_loader_names_bad_field(edit, field):
+    obj = _shift_payload()
+    edit(obj)
+    with pytest.raises(ValueError, match=rf"field {re.escape(field)}( |$)"):
+        mo.shift_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda o: o.pop("depth"), "depth"),
+    (lambda o: o.pop("haar_position"), "haar_position"),
+    (lambda o: o["coeffs"][0].update(K=[1]), "coeffs[0].K"),
+    (lambda o: o["coeffs"][0].update(eta=[1]), "coeffs[0].eta"),
+    (lambda o: o["coeffs"][0].update(re=float("-inf")), "coeffs[0].re"),
+])
+def test_paraproduct_loader_names_bad_field(edit, field):
+    lat = dl.build_lattice(1, 3)
+    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    obj = json.loads(mo.paraproduct_to_json(
+        mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))))
+    edit(obj)
+    with pytest.raises(ValueError, match=rf"field {re.escape(field)}( |$)"):
+        mo.paraproduct_from_json(json.dumps(obj))
+
+
+def test_coeff_table_merges_repeated_keys():
+    Q, K = dl.Cube(1, (1,)), dl.Cube(0, (0,))
+    rows = ([[1], [0], [1]], [[[1]], [[0]], [[1]]], [[1], [1], [1]], [1.0, 2.0, 3.0])
+    last = mo.CoeffTable(*rows)
+    assert list(last.items()) == [((Q, 1), 3.0), ((K, 1), 2.0)]
+    summed = mo.CoeffTable(*rows, sum_repeats=True)
+    assert list(summed.items()) == [((Q, 1), 4.0), ((K, 1), 2.0)]
+    # equality is by key and value, whatever the row order
+    swapped = mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 3.0])
+    assert len(swapped) == 2 and swapped == last and swapped != summed
+
+
+def _carleson_brute(pp):
+    best = 0.0
+    for K0 in pp.lattice.cubes():
+        tot = 0.0
+        for (K, _eta), a in pp.coeffs.items():
+            if K0.contains(K):
+                tot += abs(a) ** 2
+        best = max(best, (tot / K0.measure()) ** 0.5)
+    return best
+
+
+def _bmo_brute(h):
+    lat = h.lattice
+    pyr = dl.HaarPyramid(h)
+    best = 0.0
+    for K0 in lat.cubes():
+        tot = 0.0
+        for lv in range(K0.level, lat.depth):
+            blk = tuple(slice(i << (lv - K0.level), (i + 1) << (lv - K0.level))
+                        for i in K0.index)
+            tot += float((np.abs(pyr.levels[lv][blk + (slice(1, None),)]) ** 2).sum())
+        best = max(best, (tot / K0.measure()) ** 0.5)
+    return best
+
+
+@pytest.mark.parametrize("d, L", [(1, 5), (2, 3)])
+def test_carleson_and_bmo_sweeps_match_brute_force(d, L):
+    rng = np.random.default_rng(10 * d + L)
+    lat = dl.build_lattice(d, L, 3)
+    for trial in range(5):
+        coeffs = {}
+        for Q in lat.cubes():
+            for eta in range(1, 1 << d):
+                if Q.level < L and rng.uniform() < 0.3:
+                    coeffs[(Q, eta)] = complex(*rng.standard_normal(2))
+        pp = mo.ParaproductSpec(lat, 1, 1, _table(coeffs, (1, 1)), check=False)
+        assert abs(pp.carleson_constant() - _carleson_brute(pp)) < 1e-12
+        h = dl.random_grid_function(lat, seed=trial, scalar=True)
+        assert abs(mo.bmo_norm(h) - _bmo_brute(h)) < 1e-12
 
 
 def _mixed_input_norm(f, p):
@@ -360,7 +490,7 @@ def test_fast_form_equals_naive_2d():
                                 blocks=2, tuples_per_block=3)
     # d = 2: every cancellative slot spawns all three sign patterns
     assert all(etas[0] in (1, 2, 3) and etas[2] in (1, 2, 3)
-               for (_K, _qs, etas) in spec.coeffs)
+               for (_K, _qs, etas), _a in spec.coeffs.items())
     fs = [dl.random_grid_function(lat, N=2, seed=90 + i) for i in range(3)]
     assert abs(mo.eval_shift_form(spec, fs)
                - mo.eval_shift_form_naive(spec, fs)) < 1e-12
@@ -397,7 +527,7 @@ def test_paraproduct_2d_carleson_and_form():
     lat = dl.build_lattice(2, 2)
     h = dl.random_grid_function(lat, seed=44, scalar=True)
     coeffs = mo.make_bmo_coeffs(lat, h)
-    assert any(eta in (2, 3) for (_Q, eta) in coeffs)
+    assert any(eta in (2, 3) for (_Q, eta), _a in coeffs.items())
     pp = mo.ParaproductSpec(lat, 1, 2, coeffs)
     assert pp.carleson_constant() == pytest.approx(1.0, abs=1e-12)
     fs = [dl.random_grid_function(lat, N=2, seed=96 + i) for i in range(2)]
