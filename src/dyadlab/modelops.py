@@ -279,6 +279,8 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
     if not 0.0 <= scale <= 1.0:
         raise ValueError("scale must lie in [0, 1]")
     complexity = tuple(int(k) for k in complexity)
+    if len(complexity) != n + 1:
+        raise ValueError("complexity must have n+1 entries")
     canc = frozenset(int(j) for j in cancellative)
     if len(canc) < 2:
         raise ValueError("need at least two cancellative slots")

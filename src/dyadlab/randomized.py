@@ -23,6 +23,7 @@ from .lattice import (
     _cell_block,
     expect,
     from_aligned,
+    grid_axes,
     lp_norm,
     martingale_diff_k,
     sublattice,
@@ -322,7 +323,7 @@ def martingale_transform_ratio(f: GridFunction, p: float, norm: Callable,
         raise ValueError("ensemble too small for the cube count")
     from .lattice import martingale_diff, GridFunction as GF
     diffs = np.stack([martingale_diff(f, Q).values for Q in cubes])
-    base = f.values - np.mean(f.values, axis=grid_axes_of(lat), keepdims=True)
+    base = f.values - np.mean(f.values, axis=grid_axes(lat), keepdims=True)
     den = lp_norm(GF(lat, base), p, norm)
     if den == 0.0:
         return 1.0
@@ -333,6 +334,3 @@ def martingale_transform_ratio(f: GridFunction, p: float, norm: Callable,
         worst = max(worst, lp_norm(GF(lat, v), p, norm))
     return worst / den
 
-
-def grid_axes_of(lat: Lattice):
-    return tuple(range(lat.dim))

@@ -1,17 +1,18 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Hard identity checks run at their stated tolerances; statistical bands
-use the stated bands.  Run with `pytest -s tests/test_acceptance.py` to
-see the per-criterion lines.
+Checks the CLI also makes come from ``dyadlab.criteria`` (statements,
+tolerances, bands); this suite gives their inputs and asserts on the
+records.  Run with `pytest -s tests/test_acceptance.py` to see the lines.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 import dyadlab as dl
+from conftest import random_matrix, random_psd
+from dyadlab import criteria as cr
 from dyadlab import leibniz as lb
 from dyadlab import modelops as mo
 from dyadlab import ncspaces as nc
@@ -23,6 +24,17 @@ def _report(name: str, ok: bool, detail: str = ""):
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] {name}" + (f": {detail}" if detail else ""))
     assert ok, f"{name} failed ({detail})"
+
+
+def _holds(records) -> bool:
+    """Every hard record passes and every band record is OK."""
+    return all(r["pass"] if r["kind"] == cr.HARD else r["verdict"] == "OK"
+               for r in records)
+
+
+def _deviation(records) -> str:
+    worst = max(r["max_error"] for r in records)
+    return f"max deviation {worst:.2e} (tol {records[0]['tol']:g})"
 
 
 class _Stopwatch:
@@ -55,88 +67,48 @@ def _random_shift_instance(rng, max_n=3, max_kappa=3, L=6, allow_all_canc=True):
     return lat, spec
 
 
-# ---------------------------------------------------------------------------
-# criterion 1: exact identities
-# ---------------------------------------------------------------------------
+def _shift_cases(rng, count, **kwargs):
+    """``count`` random (shift, grid functions) cases, N <= 3."""
+    cases = []
+    while len(cases) < count:
+        try:
+            lat, spec = _random_shift_instance(rng, **kwargs)
+        except ValueError:
+            continue
+        N = int(rng.integers(1, 4))
+        cases.append((spec, [dl.random_grid_function(lat, N=N, seed=int(rng.integers(2 ** 31)))
+                             for _ in range(spec.n + 1)]))
+    return cases
+
 
 def test_criterion_1_exact_identities():
     watch = _Stopwatch()
 
+    def identity(name, recs):
+        _report(f"criterion {name}", _holds(recs), f"{_deviation(recs)}, {watch.lap():.1f}s")
+
     # Haar orthonormality, d <= 2, L <= 4
-    worst = 0.0
-    for d, L in ((1, 4), (2, 4)):
-        lat = dl.build_lattice(d, L, 17)
-        haars = [dl.haar(lat, (Q, eta)) for Q in lat.cubes() if Q.level < L
-                 for eta in range(1, 1 << d)]
-        vecs = np.stack([h.values.reshape(-1) for h in haars])
-        gram = (vecs * lat.cell_volume) @ vecs.conj().T
-        worst = max(worst, float(np.abs(gram - np.eye(len(haars))).max()))
-    _report("criterion 1a haar orthonormality (1e-12)", worst <= 1e-12,
-            f"max deviation {worst:.2e}, {watch.lap():.1f}s")
+    identity("1a haar orthonormality",
+             [cr.haar_orthonormality(dl.build_lattice(d, L, 17)) for d, L in ((1, 4), (2, 4))])
 
     # telescoping and projection algebra
-    lat = dl.build_lattice(2, 3, 23)
-    f = dl.random_grid_function(lat, N=2, seed=31)
-    g = dl.GridFunction(lat, np.broadcast_to(dl.integral(f), f.values.shape).copy())
-    for Q in lat.cubes():
-        if Q.level < 3:
-            g = g + dl.martingale_diff(f, Q)
-    err = float(np.abs(g.values - f.values).max())
-    _report("criterion 1b martingale telescoping (1e-12)", err <= 1e-12,
-            f"max deviation {err:.2e}, {watch.lap():.1f}s")
-
-    lat1 = dl.build_lattice(1, 4)
-    fs = dl.random_grid_function(lat1, seed=7, scalar=True)
-    err = 0.0
-    cubes = [Q for Q in lat1.cubes() if Q.level < 4]
-    for Q in cubes:
-        dq = dl.martingale_diff(fs, Q)
-        err = max(err, float(np.abs(dl.martingale_diff(dq, Q).values - dq.values).max()))
-        err = max(err, float(np.abs(dl.expect(dq, Q).values).max()))
-        for R in cubes:
-            if R != Q:
-                err = max(err, float(np.abs(dl.martingale_diff(dq, R).values).max()))
-    _report("criterion 1c projection algebra (1e-12)", err <= 1e-12,
-            f"max deviation {err:.2e}, {watch.lap():.1f}s")
+    f = dl.random_grid_function(dl.build_lattice(2, 3, 23), N=2, seed=31)
+    identity("1b martingale telescoping", [cr.martingale_telescoping(f)])
+    fs = dl.random_grid_function(dl.build_lattice(1, 4), seed=7, scalar=True)
+    identity("1c projection algebra", [cr.projection_algebra(fs)])
 
     # expansion identity for all admissible (K, k)
-    err = 0.0
-    for d, L in ((1, 4), (2, 3)):
-        latk = dl.build_lattice(d, L, 5)
-        fk = dl.random_grid_function(latk, N=2, seed=13)
-        for K in latk.cubes():
-            for k in range(L - K.level + 1):
-                lhs = dl.expect_k(fk, K, k)
-                rhs = dl.expect(fk, K)
-                for l in range(k):
-                    rhs = rhs + dl.martingale_diff_k(fk, K, l)
-                err = max(err, float(np.abs(lhs.values - rhs.values).max()))
-    _report("criterion 1d depth expansion identity (1e-12)", err <= 1e-12,
-            f"max deviation {err:.2e}, {watch.lap():.1f}s")
+    identity("1d depth expansion identity",
+             [cr.average_expansion(dl.random_grid_function(dl.build_lattice(d, L, 5), N=2,
+                                                           seed=13))
+              for d, L in ((1, 4), (2, 3))])
 
     # reduce rewrite: 50 random shifts, n <= 3, kappa <= 3, N <= 3, d=1, L <= 6
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    worst_norm = 0.0
-    count = 0
-    while count < 50:
-        try:
-            lat6, spec = _random_shift_instance(rng)
-        except ValueError:
-            continue
-        count += 1
-        N = int(rng.integers(1, 4))
-        fs6 = [dl.random_grid_function(lat6, N=N, seed=int(rng.integers(2 ** 31)))
-               for _ in range(spec.n + 1)]
-        terms = mo.reduce_shift(spec)
-        total = sum(mo.eval_shift_form(t, fs6) for t in terms)
-        worst = max(worst, abs(total - mo.eval_shift_form(spec, fs6)))
-        worst_norm = max(worst_norm,
-                         max((t.check_normalization() for t in terms), default=0.0))
-    _report("criterion 1e shift rewrite preservation (1e-10)",
-            worst <= 1e-10 and worst_norm <= 1 + 1e-12,
-            f"max defect {worst:.2e}, max normalization {worst_norm:.6f}, "
-            f"{watch.lap():.1f}s")
+    recs = [rec for spec, fs6 in _shift_cases(np.random.default_rng(99), 50)
+            for rec in cr.shift_rewrite(spec, fs6)]
+    _report("criterion 1e shift rewrite preservation", _holds(recs),
+            f"max defect {max(r.get('defect', 0.0) for r in recs):.2e}, max normalization "
+            f"{max(r.get('worst_ratio', 0.0) for r in recs):.6f}, {watch.lap():.1f}s")
 
     # adjoint duality, every slot, shifts and paraproducts
     worst = 0.0
@@ -167,69 +139,38 @@ def test_criterion_1_exact_identities():
             f"max deviation {worst:.2e}, {watch.lap():.1f}s")
 
     # factorization round trips, 200 seeds including nested cases
-    worst_flat = 0.0
-    worst_mixed = 0.0
+    tab = nc.ExponentTable(((3.0, 3.0), (3.0, 3.0), (3.0, 3.0)))
+    positive, mixed = [], []
     for seed in range(200):
         r = np.random.default_rng(seed)
         N = int(r.integers(2, 4))
-        a = r.standard_normal((N, N)) + 1j * r.standard_normal((N, N))
-        a = a @ a.conj().T
-        a = a / nc.schatten_norm(a, 1.0)
-        ps = [3.0, 3.0, 3.0] if seed % 2 else [2.0, 4.0, 4.0]
-        factors = nc.factorize_positive(a, 1.0, ps)
-        prod = factors[0]
-        for fct in factors[1:]:
-            prod = prod @ fct
-        worst_flat = max(worst_flat, float(np.abs(prod - a).max()))
-        for fct, p in zip(factors, ps):
-            worst_flat = max(worst_flat, abs(nc.schatten_norm(fct, p) - 1.0))
+        positive.append((random_psd(r, N), [3.0, 3.0, 3.0] if seed % 2 else [2.0, 4.0, 4.0]))
         if seed % 2 == 0:
-            tab = nc.ExponentTable(((3.0, 3.0), (3.0, 3.0), (3.0, 3.0)))
-            space = nc.MixedSpace(((0.4, 0.6),), N, tab)
-            raw = np.stack([(lambda b: b @ b.conj().T)(
-                r.standard_normal((N, N)) + 1j * r.standard_normal((N, N)))
-                for _ in range(2)])
-            qcol = tab.q_col([1, 2])
-            fm = raw / nc.nested_norm(raw, space, 1, column=qcol)
-            facs = nc.factorize_mixed(fm, [1, 2], space)
-            pm = np.einsum("tij,tjk->tik", facs[0], facs[1])
-            worst_mixed = max(worst_mixed, float(np.abs(pm - fm).max()))
-            for fac, j in zip(facs, (1, 2)):
-                worst_mixed = max(worst_mixed, abs(nc.nested_norm(fac, space, j) - 1.0))
-    _report("criterion 1g factorization round trips (1e-9 / 1e-8)",
-            worst_flat <= 1e-9 and worst_mixed <= 1e-8,
-            f"flat {worst_flat:.2e}, nested {worst_mixed:.2e}, "
-            f"{watch.lap():.1f}s")
+            raw = np.stack([random_psd(r, N) for _ in range(2)])
+            mixed.append((raw, nc.MixedSpace(((0.4, 0.6),), N, tab)))
+    flat, nested = recs = cr.factorization_roundtrips(positive, mixed)
+    _report("criterion 1g factorization round trips", _holds(recs),
+            f"flat {_deviation([flat])}, nested {_deviation([nested])}, {watch.lap():.1f}s")
 
-
-# ---------------------------------------------------------------------------
-# criterion 2: oracle equivalence
-# ---------------------------------------------------------------------------
 
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(4)
-    worst = 0.0
-    biggest = 0
+    recs = []
     for trial in range(12):
         lat, spec = _random_shift_instance(rng, L=5)
-        if len(spec.coeffs) > 100_000:
-            continue
-        biggest = max(biggest, len(spec.coeffs))
         fs = [dl.random_grid_function(lat, N=2, seed=500 + 10 * trial + i)
               for i in range(spec.n + 1)]
-        worst = max(worst, abs(mo.eval_shift_form(spec, fs)
-                               - mo.eval_shift_form_naive(spec, fs)))
+        recs.append(cr.shift_form_oracle(spec, fs, oracle_cap=100_000))
     # one deliberately large table (about 10^4 entries)
     lat = dl.build_lattice(1, 8)
     big = mo.make_random_shift(lat, 2, (3, 3, 3), {1, 3}, seed=1,
                                blocks=31, tuples_per_block=512)
     assert len(big.coeffs) <= 100_000
-    biggest = max(biggest, len(big.coeffs))
     fs = [dl.random_grid_function(lat, N=2, seed=600 + i) for i in range(3)]
-    worst = max(worst, abs(mo.eval_shift_form(big, fs)
-                           - mo.eval_shift_form_naive(big, fs)))
-    _report("criterion 2a contraction vs enumeration (1e-12)", worst <= 1e-12,
-            f"max deviation {worst:.2e}, largest table {biggest}")
+    recs.append(cr.shift_form_oracle(big, fs, oracle_cap=100_000))
+    checked = [r for r in recs if "max_error" in r]
+    _report("criterion 2a contraction vs enumeration", _holds(recs),
+            f"{_deviation(checked)}, largest table {max(r['coefficients'] for r in checked)}")
 
     worst = 0.0
     for seed in range(20):
@@ -256,10 +197,6 @@ def _constant_table(p: float, levels: int = 3) -> nc.ExponentTable:
     return nc.ExponentTable(tuple(tuple(r) for r in rows))
 
 
-# ---------------------------------------------------------------------------
-# criterion 3: sparse suite
-# ---------------------------------------------------------------------------
-
 def test_criterion_3_sparse_suite():
     t0 = time.time()
     # stopping sparsity for 100 random inputs
@@ -279,133 +216,83 @@ def test_criterion_3_sparse_suite():
             "dominated by the maximal function", ok)
 
     # 500 domination trials
-    rng = np.random.default_rng(2024)
-    constants = {}
-    finite = True
-    trials = 0
-    while trials < 500:
-        try:
-            lat, spec = _random_shift_instance(rng, L=5, allow_all_canc=False)
-        except ValueError:
-            continue
-        trials += 1
-        N = int(rng.integers(1, 4))
-        fs = [dl.random_grid_function(lat, N=N, seed=int(rng.integers(2 ** 31)))
-              for _ in range(spec.n + 1)]
-        rep = sp.verify_sparse_domination(spec, fs, eta=0.5)
-        finite &= math.isfinite(rep["constant"])
-        key = (spec.n, spec.kappa)
-        constants[key] = max(constants.get(key, 0.0), rep["constant"])
-    fit_ok = True
-    details = []
-    for n in sorted({k[0] for k in constants}):
-        pts = [(k[1], v) for k, v in constants.items() if k[0] == n and v > 0]
-        if len(pts) >= 2:
-            xs = np.log([1.0 + kappa for kappa, _ in pts])
-            ys = np.log([v for _, v in pts])
-            beta = float(np.polyfit(xs, ys, 1)[0])
-            details.append(f"n={n}: beta={beta:.2f}")
-            fit_ok &= beta <= n + 1
+    cases = _shift_cases(np.random.default_rng(2024), 500, L=5, allow_all_canc=False)
+    recs, _ = cr.sparse_domination(cases, eta=0.5)
     elapsed = time.time() - t0
-    _report("criterion 3b 500-trial domination constants finite with "
-            "polynomial growth", finite and fit_ok,
-            "; ".join(details) + f"; elapsed {elapsed:.1f}s")
+    fits = "; ".join(f"n={n}: beta={beta:.2f}" for n, beta in recs[-1]["fits"].items())
+    _report("criterion 3b 500-trial stopping collections sparse, domination constants "
+            "finite with polynomial growth", _holds(recs), f"{fits}; elapsed {elapsed:.1f}s")
     assert elapsed < 300.0
 
-
-# ---------------------------------------------------------------------------
-# criterion 4: randomized suite
-# ---------------------------------------------------------------------------
 
 def test_criterion_4_randomized_suite():
     rng = np.random.default_rng(5)
     # exact contraction, M <= 10
-    ok = True
+    cases = []
     for M in (2, 5, 8, 10):
         ens = rz.SignEnsemble(M)
         for N in (1, 2, 3):
-            xs = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-                  for _ in range(M)]
-            for p in (1.0, 2.0, 3.5):
-                coeffs = rng.uniform(-1, 1, size=M)
-                lhs, rhs = rz.contraction_check(xs, coeffs, rz.schatten(2), p, ens)
-                ok &= lhs <= rhs * (1 + 1e-10)
-    _report("criterion 4a contraction holds with exact inequality", ok)
+            xs = [random_matrix(rng, N) for _ in range(M)]
+            cases += [(xs, rng.uniform(-1, 1, size=M), p, ens) for p in (1.0, 2.0, 3.5)]
+    rec, _ = cr.contraction(cases)
+    _report("criterion 4a contraction holds with exact inequality", _holds([rec]))
 
     # moment-comparison band across the grid
-    ok = True
-    lo, hi = math.inf, 0.0
+    cases = []
     for M in (2, 4, 8, 10):
         ens = rz.SignEnsemble(M)
         for N in (1, 2, 3):
-            xs = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-                  for _ in range(M)]
-            for (p, q) in ((0.5, 2.0), (1.0, 2.0), (2.0, 4.0), (4.0, 1.0)):
-                ratio = rz.kk_ratio(xs, rz.schatten(2), p, q, ens)
-                lo, hi = min(lo, ratio), max(hi, ratio)
-                ok &= 0.1 <= ratio <= 10.0
-    _report("criterion 4b moment comparison ratios within [1/10, 10]", ok,
-            f"range [{lo:.3f}, {hi:.3f}]")
+            xs = [random_matrix(rng, N) for _ in range(M)]
+            cases += [(xs, p, q, ens)
+                      for p, q in ((0.5, 2.0), (1.0, 2.0), (2.0, 4.0), (4.0, 1.0))]
+    rec, evals = cr.moment_band(cases, band=10.0)
+    ratios = [ratio for ratio, _ in evals]
+    _report("criterion 4b moment comparison ratios within [1/10, 10]", _holds([rec]),
+            f"range [{min(ratios):.3f}, {max(ratios):.3f}]")
 
     # decoupling anchor
     lat = dl.build_lattice(1, 4)
-    f = dl.random_grid_function(lat, seed=8, scalar=True)
-    samp = rz.DecouplingSampler(lat, seed=3)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9)
-    ratio, se = rz.decoupling_ratio(f, 0, 1, 1, 2.0, rz.abs_norm, samp, ens)
-    _report("criterion 4c scalar p=2 decoupling ratio is 1 within 3 "
-            "standard errors", abs(ratio - 1.0) <= 3.0 * se,
-            f"ratio {ratio:.4f} +- {se:.4f}")
+    rec = cr.decoupling_anchor(dl.random_grid_function(lat, seed=8, scalar=True), 0, 1, 1,
+                               rz.DecouplingSampler(lat, seed=3),
+                               rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9))
+    _report("criterion 4c scalar p=2 decoupling ratio is 1 within "
+            f"{cr.ANCHOR_SE:g} standard errors", _holds([rec]),
+            f"ratio {rec['ratio']:.4f} +- {rec['stderr']:.4f}")
 
     # randomized product bound, enumerated instances
-    ok = True
+    cases = []
     for n in (2, 3):
         for K in (1, 2, 3, 4):
             for N in (2, 3):
-                es = np.stack([np.stack([
-                    rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-                    for _ in range(K)]) for _ in range(n)])
+                es = np.array([[random_matrix(rng, N) for _ in range(K)] for _ in range(n)])
                 coeffs = rng.uniform(size=K) * np.exp(2j * np.pi * rng.uniform(size=K))
-                for ps in ([float(n + 1)] * (n + 1),
-                           [2.0] + [2.0 * n] * n):
-                    lhs, rhs = rz.rscalar_check(es, coeffs, ps, rz.SignEnsemble(K))
-                    ok &= lhs <= rhs * (1 + 1e-9)
-    _report("criterion 4d randomized product bound exact on the grid", ok)
+                cases += [(es, coeffs, ps, rz.SignEnsemble(K))
+                          for ps in ([float(n + 1)] * (n + 1), [2.0] + [2.0 * n] * n)]
+    rec, _ = cr.product_bound(cases)
+    _report("criterion 4d randomized product bound exact on the grid", _holds([rec]))
 
-
-# ---------------------------------------------------------------------------
-# criterion 5: dual norm attainment
-# ---------------------------------------------------------------------------
 
 def test_criterion_5_dual_norm():
     rng = np.random.default_rng(6)
-    ok_search = True
+    recs = []
     ok_maximizer = True
-    details = []
     cases = [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
              ([2.0, 4.0, 4.0], [1, 2]), ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])]
     for N in (1, 2, 3):
         for ps, J in cases:
-            e = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+            e = random_matrix(rng, N)
             tab = nc.holder_tuple(ps)
-            res = nc.y_norm(e, J, tab, budget=10_000, seed=int(rng.integers(2 ** 31)))
-            if res.analytic > 0:
-                frac = res.empirical / res.analytic
-                ok_search &= frac >= 0.95 and res.empirical <= res.analytic * (1 + 1e-9)
-                details.append(f"{frac:.6f}")
+            recs.append(cr.dual_norm_attainment(e, J, tab, 10_000, int(rng.integers(2 ** 31))))
             # duality attained by the aligned maximizer
             q = 1.0 / sum(1.0 / tab.column(j)[0] for j in J)
             b = nc.schatten_dual_maximizer(e, q)
             target = nc.schatten_norm(e, nc.conjugate_exponent(q))
             ok_maximizer &= abs(abs(nc.trace(e @ b)) - target) <= 1e-9 * max(1.0, target)
-    _report("criterion 5 dual-norm search reaches 95% and the aligned "
-            "maximizer attains (1e-9)", ok_search and ok_maximizer,
-            f"min fraction {min(details)}")
+    fractions = [r["empirical"] / r["analytic"] for r in recs if r["analytic"] > 0]
+    _report(f"criterion 5 dual-norm search reaches {cr.ATTAINMENT:.0%} and the aligned "
+            "maximizer attains (1e-9)", _holds(recs) and ok_maximizer,
+            f"min fraction {min(fractions):.6f}")
 
-
-# ---------------------------------------------------------------------------
-# criterion 6: derivative-of-product study
-# ---------------------------------------------------------------------------
 
 def test_criterion_6_leibniz_study():
     # closed-form single-frequency case
@@ -414,47 +301,32 @@ def test_criterion_6_leibniz_study():
         c = np.zeros(256, dtype=complex)
         c[k] = 1.0
         f = lb.TorusFunction.from_coeffs(1, 256, c)
-        ratio = lb.leibniz_ratio(f, f, s, (4.0, 4.0, 2.0, 4.0, 4.0))
+        ratio = lb.leibniz_ratio(f, f, s, cr.LEIBNIZ_EXPONENTS)
         worst = max(worst, abs(ratio - 2.0 ** (s - 1)))
     _report("criterion 6a single-frequency ratio matches the closed form "
             "(1e-9)", worst <= 1e-9, f"max deviation {worst:.2e}")
 
     # reconstruction and refinement study, 100 random matrix pairs
     s = 1.5
-    exps = (4.0, 4.0, 2.0, 4.0, 4.0)
-    max_defect = 0.0
-    maxima = {}
-    for R in (256, 512):
-        ratios = []
-        for seed in range(100):
-            f = lb.random_torus_function(1, R, band=32, N=2, seed=seed)
-            g = lb.random_torus_function(1, R, band=32, N=2, seed=10_000 + seed)
-            if R == 256:
-                parts = lb.paraproduct_split(f, g, s)
-                full = lb.fractional_derivative(lb.product(f, g), s)
-                defect = float(np.abs(parts.total().values - full.values).max()
-                               / np.abs(full.values).max())
-                max_defect = max(max_defect, defect)
-            ratios.append(lb.leibniz_ratio(f, g, s, exps))
-        maxima[R] = max(ratios)
-    _report("criterion 6b paraproduct reconstruction defect < 1e-6",
-            max_defect < 1e-6, f"max defect {max_defect:.2e}")
-    drift = abs(maxima[512] - maxima[256]) / maxima[256]
-    _report("criterion 6c max ratio stable under grid refinement (<10%)",
-            drift < 0.10, f"drift {100 * drift:.3f}%")
+    pairs = {R: [(lb.random_torus_function(1, R, band=32, N=2, seed=seed),
+                  lb.random_torus_function(1, R, band=32, N=2, seed=10_000 + seed))
+                 for seed in range(100)] for R in (256, 512)}
+    rec = cr.paraproduct_reconstruction([cr.reconstruction_defect(f, g, s)
+                                         for f, g in pairs[256]])
+    _report("criterion 6b paraproduct reconstruction defect", _holds([rec]),
+            f"max defect {rec['max_defect']:.2e} (tol {rec['tol']:g})")
+    rec = cr.ratio_refinement([[lb.leibniz_ratio(f, g, s, cr.LEIBNIZ_EXPONENTS)
+                                for f, g in pairs[R]] for R in (256, 512)], band=0.10)
+    _report("criterion 6c max ratio stable under grid refinement (<10%)", _holds([rec]),
+            f"drift {100 * rec['drift']:.3f}%")
 
     # kernel constants stable under a 4x budget increase
-    kern = lb.DiagonalKernel(s)
-    alpha = (s - 1.0) / 2.0
-    out = {}
-    for budget in (200, 800):
-        ks = lb.KernelSample(kernel=kern, alpha=alpha, budget=budget, seed=0)
-        out[budget] = lb.cz_kernel_constant(ks)
-    ok = all(out[200][i] <= out[800][i] + 1e-15 for i in range(2))
-    drift_size = out[800][0] / out[200][0] - 1.0 if out[200][0] else 0.0
-    drift_hold = out[800][1] / out[200][1] - 1.0 if out[200][1] else 0.0
-    ok &= drift_size <= 0.05 and drift_hold <= 0.05
-    _report("criterion 6d kernel constants finite and stable within 5% "
-            "under 4x budget", ok and all(math.isfinite(v) for v in out[800]),
-            f"size {out[800][0]:.3f} (+{100 * drift_size:.2f}%), "
-            f"smoothness {out[800][1]:.3f} (+{100 * drift_hold:.2f}%)")
+    recs = cr.kernel_constants(s, [200, 800], seed=0, band=0.05)
+    (_, hold0), (size1, hold1) = [(r["size"], r["holder"]) for r in recs[0]["results"]]
+    drift_size = recs[-1].get("drift", 0.0)
+    drift_hold = hold1 / hold0 - 1.0 if hold0 else 0.0
+    _report("criterion 6d kernel constants finite and stable within 5% under 4x budget",
+            _holds(recs) and drift_hold <= 0.05 and math.isfinite(size1)
+            and math.isfinite(hold1),
+            f"size {size1:.3f} (+{100 * drift_size:.2f}%), "
+            f"smoothness {hold1:.3f} (+{100 * drift_hold:.2f}%)")

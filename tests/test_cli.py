@@ -47,6 +47,16 @@ def test_reduce_verify_trivial_all_cancellative(tmp_path):
     assert chk["terms"] == 1 and chk["defect"] == 0.0
 
 
+def test_sparse_verify_without_evidence_fails(tmp_path):
+    # depth 1 rejects every random shift, so no trial is evaluated
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 1, "trials": 2, "seed": 1}))
+    assert run("sparse-verify", tmp_path, ["--config", str(cfg)]) == 1
+    report = json.loads((tmp_path / "sparse-verify.json").read_text())
+    assert [c.get("pass") for c in report["checks"]] == [False, False, None]
+    assert (tmp_path / "sparse-verify.csv").read_text().splitlines()[1:] == []
+
+
 def test_sparse_verify_writes_rows(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 12, "L": 4}))
@@ -113,9 +123,53 @@ def test_config_schema_violation_reports_path(tmp_path):
     ("leibniz-study", "band_limit", 0),
     ("kernel-const", "budgets", []),
     ("kernel-const", "budgets", [200]),
+    # bounds that keep the library from failing deep inside a run
+    ("rad-suite", "band", 0),
+    ("decouple", "band", 0),
+    ("decouple", "p", 0),
+    ("leibniz-study", "s", -1),
+    ("kernel-const", "s", 1.0),
+    ("kernel-const", "s", 3.5),
+    ("shift-eval", "cancellative", [3, 3]),
+    # rules between fields: n + 1 complexities, slots in 1..n+1, j <= k
+    ("shift-eval", "complexity", [1, 0]),
+    ("reduce-verify", "complexity", [1, 0]),
+    ("shift-eval", "cancellative", [1, 5]),
+    ("decouple", "j", 3),
 ])
 def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)
+
+
+# JSON parses 1e400 to inf, and Python's parser also takes NaN
+@pytest.mark.parametrize("command, text, field", [
+    ("rad-suite", '{"band": 1e400}', "band"),
+    ("leibniz-study", '{"drift_band": NaN}', "drift_band"),
+])
+def test_config_rejects_non_finite_numbers(tmp_path, command, text, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit, match=f"config error at {field}"):
+        run(command, tmp_path, ["--config", str(cfg)])
+
+
+def test_reports_are_strict_json(tmp_path):
+    checks = [{"statement": "s", "kind": "hard", "pass": True, "value": float("inf")}]
+    with pytest.raises(ValueError):
+        cli._finalize("haar-suite", {}, checks, tmp_path, "json")
+
+
+def test_shift_file_skips_the_rules_between_fields(tmp_path):
+    import dyadlab as dl
+    from dyadlab import modelops as mo
+
+    spec = mo.make_random_shift(dl.build_lattice(1, 3), 1, (0, 1), {1, 2}, seed=0)
+    path = tmp_path / "shift.json"
+    path.write_text(mo.shift_to_json(spec))
+    cfg = tmp_path / "cfg.json"
+    # n and complexity of the config disagree; the file's own ones count
+    cfg.write_text(json.dumps({"shift_file": str(path), "n": 3}))
+    assert run("shift-eval", tmp_path, ["--config", str(cfg)]) == 0
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -166,3 +220,56 @@ def test_shift_eval_from_file_with_clamp(tmp_path):
     with pytest.raises(ValueError):
         run("shift-eval", tmp_path, ["--config", str(cfg)])
     assert run("shift-eval", tmp_path, ["--config", str(cfg), "--clamp"]) == 0
+
+
+# (statement, kind, sorted field names) of every record, per command and
+# small config: a renamed statement or a dropped field changes the schema
+# of the reports that readers of them rely on
+REPORT_SCHEMAS = [
+    ("haar-suite", {"L": 2}, [
+        ("haar-orthonormality", "hard", "kind max_error pass statement tol"),
+        ("martingale-telescoping", "hard", "kind max_error pass statement tol"),
+        ("projection-algebra", "hard", "kind max_error pass statement tol"),
+        ("average-expansion-identity", "hard", "kind max_error pass statement tol"),
+        ("serialization-roundtrip", "hard", "kind pass statement")]),
+    ("shift-eval", {"L": 3, "blocks": 2, "tuples_per_block": 2}, [
+        ("shift-form-oracle-agreement", "hard",
+         "coefficients kind max_error pass statement tol value_im value_re")]),
+    ("shift-eval", {"L": 3, "blocks": 2, "tuples_per_block": 2, "oracle_cap": 0}, [
+        ("shift-form-evaluated", "hard", "coefficients kind pass statement value_im value_re")]),
+    ("reduce-verify", {"L": 3, "complexity": [1, 0, 1], "blocks": 2, "tuples_per_block": 2}, [
+        ("shift-rewrite-form-preservation", "hard", "defect kind pass statement terms tol"),
+        ("shift-rewrite-normalization", "hard", "kind pass statement worst_ratio")]),
+    ("sparse-verify", {"L": 4, "trials": 6}, [
+        ("stopping-collection-sparsity", "hard", "eta kind pass statement"),
+        ("sparse-domination-finite-constants", "hard", "kind pass statement trials"),
+        ("constant-growth-fit", "band", "fits kind statement verdict")]),
+    ("rad-suite", {"M": 3, "trials": 1}, [
+        ("contraction-exact", "hard", "kind pass statement"),
+        ("randomized-product-bound-exact", "hard", "kind pass statement"),
+        ("moment-comparison-band", "band", "band kind statement verdict"),
+        ("conditional-expectation-band", "band", "band kind statement verdict")]),
+    ("decouple", {"samples": 100}, [
+        ("decoupling-scalar-p2-anchor", "hard", "kind pass ratio statement stderr"),
+        ("decoupling-matrix-band", "band", "band kind ratio statement stderr verdict")]),
+    ("factorize", {"trials": 1, "budget": 50}, [
+        ("positive-factorization-roundtrip", "hard", "kind max_error pass statement tol"),
+        ("mixed-factorization-roundtrip", "hard", "kind max_error pass statement tol"),
+        ("dual-norm-search-attainment", "hard", "analytic empirical kind pass statement")]),
+    ("leibniz-study", {"resolutions": [64, 128], "pairs": 1, "band_limit": 8}, [
+        ("paraproduct-reconstruction", "hard", "kind max_defect pass statement tol"),
+        ("ratio-refinement-stability", "band", "band drift kind statement verdict")]),
+    ("kernel-const", {"budgets": [10, 20]}, [
+        ("kernel-constant-monotone-in-budget", "hard", "domain kind pass results statement"),
+        ("kernel-constant-stability", "band", "band domain drift kind statement verdict")]),
+]
+
+
+@pytest.mark.parametrize("command, config, expected", REPORT_SCHEMAS)
+def test_report_records_keep_their_schema(tmp_path, command, config, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    run(command, tmp_path, ["--config", str(cfg)])
+    report = json.loads((tmp_path / f"{command}.json").read_text())
+    assert [(c["statement"], c["kind"], " ".join(sorted(c)))
+            for c in report["checks"]] == expected

@@ -94,6 +94,12 @@ def test_complexity_incompatible_with_depth():
         mo.make_random_shift(lat, 1, (2, 2), {1, 2}, seed=0)
 
 
+def test_make_random_shift_rejects_complexity_of_wrong_length():
+    lat = dl.build_lattice(1, 4)
+    with pytest.raises(ValueError, match="n\\+1 entries"):
+        mo.make_random_shift(lat, 2, (1, 0), {1, 3}, seed=0)
+
+
 def test_fast_form_equals_naive(rng):
     for n, complexity, canc, N, L in [
         (1, (1, 1), {1, 2}, 1, 3),
