@@ -124,8 +124,19 @@ def _field_error(user: dict, config: dict) -> tuple[str, str] | None:
             return "complexity", f"needs n + 1 = {slots} entries"
         if max(config["cancellative"]) > slots:
             return "cancellative", f"slots must lie in 1..n + 1 = {slots}"
-    if "j" in config and config["j"] > config["k"]:
-        return "j", "the residue j must not exceed the step k"
+        # modelops.make_random_shift needs a level for its base cubes (max_level >= 0)
+        canc = set(config["cancellative"])
+        if min(config["L"] - k - (j + 1 in canc)
+               for j, k in enumerate(config["complexity"])) < 0:
+            return "L", "too shallow for the complexity and cancellative slots"
+    if "j" in config:
+        j, k = config["j"], config["k"]
+        if j > k:
+            return "j", "the residue j must not exceed the step k"
+        # randomized.decoupling_ratio needs a cube of sublattice(j, k) with
+        # level + l <= L - 1; the shallowest level of that sublattice is -j mod (k + 1)
+        if -j % (k + 1) + min(config["l"], k) > config["L"] - 1:
+            return "L", "no cube of the sublattice leaves room for l more levels"
 
 
 def load_config(command: str, path: str | None, seed_override: int | None) -> dict:

@@ -341,26 +341,93 @@ class DiagonalKernel:
         K(x, y1, y2) = sum_m 2^{2m} integral
             phi_s(v - 2^m x) psi(v - 2^m y1) psi(v - 2^m y2) dv
 
-    (dimension one).  The profiles are precomputed on a dense grid by
-    quadrature over the compact frequency support; the dyadic sum and
-    the v-integral are truncated at controlled tolerances.
+    (dimension one).  The profiles are tabulated on a grid of step
+    ``table_step`` over [-halfwidth, halfwidth] by quadrature over the
+    compact frequency support, a block of table rows at a time.  The
+    scales m run over a window around the scale of the triple; a scale
+    whose centers c = 2^m (x, y1, y2) lie more than 2 halfwidth apart is
+    dropped.  On every other scale the v-integral is the Riemann sum over
+    v_i = lo + i v_step, lo = min c - halfwidth, of the profiles read by
+    linear interpolation in the tables and taken as zero off them.
+
+    Evaluation.  ``v_step`` is a whole number of table steps, so the
+    smallest center reads table nodes, and every other center reads one
+    interpolation with the same node shift and fraction at every point
+    of the scale.
+
+    * Near-diagonal scales (all centers within one table step): a center
+      t table steps above the smallest reads T[k] - t (T[k] - T[k-1]) at
+      node k, so the sum over the interior points is exactly
+      M00 - tA M10 - tB M01 + tA tB M11, with four moment sums for each
+      profile that can sit at the smallest center, computed once.
+    * All other scales, and the two end points of near-diagonal ones:
+      one gather of node values and slopes for all their points at once.
+      Positions are taken relative to lo as rounded, not min c -
+      halfwidth, as the interpolation of the Riemann sum sees them.
+
+    Table ends.  A point counts for a center exactly when the float test
+    of the Riemann sum admits it: when (lo + i v_step) - c lies in
+    [xs[0], xs[-1]].  Each center's range of i comes from that test, not
+    from exact arithmetic: phi_s is still about -1e-5 at the table ends,
+    so an end point counted or dropped by mistake moves the sum by far
+    more than rounding does.
+
+    ``_naive_terms`` evaluates the Riemann sums scale by scale with
+    ``np.interp``, the oracle of the fast path.
     """
+
+    _TABLE_ROWS = 512  # rows of the cosine matrix built at a time
 
     def __init__(self, s: float, halfwidth: float = 60.0, table_step: float = 1.0 / 64,
                  quad_points: int = 4000, v_step: float = 1.0 / 16):
+        stride = round(v_step / table_step)
+        if stride < 2 or stride * table_step != v_step:
+            raise ValueError("v_step must be a whole number (at least 2) of table steps")
         self.s = s
         self.halfwidth = halfwidth
+        self.table_step = table_step
         self.v_step = v_step
+        self.stride = stride
         xs = np.arange(-halfwidth, halfwidth + table_step, table_step)
         xi = np.linspace(0.0, 2.0, quad_points)
         wphi = (2.0 * np.pi * xi) ** s * lowpass_profile(xi)
         wpsi = annulus_profile(xi)
-        # cosine transforms of even profiles (trapezoid over the support)
-        cosmat = np.cos(2.0 * np.pi * np.outer(xs, xi))
         dxi = xi[1] - xi[0]
+        # cosine transforms of even profiles (trapezoid over the support);
+        # each row is summed alone, so the blocks do not change any bit
+        tables = np.empty((2, len(xs)))
+        for start in range(0, len(xs), self._TABLE_ROWS):
+            rows = slice(start, start + self._TABLE_ROWS)
+            cosmat = np.cos(2.0 * np.pi * np.outer(xs[rows], xi))
+            tables[0, rows] = 2.0 * (cosmat * wphi).sum(axis=1) * dxi
+            tables[1, rows] = 2.0 * (cosmat * wpsi).sum(axis=1) * dxi
         self.xs = xs
-        self.phi_s = 2.0 * (cosmat * wphi).sum(axis=1) * dxi
-        self.psi = 2.0 * (cosmat * wpsi).sum(axis=1) * dxi
+        self.phi_s, self.psi = tables
+        # (node value, slope to the next node) per profile, with each end
+        # node repeated once: row k + 1 interpolates at table position k + f
+        padded = np.pad(tables, ((0, 0), (1, 1)), mode="edge")
+        self._lerp = np.stack([padded[:, :-1], np.diff(padded, axis=1)], axis=2)
+        # moment sums over the interior points i = 1 .. last - 1 of a
+        # near-diagonal scale; node k = stride i, D the backward difference
+        self._last = (len(xs) - 1) // stride
+        k = stride * np.arange(1, self._last)
+        phi, psi = tables[:, k]
+        dphi, dpsi = tables[:, k] - tables[:, k - 1]
+        self._moments = np.array([
+            # phi_s at the smallest center; A and B are the two psi centers
+            [np.sum(phi * psi * psi), np.sum(phi * dpsi * psi),
+             np.sum(phi * psi * dpsi), np.sum(phi * dpsi * dpsi)],
+            # psi at the smallest center; A is the phi_s center, B the psi one
+            [np.sum(psi * phi * psi), np.sum(psi * dphi * psi),
+             np.sum(psi * phi * dpsi), np.sum(psi * dphi * dpsi)]])
+
+    @staticmethod
+    def _window(x: float, y1: float, y2: float) -> tuple[int, int]:
+        """First and last scale m of the dyadic sum."""
+        scale = max(abs(x - y1), abs(x - y2), abs(y1 - y2))
+        if scale == 0.0:
+            raise ValueError("kernel evaluated on the diagonal")
+        return math.floor(-math.log2(scale)) - 24, math.ceil(-math.log2(scale)) + 12
 
     def _phi(self, x):
         return np.interp(x, self.xs, self.phi_s, left=0.0, right=0.0)
@@ -368,14 +435,12 @@ class DiagonalKernel:
     def _psi(self, x):
         return np.interp(x, self.xs, self.psi, left=0.0, right=0.0)
 
-    def __call__(self, x: float, y1: float, y2: float) -> float:
+    def _naive_terms(self, x: float, y1: float, y2: float) -> list[float]:
+        """Oracle: the Riemann sum of each scale with ``np.interp``; their
+        sum in this order is the kernel."""
         pts = np.array([x, y1, y2])
-        scale = max(abs(x - y1), abs(x - y2), abs(y1 - y2))
-        if scale == 0.0:
-            raise ValueError("kernel evaluated on the diagonal")
-        m_lo = math.floor(-math.log2(scale)) - 24
-        m_hi = math.ceil(-math.log2(scale)) + 12
-        total = 0.0
+        m_lo, m_hi = self._window(x, y1, y2)
+        terms = []
         for m in range(m_lo, m_hi + 1):
             lam = 2.0 ** m
             centers = lam * pts
@@ -386,8 +451,78 @@ class DiagonalKernel:
             v = np.arange(lo, hi, self.v_step)
             integrand = self._phi(v - centers[0]) * self._psi(v - centers[1]) \
                 * self._psi(v - centers[2])
-            total += lam ** 2 * integrand.sum() * self.v_step
-        return total
+            terms.append(lam ** 2 * integrand.sum() * self.v_step)
+        return terms
+
+    def __call__(self, x: float, y1: float, y2: float) -> float:
+        m_lo, m_hi = self._window(x, y1, y2)
+        hw, vs, ts = self.halfwidth, self.v_step, self.table_step
+        lam = np.ldexp(1.0, np.arange(m_lo, m_hi + 1))
+        c = lam[:, None] * np.array([x, y1, y2], dtype=float)
+        cmin, cmax = c.min(axis=1), c.max(axis=1)
+        keep = ~(cmax - cmin > 2.0 * hw)  # the bumps still overlap
+        lam, c, cmin, cmax = lam[keep], c[keep], cmin[keep], cmax[keep]
+        lo = cmin - hw
+        count = np.ceil((cmax + hw - lo) / vs)  # points of the Riemann sum
+        d = c - cmin[:, None]
+        r = d / ts  # offset of each center above the smallest, in table steps
+
+        # in-table range first..last of i for each center: the float test
+        # xs[0] <= (lo + i v_step) - c <= xs[-1] itself decides, next to
+        # the bounds of exact arithmetic, which are off by at most one
+        lo2 = lo[:, None]
+        first = np.ceil(d / vs)
+        first += 1 - ((lo2 + first * vs) - c >= self.xs[0]) \
+            - ((lo2 + (first - 1) * vs) - c >= self.xs[0])
+        last = np.floor((self.xs[-1] - self.xs[0] + d) / vs)
+        last += -1 + ((lo2 + last * vs) - c <= self.xs[-1]) \
+            + ((lo2 + (last + 1) * vs) - c <= self.xs[-1])
+        start = np.maximum(first.max(axis=1), 0).astype(np.intp)
+        stop = np.minimum(last.min(axis=1), count - 1).astype(np.intp)
+
+        sums = np.zeros(len(lam))
+        near = r.max(axis=1) <= 1.0
+        sums[near] = self._near_interior(c[near], r[near])
+        # gathered: whole far scales, then the end points of near ones
+        far_s, near_s = np.flatnonzero(~near), np.flatnonzero(near)
+        seg = np.concatenate([far_s, near_s, near_s])
+        seg_start = np.concatenate([start[far_s], start[near_s],
+                                    np.maximum(start[near_s], self._last)])
+        seg_stop = np.concatenate([stop[far_s], np.minimum(stop[near_s], 0), stop[near_s]])
+        lo_dev = lo - cmin
+        lo_err = (cmin - (lo - lo_dev)) + (-hw - lo_dev)  # (min c - hw) - lo, exactly
+        np.add.at(sums, seg, self._gathered(seg_start, seg_stop, (d + lo_err[:, None])[seg] / ts))
+        return sum((lam ** 2 * sums * vs).tolist())  # in the order of the scales
+
+    def _near_interior(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Sums over i = 1 .. last - 1 of near-diagonal scales (rows of
+        centers c and offsets r <= 1 in table steps), in closed form."""
+        jmin = c.argmin(axis=1)
+        rows = np.arange(len(c))
+        tA = np.where(jmin == 0, r[:, 1], r[:, 0])
+        tB = r[rows, np.where(jmin == 2, 1, 2)]
+        M = self._moments[(jmin != 0).astype(np.intp)]
+        return M[:, 0] - tA * M[:, 1] - tB * M[:, 2] + tA * tB * M[:, 3]
+
+    def _gathered(self, start: np.ndarray, stop: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Sums over i = start .. stop of each segment; center j of a
+        segment reads table position stride i - pos[:, j]."""
+        lens = np.maximum(stop - start + 1, 0)
+        offs = np.cumsum(lens) - lens
+        q = np.ceil(pos).astype(np.intp)
+        frac = q - pos
+        # padded table row of each point: stride (i - offs) + stride start + 1 - q
+        base = self.stride * np.arange(lens.sum())
+        shift = self.stride * (start - offs)[:, None] + 1 - q
+        prod = 1.0
+        for j, profile in enumerate((0, 1, 1)):
+            g = self._lerp[profile].take(base + np.repeat(shift[:, j], lens), axis=0)
+            prod = prod * (g[:, 0] + np.repeat(frac[:, j], lens) * g[:, 1])
+        sums = np.zeros(len(lens))
+        nz = lens > 0
+        if nz.any():
+            sums[nz] = np.add.reduceat(prod, offs[nz])
+        return sums
 
 
 # ---------------------------------------------------------------------------

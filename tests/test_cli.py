@@ -141,6 +141,21 @@ def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)
 
 
+# lattices too shallow for the default shift complexities, or for any
+# decoupling cube of the sublattice with room for l more levels
+@pytest.mark.parametrize("command, config", [
+    ("shift-eval", {"L": 1}),
+    ("reduce-verify", {"L": 1}),
+    ("decouple", {"L": 1}),
+    ("decouple", {"j": 1, "k": 2, "L": 2}),
+])
+def test_config_too_shallow_reports_depth(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match="config error at L"):
+        run(command, tmp_path, ["--config", str(cfg)])
+
+
 # JSON parses 1e400 to inf, and Python's parser also takes NaN
 @pytest.mark.parametrize("command, text, field", [
     ("rad-suite", '{"band": 1e400}', "band"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -172,3 +173,96 @@ def test_diagonal_kernel_scaling_and_stability():
     assert v1 == pytest.approx(4.0 * v2, rel=1e-9)
     with pytest.raises(ValueError):
         dk(0.2, 0.2, 0.2)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    return lb.DiagonalKernel(1.5)
+
+
+def _sampler_triples(count, seed):
+    """Triples drawn as cz_kernel_constant draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        radius = 10.0 ** (-2.0 + 4.0 * rng.uniform())
+        pts = rng.uniform(-1.0, 1.0, size=3) * radius
+        pts[0] += rng.uniform(-1.0, 1.0)
+        pts[1:] += pts[0] - np.mean(pts[1:])
+        out.append(tuple(pts))
+    return out
+
+
+def _tie_and_order_triples():
+    triples = []
+    for x, y in ((0.3, 0.45), (-0.71, -0.7), (0.1, 25.0), (1e-3, -2e-3)):
+        triples += [(x, x, y), (x, y, x), (x, y, y)]
+    # each of x, y1 and y2 as the smallest and as the largest center
+    for pts in _sampler_triples(20, seed=8):
+        triples += list(itertools.permutations(pts))
+    return triples
+
+
+def _table_end_triples(count, seed):
+    """Triples with x at one end, 57/256 to 63/256 from y1 and y2.  At
+    m = 8 the centers of y1 and y2 sit within 3 of the middle of the bump
+    of x, a grid point lies exactly on the end of the table for x, and
+    the rounding of lo decides whether it counts.  As the smallest center
+    x reads table nodes; as the largest it is a whole number of grid
+    steps above y2 (dyadic offsets, checked exact)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        # the smallest point lies in [0.05, 0.117): 2^8 times it lies in
+        # [12.8, 30), and minus 60 in a coarser binade, so lo is rounded
+        delta, eps = rng.integers(57, 64) / 256.0, rng.integers(2) / 1024.0
+        b = rng.uniform(0.0625, 0.117)
+        out.append((b, b + delta, b + delta + eps))
+        b = rng.uniform(0.3, 0.35)
+        y1, y2 = b - delta, b - delta - eps
+        assert (b - y1, b - y2) == (delta, delta + eps)
+        out += [(b, y1, y2), (b, y1, b + delta)]
+    return out
+
+
+def _assert_matches_oracle(kernel, triples):
+    """The fast path against the per-scale oracle at 1e-12, relative to the
+    sum of the absolute scale terms: |K| itself unless scales cancel, and
+    the size that rounding in either evaluation is relative to."""
+    worst, where = 0.0, None
+    for t in triples:
+        terms = kernel._naive_terms(*t)
+        dev = abs(kernel(*t) - sum(terms)) / np.abs(terms).sum()
+        if dev > worst:
+            worst, where = dev, t
+    assert worst <= 1e-12, f"relative deviation {worst:.2e} at {where}"
+
+
+def test_diagonal_kernel_matches_oracle_on_sampled_triples(kernel):
+    _assert_matches_oracle(kernel, _sampler_triples(2000, seed=7))
+
+
+def test_diagonal_kernel_matches_oracle_on_ties_and_orders(kernel):
+    _assert_matches_oracle(kernel, _tie_and_order_triples())
+
+
+def test_diagonal_kernel_matches_oracle_at_table_ends(kernel):
+    _assert_matches_oracle(kernel, _table_end_triples(40, seed=9))
+
+
+def test_diagonal_kernel_matches_oracle_on_a_short_table():
+    # both profiles are still a few percent of their peak at +-3, so the
+    # end points of every scale weigh in the sums
+    short = lb.DiagonalKernel(1.5, halfwidth=3.0)
+    _assert_matches_oracle(short, _sampler_triples(500, seed=10)
+                           + _tie_and_order_triples() + _table_end_triples(40, seed=11))
+
+
+def test_diagonal_kernel_tables_built_in_blocks_are_exact():
+    dk = lb.DiagonalKernel(2.0, quad_points=64)
+    xi = np.linspace(0.0, 2.0, 64)
+    cosmat = np.cos(2.0 * np.pi * np.outer(dk.xs, xi))
+    for table, weight in ((dk.phi_s, (2.0 * np.pi * xi) ** 2.0 * lb.lowpass_profile(xi)),
+                          (dk.psi, lb.annulus_profile(xi))):
+        one_shot = 2.0 * (cosmat * weight).sum(axis=1) * (xi[1] - xi[0])
+        assert np.array_equal(table, one_shot)
