@@ -165,8 +165,7 @@ def sparse_domination(cases: list, eta: float) -> tuple[list[dict], list[dict]]:
     worst: dict[tuple[int, int], float] = {}
     for spec, fs in cases:
         rep = sp.verify_sparse_domination(spec, fs, eta=eta)
-        norms = [sp.pointwise_schatten(f, float(spec.n + 1)) for f in fs]
-        sparse_ok &= sp.is_sparse(sp.build_sparse_stopping(norms, rep["theta"]), eta)
+        sparse_ok &= rep["sparse"]
         key = (spec.n, spec.kappa)
         worst[key] = max(worst.get(key, 0.0), rep["constant"])
         reps.append(rep)

@@ -343,8 +343,9 @@ class DiagonalKernel:
 
     (dimension one).  The profiles are tabulated on a grid of step
     ``table_step`` over [-halfwidth, halfwidth] by quadrature over the
-    compact frequency support, a block of table rows at a time.  The
-    scales m run over a window around the scale of the triple; a scale
+    compact frequency support, a block of table rows at a time; on a
+    symmetric grid the rows with x > 0 are mirrored from those with x < 0.
+    The scales m run over a window around the scale of the triple; a scale
     whose centers c = 2^m (x, y1, y2) lie more than 2 halfwidth apart is
     dropped.  On every other scale the v-integral is the Riemann sum over
     v_i = lo + i v_step, lo = min c - halfwidth, of the profiles read by
@@ -394,13 +395,20 @@ class DiagonalKernel:
         wpsi = annulus_profile(xi)
         dxi = xi[1] - xi[0]
         # cosine transforms of even profiles (trapezoid over the support);
-        # each row is summed alone, so the blocks do not change any bit
-        tables = np.empty((2, len(xs)))
-        for start in range(0, len(xs), self._TABLE_ROWS):
-            rows = slice(start, start + self._TABLE_ROWS)
+        # each row is summed alone, so the blocks do not change any bit.
+        # When xs is symmetric (xs[::-1] == -xs) the row of -x negates every
+        # cosine argument of the row of x, and cos is even bit for bit, so
+        # the rows with x <= 0 are built and mirrored
+        n = len(xs)
+        half = (n + 1) // 2 if np.array_equal(xs[::-1], -xs) else n
+        tables = np.empty((2, n))
+        for start in range(0, half, self._TABLE_ROWS):
+            rows = slice(start, min(start + self._TABLE_ROWS, half))
             cosmat = np.cos(2.0 * np.pi * np.outer(xs[rows], xi))
             tables[0, rows] = 2.0 * (cosmat * wphi).sum(axis=1) * dxi
             tables[1, rows] = 2.0 * (cosmat * wpsi).sum(axis=1) * dxi
+        if half < n:
+            tables[:, half:] = tables[:, n - 1 - half::-1]
         self.xs = xs
         self.phi_s, self.psi = tables
         # (node value, slope to the next node) per profile, with each end

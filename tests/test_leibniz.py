@@ -258,11 +258,32 @@ def test_diagonal_kernel_matches_oracle_on_a_short_table():
                            + _tie_and_order_triples() + _table_end_triples(40, seed=11))
 
 
+def _one_shot_tables(xs, s, quad_points):
+    xi = np.linspace(0.0, 2.0, quad_points)
+    cosmat = np.cos(2.0 * np.pi * np.outer(xs, xi))
+    return [2.0 * (cosmat * weight).sum(axis=1) * (xi[1] - xi[0])
+            for weight in ((2.0 * np.pi * xi) ** s * lb.lowpass_profile(xi),
+                           lb.annulus_profile(xi))]
+
+
 def test_diagonal_kernel_tables_built_in_blocks_are_exact():
+    # blocks of rows and the mirrored rows x > 0 equal the one-shot formula
     dk = lb.DiagonalKernel(2.0, quad_points=64)
-    xi = np.linspace(0.0, 2.0, 64)
-    cosmat = np.cos(2.0 * np.pi * np.outer(dk.xs, xi))
-    for table, weight in ((dk.phi_s, (2.0 * np.pi * xi) ** 2.0 * lb.lowpass_profile(xi)),
-                          (dk.psi, lb.annulus_profile(xi))):
-        one_shot = 2.0 * (cosmat * weight).sum(axis=1) * (xi[1] - xi[0])
+    assert np.array_equal(dk.xs[::-1], -dk.xs)
+    for table, one_shot in zip((dk.phi_s, dk.psi), _one_shot_tables(dk.xs, 2.0, 64)):
+        assert np.array_equal(table, one_shot)
+    # the default quadrature: the mirrored half, sampled rows near and far from 0
+    dk = lb.DiagonalKernel(1.5, halfwidth=4.0)
+    rows = np.r_[len(dk.xs) // 2 + 1:len(dk.xs) // 2 + 40,
+                 np.random.default_rng(3).choice(len(dk.xs) // 2, 40) + len(dk.xs) // 2 + 1]
+    assert np.all(dk.xs[rows] > 0)
+    for table, one_shot in zip((dk.phi_s, dk.psi), _one_shot_tables(dk.xs[rows], 1.5, 4000)):
+        assert np.array_equal(table[rows], one_shot)
+
+
+def test_diagonal_kernel_tables_on_an_asymmetric_grid():
+    # a table step that is not a power of two leaves xs asymmetric: no mirroring
+    dk = lb.DiagonalKernel(2.0, halfwidth=1.0, table_step=0.1, quad_points=64, v_step=0.2)
+    assert not np.array_equal(dk.xs[::-1], -dk.xs)
+    for table, one_shot in zip((dk.phi_s, dk.psi), _one_shot_tables(dk.xs, 2.0, 64)):
         assert np.array_equal(table, one_shot)

@@ -13,6 +13,10 @@ def _ones(lat):
     return dl.GridFunction(lat, np.ones((lat.cells_per_axis,) * lat.dim))
 
 
+def _tree(lat, cubes, parent):
+    return sp.SparseCollection(lat, [Q.level for Q in cubes], [Q.index for Q in cubes], parent)
+
+
 def test_maximal_constants():
     lat = dl.build_lattice(1, 4)
     m = sp.multilinear_maximal([_ones(lat), _ones(lat)])
@@ -61,25 +65,21 @@ def test_maximal_rejects_empty_and_matrix():
 
 def test_is_sparse_top_cube():
     lat = dl.build_lattice(1, 3)
-    top = lat.top()
-    col = sp.SparseCollection(lat, (top,), {top: np.ones(8, dtype=bool)})
+    col = _tree(lat, (lat.top(),), [-1])
     assert sp.is_sparse(col, 0.99)
 
 
 def test_is_sparse_nested_chain_fails():
     lat = dl.build_lattice(1, 4)
-    cubes, masks = [], {}
-    Q = lat.top()
-    while True:
-        m = np.zeros((16,), dtype=bool)
-        m[_cell_block(lat, Q)] = True
-        cubes.append(Q)
-        masks[Q] = m
-        if Q.level == 4:
-            break
-        Q = Q.children()[0]
-    col = sp.SparseCollection(lat, tuple(cubes), masks)
+    cubes = [lat.top()]
+    while cubes[-1].level < 4:
+        cubes.append(cubes[-1].children()[0])
+    # each cube keeps the half of it outside its child: 1/2-sparse, no more
+    col = _tree(lat, cubes, [-1, 0, 1, 2, 3])
     assert not sp.is_sparse(col, 0.6)
+    assert sp.is_sparse(col, 0.4)
+    # the same cubes as five roots overlap
+    assert not sp.is_sparse(_tree(lat, cubes, [-1] * 5), 0.0)
 
 
 def test_is_sparse_detects_leakage():
@@ -87,8 +87,8 @@ def test_is_sparse_detects_leakage():
     Q = dl.Cube(1, (0,))
     mask = np.zeros(4, dtype=bool)
     mask[2] = True  # outside Q
-    col = sp.SparseCollection(lat, (Q,), {Q: mask})
-    assert not sp.is_sparse(col, 0.1)
+    # a tree's E_Q lies inside Q by construction; the dense checker sees masks
+    assert not sp._masks_sparse(lat, (Q,), {Q: mask}, 0.1)
 
 
 def test_stopping_constant_inputs():
@@ -129,10 +129,9 @@ def test_stopping_rejects_small_theta():
 
 def test_sparse_form_examples():
     lat = dl.build_lattice(1, 3)
-    top = lat.top()
-    col = sp.SparseCollection(lat, (top,), {top: np.ones(8, dtype=bool)})
+    col = _tree(lat, (lat.top(),), [-1])
     assert sp.sparse_form(col, [2 * _ones(lat), 3 * _ones(lat)]) == pytest.approx(6.0)
-    empty = sp.SparseCollection(lat, (), {})
+    empty = _tree(lat, (), [])
     assert sp.sparse_form(empty, [_ones(lat)]) == 0.0
 
 
@@ -161,6 +160,106 @@ def test_maximal_bounded_by_best_sparse_form(rng):
         if form > 0:
             worst = max(worst, l1 / form)
     assert math.isfinite(worst) and worst < 100.0
+
+
+def _oracle_inputs(d, L):
+    """(fs, theta) cases: random |g|^4 inputs, all-zero input and a spike."""
+    lat = dl.build_lattice(d, L)
+    shape = (1 << L,) * d
+    cases = []
+    for seed in range(4):
+        r = np.random.default_rng(100 * d + 10 * L + seed)
+        n1 = 1 + seed % 3
+        fs = [dl.GridFunction(lat, np.abs(r.standard_normal(shape)) ** 4) for _ in range(n1)]
+        cases += [(fs, theta) for theta in (n1 + 0.25, 2.0 * n1, 4.0 * n1)]
+    spike = np.zeros(shape)
+    spike[(1,) * d] = 1.0
+    cases.append(([dl.GridFunction(lat, np.zeros(shape))], 2.0))
+    cases.append(([dl.GridFunction(lat, spike), _ones(lat)], 3.0))
+    return cases
+
+
+def _tree_masks(col):
+    """Dense witness masks of a cube tree: each cube minus its children."""
+    lat = col.lattice
+    grid = (lat.cells_per_axis,) * lat.dim
+    masks = [np.zeros(grid, dtype=bool) for _ in col.cubes]
+    for Q, m in zip(col.cubes, masks):
+        m[_cell_block(lat, Q)] = True
+    for Q, p in zip(col.cubes, col.parent):
+        if p >= 0:
+            masks[p][_cell_block(lat, Q)] = False
+    return {Q: m.reshape(-1) for Q, m in zip(col.cubes, masks)}
+
+
+@pytest.mark.parametrize("d, L", [(1, 1), (1, 6), (2, 2), (2, 4), (3, 1), (3, 3)])
+def test_stopping_tree_matches_recursive_oracle(d, L):
+    lat = dl.build_lattice(d, L)
+    for fs, theta in _oracle_inputs(d, L):
+        col = sp.build_sparse_stopping(fs, theta)
+        cubes, masks = sp._stopping_masks(fs, theta)
+        assert col.cubes == tuple(cubes)
+        tree = _tree_masks(col)
+        assert all(np.array_equal(tree[Q], masks[Q]) for Q in cubes)
+        for eta in (0.0, col.eta, 0.5, 0.75, 0.95):
+            assert sp.is_sparse(col, eta) == sp._masks_sparse(lat, cubes, masks, eta)
+        form, oracle = sp.sparse_form(col, fs), sp._sparse_form_per_cube(cubes, fs)
+        assert abs(form - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_stopping_oracle_inputs_reach_both_verdicts():
+    # the agreement above covers collections with several levels and both verdicts
+    verdicts, depths = set(), set()
+    for fs, theta in _oracle_inputs(2, 4):
+        col = sp.build_sparse_stopping(fs, theta)
+        depths.add(int(col.level.max()))
+        verdicts |= {sp.is_sparse(col, eta) for eta in (0.5, 0.95)}
+    assert verdicts == {True, False} and max(depths) == 4 and min(depths) == 0
+
+
+def test_is_sparse_agrees_with_masks_on_regrafted_trees():
+    # hang a cube from its grandparent: its old parent's E_Q now covers it
+    lat = dl.build_lattice(2, 4)
+    moved = 0
+    for fs, theta in _oracle_inputs(2, 4)[:12]:
+        col = sp.build_sparse_stopping(fs, theta)
+        for i in np.flatnonzero(col.parent >= 0):
+            p = col.parent[i]
+            if col.parent[p] < 0:
+                continue
+            parent = col.parent.copy()
+            parent[i] = col.parent[p]
+            tree = sp.SparseCollection(lat, col.level, col.index, parent)
+            for eta in (0.0, 0.5):
+                assert sp.is_sparse(tree, eta) == sp._masks_sparse(
+                    lat, tree.cubes, _tree_masks(tree), eta)
+            assert not sp.is_sparse(tree, 0.0)
+            moved += 1
+    assert moved > 0
+
+
+def test_is_sparse_rejects_malformed_trees():
+    lat = dl.build_lattice(1, 3)
+    top, left, right = lat.top(), dl.Cube(1, (0,)), dl.Cube(1, (1,))
+    quarter = dl.Cube(2, (0,))
+
+    def verdict(cubes, parent, eta=0.25):
+        return sp.is_sparse(_tree(lat, cubes, parent), eta)
+
+    assert verdict([top, left, quarter], [-1, 0, 1])
+    assert not verdict([top, right, quarter], [-1, 0, 1])  # not inside its parent
+    assert not verdict([top, left, quarter], [-1, 0, 0])   # siblings overlap
+    assert not verdict([top, left, left], [-1, 0, 0])      # a cube listed twice
+    assert not verdict([top, left], [-1, 1])               # parent below the cube
+    assert not verdict([top, left], [-1, 2])               # no such parent
+    assert not verdict([top, left], [-1, -2])
+    assert not verdict([top, left, right], [-1, 0, 0])     # |E_top| = 0
+    assert not verdict([top, left, quarter], [-1, 0, 1], eta=0.6)  # |E_Q| = |Q| / 2
+    assert not verdict([dl.Cube(4, (0,))], [-1])           # below the finest level
+    assert not sp.is_sparse(sp.SparseCollection(lat, [1], [[2]], [-1]), 0.1)  # outside
+    assert sp.is_sparse(_tree(lat, [], []), 0.99)
+    with pytest.raises(ValueError):
+        sp.SparseCollection(lat, [0, 1], [[0]], [-1, 0])
 
 
 def test_universal_grids():
