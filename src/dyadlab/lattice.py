@@ -517,27 +517,54 @@ class HaarPyramid:
 # mixed norms
 # ---------------------------------------------------------------------------
 
-def lp_norm(f: GridFunction, p: float, cell_norm) -> float:
+def norm_stack(values: np.ndarray, cell_norm) -> np.ndarray:
+    """cell_norm of each value of a stack (one value per row of axis 0).
+
+    The stack goes to ``cell_norm`` in one call when it accepts arrays
+    of values; a TypeError or a result of the wrong shape falls back to
+    one call per value.
+    """
+    try:
+        norms = np.asarray(cell_norm(values), dtype=float)
+        if norms.shape == values.shape[:1]:
+            return norms
+    except TypeError:
+        pass
+    return np.array([float(cell_norm(v)) for v in values])
+
+
+def scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry with the scalar (C library) power.
+
+    numpy's array power may take a SIMD path that rounds differently in
+    the last bit, so a batch computed with it would not match the same
+    values computed one at a time.
+    """
+    return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
+
+
+def lp_norm(f, p: float, cell_norm, lattice: Lattice | None = None):
     """L^p norm over the cube of x -> cell_norm(f(x)).
 
+    ``f`` is a GridFunction, and the result a float.  With ``lattice``
+    given, ``f`` is instead an array of shape (B,) + grid shape + value
+    shape holding B functions on that lattice, and the result is the
+    array of their B norms, each bit for bit the norm of its row alone.
+
     ``cell_norm`` maps one cell value to a nonnegative real; it is
-    applied to the stacked cell values (vectorized when it supports
-    arrays of values, else per cell).
+    applied to all stacked cell values at once (see ``norm_stack``).
     """
-    lat = f.lattice
-    flat = f.values.reshape((lat.num_cells,) + f.value_shape)
-    try:
-        norms = cell_norm(flat)
-        norms = np.asarray(norms, dtype=float)
-        if norms.shape != (lat.num_cells,):
-            raise TypeError
-    except TypeError:
-        norms = np.array([float(cell_norm(v)) for v in flat])
+    if lattice is None:
+        return float(lp_norm(f.values[None], p, cell_norm, f.lattice)[0])
+    values = np.asarray(f)
+    rows = values.shape[0]
+    flat = values.reshape((rows * lattice.num_cells,) + values.shape[1 + lattice.dim:])
+    norms = norm_stack(flat, cell_norm).reshape(rows, lattice.num_cells)
     if np.isinf(p):
-        return float(norms.max(initial=0.0))
+        return norms.max(axis=1, initial=0.0)
     if p <= 0:
         raise ValueError("exponent must be positive")
-    return float((np.mean(norms ** p)) ** (1.0 / p))
+    return scalar_pow(np.mean(norms ** p, axis=1), 1.0 / p)
 
 
 # ---------------------------------------------------------------------------

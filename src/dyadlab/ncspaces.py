@@ -25,6 +25,8 @@ import numpy as np
 
 POSITIVITY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
+# largest proposal array of one chunk of the y_norm search, in bytes
+_CHUNK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,14 @@ def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
     random proposals for sup |tr(e e_{s(1)} ... e_{s(k)})| over unit
     e_u and permutations s; proposals mix normalized complex Gaussians
     with factors aligned to the SVD of e, which attain the supremum.
+
+    The aligned proposal is the first.  ``_best_gaussian`` scores the
+    other budget - 1 in chunks of arrays: one normal draw per chunk, one
+    batched normalization per slot and one batched matmul chain per
+    permutation.  Its oracle ``_best_gaussian_per_draw`` draws,
+    normalizes and scores one proposal at a time; the two agree to the
+    last bit of each normalization (array and scalar powers may round
+    differently), within 1e-12.
     """
     if tab.S != 0:
         raise ValueError("y_norm handles the matrix case (S = 0) only")
@@ -336,28 +346,58 @@ def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
     if not J:
         raise ValueError("index set must be non-empty")
     e = np.asarray(e, dtype=np.complex128)
-    n = e.shape[0]
     ps = [tab.column(j)[0] for j in J]
     q = 1.0 / sum(1.0 / p for p in ps)          # pairing exponent
     inv_dual = 1.0 - 1.0 / q
     p_dual = math.inf if inv_dual == 0 else 1.0 / inv_dual
     analytic = schatten_norm(e, p_dual)
 
-    rng = np.random.default_rng(seed)
-    best = 0.0
     perms = list(itertools.permutations(range(len(J))))
     # SVD-aligned candidate: unit-S^q maximizer of tr(eB), factored
-    bmax = schatten_dual_maximizer(e, q)
-    candidates = [_aligned_factors(bmax, q, ps)]
-    draws = max(0, budget - 1)
-    for _ in range(draws):
-        candidates.append([_random_unit(rng, n, p) for p in ps])
-        if len(candidates) >= 64:
-            best = max(best, _best_pairing(e, candidates, perms))
-            candidates = []
-    if candidates:
-        best = max(best, _best_pairing(e, candidates, perms))
-    return YNormResult(analytic, best)
+    aligned = _best_pairing(e, [_aligned_factors(schatten_dual_maximizer(e, q), q, ps)], perms)
+    return YNormResult(analytic, max(aligned, _best_gaussian(e, ps, perms, budget - 1, seed)))
+
+
+def _best_gaussian(e: np.ndarray, ps: Sequence[float], perms: list,
+                   draws: int, seed: int) -> float:
+    """Best pairing |tr(e e_{s(1)} ... e_{s(k)})| over ``draws`` proposals
+    of normalized complex Gaussians, unit in S^{p_u} for slot u.
+
+    The proposals come in chunks of at most ``_CHUNK_BYTES``: one
+    ``standard_normal((B, k, 2, N, N))`` array per chunk, real parts at
+    [..., 0, :, :] and imaginary parts at [..., 1, :, :] (the stream of
+    one draw at a time), one ``schatten_norms`` call per slot, and one
+    batched matmul chain and trace per permutation.
+    ``_best_gaussian_per_draw`` is its oracle.
+    """
+    rng = np.random.default_rng(seed)
+    n, k = e.shape[0], len(ps)
+    rows = max(1, _CHUNK_BYTES // (k * n * n * 16))
+    eye = np.eye(n, dtype=np.complex128)
+    best = 0.0
+    for start in range(0, max(0, draws), rows):
+        x = rng.standard_normal((min(rows, draws - start), k, 2, n, n))
+        g = x[:, :, 0] + 1j * x[:, :, 1]
+        for u, p in enumerate(ps):
+            nrm = schatten_norms(g[:, u], p)
+            pos = nrm > 0
+            g[pos, u] /= nrm[pos, None, None]
+            g[~pos, u] = eye
+        for perm in perms:
+            prod = e
+            for i in perm:
+                prod = prod @ g[:, i]
+            best = max(best, float(np.abs(np.trace(prod, axis1=-2, axis2=-1)).max()))
+    return best
+
+
+def _best_gaussian_per_draw(e: np.ndarray, ps: Sequence[float], perms: list,
+                            draws: int, seed: int) -> float:
+    """Oracle of ``_best_gaussian``: one proposal drawn, normalized and
+    scored at a time."""
+    rng = np.random.default_rng(seed)
+    return _best_pairing(e, [[_random_unit(rng, e.shape[0], p) for p in ps]
+                             for _ in range(max(0, draws))], perms)
 
 
 def _best_pairing(e, candidate_lists, perms) -> float:

@@ -26,11 +26,15 @@ from .lattice import (
     grid_axes,
     lp_norm,
     martingale_diff_k,
+    norm_stack,
+    scalar_pow,
     sublattice,
 )
 from .ncspaces import conjugate_exponent, schatten_norm, schatten_norms
 
 EXHAUSTIVE_LIMIT = 20
+# largest accumulator of one chunk of decoupling samples, in bytes
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,6 @@ class SignEnsemble:
         return float(np.mean(values ** p) ** (1.0 / p))
 
 
-def _norm_values(sums: np.ndarray, norm: Callable) -> np.ndarray:
-    """Apply a value norm to a stack of summed values."""
-    try:
-        out = np.asarray(norm(sums), dtype=float)
-        if out.shape == (sums.shape[0],):
-            return out
-    except TypeError:
-        pass
-    return np.array([float(norm(v)) for v in sums])
-
-
 def abs_norm(values):
     return np.abs(values)
 
@@ -106,7 +99,7 @@ def rad_norm(xs: Sequence, norm: Callable, ens: SignEnsemble) -> float:
     if len(xs) == 0:
         return 0.0
     eps = _patterns_for(ens, len(xs))
-    vals = _norm_values(_signed_sums(xs, eps), norm)
+    vals = norm_stack(_signed_sums(xs, eps), norm)
     return ens.moment(vals, 2.0)
 
 
@@ -118,7 +111,7 @@ def kk_ratio(xs: Sequence, norm: Callable, p: float, q: float,
     if p <= 0 or q <= 0:
         raise ValueError("moments must be positive")
     eps = _patterns_for(ens, len(xs))
-    vals = _norm_values(_signed_sums(xs, eps), norm)
+    vals = norm_stack(_signed_sums(xs, eps), norm)
     den = ens.moment(vals, q)
     num = ens.moment(vals, p)
     if den == 0.0:
@@ -141,9 +134,9 @@ def contraction_check(xs: Sequence, coeffs: Sequence[float], norm: Callable,
         raise ValueError("one real coefficient per element")
     eps = _patterns_for(ens, len(xs))
     scaled = [a * np.asarray(x) for a, x in zip(coeffs, xs)]
-    lhs = ens.moment(_norm_values(_signed_sums(scaled, eps), norm), p)
+    lhs = ens.moment(norm_stack(_signed_sums(scaled, eps), norm), p)
     rhs = float(np.abs(coeffs).max(initial=0.0)) * \
-        ens.moment(_norm_values(_signed_sums(xs, eps), norm), p)
+        ens.moment(norm_stack(_signed_sums(xs, eps), norm), p)
     return lhs, rhs
 
 
@@ -171,8 +164,8 @@ def stein_check(fqs: dict[Cube, GridFunction], p: float, norm: Callable,
     avg = np.stack([expect(fqs[Q], Q).values for Q in cubes])
     lhs_vals = np.tensordot(eps, avg, axes=(1, 0))
     rhs_vals = np.tensordot(eps, raw, axes=(1, 0))
-    lhs = float(np.mean([lp_norm(GridFunction(lat, v), p, norm) for v in lhs_vals]))
-    rhs = float(np.mean([lp_norm(GridFunction(lat, v), p, norm) for v in rhs_vals]))
+    lhs = float(np.mean(lp_norm(lhs_vals, p, norm, lat)))
+    rhs = float(np.mean(lp_norm(rhs_vals, p, norm, lat)))
     return lhs, rhs
 
 
@@ -212,7 +205,59 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
     Returns (ratio, stderr of the ratio).  Cubes run over the separated
     subcollection of step k and residue j, restricted to those where
     Delta^l exists on the lattice; both sides zero reports ratio 1.
+
+    The samples are taken in chunks of at most ``_CHUNK_BYTES`` of
+    accumulator: per chunk, one gather per cube reads each sample's
+    point of Delta_Q^l f (offsets become aligned cells by
+    ``np.unravel_index`` on arrays), the signed values are added into a
+    (samples, cells..., value) accumulator cube by cube, and one batched
+    ``lp_norm`` takes the norms.  ``_decoupling_ratio_per_sample``, one
+    sample and one cube at a time, is its oracle: the two agree bit for
+    bit.
     """
+    lat, cubes, aligned, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, norm,
+                                                                  sampler, ens)
+    count = len(offsets)
+    grid = (lat.cells_per_axis,) * lat.dim
+    vs = f.value_shape
+    rows = max(1, _CHUNK_BYTES // (lat.num_cells * int(np.prod(vs, dtype=int)) * 16))
+    vals = np.empty(count)
+    for a in range(0, count, rows):
+        b = min(a + rows, count)
+        acc = np.zeros((b - a,) + grid + vs, dtype=np.complex128)
+        for c, Q in enumerate(cubes):
+            w = 1 << (lat.depth - Q.level)
+            rel = np.unravel_index(offsets[a:b, c], (w,) * lat.dim)
+            v = aligned[c][tuple(i * w + r for i, r in zip(Q.index, rel))]
+            v = signs[a:b, c].reshape((-1,) + (1,) * len(vs)) * v
+            acc[(slice(None),) + _cell_block(lat, Q)] += v.reshape((-1,) + (1,) * lat.dim + vs)
+        if any(lat.shift_cells):  # back to physical cells, as from_aligned does
+            acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, lat.dim + 1)))
+        vals[a:b] = scalar_pow(lp_norm(acc, p, norm, lat), p)
+    return _ratio(lhs, vals)
+
+
+def _decoupling_ratio_per_sample(f: GridFunction, j: int, k: int, l: int, p: float,
+                                 norm: Callable, sampler: DecouplingSampler,
+                                 ens: SignEnsemble) -> tuple[float, float]:
+    """Oracle of ``decoupling_ratio``: one sample and one cube at a time."""
+    lat, cubes, aligned, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, norm,
+                                                                  sampler, ens)
+    vals = np.empty(len(offsets))
+    shape = (lat.cells_per_axis,) * lat.dim + f.value_shape
+    for i in range(len(offsets)):
+        acc = np.zeros(shape, dtype=np.complex128)
+        for c, Q in enumerate(cubes):
+            v = aligned[c][sampler.cell_of(Q, offsets[i, c])]
+            acc[_cell_block(lat, Q)] += signs[i, c] * v
+        vals[i] = lp_norm(from_aligned(lat, acc), p, norm) ** p
+    return _ratio(lhs, vals)
+
+
+def _decoupling_inputs(f, j, k, l, p, norm, sampler, ens):
+    """What both forms of ``decoupling_ratio`` start from: the lattice,
+    the cubes, each cube's aligned Delta_Q^l f, the plain side, and the
+    sampled offsets and signs (one row per sample, one column per cube)."""
     if l > k:
         raise ValueError("need l <= k")
     lat = f.lattice
@@ -231,16 +276,12 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
     rng = np.random.default_rng(ens.seed + 1)
     offsets = sampler.draws(cubes, count)
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=(count, len(cubes)))
-    aligned_diffs = [g.aligned() for g in diffs]
-    vals = np.empty(count)
-    shape = (lat.cells_per_axis,) * lat.dim + f.value_shape
-    for i in range(count):
-        acc = np.zeros(shape, dtype=np.complex128)
-        for c, Q in enumerate(cubes):
-            cell = sampler.cell_of(Q, offsets[i, c])
-            v = aligned_diffs[c][cell]
-            acc[_cell_block(lat, Q)] += signs[i, c] * v
-        vals[i] = lp_norm(from_aligned(lat, acc), p, norm) ** p
+    return lat, cubes, [g.aligned() for g in diffs], lhs, offsets, signs
+
+
+def _ratio(lhs: float, vals: np.ndarray) -> tuple[float, float]:
+    """(lhs / mean of vals, its standard error); 1 when both sides vanish."""
+    count = len(vals)
     rhs = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
     if rhs == 0.0 and lhs == 0.0:
@@ -328,9 +369,10 @@ def martingale_transform_ratio(f: GridFunction, p: float, norm: Callable,
     if den == 0.0:
         return 1.0
     eps = ens.patterns()[:, : len(cubes)]
+    rows = max(1, _CHUNK_BYTES // diffs[0].nbytes)
     worst = 0.0
-    for row in eps:
-        v = np.tensordot(row, diffs, axes=(0, 0))
-        worst = max(worst, lp_norm(GF(lat, v), p, norm))
+    for a in range(0, len(eps), rows):
+        v = np.tensordot(eps[a:a + rows], diffs, axes=(1, 0))
+        worst = max(worst, float(lp_norm(v, p, norm, lat).max(initial=0.0)))
     return worst / den
 

@@ -28,7 +28,7 @@ lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,10 +40,16 @@ from .ncspaces import schatten_norms
 MEASURE_SLACK = 1e-12
 
 
-def _pyramid(fs: list[GridFunction]) -> tuple[Lattice, np.ndarray]:
+def _pyramid(fs: list[GridFunction],
+             known: np.ndarray | None = None) -> tuple[Lattice, np.ndarray]:
     """The lattice of scalar inputs fs and the block means of each |f_j|
     on every cube, shape (cubes, len(fs)), rows in the order of
-    ``Lattice.cubes()`` (see ``lattice._level_views``)."""
+    ``Lattice.cubes()`` (see ``lattice._level_views``).
+
+    ``known`` is a pyramid computed before; it is returned as it is when
+    its finest level equals |f_j| cell by cell for every j, since every
+    coarser level is computed from that one alone.
+    """
     if not fs:
         raise ValueError("need at least one function")
     lat = fs[0].lattice
@@ -52,6 +58,10 @@ def _pyramid(fs: list[GridFunction]) -> tuple[Lattice, np.ndarray]:
             raise ValueError("inputs must be scalar functions on one lattice")
     d, L = lat.dim, lat.depth
     mats = [np.abs(f.aligned()) for f in fs]
+    if known is not None and known.shape == (_heap_size(L, d), len(fs)):
+        finest = _level_views(known, L, d)[L]
+        if all(np.array_equal(finest[..., j], m) for j, m in enumerate(mats)):
+            return lat, known
     flat = np.empty((_heap_size(L, d), len(fs)))
     for lv, means in enumerate(_level_views(flat, L, d)):
         for j, m in enumerate(mats):
@@ -92,6 +102,9 @@ class SparseCollection:
     index: np.ndarray   # (S, d)
     parent: np.ndarray  # (S,)
     eta: float | None = None
+    # block-mean pyramid of the inputs of the stopping construction, for
+    # ``sparse_form`` to reuse when it is given the same inputs
+    _source_means: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.level = np.asarray(self.level, dtype=np.int64).reshape(-1)
@@ -198,14 +211,17 @@ def build_sparse_stopping(fs: list[GridFunction], theta: float) -> SparseCollect
     rank = np.empty(count, dtype=np.int64)
     rank[order] = np.arange(count)
     up = parent[order]
-    return SparseCollection(lat, level[order], index[order],
-                            np.where(up < 0, -1, rank[up]), eta=1.0 - n1 / theta)
+    col = SparseCollection(lat, level[order], index[order],
+                           np.where(up < 0, -1, rank[up]), eta=1.0 - n1 / theta)
+    col._source_means = pyr
+    return col
 
 
 def sparse_form(s: SparseCollection, fs: list[GridFunction]) -> float:
     """sum_{Q in S} |Q| prod_j <|f_j|>_Q, added one term at a time in the
-    order of the collection."""
-    lat, pyr = _pyramid(fs)
+    order of the collection.  A collection from ``build_sparse_stopping``
+    evaluated on the functions it was built from reuses their pyramid."""
+    lat, pyr = _pyramid(fs, s._source_means)
     if lat != s.lattice:
         raise ValueError("inputs must live on the collection's lattice")
     avgs = pyr[_heap_number(s.level, s.index, lat.dim)]

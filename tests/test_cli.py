@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dyadlab
 
 from dyadlab import cli
 
@@ -19,6 +25,16 @@ def test_help_lists_commands(capsys):
     out = capsys.readouterr().out
     for cmd in ("haar-suite", "sparse-verify", "leibniz-study"):
         assert cmd in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dyadlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "dyadlab", "factorize", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: dyadlab")
 
 
 def test_haar_suite_green(tmp_path):

@@ -103,6 +103,53 @@ def test_split_reconstruction_banded(rng):
         assert parts.partition_defect < 1e-12
 
 
+@pytest.mark.parametrize("d, R, f_kind, g_kind", [
+    (1, 256, "matrix", "matrix"),
+    (2, 32, "matrix", "matrix"),
+    (1, 128, "scalar", "matrix"),
+    (2, 16, "matrix", "scalar"),
+    (1, 2, "matrix", "matrix"),    # M = 0: the mean block and one annulus
+])
+def test_split_matches_the_pairwise_oracle(d, R, f_kind, g_kind):
+    for seed in range(3):
+        f, g = [lb.random_torus_function(d, R, band=max(1, R // 4), N=2, seed=10 * seed + i,
+                                         scalar=kind == "scalar")
+                for i, kind in enumerate((f_kind, g_kind))]
+        fast, oracle = lb.paraproduct_split(f, g, 1.5), lb._paraproduct_split_pairwise(f, g, 1.5)
+        for part in ("high_low", "low_high", "diagonal"):
+            a, b = getattr(fast, part).values, getattr(oracle, part).values
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert fast.partition_defect == oracle.partition_defect
+
+
+def test_split_diagonal_of_weakly_overlapping_frequencies():
+    # f low, g high, plus a weak overlap: the diagonal part is 1e-6 of the
+    # product, so it must come from its own blocks to match at 1e-12
+    cf = np.zeros(256, dtype=complex)
+    cf[[1, 2, 3]] = [1.0, 0.5, 0.25]
+    cg = np.zeros(256, dtype=complex)
+    cg[[60, 70]] = [1.0, -0.5]
+    cg[2] = 1e-6
+    f, g = lb.TorusFunction.from_coeffs(1, 256, cf), lb.TorusFunction.from_coeffs(1, 256, cg)
+    fast, oracle = lb.paraproduct_split(f, g, 1.5), lb._paraproduct_split_pairwise(f, g, 1.5)
+    diag = np.abs(oracle.diagonal.values).max()
+    assert 0 < diag < 1e-5 * np.abs(oracle.low_high.values).max()
+    assert np.abs(fast.diagonal.values - oracle.diagonal.values).max() <= 1e-12 * diag
+
+
+def test_reconstruction_check_sees_a_broken_partition(monkeypatch):
+    # annulus blocks that no longer sum to the function: the three parts
+    # must stop adding up to D^s(fg)
+    from dyadlab import criteria as cr
+    f = lb.random_torus_function(1, 256, band=32, N=2, seed=1)
+    g = lb.random_torus_function(1, 256, band=32, N=2, seed=2)
+    assert cr.reconstruction_defect(f, g, 1.5) < cr.RECONSTRUCTION_TOL
+    profile = lb.annulus_profile
+    monkeypatch.setattr(lb, "annulus_profile", lambda r: 0.9 * profile(r))
+    assert cr.reconstruction_defect(f, g, 1.5) > 1e3 * cr.RECONSTRUCTION_TOL
+
+
 def test_leibniz_ratio_single_frequency_closed_form():
     for k, s in ((1, 1.5), (3, 1.5), (2, 2.0)):
         c = np.zeros(128, dtype=complex)

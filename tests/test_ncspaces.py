@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -263,3 +264,23 @@ def test_factorize_mixed_continuity(rng):
         dists.append(max(np.abs(facs[u] - base[u]).max() for u in range(2)))
     assert dists[-1] < 0.05
     assert dists[-1] < dists[0]
+
+
+@pytest.mark.parametrize("ps, J", [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
+                                   ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])])
+def test_y_norm_chunks_match_the_per_draw_oracle(monkeypatch, ps, J):
+    # seven proposals a chunk: budgets 8 and 9 draw one chunk and one more
+    # Gaussian proposal (the SVD-aligned candidate is the first of a budget)
+    rng = np.random.default_rng(len(J))
+    e = random_matrix(rng, 3)
+    tab = nc.holder_tuple(ps)
+    slots = [tab.column(j)[0] for j in J]
+    perms = list(itertools.permutations(range(len(J))))
+    monkeypatch.setattr(nc, "_CHUNK_BYTES", 7 * len(J) * 9 * 16)
+    for budget in (1, 2, 8, 9, 1000):
+        fast = nc._best_gaussian(e, slots, perms, budget - 1, budget)
+        oracle = nc._best_gaussian_per_draw(e, slots, perms, budget - 1, budget)
+        assert abs(fast - oracle) <= 1e-12 * oracle
+        assert (fast == 0.0) == (budget == 1)
+        res = nc.y_norm(e, J, tab, budget=budget, seed=budget)
+        assert res.empirical >= fast and res.empirical <= res.analytic * (1 + 1e-12)

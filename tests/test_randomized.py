@@ -159,6 +159,38 @@ def test_decoupling_matrix_band():
     assert 0.1 <= ratio <= 10.0
 
 
+@pytest.mark.parametrize("d, L, shift, N, scalar, p, jkl", [
+    (1, 4, None, 1, True, 2.0, (0, 1, 1)),
+    (1, 4, None, 2, False, 4.0, (0, 1, 1)),
+    (1, 5, (0.75,), 1, True, 3.0, (1, 2, 1)),
+    (1, 6, (3 / 64,), 1, True, 1.0, (0, 1, 1)),   # p = 1: cell order shows in every bit
+    (2, 3, (0.25, 0.625), 2, False, 3.0, (0, 1, 0)),
+    (2, 3, (0.5, 0.125), 1, True, 4.0, (0, 1, 1)),
+])
+def test_decoupling_chunks_match_the_per_sample_oracle(monkeypatch, d, L, shift, N,
+                                                       scalar, p, jkl):
+    lat = dl.build_lattice(d, L, shift)
+    assert (shift is None) == (not any(lat.shift_cells))
+    f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
+    norm = rz.abs_norm if scalar else rz.schatten(2)
+    samp = rz.DecouplingSampler(lat, seed=4)
+    ens = rz.SignEnsemble(0, "monte_carlo", samples=300, seed=6)
+    # 64 samples a chunk, so 300 samples end in a partial chunk
+    monkeypatch.setattr(rz, "_CHUNK_BYTES", 64 * lat.num_cells * N * N * 16)
+    assert rz.decoupling_ratio(f, *jkl, p, norm, samp, ens) == \
+        rz._decoupling_ratio_per_sample(f, *jkl, p, norm, samp, ens)
+
+
+def test_decoupling_default_chunk_matches_the_per_sample_oracle():
+    lat = dl.build_lattice(1, 4)
+    f = dl.random_grid_function(lat, N=2, seed=13)
+    samp = rz.DecouplingSampler(lat, seed=5)
+    rows = rz._CHUNK_BYTES // (16 * 4 * 16)
+    ens = rz.SignEnsemble(0, "monte_carlo", samples=rows + 37, seed=7)
+    assert rz.decoupling_ratio(f, 0, 1, 1, 4.0, rz.schatten(2), samp, ens) == \
+        rz._decoupling_ratio_per_sample(f, 0, 1, 1, 4.0, rz.schatten(2), samp, ens)
+
+
 def test_decoupling_validates_levels():
     lat = dl.build_lattice(1, 4)
     f = dl.random_grid_function(lat, seed=8, scalar=True)

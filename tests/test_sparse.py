@@ -6,7 +6,7 @@ import pytest
 import dyadlab as dl
 from dyadlab import modelops as mo
 from dyadlab import sparse as sp
-from dyadlab.lattice import _cell_block
+from dyadlab.lattice import _block_means, _cell_block
 
 
 def _ones(lat):
@@ -205,6 +205,35 @@ def test_stopping_tree_matches_recursive_oracle(d, L):
             assert sp.is_sparse(col, eta) == sp._masks_sparse(lat, cubes, masks, eta)
         form, oracle = sp.sparse_form(col, fs), sp._sparse_form_per_cube(cubes, fs)
         assert abs(form - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_sparse_form_reuses_the_pyramid_only_for_its_own_inputs(monkeypatch):
+    lat = dl.build_lattice(2, 4, (0.25, 0.5))
+    r = np.random.default_rng(7)
+    fs = [dl.GridFunction(lat, np.abs(r.standard_normal((16, 16))) ** 4) for _ in range(2)]
+    col = sp.build_sparse_stopping(fs, 4.0)
+    bare = sp.SparseCollection(lat, col.level, col.index, col.parent)  # keeps no pyramid
+    assert len(col) > 1
+    expected = sp.sparse_form(bare, fs)
+    built = []
+    monkeypatch.setattr(sp, "_block_means", lambda *a: built.append(1) or _block_means(*a))
+    assert sp.sparse_form(col, fs) == expected
+    assert sp.sparse_form(col, [f.copy() for f in fs]) == expected
+    assert not built  # the same inputs, as objects or as equal copies: no new pyramid
+    others = [
+        [fs[0], 2.0 * fs[1]],                            # one input changed
+        [fs[1], fs[0]],                                  # the inputs swapped
+        [fs[0]],                                         # fewer inputs
+        fs + [fs[0]],                                    # more inputs
+        [dl.GridFunction(lat, np.ones((16, 16)))] * 2,   # other functions
+    ]
+    fs[0].values[3, 5] += 100.0  # the built-from input itself, changed in place
+    others.append(fs)
+    for gs in others:
+        assert sp.sparse_form(col, gs) == sp.sparse_form(bare, gs)
+        oracle = sp._sparse_form_per_cube(col.cubes, gs)
+        assert abs(sp.sparse_form(col, gs) - oracle) <= 1e-12 * oracle
+    assert sp.sparse_form(col, fs) != expected
 
 
 def test_stopping_oracle_inputs_reach_both_verdicts():
