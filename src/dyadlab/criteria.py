@@ -39,8 +39,8 @@ KERNEL_SLACK = 1e-15        # absolute; a larger budget extends the samples
 ATTAINMENT = 0.95           # share of the dual norm a random search must reach
 ANCHOR_SE = 3.0             # standard errors allowed around the decoupling anchor
 
-# projection-algebra pairs (Q, R), Q != R, checked per function
-MAX_PAIRS = 400
+# bytes of the stack of Delta_Q f that projection_algebra projects at once
+_CHUNK_BYTES = 1 << 20
 # (p1, p2, q3, r1, r2) of the derivative-of-product ratio
 LEIBNIZ_EXPONENTS = (4.0, 4.0, 2.0, 4.0, 4.0)
 
@@ -78,52 +78,75 @@ def _every(statement: str, kind: str, evals: list, **data) -> tuple[dict, list]:
 
 
 def haar_orthonormality(lat: lt.Lattice) -> dict:
-    """Gram matrix of every Haar function above the finest level is I."""
-    haars = [(Q, eta) for Q in lat.cubes() if Q.level < lat.depth
-             for eta in range(1, 1 << lat.dim)]
-    vecs = np.stack([lt.haar(lat, h).values.reshape(-1) for h in haars])
-    gram = (vecs * lat.cell_volume) @ vecs.conj().T
-    return _within("haar-orthonormality", _max_dev(gram, np.eye(len(haars))),
-                   IDENTITY_TOL)
+    """Gram matrix of every Haar function above the finest level is I.
+
+    Haar functions are real, so the Gram matrix is taken in real
+    arithmetic and any nonzero imaginary part fails the check."""
+    vecs = np.concatenate([lt.haar_level(lat, lv).reshape(lat.num_cells, -1)
+                           for lv in range(lat.depth)], axis=1)
+    real = np.ascontiguousarray(vecs.real)
+    gram = (real.T @ real) * lat.cell_volume  # a power of two: exact scaling
+    err = _max_dev(gram, np.eye(len(gram)))
+    return record("haar-orthonormality", HARD, err <= IDENTITY_TOL and not vecs.imag.any(),
+                  max_error=err, tol=IDENTITY_TOL)
 
 
 def martingale_telescoping(f: lt.GridFunction) -> dict:
-    """f equals its integral plus every martingale difference."""
+    """f equals its integral plus every martingale difference: the level
+    arrays of the differences are summed and rolled back once."""
     lat = f.lattice
-    g = lt.GridFunction(lat, np.broadcast_to(lt.integral(f), f.values.shape).copy())
-    for Q in lat.cubes():
-        if Q.level < lat.depth:
-            g = g + lt.martingale_diff(f, Q)
-    return _within("martingale-telescoping", _max_dev(g.values, f.values),
-                   IDENTITY_TOL)
+    total = np.broadcast_to(lt.integral(f), f.values.shape).copy()
+    for lv in range(lat.depth):
+        total += lt.level_blocks(f, lv)[1]
+    return _within("martingale-telescoping",
+                   _max_dev(lt.from_aligned(lat, total).values, f.values), IDENTITY_TOL)
 
 
 def projection_algebra(f: lt.GridFunction) -> dict:
-    """Delta_Q Delta_Q = Delta_Q, E_Q Delta_Q = 0, Delta_R Delta_Q = 0 (R != Q)."""
+    """Delta_Q Delta_Q = Delta_Q, E_Q Delta_Q = 0 and Delta_R Delta_Q = 0
+    for every pair R != Q.  The Delta_Q f of a level's cubes are stacked
+    along a value axis, at most ``_CHUNK_BYTES`` at a time, and each stack
+    is projected onto every level at once."""
     lat = f.lattice
-    cubes = [Q for Q in lat.cubes() if Q.level < lat.depth]
-    err, pairs = 0.0, 0
-    for Q in cubes:
-        dq = lt.martingale_diff(f, Q)
-        err = max(err, _max_dev(lt.martingale_diff(dq, Q).values, dq.values),
-                  float(np.abs(lt.expect(dq, Q).values).max()))
-        for R in cubes:
-            if R != Q and pairs < MAX_PAIRS:
-                err = max(err, float(np.abs(lt.martingale_diff(dq, R).values).max()))
-                pairs += 1
+    err = 0.0
+    for lv in range(lat.depth):
+        diffs = lt.level_blocks(f, lv)[1]
+        cubes = list(lat.cubes(lv))
+        rows = max(1, _CHUNK_BYTES // diffs.nbytes)
+        for start in range(0, len(cubes), rows):
+            chunk = cubes[start:start + rows]
+            dq = np.zeros(diffs.shape[:lat.dim] + (len(chunk),) + diffs.shape[lat.dim:],
+                          dtype=np.complex128)
+            for i, Q in enumerate(chunk):
+                blk = lt._cell_block(lat, Q)
+                dq[blk + (i,)] = diffs[blk]
+            g = lt.from_aligned(lat, dq)
+            for m in range(lat.depth):
+                expect, delta = lt.level_blocks(g, m)
+                if m == lv:
+                    # Delta_R Delta_Q f is Delta_Q f on R = Q and 0 on R != Q,
+                    # and E_R Delta_Q f = 0 for every R of Q's level
+                    err = max(err, _max_dev(delta, dq), float(np.abs(expect).max()))
+                else:
+                    err = max(err, float(np.abs(delta).max()))
     return _within("projection-algebra", err, IDENTITY_TOL)
 
 
 def average_expansion(f: lt.GridFunction) -> dict:
-    """E_K^k f = E_K f + sum_{l<k} Delta_K^l f for every admissible (K, k)."""
+    """E_K^k f = E_K f + sum_{l<k} Delta_K^l f for every admissible (K, k),
+    all cubes K of a level at once; the left side comes straight from the
+    block means at level + k."""
     lat = f.lattice
+    d, L = lat.dim, lat.depth
+    a = f.aligned()
     err = 0.0
-    for K in lat.cubes():
-        for k in range(lat.depth - K.level + 1):
-            rhs = lt.expect(f, K)
-            for l in range(k):
-                rhs = rhs + lt.martingale_diff_k(f, K, l)
-            err = max(err, _max_dev(lt.expect_k(f, K, k).values, rhs.values))
+    for lv in range(L + 1):
+        rhs = lt.level_blocks(f, lv)[0]
+        for k in range(L - lv + 1):
+            if k:
+                rhs = rhs + lt.level_blocks(f, lv, k - 1)[1]
+            w = 1 << (L - lv - k)
+            err = max(err, _max_dev(lt._expand(lt._block_means(a, w, d), w, d), rhs))
     return _within("average-expansion-identity", err, IDENTITY_TOL)
 
 

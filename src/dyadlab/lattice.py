@@ -18,6 +18,7 @@ every identity below can be checked to rounding error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -335,17 +336,41 @@ def haar(lat: Lattice, h: HaarIndex | tuple) -> GridFunction:
     if h.cancellative and Q.level >= lat.depth:
         raise ValueError("cancellative Haar needs level < depth")
     aligned = np.zeros((lat.cells_per_axis,) * lat.dim, dtype=np.complex128)
-    block = _cell_block(lat, Q)
-    w = 1 << (lat.depth - Q.level)
-    val = Q.measure() ** (-0.5)
-    patch = np.full((w,) * lat.dim, val, dtype=np.complex128)
+    aligned[_cell_block(lat, Q)] = _haar_patch(lat, Q.level, eta)
+    return from_aligned(lat, aligned)
+
+
+def haar_level(lat: Lattice, level: int) -> np.ndarray:
+    """Every cancellative Haar function of one level, built in one pass.
+
+    The result has shape grid + (2^(level d), 2^d - 1) in physical cell
+    coordinates: entry [x][q, eta - 1] is h_Q^eta(x) for the q-th cube Q
+    of ``Lattice.cubes(level)`` and the eta mask 1..2^d - 1, the same
+    values as ``haar``.  Needs level < L.
+    """
+    d, L = lat.dim, lat.depth
+    if not 0 <= level < L:
+        raise ValueError("cancellative Haar needs level < depth")
+    m, w = 1 << level, 1 << (L - level)
+    patches = np.stack([_haar_patch(lat, level, mask_to_eta(e, d)) for e in range(1, 1 << d)],
+                       axis=-1)
+    out = np.zeros((m, w) * d + (m ** d, (1 << d) - 1), dtype=np.complex128)
+    # cube q = (q_1..q_d) gets the patch on block q_a of every axis a
+    q = np.indices((m,) * d).reshape(d, -1)
+    out[sum(((qa, slice(None)) for qa in q), ()) + (np.arange(m ** d),)] = patches
+    return _roll(out.reshape((m * w,) * d + out.shape[-2:]), lat, +1)
+
+
+def _haar_patch(lat: Lattice, level: int, eta: tuple[int, ...]) -> np.ndarray:
+    """h_Q^eta on the cells of a level-``level`` cube Q, in lattice order."""
+    w = 1 << (lat.depth - level)
+    patch = np.full((w,) * lat.dim, (2.0 ** (-level * lat.dim)) ** (-0.5), dtype=np.complex128)
     for a, e in enumerate(eta):
         if e:
             sign = np.ones(w)
             sign[w // 2:] = -1.0
             patch = patch * sign.reshape((1,) * a + (w,) + (1,) * (lat.dim - a - 1))
-    aligned[block] = patch
-    return from_aligned(lat, aligned)
+    return patch
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +434,30 @@ def martingale_diff_k(f: GridFunction, Q: Cube, k: int) -> GridFunction:
     fine = expect_k(f, Q, k + 1)
     coarse = expect_k(f, Q, k)
     return fine - coarse
+
+
+def level_blocks(f: GridFunction, level: int,
+                 k: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """(E^k, Delta^k): E_Q^k f and Delta_Q^k f for every cube Q of a level.
+
+    Each is one array in aligned coordinates (``GridFunction.aligned``)
+    of f's grid and value shape.  The cubes of a level tile the grid:
+    the block of cells covered by Q (``_cell_block``) holds E_Q^k f,
+    resp. Delta_Q^k f, there, and both vanish off Q.  They are expanded
+    from the block means at level + k and level + k + 1 of one aligned
+    copy of f, and ``from_aligned`` takes a sum of them back to a grid
+    function in one roll.  Delta^k is None at level + k = L.
+    """
+    lat = f.lattice
+    d, L = lat.dim, lat.depth
+    if level < 0 or k < 0 or level + k > L:
+        raise ValueError("descendant level exceeds lattice depth")
+    a = f.aligned()
+    w = 1 << (L - level - k)
+    coarse = _expand(_block_means(a, w, d), w, d)
+    if w == 1:
+        return coarse, None
+    return coarse, _expand(_block_means(a, w // 2, d), w // 2, d) - coarse
 
 
 def _block_means(a: np.ndarray, w: int, d: int) -> np.ndarray:
@@ -630,13 +679,20 @@ def _ints(x, count: int | None, path: str) -> list[int]:
 
 
 def _finite(obj, key: str, path: str) -> float:
-    if type(x := _field(obj, key, path)) not in (int, float) or not np.isfinite(x):
-        raise ValueError(f"field {path} must be a finite number")
-    return x
+    x = _field(obj, key, path)
+    try:
+        if type(x) in (int, float) and math.isfinite(x):
+            return x
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"field {path} must be a finite number")
 
 
 def _cube_json(c, d: int, path: str) -> tuple[int, list[int]]:
     """A JSON cube [level, [indices]] as (level, indices)."""
     if not isinstance(c, list) or len(c) != 2 or type(c[0]) is not int:
         raise ValueError(f"field {path} must hold cubes [level, [{d} indices]]")
-    return c[0], _ints(c[1], d, path)
+    index = _ints(c[1], d, path)
+    if not 0 <= c[0] <= 62 // d or any(not 0 <= i < 1 << c[0] for i in index):
+        raise ValueError(f"field {path} holds a cube out of range")
+    return c[0], index

@@ -39,8 +39,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (Cube, GridFunction, HaarPyramid, Lattice, _block_means, _cube_json,
-                      _expand, _field, _finite, _heap_number, _heap_size, _int, _ints,
-                      _level_views, build_lattice, from_aligned, haar, pairing)
+                      _expand, _field, _finite, _haar_patch, _heap_number, _heap_size, _int,
+                      _ints, _level_views, build_lattice, from_aligned, haar, mask_to_eta,
+                      pairing)
 
 NORMALIZATION_SLACK = 1e-12
 
@@ -458,7 +459,7 @@ def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
         for e in range(1 << d):
             part = level[(slice(None),) * d + (e,)]
             if part.any():
-                h = haar(lat, (Cube(lv, (0,) * d), e)).aligned()[(slice(w),) * d].real
+                h = _haar_patch(lat, lv, mask_to_eta(e, d)).real
                 pattern = np.tile(h, (1 << lv,) * d)[(...,) + (None,) * (coef.ndim - 1)]
                 out += _expand(part, w, d) * pattern
     return out
@@ -536,24 +537,93 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
 # ---------------------------------------------------------------------------
 
 def _to_json(spec, header: dict) -> str:
-    """Header fields, the lattice and the coefficient entries in row order."""
+    """Header fields, the lattice and the coefficient entries in row order.
+
+    The bytes are those of ``json.dumps(..., sort_keys=True)`` with one
+    dict per entry: each entry is formatted from a template, its integers
+    as ``str`` does and its floats as ``json.dumps`` does for one column."""
     t, lat = spec.coeffs, spec.lattice
-    entries = []
-    for lv, ix, es, a in zip(t.level.tolist(), t.index.tolist(), t.eta.tolist(),
-                             t.value.tolist()):
-        cubes = [[l, i] for l, i in zip(lv, ix)]
-        ent = {"K": cubes[0], "re": a.real, "im": a.imag}
-        ent.update({"Qs": cubes[1:], "etas": es} if len(cubes) > 1 else {"eta": es[0]})
-        entries.append(ent)
-    return json.dumps({**header, "dim": lat.dim, "depth": lat.depth,
-                       "shift": list(lat.shift), "coeffs": entries}, sort_keys=True)
+    S, d = t.level.shape[1], t.dim
+    cube = "[{}, [" + ", ".join(["{}"] * d) + "]]"
+    etas = (f'"Qs": [{", ".join([cube] * (S - 1))}], "etas": [{", ".join(["{}"] * (S - 1))}]'
+            if S > 1 else '"eta": {}')
+    entry = '{{"K": ' + cube + ", " + etas + ', "im": {}, "re": {}}}'
+    ints = np.concatenate([np.concatenate([t.level[:, :, None], t.index], axis=2)
+                           .reshape(len(t), S * (d + 1)), t.eta], axis=1).tolist()
+    entries = ", ".join(entry.format(*row, im, re) for row, im, re in zip(
+        ints, _json_floats(t.value.imag), _json_floats(t.value.real)))
+    head = json.dumps({**header, "dim": lat.dim, "depth": lat.depth,
+                       "shift": list(lat.shift), "coeffs": None}, sort_keys=True)
+    return head.replace('"coeffs": null', f'"coeffs": [{entries}]', 1)
+
+
+def _json_floats(x: np.ndarray) -> list[str]:
+    """Each float of x as ``json.dumps`` writes it."""
+    return json.dumps(x.tolist())[1:-1].split(", ") if len(x) else []
 
 
 def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTable:
-    """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im}, in file order."""
+    """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im}, in file order.
+
+    Well-formed entries are read column by column; at any anomaly the
+    entries are read again one at a time, so the error names its field."""
     entries = _field(obj, "coeffs")
     if not isinstance(entries, list):
         raise ValueError("field coeffs must be a list")
+    cols = _columns(entries, d, qs, eta_key, eta_default)
+    level, index, eta, value = cols if cols is not None else _rows(
+        entries, d, qs, eta_key, eta_default)
+    return CoeffTable(np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
+                      np.reshape(eta, (-1, qs or 1)), value)
+
+
+def _only(xs: list, t: type) -> bool:
+    """Whether every item of xs has exactly type t (so no bool passes as int)."""
+    return set(map(type, xs)) <= {t}
+
+
+def _columns(entries: list, d: int, qs: int, eta_key: str, eta_default):
+    """(levels, indices, etas, values) of the entries gathered as columns
+    and checked as a whole, or None if there are none or any is malformed."""
+    try:
+        cubes = [[e["K"], *e["Qs"]] for e in entries] if qs else [[e["K"]] for e in entries]
+        etas = [e.get(eta_key, eta_default) for e in entries]
+        re, im = [e["re"] for e in entries], [e["im"] for e in entries]
+    except (AttributeError, KeyError, TypeError):
+        return None
+    flat = list(itertools.chain.from_iterable(cubes))
+    if not (entries and set(map(len, cubes)) <= {qs + 1} and _only(flat, list)
+            and set(map(len, flat)) <= {2}):
+        return None
+    level, index = [c[0] for c in flat], [c[1] for c in flat]
+    if not (_only(level, int) and _only(index, list) and set(map(len, index)) <= {d}):
+        return None
+    index = list(itertools.chain.from_iterable(index))
+    if qs:
+        if not (_only(etas, list) and set(map(len, etas)) <= {qs}):
+            return None
+        etas = list(itertools.chain.from_iterable(etas))
+    if not (_only(index, int) and _only(etas, int) and set(map(type, re + im)) <= {int, float}
+            and 0 <= min(level) and max(level) <= 62 // d
+            and 0 <= min(index) and max(index) < 1 << 62
+            and 0 <= min(etas) and max(etas) < 1 << d):
+        return None
+    level, index = np.array(level), np.array(index).reshape(-1, d)
+    if np.any(index >> level[:, None]):  # an index out of range for its level
+        return None
+    value = np.empty(len(re), dtype=np.complex128)
+    try:
+        value.real, value.imag = re, im
+    except OverflowError:  # an integer too large for a float
+        return None
+    if not np.isfinite(value).all():
+        return None
+    return level, index, etas, value
+
+
+def _rows(entries: list, d: int, qs: int, eta_key: str, eta_default):
+    """(levels, indices, etas, values) of the entries read one at a time;
+    the first malformed one raises ValueError naming its field."""
     level, index, eta, value = [], [], [], []
     for i, ent in enumerate(entries):
         p = f"coeffs[{i}]"
@@ -566,10 +636,12 @@ def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTa
         level += [c[0] for c in cubes]
         index += [c[1] for c in cubes]
         es = ent.get(eta_key, eta_default)
-        eta += _ints(es if qs else [es], qs or 1, f"{p}.{eta_key}")
+        es = _ints(es if qs else [es], qs or 1, f"{p}.{eta_key}")
+        if any(not 0 <= e < 1 << d for e in es):
+            raise ValueError(f"field {p}.{eta_key} must hold eta masks below {1 << d}")
+        eta += es
         value.append(complex(_finite(ent, "re", f"{p}.re"), _finite(ent, "im", f"{p}.im")))
-    return CoeffTable(np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
-                      np.reshape(eta, (-1, qs or 1)), value)
+    return level, index, eta, value
 
 
 def shift_to_json(spec: ShiftSpec) -> str:

@@ -1,0 +1,82 @@
+"""The level-array identity checks still fail when their inputs are wrong.
+
+Each check of ``criteria`` built on ``lattice.level_blocks`` is run with
+a helper whose output is off by 1e-6 on the block of one cube, and the
+Haar check with one Haar function given an imaginary part.
+"""
+
+import numpy as np
+import pytest
+
+import dyadlab as dl
+from dyadlab import criteria as cr
+from dyadlab import lattice as lt
+
+OFF = 1e-6
+
+
+def _lattices():
+    return [dl.build_lattice(1, 4), dl.build_lattice(2, 3, (0.25, 0.5))]
+
+
+def _off_on_one_block(monkeypatch, cube, which):
+    """Make level_blocks return E^k (which=0) or Delta^k (which=1) off
+    by OFF on the block of ``cube``, for every k at the cube's level."""
+    real = lt.level_blocks
+
+    def mutated(f, level, k=0):
+        out = list(real(f, level, k))
+        if level == cube.level and out[which] is not None:
+            out[which] = out[which].copy()
+            out[which][lt._cell_block(f.lattice, cube)] += OFF
+        return tuple(out)
+
+    monkeypatch.setattr(lt, "level_blocks", mutated)
+
+
+def _cube(lat):
+    return dl.Cube(1, (1,) * lat.dim)
+
+
+@pytest.mark.parametrize("lat", _lattices(), ids=["d1", "d2-shifted"])
+@pytest.mark.parametrize("check, which", [
+    ("martingale_telescoping", 1),
+    ("projection_algebra", 0),
+    ("projection_algebra", 1),
+    ("average_expansion", 0),
+    ("average_expansion", 1),
+])
+def test_identity_checks_fail_on_one_wrong_block(monkeypatch, lat, check, which):
+    f = dl.random_grid_function(lat, N=2, seed=3, scalar=check == "projection_algebra")
+    assert getattr(cr, check)(f)["pass"]
+    _off_on_one_block(monkeypatch, _cube(lat), which)
+    rec = getattr(cr, check)(f)
+    assert rec["pass"] is False
+    assert rec["max_error"] >= OFF / 2
+
+
+@pytest.mark.parametrize("lat", _lattices(), ids=["d1", "d2-shifted"])
+def test_haar_orthonormality_fails_on_a_complex_haar_function(monkeypatch, lat):
+    assert cr.haar_orthonormality(lat)["pass"]
+    real = lt.haar_level
+
+    def complex_one(lat, level):
+        out = real(lat, level)
+        if level == 1:
+            # the real parts, and so the real Gram matrix, are unchanged
+            out[(0,) * lat.dim + (1, 0)] += OFF * 1j
+        return out
+
+    monkeypatch.setattr(lt, "haar_level", complex_one)
+    rec = cr.haar_orthonormality(lat)
+    assert rec["max_error"] <= cr.IDENTITY_TOL
+    assert rec["pass"] is False
+
+
+def test_haar_orthonormality_fails_on_a_unit_phase(monkeypatch):
+    # e^{i theta} h is orthonormal under the conjugating inner product
+    # but is not a real Haar function
+    lat = dl.build_lattice(1, 3)
+    real = lt.haar_level
+    monkeypatch.setattr(lt, "haar_level", lambda lat, level: real(lat, level) * np.exp(0.3j))
+    assert cr.haar_orthonormality(lat)["pass"] is False

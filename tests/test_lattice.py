@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dyadlab as dl
-from dyadlab.lattice import from_aligned
+from dyadlab.lattice import _cell_block, from_aligned, haar_level
 
 
 def test_standard_grid_cells():
@@ -190,6 +190,59 @@ def test_projection_algebra():
         for R in cubes:
             if R != Q:
                 assert np.abs(dl.martingale_diff(dq, R).values).max() < 1e-12
+
+
+def _lattices():
+    """(d, L) with the standard grid and with a shift of 1, 2, .. cells."""
+    for d, L in [(1, 4), (2, 3), (3, 2)]:
+        yield dl.build_lattice(d, L)
+        yield dl.build_lattice(d, L, tuple((a + 1) / (1 << L) for a in range(d)))
+
+
+def _on_block(lat, aligned, Q):
+    """The function that is ``aligned`` on Q's block and zero elsewhere."""
+    out = np.zeros_like(aligned)
+    out[_cell_block(lat, Q)] = aligned[_cell_block(lat, Q)]
+    return from_aligned(lat, out).values
+
+
+@pytest.mark.parametrize("lat", list(_lattices()),
+                         ids=lambda lat: f"d{lat.dim}-L{lat.depth}-shift{lat.shift_cells}")
+@pytest.mark.parametrize("scalar", [True, False])
+def test_level_blocks_match_per_cube_operators(lat, scalar):
+    # oracle: expect_k and martingale_diff_k, one cube at a time
+    f = dl.random_grid_function(lat, N=2, seed=8, scalar=scalar)
+    for level in range(lat.depth + 1):
+        for k in range(lat.depth - level + 1):
+            E, D = dl.level_blocks(f, level, k)
+            assert E.shape == f.values.shape
+            assert (D is None) == (level + k == lat.depth)
+            for Q in lat.cubes(level):
+                assert np.abs(_on_block(lat, E, Q) - dl.expect_k(f, Q, k).values).max() < 1e-12
+                if D is not None:
+                    assert np.abs(_on_block(lat, D, Q)
+                                  - dl.martingale_diff_k(f, Q, k).values).max() < 1e-12
+
+
+def test_level_blocks_rejects_levels_below_the_lattice():
+    f = dl.random_grid_function(dl.build_lattice(1, 3), seed=1, scalar=True)
+    for level, k in [(4, 0), (2, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            dl.level_blocks(f, level, k)
+
+
+@pytest.mark.parametrize("lat", list(_lattices()),
+                         ids=lambda lat: f"d{lat.dim}-L{lat.depth}-shift{lat.shift_cells}")
+def test_haar_level_equals_haar(lat):
+    for level in range(lat.depth):
+        stack = haar_level(lat, level)
+        assert stack.shape == (lat.cells_per_axis,) * lat.dim + (2 ** (level * lat.dim),
+                                                                 2 ** lat.dim - 1)
+        for q, Q in enumerate(lat.cubes(level)):
+            for eta in range(1, 2 ** lat.dim):
+                assert np.array_equal(stack[..., q, eta - 1], dl.haar(lat, (Q, eta)).values)
+    with pytest.raises(ValueError):
+        haar_level(lat, lat.depth)
 
 
 def test_sublattice_residues():

@@ -342,6 +342,20 @@ def test_shift_json_bytes_pinned():
     assert mo.shift_to_json(mo.shift_from_json(text)) == text
 
 
+# recorded from the writer that built one dict per entry for json.dumps
+PARAPRODUCT_JSON_SHA256 = "4b00d102c1deca798401b126035fb92be9113ece40f78b4de74949391022f52f"
+
+
+def test_paraproduct_json_bytes_pinned():
+    lat = dl.build_lattice(2, 3, (0.25, 0.5))
+    h = dl.random_grid_function(lat, seed=3, scalar=True)
+    pp = mo.ParaproductSpec(lat, 2, 2, mo.make_bmo_coeffs(lat, h))
+    assert len(pp.coeffs) == 63
+    text = mo.paraproduct_to_json(pp)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARAPRODUCT_JSON_SHA256
+    assert mo.paraproduct_to_json(mo.paraproduct_from_json(text)) == text
+
+
 def _shift_payload():
     lat = dl.build_lattice(1, 3)
     spec = mo.make_random_shift(lat, 1, (1, 0), {1, 2}, seed=2,
@@ -362,6 +376,18 @@ def _shift_payload():
     (lambda o: o["coeffs"][1].pop("im"), "coeffs[1].im"),
     (lambda o: o["coeffs"][1].update(re=float("nan")), "coeffs[1].re"),
     (lambda o: o["coeffs"][1].update(im=float("inf")), "coeffs[1].im"),
+    pytest.param(lambda o: o["coeffs"][1]["K"].__setitem__(0, True), "coeffs[1].K",
+                 id="true-level"),
+    pytest.param(lambda o: o["coeffs"][1]["Qs"][0][1].__setitem__(0, 1.0), "coeffs[1].Qs",
+                 id="float-index"),
+    pytest.param(lambda o: o["coeffs"].__setitem__(1, [0, [0]]), "coeffs[1].K",
+                 id="list-entry"),
+    pytest.param(lambda o: o["coeffs"][1]["Qs"][0][1].__setitem__(0, 99), "coeffs[1].Qs",
+                 id="index-range"),
+    pytest.param(lambda o: o["coeffs"][1].update(re=10 ** 400), "coeffs[1].re",
+                 id="huge-int"),
+    pytest.param(lambda o: o["coeffs"][1].update(etas=[2 ** 70, 1]), "coeffs[1].etas",
+                 id="huge-eta"),
 ])
 def test_shift_loader_names_bad_field(edit, field):
     obj = _shift_payload()
@@ -376,6 +402,15 @@ def test_shift_loader_names_bad_field(edit, field):
     (lambda o: o["coeffs"][0].update(K=[1]), "coeffs[0].K"),
     (lambda o: o["coeffs"][0].update(eta=[1]), "coeffs[0].eta"),
     (lambda o: o["coeffs"][0].update(re=float("-inf")), "coeffs[0].re"),
+    pytest.param(lambda o: o["coeffs"][2]["K"].__setitem__(0, False), "coeffs[2].K",
+                 id="false-level"),
+    pytest.param(lambda o: o["coeffs"][2]["K"][1].__setitem__(0, 0.0), "coeffs[2].K",
+                 id="float-index"),
+    pytest.param(lambda o: o["coeffs"].__setitem__(2, "K"), "coeffs[2].K", id="str-entry"),
+    pytest.param(lambda o: o["coeffs"][2]["K"][1].__setitem__(0, -1), "coeffs[2].K",
+                 id="index-range"),
+    pytest.param(lambda o: o["coeffs"][2].update(eta=True), "coeffs[2].eta", id="true-eta"),
+    pytest.param(lambda o: o["coeffs"][2].update(eta=2), "coeffs[2].eta", id="eta-range"),
 ])
 def test_paraproduct_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 3)
@@ -385,6 +420,86 @@ def test_paraproduct_loader_names_bad_field(edit, field):
     edit(obj)
     with pytest.raises(ValueError, match=rf"field {re.escape(field)}( |$)"):
         mo.paraproduct_from_json(json.dumps(obj))
+
+
+def _paraproduct_payload():
+    lat = dl.build_lattice(1, 3)
+    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    return json.loads(mo.paraproduct_to_json(
+        mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))))
+
+
+# (payload, qs, eta key, eta default) of the two loaders at d = 1
+_READERS = {"shift": (_shift_payload, 2, "etas", [1, 1]),
+            "paraproduct": (_paraproduct_payload, 0, "eta", 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("edit", [
+    lambda o: o["coeffs"][1]["K"].__setitem__(0, True),         # a true level
+    lambda o: o["coeffs"][1]["K"][1].__setitem__(0, 1.0),       # a 1.0 index
+    lambda o: o["coeffs"].__setitem__(1, [0, [0]]),             # an entry not a dict
+    lambda o: o["coeffs"][1]["K"][1].__setitem__(0, 8),         # an index out of range
+    lambda o: o["coeffs"][1]["K"].__setitem__(0, 63),           # a level out of range
+    lambda o: o["coeffs"][1].update(im=10 ** 400),              # no float
+    lambda o: o["coeffs"][1].pop("re"),                         # a missing key
+], ids=["true-level", "float-index", "list-entry", "index-range", "level-range", "huge-int",
+        "missing-key"])
+def test_column_reader_falls_back_to_the_named_error(kind, edit):
+    payload, qs, key, default = _READERS[kind]
+    obj = payload()
+    assert mo._columns(obj["coeffs"], 1, qs, key, default) is not None
+    edit(obj)
+    assert mo._columns(obj["coeffs"], 1, qs, key, default) is None
+    with pytest.raises(ValueError, match=r"field coeffs\[1\]\.") as per_entry:
+        mo._rows(obj["coeffs"], 1, qs, key, default)
+    with pytest.raises(ValueError) as loaded:
+        mo._table_from_json(obj, 1, qs, key, default)
+    assert str(loaded.value) == str(per_entry.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_column_reader_equals_per_entry_reader(kind):
+    payload, qs, key, default = _READERS[kind]
+    obj = payload()
+    obj["coeffs"][0].pop(key)  # the default pattern
+    obj["coeffs"][1].update(re=1, im=-0.0)  # an integer and a negative zero
+    fast = mo._columns(obj["coeffs"], 1, qs, key, default)
+    slow = mo._rows(obj["coeffs"], 1, qs, key, default)
+    for a, b in zip(fast, slow):
+        assert np.array_equal(np.reshape(a, -1), np.reshape(b, -1))
+    assert np.array_equal(np.signbit(fast[3].imag), np.signbit(np.imag(slow[3])))
+
+
+def _dict_json(spec, header):
+    """The writer's oracle: one dict per entry through ``json.dumps``."""
+    t, lat = spec.coeffs, spec.lattice
+    entries = []
+    for lv, ix, es, a in zip(t.level.tolist(), t.index.tolist(), t.eta.tolist(),
+                             t.value.tolist()):
+        cubes = [[l, i] for l, i in zip(lv, ix)]
+        ent = {"K": cubes[0], "re": a.real, "im": a.imag}
+        ent.update({"Qs": cubes[1:], "etas": es} if len(cubes) > 1 else {"eta": es[0]})
+        entries.append(ent)
+    return json.dumps({**header, "dim": lat.dim, "depth": lat.depth,
+                       "shift": list(lat.shift), "coeffs": entries}, sort_keys=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_json_writer_equals_one_dict_per_entry(d):
+    lat = dl.build_lattice(d, 3)
+    spec = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, seed=d, blocks=3,
+                                tuples_per_block=3)
+    spec.coeffs.value[:4] = [-0.0, 1e-300, complex(0.0, -0.0), 5e-324]
+    header = {"n": 2, "complexity": [1, 0, 1], "cancellative": [1, 3]}
+    assert mo.shift_to_json(spec) == _dict_json(spec, header)
+    h = dl.random_grid_function(lat, seed=d, scalar=True)
+    pp = mo.ParaproductSpec(lat, 1, 2, mo.make_bmo_coeffs(lat, h))
+    pp.coeffs.value[0] = float("nan")
+    assert mo.paraproduct_to_json(pp) == _dict_json(pp, {"n": 1, "haar_position": 2})
+    empty = mo.ParaproductSpec(lat, 1, 1, mo.CoeffTable(np.zeros((0, 1)), np.zeros((0, 1, d)),
+                                                        np.zeros((0, 1)), []))
+    assert mo.paraproduct_to_json(empty) == _dict_json(empty, {"n": 1, "haar_position": 1})
 
 
 def test_coeff_table_merges_repeated_keys():
