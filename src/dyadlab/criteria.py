@@ -212,7 +212,7 @@ def contraction(cases: list) -> tuple[dict, list]:
     """Exact contraction principle (Schatten-2 values) for each
     (xs, coeffs, p, ens); returns the record and each (ratio, holds)."""
     return _every("contraction-exact", HARD, [
-        _exact(*rz.contraction_check(xs, coeffs, rz.schatten(2), p, ens), CONTRACTION_SLACK)
+        _exact(*rz.contraction_check(xs, coeffs, 2.0, p, ens), CONTRACTION_SLACK)
         for xs, coeffs, p, ens in cases])
 
 
@@ -225,14 +225,14 @@ def product_bound(cases: list) -> tuple[dict, list]:
 
 def moment_band(cases: list, band: float) -> tuple[dict, list]:
     """Moment-comparison ratio of each (xs, p, q, ens) in [1/band, band]."""
-    ratios = [rz.kk_ratio(xs, rz.schatten(2), p, q, ens) for xs, p, q, ens in cases]
+    ratios = [rz.kk_ratio(xs, 2.0, p, q, ens) for xs, p, q, ens in cases]
     return _every("moment-comparison-band", BAND,
                   [(r, _in_band(r, band)) for r in ratios], band=band)
 
 
 def conditional_expectation_band(fqs: dict, band: float) -> tuple[dict, tuple]:
     """Stein-type comparison at p = 3; returns the record and (ratio, holds)."""
-    lhs, rhs = rz.stein_check(fqs, 3.0, rz.abs_norm, rz.SignEnsemble(len(fqs)))
+    lhs, rhs = rz.stein_check(fqs, 3.0, 2.0, rz.SignEnsemble(len(fqs)))
     ratio = lhs / rhs if rhs else 0.0
     return (record("conditional-expectation-band", BAND, ratio <= band, band=band),
             (ratio, ratio <= band))
@@ -240,7 +240,7 @@ def conditional_expectation_band(fqs: dict, band: float) -> tuple[dict, tuple]:
 
 def decoupling_anchor(f: lt.GridFunction, j: int, k: int, l: int, sampler, ens) -> dict:
     """For scalar f at p = 2 the decoupling ratio is 1 up to sampling error."""
-    ratio, se = rz.decoupling_ratio(f, j, k, l, 2.0, rz.abs_norm, sampler, ens)
+    ratio, se = rz.decoupling_ratio(f, j, k, l, 2.0, 2.0, sampler, ens)
     return record("decoupling-scalar-p2-anchor", HARD, abs(ratio - 1.0) <= ANCHOR_SE * se,
                   ratio=ratio, stderr=se)
 
@@ -248,7 +248,7 @@ def decoupling_anchor(f: lt.GridFunction, j: int, k: int, l: int, sampler, ens) 
 def decoupling_band(f: lt.GridFunction, j: int, k: int, l: int, p: float,
                     sampler, ens, band: float) -> dict:
     """Matrix-valued decoupling ratio (Schatten-2 values) in [1/band, band]."""
-    ratio, se = rz.decoupling_ratio(f, j, k, l, p, rz.schatten(2), sampler, ens)
+    ratio, se = rz.decoupling_ratio(f, j, k, l, p, 2.0, sampler, ens)
     return record("decoupling-matrix-band", BAND, _in_band(ratio, band),
                   ratio=ratio, stderr=se, band=band)
 

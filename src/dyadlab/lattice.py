@@ -24,6 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .ncspaces import value_norms
+
 SHIFT_QUANTIZATION_TOL = 1e-9
 
 
@@ -566,22 +568,6 @@ class HaarPyramid:
 # mixed norms
 # ---------------------------------------------------------------------------
 
-def norm_stack(values: np.ndarray, cell_norm) -> np.ndarray:
-    """cell_norm of each value of a stack (one value per row of axis 0).
-
-    The stack goes to ``cell_norm`` in one call when it accepts arrays
-    of values; a TypeError or a result of the wrong shape falls back to
-    one call per value.
-    """
-    try:
-        norms = np.asarray(cell_norm(values), dtype=float)
-        if norms.shape == values.shape[:1]:
-            return norms
-    except TypeError:
-        pass
-    return np.array([float(cell_norm(v)) for v in values])
-
-
 def scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
     """x ** e entry by entry with the scalar (C library) power.
 
@@ -592,28 +578,35 @@ def scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
 
 
-def lp_norm(f, p: float, cell_norm, lattice: Lattice | None = None):
-    """L^p norm over the cube of x -> cell_norm(f(x)).
+def power_mean(x: np.ndarray, p: float) -> np.ndarray:
+    """(mean of x^p)^(1/p) over the last axis of a nonnegative array; the
+    max (0 for no entries) at p = inf.  The root is taken entry by entry
+    with the scalar power (see ``scalar_pow``)."""
+    x = np.asarray(x, dtype=float)
+    if np.isinf(p):
+        return x.max(axis=-1, initial=0.0)
+    if p <= 0:
+        raise ValueError("exponent must be positive")
+    means = np.mean(x ** p, axis=-1)
+    return scalar_pow(means.ravel(), 1.0 / p).reshape(means.shape)
+
+
+def lp_norm(f, p: float, schatten: float, lattice: Lattice | None = None):
+    """L^p norm over the cube of x -> |f(x)|_{S^schatten}.
 
     ``f`` is a GridFunction, and the result a float.  With ``lattice``
     given, ``f`` is instead an array of shape (B,) + grid shape + value
     shape holding B functions on that lattice, and the result is the
     array of their B norms, each bit for bit the norm of its row alone.
-
-    ``cell_norm`` maps one cell value to a nonnegative real; it is
-    applied to all stacked cell values at once (see ``norm_stack``).
+    Scalar values are 1x1 matrices: their cell norm is |f(x)| whatever
+    the Schatten exponent (see ``ncspaces.value_norms``).
     """
     if lattice is None:
-        return float(lp_norm(f.values[None], p, cell_norm, f.lattice)[0])
+        return float(lp_norm(f.values[None], p, schatten, f.lattice)[0])
     values = np.asarray(f)
-    rows = values.shape[0]
-    flat = values.reshape((rows * lattice.num_cells,) + values.shape[1 + lattice.dim:])
-    norms = norm_stack(flat, cell_norm).reshape(rows, lattice.num_cells)
-    if np.isinf(p):
-        return norms.max(axis=1, initial=0.0)
-    if p <= 0:
-        raise ValueError("exponent must be positive")
-    return scalar_pow(np.mean(norms ** p, axis=1), 1.0 / p)
+    rows, vs = values.shape[0], values.shape[1 + lattice.dim:]
+    norms = value_norms(values.reshape((rows * lattice.num_cells,) + vs), len(vs), schatten)
+    return power_mean(norms.reshape(rows, lattice.num_cells), p)
 
 
 # ---------------------------------------------------------------------------

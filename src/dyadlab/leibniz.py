@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ncspaces import schatten_norms
+from .lattice import power_mean
+from .ncspaces import value_norms
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +147,7 @@ def fractional_derivative(f: TorusFunction, s: float) -> TorusFunction:
 def lp_schatten_norm(f: TorusFunction, p: float, q: float) -> float:
     """Mixed norm (mean_x |f(x)|_{S^q}^p)^(1/p); p = inf takes the max."""
     flat = f.values.reshape((-1,) + f.value_shape)
-    if f.value_shape == ():
-        norms = np.abs(flat)
-    else:
-        norms = schatten_norms(flat, q)
-    if np.isinf(p):
-        return float(norms.max(initial=0.0))
-    return float(np.mean(norms ** p) ** (1.0 / p))
+    return float(power_mean(value_norms(flat, len(f.value_shape), q), p))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +318,6 @@ class KernelSample:
     kernel: Callable
     alpha: float
     n: int = 2
-    dim: int = 1
     budget: int = 1000
     seed: int = 0
 
@@ -335,15 +329,14 @@ class KernelSample:
 def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
     """Running-sup estimates of the size and smoothness constants.
 
-    Size: sup |K(x)| (sum_m |x_1 - x_m|)^{dn}.  Smoothness: sup of the
-    quotient |K(x) - K(x')| (sum_m |x_1 - x_m|)^{dn + alpha} /
+    Points lie on the line (dimension one).  Size: sup |K(x)|
+    (sum_m |x_1 - x_m|)^n.  Smoothness: sup of the quotient
+    |K(x) - K(x')| (sum_m |x_1 - x_m|)^{n + alpha} /
     |x_j - x_j'|^alpha over single-coordinate moves constrained by
     |x_j - x_j'| <= max_m |x_1 - x_m| / 2.  Both are lower bounds of
     the true suprema, nondecreasing in the budget.  Radii are stratified
     log-uniformly; configurations touching the diagonal are rejected.
     """
-    if ks.dim != 1:
-        raise ValueError("kernel sampling is implemented for dimension one")
     rng = np.random.default_rng(ks.seed)
     n1 = ks.n + 1
     size_c = 0.0
@@ -361,7 +354,7 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
         if sep <= 0:
             continue
         val = ks.kernel(*pts)
-        size_c = max(size_c, abs(val) * sep ** (ks.dim * ks.n))
+        size_c = max(size_c, abs(val) * sep ** ks.n)
         # smoothness: perturb one coordinate within the allowed range
         j = int(rng.integers(n1))
         mx = max(abs(pts[0] - pts[m]) for m in range(1, n1))
@@ -375,7 +368,7 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
         if sep_moved <= 0:
             continue
         val2 = ks.kernel(*moved)
-        quot = abs(val - val2) * sep ** (ks.dim * ks.n + ks.alpha) / abs(delta) ** ks.alpha
+        quot = abs(val - val2) * sep ** (ks.n + ks.alpha) / abs(delta) ** ks.alpha
         holder_c = max(holder_c, quot)
     return size_c, holder_c
 

@@ -116,6 +116,26 @@ class CoeffTable:
                    else (cs[0], tuple(cs[1:]), tuple(es))), a
 
 
+class CoeffRowError(ValueError):
+    """A coefficient row that does not fit its operator: ``row`` is the
+    table row and ``field`` the file field at fault (K, Qs, etas, eta,
+    re or im), for loaders to name the entry."""
+
+    def __init__(self, row: int, field: str, message: str):
+        super().__init__(message)
+        self.row, self.field = row, field
+
+
+def _reject_rows(faults) -> None:
+    """For the first (bad, field, message) whose (rows, slots) mask holds
+    a fault, raise CoeffRowError at its first bad row; ``{j}`` in the
+    message is that row's first bad slot, 1-based."""
+    for bad, field, message in faults:
+        if bad.any():
+            r = int(np.argmax(bad.any(axis=1)))
+            raise CoeffRowError(r, field, message.format(j=int(np.argmax(bad[r])) + 1))
+
+
 def _coeff_bound(level: np.ndarray, dim: int, n: int) -> np.ndarray:
     """prod_j |Q_j|^(1/2) / |K|^n for rows of cube levels (K, Q_1, ...)."""
     measure = 2.0 ** (-level * dim)
@@ -164,14 +184,12 @@ class ShiftSpec:
         descends = ((q_level - t.level[:, :1] == k)
                     & np.all(t.index[:, 1:] >> k[:, None] == t.index[:, :1], axis=2))
         eta_ok = np.where(canc, (t.eta >= 1) & (t.eta < 1 << lat.dim), t.eta == 0)
-        for bad, msg in (
-                (~descends, "cube in slot {} is not a depth-k_{} descendant of K"),
-                (~eta_ok, "slot {} needs a cancellative eta, or eta = 0 if not cancellative"),
-                (q_level + canc > lat.depth, "cube in slot {} below the lattice depth "
-                 "(cancellative cubes need a level below it)")):
-            if bad.any():
-                j = int(np.argmax(bad.any(axis=0))) + 1
-                raise ValueError(msg.format(j, j))
+        _reject_rows((
+            (t.level[:, :1] > lat.depth, "K", "cube K below the lattice depth"),
+            (~descends, "Qs", "cube in slot {j} is not a depth-k_{j} descendant of K"),
+            (~eta_ok, "etas", "slot {j} needs a cancellative eta, or eta = 0 if not cancellative"),
+            (q_level + canc > lat.depth, "Qs", "cube in slot {j} below the lattice depth "
+             "(cancellative cubes need a level below it)")))
         bound = _coeff_bound(t.level, lat.dim, n)
         mag = np.hypot(t.value.real, t.value.imag)  # |a| exactly as Python's abs
         over = mag > bound * (1.0 + NORMALIZATION_SLACK)
@@ -179,7 +197,8 @@ class ShiftSpec:
             return t
         if not clamp:
             r = int(np.argmax(over))
-            raise ValueError(f"coefficient {t.value[r]} exceeds the bound {bound[r]}")
+            raise CoeffRowError(r, "re" if abs(t.value[r].real) >= abs(t.value[r].imag) else "im",
+                                f"coefficient {t.value[r]} exceeds the bound {bound[r]}")
         value = t.value.copy()
         value[over] *= bound[over] / mag[over]
         return CoeffTable(t.level, t.index, t.eta, value)
@@ -203,10 +222,9 @@ class ParaproductSpec:
         t = self.coeffs = coeffs
         if t.level.shape[1:] != (1,) or t.eta.shape[1:] != (1,) or t.dim != lattice.dim:
             raise ValueError("coefficient key has wrong arity")
-        if np.any((t.eta < 1) | (t.eta >= 1 << lattice.dim)):
-            raise ValueError("paraproduct coefficients need cancellative eta")
-        if np.any(t.level >= lattice.depth):
-            raise ValueError("coefficient cube at the finest level")
+        _reject_rows((((t.eta < 1) | (t.eta >= 1 << lattice.dim), "eta",
+                       "paraproduct coefficients need cancellative eta"),
+                      (t.level >= lattice.depth, "K", "coefficient cube at the finest level")))
         self.lattice = lattice
         self.n = n
         self.haar_position = haar_position
@@ -562,8 +580,11 @@ def _json_floats(x: np.ndarray) -> list[str]:
     return json.dumps(x.tolist())[1:-1].split(", ") if len(x) else []
 
 
-def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTable:
-    """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im}, in file order.
+def _table_from_json(obj, d: int, qs: int, eta_key: str,
+                     eta_default) -> tuple[CoeffTable, np.ndarray]:
+    """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im}, in file
+    order, as a table and the keys of the entries, one row per entry:
+    levels, indices and etas as in the table's rows.
 
     Well-formed entries are read column by column; at any anomaly the
     entries are read again one at a time, so the error names its field."""
@@ -573,8 +594,20 @@ def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTa
     cols = _columns(entries, d, qs, eta_key, eta_default)
     level, index, eta, value = cols if cols is not None else _rows(
         entries, d, qs, eta_key, eta_default)
-    return CoeffTable(np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
-                      np.reshape(eta, (-1, qs or 1)), value)
+    level, index, eta = (np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
+                         np.reshape(eta, (-1, qs or 1)))
+    keys = np.concatenate([level, index.reshape(len(level), -1), eta], axis=1)
+    return CoeffTable(level, index, eta, value), keys
+
+
+def _entry_error(err: CoeffRowError, t: CoeffTable, keys: np.ndarray) -> ValueError:
+    """``err`` naming the file entry of its table row: the first entry with
+    the row's key, or for a value the last one, whose value the table kept."""
+    r = err.row
+    key = np.concatenate([t.level[r], t.index[r].reshape(-1), t.eta[r]])
+    same = np.flatnonzero((keys == key).all(axis=1))
+    i = same[-1] if err.field in ("re", "im") else same[0]
+    return ValueError(f"field coeffs[{i}].{err.field} is rejected: {err}")
 
 
 def _only(xs: list, t: type) -> bool:
@@ -656,8 +689,10 @@ def shift_from_json(text: str, clamp: bool = False) -> ShiftSpec:
     Missing ``etas`` entries default to the fully cancellative pattern
     on cancellative slots and zero elsewhere.  A repeated key keeps its
     first position and its last value.  A missing field, a wrong arity
-    or shape and a non-finite ``re``/``im`` raise ValueError naming the
-    field, for example ``dim`` or ``coeffs[3].Qs``.
+    or shape, a non-finite ``re``/``im`` and an entry that does not fit
+    the lattice, its slots or the normalization raise ValueError naming
+    the field, for example ``dim`` or ``coeffs[3].Qs``; the index counts
+    the entries of the file.
     """
     obj = json.loads(text)
     lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), obj.get("shift"))
@@ -665,8 +700,11 @@ def shift_from_json(text: str, clamp: bool = False) -> ShiftSpec:
     canc = set(_ints(_field(obj, "cancellative"), None, "cancellative"))
     complexity = _ints(_field(obj, "complexity"), n + 1, "complexity")
     default = [(1 << lat.dim) - 1 if (j + 1) in canc else 0 for j in range(n + 1)]
-    return ShiftSpec(lat, n, complexity, canc,
-                     _table_from_json(obj, lat.dim, n + 1, "etas", default), clamp=clamp)
+    table, keys = _table_from_json(obj, lat.dim, n + 1, "etas", default)
+    try:
+        return ShiftSpec(lat, n, complexity, canc, table, clamp=clamp)
+    except CoeffRowError as err:
+        raise _entry_error(err, table, keys) from None
 
 
 def paraproduct_to_json(spec: ParaproductSpec) -> str:
@@ -676,8 +714,12 @@ def paraproduct_to_json(spec: ParaproductSpec) -> str:
 
 def paraproduct_from_json(text: str) -> ParaproductSpec:
     """Load a paraproduct; a missing ``eta`` defaults to the all-ones
-    pattern.  Malformed files raise ValueError naming the field."""
+    pattern.  Malformed files and entries that do not fit the lattice
+    raise ValueError naming the field."""
     obj = json.loads(text)
     lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), obj.get("shift"))
-    coeffs = _table_from_json(obj, lat.dim, 0, "eta", (1 << lat.dim) - 1)
-    return ParaproductSpec(lat, _int(obj, "n"), _int(obj, "haar_position"), coeffs)
+    table, keys = _table_from_json(obj, lat.dim, 0, "eta", (1 << lat.dim) - 1)
+    try:
+        return ParaproductSpec(lat, _int(obj, "n"), _int(obj, "haar_position"), table)
+    except CoeffRowError as err:
+        raise _entry_error(err, table, keys) from None

@@ -2,10 +2,10 @@
 
 The algebra is M_N(C) with the standard (unnormalized) trace.  Schatten
 norms are computed from singular values via the Hermitian
-eigendecomposition of A*A.  Mixed-norm spaces stack finitely many
-weighted atom levels on top of the matrix level; the nested norm of a
-value tree evaluates one weighted l^p norm per level, with the Schatten
-norm at the bottom.
+eigendecomposition of A*A; a scalar value is a 1x1 matrix.  Mixed-norm
+spaces stack finitely many weighted atom levels on top of the matrix
+level; the nested norm of a value tree evaluates one weighted l^p norm
+per level, with the Schatten norm at the bottom.
 
 The factorization routines split a positive unit-norm element into a
 product of unit-norm factors, one per exponent, level by level: scalar
@@ -40,25 +40,14 @@ def trace(a: np.ndarray) -> complex:
     return complex(np.trace(a))
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values from the spectrum of A*A, clipped at zero."""
-    a = np.asarray(a, dtype=np.complex128)
-    w = np.linalg.eigvalsh(a.conj().T @ a)
-    return np.sqrt(np.clip(w, 0.0, None))
-
-
 def schatten_norm(a: np.ndarray, p: float) -> float:
     """l^p norm of the singular values; p = inf gives the operator norm."""
-    if p < 1:
-        raise ValueError("Schatten exponent must be >= 1")
-    s = singular_values(a)
-    if np.isinf(p):
-        return float(s.max(initial=0.0))
-    return float((s ** p).sum() ** (1.0 / p))
+    return float(schatten_norms(a, p))
 
 
 def schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
-    """Schatten norms of a stack of matrices (batched)."""
+    """Schatten norms of a stack of matrices (batched); the singular
+    values come from the spectrum of A*A, clipped at zero."""
     if p < 1:
         raise ValueError("Schatten exponent must be >= 1")
     a = np.asarray(stack, dtype=np.complex128)
@@ -69,28 +58,25 @@ def schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
     return (s ** p).sum(axis=-1) ** (1.0 / p)
 
 
+def value_norms(values: np.ndarray, value_ndim: int, p: float) -> np.ndarray:
+    """|v|_{S^p} of each value v of an array whose last ``value_ndim``
+    axes hold one value: 0 for scalars, 2 for matrices.  A scalar is a
+    1x1 matrix, so its S^p norm is |v| for every p >= 1."""
+    if value_ndim == 2:
+        return schatten_norms(values, p)
+    if value_ndim != 0:
+        raise ValueError("values must be scalars or matrices")
+    if p < 1:
+        raise ValueError("Schatten exponent must be >= 1")
+    return np.abs(values)
+
+
 def conjugate_exponent(p: float) -> float:
     if np.isinf(p):
         return 1.0
     if p == 1:
         return math.inf
     return p / (p - 1.0)
-
-
-def holder_product_check(a: np.ndarray, b: np.ndarray, p1: float, p2: float):
-    """Return (|AB|_p, |A|_p1 |B|_p2) for 1/p = 1/p1 + 1/p2.
-
-    The exponents must combine to p >= 1.
-    """
-    ip = (0.0 if np.isinf(p1) else 1.0 / p1) + (0.0 if np.isinf(p2) else 1.0 / p2)
-    if ip > 1.0 + 1e-12:
-        raise ValueError("exponents do not combine to p >= 1")
-    p = math.inf if ip == 0 else 1.0 / ip
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return schatten_norm(a @ b, p), schatten_norm(a, p1) * schatten_norm(b, p2)
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

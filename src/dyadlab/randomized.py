@@ -12,7 +12,7 @@ Schatten tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,13 +24,15 @@ from .lattice import (
     expect,
     from_aligned,
     grid_axes,
+    level_blocks,
     lp_norm,
-    martingale_diff_k,
-    norm_stack,
+    martingale_diff,
+    power_mean,
     scalar_pow,
     sublattice,
 )
-from .ncspaces import conjugate_exponent, schatten_norm, schatten_norms
+# schatten_norms is not called here, but perfbench's span test reads it in this namespace
+from .ncspaces import conjugate_exponent, schatten_norm, schatten_norms, value_norms  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 20
 # largest accumulator of one chunk of decoupling samples, in bytes
@@ -61,31 +63,12 @@ class SignEnsemble:
         rng = np.random.default_rng(self.seed)
         return 1.0 - 2.0 * rng.integers(0, 2, size=(self.samples, self.M))
 
-    def moment(self, values: np.ndarray, p: float) -> float:
-        """(E |v|^p)^(1/p) over per-pattern values v (max for p = inf)."""
-        values = np.asarray(values, dtype=float)
-        if np.isinf(p):
-            return float(values.max(initial=0.0))
-        return float(np.mean(values ** p) ** (1.0 / p))
 
-
-def abs_norm(values):
-    return np.abs(values)
-
-
-def schatten(p: float) -> Callable:
-    """Value-norm descriptor |.|_{S^p} usable on stacks of matrices."""
-    def _norm(values):
-        values = np.asarray(values)
-        if values.ndim == 2:
-            return schatten_norm(values, p)
-        return schatten_norms(values, p)
-    return _norm
-
-
-def _signed_sums(xs: Sequence, eps: np.ndarray) -> np.ndarray:
+def _signed_norms(xs: Sequence, eps: np.ndarray, schatten: float) -> np.ndarray:
+    """|sum_m eps_m x_m|_{S^schatten} for each sign pattern (row of eps);
+    the x_m are scalars or matrices of one shape."""
     stack = np.stack([np.asarray(x, dtype=np.complex128) for x in xs])
-    return np.tensordot(eps, stack, axes=(1, 0))
+    return value_norms(np.tensordot(eps, stack, axes=(1, 0)), stack.ndim - 1, schatten)
 
 
 def _patterns_for(ens: SignEnsemble, count: int) -> np.ndarray:
@@ -94,34 +77,32 @@ def _patterns_for(ens: SignEnsemble, count: int) -> np.ndarray:
     return ens.patterns()[:, :count]
 
 
-def rad_norm(xs: Sequence, norm: Callable, ens: SignEnsemble) -> float:
-    """(E |sum_m eps_m x_m|^2)^(1/2); zero for an empty list."""
+def rad_norm(xs: Sequence, schatten: float, ens: SignEnsemble) -> float:
+    """(E |sum_m eps_m x_m|_{S^schatten}^2)^(1/2); zero for an empty list."""
     if len(xs) == 0:
         return 0.0
-    eps = _patterns_for(ens, len(xs))
-    vals = norm_stack(_signed_sums(xs, eps), norm)
-    return ens.moment(vals, 2.0)
+    vals = _signed_norms(xs, _patterns_for(ens, len(xs)), schatten)
+    return float(power_mean(vals, 2.0))
 
 
-def kk_ratio(xs: Sequence, norm: Callable, p: float, q: float,
+def kk_ratio(xs: Sequence, schatten: float, p: float, q: float,
              ens: SignEnsemble) -> float:
-    """Ratio of the p-th and q-th moment norms of the randomized sum."""
+    """Ratio of the p-th and q-th moment norms of the randomized sum, in S^schatten."""
     if len(xs) == 0:
         return 1.0
     if p <= 0 or q <= 0:
         raise ValueError("moments must be positive")
-    eps = _patterns_for(ens, len(xs))
-    vals = norm_stack(_signed_sums(xs, eps), norm)
-    den = ens.moment(vals, q)
-    num = ens.moment(vals, p)
+    vals = _signed_norms(xs, _patterns_for(ens, len(xs)), schatten)
+    den = float(power_mean(vals, q))
+    num = float(power_mean(vals, p))
     if den == 0.0:
         return 1.0 if num == 0.0 else float("inf")
     return num / den
 
 
-def contraction_check(xs: Sequence, coeffs: Sequence[float], norm: Callable,
+def contraction_check(xs: Sequence, coeffs: Sequence[float], schatten: float,
                       p: float, ens: SignEnsemble) -> tuple[float, float]:
-    """Moments with and without real coefficients |a_m| <= max.
+    """S^schatten moments with and without real coefficients |a_m| <= max.
 
     Returns (lhs, rhs) with lhs the coefficient moment and rhs the bare
     moment scaled by max |a_m|; lhs <= rhs holds exactly (not only up
@@ -134,9 +115,9 @@ def contraction_check(xs: Sequence, coeffs: Sequence[float], norm: Callable,
         raise ValueError("one real coefficient per element")
     eps = _patterns_for(ens, len(xs))
     scaled = [a * np.asarray(x) for a, x in zip(coeffs, xs)]
-    lhs = ens.moment(norm_stack(_signed_sums(scaled, eps), norm), p)
+    lhs = float(power_mean(_signed_norms(scaled, eps, schatten), p))
     rhs = float(np.abs(coeffs).max(initial=0.0)) * \
-        ens.moment(norm_stack(_signed_sums(xs, eps), norm), p)
+        float(power_mean(_signed_norms(xs, eps, schatten), p))
     return lhs, rhs
 
 
@@ -144,10 +125,10 @@ def contraction_check(xs: Sequence, coeffs: Sequence[float], norm: Callable,
 # conditional expectations
 # ---------------------------------------------------------------------------
 
-def stein_check(fqs: dict[Cube, GridFunction], p: float, norm: Callable,
+def stein_check(fqs: dict[Cube, GridFunction], p: float, schatten: float,
                 ens: SignEnsemble) -> tuple[float, float]:
-    """Compare E || sum eps_Q E_Q f_Q ||_{L^p(X)} with the same moment of
-    the raw sum.  Each f_Q must be supported in its cube."""
+    """Compare E || sum eps_Q E_Q f_Q ||_{L^p(X; S^schatten)} with the same
+    moment of the raw sum.  Each f_Q must be supported in its cube."""
     if not fqs:
         raise ValueError("need at least one cube function")
     cubes = sorted(fqs.keys(), key=lambda Q: (Q.level, Q.index))
@@ -164,8 +145,8 @@ def stein_check(fqs: dict[Cube, GridFunction], p: float, norm: Callable,
     avg = np.stack([expect(fqs[Q], Q).values for Q in cubes])
     lhs_vals = np.tensordot(eps, avg, axes=(1, 0))
     rhs_vals = np.tensordot(eps, raw, axes=(1, 0))
-    lhs = float(np.mean(lp_norm(lhs_vals, p, norm, lat)))
-    rhs = float(np.mean(lp_norm(rhs_vals, p, norm, lat)))
+    lhs = float(np.mean(lp_norm(lhs_vals, p, schatten, lat)))
+    rhs = float(np.mean(lp_norm(rhs_vals, p, schatten, lat)))
     return lhs, rhs
 
 
@@ -197,7 +178,7 @@ class DecouplingSampler:
 
 
 def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
-                     norm: Callable, sampler: DecouplingSampler,
+                     schatten: float, sampler: DecouplingSampler,
                      ens: SignEnsemble) -> tuple[float, float]:
     """Ratio of the plain p-th power integral of sum_Q Delta_Q^l f to the
     Monte Carlo estimate of its decoupled counterpart.
@@ -205,6 +186,7 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
     Returns (ratio, stderr of the ratio).  Cubes run over the separated
     subcollection of step k and residue j, restricted to those where
     Delta^l exists on the lattice; both sides zero reports ratio 1.
+    Values are normed in S^schatten.
 
     The samples are taken in chunks of at most ``_CHUNK_BYTES`` of
     accumulator: per chunk, one gather per cube reads each sample's
@@ -215,8 +197,8 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
     sample and one cube at a time, is its oracle: the two agree bit for
     bit.
     """
-    lat, cubes, aligned, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, norm,
-                                                                  sampler, ens)
+    lat, cubes, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
+                                                                sampler, ens)
     count = len(offsets)
     grid = (lat.cells_per_axis,) * lat.dim
     vs = f.value_shape
@@ -228,36 +210,38 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
         for c, Q in enumerate(cubes):
             w = 1 << (lat.depth - Q.level)
             rel = np.unravel_index(offsets[a:b, c], (w,) * lat.dim)
-            v = aligned[c][tuple(i * w + r for i, r in zip(Q.index, rel))]
+            v = diffs[Q.level][tuple(i * w + r for i, r in zip(Q.index, rel))]
             v = signs[a:b, c].reshape((-1,) + (1,) * len(vs)) * v
             acc[(slice(None),) + _cell_block(lat, Q)] += v.reshape((-1,) + (1,) * lat.dim + vs)
         if any(lat.shift_cells):  # back to physical cells, as from_aligned does
             acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, lat.dim + 1)))
-        vals[a:b] = scalar_pow(lp_norm(acc, p, norm, lat), p)
+        vals[a:b] = scalar_pow(lp_norm(acc, p, schatten, lat), p)
     return _ratio(lhs, vals)
 
 
 def _decoupling_ratio_per_sample(f: GridFunction, j: int, k: int, l: int, p: float,
-                                 norm: Callable, sampler: DecouplingSampler,
+                                 schatten: float, sampler: DecouplingSampler,
                                  ens: SignEnsemble) -> tuple[float, float]:
     """Oracle of ``decoupling_ratio``: one sample and one cube at a time."""
-    lat, cubes, aligned, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, norm,
-                                                                  sampler, ens)
+    lat, cubes, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
+                                                                sampler, ens)
     vals = np.empty(len(offsets))
     shape = (lat.cells_per_axis,) * lat.dim + f.value_shape
     for i in range(len(offsets)):
         acc = np.zeros(shape, dtype=np.complex128)
         for c, Q in enumerate(cubes):
-            v = aligned[c][sampler.cell_of(Q, offsets[i, c])]
+            v = diffs[Q.level][sampler.cell_of(Q, offsets[i, c])]
             acc[_cell_block(lat, Q)] += signs[i, c] * v
-        vals[i] = lp_norm(from_aligned(lat, acc), p, norm) ** p
+        vals[i] = lp_norm(from_aligned(lat, acc), p, schatten) ** p
     return _ratio(lhs, vals)
 
 
-def _decoupling_inputs(f, j, k, l, p, norm, sampler, ens):
+def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
     """What both forms of ``decoupling_ratio`` start from: the lattice,
-    the cubes, each cube's aligned Delta_Q^l f, the plain side, and the
-    sampled offsets and signs (one row per sample, one column per cube)."""
+    the cubes, Delta^l f of each cube level (``level_blocks``: cube Q's
+    block of ``diffs[Q.level]`` holds the aligned Delta_Q^l f), the
+    plain side, and the sampled offsets and signs (one row per sample,
+    one column per cube)."""
     if l > k:
         raise ValueError("need l <= k")
     lat = f.lattice
@@ -266,17 +250,14 @@ def _decoupling_inputs(f, j, k, l, p, norm, sampler, ens):
     cubes = [Q for Q in sublattice(lat, j, k) if Q.level + l <= lat.depth - 1]
     if not cubes:
         raise ValueError("no admissible cubes at this depth")
-    diffs = [martingale_diff_k(f, Q, l) for Q in cubes]
-    total = diffs[0].copy()
-    for g in diffs[1:]:
-        total = total + g
-    lhs = lp_norm(total, p, norm) ** p
+    diffs = {lv: level_blocks(f, lv, l)[1] for lv in sorted({Q.level for Q in cubes})}
+    lhs = lp_norm(from_aligned(lat, sum(diffs.values())), p, schatten) ** p
 
     count = ens.samples
     rng = np.random.default_rng(ens.seed + 1)
     offsets = sampler.draws(cubes, count)
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=(count, len(cubes)))
-    return lat, cubes, [g.aligned() for g in diffs], lhs, offsets, signs
+    return lat, cubes, diffs, lhs, offsets, signs
 
 
 def _ratio(lhs: float, vals: np.ndarray) -> tuple[float, float]:
@@ -324,7 +305,7 @@ def rscalar_check(es: np.ndarray, coeffs: Sequence[complex],
     lhs = schatten_norm(prod.sum(axis=0), conjugate_exponent(ps[n]))
     rhs = 1.0
     for jj in range(n):
-        rhs *= rad_norm(list(es[jj]), schatten(ps[jj]), ens)
+        rhs *= rad_norm(list(es[jj]), ps[jj], ens)
     return lhs, rhs
 
 
@@ -353,19 +334,18 @@ def key_product_inequality(es: np.ndarray, last: np.ndarray,
     return lhs, rhs
 
 
-def martingale_transform_ratio(f: GridFunction, p: float, norm: Callable,
+def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
                                ens: SignEnsemble) -> float:
     """Worst sign-pattern ratio || sum eps_Q Delta_Q f || / || f - <f> ||
-    in L^p(X), over the ensemble patterns (cubes above the finest level,
-    ordered by level then index)."""
+    in L^p(X; S^schatten), over the ensemble patterns (cubes above the
+    finest level, ordered by level then index)."""
     lat = f.lattice
     cubes = [Q for lv in range(lat.depth) for Q in lat.cubes(lv)]
     if len(cubes) > ens.M:
         raise ValueError("ensemble too small for the cube count")
-    from .lattice import martingale_diff, GridFunction as GF
     diffs = np.stack([martingale_diff(f, Q).values for Q in cubes])
     base = f.values - np.mean(f.values, axis=grid_axes(lat), keepdims=True)
-    den = lp_norm(GF(lat, base), p, norm)
+    den = lp_norm(GridFunction(lat, base), p, schatten)
     if den == 0.0:
         return 1.0
     eps = ens.patterns()[:, : len(cubes)]
@@ -373,6 +353,6 @@ def martingale_transform_ratio(f: GridFunction, p: float, norm: Callable,
     worst = 0.0
     for a in range(0, len(eps), rows):
         v = np.tensordot(eps[a:a + rows], diffs, axes=(1, 0))
-        worst = max(worst, float(lp_norm(v, p, norm, lat).max(initial=0.0)))
+        worst = max(worst, float(lp_norm(v, p, schatten, lat).max(initial=0.0)))
     return worst / den
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .lattice import (Cube, GridFunction, Lattice, _block_means, _cell_block, _expand,
                       _heap_number, _heap_size, _level_views, from_aligned)
-from .ncspaces import schatten_norms
+from .ncspaces import value_norms
 
 MEASURE_SLACK = 1e-12
 
@@ -355,10 +355,8 @@ def universal_sparse_bound(fs: list[GridFunction], value: float,
 def pointwise_schatten(f: GridFunction, p: float) -> GridFunction:
     """Scalar function x -> |f(x)|_{S^p}."""
     lat = f.lattice
-    if f.value_shape == ():
-        return GridFunction(lat, np.abs(f.values))
     flat = f.values.reshape((lat.num_cells,) + f.value_shape)
-    norms = schatten_norms(flat, p)
+    norms = value_norms(flat, len(f.value_shape), p)
     return GridFunction(lat, norms.reshape((lat.cells_per_axis,) * lat.dim))
 
 

@@ -337,31 +337,25 @@ def test_serialization_loader_names_bad_field(edit, field):
         dl.grid_function_from_json(json.dumps(obj))
 
 
-def _one_value_abs(v):
-    # a cell norm that only accepts one value: float() rejects a stack
-    return float(abs(complex(v)))
-
-
 @pytest.mark.parametrize("d, L, N, scalar, norm, p", [
     (1, 4, 1, True, "abs", 3.0),
     (2, 2, 2, False, "schatten2", 4.0),
     (1, 3, 3, False, "schatten2", math.inf),
-    (2, 2, 1, True, "one-value", 2.5),
 ])
 def test_lp_norm_batch_rows_equal_single_calls(d, L, N, scalar, norm, p):
-    from dyadlab import randomized as rz
-    cell_norm = {"abs": rz.abs_norm, "schatten2": rz.schatten(2),
-                 "one-value": _one_value_abs}[norm]
+    from dyadlab import ncspaces as nc
+    # scalars are 1x1 matrices: |v| is their S^2 norm
+    norm_of = {"abs": lambda v: np.abs(v[None])[0],
+               "schatten2": lambda v: nc.schatten_norms(v[None], 2.0)[0]}[norm]
     lat = dl.build_lattice(d, L, 1)
     rows = [dl.random_grid_function(lat, N=N, seed=s, scalar=scalar) for s in range(64)]
-    batch = dl.lp_norm(np.stack([f.values for f in rows]), p, cell_norm, lat)
+    batch = dl.lp_norm(np.stack([f.values for f in rows]), p, 2.0, lat)
     assert batch.shape == (64,)
     for f, b in zip(rows, batch):
-        single = dl.lp_norm(f, p, cell_norm)
+        single = dl.lp_norm(f, p, 2.0)
         assert type(single) is float and single == b
         # the definition with numpy's scalar power, cell by cell
         flat = f.values.reshape((lat.num_cells,) + f.value_shape)
-        norms = np.array([float(cell_norm(v)) if norm == "one-value" else
-                          float(np.asarray(cell_norm(v[None]))[0]) for v in flat])
+        norms = np.array([float(norm_of(v)) for v in flat])
         ref = norms.max() if math.isinf(p) else np.mean(norms ** p) ** (1.0 / p)
         assert single == float(ref)

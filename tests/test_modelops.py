@@ -388,6 +388,21 @@ def _shift_payload():
                  id="huge-int"),
     pytest.param(lambda o: o["coeffs"][1].update(etas=[2 ** 70, 1]), "coeffs[1].etas",
                  id="huge-eta"),
+    # well-formed entries that do not fit the lattice, the slots or the bound
+    pytest.param(lambda o: o["coeffs"][1].update(K=[9, [0]]), "coeffs[1].K", id="K-depth"),
+    pytest.param(lambda o: o["coeffs"][1]["Qs"].__setitem__(0, [2, [3]]), "coeffs[1].Qs",
+                 id="not-descendant"),
+    pytest.param(lambda o: o["coeffs"][1].update(etas=[1, 0]), "coeffs[1].etas",
+                 id="eta-for-slot"),
+    pytest.param(lambda o: o["coeffs"][0].update(re=50), "coeffs[0].re", id="over-bound-re"),
+    pytest.param(lambda o: o["coeffs"][2].update(im=-50), "coeffs[2].im", id="over-bound-im"),
+    # a repeated key merges two entries into one table row: the index
+    # still counts file entries, and a value names the entry it came from
+    pytest.param(lambda o: (o["coeffs"].insert(1, dict(o["coeffs"][0])),
+                            o["coeffs"][3].update(K=[9, [0]])), "coeffs[3].K",
+                 id="repeat-then-K-depth"),
+    pytest.param(lambda o: o["coeffs"].insert(1, dict(o["coeffs"][0], re=50)), "coeffs[1].re",
+                 id="repeat-over-bound"),
 ])
 def test_shift_loader_names_bad_field(edit, field):
     obj = _shift_payload()
@@ -411,6 +426,11 @@ def test_shift_loader_names_bad_field(edit, field):
                  id="index-range"),
     pytest.param(lambda o: o["coeffs"][2].update(eta=True), "coeffs[2].eta", id="true-eta"),
     pytest.param(lambda o: o["coeffs"][2].update(eta=2), "coeffs[2].eta", id="eta-range"),
+    pytest.param(lambda o: o["coeffs"][2].update(K=[3, [5]]), "coeffs[2].K", id="finest-level"),
+    pytest.param(lambda o: o["coeffs"][2].update(eta=0), "coeffs[2].eta", id="eta-zero"),
+    pytest.param(lambda o: (o["coeffs"].insert(1, dict(o["coeffs"][0])),
+                            o["coeffs"][3].update(eta=0)), "coeffs[3].eta",
+                 id="repeat-then-eta-zero"),
 ])
 def test_paraproduct_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 3)
@@ -559,8 +579,7 @@ def _mixed_input_norm(f, p):
     # L^p norm of the pointwise dual-Schatten norm
     from dyadlab.ncspaces import conjugate_exponent
     from dyadlab.lattice import lp_norm
-    from dyadlab.randomized import schatten
-    return lp_norm(f, p, schatten(conjugate_exponent(p)))
+    return lp_norm(f, p, conjugate_exponent(p))
 
 
 def test_shift_boundedness_harness():

@@ -57,21 +57,22 @@ def test_schatten_monotone(rng):
             assert hi <= lo * (1 + 1e-10)
 
 
-def test_holder_product(rng):
-    lhs, rhs = nc.holder_product_check(np.eye(2), np.eye(2), 2.0, 2.0)
-    assert lhs == pytest.approx(2.0) and rhs == pytest.approx(2.0)
-    a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    lhs, rhs = nc.holder_product_check(a, b, 2.0, 2.0)
-    assert lhs == 0.0
-    for _ in range(1000):
-        a, b = random_matrix(rng, 2), random_matrix(rng, 2)
-        lhs, rhs = nc.holder_product_check(a, b, 3.0, 1.5)
-        assert lhs <= rhs * (1 + 1e-10)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_value_norms_take_scalars_as_1x1_matrices(rng, p):
+    z = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    scalar = nc.value_norms(z, 0, p)
+    as_matrices = nc.schatten_norms(z[..., None, None], p)
+    assert scalar.shape == as_matrices.shape == (6, 5)
+    assert np.all(np.abs(scalar - as_matrices) <= 1e-15 * as_matrices)
+    assert np.array_equal(nc.value_norms(z[..., None, None], 2, p), as_matrices)
 
 
-def test_holder_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        nc.holder_product_check(np.eye(2), np.eye(2), 1.5, 1.5)
+def test_value_norms_reject_other_values_and_small_exponents():
+    with pytest.raises(ValueError, match="scalars or matrices"):
+        nc.value_norms(np.ones((3, 2)), 1, 2.0)
+    for ndim in (0, 2):
+        with pytest.raises(ValueError, match="exponent"):
+            nc.value_norms(np.ones((3, 2, 2)), ndim, 0.5)
 
 
 def test_power_pos(rng):

@@ -21,32 +21,32 @@ def test_ensemble_exhaustive_patterns():
 
 def test_rad_norm_examples(rng):
     ens = rz.SignEnsemble(2)
-    assert rz.rad_norm([1.0, 1.0], rz.abs_norm, ens) == pytest.approx(math.sqrt(2))
+    assert rz.rad_norm([1.0, 1.0], 2.0, ens) == pytest.approx(math.sqrt(2))
     e1 = np.diag([1.0, 0.0]).astype(complex)
     e2 = np.diag([0.0, 1.0]).astype(complex)
-    assert rz.rad_norm([e1, e2], rz.schatten(math.inf), ens) == pytest.approx(1.0)
-    assert rz.rad_norm([], rz.abs_norm, ens) == 0.0
+    assert rz.rad_norm([e1, e2], math.inf, ens) == pytest.approx(1.0)
+    assert rz.rad_norm([], 2.0, ens) == 0.0
 
 
 def test_rad_norm_monte_carlo_matches_exhaustive(rng):
     xs = [random_matrix(rng, 2) for _ in range(3)]
-    exact = rz.rad_norm(xs, rz.schatten(2), rz.SignEnsemble(3))
-    mc = rz.rad_norm(xs, rz.schatten(2),
+    exact = rz.rad_norm(xs, 2.0, rz.SignEnsemble(3))
+    mc = rz.rad_norm(xs, 2.0,
                      rz.SignEnsemble(3, "monte_carlo", samples=100_000, seed=4))
     assert abs(mc - exact) / exact < 0.01
 
 
 def test_kk_ratio_degenerate_cases(rng):
     ens = rz.SignEnsemble(1)
-    assert rz.kk_ratio([3.0 + 1j], rz.abs_norm, 1.0, 2.0, ens) == pytest.approx(1.0)
+    assert rz.kk_ratio([3.0 + 1j], 2.0, 1.0, 2.0, ens) == pytest.approx(1.0)
     xs = [random_matrix(rng, 2) for _ in range(4)]
-    assert rz.kk_ratio(xs, rz.schatten(2), 3.0, 3.0,
+    assert rz.kk_ratio(xs, 2.0, 3.0, 3.0,
                        rz.SignEnsemble(4)) == pytest.approx(1.0)
 
 
 def test_kk_ratio_khintchine_regime(rng):
     vals = list(rng.standard_normal(10))
-    r = rz.kk_ratio(vals, rz.abs_norm, 1.0, 2.0, rz.SignEnsemble(10))
+    r = rz.kk_ratio(vals, 2.0, 1.0, 2.0, rz.SignEnsemble(10))
     assert 1.0 / math.sqrt(2) - 1e-12 <= r <= 1.0 + 1e-12
 
 
@@ -54,19 +54,19 @@ def test_contraction_exact(rng):
     ens = rz.SignEnsemble(8)
     xs = [random_matrix(rng, 2) for _ in range(8)]
     ones = np.ones(8)
-    lhs, rhs = rz.contraction_check(xs, ones, rz.schatten(2), 2.0, ens)
+    lhs, rhs = rz.contraction_check(xs, ones, 2.0, 2.0, ens)
     assert lhs == pytest.approx(rhs)
-    lhs, rhs = rz.contraction_check(xs, np.zeros(8), rz.schatten(2), 2.0, ens)
+    lhs, rhs = rz.contraction_check(xs, np.zeros(8), 2.0, 2.0, ens)
     assert lhs == 0.0
     for _ in range(10):
         coeffs = rng.uniform(-1, 1, size=8)
-        lhs, rhs = rz.contraction_check(xs, coeffs, rz.schatten(2), 3.0, ens)
+        lhs, rhs = rz.contraction_check(xs, coeffs, 2.0, 3.0, ens)
         assert lhs <= rhs * (1 + 1e-10)
 
 
 def test_contraction_rejects_bad_p(rng):
     with pytest.raises(ValueError):
-        rz.contraction_check([1.0], [1.0], rz.abs_norm, 0.5, rz.SignEnsemble(1))
+        rz.contraction_check([1.0], [1.0], 2.0, 0.5, rz.SignEnsemble(1))
 
 
 def _supported(lat, Q, seed):
@@ -80,7 +80,7 @@ def test_stein_single_constant_cube():
     lat = dl.build_lattice(1, 3)
     Q = lat.top()
     c = dl.GridFunction(lat, np.full(8, 1.5))
-    lhs, rhs = rz.stein_check({Q: c}, 2.0, rz.abs_norm, rz.SignEnsemble(1))
+    lhs, rhs = rz.stein_check({Q: c}, 2.0, 2.0, rz.SignEnsemble(1))
     assert lhs == pytest.approx(rhs)
 
 
@@ -88,7 +88,7 @@ def test_stein_disjoint_p2(rng):
     lat = dl.build_lattice(1, 3)
     fqs = {dl.Cube(1, (0,)): _supported(lat, dl.Cube(1, (0,)), 1),
            dl.Cube(1, (1,)): _supported(lat, dl.Cube(1, (1,)), 2)}
-    lhs, rhs = rz.stein_check(fqs, 2.0, rz.abs_norm, rz.SignEnsemble(2))
+    lhs, rhs = rz.stein_check(fqs, 2.0, 2.0, rz.SignEnsemble(2))
     assert lhs <= rhs + 1e-12
 
 
@@ -96,7 +96,7 @@ def test_stein_nested_recorded_ratio(rng):
     lat = dl.build_lattice(1, 3)
     fqs = {dl.Cube(0, (0,)): _supported(lat, dl.Cube(0, (0,)), 3),
            dl.Cube(1, (0,)): _supported(lat, dl.Cube(1, (0,)), 4)}
-    lhs, rhs = rz.stein_check(fqs, 3.0, rz.abs_norm, rz.SignEnsemble(2))
+    lhs, rhs = rz.stein_check(fqs, 3.0, 2.0, rz.SignEnsemble(2))
     assert rhs > 0 and lhs / rhs < 10.0
 
 
@@ -109,7 +109,7 @@ def test_stein_matrix_valued_band(rng):
         mask = np.zeros(8)
         mask[_cell_block(lat, Q)] = 1.0
         fqs[Q] = dl.GridFunction(lat, g.values * mask[:, None, None])
-    lhs, rhs = rz.stein_check(fqs, 3.0, rz.schatten(2), rz.SignEnsemble(3))
+    lhs, rhs = rz.stein_check(fqs, 3.0, 2.0, rz.SignEnsemble(3))
     assert rhs > 0 and lhs / rhs < 10.0
 
 
@@ -117,7 +117,7 @@ def test_stein_rejects_unsupported():
     lat = dl.build_lattice(1, 3)
     g = dl.random_grid_function(lat, seed=5, scalar=True)
     with pytest.raises(ValueError):
-        rz.stein_check({dl.Cube(1, (0,)): g}, 2.0, rz.abs_norm, rz.SignEnsemble(1))
+        rz.stein_check({dl.Cube(1, (0,)): g}, 2.0, 2.0, rz.SignEnsemble(1))
 
 
 def test_sampler_marginal_uniform():
@@ -137,7 +137,7 @@ def test_decoupling_scalar_p2_anchor():
     f = dl.random_grid_function(lat, seed=8, scalar=True)
     samp = rz.DecouplingSampler(lat, seed=3)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9)
-    ratio, se = rz.decoupling_ratio(f, 0, 1, 1, 2.0, rz.abs_norm, samp, ens)
+    ratio, se = rz.decoupling_ratio(f, 0, 1, 1, 2.0, 2.0, samp, ens)
     assert abs(ratio - 1.0) <= 3.0 * se
 
 
@@ -146,7 +146,7 @@ def test_decoupling_constant_guarded():
     c = dl.GridFunction(lat, np.ones(16))
     samp = rz.DecouplingSampler(lat, seed=3)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=50, seed=9)
-    ratio, se = rz.decoupling_ratio(c, 0, 1, 0, 2.0, rz.abs_norm, samp, ens)
+    ratio, se = rz.decoupling_ratio(c, 0, 1, 0, 2.0, 2.0, samp, ens)
     assert ratio == 1.0 and se == 0.0
 
 
@@ -155,7 +155,7 @@ def test_decoupling_matrix_band():
     f = dl.random_grid_function(lat, N=2, seed=13)
     samp = rz.DecouplingSampler(lat, seed=5)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=4000, seed=7)
-    ratio, _ = rz.decoupling_ratio(f, 0, 1, 1, 4.0, rz.schatten(2), samp, ens)
+    ratio, _ = rz.decoupling_ratio(f, 0, 1, 1, 4.0, 2.0, samp, ens)
     assert 0.1 <= ratio <= 10.0
 
 
@@ -172,13 +172,12 @@ def test_decoupling_chunks_match_the_per_sample_oracle(monkeypatch, d, L, shift,
     lat = dl.build_lattice(d, L, shift)
     assert (shift is None) == (not any(lat.shift_cells))
     f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
-    norm = rz.abs_norm if scalar else rz.schatten(2)
     samp = rz.DecouplingSampler(lat, seed=4)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=300, seed=6)
     # 64 samples a chunk, so 300 samples end in a partial chunk
     monkeypatch.setattr(rz, "_CHUNK_BYTES", 64 * lat.num_cells * N * N * 16)
-    assert rz.decoupling_ratio(f, *jkl, p, norm, samp, ens) == \
-        rz._decoupling_ratio_per_sample(f, *jkl, p, norm, samp, ens)
+    assert rz.decoupling_ratio(f, *jkl, p, 2.0, samp, ens) == \
+        rz._decoupling_ratio_per_sample(f, *jkl, p, 2.0, samp, ens)
 
 
 def test_decoupling_default_chunk_matches_the_per_sample_oracle():
@@ -187,8 +186,31 @@ def test_decoupling_default_chunk_matches_the_per_sample_oracle():
     samp = rz.DecouplingSampler(lat, seed=5)
     rows = rz._CHUNK_BYTES // (16 * 4 * 16)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=rows + 37, seed=7)
-    assert rz.decoupling_ratio(f, 0, 1, 1, 4.0, rz.schatten(2), samp, ens) == \
-        rz._decoupling_ratio_per_sample(f, 0, 1, 1, 4.0, rz.schatten(2), samp, ens)
+    assert rz.decoupling_ratio(f, 0, 1, 1, 4.0, 2.0, samp, ens) == \
+        rz._decoupling_ratio_per_sample(f, 0, 1, 1, 4.0, 2.0, samp, ens)
+
+
+@pytest.mark.parametrize("d, L, shift, N, scalar, jkl", [
+    (1, 5, None, 1, True, (0, 1, 1)),
+    (1, 5, (0.75,), 2, False, (1, 2, 1)),
+    (1, 6, (3 / 64,), 1, True, (0, 2, 2)),
+    (2, 3, (0.25, 0.625), 2, False, (0, 1, 0)),
+    (2, 3, None, 1, True, (0, 1, 1)),
+    (2, 4, (0.5, 0.125), 2, False, (1, 1, 1)),
+])
+def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, scalar, jkl):
+    from dyadlab.lattice import martingale_diff_k
+    lat = dl.build_lattice(d, L, shift)
+    f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
+    samp = rz.DecouplingSampler(lat, seed=4)
+    ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=6)
+    _, cubes, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
+    per_cube = [martingale_diff_k(f, Q, jkl[2]) for Q in cubes]
+    for Q, g in zip(cubes, per_cube):
+        block = _cell_block(lat, Q)
+        assert np.abs(diffs[Q.level][block] - g.aligned()[block]).max() <= 1e-12
+    total = sum(per_cube[1:], per_cube[0])
+    assert abs(lhs - dl.lp_norm(total, 3.0, 2.0) ** 3.0) <= 1e-12 * max(1.0, lhs)
 
 
 def test_decoupling_validates_levels():
@@ -197,7 +219,7 @@ def test_decoupling_validates_levels():
     samp = rz.DecouplingSampler(lat, seed=3)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=0)
     with pytest.raises(ValueError):
-        rz.decoupling_ratio(f, 0, 1, 2, 2.0, rz.abs_norm, samp, ens)
+        rz.decoupling_ratio(f, 0, 1, 2, 2.0, 2.0, samp, ens)
 
 
 def test_rscalar_identity_case():
@@ -250,8 +272,8 @@ def test_key_product_inequality(rng):
 def test_martingale_transform_statistic():
     lat = dl.build_lattice(1, 3)
     f = dl.random_grid_function(lat, seed=21, scalar=True)
-    stat = rz.martingale_transform_ratio(f, 2.0, rz.abs_norm, rz.SignEnsemble(7))
+    stat = rz.martingale_transform_ratio(f, 2.0, 2.0, rz.SignEnsemble(7))
     # p = 2 is an isometry class: every sign choice preserves the norm
     assert stat == pytest.approx(1.0, abs=1e-10)
-    stat3 = rz.martingale_transform_ratio(f, 3.0, rz.abs_norm, rz.SignEnsemble(7))
+    stat3 = rz.martingale_transform_ratio(f, 3.0, 2.0, rz.SignEnsemble(7))
     assert stat3 >= 1.0 - 1e-12
