@@ -142,8 +142,11 @@ def _field_error(user: dict, config: dict) -> tuple[str, str] | None:
 def load_config(command: str, path: str | None, seed_override: int | None) -> dict:
     config = dict(DEFAULTS[command])
     if path:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing file, invalid JSON
+            raise SystemExit(f"config error at <root>: {exc}")
         try:
             jsonschema.validate(user, SCHEMAS[command])
         except jsonschema.ValidationError as exc:
@@ -179,8 +182,11 @@ def run_haar_suite(config, out, fmt):
 
 def _shift_from_config(config):
     if config.get("shift_file"):
-        spec = mo.shift_from_json(Path(config["shift_file"]).read_text(),
-                                  clamp=config.get("clamp", False))
+        try:
+            spec = mo.shift_from_json(Path(config["shift_file"]).read_text(),
+                                      clamp=config.get("clamp", False))
+        except (OSError, ValueError) as exc:  # missing file, or the loader's field path
+            raise SystemExit(f"config error at shift_file: {exc}")
         lat = spec.lattice
     else:
         lat = lt.build_lattice(config["d"], config["L"])
@@ -344,9 +350,11 @@ def main(argv=None) -> int:
                         help="project out-of-bound coefficients of a loaded "
                              "operator file onto the normalization bound")
     args = parser.parse_args(argv)
+    if args.clamp and args.command != "shift-eval":
+        parser.error("--clamp applies only to shift-eval")
     out = Path(args.out or os.environ.get("DYADLAB_OUT", "reports"))
     config = load_config(args.command, args.config, args.seed)
-    if args.clamp and args.command == "shift-eval":
+    if args.clamp:
         config["clamp"] = True
     return COMMANDS[args.command](config, out, args.format)
 

@@ -113,8 +113,13 @@ def _multiply(fv: np.ndarray, gv: np.ndarray, fvs: tuple, gvs: tuple) -> np.ndar
         return fv.reshape(fv.shape + (1,) * len(gvs)) * gv
     if gvs == ():
         return fv * gv.reshape(gv.shape + (1,) * len(fvs))
-    if fvs == gvs:
-        return fv @ gv
+    if fvs == gvs and len(fvs) == 2 and fvs[0] == fvs[1]:
+        # matrix product as a multiply-add over the inner index: elementwise
+        # passes over the whole stack, not one BLAS call per small matrix
+        out = fv[..., :, :1] * gv[..., :1, :]
+        for k in range(1, fvs[-1]):
+            out += fv[..., :, k:k + 1] * gv[..., k:k + 1, :]
+        return out
     raise ValueError("value shapes do not match")
 
 

@@ -203,6 +203,48 @@ def test_shift_file_skips_the_rules_between_fields(tmp_path):
     assert run("shift-eval", tmp_path, ["--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("tamper, reason", [
+    (lambda obj: obj["coeffs"][1].update(K=[9, [0]]), r"field coeffs\[1\]\.K is rejected: "),
+    (lambda obj: obj.pop("dim"), "missing field dim"),
+    (None, r"\[Errno 2\] No such file"),
+])
+def test_shift_file_errors_report_the_field(tmp_path, tamper, reason):
+    import dyadlab as dl
+    from dyadlab import modelops as mo
+
+    path = tmp_path / "shift.json"
+    if tamper is not None:
+        spec = mo.make_random_shift(dl.build_lattice(1, 3), 1, (0, 1), {1, 2}, seed=0)
+        payload = json.loads(mo.shift_to_json(spec))
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shift_file": str(path)}))
+    with pytest.raises(SystemExit, match="config error at shift_file: " + reason):
+        run("shift-eval", tmp_path, ["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, r"\[Errno 2\] No such file"),
+    ('{"L": 2,', "Expecting property name"),
+])
+def test_unreadable_config_reports_the_root(tmp_path, text, reason):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit, match="config error at <root>: " + reason):
+        run("haar-suite", tmp_path, ["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command", ["haar-suite", "reduce-verify"])
+def test_clamp_is_rejected_outside_shift_eval(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, tmp_path, ["--clamp"])
+    assert exc.value.code == 2
+    assert "--clamp applies only to shift-eval" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_field_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -248,7 +290,7 @@ def test_shift_eval_from_file_with_clamp(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"shift_file": str(path), "N": 2}))
     # without clamping the load fails
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit, match=r"config error at shift_file: field coeffs\[0\]\.re"):
         run("shift-eval", tmp_path, ["--config", str(cfg)])
     assert run("shift-eval", tmp_path, ["--config", str(cfg), "--clamp"]) == 0
 

@@ -103,6 +103,25 @@ def test_split_reconstruction_banded(rng):
         assert parts.partition_defect < 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_multiply_matches_matmul(N):
+    # the stacks paraproduct_split multiplies: (M + 1, R) blocks against
+    # (M + 1, R) cumulative sums and against the (R,) mean block
+    rng = np.random.default_rng(N)
+
+    def stack(*lead):
+        return rng.standard_normal(lead + (N, N)) + 1j * rng.standard_normal(lead + (N, N))
+
+    blocks, other, mean = stack(7, 64), stack(7, 64), stack(64)
+    for f, g in ((blocks, other), (blocks, mean), (mean, blocks)):
+        got = lb._multiply(f, g, (N, N), (N, N))
+        want = f @ g
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(f) @ np.abs(g)))
+    with pytest.raises(ValueError, match="value shapes"):
+        lb._multiply(np.ones((4, N, N + 1)), np.ones((4, N, N + 1)), (N, N + 1), (N, N + 1))
+
+
 @pytest.mark.parametrize("d, R, f_kind, g_kind", [
     (1, 256, "matrix", "matrix"),
     (2, 32, "matrix", "matrix"),

@@ -57,6 +57,52 @@ def test_schatten_monotone(rng):
             assert hi <= lo * (1 + 1e-10)
 
 
+def _svd_schatten_norms(stack, p):
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s.max(axis=-1) if np.isinf(p) else (s ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _norm_cases(rng, N):
+    g = rng.standard_normal((40, N, N)) + 1j * rng.standard_normal((40, N, N))
+    # small integer entries: u v has exact products, so it is exactly rank one
+    u = rng.integers(-8, 9, (40, N, 1)) + 1j * rng.integers(-8, 9, (40, N, 1))
+    v = rng.integers(-8, 9, (40, 1, N)) + 1j * rng.integers(-8, 9, (40, 1, N))
+    q, _ = np.linalg.qr(g)
+    return {
+        "random": g,
+        "hermitian-psd": g @ np.swapaxes(g.conj(), -1, -2),
+        "rank-one": u @ v,
+        "rank-one+noise": u @ v + 1e-9 * g,
+        # equal singular values
+        "scaled-unitary": q * rng.uniform(0.5, 2.0, (40, 1, 1)),
+        "zero": np.zeros((3, N, N)),
+        "leading-axes": g.reshape(2, 4, 5, N, N),
+        "empty": np.zeros((0, N, N)),
+    }
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, 4.0, math.inf])
+def test_schatten_norms_match_the_svd(rng, p, N):
+    scales = [1.0, 2.0 ** 60, 2.0 ** -60]
+    # at 2^+-400, s^p of p = 3, 4 leaves the float range in the reduction
+    if p <= 2 or np.isinf(p):
+        scales += [2.0 ** 400, 2.0 ** -400]
+    for name, stack in _norm_cases(rng, N).items():
+        # a 3x3 stack takes the spectrum of A*A, whose eigenvalues carry an
+        # absolute error near eps |A|^2: a singular value near 0 comes out
+        # near sqrt(eps) |A|, which moves the norms at p < 2 by up to 1e-8
+        if N == 3 and p < 2 and name.startswith("rank-one"):
+            continue
+        for scale in scales:
+            a = stack * scale
+            got, want = nc.schatten_norms(a, p), _svd_schatten_norms(a, p)
+            assert got.shape == want.shape == a.shape[:-2]
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (name, scale)
+    a = _norm_cases(rng, N)["random"][0]
+    assert nc.schatten_norm(a, p) == float(nc.schatten_norms(a, p))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_value_norms_take_scalars_as_1x1_matrices(rng, p):
     z = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
