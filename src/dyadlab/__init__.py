@@ -3,7 +3,6 @@
 from .lattice import (
     Cube,
     GridFunction,
-    HaarIndex,
     HaarPyramid,
     Lattice,
     average,
@@ -27,7 +26,6 @@ from .lattice import (
 __all__ = [
     "Cube",
     "GridFunction",
-    "HaarIndex",
     "HaarPyramid",
     "Lattice",
     "average",

@@ -101,13 +101,11 @@ FIELDS = {
     "budgets": {"type": "array", "items": _pos, "minItems": 2},
     "resolutions": {"type": "array", "items": _pos, "minItems": 1},
     "shift_file": {"type": "string"},
-    "clamp": {"type": "boolean"},
 }
 SCHEMAS = {command: {"type": "object", "properties": {f: FIELDS[f] for f in defaults},
                      "additionalProperties": False}
            for command, defaults in DEFAULTS.items()}
-SCHEMAS["shift-eval"]["properties"].update(shift_file=FIELDS["shift_file"],
-                                           clamp=FIELDS["clamp"])
+SCHEMAS["shift-eval"]["properties"]["shift_file"] = FIELDS["shift_file"]
 # the kernel's Holder exponent (s-1)/2 must lie in (0, 1]
 SCHEMAS["kernel-const"]["properties"]["s"] = {**FIELDS["s"], "maximum": 3}
 
@@ -124,10 +122,8 @@ def _field_error(user: dict, config: dict) -> tuple[str, str] | None:
             return "complexity", f"needs n + 1 = {slots} entries"
         if max(config["cancellative"]) > slots:
             return "cancellative", f"slots must lie in 1..n + 1 = {slots}"
-        # modelops.make_random_shift needs a level for its base cubes (max_level >= 0)
-        canc = set(config["cancellative"])
-        if min(config["L"] - k - (j + 1 in canc)
-               for j, k in enumerate(config["complexity"])) < 0:
+        # modelops.make_random_shift needs a level for its base cubes
+        if mo.max_base_level(config["L"], config["complexity"], config["cancellative"]) < 0:
             return "L", "too shallow for the complexity and cancellative slots"
     if "j" in config:
         j, k = config["j"], config["k"]
@@ -354,7 +350,7 @@ def main(argv=None) -> int:
         parser.error("--clamp applies only to shift-eval")
     out = Path(args.out or os.environ.get("DYADLAB_OUT", "reports"))
     config = load_config(args.command, args.config, args.seed)
-    if args.clamp:
+    if args.clamp:  # not a config field; the report's config records the flag
         config["clamp"] = True
     return COMMANDS[args.command](config, out, args.format)
 

@@ -12,7 +12,6 @@ import, so that code which rebinds them to count calls sees every call.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -146,6 +145,7 @@ def average_expansion(f: lt.GridFunction) -> dict:
             if k:
                 rhs = rhs + lt.level_blocks(f, lv, k - 1)[1]
             w = 1 << (L - lv - k)
+            # not level_blocks(f, lv, k)[0]: a fault in level_blocks would cancel
             err = max(err, _max_dev(lt._expand(lt._block_means(a, w, d), w, d), rhs))
     return _within("average-expansion-identity", err, IDENTITY_TOL)
 
@@ -261,7 +261,7 @@ def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
     for a, ps in positive:
         a = a / nc.schatten_norm(a, 1.0)
         factors = nc.factorize_positive(a, 1.0, ps)
-        flat = max(flat, _max_dev(reduce(np.matmul, factors), a),
+        flat = max(flat, _max_dev(nc.chain(factors), a),
                    *(abs(nc.schatten_norm(fac, p) - 1.0) for fac, p in zip(factors, ps)))
     nested = 0.0
     for raw, space in mixed:

@@ -289,56 +289,30 @@ def random_grid_function(lat: Lattice, N: int = 1, seed: int = 0,
 # Haar system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HaarIndex:
-    """Cube plus sign-pattern vector eta in {0,1}^d.
-
-    eta = 0 indexes the non-cancellative h_Q^0 = |Q|^(-1/2) 1_Q; any
-    other eta gives a mean-zero tensor Haar function.
-    """
-
-    cube: Cube
-    eta: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e not in (0, 1) for e in self.eta):
-            raise ValueError("eta components must be 0 or 1")
-        if len(self.eta) != self.cube.dim:
-            raise ValueError("eta dimension mismatch")
-
-    @property
-    def cancellative(self) -> bool:
-        return any(self.eta)
-
-
-def eta_to_mask(eta) -> int:
-    """Pack an eta vector (or pass through an int mask) into a bitmask."""
-    if isinstance(eta, (int, np.integer)):
-        return int(eta)
-    return sum(int(b) << a for a, b in enumerate(eta))
-
-
 def mask_to_eta(mask: int, d: int) -> tuple[int, ...]:
     return tuple((mask >> a) & 1 for a in range(d))
 
 
-def haar(lat: Lattice, h: HaarIndex | tuple) -> GridFunction:
-    """The Haar function h_Q^eta as a grid function (L^2 norm 1).
+def haar(lat: Lattice, h: tuple[Cube, int]) -> GridFunction:
+    """The Haar function h_Q^eta of h = (Q, eta) as a grid function (L^2
+    norm 1).
 
-    Sign convention per axis: +1 on the left half, -1 on the right
-    half, in lattice coordinates.  Cancellative indices need children
-    at grid resolution, so level(Q) < L is required when eta != 0.
+    eta is a bitmask in 0..2^d - 1, bit a the sign pattern of axis a:
+    eta = 0 gives the non-cancellative h_Q^0 = |Q|^(-1/2) 1_Q, any other
+    eta a mean-zero tensor Haar function.  Sign convention per axis: +1
+    on the left half, -1 on the right half, in lattice coordinates.
+    Cancellative indices need children at grid resolution, so level(Q) <
+    L is required when eta != 0.
     """
-    if not isinstance(h, HaarIndex):
-        Q, eta = h
-        h = HaarIndex(Q, mask_to_eta(eta_to_mask(eta), Q.dim))
-    Q, eta = h.cube, h.eta
+    Q, eta = h
     if Q.dim != lat.dim or Q.level > lat.depth:
         raise ValueError("cube does not belong to the lattice")
-    if h.cancellative and Q.level >= lat.depth:
+    if not 0 <= eta < 1 << lat.dim:
+        raise ValueError(f"eta mask must lie in 0..{(1 << lat.dim) - 1}")
+    if eta and Q.level >= lat.depth:
         raise ValueError("cancellative Haar needs level < depth")
     aligned = np.zeros((lat.cells_per_axis,) * lat.dim, dtype=np.complex128)
-    aligned[_cell_block(lat, Q)] = _haar_patch(lat, Q.level, eta)
+    aligned[_cell_block(lat, Q)] = _haar_patch(lat, Q.level, mask_to_eta(eta, lat.dim))
     return from_aligned(lat, aligned)
 
 

@@ -312,17 +312,16 @@ def _product_shape(f, g):
 
 @dataclass
 class KernelSample:
-    """Sampling plan for kernel constants.
+    """Sampling plan for bilinear kernel constants.
 
-    ``kernel(x, y1, .., yn)`` evaluates off the diagonal; ``alpha`` is
-    the smoothness exponent, ``n`` the linearity, ``budget`` the sample
-    count.  Samples are drawn from a deterministic stream, so a larger
-    budget extends a smaller one.
+    ``kernel(x, y1, y2)`` evaluates off the diagonal; ``alpha`` is the
+    smoothness exponent, ``budget`` the sample count.  Samples are drawn
+    from a deterministic stream, so a larger budget extends a smaller
+    one.
     """
 
     kernel: Callable
     alpha: float
-    n: int = 2
     budget: int = 1000
     seed: int = 0
 
@@ -335,15 +334,15 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
     """Running-sup estimates of the size and smoothness constants.
 
     Points lie on the line (dimension one).  Size: sup |K(x)|
-    (sum_m |x_1 - x_m|)^n.  Smoothness: sup of the quotient
-    |K(x) - K(x')| (sum_m |x_1 - x_m|)^{n + alpha} /
+    (sum_m |x_1 - x_m|)^2.  Smoothness: sup of the quotient
+    |K(x) - K(x')| (sum_m |x_1 - x_m|)^{2 + alpha} /
     |x_j - x_j'|^alpha over single-coordinate moves constrained by
     |x_j - x_j'| <= max_m |x_1 - x_m| / 2.  Both are lower bounds of
     the true suprema, nondecreasing in the budget.  Radii are stratified
     log-uniformly; configurations touching the diagonal are rejected.
     """
     rng = np.random.default_rng(ks.seed)
-    n1 = ks.n + 1
+    n1 = 3  # the points x, y1, y2
     size_c = 0.0
     holder_c = 0.0
     strata = 16
@@ -359,7 +358,7 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
         if sep <= 0:
             continue
         val = ks.kernel(*pts)
-        size_c = max(size_c, abs(val) * sep ** ks.n)
+        size_c = max(size_c, abs(val) * sep ** 2)
         # smoothness: perturb one coordinate within the allowed range
         j = int(rng.integers(n1))
         mx = max(abs(pts[0] - pts[m]) for m in range(1, n1))
@@ -373,7 +372,7 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
         if sep_moved <= 0:
             continue
         val2 = ks.kernel(*moved)
-        quot = abs(val - val2) * sep ** (ks.n + ks.alpha) / abs(delta) ** ks.alpha
+        quot = abs(val - val2) * sep ** (2 + ks.alpha) / abs(delta) ** ks.alpha
         holder_c = max(holder_c, quot)
     return size_c, holder_c
 

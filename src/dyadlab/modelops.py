@@ -30,7 +30,6 @@ Carleson and BMO sups are one bottom-up sweep of level sums of |a|^2.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -42,6 +41,7 @@ from .lattice import (Cube, GridFunction, HaarPyramid, Lattice, _block_means, _c
                       _expand, _field, _finite, _haar_patch, _heap_number, _heap_size, _int,
                       _ints, _level_views, build_lattice, from_aligned, haar, mask_to_eta,
                       pairing)
+from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
 
@@ -284,6 +284,15 @@ class ReducedShiftTerm:
 # random generators
 # ---------------------------------------------------------------------------
 
+def max_base_level(depth: int, complexity: Sequence[int], cancellative: Iterable[int]) -> int:
+    """Deepest level of a base cube K that fits a shift of the given
+    complexity on a depth-``depth`` lattice: Q_j lies k_j levels below K,
+    and a cancellative slot j needs one more level for the children of
+    Q_j.  Negative when no level fits."""
+    canc = set(cancellative)
+    return min(depth - k - ((j + 1) in canc) for j, k in enumerate(complexity))
+
+
 def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
                       cancellative: Iterable[int], seed: int, scale: float = 1.0,
                       blocks: int = 8, tuples_per_block: int = 8) -> ShiftSpec:
@@ -303,8 +312,7 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
     canc = frozenset(int(j) for j in cancellative)
     if len(canc) < 2:
         raise ValueError("need at least two cancellative slots")
-    max_level = min(lat.depth - k - (1 if (j + 1) in canc else 0)
-                    for j, k in enumerate(complexity))
+    max_level = max_base_level(lat.depth, complexity, canc)
     if max_level < 0:
         raise ValueError("complexity incompatible with the lattice depth")
     d, k = lat.dim, np.array(complexity)
@@ -382,11 +390,6 @@ def _check_inputs(lat: Lattice, fs: Sequence[GridFunction], arity: int) -> int:
     return 1 if vs == () else vs[0]
 
 
-def _chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Batched matrix product of (R, N, N) stacks in list order."""
-    return functools.reduce(np.matmul, mats)
-
-
 def _slots(spec) -> list[tuple]:
     """Per slot j = 1..n+1: heap numbers of the cubes and eta masks of the
     Haar functions it pairs against, and the divisor of that pairing."""
@@ -407,7 +410,7 @@ def _pairings(slots, fs: Sequence[GridFunction], N: int) -> list[np.ndarray]:
 
 
 def _form(spec, fs: Sequence[GridFunction]) -> complex:
-    prod = _chain(_pairings(_slots(spec), fs, _check_inputs(spec.lattice, fs, spec.n + 1)))
+    prod = chain(_pairings(_slots(spec), fs, _check_inputs(spec.lattice, fs, spec.n + 1)))
     # a named array, so numpy does not multiply into a temporary in place,
     # which can change the last bits
     traces = np.einsum("kii->k", prod)
@@ -431,7 +434,7 @@ def eval_shift_form_naive(spec: ShiftSpec | ReducedShiftTerm,
     for (K, qs, etas), a in spec.coeffs.items():
         mats = [np.reshape(pairing(f, haar(lat, (q, e))), (1, N, N))
                 for f, q, e in zip(fs, qs, etas)]
-        total += a * np.trace(_chain(mats)[0])
+        total += a * np.trace(chain(mats)[0])
     return complex(total)
 
 
@@ -457,7 +460,7 @@ def adjoint_eval(spec, j0: int, fs: Sequence[GridFunction]) -> GridFunction:
     slots = _slots(spec)
     others = [j for j in range(1, n1 + 1) if j != j0]
     mats = dict(zip(others, _pairings([slots[j - 1] for j in others], fs, N)))
-    prod = _chain([mats[(j0 + i) % n1 + 1] for i in range(n1 - 1)])
+    prod = chain([mats[(j0 + i) % n1 + 1] for i in range(n1 - 1)])
     heap, eta, div = slots[j0 - 1]
     out = _synthesize(lat, heap, eta, spec.coeffs.value[:, None, None] * prod
                       / np.reshape(div, (-1, 1, 1)))

@@ -10,13 +10,14 @@ level; the nested norm of a value tree evaluates one weighted l^p norm
 per level, with the Schatten norm at the bottom.
 
 The factorization routines split a positive unit-norm element into a
-product of unit-norm factors, one per exponent, level by level: scalar
-mass carries the power q/p_u and the direction is factored recursively,
-with spectral powers doing the matrix-level split.
+product of unit-norm factors, one per exponent: the subtree norms from
+the same bottom-up pass carry the powers q^s/p_u^s level by level, and
+spectral powers split each leaf's unit-norm direction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -110,10 +111,16 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def chain(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Matrix product of ``mats`` in list order, left to right; stacks
+    (..., N, N) multiply batched and broadcast."""
+    return functools.reduce(np.matmul, mats)
+
+
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= HERMITIAN_TOL * scale)
 
 
 def power_pos(a: np.ndarray, theta: float) -> np.ndarray:
@@ -266,18 +273,17 @@ class MixedSpace:
         return tuple(len(self.weights[s - 1]) for s in range(self.S, 0, -1)) + (self.N, self.N)
 
 
-def _nested_norm(values: np.ndarray, weights_desc: list[np.ndarray],
-                 exps_desc: list[float], p0: float) -> float:
-    """Recursive nested norm; weights/exponents listed outermost first."""
-    if not weights_desc:
-        return schatten_norm(values, p0)
-    w = weights_desc[0]
-    p = exps_desc[0]
-    if values.shape[0] != len(w):
-        raise ValueError("value tree shape does not match the atom weights")
-    sub = np.array([_nested_norm(values[t], weights_desc[1:], exps_desc[1:], p0)
-                    for t in range(len(w))])
-    return float((w @ sub ** p) ** (1.0 / p))
+def _level_norms(values: np.ndarray, space: MixedSpace,
+                 col: Sequence[float]) -> list[np.ndarray]:
+    """Nested norms of every subtree of a value tree, in one pass from the
+    leaves up.  Entry s holds the level-s norms, shaped like the value
+    tree cut after its level-(s+1) axis: entry 0 the Schatten col[0]
+    norm of each leaf, entry S the nested norm of the whole tree."""
+    levels = [schatten_norms(values, col[0])]
+    for s in range(1, space.S + 1):
+        w = np.asarray(space.weights[s - 1], dtype=float)
+        levels.append((levels[-1] ** col[s] @ w) ** (1.0 / col[s]))
+    return levels
 
 
 def nested_norm(values: np.ndarray, space: MixedSpace, j: int,
@@ -292,10 +298,7 @@ def nested_norm(values: np.ndarray, space: MixedSpace, j: int,
     if values.shape != space.value_shape():
         raise ValueError("value tree shape mismatch")
     col = tuple(column) if column is not None else space.table.column(j)
-    weights_desc = [np.asarray(space.weights[s - 1], dtype=float)
-                    for s in range(space.S, 0, -1)]
-    exps_desc = [col[s] for s in range(space.S, 0, -1)]
-    return _nested_norm(values, weights_desc, exps_desc, col[0])
+    return float(_level_norms(values, space, col)[-1])
 
 
 def flat_product_norm(values: np.ndarray, space: MixedSpace, p: float) -> float:
@@ -401,9 +404,7 @@ def _best_gaussian(e: np.ndarray, ps: Sequence[float], perms: list,
             g[pos, u] /= nrm[pos, None, None]
             g[~pos, u] = eye
         for perm in perms:
-            prod = e
-            for i in perm:
-                prod = prod @ g[:, i]
+            prod = chain([e, *(g[:, i] for i in perm)])
             best = max(best, float(np.abs(np.trace(prod, axis1=-2, axis2=-1)).max()))
     return best
 
@@ -421,10 +422,7 @@ def _best_pairing(e, candidate_lists, perms) -> float:
     best = 0.0
     for factors in candidate_lists:
         for perm in perms:
-            prod = e
-            for i in perm:
-                prod = prod @ factors[i]
-            best = max(best, abs(np.trace(prod)))
+            best = max(best, abs(np.trace(chain([e, *(factors[i] for i in perm)]))))
     return best
 
 
@@ -469,27 +467,27 @@ def factorize_mixed(values: np.ndarray, J: Sequence[int],
     values = np.asarray(values, dtype=np.complex128)
     if values.shape != space.value_shape():
         raise ValueError("value tree shape mismatch")
-    total = nested_norm(values, space, J[0], column=q_col)
+    levels = _level_norms(values, space, q_col)
+    total = float(levels[-1])
     if abs(total - 1.0) > UNIT_TOL:
         raise ValueError(f"input must have unit nested norm (got {total})")
 
-    weights_desc = [np.asarray(space.weights[s - 1], dtype=float)
-                    for s in range(space.S, 0, -1)]
-
-    def split(tree: np.ndarray, s: int) -> list[np.ndarray]:
-        if s == 0:
-            if np.abs(tree).max(initial=0.0) == 0.0:
-                return [np.zeros_like(tree) for _ in J]
-            return [power_pos(tree, q_col[0] / cols[u][0]) for u in range(len(J))]
-        outs = [np.zeros_like(tree) for _ in J]
-        for t in range(tree.shape[0]):
-            r = _nested_norm(tree[t], weights_desc[space.S - s + 1:],
-                             [q_col[x] for x in range(s - 1, 0, -1)], q_col[0])
-            if r == 0.0:
-                continue
-            subs = split(tree[t] / r, s - 1)
-            for u in range(len(J)):
-                outs[u][t] = (r ** (q_col[s] / cols[u][s])) * subs[u]
-        return outs
-
-    return split(values, space.S)
+    # scale[u] at a leaf: the product over levels s of (subtree norm /
+    # parent norm)^(q^s/p_u^s); the whole tree counts as norm 1, as the
+    # input is unit; a zero subtree gives ratio 0
+    scale = [np.ones(levels[0].shape) for _ in J]
+    for s in range(1, space.S + 1):
+        parent = levels[s][..., None] if s < space.S else 1.0
+        ratio = np.divide(levels[s - 1], parent, out=np.zeros_like(levels[s - 1]),
+                          where=parent > 0)
+        ratio = ratio.reshape(ratio.shape + (1,) * (s - 1))
+        for u in range(len(J)):
+            scale[u] = scale[u] * ratio ** (q_col[s] / cols[u][s])
+    outs = [np.zeros_like(values) for _ in J]
+    for leaf in np.ndindex(levels[0].shape):
+        if levels[0][leaf] == 0.0:
+            continue
+        direction = values[leaf] / levels[0][leaf]
+        for u in range(len(J)):
+            outs[u][leaf] = scale[u][leaf] * power_pos(direction, q_col[0] / cols[u][0])
+    return outs

@@ -32,7 +32,8 @@ from .lattice import (
     sublattice,
 )
 # schatten_norms is not called here, but perfbench's span test reads it in this namespace
-from .ncspaces import conjugate_exponent, schatten_norm, schatten_norms, value_norms  # noqa: F401
+from .ncspaces import (chain, conjugate_exponent, schatten_norm, schatten_norms,  # noqa: F401
+                       value_norms)
 
 EXHAUSTIVE_LIMIT = 20
 # largest accumulator of one chunk of decoupling samples, in bytes
@@ -299,9 +300,7 @@ def rscalar_check(es: np.ndarray, coeffs: Sequence[complex],
     ps = [float(p) for p in exponents]
     if len(ps) != n + 1 or abs(sum(1.0 / p for p in ps) - 1.0) > 1e-9:
         raise ValueError("exponents must form a Holder tuple of length n+1")
-    prod = np.einsum("k,kij->kij", coeffs, es[0])
-    for jj in range(1, n):
-        prod = prod @ es[jj]
+    prod = chain([np.einsum("k,kij->kij", coeffs, es[0]), *es[1:]])
     lhs = schatten_norm(prod.sum(axis=0), conjugate_exponent(ps[n]))
     rhs = 1.0
     for jj in range(n):
@@ -323,10 +322,7 @@ def key_product_inequality(es: np.ndarray, last: np.ndarray,
     n = es.shape[0] + 1
     if len(ps) != n + 1:
         raise ValueError("exponent tuple length mismatch")
-    prod = es[0]
-    for jj in range(1, n - 1):
-        prod = prod @ es[jj]
-    core = prod.sum(axis=0)
+    core = chain(es).sum(axis=0)
     lhs = schatten_norm(core @ last, conjugate_exponent(ps[n]))
     inv_rp = sum(1.0 / ps[j] for j in range(n - 1))
     rp = float("inf") if inv_rp == 0 else 1.0 / inv_rp

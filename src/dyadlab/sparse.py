@@ -360,9 +360,9 @@ def pointwise_schatten(f: GridFunction, p: float) -> GridFunction:
     return GridFunction(lat, norms.reshape((lat.cells_per_axis,) * lat.dim))
 
 
-def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5,
-                             schatten: list[float] | None = None) -> dict:
-    """Measure |form(f)| against the sparse form of the pointwise norms.
+def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> dict:
+    """Measure |form(f)| against the sparse form of the pointwise S^{n+1}
+    norms.
 
     The collection is built by the stopping construction at the theta
     matching eta; ``sparse`` is its ``is_sparse`` verdict at eta.  A zero
@@ -371,10 +371,8 @@ def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5,
     """
     from .modelops import form_value
     n1 = op.n + 1
-    if schatten is None:
-        schatten = [float(n1)] * n1
     lhs = abs(form_value(op, fs))
-    norms = [pointwise_schatten(f, p) for f, p in zip(fs, schatten)]
+    norms = [pointwise_schatten(f, float(n1)) for f in fs]
     theta = n1 / (1.0 - eta)
     col = build_sparse_stopping(norms, theta)
     rhs = sparse_form(col, norms)

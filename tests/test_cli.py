@@ -252,6 +252,13 @@ def test_unknown_field_rejected(tmp_path):
         run("haar-suite", tmp_path, ["--config", str(cfg)])
 
 
+def test_clamp_is_a_flag_not_a_config_field(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"clamp": True}))
+    with pytest.raises(SystemExit, match="config error at <root>: .*'clamp' was unexpected"):
+        run("shift-eval", tmp_path, ["--config", str(cfg)])
+
+
 def test_decouple_green(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 2000}))

@@ -43,15 +43,15 @@ def test_nonquantized_shift_rejected():
 
 def test_haar_values_1d():
     lat = dl.build_lattice(1, 3)
-    h = dl.haar(lat, (dl.Cube(0, (0,)), (1,)))
+    h = dl.haar(lat, (dl.Cube(0, (0,)), 1))
     assert np.allclose(h.values[:4], 1.0) and np.allclose(h.values[4:], -1.0)
-    h0 = dl.haar(lat, (dl.Cube(1, (0,)), (0,)))
+    h0 = dl.haar(lat, (dl.Cube(1, (0,)), 0))
     assert np.allclose(h0.values[:4], np.sqrt(2)) and np.allclose(h0.values[4:], 0.0)
 
 
 def test_haar_tensor_2d_sign_pattern():
     lat = dl.build_lattice(2, 1)
-    h = dl.haar(lat, (dl.Cube(0, (0, 0)), (1, 0)))
+    h = dl.haar(lat, (dl.Cube(0, (0, 0)), 1))
     # split in the first coordinate only
     assert np.allclose(h.values[0, :], 1.0)
     assert np.allclose(h.values[1, :], -1.0)
@@ -60,7 +60,17 @@ def test_haar_tensor_2d_sign_pattern():
 def test_haar_cancellative_needs_children():
     lat = dl.build_lattice(1, 2)
     with pytest.raises(ValueError):
-        dl.haar(lat, (dl.Cube(2, (0,)), (1,)))
+        dl.haar(lat, (dl.Cube(2, (0,)), 1))
+
+
+@pytest.mark.parametrize("cube, eta", [
+    (dl.Cube(0, (0, 0)), -1),
+    (dl.Cube(0, (0, 0)), 4),    # a mask needs eta < 2^d
+    (dl.Cube(0, (0,)), 1),      # a 1-d cube on a 2-d lattice
+])
+def test_haar_rejects_bad_index(cube, eta):
+    with pytest.raises(ValueError):
+        dl.haar(dl.build_lattice(2, 2), (cube, eta))
 
 
 def test_haar_l2_normalized(rng):

@@ -313,6 +313,42 @@ def test_factorize_mixed_continuity(rng):
     assert dists[-1] < dists[0]
 
 
+# p_j^s for j = 1, 2, 3 and levels s = 0..3: varies by level, and each
+# column is a Holder tuple; atom weights of levels 1..3
+_DEEP_TABLE = ((3.0, 4.0, 2.5, 6.0), (3.0, 2.0, 5.0, 2.0), (3.0, 4.0, 2.5, 3.0))
+_DEEP_WEIGHTS = ((0.5, 0.25, 0.25), (0.3, 0.7), (0.6, 0.4))
+
+
+def _deep_tree(rng, S, J, zero=None):
+    """A positive value tree with S atom levels, of unit nested norm in
+    the q_J column; the outermost subtree ``zero`` is zero."""
+    tab = nc.ExponentTable(tuple(row[:S + 1] for row in _DEEP_TABLE))
+    sp = nc.MixedSpace(_DEEP_WEIGHTS[:S], 2, tab)
+    shape = sp.value_shape()
+    raw = np.stack([random_psd(rng, 2) for _ in range(math.prod(shape[:-2]))]).reshape(shape)
+    if zero is not None:
+        raw[zero] = 0.0
+    return raw / nc.nested_norm(raw, sp, 1, column=tab.q_col(J)), sp
+
+
+@pytest.mark.parametrize("S", [2, 3])
+@pytest.mark.parametrize("J", [[1, 2], [1, 2, 3]])
+def test_factorize_mixed_several_levels(rng, S, J):
+    f, sp = _deep_tree(rng, S, J)
+    facs = nc.factorize_mixed(f, J, sp)
+    assert np.abs(nc.chain(facs) - f).max() < 1e-12
+    for fac, j in zip(facs, J):
+        assert abs(nc.nested_norm(fac, sp, j) - 1.0) < 1e-12
+
+
+def test_factorize_mixed_zero_subtree(rng):
+    f, sp = _deep_tree(rng, 2, [1, 2], zero=1)
+    facs = nc.factorize_mixed(f, [1, 2], sp)
+    for fac in facs:
+        assert np.all(fac[1] == 0.0)
+    assert np.abs(nc.chain(facs) - f).max() < 1e-12
+
+
 @pytest.mark.parametrize("ps, J", [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
                                    ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])])
 def test_y_norm_chunks_match_the_per_draw_oracle(monkeypatch, ps, J):
