@@ -170,7 +170,8 @@ def shift_form_oracle(spec: mo.ShiftSpec, fs: list, oracle_cap: int) -> dict:
 def shift_rewrite(spec: mo.ShiftSpec, fs: list) -> list[dict]:
     """The depth-zero rewrite preserves the form and keeps terms normalized."""
     terms = mo.reduce_shift(spec)
-    defect = abs(mo.eval_shift_form(spec, fs) - sum(mo.eval_shift_form(t, fs) for t in terms))
+    pyrs = [lt.HaarPyramid(f) for f in fs]  # one sweep per input for every form below
+    defect = abs(mo.eval_shift_form(spec, pyrs) - sum(mo.eval_shift_form(t, pyrs) for t in terms))
     worst = max((t.check_normalization() for t in terms), default=0.0)
     return [record("shift-rewrite-form-preservation", HARD, defect <= REWRITE_TOL,
                    terms=len(terms), defect=defect, tol=REWRITE_TOL),

@@ -501,6 +501,7 @@ class HaarPyramid:
     bitmask (0 = non-cancellative).  ``flat`` holds every pairing in one
     array of shape (#cubes, 2^d) + value_shape indexed by heap number;
     ``levels[l]`` views level l as shape (2^l,)*d + (2^d,) + value_shape.
+    Both are read-only, so one pyramid can serve several form evaluations.
     """
 
     def __init__(self, f: GridFunction):
@@ -531,6 +532,8 @@ class HaarPyramid:
             lvl = np.tensordot(r, signs, axes=([d], [1]))
             np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=self.levels[l])
             cur = r.sum(axis=d)
+        for a in (self.flat, *self.levels):
+            a.setflags(write=False)
 
     def coef(self, Q: Cube, eta_mask: int):
         arr = self.levels[Q.level]

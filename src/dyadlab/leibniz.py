@@ -21,6 +21,7 @@ not claims about sharp constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,10 +80,7 @@ class TorusFunction:
 
     def frequencies(self) -> np.ndarray:
         """Integer frequency magnitude |k| on the coefficient grid."""
-        R = self.resolution
-        k1 = np.fft.fftfreq(R) * R
-        grids = np.meshgrid(*([k1] * self.dim), indexing="ij")
-        return np.sqrt(sum(g ** 2 for g in grids))
+        return _frequencies(self.dim, self.resolution)
 
     def __add__(self, other):
         return TorusFunction(self.dim, self.resolution, self.values + other.values)
@@ -94,6 +92,12 @@ class TorusFunction:
         return TorusFunction(self.dim, self.resolution, self.values * c)
 
     __rmul__ = __mul__
+
+
+def _frequencies(d: int, R: int) -> np.ndarray:
+    k1 = np.fft.fftfreq(R) * R
+    grids = np.meshgrid(*([k1] * d), indexing="ij")
+    return np.sqrt(sum(g ** 2 for g in grids))
 
 
 def product(f: TorusFunction, g: TorusFunction) -> TorusFunction:
@@ -221,7 +225,7 @@ def paraproduct_split(f: TorusFunction, g: TorusFunction, s: float) -> Paraprodu
     one product per pair of blocks, is the oracle.
     """
     d, R, r, M, defect = _split_grid(f, g)
-    windows = np.stack([r == 0] + [annulus_profile(r / 2.0 ** m) for m in range(M + 1)])
+    windows = _split_windows(d, R)[3]
     fb, gb = _block_values(f, windows), _block_values(g, windows)
     fvs, gvs = f.value_shape, g.value_shape
     low = np.maximum(np.arange(1, M + 2) - 2, 0)  # prefix end for blocks 1 .. M+1
@@ -284,14 +288,26 @@ def _split_grid(f: TorusFunction, g: TorusFunction):
     if (f.dim, f.resolution) != (g.dim, g.resolution):
         raise ValueError("grids do not match")
     d, R = f.dim, f.resolution
-    r = f.frequencies()
-    rmax = float(r.max())
-    M = max(0, math.ceil(math.log2(max(rmax, 1.0))))
-    window_sum = lowpass_profile(r / 2.0 ** M)
+    r, M, window_sum, _ = _split_windows(d, R)
     occupied = (np.abs(f.coeffs).reshape(r.shape + (-1,)).max(axis=-1) > 0) | \
                (np.abs(g.coeffs).reshape(r.shape + (-1,)).max(axis=-1) > 0)
     defect = float(np.abs(1.0 - window_sum)[occupied].max(initial=0.0))
     return d, R, r, M, defect
+
+
+@functools.lru_cache(maxsize=4)
+def _split_windows(d: int, R: int):
+    """What a split needs of the (d, R) grid, built once per grid and
+    read-only: (frequency magnitudes r, top annulus M, the partition sum
+    lowpass(r / 2^M), the windows of the mean block and of annuli 0 .. M
+    stacked on the leading axis)."""
+    r = _frequencies(d, R)
+    M = max(0, math.ceil(math.log2(max(float(r.max()), 1.0))))
+    window_sum = lowpass_profile(r / 2.0 ** M)
+    windows = np.stack([r == 0] + [annulus_profile(r / 2.0 ** m) for m in range(M + 1)])
+    for a in (r, window_sum, windows):
+        a.setflags(write=False)
+    return r, M, window_sum, windows
 
 
 def _block_values(h: TorusFunction, windows: np.ndarray) -> np.ndarray:
@@ -387,10 +403,17 @@ class DiagonalKernel:
         K(x, y1, y2) = sum_m 2^{2m} integral
             phi_s(v - 2^m x) psi(v - 2^m y1) psi(v - 2^m y2) dv
 
-    (dimension one).  The profiles are tabulated on a grid of step
-    ``table_step`` over [-halfwidth, halfwidth] by quadrature over the
-    compact frequency support, a block of table rows at a time; on a
-    symmetric grid the rows with x > 0 are mirrored from those with x < 0.
+    (dimension one).  The profiles are tabulated on the grid x_k =
+    -halfwidth + k h, h = ``table_step``, by quadrature over the compact
+    frequency support: phi_s(x_k) = 2 dxi sum_j w_j cos(2 pi x_k xi_j)
+    on the nodes xi_j = j dxi of [0, 2], dxi = 2 / (quad_points - 1),
+    with w_j = (2 pi xi_j)^s times the low-pass profile (the annulus
+    bump for psi).  As h dxi = 1 / nfft with nfft = (quad_points - 1) /
+    (2 h), each table is 2 dxi Re of one length-nfft FFT: with x_k =
+    (k - k0) h + delta, k0 = round(halfwidth / h), row k is the FFT of
+    w_j exp(-2 pi i delta xi_j), j folded mod nfft, at (k - k0) mod
+    nfft.  A grid whose nfft is not a whole number is rejected.
+
     The scales m run over a window around the scale of the triple; a scale
     whose centers c = 2^m (x, y1, y2) lie more than 2 halfwidth apart is
     dropped.  On every other scale the v-integral is the Riemann sum over
@@ -423,13 +446,14 @@ class DiagonalKernel:
     ``np.interp``, the oracle of the fast path.
     """
 
-    _TABLE_ROWS = 512  # rows of the cosine matrix built at a time
-
     def __init__(self, s: float, halfwidth: float = 60.0, table_step: float = 1.0 / 64,
                  quad_points: int = 4000, v_step: float = 1.0 / 16):
         stride = round(v_step / table_step)
         if stride < 2 or stride * table_step != v_step:
             raise ValueError("v_step must be a whole number (at least 2) of table steps")
+        nfft = round((quad_points - 1) / (2.0 * table_step))
+        if nfft * 2.0 * table_step != quad_points - 1:
+            raise ValueError("(quad_points - 1) / (2 table_step) must be a whole number")
         self.s = s
         self.halfwidth = halfwidth
         self.table_step = table_step
@@ -437,24 +461,20 @@ class DiagonalKernel:
         self.stride = stride
         xs = np.arange(-halfwidth, halfwidth + table_step, table_step)
         xi = np.linspace(0.0, 2.0, quad_points)
-        wphi = (2.0 * np.pi * xi) ** s * lowpass_profile(xi)
-        wpsi = annulus_profile(xi)
         dxi = xi[1] - xi[0]
-        # cosine transforms of even profiles (trapezoid over the support);
-        # each row is summed alone, so the blocks do not change any bit.
-        # When xs is symmetric (xs[::-1] == -xs) the row of -x negates every
-        # cosine argument of the row of x, and cos is even bit for bit, so
-        # the rows with x <= 0 are built and mirrored
-        n = len(xs)
-        half = (n + 1) // 2 if np.array_equal(xs[::-1], -xs) else n
-        tables = np.empty((2, n))
-        for start in range(0, half, self._TABLE_ROWS):
-            rows = slice(start, min(start + self._TABLE_ROWS, half))
-            cosmat = np.cos(2.0 * np.pi * np.outer(xs[rows], xi))
-            tables[0, rows] = 2.0 * (cosmat * wphi).sum(axis=1) * dxi
-            tables[1, rows] = 2.0 * (cosmat * wpsi).sum(axis=1) * dxi
-        if half < n:
-            tables[:, half:] = tables[:, n - 1 - half::-1]
+        # cosine transforms of even profiles (trapezoid over the support),
+        # one FFT each.  The k0 whole turns of x_k xi_j are index arithmetic,
+        # so only the small phase delta xi_j is rounded, not x_0 xi_j
+        k0 = round(halfwidth / table_step)
+        delta = xs[0] + k0 * table_step
+        phase = np.exp(-2j * np.pi * (delta * xi))
+        j, k = np.arange(quad_points) % nfft, (np.arange(len(xs)) - k0) % nfft
+        tables = np.empty((2, len(xs)))
+        for row, w in enumerate(((2.0 * np.pi * xi) ** s * lowpass_profile(xi),
+                                 annulus_profile(xi))):
+            a = w * phase
+            folded = np.bincount(j, a.real) + 1j * np.bincount(j, a.imag)
+            tables[row] = 2.0 * dxi * np.fft.fft(folded, nfft).real[k]
         self.xs = xs
         self.phi_s, self.psi = tables
         # (node value, slope to the next node) per profile, with each end

@@ -403,13 +403,15 @@ def _slots(spec) -> list[tuple]:
     return [(heap[:, j], t.eta[:, j - 1], 1.0) for j in range(1, spec.n + 2)]
 
 
-def _pairings(slots, fs: Sequence[GridFunction], N: int) -> list[np.ndarray]:
-    """<f_j, h_{Q_j}^{eta_j}> / divisor_j per row, as (R, N, N) stacks."""
-    return [HaarPyramid(f).flat[heap, eta].reshape(-1, N, N) / np.reshape(div, (-1, 1, 1))
-            for f, (heap, eta, div) in zip(fs, slots)]
+def _pairings(slots, fs: Sequence[GridFunction | HaarPyramid], N: int) -> list[np.ndarray]:
+    """<f_j, h_{Q_j}^{eta_j}> / divisor_j per row, as (R, N, N) stacks;
+    an input given as its HaarPyramid is not swept again."""
+    pyrs = [f if isinstance(f, HaarPyramid) else HaarPyramid(f) for f in fs]
+    return [p.flat[heap, eta].reshape(-1, N, N) / np.reshape(div, (-1, 1, 1))
+            for p, (heap, eta, div) in zip(pyrs, slots)]
 
 
-def _form(spec, fs: Sequence[GridFunction]) -> complex:
+def _form(spec, fs: Sequence[GridFunction | HaarPyramid]) -> complex:
     prod = chain(_pairings(_slots(spec), fs, _check_inputs(spec.lattice, fs, spec.n + 1)))
     # a named array, so numpy does not multiply into a temporary in place,
     # which can change the last bits
@@ -418,9 +420,11 @@ def _form(spec, fs: Sequence[GridFunction]) -> complex:
 
 
 def eval_shift_form(spec: ShiftSpec | ReducedShiftTerm,
-                    fs: Sequence[GridFunction]) -> complex:
+                    fs: Sequence[GridFunction | HaarPyramid]) -> complex:
     """Trace-paired form value: sum over the coefficient table of
-    a * tau(prod_j <f_j, h_{Q_j}>), matrix product in slot order."""
+    a * tau(prod_j <f_j, h_{Q_j}>), matrix product in slot order.  An
+    input may be given as its ``HaarPyramid``: forms evaluated on the
+    same inputs then share one sweep per input."""
     return _form(spec, fs)
 
 

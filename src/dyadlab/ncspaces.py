@@ -3,11 +3,11 @@
 The algebra is M_N(C) with the standard (unnormalized) trace.  Schatten
 norms need no per-matrix LAPACK call where a closed form exists: the
 S^2 norm is the Frobenius norm, and a 2x2 matrix has its singular values
-in closed form; any other matrix takes them from the Hermitian
-eigendecomposition of A*A.  A scalar value is a 1x1 matrix.  Mixed-norm
-spaces stack finitely many weighted atom levels on top of the matrix
-level; the nested norm of a value tree evaluates one weighted l^p norm
-per level, with the Schatten norm at the bottom.
+in closed form; any other matrix takes them from a batched SVD.  A
+scalar value is a 1x1 matrix.  Mixed-norm spaces stack finitely many
+weighted atom levels on top of the matrix level; the nested norm of a
+value tree evaluates one weighted l^p norm per level, with the Schatten
+norm at the bottom.
 
 The factorization routines split a positive unit-norm element into a
 product of unit-norm factors, one per exponent: the subtree norms from
@@ -52,8 +52,7 @@ def schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
     """Schatten norms of a stack of matrices (batched) over the last two
     axes.  At p = 2 this is the Frobenius norm.  Otherwise a 2x2 stack
     takes its singular values in closed form (``_singular_values_2x2``),
-    and any other shape from the spectrum of A*A (``eigvalsh``), clipped
-    at zero."""
+    and any other shape from a batched SVD."""
     if p < 1:
         raise ValueError("Schatten exponent must be >= 1")
     a = np.asarray(stack, dtype=np.complex128)
@@ -62,8 +61,7 @@ def schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
     if a.shape[-2:] == (2, 2):
         s = _singular_values_2x2(a)
     else:
-        w = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)
-        s = np.sqrt(np.clip(w, 0.0, None))
+        s = np.linalg.svd(a, compute_uv=False)
     if np.isinf(p):
         return s.max(axis=-1)
     return (s ** p).sum(axis=-1) ** (1.0 / p)
@@ -76,9 +74,9 @@ def _singular_values_2x2(a: np.ndarray) -> np.ndarray:
     s_max^2 - s_min^2 = hypot(c0 - c1, 2|q|), a sum of squares, so s_max
     keeps full relative accuracy even when the two values are equal
     (sqrt(F^4 - 4 D^2) loses half the digits there).  s_min = |det A| /
-    s_max is accurate at rank one, where the spectrum of A*A is not.  As
-    on the A*A route, the intermediates stay within a factor 2 of the sum
-    of the squared entries.
+    s_max is accurate at rank one, where the spectrum of A*A is not.  The
+    intermediates stay within a factor 2 of the sum of the squared
+    entries.
     """
     sq = a.real ** 2 + a.imag ** 2
     c0 = sq[..., 0, 0] + sq[..., 1, 0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,7 +158,22 @@ def test_split_diagonal_of_weakly_overlapping_frequencies():
     assert np.abs(fast.diagonal.values - oracle.diagonal.values).max() <= 1e-12 * diag
 
 
-def test_reconstruction_check_sees_a_broken_partition(monkeypatch):
+def test_split_windows_are_built_once_per_grid(monkeypatch):
+    calls = []
+    profile = lb.lowpass_profile
+    monkeypatch.setattr(lb, "lowpass_profile", lambda r: calls.append(1) or profile(r))
+    lb._split_windows.cache_clear()
+    f = lb.random_torus_function(1, 64, band=8, N=2, seed=1)
+    g = lb.random_torus_function(1, 64, band=8, N=2, seed=2)
+    lb.paraproduct_split(f, g, 1.5)
+    built = len(calls)
+    lb.paraproduct_split(g, f, 1.5)
+    assert len(calls) == built > 0
+    r, M, window_sum, windows = lb._split_windows(1, 64)
+    assert not any(a.flags.writeable for a in (r, window_sum, windows))
+
+
+def test_reconstruction_check_sees_a_broken_partition(monkeypatch, request):
     # annulus blocks that no longer sum to the function: the three parts
     # must stop adding up to D^s(fg)
     from dyadlab import criteria as cr
@@ -166,6 +182,10 @@ def test_reconstruction_check_sees_a_broken_partition(monkeypatch):
     assert cr.reconstruction_defect(f, g, 1.5) < cr.RECONSTRUCTION_TOL
     profile = lb.annulus_profile
     monkeypatch.setattr(lb, "annulus_profile", lambda r: 0.9 * profile(r))
+    # windows are built once per grid: drop those of the true profile now
+    # and the broken ones when the test ends
+    lb._split_windows.cache_clear()
+    request.addfinalizer(lb._split_windows.cache_clear)
     assert cr.reconstruction_defect(f, g, 1.5) > 1e3 * cr.RECONSTRUCTION_TOL
 
 
@@ -332,24 +352,53 @@ def _one_shot_tables(xs, s, quad_points):
                            lb.annulus_profile(xi))]
 
 
-def test_diagonal_kernel_tables_built_in_blocks_are_exact():
-    # blocks of rows and the mirrored rows x > 0 equal the one-shot formula
-    dk = lb.DiagonalKernel(2.0, quad_points=64)
-    assert np.array_equal(dk.xs[::-1], -dk.xs)
-    for table, one_shot in zip((dk.phi_s, dk.psi), _one_shot_tables(dk.xs, 2.0, 64)):
-        assert np.array_equal(table, one_shot)
-    # the default quadrature: the mirrored half, sampled rows near and far from 0
-    dk = lb.DiagonalKernel(1.5, halfwidth=4.0)
-    rows = np.r_[len(dk.xs) // 2 + 1:len(dk.xs) // 2 + 40,
-                 np.random.default_rng(3).choice(len(dk.xs) // 2, 40) + len(dk.xs) // 2 + 1]
-    assert np.all(dk.xs[rows] > 0)
-    for table, one_shot in zip((dk.phi_s, dk.psi), _one_shot_tables(dk.xs[rows], 1.5, 4000)):
-        assert np.array_equal(table[rows], one_shot)
+def _assert_tables_match(dk, rows, s, quad_points):
+    """The FFT-built tables against the direct cosine sum at 1e-12,
+    relative to 2 sum |w| dxi, the size of every term of the sum."""
+    xi = np.linspace(0.0, 2.0, quad_points)
+    weights = ((2.0 * np.pi * xi) ** s * lb.lowpass_profile(xi), lb.annulus_profile(xi))
+    for table, one_shot, w in zip((dk.phi_s, dk.psi),
+                                  _one_shot_tables(dk.xs[rows], s, quad_points), weights):
+        scale = 2.0 * np.abs(w).sum() * (xi[1] - xi[0])
+        assert np.abs(table[rows] - one_shot).max() <= 1e-12 * scale
 
 
-def test_diagonal_kernel_tables_on_an_asymmetric_grid():
-    # a table step that is not a power of two leaves xs asymmetric: no mirroring
-    dk = lb.DiagonalKernel(2.0, halfwidth=1.0, table_step=0.1, quad_points=64, v_step=0.2)
-    assert not np.array_equal(dk.xs[::-1], -dk.xs)
-    for table, one_shot in zip((dk.phi_s, dk.psi), _one_shot_tables(dk.xs, 2.0, 64)):
-        assert np.array_equal(table, one_shot)
+@pytest.mark.parametrize("s, kwargs", [
+    (1.5, {}),
+    (2.0, {"quad_points": 64}),
+    (1.5, {"halfwidth": 3.0}),
+    (1.5, {"halfwidth": 4.0}),
+    # not a power of two: xs is not symmetric about 0
+    (2.0, {"halfwidth": 1.0, "table_step": 0.1, "quad_points": 64, "v_step": 0.2}),
+    # halfwidth is 32.5 table steps: x_k = (k - 32) h - h / 2, a nonzero delta
+    (1.5, {"halfwidth": 2.03125, "table_step": 1 / 16, "quad_points": 64, "v_step": 1 / 8}),
+    # nfft = 21 < quad_points: the quadrature nodes fold, and rows k >= 21 wrap
+    (1.5, {"halfwidth": 30.0, "table_step": 1.5, "quad_points": 64, "v_step": 3.0}),
+], ids=["default", "quad64", "halfwidth3", "halfwidth4", "step0.1", "offset", "folded"])
+def test_diagonal_kernel_tables_match_the_cosine_sum(s, kwargs):
+    dk = lb.DiagonalKernel(s, **kwargs)
+    n = len(dk.xs)
+    rows = np.arange(n)
+    if not kwargs:
+        # the default grid's 7,681 x 4,000 cosines would take 245 MB: its
+        # ends, middle and 80 sampled rows
+        rows = np.r_[:40, n // 2 - 20:n // 2 + 20, n - 40:n,
+                     np.random.default_rng(3).choice(n, 80, replace=False)]
+    _assert_tables_match(dk, rows, s, kwargs.get("quad_points", 4000))
+
+
+def test_diagonal_kernel_rejects_a_grid_without_a_whole_fft_length():
+    # (quad_points - 1) / (2 table_step) = 63 / 0.8 = 78.75
+    with pytest.raises(ValueError, match="quad_points"):
+        lb.DiagonalKernel(1.5, halfwidth=4.0, table_step=0.4, quad_points=64, v_step=0.8)
+
+
+def test_diagonal_kernel_tables_take_little_memory():
+    # the tables are 7,681 floats each; the quadrature is one FFT per profile
+    tracemalloc.start()
+    try:
+        lb.DiagonalKernel(1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6

@@ -291,6 +291,25 @@ def test_reduce_preserves_form_and_normalization(rng):
             assert t.check_normalization() <= 1 + 1e-12
 
 
+def test_shift_rewrite_builds_one_pyramid_per_input(monkeypatch):
+    from dyadlab import criteria as cr
+    lat = dl.build_lattice(1, 5)
+    spec = mo.make_random_shift(lat, 2, (2, 0, 1), {2, 3}, seed=1, blocks=5,
+                                tuples_per_block=5)
+    fs = [dl.random_grid_function(lat, N=2, seed=i) for i in range(3)]
+    built = []
+    init = dl.HaarPyramid.__init__
+    monkeypatch.setattr(dl.HaarPyramid, "__init__",
+                        lambda self, f: built.append(f) or init(self, f))
+    recs = cr.shift_rewrite(spec, fs)
+    assert len(mo.reduce_shift(spec)) == 3 and all(r["pass"] for r in recs)
+    assert sorted(map(id, built)) == sorted(map(id, fs))
+    # a pyramid in place of its function: the same value, read-only arrays
+    pyrs = [dl.HaarPyramid(f) for f in fs]
+    assert mo.eval_shift_form(spec, pyrs) == mo.eval_shift_form(spec, fs)
+    assert not any(p.flat.flags.writeable or p.levels[0].flags.writeable for p in pyrs)
+
+
 def test_shift_json_roundtrip():
     lat = dl.build_lattice(1, 4)
     spec = mo.make_random_shift(lat, 2, (1, 0, 2), {1, 3}, seed=11)
