@@ -362,29 +362,32 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
     size_c = 0.0
     holder_c = 0.0
     strata = 16
+    # three points as Python floats: numpy calls on 3-element arrays would
+    # cost more than the arithmetic, and give the same values
     for i in range(ks.budget):
         # log-uniform radius, stratified by sample index
         band = i % strata
         u = (band + rng.uniform()) / strata
         radius = 10.0 ** (-2.0 + 4.0 * u)
-        pts = rng.uniform(-1.0, 1.0, size=n1) * radius
-        pts[0] += rng.uniform(-1.0, 1.0)  # move the base point around
-        pts[1:] += pts[0] - np.mean(pts[1:])
-        sep = sum(abs(pts[0] - pts[m]) for m in range(1, n1))
+        x, y1, y2 = [p * radius for p in rng.uniform(-1.0, 1.0, size=n1).tolist()]
+        x += rng.uniform(-1.0, 1.0)  # move the base point around
+        shift = x - (y1 + y2) / 2.0  # then center y1 and y2 on it
+        y1, y2 = y1 + shift, y2 + shift
+        sep = abs(x - y1) + abs(x - y2)
         if sep <= 0:
             continue
-        val = ks.kernel(*pts)
+        val = ks.kernel(x, y1, y2)
         size_c = max(size_c, abs(val) * sep ** 2)
         # smoothness: perturb one coordinate within the allowed range
         j = int(rng.integers(n1))
-        mx = max(abs(pts[0] - pts[m]) for m in range(1, n1))
+        mx = max(abs(x - y1), abs(x - y2))
         frac = 10.0 ** rng.uniform(-2.0, 0.0)
         delta = 0.5 * mx * frac * (1.0 if rng.uniform() < 0.5 else -1.0)
         if delta == 0.0:
             continue
-        moved = pts.copy()
+        moved = [x, y1, y2]
         moved[j] += delta
-        sep_moved = sum(abs(moved[0] - moved[m]) for m in range(1, n1))
+        sep_moved = abs(moved[0] - moved[1]) + abs(moved[0] - moved[2])
         if sep_moved <= 0:
             continue
         val2 = ks.kernel(*moved)
@@ -430,10 +433,20 @@ class DiagonalKernel:
       node k, so the sum over the interior points is exactly
       M00 - tA M10 - tB M01 + tA tB M11, with four moment sums for each
       profile that can sit at the smallest center, computed once.
-    * All other scales, and the two end points of near-diagonal ones:
-      one gather of node values and slopes for all their points at once.
-      Positions are taken relative to lo as rounded, not min c -
-      halfwidth, as the interpolation of the Riemann sum sees them.
+    * All other scales, and the end points of near-diagonal ones, are
+      segments i = start .. stop.  Center j of a segment reads row
+      stride i + a_j of a table of (node value, slope) pairs at one
+      fraction f_j, so its rows are one contiguous run i + b_j of the
+      rows of residue class a_j mod stride.  The tables are split by
+      residue class and zero-padded once, under one sliding window
+      view; a call copies each center's runs as (segments, 2, W)
+      blocks, interpolates them as (1, f_j) @ block, multiplies the
+      three centers and sums each segment over its own length with one
+      ``np.add.reduceat``, so the padding is never summed.  Far scales
+      and near-diagonal end points take one such pass each, with W the
+      longest segment of the pass.  Positions are taken relative to lo
+      as rounded, not min c - halfwidth, as the interpolation of the
+      Riemann sum sees them.
 
     Table ends.  A point counts for a center exactly when the float test
     of the Riemann sum admits it: when (lo + i v_step) - c lies in
@@ -481,6 +494,16 @@ class DiagonalKernel:
         # node repeated once: row k + 1 interpolates at table position k + f
         padded = np.pad(tables, ((0, 0), (1, 1)), mode="edge")
         self._lerp = np.stack([padded[:, :-1], np.diff(padded, axis=1)], axis=2)
+        # the same rows by residue class mod stride, zero-padded:
+        # classes[p, a, :, t] is (value, slope) of _lerp row stride t + a.
+        # A segment reads rows stride i + const in 0 .. len(xs), at most
+        # _width of them: one run of a class, from t0 <= len(xs) // stride
+        self._width = len(xs) // stride + 1
+        runs = len(xs) // stride + self._width
+        classes = np.zeros((2, runs * stride, 2))
+        classes[:, :len(xs) + 1] = self._lerp
+        classes = classes.reshape(2, runs, stride, 2).transpose(0, 2, 3, 1).copy()
+        self._windows = np.lib.stride_tricks.sliding_window_view(classes, self._width, axis=3)
         # moment sums over the interior points i = 1 .. last - 1 of a
         # near-diagonal scale; node k = stride i, D the backward difference
         self._last = (len(xs) - 1) // stride
@@ -531,71 +554,79 @@ class DiagonalKernel:
     def __call__(self, x: float, y1: float, y2: float) -> float:
         m_lo, m_hi = self._window(x, y1, y2)
         hw, vs, ts = self.halfwidth, self.v_step, self.table_step
+        pts = np.array([x, y1, y2], dtype=float)
+        jmin = int(pts.argmin())
+        pmin, pmax = pts[jmin], pts.max()
+        # scaling by lam = 2^m is exact, so min c = lam min pts and the
+        # spread of the centers is lam (max pts - min pts): a scale whose
+        # bumps no longer overlap lies above every kept one, and a
+        # near-diagonal scale below every other
         lam = np.ldexp(1.0, np.arange(m_lo, m_hi + 1))
-        c = lam[:, None] * np.array([x, y1, y2], dtype=float)
-        cmin, cmax = c.min(axis=1), c.max(axis=1)
-        keep = ~(cmax - cmin > 2.0 * hw)  # the bumps still overlap
-        lam, c, cmin, cmax = lam[keep], c[keep], cmin[keep], cmax[keep]
+        lam = lam[:np.searchsorted(lam * (pmax - pmin), 2.0 * hw, side="right")]
+        k = np.searchsorted(lam * ((pmax - pmin) / ts), 1.0, side="right")
+        c = lam[:, None] * pts
+        cmin = lam * pmin
         lo = cmin - hw
-        count = np.ceil((cmax + hw - lo) / vs)  # points of the Riemann sum
         d = c - cmin[:, None]
-        r = d / ts  # offset of each center above the smallest, in table steps
 
         # in-table range first..last of i for each center: the float test
         # xs[0] <= (lo + i v_step) - c <= xs[-1] itself decides, next to
         # the bounds of exact arithmetic, which are off by at most one
-        lo2 = lo[:, None]
         first = np.ceil(d / vs)
-        first += 1 - ((lo2 + first * vs) - c >= self.xs[0]) \
-            - ((lo2 + (first - 1) * vs) - c >= self.xs[0])
         last = np.floor((self.xs[-1] - self.xs[0] + d) / vs)
-        last += -1 + ((lo2 + last * vs) - c <= self.xs[-1]) \
-            + ((lo2 + (last + 1) * vs) - c <= self.xs[-1])
+        v = (lo[:, None] + np.array([first, first - 1, last, last + 1]) * vs) - c
+        first += 1 - (v[:2] >= self.xs[0]).sum(axis=0)
+        last += -1 + (v[2:] <= self.xs[-1]).sum(axis=0)
         start = np.maximum(first.max(axis=1), 0).astype(np.intp)
+        count = np.ceil((lam * pmax + hw - lo) / vs)  # points of the Riemann sum
         stop = np.minimum(last.min(axis=1), count - 1).astype(np.intp)
-
-        sums = np.zeros(len(lam))
-        near = r.max(axis=1) <= 1.0
-        sums[near] = self._near_interior(c[near], r[near])
-        # gathered: whole far scales, then the end points of near ones
-        far_s, near_s = np.flatnonzero(~near), np.flatnonzero(near)
-        seg = np.concatenate([far_s, near_s, near_s])
-        seg_start = np.concatenate([start[far_s], start[near_s],
-                                    np.maximum(start[near_s], self._last)])
-        seg_stop = np.concatenate([stop[far_s], np.minimum(stop[near_s], 0), stop[near_s]])
         lo_dev = lo - cmin
         lo_err = (cmin - (lo - lo_dev)) + (-hw - lo_dev)  # (min c - hw) - lo, exactly
-        np.add.at(sums, seg, self._gathered(seg_start, seg_stop, (d + lo_err[:, None])[seg] / ts))
+        pos = (d + lo_err[:, None]) / ts
+
+        # scales k.. whole; scales ..k - 1 near-diagonal: closed-form
+        # interior, then the end points i <= 0 and i >= last
+        sums = np.empty(len(lam))
+        sums[k:] = self._gathered(start[k:], stop[k:], pos[k:])
+        ends = self._gathered(np.concatenate([start[:k], np.maximum(start[:k], self._last)]),
+                              np.concatenate([np.minimum(stop[:k], 0), stop[:k]]),
+                              np.concatenate([pos[:k], pos[:k]]))
+        sums[:k] = self._near_interior(d[:k] / ts, jmin) + ends[:k] + ends[k:]
         return sum((lam ** 2 * sums * vs).tolist())  # in the order of the scales
 
-    def _near_interior(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def _near_interior(self, r: np.ndarray, jmin: int) -> np.ndarray:
         """Sums over i = 1 .. last - 1 of near-diagonal scales (rows of
-        centers c and offsets r <= 1 in table steps), in closed form."""
-        jmin = c.argmin(axis=1)
-        rows = np.arange(len(c))
-        tA = np.where(jmin == 0, r[:, 1], r[:, 0])
-        tB = r[rows, np.where(jmin == 2, 1, 2)]
-        M = self._moments[(jmin != 0).astype(np.intp)]
-        return M[:, 0] - tA * M[:, 1] - tB * M[:, 2] + tA * tB * M[:, 3]
+        offsets r <= 1 in table steps, center jmin the smallest), in
+        closed form."""
+        tA = r[:, 1 if jmin == 0 else 0]
+        tB = r[:, 1 if jmin == 2 else 2]
+        m00, m10, m01, m11 = self._moments[int(jmin != 0)].tolist()
+        return m00 - tA * m10 - tB * m01 + tA * tB * m11
 
     def _gathered(self, start: np.ndarray, stop: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Sums over i = start .. stop of each segment; center j of a
         segment reads table position stride i - pos[:, j]."""
         lens = np.maximum(stop - start + 1, 0)
-        offs = np.cumsum(lens) - lens
-        q = np.ceil(pos).astype(np.intp)
-        frac = q - pos
-        # padded table row of each point: stride (i - offs) + stride start + 1 - q
-        base = self.stride * np.arange(lens.sum())
-        shift = self.stride * (start - offs)[:, None] + 1 - q
-        prod = 1.0
-        for j, profile in enumerate((0, 1, 1)):
-            g = self._lerp[profile].take(base + np.repeat(shift[:, j], lens), axis=0)
-            prod = prod * (g[:, 0] + np.repeat(frac[:, j], lens) * g[:, 1])
-        sums = np.zeros(len(lens))
-        nz = lens > 0
-        if nz.any():
-            sums[nz] = np.add.reduceat(prod, offs[nz])
+        w = int(lens.max(initial=0))
+        if w == 0:
+            return np.zeros(len(lens))
+        q = np.ceil(pos)
+        # _lerp row stride i + 1 - q is row i + b of residue class a; the
+        # run of an empty segment may start anywhere
+        b, a = np.divmod(1 - q.astype(np.intp), self.stride)
+        t0 = np.minimum(np.maximum(start[:, None] + b, 0), self._windows.shape[3] - 1)
+        f = np.ones(pos.shape + (1, 2))
+        f[..., 0, 1] = q - pos
+        # (1, f) @ (value, slope) rows, a product over the centers in order
+        prod = f[:, 0] @ self._windows[0][a[:, 0], :, t0[:, 0], :w]
+        prod *= f[:, 1] @ self._windows[1][a[:, 1], :, t0[:, 1], :w]
+        prod *= f[:, 2] @ self._windows[1][a[:, 2], :, t0[:, 2], :w]
+        # each segment over its own length; a segment that ends the buffer
+        # sums to its end
+        cuts = np.repeat(np.arange(0, len(lens) * w, w), 2)
+        cuts[1::2] += lens
+        sums = np.add.reduceat(prod.ravel(), cuts[:-1] if lens[-1] == w else cuts)[::2]
+        sums[lens == 0] = 0.0
         return sums
 
 

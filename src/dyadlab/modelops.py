@@ -343,13 +343,15 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
         np.tile(etas, (len(base), 1)), value.reshape(-1)))
 
 
-def bmo_norm(h: GridFunction) -> float:
+def bmo_norm(h: GridFunction | HaarPyramid) -> float:
     """Dyadic BMO norm: sup over cubes K0 of
-    (|K0|^-1 sum over Haar coefficients inside K0)^(1/2)."""
+    (|K0|^-1 sum over Haar coefficients inside K0)^(1/2).  h may be
+    given as its ``HaarPyramid``, which is then not swept again."""
     if h.value_shape != ():
         raise ValueError("BMO norm is for scalar functions")
     lat = h.lattice
-    sums = (np.abs(HaarPyramid(h).flat[:, 1:]) ** 2).sum(axis=1)
+    pyr = h if isinstance(h, HaarPyramid) else HaarPyramid(h)
+    sums = (np.abs(pyr.flat[:, 1:]) ** 2).sum(axis=1)
     return _carleson_sup(_level_views(sums, lat.depth, lat.dim), lat.dim)
 
 
@@ -360,10 +362,11 @@ def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
     The output satisfies the Carleson condition with constant exactly
     one, attained at the sup cube.  Constant h is rejected.
     """
-    nrm = bmo_norm(h)
+    pyr = HaarPyramid(h)
+    nrm = bmo_norm(pyr)
     if nrm <= 0.0:
         raise ValueError("constant function has zero BMO norm")
-    coefs = [a[..., 1:] for a in HaarPyramid(h).levels[:lat.depth]]
+    coefs = [a[..., 1:] for a in pyr.levels[:lat.depth]]
     nz = [np.nonzero(a) for a in coefs]
     return CoeffTable(
         np.concatenate([np.full(len(z[0]), lv) for lv, z in enumerate(nz)])[:, None],

@@ -1,0 +1,46 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dyadlab"
+
+
+def _declared_dependencies() -> set[str]:
+    """Distribution names in pyproject.toml's [project] dependencies."""
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+            for spec in re.findall(r'"([^"]+)"', block)}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one source file,
+    wherever in the file they appear."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_only_the_standard_library_and_declared_dependencies():
+    # CI installs the declared dependencies alone, so an import of anything
+    # else (scipy, say) would pass on a fuller machine and fail only there
+    allowed = set(sys.stdlib_module_names) | {"numpy", "jsonschema", "dyadlab"}
+    assert _declared_dependencies() == {"numpy", "jsonschema"}
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    found = {str(path.relative_to(PACKAGE)): sorted(_imported_modules(path) - allowed)
+             for path in files}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_import_check_sees_an_undeclared_module(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\nfrom . import lattice\n\n"
+                    "def f():\n    from scipy.signal import fftconvolve\n")
+    assert _imported_modules(path) == {"numpy", "scipy"}

@@ -344,6 +344,56 @@ def test_diagonal_kernel_matches_oracle_on_a_short_table():
                            + _tie_and_order_triples() + _table_end_triples(40, seed=11))
 
 
+def _segment_sums_by_point(kernel, start, stop, pos):
+    """Per point: center j reads _lerp row stride i + 1 - ceil(pos_j) at
+    fraction ceil(pos_j) - pos_j."""
+    sums, scales = [], []
+    for a, b, p in zip(start, stop, pos):
+        q = np.ceil(p)
+        terms = [math.prod(kernel._lerp[profile, kernel.stride * i + 1 - int(qj)]
+                           @ [1.0, qj - pj] for profile, qj, pj in zip((0, 1, 1), q, p))
+                 for i in range(a, b + 1)]
+        sums.append(math.fsum(terms))
+        scales.append(math.fsum(map(abs, terms)))
+    return np.array(sums), np.array(scales)
+
+
+def _assert_segment_sums(kernel, segments):
+    start, stop, pos = (np.array(v) for v in zip(*segments))
+    lens = np.maximum(stop - start + 1, 0)
+    # every point reads a row of the table
+    first, last = (kernel.stride * i[lens > 0, None] + 1 - np.ceil(pos[lens > 0])
+                   for i in (start, stop))
+    assert np.all(first >= 0) and np.all(last <= len(kernel.xs))
+    got = kernel._gathered(start, stop, pos)
+    want, scale = _segment_sums_by_point(kernel, start, stop, pos)
+    assert np.all(got[lens == 0] == 0.0)
+    # a pairwise sum of at most 1,921 products of three interpolations
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_diagonal_kernel_segment_sums_match_the_points(kernel):
+    width = kernel._width
+    assert width == len(kernel.xs) // kernel.stride + 1 == 1921
+    # (start, stop, pos): all four residue classes and whole-number
+    # positions (fraction 0) among them
+    _assert_segment_sums(kernel, [
+        (5, 4, (0.3, 2.75, 6.5)),  # empty
+        (10, 10, (0.3, 2.75, 6.5)),  # one point
+        (100, 101, (1.2, 5.0, 0.0)),  # two points
+        # ends 5 rows before the last table row; its window runs on into
+        # the zero padding, so only the length cuts it
+        (1905, 1915, (0.3, 0.6, 0.9)),
+        # the whole window, and the last segment: it ends the buffer
+        (0, width - 1, (1.0, 0.5, 0.25)),
+    ])
+    # short segments only, as for the end points of near-diagonal scales
+    # (1920, 1920, ...) reads the last row, the end node with slope 0
+    _assert_segment_sums(kernel, [(0, 0, (0.0, 0.25, 0.5)), (3, 1, (0.1, 0.2, 0.3)),
+                                  (1920, 1920, (0.0, 0.5, 1.0))])
+    _assert_segment_sums(kernel, [(7, 6, (0.3, 0.6, 0.9)), (2, 1, (0.0, 0.5, 1.0))])
+
+
 def _one_shot_tables(xs, s, quad_points):
     xi = np.linspace(0.0, 2.0, quad_points)
     cosmat = np.cos(2.0 * np.pi * np.outer(xs, xi))

@@ -195,6 +195,23 @@ def test_bmo_rejects_constant():
         mo.make_bmo_coeffs(lat, dl.GridFunction(lat, np.full(16, 2.0)))
 
 
+def test_make_bmo_coeffs_builds_one_pyramid(monkeypatch):
+    lat = dl.build_lattice(1, 6)
+    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    expected = mo.make_bmo_coeffs(lat, h)
+    built = []
+    init = dl.HaarPyramid.__init__
+    monkeypatch.setattr(dl.HaarPyramid, "__init__",
+                        lambda self, f: built.append(f) or init(self, f))
+    coeffs = mo.make_bmo_coeffs(lat, h)
+    assert [id(f) for f in built] == [id(h)]
+    assert np.array_equal(coeffs.value, expected.value)
+    # a pyramid in place of its function: the same norm, no second sweep
+    pyr = dl.HaarPyramid(h)
+    assert mo.bmo_norm(pyr) == mo.bmo_norm(h)
+    assert len(built) == 3
+
+
 def test_carleson_violation_rejected():
     lat = _lat()
     K = lat.top()
