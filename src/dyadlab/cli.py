@@ -1,8 +1,9 @@
 """Configuration-driven experiment runner.
 
-Every subcommand reads a JSON config (validated against a schema,
-defaults filled in), runs its suite, writes reports under the output
-directory and exits nonzero only when a hard identity check fails.
+Every subcommand reads a JSON config (checked field by field against
+``FIELDS``, defaults filled in), runs its suite, writes reports under
+the output directory and exits nonzero only when a hard identity check
+fails.
 Statistical band checks never gate: they are recorded with verdict
 "OK" or "WARN".  Reports are pure functions of (config, seed): two runs
 with the same pair produce byte-identical files.
@@ -14,13 +15,12 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
-
-import jsonschema
 
 from . import criteria as cr
 from . import lattice as lt
@@ -54,7 +54,7 @@ def _finalize(command: str, config: dict, checks: list[dict], out: Path,
 
 
 # ---------------------------------------------------------------------------
-# schemas
+# config fields
 # ---------------------------------------------------------------------------
 
 DEFAULTS = {
@@ -81,7 +81,7 @@ DEFAULTS = {
 _pos = {"type": "integer", "minimum": 1}
 _nonneg = {"type": "integer", "minimum": 0}
 
-# one schema per config field, shared by every command that has the field
+# one rule per config field, shared by every command that has the field
 FIELDS = {
     **dict.fromkeys(["d", "L", "N", "n", "M", "trials", "blocks", "tuples_per_block",
                      "max_n", "budget", "pairs", "band_limit"], _pos),
@@ -102,20 +102,46 @@ FIELDS = {
     "resolutions": {"type": "array", "items": _pos, "minItems": 1},
     "shift_file": {"type": "string"},
 }
-SCHEMAS = {command: {"type": "object", "properties": {f: FIELDS[f] for f in defaults},
-                     "additionalProperties": False}
-           for command, defaults in DEFAULTS.items()}
-SCHEMAS["shift-eval"]["properties"]["shift_file"] = FIELDS["shift_file"]
-# the kernel's Holder exponent (s-1)/2 must lie in (0, 1]
-SCHEMAS["kernel-const"]["properties"]["s"] = {**FIELDS["s"], "maximum": 3}
+# rules one command adds or narrows: shift-eval may read its operator from a
+# file, and the kernel's Holder exponent (s-1)/2 must lie in (0, 1]
+OVERRIDES = {"shift-eval": {"shift_file": FIELDS["shift_file"]},
+             "kernel-const": {"s": {**FIELDS["s"], "maximum": 3}}}
+
+_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list}
+_BOUNDS = {"minimum": (operator.ge, "less than the minimum of"),
+           "exclusiveMinimum": (operator.gt, "less than or equal to the minimum of"),
+           "maximum": (operator.le, "greater than the maximum of"),
+           "exclusiveMaximum": (operator.lt, "greater than or equal to the maximum of")}
 
 
-def _field_error(user: dict, config: dict) -> tuple[str, str] | None:
-    """(field, message) for what the schema cannot see: a non-finite
-    number (JSON parses 1e400 to inf) or a broken rule between fields."""
-    for field, value in user.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            return field, f"{value} is not a finite number"
+def _checked(value, rule: dict, path: str):
+    """value as the command reads it, or SystemExit naming its path.  Reads
+    the JSON Schema keywords of FIELDS with their JSON Schema meaning (true
+    is not a number, 3.0 is the integer 3), and a number must be finite."""
+    def fail(message):
+        raise SystemExit(f"config error at {path}: {message}")
+    kind = rule["type"]
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        fail(f"{value!r} is not of type {kind!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON parses 1e400 to inf
+        fail(f"{value} is not a finite number")
+    for key, (holds, text) in _BOUNDS.items():
+        if key in rule and not holds(value, rule[key]):
+            fail(f"{value!r} is {text} {rule[key]!r}")
+    if kind == "array":
+        value = [_checked(x, rule["items"], f"{path}/{i}") for i, x in enumerate(value)]
+        if len(value) < rule.get("minItems", 0):
+            fail(f"{value!r} is too short")
+        if rule.get("uniqueItems") and len(set(value)) < len(value):
+            fail(f"{value!r} has non-unique elements")
+    return value
+
+
+def _field_error(config: dict) -> tuple[str, str] | None:
+    """(field, message) for a broken rule between fields, which the
+    per-field rules of FIELDS cannot see."""
     if "complexity" in config and not config.get("shift_file"):
         slots = config["n"] + 1
         if len(config["complexity"]) != slots:
@@ -143,13 +169,14 @@ def load_config(command: str, path: str | None, seed_override: int | None) -> di
                 user = json.load(fh)
         except (OSError, ValueError) as exc:  # missing file, invalid JSON
             raise SystemExit(f"config error at <root>: {exc}")
-        try:
-            jsonschema.validate(user, SCHEMAS[command])
-        except jsonschema.ValidationError as exc:
-            loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise SystemExit(f"config error at {loc}: {exc.message}")
-        config.update(user)
-        error = _field_error(user, config)
+        if not isinstance(user, dict):
+            raise SystemExit(f"config error at <root>: {user!r} is not of type 'object'")
+        rules = {**{f: FIELDS[f] for f in DEFAULTS[command]}, **OVERRIDES.get(command, {})}
+        for field, value in user.items():
+            if field not in rules:
+                raise SystemExit(f"config error at <root>: {field!r} was unexpected")
+            config[field] = _checked(value, rules[field], field)
+        error = _field_error(config)
         if error:
             raise SystemExit("config error at {}: {}".format(*error))
     if seed_override is not None:

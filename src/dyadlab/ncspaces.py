@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -33,15 +32,8 @@ _CHUNK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
-# trace and Schatten norms
+# Schatten norms
 # ---------------------------------------------------------------------------
-
-def trace(a: np.ndarray) -> complex:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("trace needs a square matrix")
-    return complex(np.trace(a))
-
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
     """l^p norm of the singular values; p = inf gives the operator norm."""
@@ -174,9 +166,8 @@ class ExponentTable:
     """Exponents p[j][s] for j = 1..m and levels s = 0..S.
 
     Each column s must satisfy sum_j 1/p[j][s] = 1 with all entries in
-    (1, inf).  Index sets J select sub-tuples; ``q_col`` and ``p_col``
-    give the combined exponent 1/q_J = sum_{j in J} 1/p_j and its
-    complement 1/p_J = 1 - 1/q_J, per level.
+    (1, inf).  Index sets J select sub-tuples; ``q_col`` gives the
+    combined exponent 1/q_J = sum_{j in J} 1/p_j per level.
     """
 
     p: tuple[tuple[float, ...], ...]  # p[j-1][s]
@@ -217,25 +208,6 @@ class ExponentTable:
             inv = sum(1.0 / self.p[j - 1][s] for j in J)
             out.append(1.0 / inv)
         return tuple(out)
-
-    def p_col(self, J: Sequence[int]) -> tuple[float, ...]:
-        out = []
-        for q in self.q_col(J):
-            inv = 1.0 - 1.0 / q
-            out.append(math.inf if inv == 0 else 1.0 / inv)
-        return tuple(out)
-
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "S": self.S,
-                           "p": [list(r) for r in self.p]}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExponentTable":
-        obj = json.loads(text)
-        tab = cls(tuple(tuple(float(x) for x in row) for row in obj["p"]))
-        if tab.m != obj["m"] or tab.S != obj["S"]:
-            raise ValueError("declared sizes do not match the exponent array")
-        return tab
 
 
 def holder_tuple(ps: Sequence[float]) -> ExponentTable:

@@ -287,7 +287,7 @@ def test_criterion_5_dual_norm():
             q = 1.0 / sum(1.0 / tab.column(j)[0] for j in J)
             b = nc.schatten_dual_maximizer(e, q)
             target = nc.schatten_norm(e, nc.conjugate_exponent(q))
-            ok_maximizer &= abs(abs(nc.trace(e @ b)) - target) <= 1e-9 * max(1.0, target)
+            ok_maximizer &= abs(abs(np.trace(e @ b)) - target) <= 1e-9 * max(1.0, target)
     fractions = [r["empirical"] / r["analytic"] for r in recs if r["analytic"] > 0]
     _report(f"criterion 5 dual-norm search reaches {cr.ATTAINMENT:.0%} and the aligned "
             "maximizer attains (1e-9)", _holds(recs) and ok_maximizer,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,109 @@ def test_config_rejects_non_finite_numbers(tmp_path, command, text, field):
     cfg.write_text(text)
     with pytest.raises(SystemExit, match=f"config error at {field}"):
         run(command, tmp_path, ["--config", str(cfg)])
+
+
+def _small_configs():
+    """The first small config per command of REPORT_SCHEMAS (defined below)."""
+    small = {}
+    for command, config, _ in REPORT_SCHEMAS:
+        small.setdefault(command, config)
+    return small
+
+
+def _integer_cases():
+    """(command, path) for every integer field of FIELDS and the first item
+    of every integer array, each at the first command that has the field."""
+    for field, rule in cli.FIELDS.items():
+        if "integer" in (rule["type"], rule.get("items", {}).get("type")):
+            command = next(c for c, defaults in cli.DEFAULTS.items() if field in defaults)
+            yield command, field if rule["type"] == "integer" else f"{field}/0"
+
+
+@pytest.mark.parametrize("command, path", list(_integer_cases()))
+def test_integral_floats_count_as_integers(tmp_path, command, path):
+    # JSON Schema counts 3.0 as an integer; the command must run on it and
+    # write the report that 3 gives
+    config = {**cli.DEFAULTS[command], **_small_configs()[command]}
+    field = path.split("/")[0]
+    value = config[field]
+    as_float = [float(value[0]), *value[1:]] if "/" in path else float(value)
+    written = {}
+    for name, written_value in (("int", value), ("float", as_float)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**config, field: written_value}))
+        assert run(command, tmp_path / name, ["--config", str(cfg)]) == 0
+        written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert written["float"] == written["int"]
+
+
+def test_integral_float_duplicates_a_cancellative_slot(tmp_path):
+    assert ("config error at cancellative: [1, 1] has non-unique elements"
+            in _config_error(tmp_path, "shift-eval", "cancellative", [1, 1.0]))
+
+
+def _default(field):
+    return next(d[field] for d in cli.DEFAULTS.values() if field in d)
+
+
+def _keyword_cases():
+    """(field, keyword, accepted, rejected, path) for each keyword of each
+    rule in FIELDS.  An accepted value sits on an inclusive bound or half a
+    step inside an exclusive one; a rejected one sits on an exclusive bound
+    or a step past an inclusive one."""
+    bad_types = {"integer": [True, "1", 2.5, None, math.nan],
+                 "number": [True, "1", None, json.loads("1e400"), math.nan],
+                 "string": [1, None],
+                 "array": ["1", {"0": 1}]}
+    for field, rule in cli.FIELDS.items():
+        kind = rule["type"]
+        ok = "op.json" if kind == "string" else _default(field)
+        yield from ((field, "type", ok, bad, field) for bad in bad_types[kind])
+        step = 1 if kind == "integer" else 0.5
+        for key, inward in (("minimum", 0), ("exclusiveMinimum", step / 2),
+                            ("maximum", 0), ("exclusiveMaximum", -step / 2)):
+            if key in rule:
+                edge = rule[key]
+                outward = -step if key == "minimum" else step if key == "maximum" else 0
+                yield field, key, edge + inward, edge + outward, field
+        if kind == "array":
+            low = rule["items"]["minimum"]
+            yield field, "items", ok, [ok[0], low - 1], f"{field}/1"
+            yield field, "items", ok, [ok[0], True], f"{field}/1"
+        if "minItems" in rule:
+            n = rule["minItems"]
+            yield field, "minItems", ok[:n], ok[:n - 1], field
+        if rule.get("uniqueItems"):
+            yield field, "uniqueItems", [1, 2], [2, 2.0], field
+
+
+@pytest.mark.parametrize("field, keyword, accepted, rejected, path", list(_keyword_cases()))
+def test_checker_keyword_table(field, keyword, accepted, rejected, path):
+    rule = cli.FIELDS[field]
+    assert cli._checked(accepted, rule, field) == accepted
+    with pytest.raises(SystemExit, match=f"^config error at {path}: "):
+        cli._checked(rejected, rule, field)
+
+
+def test_number_fields_keep_the_type_json_gave():
+    # the report's config echoes the file, so {"scale": 1} stays 1, not 1.0
+    assert type(cli._checked(1, cli.FIELDS["scale"], "scale")) is int
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"L"', "null"])
+def test_config_root_must_be_an_object(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit, match="^config error at <root>: .* is not of type 'object'"):
+        run("haar-suite", tmp_path, ["--config", str(cfg)])
+
+
+def test_only_kernel_const_caps_s(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": 3}))
+    assert cli.load_config("kernel-const", str(cfg), None)["s"] == 3
+    cfg.write_text(json.dumps({"s": 3.5}))
+    assert cli.load_config("leibniz-study", str(cfg), None)["s"] == 3.5
 
 
 def test_reports_are_strict_json(tmp_path):

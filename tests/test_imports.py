@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,8 +32,8 @@ def _imported_modules(path: Path) -> set[str]:
 def test_package_imports_only_the_standard_library_and_declared_dependencies():
     # CI installs the declared dependencies alone, so an import of anything
     # else (scipy, say) would pass on a fuller machine and fail only there
-    allowed = set(sys.stdlib_module_names) | {"numpy", "jsonschema", "dyadlab"}
-    assert _declared_dependencies() == {"numpy", "jsonschema"}
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dyadlab"}
+    assert _declared_dependencies() == {"numpy"}
     files = sorted(PACKAGE.rglob("*.py"))
     assert files
     found = {str(path.relative_to(PACKAGE)): sorted(_imported_modules(path) - allowed)
@@ -44,3 +46,14 @@ def test_import_check_sees_an_undeclared_module(tmp_path):
     path.write_text("import numpy as np\nfrom . import lattice\n\n"
                     "def f():\n    from scipy.signal import fftconvolve\n")
     assert _imported_modules(path) == {"numpy", "scipy"}
+
+
+def test_cli_import_loads_no_schema_validator():
+    code = ("import sys, dyadlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in {'jsonschema', 'attrs', 'attr', 'referencing', 'rpds'}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
