@@ -79,14 +79,22 @@ def _every(statement: str, kind: str, evals: list, **data) -> tuple[dict, list]:
 def haar_orthonormality(lat: lt.Lattice) -> dict:
     """Gram matrix of every Haar function above the finest level is I.
 
-    Haar functions are real, so the Gram matrix is taken in real
-    arithmetic and any nonzero imaginary part fails the check."""
-    vecs = np.concatenate([lt.haar_level(lat, lv).reshape(lat.num_cells, -1)
-                           for lv in range(lat.depth)], axis=1)
-    real = np.ascontiguousarray(vecs.real)
-    gram = (real.T @ real) * lat.cell_volume  # a power of two: exact scaling
-    err = _max_dev(gram, np.eye(len(gram)))
-    return record("haar-orthonormality", HARD, err <= IDENTITY_TOL and not vecs.imag.any(),
+    The functions are built one level at a time, and the Gram matrix is
+    checked by level blocks: for levels a <= b, V_a^T V_b is I when
+    a = b and 0 otherwise, so every pair of functions is checked while
+    only one level is held in complex form.  Haar functions are real, so
+    the blocks are taken in real arithmetic and any nonzero imaginary
+    part fails the check."""
+    reals, err, imag = [], 0.0, False
+    for b in range(lat.depth):
+        vecs = lt.haar_level(lat, b).reshape(lat.num_cells, -1)
+        imag |= bool(vecs.imag.any())
+        reals.append(np.ascontiguousarray(vecs.real))
+        del vecs
+        for a, real in enumerate(reals):
+            gram = (real.T @ reals[b]) * lat.cell_volume  # a power of two: exact scaling
+            err = max(err, _max_dev(gram, np.eye(len(gram)) if a == b else 0.0))
+    return record("haar-orthonormality", HARD, err <= IDENTITY_TOL and not imag,
                   max_error=err, tol=IDENTITY_TOL)
 
 

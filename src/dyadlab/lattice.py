@@ -497,11 +497,14 @@ def _level_views(flat: np.ndarray, depth: int, d: int) -> list[np.ndarray]:
 class HaarPyramid:
     """All pairings <f, h_Q^eta> from a single bottom-up sweep.
 
-    ``coef(Q, eta_mask)`` returns the pairing for any cube and any eta
-    bitmask (0 = non-cancellative).  ``flat`` holds every pairing in one
-    array of shape (#cubes, 2^d) + value_shape indexed by heap number;
-    ``levels[l]`` views level l as shape (2^l,)*d + (2^d,) + value_shape.
-    Both are read-only, so one pyramid can serve several form evaluations.
+    Only pairings that exist are stored: cancellative Haar functions
+    need level < depth, so the finest level keeps eta 0 alone.  ``flat``
+    is one read-only buffer of shape (#pairings,) + value_shape: the
+    cubes of levels 0..L-1 in heap order (``Lattice.cubes()``), 2^d eta
+    slots each, then the finest cubes in heap order, one slot each.  A
+    pyramid can therefore serve several form evaluations.  Read it
+    through ``pairings`` (arrays of heap numbers and eta masks) or
+    ``coef`` (one cube), which alone know where a pairing sits.
     """
 
     def __init__(self, f: GridFunction):
@@ -516,9 +519,11 @@ class HaarPyramid:
         m = 1 << d
         bits = (np.arange(m)[:, None] >> np.arange(d)) & 1
         signs = (-1.0) ** (bits @ bits[:, ::-1].T)
-        self.flat = np.zeros((_heap_size(L, d), m) + vs, dtype=np.complex128)
-        self.levels = _level_views(self.flat, L, d)
-        self.levels[L][(slice(None),) * d + (0,)] = sums * 2.0 ** (L * d / 2.0)
+        self._coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
+        top = self._coarse * m  # where the finest level starts
+        self.flat = np.empty((top + lat.num_cells,) + vs, dtype=np.complex128)
+        levels = _level_views(self.flat[:top].reshape((self._coarse, m) + vs), L - 1, d)
+        np.multiply(sums, 2.0 ** (L * d / 2.0), out=self.flat[top:].reshape(sums.shape))
         cur = sums
         for l in range(L - 1, -1, -1):
             # gather the 2^d child sums of each level-l cube
@@ -530,14 +535,27 @@ class HaarPyramid:
             # contract the child axis against the sign matrix; the new eta
             # axis lands at the end, move it back next to the grid axes
             lvl = np.tensordot(r, signs, axes=([d], [1]))
-            np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=self.levels[l])
+            np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=levels[l])
             cur = r.sum(axis=d)
-        for a in (self.flat, *self.levels):
-            a.setflags(write=False)
+        self.flat.setflags(write=False)
+
+    def pairings(self, heap, eta) -> np.ndarray:
+        """<f, h_Q^eta> for arrays of heap numbers of Q (``_heap_number``)
+        and eta masks, broadcast together; the result has their shape
+        followed by the value shape."""
+        heap, eta = np.asarray(heap), np.asarray(eta)
+        m = 1 << self.lattice.dim
+        fine = heap >= self._coarse
+        # one test for both conditions (a negative mask wraps to a huge one)
+        if (eta.astype(np.uint64) >= np.where(fine, 1, m)).any():
+            if ((eta < 0) | (eta >= m)).any():
+                raise ValueError(f"eta mask must lie in 0..{m - 1}")
+            raise ValueError("cancellative Haar needs level < depth")
+        # heap * 2^d + eta on levels 0..L-1, heap + coarse * (2^d - 1) on level L
+        return self.flat[heap * m + eta - fine * (heap - self._coarse) * (m - 1)]
 
     def coef(self, Q: Cube, eta_mask: int):
-        arr = self.levels[Q.level]
-        out = arr[Q.index + (eta_mask,)]
+        out = self.pairings(_heap_number(np.array(Q.level), np.array(Q.index), Q.dim), eta_mask)
         return complex(out) if self.value_shape == () else out
 
 

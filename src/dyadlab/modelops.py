@@ -351,8 +351,18 @@ def bmo_norm(h: GridFunction | HaarPyramid) -> float:
         raise ValueError("BMO norm is for scalar functions")
     lat = h.lattice
     pyr = h if isinstance(h, HaarPyramid) else HaarPyramid(h)
-    sums = (np.abs(pyr.flat[:, 1:]) ** 2).sum(axis=1)
+    coefs = _cancellative_pairings(pyr)
+    sums = np.zeros(_heap_size(lat.depth, lat.dim))  # the finest level has none
+    sums[:len(coefs)] = (np.abs(coefs) ** 2).sum(axis=1)
     return _carleson_sup(_level_views(sums, lat.depth, lat.dim), lat.dim)
+
+
+def _cancellative_pairings(pyr: HaarPyramid) -> np.ndarray:
+    """The pairings of a scalar pyramid with every cancellative Haar
+    function, of shape (#cubes of levels 0..L-1, 2^d - 1) in heap order."""
+    d = pyr.lattice.dim
+    return pyr.pairings(np.arange(_heap_size(pyr.lattice.depth - 1, d))[:, None],
+                        np.arange(1, 1 << d))
 
 
 def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
@@ -366,7 +376,7 @@ def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
     nrm = bmo_norm(pyr)
     if nrm <= 0.0:
         raise ValueError("constant function has zero BMO norm")
-    coefs = [a[..., 1:] for a in pyr.levels[:lat.depth]]
+    coefs = _level_views(_cancellative_pairings(pyr), lat.depth - 1, lat.dim)
     nz = [np.nonzero(a) for a in coefs]
     return CoeffTable(
         np.concatenate([np.full(len(z[0]), lv) for lv, z in enumerate(nz)])[:, None],
@@ -410,7 +420,7 @@ def _pairings(slots, fs: Sequence[GridFunction | HaarPyramid], N: int) -> list[n
     """<f_j, h_{Q_j}^{eta_j}> / divisor_j per row, as (R, N, N) stacks;
     an input given as its HaarPyramid is not swept again."""
     pyrs = [f if isinstance(f, HaarPyramid) else HaarPyramid(f) for f in fs]
-    return [p.flat[heap, eta].reshape(-1, N, N) / np.reshape(div, (-1, 1, 1))
+    return [p.pairings(heap, eta).reshape(-1, N, N) / np.reshape(div, (-1, 1, 1))
             for p, (heap, eta, div) in zip(pyrs, slots)]
 
 

@@ -2,8 +2,11 @@
 
 Each check of ``criteria`` built on ``lattice.level_blocks`` is run with
 a helper whose output is off by 1e-6 on the block of one cube, and the
-Haar check with one Haar function given an imaginary part.
+Haar check with one Haar function given an imaginary part or a small
+share of another Haar function, of its own level or of another.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +74,40 @@ def test_haar_orthonormality_fails_on_a_complex_haar_function(monkeypatch, lat):
     rec = cr.haar_orthonormality(lat)
     assert rec["max_error"] <= cr.IDENTITY_TOL
     assert rec["pass"] is False
+
+
+@pytest.mark.parametrize("lat", _lattices(), ids=["d1", "d2-shifted"])
+@pytest.mark.parametrize("level, source", [(2, 0), (1, 1)],
+                         ids=["across-levels", "within-a-level"])
+def test_haar_orthonormality_fails_on_a_real_fault(monkeypatch, lat, level, source):
+    real = lt.haar_level
+
+    def faulty(lat, lv):
+        out = real(lat, lv)
+        if lv == level:
+            # the level's first function picks up OFF times the source
+            # level's last one, so their Gram entry is OFF
+            out[..., 0, 0] += OFF * real(lat, source)[..., -1, -1]
+        return out
+
+    monkeypatch.setattr(lt, "haar_level", faulty)
+    rec = cr.haar_orthonormality(lat)
+    assert rec["pass"] is False
+    assert rec["max_error"] >= OFF / 2
+
+
+def test_haar_orthonormality_memory_follows_one_level():
+    # 1,023 Haar functions on 1,024 cells: the whole Gram matrix alone
+    # would take 8.4 MB, the functions in complex form 16.8 MB
+    lat = dl.build_lattice(2, 5, 0)
+    tracemalloc.start()
+    try:
+        rec = cr.haar_orthonormality(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["pass"] and rec["max_error"] == 0.0
+    assert peak <= 32e6
 
 
 def test_haar_orthonormality_fails_on_a_unit_phase(monkeypatch):

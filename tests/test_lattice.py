@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dyadlab as dl
+from dyadlab import lattice as lt
 from dyadlab.lattice import _cell_block, from_aligned, haar_level
 
 
@@ -281,15 +283,78 @@ def test_shift_equivariance():
 
 
 def test_pyramid_matches_direct_pairings():
-    lat = dl.build_lattice(2, 3, 5)
-    f = dl.random_grid_function(lat, N=2, seed=3)
-    pyr = dl.HaarPyramid(f)
-    for Q in lat.cubes():
-        for eta in range(4):
-            if eta and Q.level >= 3:
-                continue
-            direct = dl.pairing(f, dl.haar(lat, (Q, eta)))
-            assert np.abs(pyr.coef(Q, eta) - direct).max() < 1e-12
+    # d = 3 has 8 eta slots per cube; at depth 1 (depth 0 is no lattice)
+    # the top cube is the only one with cancellative pairings
+    for lat, scalar in [(dl.build_lattice(2, 3, 5), False), (dl.build_lattice(1, 4, 2), False),
+                        (dl.build_lattice(3, 2, 1), False), (dl.build_lattice(2, 1, 4), True)]:
+        f = dl.random_grid_function(lat, N=2, seed=3, scalar=scalar)
+        pyr = dl.HaarPyramid(f)
+        for Q in lat.cubes():
+            for eta in range(1 << lat.dim):
+                if eta and Q.level >= lat.depth:
+                    with pytest.raises(ValueError, match="cancellative Haar needs level < depth"):
+                        pyr.coef(Q, eta)
+                    continue
+                direct = dl.pairing(f, dl.haar(lat, (Q, eta)))
+                assert np.abs(pyr.coef(Q, eta) - direct).max() < 1e-12
+        with pytest.raises(ValueError, match="eta mask must lie"):
+            pyr.coef(lat.top(), 1 << lat.dim)
+
+
+def _full_layout(f):
+    """The reference layout of a pyramid: every (cube, eta) slot, the
+    finest level's cancellative ones zero, in an array of shape
+    (#cubes, 2^d) + value shape indexed by heap number, from the same
+    sweep as ``HaarPyramid``."""
+    lat = f.lattice
+    d, L, vs = lat.dim, lat.depth, f.value_shape
+    sums = f.aligned() * lat.cell_volume
+    m = 1 << d
+    bits = (np.arange(m)[:, None] >> np.arange(d)) & 1
+    signs = (-1.0) ** (bits @ bits[:, ::-1].T)
+    flat = np.zeros((lt._heap_size(L, d), m) + vs, dtype=np.complex128)
+    levels = lt._level_views(flat, L, d)
+    levels[L][(slice(None),) * d + (0,)] = sums * 2.0 ** (L * d / 2.0)
+    cur = sums
+    for l in range(L - 1, -1, -1):
+        r = cur.reshape((1 << l, 2) * d + vs)
+        r = np.moveaxis(r, tuple(2 * ax + 1 for ax in range(d)), tuple(range(d, 2 * d)))
+        r = r.reshape((1 << l,) * d + (m,) + vs)
+        lvl = np.tensordot(r, signs, axes=([d], [1]))
+        np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=levels[l])
+        cur = r.sum(axis=d)
+    return flat
+
+
+@pytest.mark.parametrize("d, L", [(1, 6), (2, 4), (3, 2)])
+@pytest.mark.parametrize("scalar", [True, False])
+def test_pyramid_lookup_bit_equals_the_full_layout(d, L, scalar):
+    lat = dl.build_lattice(d, L, 7)
+    f = dl.random_grid_function(lat, N=2, seed=d, scalar=scalar)
+    full, pyr = _full_layout(f), dl.HaarPyramid(f)
+    coarse, m = lt._heap_size(L - 1, d), 1 << d
+    assert not full[coarse:, 1:].any()
+    assert np.array_equal(pyr.pairings(np.arange(coarse)[:, None], np.arange(m)), full[:coarse])
+    assert np.array_equal(pyr.pairings(np.arange(coarse, len(full)), 0), full[coarse:, 0])
+    # coarse and finest cubes mixed in one lookup, in random order
+    rng = np.random.default_rng(L)
+    heap = rng.integers(len(full), size=200)
+    eta = np.where(heap < coarse, rng.integers(m, size=200), 0)
+    assert np.array_equal(pyr.pairings(heap, eta), full[heap, eta])
+
+
+def test_pyramid_stores_only_pairings_that_exist():
+    # 21,845 cubes with 4 eta slots of 2x2 values would take 5.59 MB;
+    # without the finest level's 3 x 16,384 empty slots they take 2.45 MB
+    lat = dl.build_lattice(2, 7, 1)
+    f = dl.random_grid_function(lat, N=2, seed=0)
+    tracemalloc.start()
+    try:
+        pyr = dl.HaarPyramid(f)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pyr.flat.nbytes <= held <= 2.5e6
 
 
 def test_serialization_roundtrip_bit_exact():
