@@ -8,7 +8,6 @@ from .lattice import (
     average,
     build_lattice,
     expect,
-    expect_k,
     grid_function_from_json,
     grid_function_to_json,
     haar,
@@ -17,7 +16,6 @@ from .lattice import (
     level_blocks,
     lp_norm,
     martingale_diff,
-    martingale_diff_k,
     pairing,
     random_grid_function,
     sublattice,
@@ -31,7 +29,6 @@ __all__ = [
     "average",
     "build_lattice",
     "expect",
-    "expect_k",
     "grid_function_from_json",
     "grid_function_to_json",
     "haar",
@@ -40,7 +37,6 @@ __all__ = [
     "level_blocks",
     "lp_norm",
     "martingale_diff",
-    "martingale_diff_k",
     "pairing",
     "random_grid_function",
     "sublattice",

@@ -206,8 +206,7 @@ def run_haar_suite(config, out, fmt):
 def _shift_from_config(config):
     if config.get("shift_file"):
         try:
-            spec = mo.shift_from_json(Path(config["shift_file"]).read_text(),
-                                      clamp=config.get("clamp", False))
+            spec = mo.shift_from_json(Path(config["shift_file"]).read_text())
         except (OSError, ValueError) as exc:  # missing file, or the loader's field path
             raise SystemExit(f"config error at shift_file: {exc}")
         lat = spec.lattice
@@ -369,16 +368,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (default: $DYADLAB_OUT or ./reports)")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    parser.add_argument("--clamp", action="store_true",
-                        help="project out-of-bound coefficients of a loaded "
-                             "operator file onto the normalization bound")
     args = parser.parse_args(argv)
-    if args.clamp and args.command != "shift-eval":
-        parser.error("--clamp applies only to shift-eval")
     out = Path(args.out or os.environ.get("DYADLAB_OUT", "reports"))
     config = load_config(args.command, args.config, args.seed)
-    if args.clamp:  # not a config field; the report's config records the flag
-        config["clamp"] = True
     return COMMANDS[args.command](config, out, args.format)
 
 

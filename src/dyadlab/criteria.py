@@ -54,8 +54,9 @@ def record(statement: str, kind: str, ok: bool, **data) -> dict:
     return rec
 
 
-def _within(statement: str, err: float, tol: float, **data) -> dict:
-    return record(statement, HARD, err <= tol, max_error=err, tol=tol, **data)
+def _within(statement: str, err: float, tol: float, evidence: bool = True, **data) -> dict:
+    """Holds when err <= tol, and only with evidence (a case was checked)."""
+    return record(statement, HARD, evidence and err <= tol, max_error=err, tol=tol, **data)
 
 
 def _max_dev(a, b) -> float:
@@ -72,8 +73,9 @@ def _exact(lhs: float, rhs: float, slack: float) -> tuple[float, bool]:
 
 
 def _every(statement: str, kind: str, evals: list, **data) -> tuple[dict, list]:
-    """The record that holds when every (ratio, ok) case does, and the cases."""
-    return record(statement, kind, all(ok for _, ok in evals), **data), evals
+    """The record that holds when there is a case and every (ratio, ok)
+    case holds, and the cases."""
+    return record(statement, kind, bool(evals) and all(ok for _, ok in evals), **data), evals
 
 
 def haar_orthonormality(lat: lt.Lattice) -> dict:
@@ -248,10 +250,11 @@ def conditional_expectation_band(fqs: dict, band: float) -> tuple[dict, tuple]:
 
 
 def decoupling_anchor(f: lt.GridFunction, j: int, k: int, l: int, sampler, ens) -> dict:
-    """For scalar f at p = 2 the decoupling ratio is 1 up to sampling error."""
+    """For scalar f at p = 2 the decoupling ratio is 1 up to sampling
+    error; a zero standard error (no spread, as for f = 0) is no evidence."""
     ratio, se = rz.decoupling_ratio(f, j, k, l, 2.0, 2.0, sampler, ens)
-    return record("decoupling-scalar-p2-anchor", HARD, abs(ratio - 1.0) <= ANCHOR_SE * se,
-                  ratio=ratio, stderr=se)
+    return record("decoupling-scalar-p2-anchor", HARD,
+                  0 < se and abs(ratio - 1.0) <= ANCHOR_SE * se, ratio=ratio, stderr=se)
 
 
 def decoupling_band(f: lt.GridFunction, j: int, k: int, l: int, p: float,
@@ -265,7 +268,8 @@ def decoupling_band(f: lt.GridFunction, j: int, k: int, l: int, p: float,
 def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
     """Unit-norm elements factor into unit-norm factors that multiply back:
     each positive semidefinite a of (a, exponents) scaled to unit trace
-    norm, each stack of (raw, space) to unit nested norm over slots 1, 2."""
+    norm, each stack of (raw, space) to unit nested norm over slots 1, 2.
+    Each record fails when its list is empty."""
     flat = 0.0
     for a, ps in positive:
         a = a / nc.schatten_norm(a, 1.0)
@@ -279,8 +283,8 @@ def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
         nested = max(nested, _max_dev(np.einsum("tij,tjk->tik", facs[0], facs[1]), f),
                      *(abs(nc.nested_norm(fac, space, j) - 1.0)
                        for fac, j in zip(facs, (1, 2))))
-    return [_within("positive-factorization-roundtrip", flat, POSITIVE_FACTOR_TOL),
-            _within("mixed-factorization-roundtrip", nested, MIXED_FACTOR_TOL)]
+    return [_within("positive-factorization-roundtrip", flat, POSITIVE_FACTOR_TOL, bool(positive)),
+            _within("mixed-factorization-roundtrip", nested, MIXED_FACTOR_TOL, bool(mixed))]
 
 
 def dual_norm_attainment(e: np.ndarray, J: list[int], table: nc.ExponentTable,
@@ -302,9 +306,10 @@ def reconstruction_defect(f: lb.TorusFunction, g: lb.TorusFunction, s: float) ->
 
 
 def paraproduct_reconstruction(defects: list[float]) -> dict:
-    """Every reconstruction defect of a pair is below RECONSTRUCTION_TOL."""
+    """Every reconstruction defect of a pair is below RECONSTRUCTION_TOL
+    (fails with no pair)."""
     worst = max(defects, default=0.0)
-    return record("paraproduct-reconstruction", HARD, worst < RECONSTRUCTION_TOL,
+    return record("paraproduct-reconstruction", HARD, bool(defects) and worst < RECONSTRUCTION_TOL,
                   max_defect=worst, tol=RECONSTRUCTION_TOL)
 
 

@@ -276,7 +276,8 @@ def l2_inner(f: GridFunction, g: GridFunction) -> complex:
 
 def random_grid_function(lat: Lattice, N: int = 1, seed: int = 0,
                          scalar: bool = False) -> GridFunction:
-    """Complex Gaussian test data; scalar if requested or N == 1 and scalar."""
+    """Complex Gaussian test data: scalar values if ``scalar``, else N x N
+    matrices (1 x 1 at N = 1)."""
     rng = np.random.default_rng(seed)
     shape = (lat.cells_per_axis,) * lat.dim
     if not scalar:
@@ -327,14 +328,14 @@ def haar_level(lat: Lattice, level: int) -> np.ndarray:
     d, L = lat.dim, lat.depth
     if not 0 <= level < L:
         raise ValueError("cancellative Haar needs level < depth")
-    m, w = 1 << level, 1 << (L - level)
-    patches = np.stack([_haar_patch(lat, level, mask_to_eta(e, d)) for e in range(1, 1 << d)],
-                       axis=-1)
-    out = np.zeros((m, w) * d + (m ** d, (1 << d) - 1), dtype=np.complex128)
-    # cube q = (q_1..q_d) gets the patch on block q_a of every axis a
-    q = np.indices((m,) * d).reshape(d, -1)
-    out[sum(((qa, slice(None)) for qa in q), ()) + (np.arange(m ** d),)] = patches
-    return _roll(out.reshape((m * w,) * d + out.shape[-2:]), lat, +1)
+    n, m, w = 1 << L, 1 << level, 1 << (L - level)
+    patches = np.stack([_haar_patch(lat, level, mask_to_eta(e, d)) for e in range(1, 1 << d)], -1)
+    # cell x sits at (x - shift) mod 2^L in lattice order: cube y // w, place y % w in it
+    y = (np.indices((n,) * d) - np.reshape(lat.shift_cells, (d,) + (1,) * d)) % n
+    out = np.zeros((n ** d, m ** d, (1 << d) - 1), dtype=np.complex128)
+    out[np.arange(n ** d), np.ravel_multi_index(tuple(y // w), (m,) * d).ravel()] = \
+        patches[tuple(y % w)].reshape(n ** d, -1)
+    return out.reshape((n,) * d + out.shape[1:])
 
 
 def _haar_patch(lat: Lattice, level: int, eta: tuple[int, ...]) -> np.ndarray:
@@ -361,55 +362,25 @@ def average(f: GridFunction, Q: Cube):
     return complex(out) if f.value_shape == () else out
 
 
-def expect(f: GridFunction, Q: Cube) -> GridFunction:
-    """E_Q f = <f>_Q 1_Q."""
-    lat = f.lattice
-    out = np.zeros_like(f.values)
-    blk = _cell_block(lat, Q)
-    a = f.aligned()
-    out[blk] = a[blk].mean(axis=grid_axes(lat))
-    return from_aligned(lat, out)
-
-
-def martingale_diff(f: GridFunction, Q: Cube) -> GridFunction:
-    """Delta_Q f: sum of the children's E minus E_Q; mean zero on Q."""
-    lat = f.lattice
-    if Q.level >= lat.depth:
-        raise ValueError("martingale difference needs level < depth")
-    out = np.zeros_like(f.values)
-    a = f.aligned()
-    blk = _cell_block(lat, Q)
-    mean_Q = a[blk].mean(axis=grid_axes(lat))
-    for c in Q.children():
-        cblk = _cell_block(lat, c)
-        out[cblk] = a[cblk].mean(axis=grid_axes(lat)) - mean_Q
-    return from_aligned(lat, out)
-
-
-def expect_k(f: GridFunction, Q: Cube, k: int) -> GridFunction:
-    """E_Q^k f: sum of E_R f over descendants R of Q with R^(k) = Q."""
+def expect(f: GridFunction, Q: Cube, k: int = 0) -> GridFunction:
+    """E_Q^k f: sum of E_R f = <f>_R 1_R over the descendants R of Q with
+    R^(k) = Q; k = 0 gives E_Q f = <f>_Q 1_Q."""
     lat = f.lattice
     if k < 0 or Q.level + k > lat.depth:
         raise ValueError("descendant level exceeds lattice depth")
     out = np.zeros_like(f.values)
-    a = f.aligned()
     w = 1 << (lat.depth - Q.level - k)
     blk = _cell_block(lat, Q)
-    sub = a[blk]
     # block means at the descendant level, broadcast back onto cells
-    means = _block_means(sub, w, lat.dim)
-    out[blk] = _expand(means, w, lat.dim)
+    out[blk] = _expand(_block_means(f.aligned()[blk], w, lat.dim), w, lat.dim)
     return from_aligned(lat, out)
 
 
-def martingale_diff_k(f: GridFunction, Q: Cube, k: int) -> GridFunction:
-    """Delta_Q^k f: sum of Delta_R f over R <= Q with R^(k) = Q."""
-    lat = f.lattice
-    if k < 0 or Q.level + k > lat.depth - 1:
-        raise ValueError("descendant level exceeds lattice depth")
-    fine = expect_k(f, Q, k + 1)
-    coarse = expect_k(f, Q, k)
-    return fine - coarse
+def martingale_diff(f: GridFunction, Q: Cube, k: int = 0) -> GridFunction:
+    """Delta_Q^k f = E_Q^(k+1) f - E_Q^k f: sum of Delta_R f over the
+    descendants R of Q with R^(k) = Q; mean zero on Q.  Needs
+    level(Q) + k < L (``expect`` raises otherwise)."""
+    return expect(f, Q, k + 1) - expect(f, Q, k)
 
 
 def level_blocks(f: GridFunction, level: int,
@@ -503,8 +474,8 @@ class HaarPyramid:
     cubes of levels 0..L-1 in heap order (``Lattice.cubes()``), 2^d eta
     slots each, then the finest cubes in heap order, one slot each.  A
     pyramid can therefore serve several form evaluations.  Read it
-    through ``pairings`` (arrays of heap numbers and eta masks) or
-    ``coef`` (one cube), which alone know where a pairing sits.
+    through ``pairings`` (arrays of heap numbers and eta masks), which
+    alone knows where a pairing sits.
     """
 
     def __init__(self, f: GridFunction):
@@ -553,10 +524,6 @@ class HaarPyramid:
             raise ValueError("cancellative Haar needs level < depth")
         # heap * 2^d + eta on levels 0..L-1, heap + coarse * (2^d - 1) on level L
         return self.flat[heap * m + eta - fine * (heap - self._coarse) * (m - 1)]
-
-    def coef(self, Q: Cube, eta_mask: int):
-        out = self.pairings(_heap_number(np.array(Q.level), np.array(Q.index), Q.dim), eta_mask)
-        return complex(out) if self.value_shape == () else out
 
 
 # ---------------------------------------------------------------------------

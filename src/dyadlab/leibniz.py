@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import power_mean
-from .ncspaces import value_norms
+from .ncspaces import conjugate_exponent, value_norms
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +653,6 @@ def leibniz_ratio(f: TorusFunction, g: TorusFunction, s: float,
         raise ValueError("exponents do not satisfy the scaling relation")
     if s <= f.dim:
         raise ValueError("derivative order must exceed the dimension")
-    from .ncspaces import conjugate_exponent
 
     def conj(p):
         # Schatten index dual to the outer exponent; degenerates to the

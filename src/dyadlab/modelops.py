@@ -150,12 +150,11 @@ class ShiftSpec:
 
     ``cancellative`` holds 1-based slot indices (at least two).  The
     coefficients are a ``CoeffTable`` of rows (K, Q_1..Q_{n+1}) with one
-    eta mask per slot.  Out-of-bound coefficients are rejected, or
-    projected onto the normalization bound when ``clamp`` is set.
+    eta mask per slot.  Out-of-bound coefficients are rejected.
     """
 
     def __init__(self, lattice: Lattice, n: int, complexity: Sequence[int],
-                 cancellative: Iterable[int], coeffs: CoeffTable, clamp: bool = False):
+                 cancellative: Iterable[int], coeffs: CoeffTable):
         complexity = tuple(int(k) for k in complexity)
         cancellative = frozenset(int(j) for j in cancellative)
         if n < 1:
@@ -168,13 +167,14 @@ class ShiftSpec:
         self.n = n
         self.complexity = complexity
         self.cancellative = cancellative
-        self.coeffs = self._validate(coeffs, clamp)
+        self._validate(coeffs)
+        self.coeffs = coeffs
 
     @property
     def kappa(self) -> int:
         return max(self.complexity)
 
-    def _validate(self, t: CoeffTable, clamp: bool) -> CoeffTable:
+    def _validate(self, t: CoeffTable) -> None:
         lat, n = self.lattice, self.n
         if t.level.shape[1:] != (n + 2,) or t.eta.shape[1:] != (n + 1,) or t.dim != lat.dim:
             raise ValueError("coefficient key has wrong arity")
@@ -193,15 +193,10 @@ class ShiftSpec:
         bound = _coeff_bound(t.level, lat.dim, n)
         mag = np.hypot(t.value.real, t.value.imag)  # |a| exactly as Python's abs
         over = mag > bound * (1.0 + NORMALIZATION_SLACK)
-        if not over.any():
-            return t
-        if not clamp:
+        if over.any():
             r = int(np.argmax(over))
             raise CoeffRowError(r, "re" if abs(t.value[r].real) >= abs(t.value[r].imag) else "im",
                                 f"coefficient {t.value[r]} exceeds the bound {bound[r]}")
-        value = t.value.copy()
-        value[over] *= bound[over] / mag[over]
-        return CoeffTable(t.level, t.index, t.eta, value)
 
 
 class ParaproductSpec:
@@ -703,8 +698,8 @@ def shift_to_json(spec: ShiftSpec) -> str:
                            "cancellative": sorted(spec.cancellative)})
 
 
-def shift_from_json(text: str, clamp: bool = False) -> ShiftSpec:
-    """Load a shift; normalization is re-validated (or clamped).
+def shift_from_json(text: str) -> ShiftSpec:
+    """Load a shift; normalization is re-validated.
 
     Missing ``etas`` entries default to the fully cancellative pattern
     on cancellative slots and zero elsewhere.  A repeated key keeps its
@@ -722,7 +717,7 @@ def shift_from_json(text: str, clamp: bool = False) -> ShiftSpec:
     default = [(1 << lat.dim) - 1 if (j + 1) in canc else 0 for j in range(n + 1)]
     table, keys = _table_from_json(obj, lat.dim, n + 1, "etas", default)
     try:
-        return ShiftSpec(lat, n, complexity, canc, table, clamp=clamp)
+        return ShiftSpec(lat, n, complexity, canc, table)
     except CoeffRowError as err:
         raise _entry_error(err, table, keys) from None
 

@@ -34,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import (Cube, GridFunction, Lattice, _block_means, _cell_block, _expand,
-                      _heap_number, _heap_size, _level_views, from_aligned)
+                      _heap_number, _heap_size, _level_views, build_lattice, from_aligned)
+from .modelops import form_value
 from .ncspaces import value_norms
 
 MEASURE_SLACK = 1e-12
@@ -318,7 +319,6 @@ def _sparse_form_per_cube(cubes, fs: list[GridFunction]) -> float:
 def universal_grids(d: int, L: int) -> list[Lattice]:
     """The 3^d lattices shifted by i/3 per coordinate (i = 0, 1, 2),
     quantized to the nearest multiple of 2^-L."""
-    from .lattice import build_lattice
     n = 1 << L
     out = []
     for combo in np.ndindex(*(3,) * d):
@@ -369,7 +369,6 @@ def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> di
     sparse form with a nonzero form value is flagged with an infinite
     constant.
     """
-    from .modelops import form_value
     n1 = op.n + 1
     lhs = abs(form_value(op, fs))
     norms = [pointwise_schatten(f, float(n1)) for f in fs]

@@ -340,12 +340,13 @@ def test_unreadable_config_reports_the_root(tmp_path, text, reason):
         run("haar-suite", tmp_path, ["--config", str(cfg)])
 
 
-@pytest.mark.parametrize("command", ["haar-suite", "reduce-verify"])
-def test_clamp_is_rejected_outside_shift_eval(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["shift-eval", "haar-suite", "reduce-verify"])
+def test_clamp_is_an_unknown_flag(tmp_path, capsys, command):
+    # an out-of-bound coefficient is always rejected; there is no flag to project it
     with pytest.raises(SystemExit) as exc:
         run(command, tmp_path, ["--clamp"])
     assert exc.value.code == 2
-    assert "--clamp applies only to shift-eval" in capsys.readouterr().err
+    assert "unrecognized arguments: --clamp" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -354,13 +355,6 @@ def test_unknown_field_rejected(tmp_path):
     cfg.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(SystemExit):
         run("haar-suite", tmp_path, ["--config", str(cfg)])
-
-
-def test_clamp_is_a_flag_not_a_config_field(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"clamp": True}))
-    with pytest.raises(SystemExit, match="config error at <root>: .*'clamp' was unexpected"):
-        run("shift-eval", tmp_path, ["--config", str(cfg)])
 
 
 def test_decouple_green(tmp_path):
@@ -390,8 +384,8 @@ def test_shift_eval_from_file_with_clamp(tmp_path):
     from dyadlab import modelops as mo
 
     lat = dl.build_lattice(1, 3)
-    table = mo.CoeffTable([[0, 0, 0]], [[[0], [0], [0]]], [[1, 1]], [2.0])
-    spec = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, table, clamp=True)
+    table = mo.CoeffTable([[0, 0, 0]], [[[0], [0], [0]]], [[1, 1]], [1.0])
+    spec = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, table)
     path = tmp_path / "shift.json"
     path.write_text(mo.shift_to_json(spec))
     # tamper: push the coefficient over the bound
@@ -400,10 +394,12 @@ def test_shift_eval_from_file_with_clamp(tmp_path):
     path.write_text(json.dumps(payload))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"shift_file": str(path), "N": 2}))
-    # without clamping the load fails
     with pytest.raises(SystemExit, match=r"config error at shift_file: field coeffs\[0\]\.re"):
         run("shift-eval", tmp_path, ["--config", str(cfg)])
-    assert run("shift-eval", tmp_path, ["--config", str(cfg), "--clamp"]) == 0
+    # and no flag projects the coefficient onto the bound instead
+    with pytest.raises(SystemExit) as exc:
+        run("shift-eval", tmp_path, ["--config", str(cfg), "--clamp"])
+    assert exc.value.code == 2
 
 
 # (statement, kind, sorted field names) of every record, per command and

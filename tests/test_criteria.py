@@ -1,9 +1,11 @@
-"""The level-array identity checks still fail when their inputs are wrong.
+"""The hard checks still fail when their inputs are wrong or empty.
 
 Each check of ``criteria`` built on ``lattice.level_blocks`` is run with
 a helper whose output is off by 1e-6 on the block of one cube, and the
 Haar check with one Haar function given an imaginary part or a small
-share of another Haar function, of its own level or of another.
+share of another Haar function, of its own level or of another.  The
+checks over lists of cases are run with no case, and the decoupling
+anchor with a zero standard error.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 import dyadlab as dl
 from dyadlab import criteria as cr
 from dyadlab import lattice as lt
+from dyadlab import randomized as rz
 
 OFF = 1e-6
 
@@ -117,3 +120,27 @@ def test_haar_orthonormality_fails_on_a_unit_phase(monkeypatch):
     real = lt.haar_level
     monkeypatch.setattr(lt, "haar_level", lambda lat, level: real(lat, level) * np.exp(0.3j))
     assert cr.haar_orthonormality(lat)["pass"] is False
+
+
+def _zero_anchor():
+    # f = 0: both sides vanish, so the ratio is 1 with a zero standard error
+    lat = dl.build_lattice(1, 4)
+    rec = cr.decoupling_anchor(dl.GridFunction(lat, np.zeros(16)), 0, 1, 1,
+                               rz.DecouplingSampler(lat, seed=3),
+                               rz.SignEnsemble(0, "monte_carlo", samples=100, seed=9))
+    assert rec["ratio"] == 1.0 and rec["stderr"] == 0.0
+    return rec
+
+
+@pytest.mark.parametrize("no_evidence", [
+    lambda: cr.contraction([])[0],
+    lambda: cr.product_bound([])[0],
+    lambda: cr.factorization_roundtrips([], [])[0],
+    lambda: cr.factorization_roundtrips([], [])[1],
+    lambda: cr.paraproduct_reconstruction([]),
+    _zero_anchor,
+], ids=["contraction", "product-bound", "positive-factorization", "mixed-factorization",
+        "paraproduct-reconstruction", "decoupling-anchor"])
+def test_hard_checks_fail_without_evidence(no_evidence):
+    rec = no_evidence()
+    assert rec["kind"] == cr.HARD and rec["pass"] is False

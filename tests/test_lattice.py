@@ -146,25 +146,23 @@ def test_depth_k_operators():
     lat = dl.build_lattice(1, 4)
     f = dl.random_grid_function(lat, seed=3, scalar=True)
     Q = dl.Cube(1, (1,))
-    # k = 0 reduces to the one-step operators
-    assert np.abs(dl.martingale_diff_k(f, Q, 0).values
-                  - dl.martingale_diff(f, Q).values).max() < 1e-12
-    assert np.abs(dl.expect_k(f, Q, 0).values - dl.expect(f, Q).values).max() < 1e-12
-    # brute-force sum over depth-2 descendants
-    acc = np.zeros_like(f.values)
+    # brute-force sums over depth-2 descendants
+    acc, avg = np.zeros_like(f.values), np.zeros_like(f.values)
     for R in lat.cubes(3):
         if R.ancestor(2) == Q:
             acc = acc + dl.martingale_diff(f, R).values
-    assert np.abs(dl.martingale_diff_k(f, Q, 2).values - acc).max() < 1e-12
+            avg = avg + dl.expect(f, R).values
+    assert np.abs(dl.martingale_diff(f, Q, 2).values - acc).max() < 1e-12
+    assert np.abs(dl.expect(f, Q, 2).values - avg).max() < 1e-12
 
 
 def test_depth_overflow_rejected():
     lat = dl.build_lattice(1, 3)
     f = dl.random_grid_function(lat, seed=1, scalar=True)
-    with pytest.raises(ValueError):
-        dl.expect_k(f, dl.Cube(1, (0,)), 3)
-    with pytest.raises(ValueError):
-        dl.martingale_diff_k(f, dl.Cube(1, (0,)), 2)
+    for op, level, k in [(dl.expect, 1, 3), (dl.expect, 1, -1), (dl.martingale_diff, 1, 2),
+                         (dl.martingale_diff, 3, 0), (dl.martingale_diff, 1, -1)]:
+        with pytest.raises(ValueError, match="descendant level exceeds lattice depth"):
+            op(f, dl.Cube(level, (0,)), k)
 
 
 def test_average_expansion_identity():
@@ -174,10 +172,10 @@ def test_average_expansion_identity():
         f = dl.random_grid_function(lat, N=2, seed=4)
         for K in lat.cubes():
             for k in range(L - K.level + 1):
-                lhs = dl.expect_k(f, K, k)
+                lhs = dl.expect(f, K, k)
                 rhs = dl.expect(f, K)
                 for l in range(k):
-                    rhs = rhs + dl.martingale_diff_k(f, K, l)
+                    rhs = rhs + dl.martingale_diff(f, K, l)
                 assert np.abs(lhs.values - rhs.values).max() < 1e-12
 
 
@@ -222,7 +220,7 @@ def _on_block(lat, aligned, Q):
                          ids=lambda lat: f"d{lat.dim}-L{lat.depth}-shift{lat.shift_cells}")
 @pytest.mark.parametrize("scalar", [True, False])
 def test_level_blocks_match_per_cube_operators(lat, scalar):
-    # oracle: expect_k and martingale_diff_k, one cube at a time
+    # oracle: expect and martingale_diff, one cube at a time
     f = dl.random_grid_function(lat, N=2, seed=8, scalar=scalar)
     for level in range(lat.depth + 1):
         for k in range(lat.depth - level + 1):
@@ -230,10 +228,10 @@ def test_level_blocks_match_per_cube_operators(lat, scalar):
             assert E.shape == f.values.shape
             assert (D is None) == (level + k == lat.depth)
             for Q in lat.cubes(level):
-                assert np.abs(_on_block(lat, E, Q) - dl.expect_k(f, Q, k).values).max() < 1e-12
+                assert np.abs(_on_block(lat, E, Q) - dl.expect(f, Q, k).values).max() < 1e-12
                 if D is not None:
                     assert np.abs(_on_block(lat, D, Q)
-                                  - dl.martingale_diff_k(f, Q, k).values).max() < 1e-12
+                                  - dl.martingale_diff(f, Q, k).values).max() < 1e-12
 
 
 def test_level_blocks_rejects_levels_below_the_lattice():
@@ -255,6 +253,20 @@ def test_haar_level_equals_haar(lat):
                 assert np.array_equal(stack[..., q, eta - 1], dl.haar(lat, (Q, eta)).values)
     with pytest.raises(ValueError):
         haar_level(lat, lat.depth)
+
+
+def test_haar_level_memory_follows_the_result():
+    # written straight into physical cells: no second, rolled copy (the
+    # finest level of a shifted d = 2, L = 5 lattice is a 12.6 MB result)
+    lat = dl.build_lattice(2, 5, 0)
+    assert any(lat.shift_cells)
+    tracemalloc.start()
+    try:
+        stack = haar_level(lat, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stack.nbytes
 
 
 def test_sublattice_residues():
@@ -289,16 +301,16 @@ def test_pyramid_matches_direct_pairings():
                         (dl.build_lattice(3, 2, 1), False), (dl.build_lattice(2, 1, 4), True)]:
         f = dl.random_grid_function(lat, N=2, seed=3, scalar=scalar)
         pyr = dl.HaarPyramid(f)
-        for Q in lat.cubes():
+        for heap, Q in enumerate(lat.cubes()):  # heap numbers follow Lattice.cubes()
             for eta in range(1 << lat.dim):
                 if eta and Q.level >= lat.depth:
                     with pytest.raises(ValueError, match="cancellative Haar needs level < depth"):
-                        pyr.coef(Q, eta)
+                        pyr.pairings(heap, eta)
                     continue
                 direct = dl.pairing(f, dl.haar(lat, (Q, eta)))
-                assert np.abs(pyr.coef(Q, eta) - direct).max() < 1e-12
+                assert np.abs(pyr.pairings(heap, eta) - direct).max() < 1e-12
         with pytest.raises(ValueError, match="eta mask must lie"):
-            pyr.coef(lat.top(), 1 << lat.dim)
+            pyr.pairings(0, 1 << lat.dim)
 
 
 def _full_layout(f):

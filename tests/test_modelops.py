@@ -56,10 +56,11 @@ def test_normalization_reject_and_clamp():
     Q = dl.Cube(1, (0,))
     # bound for complexity (1,1): |Q1|^(1/2)|Q2|^(1/2)/|K| = 1/2
     coeffs = _table({(K, (Q, Q), (1, 1)): 0.9})
-    with pytest.raises(ValueError):
+    with pytest.raises(mo.CoeffRowError, match="exceeds the bound 0.5"):
         mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs)
-    spec = mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs, clamp=True)
-    assert abs(dict(spec.coeffs.items())[(K, (Q, Q), (1, 1))]) == pytest.approx(0.5)
+    # rejection is the only way: nothing projects onto the bound
+    with pytest.raises(TypeError):
+        mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs, clamp=True)
 
 
 def test_spec_rejects_wrong_ancestry_or_eta():
@@ -347,10 +348,14 @@ def test_shift_json_eta_default_and_clamp():
                     "re": 2.0, "im": 0.0}],
     }
     import json
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"field coeffs\[0\]\.re"):
         mo.shift_from_json(json.dumps(payload))
-    spec = mo.shift_from_json(json.dumps(payload), clamp=True)
-    assert abs(dict(spec.coeffs.items())[(K, (K, K), (1, 1))]) == pytest.approx(1.0)
+    with pytest.raises(TypeError):
+        mo.shift_from_json(json.dumps(payload), clamp=True)
+    # within the bound, the missing etas default to the fully cancellative pattern
+    payload["coeffs"][0]["re"] = 1.0
+    spec = mo.shift_from_json(json.dumps(payload))
+    assert dict(spec.coeffs.items())[(K, (K, K), (1, 1))] == 1.0
 
 
 def test_paraproduct_json_roundtrip():

@@ -199,13 +199,12 @@ def test_decoupling_default_chunk_matches_the_per_sample_oracle():
     (2, 4, (0.5, 0.125), 2, False, (1, 1, 1)),
 ])
 def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, scalar, jkl):
-    from dyadlab.lattice import martingale_diff_k
     lat = dl.build_lattice(d, L, shift)
     f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
     samp = rz.DecouplingSampler(lat, seed=4)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=6)
     _, cubes, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
-    per_cube = [martingale_diff_k(f, Q, jkl[2]) for Q in cubes]
+    per_cube = [dl.martingale_diff(f, Q, jkl[2]) for Q in cubes]
     for Q, g in zip(cubes, per_cube):
         block = _cell_block(lat, Q)
         assert np.abs(diffs[Q.level][block] - g.aligned()[block]).max() <= 1e-12
