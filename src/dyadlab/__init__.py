@@ -12,13 +12,11 @@ from .lattice import (
     grid_function_to_json,
     haar,
     integral,
-    l2_inner,
     level_blocks,
     lp_norm,
     martingale_diff,
     pairing,
     random_grid_function,
-    sublattice,
 )
 
 __all__ = [
@@ -33,13 +31,11 @@ __all__ = [
     "grid_function_to_json",
     "haar",
     "integral",
-    "l2_inner",
     "level_blocks",
     "lp_norm",
     "martingale_diff",
     "pairing",
     "random_grid_function",
-    "sublattice",
 ]
 
 __version__ = "0.1.0"

@@ -155,10 +155,9 @@ def _field_error(config: dict) -> tuple[str, str] | None:
         j, k = config["j"], config["k"]
         if j > k:
             return "j", "the residue j must not exceed the step k"
-        # randomized.decoupling_ratio needs a cube of sublattice(j, k) with
-        # level + l <= L - 1; the shallowest level of that sublattice is -j mod (k + 1)
-        if -j % (k + 1) + min(config["l"], k) > config["L"] - 1:
-            return "L", "no cube of the sublattice leaves room for l more levels"
+        # run_decouple takes l up to k
+        if not rz.decoupling_levels(config["L"], j, k, min(config["l"], k)):
+            return "L", "no decoupling level leaves room for l more levels"
 
 
 def load_config(command: str, path: str | None, seed_override: int | None) -> dict:
@@ -272,20 +271,18 @@ def run_rad_suite(config, out, fmt):
         es = np.array([[_gaussian(rng, N) for _ in range(4)] for _ in range(2)])
         aks = rng.uniform(size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
         products.append((es, aks, [3.0, 3.0, 3.0], rz.SignEnsemble(4)))
+    # one random function per cube, zero off its cube; on this unshifted lattice the
+    # aligned cells of cell_cubes are the physical ones
     lat = lt.build_lattice(1, 3)
-    fqs = {}
-    for lv, idx in ((0, (0,)), (1, (0,)), (2, (3,))):
-        Q = lt.Cube(lv, idx)
-        g = lt.random_grid_function(lat, seed=int(rng.integers(2 ** 32)), scalar=True)
-        mask = np.zeros(lat.num_cells)
-        w = 1 << (lat.depth - lv)
-        mask[idx[0] * w:(idx[0] + 1) * w] = 1.0
-        fqs[Q] = lt.GridFunction(lat, g.values * mask)
+    level, index = np.array([0, 1, 2]), np.array([[0], [0], [3]])
+    gs = [lt.random_grid_function(lat, seed=int(rng.integers(2 ** 32)), scalar=True) for _ in level]
+    fqs = np.stack([g.values * (lt.cell_cubes(lat, lv) == i)
+                    for g, lv, (i,) in zip(gs, level, index)])
 
     con, con_evals = cr.contraction(contractions)
     prod, prod_evals = cr.product_bound(products)
     mom, mom_evals = cr.moment_band(moments, band)
-    stein, stein_eval = cr.conditional_expectation_band(fqs, band)
+    stein, stein_eval = cr.conditional_expectation_band(lat, fqs, level, index, band)
     # each trial made two moment cases, a contraction and a product bound
     names = ("moment-comparison", "moment-comparison", "contraction", "randomized-product-bound")
     per_trial = zip(mom_evals[0::2], mom_evals[1::2], con_evals, prod_evals)

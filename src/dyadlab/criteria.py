@@ -113,22 +113,21 @@ def martingale_telescoping(f: lt.GridFunction) -> dict:
 
 def projection_algebra(f: lt.GridFunction) -> dict:
     """Delta_Q Delta_Q = Delta_Q, E_Q Delta_Q = 0 and Delta_R Delta_Q = 0
-    for every pair R != Q.  The Delta_Q f of a level's cubes are stacked
-    along a value axis, at most ``_CHUNK_BYTES`` at a time, and each stack
-    is projected onto every level at once."""
+    for every pair R != Q.  A level's Delta f is split by the cube of each
+    cell (``lattice.cell_cubes``) into stacks of Delta_Q f along a value
+    axis, ``_CHUNK_BYTES`` at most, each projected onto every level at once."""
     lat = f.lattice
+    d = lat.dim
     err = 0.0
     for lv in range(lat.depth):
         diffs = lt.level_blocks(f, lv)[1]
-        cubes = list(lat.cubes(lv))
+        ones = (1,) * (diffs.ndim - d)  # one axis per value axis
+        cell_cube = lt.cell_cubes(lat, lv).reshape(diffs.shape[:d] + (1,) + ones)
+        cubes = 1 << (lv * d)
         rows = max(1, _CHUNK_BYTES // diffs.nbytes)
-        for start in range(0, len(cubes), rows):
-            chunk = cubes[start:start + rows]
-            dq = np.zeros(diffs.shape[:lat.dim] + (len(chunk),) + diffs.shape[lat.dim:],
-                          dtype=np.complex128)
-            for i, Q in enumerate(chunk):
-                blk = lt._cell_block(lat, Q)
-                dq[blk + (i,)] = diffs[blk]
+        for start in range(0, cubes, rows):
+            chunk = np.arange(start, min(start + rows, cubes)).reshape((-1,) + ones)
+            dq = np.where(cell_cube == chunk, np.expand_dims(diffs, d), 0)
             g = lt.from_aligned(lat, dq)
             for m in range(lat.depth):
                 expect, delta = lt.level_blocks(g, m)
@@ -241,9 +240,11 @@ def moment_band(cases: list, band: float) -> tuple[dict, list]:
                   [(r, _in_band(r, band)) for r in ratios], band=band)
 
 
-def conditional_expectation_band(fqs: dict, band: float) -> tuple[dict, tuple]:
-    """Stein-type comparison at p = 3; returns the record and (ratio, holds)."""
-    lhs, rhs = rz.stein_check(fqs, 3.0, 2.0, rz.SignEnsemble(len(fqs)))
+def conditional_expectation_band(lat: lt.Lattice, values: np.ndarray, level, index,
+                                 band: float) -> tuple[dict, tuple]:
+    """Stein-type comparison at p = 3 of the cube functions of
+    ``randomized.stein_check``; returns the record and (ratio, holds)."""
+    lhs, rhs = rz.stein_check(lat, values, level, index, 3.0, 2.0, rz.SignEnsemble(len(level)))
     ratio = lhs / rhs if rhs else 0.0
     return (record("conditional-expectation-band", BAND, ratio <= band, band=band),
             (ratio, ratio <= band))

@@ -167,10 +167,13 @@ class GridFunction:
     coordinates (axis a indexes the a-th coordinate, row-major).  The
     value shape is () for scalars, (N, N) for matrix values and any
     longer tuple ending in (N, N) for nested (mixed-norm) values.
+    Real float64 values stay real; every other dtype becomes complex128.
     """
 
     def __init__(self, lattice: Lattice, values: np.ndarray):
-        values = np.asarray(values, dtype=np.complex128)
+        values = np.asarray(values)
+        if values.dtype != np.float64:
+            values = values.astype(np.complex128, copy=False)
         grid_shape = (lattice.cells_per_axis,) * lattice.dim
         if values.shape[:lattice.dim] != grid_shape:
             raise ValueError(f"values grid shape {values.shape} does not match lattice {grid_shape}")
@@ -234,7 +237,7 @@ def _roll(values: np.ndarray, lat: Lattice, sign: int) -> np.ndarray:
 
 
 def from_aligned(lat: Lattice, aligned: np.ndarray) -> GridFunction:
-    return GridFunction(lat, _roll(np.asarray(aligned, dtype=np.complex128), lat, +1))
+    return GridFunction(lat, _roll(np.asarray(aligned), lat, +1))
 
 
 def _cell_block(lat: Lattice, Q: Cube):
@@ -265,13 +268,6 @@ def pairing(f: GridFunction, g: GridFunction):
         raise ValueError("grid functions live on different lattices")
     gv = g.values.reshape(g.values.shape + (1,) * len(f.value_shape))
     return (f.values * gv).sum(axis=grid_axes(lat)) * lat.cell_volume
-
-
-def l2_inner(f: GridFunction, g: GridFunction) -> complex:
-    """L^2 inner product of scalar functions, conjugating the second slot."""
-    if f.value_shape != () or g.value_shape != ():
-        raise ValueError("l2_inner is for scalar functions")
-    return complex((f.values * np.conj(g.values)).sum() * f.lattice.cell_volume)
 
 
 def random_grid_function(lat: Lattice, N: int = 1, seed: int = 0,
@@ -407,6 +403,14 @@ def level_blocks(f: GridFunction, level: int,
     return coarse, _expand(_block_means(a, w // 2, d), w // 2, d) - coarse
 
 
+def cell_cubes(lat: Lattice, level: int) -> np.ndarray:
+    """The cube of each aligned cell at one level, as its position in
+    ``Lattice.cubes(level)``: an integer array of the grid's shape."""
+    m = 1 << level
+    return _expand(np.arange(m ** lat.dim).reshape((m,) * lat.dim), 1 << (lat.depth - level),
+                   lat.dim)
+
+
 def _block_means(a: np.ndarray, w: int, d: int) -> np.ndarray:
     """Mean over contiguous blocks of width w along the first d axes."""
     shape = a.shape
@@ -424,21 +428,6 @@ def _expand(a: np.ndarray, w: int, d: int) -> np.ndarray:
     for ax in range(d):
         a = np.repeat(a, w, axis=ax)
     return a
-
-
-def sublattice(lat: Lattice, j: int, k: int) -> list[Cube]:
-    """Cubes whose side length is 2^(m(k+1)+j) for some integer m.
-
-    With side lengths 2^-level this selects the levels congruent to -j
-    modulo k+1, intersected with 0..L.
-    """
-    if not 0 <= j <= k:
-        raise ValueError("need 0 <= j <= k")
-    out = []
-    for lv in range(lat.depth + 1):
-        if (-lv) % (k + 1) == j % (k + 1):
-            out.extend(lat.cubes(lv))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ class ParaproductSpec:
     """
 
     def __init__(self, lattice: Lattice, n: int, haar_position: int,
-                 coeffs: CoeffTable, check: bool = True):
+                 coeffs: CoeffTable):
         if n < 1:
             raise ValueError("linearity must be >= 1")
         if not 1 <= haar_position <= n + 1:
@@ -223,10 +223,9 @@ class ParaproductSpec:
         self.lattice = lattice
         self.n = n
         self.haar_position = haar_position
-        if check:
-            c = self.carleson_constant()
-            if c > 1.0 + 1e-9:
-                raise ValueError(f"coefficients violate the Carleson condition ({c})")
+        c = self.carleson_constant()
+        if c > 1.0 + 1e-9:
+            raise ValueError(f"coefficients violate the Carleson condition ({c})")
 
     def carleson_constant(self) -> float:
         """Sup over all lattice cubes K0 of the normalized square function."""

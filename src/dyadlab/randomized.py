@@ -17,19 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (
-    Cube,
     GridFunction,
+    _heap_size,
     Lattice,
-    _cell_block,
-    expect,
+    cell_cubes,
     from_aligned,
     grid_axes,
     level_blocks,
     lp_norm,
-    martingale_diff,
     power_mean,
     scalar_pow,
-    sublattice,
 )
 # schatten_norms is not called here, but perfbench's span test reads it in this namespace
 from .ncspaces import (chain, conjugate_exponent, schatten_norm, schatten_norms,  # noqa: F401
@@ -126,34 +123,45 @@ def contraction_check(xs: Sequence, coeffs: Sequence[float], schatten: float,
 # conditional expectations
 # ---------------------------------------------------------------------------
 
-def stein_check(fqs: dict[Cube, GridFunction], p: float, schatten: float,
+def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatten: float,
                 ens: SignEnsemble) -> tuple[float, float]:
     """Compare E || sum eps_Q E_Q f_Q ||_{L^p(X; S^schatten)} with the same
-    moment of the raw sum.  Each f_Q must be supported in its cube."""
-    if not fqs:
-        raise ValueError("need at least one cube function")
-    cubes = sorted(fqs.keys(), key=lambda Q: (Q.level, Q.index))
-    lat = fqs[cubes[0]].lattice
-    for Q, f in fqs.items():
-        if f.lattice != lat:
-            raise ValueError("functions live on different lattices")
-        outside = f.aligned().copy()
-        outside[_cell_block(lat, Q)] = 0.0
-        if np.abs(outside).max(initial=0.0) > 1e-12 * max(1.0, np.abs(f.values).max()):
-            raise ValueError(f"function attached to {Q} is not supported in it")
-    eps = _patterns_for(ens, len(cubes))
-    raw = np.stack([fqs[Q].values for Q in cubes])
-    avg = np.stack([expect(fqs[Q], Q).values for Q in cubes])
-    lhs_vals = np.tensordot(eps, avg, axes=(1, 0))
-    rhs_vals = np.tensordot(eps, raw, axes=(1, 0))
-    lhs = float(np.mean(lp_norm(lhs_vals, p, schatten, lat)))
-    rhs = float(np.mean(lp_norm(rhs_vals, p, schatten, lat)))
-    return lhs, rhs
+    moment of the raw sum.
+
+    ``values`` stacks the functions f_Q, shape (M,) + grid + value shape
+    as ``lp_norm`` takes a batch; row i belongs to the cube (level[i],
+    index[i]) and must be supported in it.  The rows take their signs in
+    the order of their cubes by level, then index."""
+    level = np.asarray(level)
+    index = np.reshape(index, (len(level), lat.dim))
+    if len(level) == 0 or len(values) != len(level):
+        raise ValueError("need one function per cube, and at least one cube")
+    raw, avg = [], []
+    for i in np.lexsort(tuple(index.T[::-1]) + (level,)):
+        f, lv = GridFunction(lat, values[i]), int(level[i])
+        inside = cell_cubes(lat, lv) == np.ravel_multi_index(index[i], (1 << lv,) * lat.dim)
+        inside = inside.reshape(inside.shape + (1,) * len(f.value_shape))
+        if np.abs(np.where(inside, 0, f.aligned())).max() > 1e-12 * max(1, np.abs(f.values).max()):
+            raise ValueError(f"function {i} is not supported in its cube")
+        raw.append(f.values)
+        avg.append(from_aligned(lat, np.where(inside, level_blocks(f, lv)[0], 0)).values)
+    eps = _patterns_for(ens, len(level))
+    sums = [np.tensordot(eps, np.stack(x), axes=(1, 0)) for x in (avg, raw)]
+    return tuple(float(np.mean(lp_norm(v, p, schatten, lat))) for v in sums)
 
 
 # ---------------------------------------------------------------------------
 # decoupling
 # ---------------------------------------------------------------------------
+
+def decoupling_levels(depth: int, j: int, k: int, l: int) -> list[int]:
+    """Cube levels of decoupling at step k, residue j and order l: the
+    separated subcollection (side lengths 2^(m(k+1)+j), m an integer, so
+    levels congruent to -j mod k+1) where Delta^l exists, level + l <= depth - 1."""
+    if not 0 <= j <= k:
+        raise ValueError("need 0 <= j <= k")
+    return [lv for lv in range(depth - l) if (lv + j) % (k + 1) == 0]
+
 
 @dataclass(frozen=True)
 class DecouplingSampler:
@@ -162,20 +170,14 @@ class DecouplingSampler:
     lattice: Lattice
     seed: int = 0
 
-    def draws(self, cubes: Sequence[Cube], count: int) -> np.ndarray:
-        """Array (count, len(cubes)) of within-cube cell offsets."""
+    def draws(self, levels: Sequence[int], count: int) -> np.ndarray:
+        """Array (count, cubes) of within-cube flat cell offsets, a column
+        per cube of the levels in turn (``Lattice.cubes(level)`` order): the
+        stream of one ``integers(0, cells, size=count)`` per cube, in one draw per level."""
         rng = np.random.default_rng(self.seed)
-        lat = self.lattice
-        sizes = [1 << ((lat.depth - Q.level) * lat.dim) for Q in cubes]
-        cols = [rng.integers(0, s, size=count) for s in sizes]
-        return np.stack(cols, axis=1) if cols else np.zeros((count, 0), dtype=int)
-
-    def cell_of(self, Q: Cube, offset: int) -> tuple:
-        """Aligned cell multi-index for a within-cube flat offset."""
-        lat = self.lattice
-        w = 1 << (lat.depth - Q.level)
-        rel = np.unravel_index(int(offset), (w,) * lat.dim)
-        return tuple(i * w + r for i, r in zip(Q.index, rel))
+        d, L = self.lattice.dim, self.lattice.depth
+        return np.concatenate([rng.integers(0, 1 << ((L - lv) * d), size=(1 << (lv * d), count))
+                               for lv in levels]).T
 
 
 def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
@@ -186,36 +188,39 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
 
     Returns (ratio, stderr of the ratio).  Cubes run over the separated
     subcollection of step k and residue j, restricted to those where
-    Delta^l exists on the lattice; both sides zero reports ratio 1.
-    Values are normed in S^schatten.
+    Delta^l exists on the lattice (``decoupling_levels``); both sides zero
+    reports ratio 1.  Values are normed in S^schatten.
 
     The samples are taken in chunks of at most ``_CHUNK_BYTES`` of
-    accumulator: per chunk, one gather per cube reads each sample's
-    point of Delta_Q^l f (offsets become aligned cells by
-    ``np.unravel_index`` on arrays), the signed values are added into a
-    (samples, cells..., value) accumulator cube by cube, and one batched
-    ``lp_norm`` takes the norms.  ``_decoupling_ratio_per_sample``, one
-    sample and one cube at a time, is its oracle: the two agree bit for
-    bit.
+    accumulator.  Per chunk and level, one gather reads each sample's point
+    of Delta_Q^l f in every cube Q of the level, and one add spreads the
+    signed values over the cubes' blocks of the (samples, cells..., value)
+    accumulator; one batched ``lp_norm`` takes the norms.  The oracle
+    ``_decoupling_ratio_per_sample`` agrees bit for bit.
     """
-    lat, cubes, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
-                                                                sampler, ens)
+    lat, levels, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
+                                                                 sampler, ens)
     count = len(offsets)
-    grid = (lat.cells_per_axis,) * lat.dim
-    vs = f.value_shape
+    d, vs = lat.dim, f.value_shape
     rows = max(1, _CHUNK_BYTES // (lat.num_cells * int(np.prod(vs, dtype=int)) * 16))
     vals = np.empty(count)
     for a in range(0, count, rows):
         b = min(a + rows, count)
-        acc = np.zeros((b - a,) + grid + vs, dtype=np.complex128)
-        for c, Q in enumerate(cubes):
-            w = 1 << (lat.depth - Q.level)
-            rel = np.unravel_index(offsets[a:b, c], (w,) * lat.dim)
-            v = diffs[Q.level][tuple(i * w + r for i, r in zip(Q.index, rel))]
-            v = signs[a:b, c].reshape((-1,) + (1,) * len(vs)) * v
-            acc[(slice(None),) + _cell_block(lat, Q)] += v.reshape((-1,) + (1,) * lat.dim + vs)
+        acc = np.zeros((b - a,) + (lat.cells_per_axis,) * d + vs, dtype=np.complex128)
+        first = 0
+        for lv in levels:
+            m, w = 1 << lv, 1 << (lat.depth - lv)
+            cols = slice(first, first + m ** d)
+            first += m ** d
+            # sample s of the q-th cube reads cell (cube index) * w + (offset position)
+            cells = zip(np.unravel_index(np.arange(m ** d), (m,) * d),
+                        np.unravel_index(offsets[a:b, cols], (w,) * d))
+            v = diffs[lv][tuple(i * w + r for i, r in cells)]
+            v = signs[a:b, cols].reshape((b - a, -1) + (1,) * len(vs)) * v
+            # axis 2t + 1 of the view runs over the cube's cells along axis t
+            acc.reshape((b - a,) + (m, w) * d + vs)[...] += v.reshape((b - a,) + (m, 1) * d + vs)
         if any(lat.shift_cells):  # back to physical cells, as from_aligned does
-            acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, lat.dim + 1)))
+            acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, d + 1)))
         vals[a:b] = scalar_pow(lp_norm(acc, p, schatten, lat), p)
     return _ratio(lhs, vals)
 
@@ -223,42 +228,47 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
 def _decoupling_ratio_per_sample(f: GridFunction, j: int, k: int, l: int, p: float,
                                  schatten: float, sampler: DecouplingSampler,
                                  ens: SignEnsemble) -> tuple[float, float]:
-    """Oracle of ``decoupling_ratio``: one sample and one cube at a time."""
-    lat, cubes, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
-                                                                sampler, ens)
+    """Oracle of ``decoupling_ratio``: one sample and one cube at a time,
+    each cube's cells worked out from its level and index."""
+    lat, levels, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
+                                                                 sampler, ens)
+    d = lat.dim
+    cubes = [(lv, idx) for lv in levels for idx in np.ndindex(*(1 << lv,) * d)]
     vals = np.empty(len(offsets))
-    shape = (lat.cells_per_axis,) * lat.dim + f.value_shape
+    shape = (lat.cells_per_axis,) * d + f.value_shape
     for i in range(len(offsets)):
         acc = np.zeros(shape, dtype=np.complex128)
-        for c, Q in enumerate(cubes):
-            v = diffs[Q.level][sampler.cell_of(Q, offsets[i, c])]
-            acc[_cell_block(lat, Q)] += signs[i, c] * v
+        for c, (lv, idx) in enumerate(cubes):
+            w = 1 << (lat.depth - lv)
+            rel = np.unravel_index(int(offsets[i, c]), (w,) * d)
+            v = diffs[lv][tuple(q * w + r for q, r in zip(idx, rel))]
+            acc[tuple(slice(q * w, (q + 1) * w) for q in idx)] += signs[i, c] * v
         vals[i] = lp_norm(from_aligned(lat, acc), p, schatten) ** p
     return _ratio(lhs, vals)
 
 
 def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
     """What both forms of ``decoupling_ratio`` start from: the lattice,
-    the cubes, Delta^l f of each cube level (``level_blocks``: cube Q's
-    block of ``diffs[Q.level]`` holds the aligned Delta_Q^l f), the
+    the cube levels, Delta^l f of each level (``level_blocks``: cube Q's
+    block of ``diffs[level of Q]`` holds the aligned Delta_Q^l f), the
     plain side, and the sampled offsets and signs (one row per sample,
-    one column per cube)."""
+    one column per cube, as ``DecouplingSampler.draws`` orders them)."""
     if l > k:
         raise ValueError("need l <= k")
     lat = f.lattice
     if sampler.lattice != lat:
         raise ValueError("sampler lattice mismatch")
-    cubes = [Q for Q in sublattice(lat, j, k) if Q.level + l <= lat.depth - 1]
-    if not cubes:
+    levels = decoupling_levels(lat.depth, j, k, l)
+    if not levels:
         raise ValueError("no admissible cubes at this depth")
-    diffs = {lv: level_blocks(f, lv, l)[1] for lv in sorted({Q.level for Q in cubes})}
+    diffs = {lv: level_blocks(f, lv, l)[1] for lv in levels}
     lhs = lp_norm(from_aligned(lat, sum(diffs.values())), p, schatten) ** p
 
     count = ens.samples
     rng = np.random.default_rng(ens.seed + 1)
-    offsets = sampler.draws(cubes, count)
-    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(count, len(cubes)))
-    return lat, cubes, diffs, lhs, offsets, signs
+    offsets = sampler.draws(levels, count)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=offsets.shape)
+    return lat, levels, diffs, lhs, offsets, signs
 
 
 def _ratio(lhs: float, vals: np.ndarray) -> tuple[float, float]:
@@ -334,21 +344,25 @@ def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
                                ens: SignEnsemble) -> float:
     """Worst sign-pattern ratio || sum eps_Q Delta_Q f || / || f - <f> ||
     in L^p(X; S^schatten), over the ensemble patterns (cubes above the
-    finest level, ordered by level then index)."""
-    lat = f.lattice
-    cubes = [Q for lv in range(lat.depth) for Q in lat.cubes(lv)]
-    if len(cubes) > ens.M:
+    finest level, ordered by level then index).  A chunk of patterns at a
+    time, each level's Delta f (``level_blocks``) is multiplied cell by cell
+    by the sign of the cell's cube (``cell_cubes``), in aligned cells."""
+    lat, d = f.lattice, f.lattice.dim
+    # column of each cell's cube in the patterns, level by level, with one
+    # axis for each value axis
+    shape = f.values.shape[:d] + (1,) * len(f.value_shape)
+    cols = [(_heap_size(lv - 1, d) + cell_cubes(lat, lv)).reshape(shape) for lv in range(lat.depth)]
+    if cols[-1].max() >= ens.M:
         raise ValueError("ensemble too small for the cube count")
-    diffs = np.stack([martingale_diff(f, Q).values for Q in cubes])
+    deltas = [level_blocks(f, lv)[1] for lv in range(lat.depth)]
     base = f.values - np.mean(f.values, axis=grid_axes(lat), keepdims=True)
     den = lp_norm(GridFunction(lat, base), p, schatten)
     if den == 0.0:
         return 1.0
-    eps = ens.patterns()[:, : len(cubes)]
-    rows = max(1, _CHUNK_BYTES // diffs[0].nbytes)
+    eps = ens.patterns()
+    rows = max(1, _CHUNK_BYTES // deltas[0].nbytes)
     worst = 0.0
     for a in range(0, len(eps), rows):
-        v = np.tensordot(eps[a:a + rows], diffs, axes=(1, 0))
+        v = sum(eps[a:a + rows, c] * delta for c, delta in zip(cols, deltas))
         worst = max(worst, float(lp_norm(v, p, schatten, lat).max(initial=0.0)))
     return worst / den
-

@@ -80,7 +80,7 @@ def test_haar_l2_normalized(rng):
     for Q, eta in [(dl.Cube(0, (0, 0)), 3), (dl.Cube(2, (1, 3)), 1),
                    (dl.Cube(1, (0, 1)), 2), (dl.Cube(3, (5, 2)), 0)]:
         h = dl.haar(lat, (Q, eta))
-        assert dl.l2_inner(h, h) == pytest.approx(1.0, abs=1e-12)
+        assert (np.abs(h.values) ** 2).sum() * lat.cell_volume == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthonormality_small_lattices():
@@ -269,15 +269,14 @@ def test_haar_level_memory_follows_the_result():
     assert peak <= 1.25 * stack.nbytes
 
 
-def test_sublattice_residues():
-    lat = dl.build_lattice(1, 5)
-    levels = sorted({Q.level for Q in dl.sublattice(lat, 1, 2)})
-    assert levels == [2, 5]
-    # j = 0, k = 0 gives everything
-    assert len(dl.sublattice(lat, 0, 0)) == sum(2 ** l for l in range(6))
-    # residues partition the levels
-    seen = sorted(Q.level for j in range(3) for Q in dl.sublattice(lat, j, 2))
-    assert seen == sorted(Q.level for Q in lat.cubes())
+@pytest.mark.parametrize("lat", [dl.build_lattice(1, 4), dl.build_lattice(2, 3, (0.25, 0.5))],
+                         ids=["d1", "d2-shifted"])
+def test_cell_cubes_number_the_cubes_in_heap_order(lat):
+    for lv in range(lat.depth + 1):
+        for q, Q in enumerate(lat.cubes(lv)):
+            inside = np.zeros((lat.cells_per_axis,) * lat.dim, dtype=bool)
+            inside[_cell_block(lat, Q)] = True
+            assert np.array_equal(lt.cell_cubes(lat, lv) == q, inside)
 
 
 def test_shift_equivariance():

@@ -5,7 +5,8 @@ import pytest
 
 import dyadlab as dl
 from dyadlab import randomized as rz
-from dyadlab.lattice import _cell_block
+from dyadlab import cli
+from dyadlab.lattice import _cell_block, from_aligned
 from conftest import random_matrix
 
 
@@ -69,62 +70,106 @@ def test_contraction_rejects_bad_p(rng):
         rz.contraction_check([1.0], [1.0], 2.0, 0.5, rz.SignEnsemble(1))
 
 
-def _supported(lat, Q, seed):
-    g = dl.random_grid_function(lat, seed=seed, scalar=True)
+def _supported(lat, level, index, seed, N=None):
+    """Random values, scalar or N x N, that vanish off the cube (level, index)."""
+    g = dl.random_grid_function(lat, N=N or 1, seed=seed, scalar=N is None)
     mask = np.zeros((lat.cells_per_axis,) * lat.dim)
-    mask[_cell_block(lat, Q)] = 1.0
-    return dl.GridFunction(lat, g.values * mask)
+    mask[_cell_block(lat, dl.Cube(level, tuple(index)))] = 1.0
+    mask = from_aligned(lat, mask).values
+    return g.values * mask.reshape(mask.shape + (1,) * len(g.value_shape))
+
+
+def _stein(lat, cubes, p, seeds, N=None):
+    values = np.stack([_supported(lat, lv, ix, seed, N) for (lv, ix), seed in zip(cubes, seeds)])
+    level, index = [lv for lv, _ in cubes], [ix for _, ix in cubes]
+    return rz.stein_check(lat, values, level, index, p, 2.0, rz.SignEnsemble(len(cubes)))
+
+
+def _stein_per_cube(lat, values, level, index, p, schatten, ens):
+    """stein_check as a dict of cube functions: E_Q f_Q from ``expect`` on
+    each cube, the cubes sorted by (level, index)."""
+    fqs = {dl.Cube(int(lv), tuple(int(i) for i in ix)): dl.GridFunction(lat, v)
+           for v, lv, ix in zip(values, level, index)}
+    cubes = sorted(fqs, key=lambda Q: (Q.level, Q.index))
+    eps = ens.patterns()[:, :len(cubes)]
+    raw = np.stack([fqs[Q].values for Q in cubes])
+    avg = np.stack([dl.expect(fqs[Q], Q).values for Q in cubes])
+    return tuple(float(np.mean(dl.lp_norm(np.tensordot(eps, x, axes=(1, 0)), p, schatten, lat)))
+                 for x in (avg, raw))
 
 
 def test_stein_single_constant_cube():
     lat = dl.build_lattice(1, 3)
-    Q = lat.top()
-    c = dl.GridFunction(lat, np.full(8, 1.5))
-    lhs, rhs = rz.stein_check({Q: c}, 2.0, 2.0, rz.SignEnsemble(1))
+    c = np.full((1, 8), 1.5)
+    lhs, rhs = rz.stein_check(lat, c, [0], [[0]], 2.0, 2.0, rz.SignEnsemble(1))
     assert lhs == pytest.approx(rhs)
 
 
-def test_stein_disjoint_p2(rng):
+def test_stein_disjoint_p2():
     lat = dl.build_lattice(1, 3)
-    fqs = {dl.Cube(1, (0,)): _supported(lat, dl.Cube(1, (0,)), 1),
-           dl.Cube(1, (1,)): _supported(lat, dl.Cube(1, (1,)), 2)}
-    lhs, rhs = rz.stein_check(fqs, 2.0, 2.0, rz.SignEnsemble(2))
+    lhs, rhs = _stein(lat, [(1, (0,)), (1, (1,))], 2.0, [1, 2])
     assert lhs <= rhs + 1e-12
 
 
-def test_stein_nested_recorded_ratio(rng):
+def test_stein_nested_recorded_ratio():
     lat = dl.build_lattice(1, 3)
-    fqs = {dl.Cube(0, (0,)): _supported(lat, dl.Cube(0, (0,)), 3),
-           dl.Cube(1, (0,)): _supported(lat, dl.Cube(1, (0,)), 4)}
-    lhs, rhs = rz.stein_check(fqs, 3.0, 2.0, rz.SignEnsemble(2))
+    lhs, rhs = _stein(lat, [(0, (0,)), (1, (0,))], 3.0, [3, 4])
     assert rhs > 0 and lhs / rhs < 10.0
 
 
-def test_stein_matrix_valued_band(rng):
+def test_stein_matrix_valued_band():
     lat = dl.build_lattice(1, 3)
-    fqs = {}
-    for lv, idx, seed in ((0, (0,), 10), (1, (1,), 11), (2, (1,), 12)):
-        Q = dl.Cube(lv, idx)
-        g = dl.random_grid_function(lat, N=2, seed=seed)
-        mask = np.zeros(8)
-        mask[_cell_block(lat, Q)] = 1.0
-        fqs[Q] = dl.GridFunction(lat, g.values * mask[:, None, None])
-    lhs, rhs = rz.stein_check(fqs, 3.0, 2.0, rz.SignEnsemble(3))
+    lhs, rhs = _stein(lat, [(0, (0,)), (1, (1,)), (2, (1,))], 3.0, [10, 11, 12], N=2)
     assert rhs > 0 and lhs / rhs < 10.0
+
+
+@pytest.mark.parametrize("p, schatten", [(3.0, 2.0), (1.5, 4.0)])
+def test_stein_matches_the_per_cube_expectations(p, schatten):
+    # d = 2 on a shifted lattice with matrix values; the cubes are not
+    # given in (level, index) order
+    lat = dl.build_lattice(2, 3, (0.25, 0.625))
+    cubes = [(2, (3, 1)), (0, (0, 0)), (1, (1, 0)), (2, (0, 2)), (1, (0, 1))]
+    values = np.stack([_supported(lat, lv, ix, 30 + i, N=2) for i, (lv, ix) in enumerate(cubes)])
+    level, index = np.array([lv for lv, _ in cubes]), np.array([ix for _, ix in cubes])
+    ens = rz.SignEnsemble(len(cubes))
+    got = rz.stein_check(lat, values, level, index, p, schatten, ens)
+    assert got == _stein_per_cube(lat, values, level, index, p, schatten, ens)
+    assert got[1] > 0 and got[0] != got[1]
 
 
 def test_stein_rejects_unsupported():
-    lat = dl.build_lattice(1, 3)
-    g = dl.random_grid_function(lat, seed=5, scalar=True)
-    with pytest.raises(ValueError):
-        rz.stein_check({dl.Cube(1, (0,)): g}, 2.0, 2.0, rz.SignEnsemble(1))
+    for lat in (dl.build_lattice(1, 3), dl.build_lattice(2, 3, (0.25, 0.5))):
+        cube = (0,) * lat.dim
+        g = dl.random_grid_function(lat, seed=5, scalar=True).values
+        check = lambda v: rz.stein_check(lat, v[None], [1], [cube], 2.0, 2.0, rz.SignEnsemble(1))
+        with pytest.raises(ValueError, match="not supported"):
+            check(g)
+        mask = np.zeros(g.shape)
+        mask[_cell_block(lat, dl.Cube(1, cube))] = 1.0
+        check(g * from_aligned(lat, mask).values)
+        if any(lat.shift_cells):
+            # zero off the cube's block of aligned cells, but not rolled onto
+            # the shifted grid: the physical block is another one
+            with pytest.raises(ValueError, match="not supported"):
+                check(g * mask)
+
+
+@pytest.mark.parametrize("d, L, levels", [(1, 5, [0, 2, 4]), (2, 3, [0, 1, 2])])
+def test_sampler_draws_one_stream_per_cube_in_heap_order(d, L, levels):
+    lat = dl.build_lattice(d, L, 3)
+    count = 37
+    rng = np.random.default_rng(11)
+    ref = [rng.integers(0, 2 ** ((L - lv) * d), size=count)
+           for lv in levels for _ in lat.cubes(lv)]
+    got = rz.DecouplingSampler(lat, seed=11).draws(levels, count)
+    assert got.shape == (count, len(ref))
+    assert np.array_equal(got, np.stack(ref, axis=1))
 
 
 def test_sampler_marginal_uniform():
     lat = dl.build_lattice(1, 4)
     samp = rz.DecouplingSampler(lat, seed=0)
-    Q = lat.top()
-    draws = samp.draws([Q], 20_000)[:, 0]
+    draws = samp.draws([0], 20_000)[:, 0]
     counts = np.bincount(draws, minlength=16)
     expected = 20_000 / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -203,13 +248,38 @@ def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, 
     f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
     samp = rz.DecouplingSampler(lat, seed=4)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=6)
-    _, cubes, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
+    _, levels, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
+    cubes = [Q for lv in levels for Q in lat.cubes(lv)]
     per_cube = [dl.martingale_diff(f, Q, jkl[2]) for Q in cubes]
     for Q, g in zip(cubes, per_cube):
         block = _cell_block(lat, Q)
         assert np.abs(diffs[Q.level][block] - g.aligned()[block]).max() <= 1e-12
     total = sum(per_cube[1:], per_cube[0])
     assert abs(lhs - dl.lp_norm(total, 3.0, 2.0) ** 3.0) <= 1e-12 * max(1.0, lhs)
+
+
+def test_decoupling_levels_residues():
+    assert rz.decoupling_levels(6, 1, 2, 0) == [2, 5]
+    assert rz.decoupling_levels(6, 1, 2, 1) == [2]
+    with pytest.raises(ValueError):
+        rz.decoupling_levels(4, 2, 1, 0)
+    for L in range(1, 7):
+        for k in range(5):
+            # the residues j = 0..k partition the levels that leave room for l more
+            for l in range(k + 1):
+                seen = sorted(lv for j in range(k + 1) for lv in rz.decoupling_levels(L, j, k, l))
+                assert seen == list(range(L - l))
+            for j in range(k + 1):
+                for l in range(6):
+                    # cubes of side 2^(m(k+1)+j), m an integer, where Delta^l exists
+                    side = [lv for lv in range(L + 1) if lv + l <= L - 1
+                            and any(-lv == m * (k + 1) + j for m in range(-L - 1, 1))]
+                    assert rz.decoupling_levels(L, j, k, l) == side
+                    # decouple reads l up to k; its config fails at load without a level
+                    error = cli._field_error({"L": L, "j": j, "k": k, "l": l})
+                    assert (error is not None) == (not rz.decoupling_levels(L, j, k, min(l, k)))
+                    assert error in (None, ("L", "no decoupling level leaves room for l more "
+                                                  "levels"))
 
 
 def test_decoupling_validates_levels():
@@ -276,3 +346,27 @@ def test_martingale_transform_statistic():
     assert stat == pytest.approx(1.0, abs=1e-10)
     stat3 = rz.martingale_transform_ratio(f, 3.0, 2.0, rz.SignEnsemble(7))
     assert stat3 >= 1.0 - 1e-12
+
+
+def _transform_ratio_per_cube(f, p, schatten, ens):
+    """martingale_transform_ratio with Delta_Q f from ``martingale_diff`` on each cube."""
+    lat = f.lattice
+    cubes = [Q for lv in range(lat.depth) for Q in lat.cubes(lv)]
+    diffs = np.stack([dl.martingale_diff(f, Q).values for Q in cubes])
+    base = f.values - f.values.mean(axis=tuple(range(lat.dim)), keepdims=True)
+    den = dl.lp_norm(dl.GridFunction(lat, base), p, schatten)
+    signed = np.tensordot(ens.patterns()[:, :len(cubes)], diffs, axes=(1, 0))
+    return float(dl.lp_norm(signed, p, schatten, lat).max()) / den
+
+
+@pytest.mark.parametrize("L, ens", [
+    (2, rz.SignEnsemble(5)),
+    # 21 cubes: more sample rows than one chunk holds
+    (3, rz.SignEnsemble(21, "monte_carlo", samples=200, seed=1)),
+], ids=["exhaustive", "monte-carlo"])
+def test_martingale_transform_matches_the_per_cube_differences(L, ens):
+    lat = dl.build_lattice(2, L, (0.25, 0.5))
+    f = dl.random_grid_function(lat, N=2, seed=22)
+    got = rz.martingale_transform_ratio(f, 3.0, 2.0, ens)
+    assert got == pytest.approx(_transform_ratio_per_cube(f, 3.0, 2.0, ens), rel=1e-12)
+    assert got > 1.0

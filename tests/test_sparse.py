@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_maximal_monotone(rng):
     mf = sp.multilinear_maximal(f)
     mg = sp.multilinear_maximal(g)
     assert np.all(mf.values.real <= mg.values.real + 1e-13)
+
+
+def test_maximal_is_real():
+    # float() of a complex mean warns (ComplexWarning), so a complex
+    # maximal function would fail here
+    lat = dl.build_lattice(2, 3, (0.25, 0.5))
+    fs = [dl.random_grid_function(lat, seed=s, scalar=True) for s in (1, 2)]
+    mx = sp.multilinear_maximal(fs)
+    assert mx.values.dtype == np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(mx.values.mean()) > 0.0
 
 
 def test_maximal_rejects_empty_and_matrix():
