@@ -110,17 +110,6 @@ class Cube:
                             tuple(2 * i + int(b) for i, b in zip(self.index, e))))
         return out
 
-    def ancestor(self, k: int) -> "Cube":
-        """Q^(k): the ancestor k levels up (k=0 is Q itself)."""
-        if k < 0 or k > self.level:
-            raise ValueError("ancestor level out of range")
-        return Cube(self.level - k, tuple(i >> k for i in self.index))
-
-    def contains(self, other: "Cube") -> bool:
-        if other.level < self.level:
-            return False
-        return other.ancestor(other.level - self.level) == self
-
 
 def build_lattice(d: int, L: int, seed_or_shift=None) -> Lattice:
     """Build a lattice; the optional argument selects the shift.
@@ -286,20 +275,26 @@ def random_grid_function(lat: Lattice, N: int = 1, seed: int = 0,
 # Haar system
 # ---------------------------------------------------------------------------
 
-def mask_to_eta(mask: int, d: int) -> tuple[int, ...]:
-    return tuple((mask >> a) & 1 for a in range(d))
+def _haar_signs(d: int) -> np.ndarray:
+    """The sign of each Haar function on each child of its cube.
+
+    Entry [eta, e] is prod_a (-1)^(eta_a e_a): eta_a is bit a of the eta
+    mask, and the 2^d children e are numbered in C order, so that axis a
+    of child e is bit d - 1 - a (axis 0 is the high bit)."""
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+    return (-1.0) ** (bits @ bits[:, ::-1].T)
 
 
 def haar(lat: Lattice, h: tuple[Cube, int]) -> GridFunction:
-    """The Haar function h_Q^eta of h = (Q, eta) as a grid function (L^2
-    norm 1).
+    """The Haar function h_Q^eta of h = (Q, eta) as a real grid function
+    (L^2 norm 1).
 
     eta is a bitmask in 0..2^d - 1, bit a the sign pattern of axis a:
     eta = 0 gives the non-cancellative h_Q^0 = |Q|^(-1/2) 1_Q, any other
     eta a mean-zero tensor Haar function.  Sign convention per axis: +1
-    on the left half, -1 on the right half, in lattice coordinates.
-    Cancellative indices need children at grid resolution, so level(Q) <
-    L is required when eta != 0.
+    on the left half, -1 on the right half, in lattice coordinates (the
+    table ``_haar_signs``).  Cancellative indices need children at grid
+    resolution, so level(Q) < L is required when eta != 0.
     """
     Q, eta = h
     if Q.dim != lat.dim or Q.level > lat.depth:
@@ -308,42 +303,39 @@ def haar(lat: Lattice, h: tuple[Cube, int]) -> GridFunction:
         raise ValueError(f"eta mask must lie in 0..{(1 << lat.dim) - 1}")
     if eta and Q.level >= lat.depth:
         raise ValueError("cancellative Haar needs level < depth")
-    aligned = np.zeros((lat.cells_per_axis,) * lat.dim, dtype=np.complex128)
-    aligned[_cell_block(lat, Q)] = _haar_patch(lat, Q.level, mask_to_eta(eta, lat.dim))
+    aligned = np.zeros((lat.cells_per_axis,) * lat.dim)
+    aligned[_cell_block(lat, Q)] = _haar_patch(lat, Q.level, eta)
     return from_aligned(lat, aligned)
 
 
 def haar_level(lat: Lattice, level: int) -> np.ndarray:
     """Every cancellative Haar function of one level, built in one pass.
 
-    The result has shape grid + (2^(level d), 2^d - 1) in physical cell
-    coordinates: entry [x][q, eta - 1] is h_Q^eta(x) for the q-th cube Q
-    of ``Lattice.cubes(level)`` and the eta mask 1..2^d - 1, the same
-    values as ``haar``.  Needs level < L.
+    The float64 result has shape grid + (2^(level d), 2^d - 1) in
+    physical cell coordinates: entry [x][q, eta - 1] is h_Q^eta(x) for
+    the q-th cube Q of ``Lattice.cubes(level)`` and the eta mask
+    1..2^d - 1, the same values as ``haar``.  Needs level < L.
     """
     d, L = lat.dim, lat.depth
     if not 0 <= level < L:
         raise ValueError("cancellative Haar needs level < depth")
     n, m, w = 1 << L, 1 << level, 1 << (L - level)
-    patches = np.stack([_haar_patch(lat, level, mask_to_eta(e, d)) for e in range(1, 1 << d)], -1)
+    patches = np.stack([_haar_patch(lat, level, e) for e in range(1, 1 << d)], -1)
     # cell x sits at (x - shift) mod 2^L in lattice order: cube y // w, place y % w in it
     y = (np.indices((n,) * d) - np.reshape(lat.shift_cells, (d,) + (1,) * d)) % n
-    out = np.zeros((n ** d, m ** d, (1 << d) - 1), dtype=np.complex128)
+    out = np.zeros((n ** d, m ** d, (1 << d) - 1))
     out[np.arange(n ** d), np.ravel_multi_index(tuple(y // w), (m,) * d).ravel()] = \
         patches[tuple(y % w)].reshape(n ** d, -1)
     return out.reshape((n,) * d + out.shape[1:])
 
 
-def _haar_patch(lat: Lattice, level: int, eta: tuple[int, ...]) -> np.ndarray:
+def _haar_patch(lat: Lattice, level: int, eta: int) -> np.ndarray:
     """h_Q^eta on the cells of a level-``level`` cube Q, in lattice order."""
-    w = 1 << (lat.depth - level)
-    patch = np.full((w,) * lat.dim, (2.0 ** (-level * lat.dim)) ** (-0.5), dtype=np.complex128)
-    for a, e in enumerate(eta):
-        if e:
-            sign = np.ones(w)
-            sign[w // 2:] = -1.0
-            patch = patch * sign.reshape((1,) * a + (w,) + (1,) * (lat.dim - a - 1))
-    return patch
+    d, w = lat.dim, 1 << (lat.depth - level)
+    scale = (2.0 ** (-level * d)) ** (-0.5)
+    if eta == 0:
+        return np.full((w,) * d, scale)
+    return _expand(_haar_signs(d)[eta].reshape((2,) * d), w // 2, d) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +439,14 @@ def _heap_number(level: np.ndarray, index: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _heap_cubes(depth: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels, shape (#cubes,), and indices, shape (#cubes, d), of the
+    cubes of levels 0..depth in the order of ``Lattice.cubes()``."""
+    level = np.repeat(np.arange(depth + 1), 1 << (d * np.arange(depth + 1)))
+    index = np.concatenate([np.indices((1 << lv,) * d).reshape(d, -1).T for lv in range(depth + 1)])
+    return level, index
+
+
 def _level_views(flat: np.ndarray, depth: int, d: int) -> list[np.ndarray]:
     """Views of an array indexed by heap number, one per level, each of
     shape (2^l,)*d + flat.shape[1:]."""
@@ -474,11 +474,7 @@ class HaarPyramid:
         self.lattice = lat
         self.value_shape = vs
         sums = f.aligned() * lat.cell_volume  # integral of f over each cell
-        # sign[eta, e] = prod_a (-1)^(eta_a * e_a) with the child tuple e
-        # flattened in C order (axis 0 contributes the high bit)
-        m = 1 << d
-        bits = (np.arange(m)[:, None] >> np.arange(d)) & 1
-        signs = (-1.0) ** (bits @ bits[:, ::-1].T)
+        m, signs = 1 << d, _haar_signs(d)
         self._coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
         top = self._coarse * m  # where the finest level starts
         self.flat = np.empty((top + lat.num_cells,) + vs, dtype=np.complex128)

@@ -38,9 +38,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (Cube, GridFunction, HaarPyramid, Lattice, _block_means, _cube_json,
-                      _expand, _field, _finite, _haar_patch, _heap_number, _heap_size, _int,
-                      _ints, _level_views, build_lattice, from_aligned, haar, mask_to_eta,
-                      pairing)
+                      _expand, _field, _finite, _haar_patch, _haar_signs, _heap_cubes,
+                      _heap_number, _heap_size, _int, _ints, _level_views, build_lattice,
+                      from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -314,10 +314,7 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
         *(range(1, 1 << d) if (j + 1) in canc else [0] for j in range(n + 1)))))
     tuples = tuples_per_block if scale > 0.0 else 0
     rng = np.random.default_rng(seed)
-    # the candidate base cubes, level by level, each level in C order
-    K_level = np.repeat(np.arange(max_level + 1), 1 << (d * np.arange(max_level + 1)))
-    K_index = np.concatenate([np.indices((1 << lv,) * d).reshape(d, -1).T
-                              for lv in range(max_level + 1)])
+    K_level, K_index = _heap_cubes(max_level, d)  # the candidate base cubes
     draws = {}  # (base cube, offsets of the Q_j in it) -> uniforms of the phases
     for ki in np.repeat(rng.choice(len(K_level), size=min(blocks, len(K_level)),
                                    replace=False), tuples).tolist():
@@ -370,13 +367,11 @@ def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
     nrm = bmo_norm(pyr)
     if nrm <= 0.0:
         raise ValueError("constant function has zero BMO norm")
-    coefs = _level_views(_cancellative_pairings(pyr), lat.depth - 1, lat.dim)
-    nz = [np.nonzero(a) for a in coefs]
-    return CoeffTable(
-        np.concatenate([np.full(len(z[0]), lv) for lv, z in enumerate(nz)])[:, None],
-        np.concatenate([np.stack(z[:-1], axis=-1) for z in nz])[:, None],
-        np.concatenate([z[-1] + 1 for z in nz])[:, None],
-        np.concatenate([a[z] for a, z in zip(coefs, nz)]) / nrm)
+    coefs = _cancellative_pairings(pyr)
+    cube, eta = nz = np.nonzero(coefs)
+    level, index = _heap_cubes(lat.depth - 1, lat.dim)
+    return CoeffTable(level[cube][:, None], index[cube][:, None], eta[:, None] + 1,
+                      coefs[nz] / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +486,7 @@ def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
         for e in range(1 << d):
             part = level[(slice(None),) * d + (e,)]
             if part.any():
-                h = _haar_patch(lat, lv, mask_to_eta(e, d)).real
+                h = _haar_patch(lat, lv, e)
                 pattern = np.tile(h, (1 << lv,) * d)[(...,) + (None,) * (coef.ndim - 1)]
                 out += _expand(part, w, d) * pattern
     return out
@@ -544,12 +539,12 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
                 # h^eta_L on Q is its sign on the child of L above Q
                 l = kind[1]
                 anc = t.index[:, j] >> (k - l)
-                bits = (t.index[:, j] >> (k - l - 1)) - 2 * anc
+                child = ((t.index[:, j] >> (k - l - 1)) - 2 * anc) @ (1 << np.arange(d)[::-1])
                 mag = measure[:, j] ** 0.5 / (2.0 ** (-(t.level[:, 0] + l) * d)) ** 0.5
                 v = (np.repeat(t.level[:, :1] + l, len(etas), axis=1),
                      np.repeat(anc[:, None], len(etas), axis=1),
                      np.repeat(etas[None], R, axis=0),
-                     (-1.0) ** (bits @ ((etas[None] >> np.arange(d)[:, None]) & 1)) * mag[:, None])
+                     _haar_signs(d)[etas[None], child[:, None]] * mag[:, None])
             V = v[0].shape[1]
             pick = (np.repeat(src, V), np.tile(np.arange(V), len(src)))
             cols = [[np.repeat(c, V, axis=0) for c in col] + [x[pick]] for col, x in zip(cols, v)]

@@ -149,7 +149,7 @@ def test_depth_k_operators():
     # brute-force sums over depth-2 descendants
     acc, avg = np.zeros_like(f.values), np.zeros_like(f.values)
     for R in lat.cubes(3):
-        if R.ancestor(2) == Q:
+        if tuple(i >> 2 for i in R.index) == Q.index:  # Q is R's ancestor 2 levels up
             acc = acc + dl.martingale_diff(f, R).values
             avg = avg + dl.expect(f, R).values
     assert np.abs(dl.martingale_diff(f, Q, 2).values - acc).max() < 1e-12
@@ -246,11 +246,15 @@ def test_level_blocks_rejects_levels_below_the_lattice():
 def test_haar_level_equals_haar(lat):
     for level in range(lat.depth):
         stack = haar_level(lat, level)
+        assert stack.dtype == np.float64
         assert stack.shape == (lat.cells_per_axis,) * lat.dim + (2 ** (level * lat.dim),
                                                                  2 ** lat.dim - 1)
         for q, Q in enumerate(lat.cubes(level)):
-            for eta in range(1, 2 ** lat.dim):
-                assert np.array_equal(stack[..., q, eta - 1], dl.haar(lat, (Q, eta)).values)
+            for eta in range(2 ** lat.dim):
+                h = dl.haar(lat, (Q, eta)).values
+                assert h.dtype == np.float64
+                if eta:
+                    assert np.array_equal(stack[..., q, eta - 1], h)
     with pytest.raises(ValueError):
         haar_level(lat, lat.depth)
 
@@ -267,6 +271,26 @@ def test_haar_level_memory_follows_the_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * stack.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_haar_signs_are_the_product_of_axis_signs(d):
+    signs = lt._haar_signs(d)
+    assert signs.shape == (2 ** d, 2 ** d)
+    for eta in range(2 ** d):
+        for e in range(2 ** d):
+            # eta_a is bit a of the mask; axis a of child e is bit d - 1 - a
+            expected = math.prod((-1) ** (((eta >> a) & 1) * ((e >> (d - 1 - a)) & 1))
+                                 for a in range(d))
+            assert signs[eta, e] == expected
+
+
+@pytest.mark.parametrize("d, L", [(1, 4), (2, 3), (3, 2)])
+def test_heap_cubes_follow_lattice_cubes(d, L):
+    level, index = lt._heap_cubes(L, d)
+    cubes = list(dl.build_lattice(d, L).cubes())
+    assert level.tolist() == [Q.level for Q in cubes]
+    assert index.tolist() == [list(Q.index) for Q in cubes]
 
 
 @pytest.mark.parametrize("lat", [dl.build_lattice(1, 4), dl.build_lattice(2, 3, (0.25, 0.5))],

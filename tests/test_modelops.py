@@ -575,6 +575,12 @@ def test_coeff_table_merges_repeated_keys():
     assert len(swapped) == 2 and swapped == last and swapped != summed
 
 
+def _contains(K0, K):
+    """K lies in K0: index >> k is the index of the ancestor k levels up."""
+    k = K.level - K0.level
+    return k >= 0 and tuple(i >> k for i in K.index) == K0.index
+
+
 def _carleson_brute(lat, coeffs):
     """Carleson constant of ((K, eta), a) pairs, cube by cube."""
     coeffs = list(coeffs)
@@ -582,7 +588,7 @@ def _carleson_brute(lat, coeffs):
     for K0 in lat.cubes():
         tot = 0.0
         for (K, _eta), a in coeffs:
-            if K0.contains(K):
+            if _contains(K0, K):
                 tot += abs(a) ** 2
         best = max(best, (tot / K0.measure()) ** 0.5)
     return best
@@ -595,7 +601,7 @@ def _bmo_brute(h):
           for Q in lat.cubes() if Q.level < lat.depth}
     best = 0.0
     for K0 in lat.cubes():
-        tot = sum(s for Q, s in sq.items() if K0.contains(Q))
+        tot = sum(s for Q, s in sq.items() if _contains(K0, Q))
         best = max(best, (tot / K0.measure()) ** 0.5)
     return best
 
