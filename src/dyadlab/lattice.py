@@ -27,6 +27,8 @@ import numpy as np
 from .ncspaces import value_norms
 
 SHIFT_QUANTIZATION_TOL = 1e-9
+# cubes, or table rows, that a block-wise sweep handles at once
+_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +467,12 @@ class HaarPyramid:
     pyramid can therefore serve several form evaluations.  Read it
     through ``pairings`` (arrays of heap numbers and eta masks), which
     alone knows where a pairing sits.
+
+    The sweep contracts each level against ``_haar_signs`` one block of
+    about ``_BLOCK`` cubes at a time, writing straight into ``flat``.
+    Beyond ``flat`` (and the aligned copy of f on a shifted lattice) it
+    holds the child sums of one level, a quarter of f's size at d = 2,
+    and one block.
     """
 
     def __init__(self, f: GridFunction):
@@ -473,26 +481,34 @@ class HaarPyramid:
         vs = f.value_shape
         self.lattice = lat
         self.value_shape = vs
-        sums = f.aligned() * lat.cell_volume  # integral of f over each cell
         m, signs = 1 << d, _haar_signs(d)
         self._coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
         top = self._coarse * m  # where the finest level starts
         self.flat = np.empty((top + lat.num_cells,) + vs, dtype=np.complex128)
         levels = _level_views(self.flat[:top].reshape((self._coarse, m) + vs), L - 1, d)
-        np.multiply(sums, 2.0 ** (L * d / 2.0), out=self.flat[top:].reshape(sums.shape))
-        cur = sums
+        fine = self.flat[top:].reshape((lat.cells_per_axis,) * d + vs)
+        child_axes = tuple(2 * ax + 1 for ax in range(d))
+        cur = f.aligned()
         for l in range(L - 1, -1, -1):
-            # gather the 2^d child sums of each level-l cube
-            r = cur.reshape((1 << l, 2) * d + vs)
-            # move the d child axes (1,3,..) to one trailing axis of size 2^d
-            child_axes = tuple(2 * ax + 1 for ax in range(d))
-            r = np.moveaxis(r, child_axes, tuple(range(d, 2 * d)))
-            r = r.reshape((1 << l,) * d + (m,) + vs)
-            # contract the child axis against the sign matrix; the new eta
-            # axis lands at the end, move it back next to the grid axes
-            lvl = np.tensordot(r, signs, axes=([d], [1]))
-            np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=levels[l])
-            cur = r.sum(axis=d)
+            below, cur = cur, np.empty((1 << l,) * d + vs, dtype=cur.dtype)
+            # a block of slices along the first axis, about _BLOCK cubes
+            step = max(1, _BLOCK >> (l * (d - 1)))
+            for a in range(0, 1 << l, step):
+                block, children = slice(a, a + step), slice(2 * a, 2 * (a + step))
+                r = below[children]
+                if l == L - 1:  # the cells: the integral of f over each, and h^0 pairings
+                    r = r * lat.cell_volume
+                    np.multiply(r, 2.0 ** (L * d / 2.0), out=fine[children])
+                # gather the 2^d child sums of each level-l cube of the block
+                r = r.reshape((len(r) // 2, 2) + (1 << l, 2) * (d - 1) + vs)
+                # move the d child axes (1,3,..) to one trailing axis of size 2^d
+                r = np.moveaxis(r, child_axes, tuple(range(d, 2 * d)))
+                r = r.reshape(r.shape[:d] + (m,) + vs)
+                # contract the child axis against the sign matrix; the new eta
+                # axis lands at the end, move it back next to the grid axes
+                lvl = np.tensordot(r, signs, axes=([d], [1]))
+                np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=levels[l][block])
+                cur[block] = r.sum(axis=d)
         self.flat.setflags(write=False)
 
     def pairings(self, heap, eta) -> np.ndarray:

@@ -534,22 +534,21 @@ class DiagonalKernel:
 
     def _naive_terms(self, x: float, y1: float, y2: float) -> list[float]:
         """Oracle: the Riemann sum of each scale with ``np.interp``; their
-        sum in this order is the kernel."""
-        pts = np.array([x, y1, y2])
+        sum in this order is the kernel.  The grid points of all scales
+        are interpolated together, and each scale's points summed alone."""
         m_lo, m_hi = self._window(x, y1, y2)
-        terms = []
-        for m in range(m_lo, m_hi + 1):
-            lam = 2.0 ** m
-            centers = lam * pts
-            if centers.max() - centers.min() > 2.0 * self.halfwidth:
-                continue  # bumps no longer overlap
-            lo = centers.min() - self.halfwidth
-            hi = centers.max() + self.halfwidth
-            v = np.arange(lo, hi, self.v_step)
-            integrand = self._phi(v - centers[0]) * self._psi(v - centers[1]) \
-                * self._psi(v - centers[2])
-            terms.append(lam ** 2 * integrand.sum() * self.v_step)
-        return terms
+        lam = np.ldexp(1.0, np.arange(m_lo, m_hi + 1))
+        c = np.array([x, y1, y2])[:, None] * lam
+        lo, hi = c.min(axis=0), c.max(axis=0)
+        keep = hi - lo <= 2.0 * self.halfwidth  # the bumps still overlap
+        v = [np.arange(a, b, self.v_step)
+             for a, b in zip(lo[keep] - self.halfwidth, hi[keep] + self.halfwidth)]
+        sizes = np.array([len(part) for part in v])
+        v, (c0, c1, c2) = np.concatenate(v), np.repeat(c[:, keep], sizes, axis=1)
+        integrand = self._phi(v - c0) * self._psi(v - c1) * self._psi(v - c2)
+        ends = np.cumsum(sizes)
+        sums = np.array([integrand[a:b].sum() for a, b in zip(ends - sizes, ends)])
+        return list(lam[keep] ** 2 * sums * self.v_step)
 
     def __call__(self, x: float, y1: float, y2: float) -> float:
         m_lo, m_hi = self._window(x, y1, y2)

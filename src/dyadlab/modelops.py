@@ -37,10 +37,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import (Cube, GridFunction, HaarPyramid, Lattice, _block_means, _cube_json,
-                      _expand, _field, _finite, _haar_patch, _haar_signs, _heap_cubes,
-                      _heap_number, _heap_size, _int, _ints, _level_views, build_lattice,
-                      from_aligned, haar, pairing)
+from .lattice import (_BLOCK, Cube, GridFunction, HaarPyramid, Lattice, _block_means,
+                      _cube_json, _expand, _field, _finite, _haar_patch, _haar_signs,
+                      _heap_cubes, _heap_number, _heap_size, _int, _ints, _level_views,
+                      build_lattice, from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -56,7 +56,9 @@ class CoeffTable:
     equal keys are merged into the first one's position, keeping the
     last value, or summing the values in row order with ``sum_repeats``.
     ``len`` counts rows; ``==`` compares the tables as mappings from keys
-    to values, whatever their row order.
+    to values, whatever their row order.  Building a table takes a few
+    integer arrays of one entry per row beyond the table itself: the
+    merge (``_merge_repeats``) compares keys one column at a time.
     """
 
     def __init__(self, level, index, eta, value, sum_repeats: bool = False):
@@ -66,25 +68,11 @@ class CoeffTable:
         self.value = np.asarray(value, dtype=np.complex128)
         if np.any((self.level < 0) | (self.level * self.dim > 62)):
             raise ValueError("cube level out of range")
-        if np.any((self.index < 0) | (self.index >> self.level[..., None] != 0)):
+        if np.any(self.index < 0) or np.any(self.index.max(axis=-1) >> self.level):
             raise ValueError("cube index out of range")
-        keys = self._keys()
-        order = np.lexsort(keys.T[::-1])  # stable: equal keys keep row order
-        starts = np.concatenate(([True], np.any(keys[order[1:]] != keys[order[:-1]], axis=1)))
-        if starts.all():
-            return
-        first = np.empty(len(order), dtype=np.intp)  # each row's first row with its key
-        first[order] = order[starts][np.cumsum(starts) - 1]
-        keep, target = np.unique(first, return_inverse=True)
-        if sum_repeats:
-            value = np.zeros(len(keep), dtype=np.complex128)
-            np.add.at(value, target, self.value)
-        else:
-            last = np.zeros(len(keep), dtype=np.intp)
-            np.maximum.at(last, target, np.arange(len(order)))
-            value = self.value[last]
-        self.level, self.index, self.eta = self.level[keep], self.index[keep], self.eta[keep]
-        self.value = value
+        keep, self.value = _merge_repeats(self._keys(), self.value, sum_repeats)
+        if keep is not None:
+            self.level, self.index, self.eta = self.level[keep], self.index[keep], self.eta[keep]
 
     @property
     def dim(self) -> int:
@@ -93,18 +81,19 @@ class CoeffTable:
     def __len__(self) -> int:
         return len(self.value)
 
-    def _keys(self) -> np.ndarray:
-        return np.concatenate([_heap_number(self.level, self.index, self.dim), self.eta],
-                              axis=1)
+    def _keys(self) -> list[np.ndarray]:
+        """The key columns: the heap number of each cube, then each eta."""
+        return ([_heap_number(self.level[:, s], self.index[:, s], self.dim)
+                 for s in range(self.level.shape[1])] + [*self.eta.T])
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
             return NotImplemented
-        a, b = self._keys(), other._keys()
-        if a.shape != b.shape or self.index.shape != other.index.shape:
+        if self.index.shape != other.index.shape or self.eta.shape != other.eta.shape:
             return False
-        ia, ib = np.lexsort(a.T), np.lexsort(b.T)
-        return bool(np.array_equal(a[ia], b[ib])
+        a, b = self._keys(), other._keys()
+        ia, ib = np.lexsort(a), np.lexsort(b)
+        return bool(all(np.array_equal(x[ia], y[ib]) for x, y in zip(a, b))
                     and np.array_equal(self.value[ia], other.value[ib]))
 
     def items(self):
@@ -114,6 +103,39 @@ class CoeffTable:
             cs = [Cube(l, tuple(i)) for l, i in zip(lv, ix)]
             yield ((cs[0], es[0]) if len(cs) == 1
                    else (cs[0], tuple(cs[1:]), tuple(es))), a
+
+
+def _merge_repeats(keys: Sequence[np.ndarray], value: np.ndarray,
+                   sum_repeats: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Merge the rows of ``value`` whose key columns all agree.
+
+    A merged row takes the position of the first row with its key and
+    keeps the last row's value, or with ``sum_repeats`` the sum of the
+    values in row order.  ``value`` may carry trailing axes, merged
+    entry by entry.  Returns the rows kept, in order, and their values;
+    (None, value) if all keys are distinct.  Key changes along the
+    sorted rows are found one column at a time, so besides the sort
+    order only one column is copied at once.
+    """
+    rows = len(value)
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep row order
+    starts = np.zeros(rows, dtype=bool)
+    starts[:1] = True
+    for col in keys:
+        col = col[order]
+        starts[1:] |= col[1:] != col[:-1]
+    if starts.all():
+        return None, value
+    first = np.empty(rows, dtype=np.intp)  # each row's first row with its key
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    keep, target = np.unique(first, return_inverse=True)
+    if sum_repeats:
+        merged = np.zeros((len(keep),) + value.shape[1:], dtype=np.complex128)
+        np.add.at(merged, target, value)
+        return keep, merged
+    last = np.zeros(len(keep), dtype=np.intp)
+    np.maximum.at(last, target, np.arange(rows))
+    return keep, value[last]
 
 
 class CoeffRowError(ValueError):
@@ -137,12 +159,12 @@ def _reject_rows(faults) -> None:
 
 
 def _coeff_bound(level: np.ndarray, dim: int, n: int) -> np.ndarray:
-    """prod_j |Q_j|^(1/2) / |K|^n for rows of cube levels (K, Q_1, ...)."""
-    measure = 2.0 ** (-level * dim)
+    """prod_j |Q_j|^(1/2) / |K|^n for rows of cube levels (K, Q_1, ...),
+    one column at a time."""
     prod = np.ones(len(level))
     for j in range(1, level.shape[1]):
-        prod = prod * measure[:, j] ** 0.5
-    return prod / measure[:, 0] ** n
+        prod = prod * (2.0 ** (-level[:, j] * dim)) ** 0.5
+    return prod / (2.0 ** (-level[:, 0] * dim)) ** n
 
 
 class ShiftSpec:
@@ -392,33 +414,46 @@ def _check_inputs(lat: Lattice, fs: Sequence[GridFunction], arity: int) -> int:
     return 1 if vs == () else vs[0]
 
 
-def _slots(spec) -> list[tuple]:
+def _slots(spec, rows: slice = slice(None)) -> list[tuple]:
     """Per slot j = 1..n+1: heap numbers of the cubes and eta masks of the
-    Haar functions it pairs against, and the divisor of that pairing."""
+    Haar functions it pairs against, and the divisor of that pairing,
+    for the table rows ``rows``."""
     t = spec.coeffs
-    heap = _heap_number(t.level, t.index, t.dim)
+    level, eta = t.level[rows], t.eta[rows]
+    heap = _heap_number(level, t.index[rows], t.dim)
     if isinstance(spec, ParaproductSpec):
         # averages from the non-cancellative pairing: <f>_K = <f, h^0_K> |K|^-1/2
-        root = (2.0 ** (-t.level[:, 0] * t.dim)) ** 0.5
-        return [(heap[:, 0], t.eta[:, 0], 1.0) if j == spec.haar_position
+        root = (2.0 ** (-level[:, 0] * t.dim)) ** 0.5
+        return [(heap[:, 0], eta[:, 0], 1.0) if j == spec.haar_position
                 else (heap[:, 0], 0, root) for j in range(1, spec.n + 2)]
-    return [(heap[:, j], t.eta[:, j - 1], 1.0) for j in range(1, spec.n + 2)]
+    return [(heap[:, j], eta[:, j - 1], 1.0) for j in range(1, spec.n + 2)]
 
 
-def _pairings(slots, fs: Sequence[GridFunction | HaarPyramid], N: int) -> list[np.ndarray]:
-    """<f_j, h_{Q_j}^{eta_j}> / divisor_j per row, as (R, N, N) stacks;
-    an input given as its HaarPyramid is not swept again."""
-    pyrs = [f if isinstance(f, HaarPyramid) else HaarPyramid(f) for f in fs]
+def _pyramids(fs: Sequence[GridFunction | HaarPyramid]) -> list[HaarPyramid]:
+    """The HaarPyramid of each input; one given as its pyramid is not
+    swept again."""
+    return [f if isinstance(f, HaarPyramid) else HaarPyramid(f) for f in fs]
+
+
+def _pairings(slots, pyrs: Sequence[HaarPyramid], N: int) -> list[np.ndarray]:
+    """<f_j, h_{Q_j}^{eta_j}> / divisor_j per row, as (R, N, N) stacks."""
     return [p.pairings(heap, eta).reshape(-1, N, N) / np.reshape(div, (-1, 1, 1))
             for p, (heap, eta, div) in zip(pyrs, slots)]
 
 
 def _form(spec, fs: Sequence[GridFunction | HaarPyramid]) -> complex:
-    prod = chain(_pairings(_slots(spec), fs, _check_inputs(spec.lattice, fs, spec.n + 1)))
+    """The form value; the pairings are gathered and multiplied one block
+    of _BLOCK rows at a time, so beyond the pyramids and the table peak
+    memory is one trace per row and one block."""
+    N = _check_inputs(spec.lattice, fs, spec.n + 1)
+    pyrs, value = _pyramids(fs), spec.coeffs.value
     # a named array, so numpy does not multiply into a temporary in place,
     # which can change the last bits
-    traces = np.einsum("kii->k", prod)
-    return complex((spec.coeffs.value * traces).sum())
+    traces = np.empty(len(value), dtype=np.complex128)
+    for a in range(0, len(value), _BLOCK):
+        rows = slice(a, a + _BLOCK)
+        traces[rows] = np.einsum("kii->k", chain(_pairings(_slots(spec, rows), pyrs, N)))
+    return complex((value * traces).sum())
 
 
 def eval_shift_form(spec: ShiftSpec | ReducedShiftTerm,
@@ -465,7 +500,7 @@ def adjoint_eval(spec, j0: int, fs: Sequence[GridFunction]) -> GridFunction:
     N = _check_inputs(lat, fs, spec.n)
     slots = _slots(spec)
     others = [j for j in range(1, n1 + 1) if j != j0]
-    mats = dict(zip(others, _pairings([slots[j - 1] for j in others], fs, N)))
+    mats = dict(zip(others, _pairings([slots[j - 1] for j in others], _pyramids(fs), N)))
     prod = chain([mats[(j0 + i) % n1 + 1] for i in range(n1 - 1)])
     heap, eta, div = slots[j0 - 1]
     out = _synthesize(lat, heap, eta, spec.coeffs.value[:, None, None] * prod
@@ -511,6 +546,14 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
     a single term.  The sum of the returned forms equals the original
     form on any inputs, and every term obeys the shift normalization.
     Rows of a term that land on one key are summed.
+
+    A term has one row per table row and choice of eta masks on the
+    slots that became cancellative, in that order.  Every cube of such a
+    row, and every other eta, is fixed by its table row, so two rows
+    share a key exactly when their table rows agree on those and the
+    choices agree: repeats are merged over table rows before the choices
+    are spread.  Beyond the input and the terms, peak memory is a few
+    arrays of one entry per table row and choice.
     """
     lat, t = spec.lattice, spec.coeffs
     n1, d, R = spec.n + 1, lat.dim, len(spec.coeffs)
@@ -524,16 +567,22 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
         choice = dict(zip(expand_slots, combo))
         labels = [choice.get(j, ("canc",) if j in spec.cancellative else ("expect",))
                   for j in range(1, n1 + 1)]
-        # the term's rows, each from table row src; every slot replaces
-        # each row by its variants (level, index, eta, gamma factor)
-        src, cols, gamma = np.arange(R), [[t.level[:, 0]], [t.index[:, 0]], []], np.ones(R)
+        deltas = [j for j, kind in enumerate(labels, start=1) if kind[0] == "delta"]
+        # the choices: one eta per delta slot, the last slot varying fastest
+        choices = np.array(list(itertools.product(etas, repeat=len(deltas))))
+        # per slot and table row: the cube, the eta (None where it is the
+        # choice's) and the gamma factors of the choices
+        cubes, row_etas, gamma = [(t.level[:, 0], t.index[:, 0])], [], np.ones((R, 1))
         for j, kind in enumerate(labels, start=1):
             k = spec.complexity[j - 1]
             if kind[0] == "canc":
-                v = (t.level[:, j:j + 1], t.index[:, j:j + 1], t.eta[:, j - 1:j], np.ones((R, 1)))
+                cubes.append((t.level[:, j], t.index[:, j]))
+                row_etas.append(t.eta[:, j - 1])
+                factor = np.ones((R, 1))
             elif kind[0] == "expect":
-                v = (t.level[:, :1], t.index[:, :1], np.zeros((R, 1), dtype=np.int64),
-                     (measure[:, j:j + 1] / measure[:, :1]) ** 0.5)
+                cubes.append((t.level[:, 0], t.index[:, 0]))
+                row_etas.append(np.zeros(R, dtype=np.int64))
+                factor = (measure[:, j:j + 1] / measure[:, :1]) ** 0.5
             else:
                 # L_j is Q's ancestor at depth l below K; the sign of
                 # h^eta_L on Q is its sign on the child of L above Q
@@ -541,20 +590,25 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
                 anc = t.index[:, j] >> (k - l)
                 child = ((t.index[:, j] >> (k - l - 1)) - 2 * anc) @ (1 << np.arange(d)[::-1])
                 mag = measure[:, j] ** 0.5 / (2.0 ** (-(t.level[:, 0] + l) * d)) ** 0.5
-                v = (np.repeat(t.level[:, :1] + l, len(etas), axis=1),
-                     np.repeat(anc[:, None], len(etas), axis=1),
-                     np.repeat(etas[None], R, axis=0),
-                     _haar_signs(d)[etas[None], child[:, None]] * mag[:, None])
-            V = v[0].shape[1]
-            pick = (np.repeat(src, V), np.tile(np.arange(V), len(src)))
-            cols = [[np.repeat(c, V, axis=0) for c in col] + [x[pick]] for col, x in zip(cols, v)]
-            gamma = np.repeat(gamma, V) * v[3][pick]
-            src = pick[0]
+                cubes.append((t.level[:, 0] + l, anc))
+                row_etas.append(None)
+                factor = (_haar_signs(d)[choices[:, deltas.index(j)][None], child[:, None]]
+                          * mag[:, None])
+            gamma = gamma * factor
+        keep, value = _merge_repeats(
+            [_heap_number(lv, ix, d) for lv, ix in cubes] + [e for e in row_etas if e is not None],
+            t.value[:, None] * gamma, sum_repeats=True)
+        del gamma, factor  # freed before the term's table is built
+        rows = np.arange(R) if keep is None else keep
+        eta = np.empty((len(rows), len(choices), n1), dtype=np.int64)
+        for s, e in enumerate(row_etas):
+            eta[:, :, s] = choices[:, deltas.index(s + 1)] if e is None else e[rows, None]
+        table = CoeffTable(np.repeat(np.stack([lv[rows] for lv, _ in cubes], 1), len(choices), 0),
+                           np.repeat(np.stack([ix[rows] for _, ix in cubes], 1), len(choices), 0),
+                           eta.reshape(-1, n1), value.reshape(-1))
         levels = tuple(k if kind[0] == "canc" else kind[-1] if kind[0] == "delta" else 0
                        for k, kind in zip(spec.complexity, labels))
-        canc = spec.cancellative | {j for j, kind in choice.items() if kind[0] == "delta"}
-        table = CoeffTable(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma,
-                           sum_repeats=True)
+        canc = spec.cancellative | set(deltas)
         terms.append(ReducedShiftTerm(lat, spec.n, levels, canc, tuple(labels), table))
     return terms
 

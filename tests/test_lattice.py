@@ -273,6 +273,22 @@ def test_haar_level_memory_follows_the_result():
     assert peak <= 1.25 * stack.nbytes
 
 
+def test_haar_pyramid_memory_follows_the_pyramid():
+    # each level is contracted a block of cubes at a time, straight into the
+    # pyramid, and the cell integrals too: beyond the 2.45 MB it holds at
+    # d = 2, L = 7, N = 2, the whole-level sweep took 4.2 MB more
+    lat = dl.build_lattice(2, 7)
+    f = dl.random_grid_function(lat, N=2, seed=1)
+    tracemalloc.start()
+    try:
+        pyr = dl.HaarPyramid(f)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= pyr.flat.nbytes
+    assert peak - held <= 0.75 * pyr.flat.nbytes
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_haar_signs_are_the_product_of_axis_signs(d):
     signs = lt._haar_signs(d)

@@ -324,6 +324,34 @@ def _assert_matches_oracle(kernel, triples):
     assert worst <= 1e-12, f"relative deviation {worst:.2e} at {where}"
 
 
+def _per_scale_terms(kernel, x, y1, y2):
+    """The oracle's scale terms, one scale at a time."""
+    pts = np.array([x, y1, y2])
+    m_lo, m_hi = kernel._window(x, y1, y2)
+    terms = []
+    for m in range(m_lo, m_hi + 1):
+        lam = 2.0 ** m
+        centers = lam * pts
+        if centers.max() - centers.min() > 2.0 * kernel.halfwidth:
+            continue  # bumps no longer overlap
+        v = np.arange(centers.min() - kernel.halfwidth, centers.max() + kernel.halfwidth,
+                      kernel.v_step)
+        integrand = kernel._phi(v - centers[0]) * kernel._psi(v - centers[1]) \
+            * kernel._psi(v - centers[2])
+        terms.append(lam ** 2 * integrand.sum() * kernel.v_step)
+    return terms
+
+
+@pytest.mark.parametrize("halfwidth", [60.0, 3.0])
+def test_oracle_terms_equal_the_per_scale_loop(halfwidth):
+    # the oracle interpolates all scales at once; each scale term is the
+    # loop's to the bit
+    k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
+    for t in _tie_and_order_triples()[::8] + _table_end_triples(4, seed=12):
+        got, want = k._naive_terms(*t), _per_scale_terms(k, *t)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_diagonal_kernel_matches_oracle_on_sampled_triples(kernel):
     _assert_matches_oracle(kernel, _sampler_triples(2000, seed=7))
 

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +330,127 @@ def test_shift_rewrite_builds_one_pyramid_per_input(monkeypatch):
     assert not any(p.flat.flags.writeable for p in pyrs)
 
 
+def _reduce_shift_reference(spec):
+    """``reduce_shift`` as every row expanded, then merged: each slot
+    replaces each row by its variants (level, index, eta, gamma factor),
+    and CoeffTable sums the rows that land on one key."""
+    lat, t = spec.lattice, spec.coeffs
+    n1, d, R = spec.n + 1, lat.dim, len(spec.coeffs)
+    expand_slots = [j for j in range(1, n1 + 1)
+                    if j not in spec.cancellative and spec.complexity[j - 1] > 0]
+    measure = 2.0 ** (-t.level * d)
+    etas = np.arange(1, 1 << d)
+    terms = []
+    for combo in itertools.product(*([("expect",)] + [("delta", l) for l in range(
+            spec.complexity[j - 1])] for j in expand_slots)):
+        choice = dict(zip(expand_slots, combo))
+        labels = [choice.get(j, ("canc",) if j in spec.cancellative else ("expect",))
+                  for j in range(1, n1 + 1)]
+        src, cols, gamma = np.arange(R), [[t.level[:, 0]], [t.index[:, 0]], []], np.ones(R)
+        for j, kind in enumerate(labels, start=1):
+            k = spec.complexity[j - 1]
+            if kind[0] == "canc":
+                v = (t.level[:, j:j + 1], t.index[:, j:j + 1], t.eta[:, j - 1:j], np.ones((R, 1)))
+            elif kind[0] == "expect":
+                v = (t.level[:, :1], t.index[:, :1], np.zeros((R, 1), dtype=np.int64),
+                     (measure[:, j:j + 1] / measure[:, :1]) ** 0.5)
+            else:
+                l = kind[1]
+                anc = t.index[:, j] >> (k - l)
+                child = ((t.index[:, j] >> (k - l - 1)) - 2 * anc) @ (1 << np.arange(d)[::-1])
+                mag = measure[:, j] ** 0.5 / (2.0 ** (-(t.level[:, 0] + l) * d)) ** 0.5
+                v = (np.repeat(t.level[:, :1] + l, len(etas), axis=1),
+                     np.repeat(anc[:, None], len(etas), axis=1),
+                     np.repeat(etas[None], R, axis=0),
+                     dl.lattice._haar_signs(d)[etas[None], child[:, None]] * mag[:, None])
+            V = v[0].shape[1]
+            pick = (np.repeat(src, V), np.tile(np.arange(V), len(src)))
+            cols = [[np.repeat(c, V, axis=0) for c in col] + [x[pick]] for col, x in zip(cols, v)]
+            gamma = np.repeat(gamma, V) * v[3][pick]
+            src = pick[0]
+        levels = tuple(k if kind[0] == "canc" else kind[-1] if kind[0] == "delta" else 0
+                       for k, kind in zip(spec.complexity, labels))
+        canc = spec.cancellative | {j for j, kind in choice.items() if kind[0] == "delta"}
+        table = mo.CoeffTable(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma,
+                              sum_repeats=True)
+        terms.append((tuple(labels), levels, canc, table, len(src)))
+    return terms
+
+
+@pytest.mark.parametrize("d, L, n, complexity, canc, shift", [
+    (1, 5, 2, (2, 0, 1), {2, 3}, None),
+    (2, 4, 2, (2, 0, 1), {2, 3}, None),
+    (3, 3, 2, (2, 0, 1), {2, 3}, None),
+    (1, 5, 3, (2, 3, 0, 1), {3, 4}, None),
+    (2, 4, 3, (2, 3, 0, 1), {3, 4}, None),
+    (3, 3, 3, (2, 3, 0, 1), {3, 4}, None),
+    (2, 4, 2, (2, 0, 1), {2, 3}, 5),
+    (2, 4, 3, (2, 3, 0, 1), {3, 4}, (0.25, 0.5)),
+])
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+def test_reduce_shift_matches_expand_then_merge(d, L, n, complexity, canc, shift, scale):
+    lat = dl.build_lattice(d, L, shift)
+    spec = mo.make_random_shift(lat, n, complexity, canc, seed=d + L, scale=scale,
+                                blocks=8, tuples_per_block=8)
+    assert (len(spec.coeffs) > 0) == (scale > 0)  # at scale 0 the table is empty
+    got, want = mo.reduce_shift(spec), _reduce_shift_reference(spec)
+    assert len(got) == len(want)
+    merged = False
+    for term, (labels, levels, cancellative, table, expanded) in zip(got, want):
+        assert (term.labels, term.levels, term.cancellative) == (labels, levels, cancellative)
+        for name in ("level", "index", "eta"):
+            a, b = getattr(term.coeffs, name), getattr(table, name)
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        assert term.coeffs.value.tobytes() == table.value.tobytes()
+        merged |= len(table) < expanded
+    assert merged == (scale > 0)  # the nonempty cases sum repeated keys
+
+
+def _traced_peak(fn):
+    """fn() and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def d2_reduce():
+    """The d = 2, L = 7 shift of the dyadic-d2 benchmark's reduce run at
+    seed 0 (14,967 rows) and its three terms (2,304, 6,912 and 24,435 rows)."""
+    lat = dl.build_lattice(2, 7)
+    spec = mo.make_random_shift(lat, 2, (2, 0, 1), {2, 3}, seed=0, blocks=64,
+                                tuples_per_block=32)
+    return spec, mo.reduce_shift(spec)
+
+
+def test_reduce_shift_memory_follows_the_output(d2_reduce):
+    # repeats are merged over table rows before the eta choices are spread,
+    # and only the rows kept get cube arrays (the expand-then-merge rewrite
+    # peaked at 23.1 MB here)
+    spec, _ = d2_reduce
+    terms, peak = _traced_peak(lambda: mo.reduce_shift(spec))
+    out = sum(a.nbytes for t in terms
+              for a in (t.coeffs.level, t.coeffs.index, t.coeffs.eta, t.coeffs.value))
+    assert out > 4e6
+    assert peak <= 2 * out
+
+
+def test_shift_form_memory_follows_the_rows(d2_reduce):
+    # pairings gathered and multiplied a block of rows at a time: beyond the
+    # pyramids, one trace per row and one block (the whole-table chain
+    # peaked at 7.8 MB, 320 bytes a row)
+    spec, terms = d2_reduce
+    term = max(terms, key=lambda t: len(t.coeffs))
+    assert len(term.coeffs) >= 24_000
+    fs = [dl.random_grid_function(spec.lattice, N=2, seed=10 + i) for i in range(3)]
+    pyrs = [dl.HaarPyramid(f) for f in fs]
+    value, peak = _traced_peak(lambda: mo.eval_shift_form(term, pyrs))
+    assert value == mo.eval_shift_form(term, fs)
+    assert peak <= 48 * len(term.coeffs)
+
+
 def test_shift_json_roundtrip():
     lat = dl.build_lattice(1, 4)
     spec = mo.make_random_shift(lat, 2, (1, 0, 2), {1, 3}, seed=11)
@@ -573,6 +696,36 @@ def test_coeff_table_merges_repeated_keys():
     # equality is by key and value, whatever the row order
     swapped = mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 3.0])
     assert len(swapped) == 2 and swapped == last and swapped != summed
+
+
+def _raw_table(keys, values, sum_repeats):
+    """A table of rows (K, Q_1, Q_2) with etas (e_1, e_2) at d = 1, from
+    keys ((level, index) per cube, etas)."""
+    return mo.CoeffTable(np.reshape([[c[0] for c in cs] for cs, _ in keys], (-1, 3)),
+                         np.reshape([[[c[1]] for c in cs] for cs, _ in keys], (-1, 3, 1)),
+                         np.reshape([es for _, es in keys], (-1, 2)), values,
+                         sum_repeats=sum_repeats)
+
+
+@pytest.mark.parametrize("sum_repeats", [False, True])
+def test_coeff_table_merge_edge_cases(sum_repeats):
+    cubes = ((0, 0), (1, 1), (1, 0))
+    empty = _raw_table([], [], sum_repeats)
+    assert len(empty) == 0 and empty.level.shape == (0, 3) and empty.eta.shape == (0, 2)
+    # one row keeps its value to the bit, a negative zero too
+    one = _raw_table([(cubes, (1, 1))], [complex(-0.0, 5e-324)], sum_repeats)
+    assert one.value.tobytes() == np.array([complex(-0.0, 5e-324)]).tobytes()
+    same = _raw_table([(cubes, (1, 1))] * 3, [1.0, 2.0, 4.0], sum_repeats)
+    assert len(same) == 1 and same.value.tolist() == [7.0 if sum_repeats else 4.0]
+    # keys that differ only in the last eta column stay apart, in first-row order
+    last = _raw_table([(cubes, (1, 1)), (cubes, (1, 0)), (cubes, (1, 1))], [1.0, 2.0, 4.0],
+                      sum_repeats)
+    assert last.eta.tolist() == [[1, 1], [1, 0]]
+    assert last.value.tolist() == [5.0 if sum_repeats else 4.0, 2.0]
+    # the sum runs in row order: (1e16 + 1) rounds back to 1e16, so the
+    # rows sum to 0, where any other order would give 1
+    order = _raw_table([(cubes, (1, 1))] * 3, [1e16, 1.0, -1e16], sum_repeats)
+    assert order.value.tolist() == [0.0 if sum_repeats else -1e16]
 
 
 def _contains(K0, K):
