@@ -13,11 +13,11 @@ from .lattice import (
     haar,
     integral,
     level_blocks,
-    lp_norm,
     martingale_diff,
     pairing,
     random_grid_function,
 )
+from .ncspaces import lp_norm
 
 __all__ = [
     "Cube",

@@ -288,7 +288,7 @@ def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
     for raw, space in mixed:
         f = raw / nc.nested_norm(raw, space, 1, column=space.table.q_col([1, 2]))
         facs = nc.factorize_mixed(f, [1, 2], space)
-        nested = max(nested, _max_dev(np.einsum("tij,tjk->tik", facs[0], facs[1]), f),
+        nested = max(nested, _max_dev(nc.chain(facs), f),
                      *(abs(nc.nested_norm(fac, space, j) - 1.0)
                        for fac, j in zip(facs, (1, 2))))
     return [_within("positive-factorization-roundtrip", flat, POSITIVE_FACTOR_TOL, bool(positive)),

@@ -24,8 +24,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .ncspaces import value_norms
-
 SHIFT_QUANTIZATION_TOL = 1e-9
 # cubes, or table rows, that a block-wise sweep handles at once
 _BLOCK = 1024
@@ -528,51 +526,6 @@ class HaarPyramid:
 
 
 # ---------------------------------------------------------------------------
-# mixed norms
-# ---------------------------------------------------------------------------
-
-def scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e entry by entry with the scalar (C library) power.
-
-    numpy's array power may take a SIMD path that rounds differently in
-    the last bit, so a batch computed with it would not match the same
-    values computed one at a time.
-    """
-    return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
-
-
-def power_mean(x: np.ndarray, p: float) -> np.ndarray:
-    """(mean of x^p)^(1/p) over the last axis of a nonnegative array; the
-    max (0 for no entries) at p = inf.  The root is taken entry by entry
-    with the scalar power (see ``scalar_pow``)."""
-    x = np.asarray(x, dtype=float)
-    if np.isinf(p):
-        return x.max(axis=-1, initial=0.0)
-    if p <= 0:
-        raise ValueError("exponent must be positive")
-    means = np.mean(x ** p, axis=-1)
-    return scalar_pow(means.ravel(), 1.0 / p).reshape(means.shape)
-
-
-def lp_norm(f, p: float, schatten: float, lattice: Lattice | None = None):
-    """L^p norm over the cube of x -> |f(x)|_{S^schatten}.
-
-    ``f`` is a GridFunction, and the result a float.  With ``lattice``
-    given, ``f`` is instead an array of shape (B,) + grid shape + value
-    shape holding B functions on that lattice, and the result is the
-    array of their B norms, each bit for bit the norm of its row alone.
-    Scalar values are 1x1 matrices: their cell norm is |f(x)| whatever
-    the Schatten exponent (see ``ncspaces.value_norms``).
-    """
-    if lattice is None:
-        return float(lp_norm(f.values[None], p, schatten, f.lattice)[0])
-    values = np.asarray(f)
-    rows, vs = values.shape[0], values.shape[1 + lattice.dim:]
-    norms = value_norms(values.reshape((rows * lattice.num_cells,) + vs), len(vs), schatten)
-    return power_mean(norms.reshape(rows, lattice.num_cells), p)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -602,6 +555,8 @@ def grid_function_from_json(text: str) -> GridFunction:
         raise ValueError("field kind must be scalar, matrix or nested")
     vs = (() if kind == "scalar" else (_int(obj, "N"),) * 2 if kind == "matrix"
           else tuple(_ints(_field(obj, "shape"), None, "shape")))
+    if any(v < 1 for v in vs):
+        raise ValueError("field shape must hold positive integers")
     shape = (lat.cells_per_axis,) * lat.dim + vs
     try:
         pairs = np.array(_field(obj, "values"), dtype=np.float64)
@@ -621,9 +576,12 @@ def _field(obj, key: str, path: str | None = None):
     return obj[key]
 
 
-def _int(obj, key: str) -> int:
-    if type(x := _field(obj, key)) is not int:
-        raise ValueError(f"field {key} must be an integer")
+def _int(obj, key: str, top: int | None = None) -> int:
+    """A positive integer, at most ``top`` if given."""
+    x = _field(obj, key)
+    if type(x) is not int or x < 1 or (top is not None and x > top):
+        raise ValueError(f"field {key} must be "
+                         + ("a positive integer" if top is None else f"an integer in 1..{top}"))
     return x
 
 

@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import power_mean
-from .ncspaces import conjugate_exponent, value_norms
+from .ncspaces import chain, conjugate_exponent, lp_norm
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +109,11 @@ def product(f: TorusFunction, g: TorusFunction) -> TorusFunction:
 
 def _multiply(fv: np.ndarray, gv: np.ndarray, fvs: tuple, gvs: tuple) -> np.ndarray:
     """Pointwise product of value arrays whose trailing axes hold values of
-    shapes fvs and gvs; the leading axes broadcast."""
-    if fvs == () and gvs == ():
-        return fv * gv
-    if fvs == ():
-        return fv.reshape(fv.shape + (1,) * len(gvs)) * gv
-    if gvs == ():
-        return fv * gv.reshape(gv.shape + (1,) * len(fvs))
-    if fvs == gvs and len(fvs) == 2 and fvs[0] == fvs[1]:
-        # matrix product as a multiply-add over the inner index: elementwise
-        # passes over the whole stack, not one BLAS call per small matrix
-        out = fv[..., :, :1] * gv[..., :1, :]
-        for k in range(1, fvs[-1]):
-            out += fv[..., :, k:k + 1] * gv[..., k:k + 1, :]
-        return out
-    raise ValueError("value shapes do not match")
+    shapes fvs and gvs; the leading axes broadcast.  Two matrix values
+    multiply by ``chain``; a scalar scales the other value."""
+    if fvs and gvs:
+        return chain([fv, gv])
+    return fv.reshape(fv.shape + (1,) * len(gvs)) * gv.reshape(gv.shape + (1,) * len(fvs))
 
 
 def random_torus_function(dim: int, resolution: int, band: int, N: int = 1,
@@ -151,12 +140,6 @@ def fractional_derivative(f: TorusFunction, s: float) -> TorusFunction:
     mult = np.where(r > 0, (2.0 * np.pi * r) ** s, 0.0)
     mult = mult.reshape(mult.shape + (1,) * len(f.value_shape))
     return TorusFunction.from_coeffs(f.dim, f.resolution, f.coeffs * mult)
-
-
-def lp_schatten_norm(f: TorusFunction, p: float, q: float) -> float:
-    """Mixed norm (mean_x |f(x)|_{S^q}^p)^(1/p); p = inf takes the max."""
-    flat = f.values.reshape((-1,) + f.value_shape)
-    return float(power_mean(value_norms(flat, len(f.value_shape), q), p))
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +641,11 @@ def leibniz_ratio(f: TorusFunction, g: TorusFunction, s: float,
         # operator norm once the outer exponent reaches 1
         return math.inf if p <= 1.0 else conjugate_exponent(p)
 
-    num = lp_schatten_norm(fractional_derivative(product(f, g), s), q3, conj(q3))
-    den = (lp_schatten_norm(fractional_derivative(f, s), p1, conj(p1))
-           * lp_schatten_norm(g, p2, conj(p2))
-           + lp_schatten_norm(f, r1, conj(r1))
-           * lp_schatten_norm(fractional_derivative(g, s), r2, conj(r2)))
+    num = lp_norm(fractional_derivative(product(f, g), s), q3, conj(q3))
+    den = (lp_norm(fractional_derivative(f, s), p1, conj(p1))
+           * lp_norm(g, p2, conj(p2))
+           + lp_norm(f, r1, conj(r1))
+           * lp_norm(fractional_derivative(g, s), r2, conj(r2)))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den

@@ -52,16 +52,14 @@ class CoeffTable:
     Row r holds the cubes (level[r, s], index[r, s, :]) for s = 0..S-1,
     cube 0 being the base cube K, the eta masks eta[r, :] and value[r].
     A shift row is (K, Q_1..Q_{n+1}) with one eta per slot; a
-    paraproduct row is (K,) with one eta.  Keys are unique: rows with
-    equal keys are merged into the first one's position, keeping the
-    last value, or summing the values in row order with ``sum_repeats``.
-    ``len`` counts rows; ``==`` compares the tables as mappings from keys
-    to values, whatever their row order.  Building a table takes a few
-    integer arrays of one entry per row beyond the table itself: the
-    merge (``_merge_repeats``) compares keys one column at a time.
+    paraproduct row is (K,) with one eta.  Keys must be unique; a table
+    never merges rows, so a builder whose rows may repeat a key merges
+    them first (``_merge_repeats``).  ``len`` counts rows; ``==``
+    compares the tables as mappings from keys to values, whatever their
+    row order.
     """
 
-    def __init__(self, level, index, eta, value, sum_repeats: bool = False):
+    def __init__(self, level, index, eta, value):
         self.level = np.asarray(level, dtype=np.int64)
         self.index = np.asarray(index, dtype=np.int64)
         self.eta = np.asarray(eta, dtype=np.int64)
@@ -70,9 +68,6 @@ class CoeffTable:
             raise ValueError("cube level out of range")
         if np.any(self.index < 0) or np.any(self.index.max(axis=-1) >> self.level):
             raise ValueError("cube index out of range")
-        keep, self.value = _merge_repeats(self._keys(), self.value, sum_repeats)
-        if keep is not None:
-            self.level, self.index, self.eta = self.level[keep], self.index[keep], self.eta[keep]
 
     @property
     def dim(self) -> int:
@@ -647,7 +642,9 @@ def _table_from_json(obj, d: int, qs: int, eta_key: str,
                      eta_default) -> tuple[CoeffTable, np.ndarray]:
     """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im}, in file
     order, as a table and the keys of the entries, one row per entry:
-    levels, indices and etas as in the table's rows.
+    levels, indices and etas as in the table's rows.  Entries with one
+    key become one row, at the first one's position with the last one's
+    value.
 
     Well-formed entries are read column by column; at any anomaly the
     entries are read again one at a time, so the error names its field."""
@@ -659,7 +656,10 @@ def _table_from_json(obj, d: int, qs: int, eta_key: str,
         entries, d, qs, eta_key, eta_default)
     level, index, eta = (np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
                          np.reshape(eta, (-1, qs or 1)))
-    keys = np.concatenate([level, index.reshape(len(level), -1), eta], axis=1)
+    keys = np.concatenate([level, index.reshape(len(level), (qs + 1) * d), eta], axis=1)
+    keep, value = _merge_repeats(list(keys.T), np.asarray(value), sum_repeats=False)
+    if keep is not None:
+        level, index, eta = level[keep], index[keep], eta[keep]
     return CoeffTable(level, index, eta, value), keys
 
 
@@ -781,8 +781,10 @@ def paraproduct_from_json(text: str) -> ParaproductSpec:
     raise ValueError naming the field."""
     obj = json.loads(text)
     lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), obj.get("shift"))
+    n = _int(obj, "n")
+    position = _int(obj, "haar_position", n + 1)
     table, keys = _table_from_json(obj, lat.dim, 0, "eta", (1 << lat.dim) - 1)
     try:
-        return ParaproductSpec(lat, _int(obj, "n"), _int(obj, "haar_position"), table)
+        return ParaproductSpec(lat, n, position, table)
     except CoeffRowError as err:
         raise _entry_error(err, table, keys) from None

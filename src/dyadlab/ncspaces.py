@@ -1,13 +1,19 @@
-"""Matrix algebra with trace, Schatten norms, and iterated mixed norms.
+"""The value algebra: matrices with trace, Schatten norms, L^p(S^q) norms
+of functions, and iterated mixed norms.
 
-The algebra is M_N(C) with the standard (unnormalized) trace.  Schatten
-norms need no per-matrix LAPACK call where a closed form exists: the
-S^2 norm is the Frobenius norm, and a 2x2 matrix has its singular values
-in closed form; any other matrix takes them from a batched SVD.  A
-scalar value is a 1x1 matrix.  Mixed-norm spaces stack finitely many
-weighted atom levels on top of the matrix level; the nested norm of a
-value tree evaluates one weighted l^p norm per level, with the Schatten
-norm at the bottom.
+The algebra is M_N(C) with the standard (unnormalized) trace.  ``chain``
+is the one product of values: a multiply-add over the inner index,
+broadcast over the leading axes of stacks.  Schatten norms need no
+per-matrix LAPACK call where a closed form exists: the S^2 norm is the
+Frobenius norm, and a 2x2 matrix has its singular values in closed
+form; any other matrix takes them from a batched SVD.  A scalar value
+is a 1x1 matrix.  ``lp_norm`` is the L^p(S^q) norm of a grid or torus
+function, the power mean of its cells' Schatten norms, and ``lp_norms``
+that of each row of a stack.  This module imports no other dyadlab module.
+
+Mixed-norm spaces stack finitely many weighted atom levels on top of
+the matrix level; the nested norm of a value tree evaluates one weighted
+l^p norm per level, with the Schatten norm at the bottom.
 
 The factorization routines split a positive unit-norm element into a
 product of unit-norm factors, one per exponent: the subtree norms from
@@ -32,7 +38,7 @@ _CHUNK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
-# Schatten norms
+# Schatten norms, L^p(S^q) norms and the product
 # ---------------------------------------------------------------------------
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
@@ -93,6 +99,47 @@ def value_norms(values: np.ndarray, value_ndim: int, p: float) -> np.ndarray:
     return np.abs(values)
 
 
+def scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry with the scalar (C library) power.
+
+    numpy's array power may take a SIMD path that rounds differently in
+    the last bit, so a batch computed with it would not match the same
+    values computed one at a time.
+    """
+    return np.array([v ** e for v in np.asarray(x, dtype=float).tolist()])
+
+
+def power_mean(x: np.ndarray, p: float) -> np.ndarray:
+    """(mean of x^p)^(1/p) over the last axis of a nonnegative array; the
+    max (0 for no entries) at p = inf.  The root is taken entry by entry
+    with the scalar power (see ``scalar_pow``)."""
+    x = np.asarray(x, dtype=float)
+    if np.isinf(p):
+        return x.max(axis=-1, initial=0.0)
+    if p <= 0:
+        raise ValueError("exponent must be positive")
+    means = np.mean(x ** p, axis=-1)
+    return scalar_pow(means.ravel(), 1.0 / p).reshape(means.shape)
+
+
+def lp_norm(f, p: float, schatten: float) -> float:
+    """L^p norm of x -> |f(x)|_{S^schatten} over the cells of a grid or
+    torus function f (anything with ``values`` and ``value_shape``), each
+    cell of equal weight."""
+    return float(lp_norms(f.values[None], len(f.value_shape), p, schatten)[0])
+
+
+def lp_norms(stack: np.ndarray, value_ndim: int, p: float, schatten: float) -> np.ndarray:
+    """``lp_norm`` of each row of a stack of functions: axis 0 runs over
+    the functions, the last ``value_ndim`` axes hold one value and the
+    axes between are the cells.  Each row's norm is bit for bit its norm
+    alone."""
+    stack = np.asarray(stack)
+    cut = stack.ndim - value_ndim
+    norms = value_norms(stack.reshape((-1,) + stack.shape[cut:]), value_ndim, schatten)
+    return power_mean(norms.reshape(len(stack), math.prod(stack.shape[1:cut])), p)
+
+
 def conjugate_exponent(p: float) -> float:
     if np.isinf(p):
         return 1.0
@@ -102,9 +149,22 @@ def conjugate_exponent(p: float) -> float:
 
 
 def chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Matrix product of ``mats`` in list order, left to right; stacks
-    (..., N, N) multiply batched and broadcast."""
-    return functools.reduce(np.matmul, mats)
+    """Matrix product of ``mats`` in list order, left to right: the one
+    product of values.  Stacks (..., N, N) multiply batched and broadcast
+    over their leading axes; shapes other than square N x N raise."""
+    return functools.reduce(_product, mats)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b as a multiply-add over the inner index: elementwise passes over
+    the whole stack, not one BLAS call per small matrix."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"cannot multiply values of shapes {a.shape} and {b.shape}")
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -324,7 +384,7 @@ def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
 
     The aligned proposal is the first.  ``_best_gaussian`` scores the
     other budget - 1 in chunks of arrays: one normal draw per chunk, one
-    batched normalization per slot and one batched matmul chain per
+    batched normalization per slot and one ``chain`` of stacks per
     permutation.  Its oracle ``_best_gaussian_per_draw`` draws,
     normalizes and scores one proposal at a time; the two agree to the
     last bit of each normalization (array and scalar powers may round
@@ -357,7 +417,7 @@ def _best_gaussian(e: np.ndarray, ps: Sequence[float], perms: list,
     ``standard_normal((B, k, 2, N, N))`` array per chunk, real parts at
     [..., 0, :, :] and imaginary parts at [..., 1, :, :] (the stream of
     one draw at a time), one ``schatten_norms`` call per slot, and one
-    batched matmul chain and trace per permutation.
+    ``chain`` of stacks and trace per permutation.
     ``_best_gaussian_per_draw`` is its oracle.
     """
     rng = np.random.default_rng(seed)

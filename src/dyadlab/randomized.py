@@ -24,13 +24,11 @@ from .lattice import (
     from_aligned,
     grid_axes,
     level_blocks,
-    lp_norm,
-    power_mean,
-    scalar_pow,
 )
+from .ncspaces import (chain, conjugate_exponent, lp_norm, lp_norms, power_mean, scalar_pow,
+                       schatten_norm, value_norms)
 # schatten_norms is not called here, but perfbench's span test reads it in this namespace
-from .ncspaces import (chain, conjugate_exponent, schatten_norm, schatten_norms,  # noqa: F401
-                       value_norms)
+from .ncspaces import schatten_norms  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 20
 # largest accumulator of one chunk of decoupling samples, in bytes
@@ -129,7 +127,7 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
     moment of the raw sum.
 
     ``values`` stacks the functions f_Q, shape (M,) + grid + value shape
-    as ``lp_norm`` takes a batch; row i belongs to the cube (level[i],
+    as ``lp_norms`` takes them; row i belongs to the cube (level[i],
     index[i]) and must be supported in it.  The rows take their signs in
     the order of their cubes by level, then index."""
     level = np.asarray(level)
@@ -147,7 +145,7 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
         avg.append(from_aligned(lat, np.where(inside, level_blocks(f, lv)[0], 0)).values)
     eps = _patterns_for(ens, len(level))
     sums = [np.tensordot(eps, np.stack(x), axes=(1, 0)) for x in (avg, raw)]
-    return tuple(float(np.mean(lp_norm(v, p, schatten, lat))) for v in sums)
+    return tuple(float(np.mean(lp_norms(v, v.ndim - 1 - lat.dim, p, schatten))) for v in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,7 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
     accumulator.  Per chunk and level, one gather reads each sample's point
     of Delta_Q^l f in every cube Q of the level, and one add spreads the
     signed values over the cubes' blocks of the (samples, cells..., value)
-    accumulator; one batched ``lp_norm`` takes the norms.  The oracle
+    accumulator; one ``lp_norms`` call takes the norms.  The oracle
     ``_decoupling_ratio_per_sample`` agrees bit for bit.
     """
     lat, levels, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
@@ -221,7 +219,7 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
             acc.reshape((b - a,) + (m, w) * d + vs)[...] += v.reshape((b - a,) + (m, 1) * d + vs)
         if any(lat.shift_cells):  # back to physical cells, as from_aligned does
             acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, d + 1)))
-        vals[a:b] = scalar_pow(lp_norm(acc, p, schatten, lat), p)
+        vals[a:b] = scalar_pow(lp_norms(acc, len(vs), p, schatten), p)
     return _ratio(lhs, vals)
 
 
@@ -310,7 +308,7 @@ def rscalar_check(es: np.ndarray, coeffs: Sequence[complex],
     ps = [float(p) for p in exponents]
     if len(ps) != n + 1 or abs(sum(1.0 / p for p in ps) - 1.0) > 1e-9:
         raise ValueError("exponents must form a Holder tuple of length n+1")
-    prod = chain([np.einsum("k,kij->kij", coeffs, es[0]), *es[1:]])
+    prod = chain([coeffs[:, None, None] * es[0], *es[1:]])
     lhs = schatten_norm(prod.sum(axis=0), conjugate_exponent(ps[n]))
     rhs = 1.0
     for jj in range(n):
@@ -333,7 +331,7 @@ def key_product_inequality(es: np.ndarray, last: np.ndarray,
     if len(ps) != n + 1:
         raise ValueError("exponent tuple length mismatch")
     core = chain(es).sum(axis=0)
-    lhs = schatten_norm(core @ last, conjugate_exponent(ps[n]))
+    lhs = schatten_norm(chain([core, last]), conjugate_exponent(ps[n]))
     inv_rp = sum(1.0 / ps[j] for j in range(n - 1))
     rp = float("inf") if inv_rp == 0 else 1.0 / inv_rp
     rhs = schatten_norm(core, rp) * schatten_norm(last, ps[n - 1])
@@ -364,5 +362,5 @@ def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
     worst = 0.0
     for a in range(0, len(eps), rows):
         v = sum(eps[a:a + rows, c] * delta for c, delta in zip(cols, deltas))
-        worst = max(worst, float(lp_norm(v, p, schatten, lat).max(initial=0.0)))
+        worst = max(worst, float(lp_norms(v, len(f.value_shape), p, schatten).max(initial=0.0)))
     return worst / den

@@ -354,10 +354,7 @@ def universal_sparse_bound(fs: list[GridFunction], value: float,
 
 def pointwise_schatten(f: GridFunction, p: float) -> GridFunction:
     """Scalar function x -> |f(x)|_{S^p}."""
-    lat = f.lattice
-    flat = f.values.reshape((lat.num_cells,) + f.value_shape)
-    norms = value_norms(flat, len(f.value_shape), p)
-    return GridFunction(lat, norms.reshape((lat.cells_per_axis,) * lat.dim))
+    return GridFunction(f.lattice, value_norms(f.values, len(f.value_shape), p))
 
 
 def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> dict:

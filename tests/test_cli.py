@@ -311,6 +311,8 @@ def test_shift_file_skips_the_rules_between_fields(tmp_path):
     (lambda obj: obj["coeffs"][1].update(K=[9, [0]]), r"field coeffs\[1\]\.K is rejected: "),
     (lambda obj: obj.pop("dim"), "missing field dim"),
     (None, r"\[Errno 2\] No such file"),
+    pytest.param(lambda obj: obj.update(dim=0), "field dim must be a positive integer",
+                 id="dim-zero"),
 ])
 def test_shift_file_errors_report_the_field(tmp_path, tamper, reason):
     import dyadlab as dl

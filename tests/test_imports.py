@@ -41,6 +41,30 @@ def test_package_imports_only_the_standard_library_and_declared_dependencies():
     assert {name: mods for name, mods in found.items() if mods} == {}
 
 
+def _package_modules(path: Path) -> set[str]:
+    """The dyadlab modules one source file imports (relative imports)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+    return names
+
+
+def test_value_layers_import_only_the_value_algebra():
+    # lattice (grids) and ncspaces (values and their norms) stand alone;
+    # leibniz (torus functions) builds on the value algebra only
+    assert _package_modules(PACKAGE / "lattice.py") == set()
+    assert _package_modules(PACKAGE / "ncspaces.py") == set()
+    assert _package_modules(PACKAGE / "leibniz.py") == {"ncspaces"}
+
+
+def test_package_module_check_sees_both_import_forms(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\nfrom . import lattice as lt\n"
+                    "from .ncspaces import chain\n")
+    assert _package_modules(path) == {"lattice", "ncspaces"}
+
+
 def test_import_check_sees_an_undeclared_module(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import numpy as np\nfrom . import lattice\n\n"

@@ -454,6 +454,13 @@ def test_aligned_roundtrip():
     (lambda o: o["values"].pop(), "values"),
     (lambda o: o["values"][3].append(0.0), "values"),
     (lambda o: o["values"][3].__setitem__(0, float("nan")), "values"),
+    # header integers out of range
+    pytest.param(lambda o: o.update(dim=0), "dim", id="dim-zero"),
+    pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
+    pytest.param(lambda o: o.update(N=-2), "N", id="N-negative"),
+    pytest.param(lambda o: o.update(N=0), "N", id="N-zero"),
+    pytest.param(lambda o: o.update(kind="nested", shape=[-1, 2, 2]), "shape",
+                 id="nested-shape-negative"),
 ])
 def test_serialization_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 2)
@@ -475,7 +482,7 @@ def test_lp_norm_batch_rows_equal_single_calls(d, L, N, scalar, norm, p):
                "schatten2": lambda v: nc.schatten_norms(v[None], 2.0)[0]}[norm]
     lat = dl.build_lattice(d, L, 1)
     rows = [dl.random_grid_function(lat, N=N, seed=s, scalar=scalar) for s in range(64)]
-    batch = dl.lp_norm(np.stack([f.values for f in rows]), p, 2.0, lat)
+    batch = nc.lp_norms(np.stack([f.values for f in rows]), 0 if scalar else 2, p, 2.0)
     assert batch.shape == (64,)
     for f, b in zip(rows, batch):
         single = dl.lp_norm(f, p, 2.0)

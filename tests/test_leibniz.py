@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dyadlab import leibniz as lb
+from dyadlab import ncspaces as nc
 
 EXPS = (4.0, 4.0, 2.0, 4.0, 4.0)
 
@@ -104,25 +105,6 @@ def test_split_reconstruction_banded(rng):
         assert parts.partition_defect < 1e-12
 
 
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_multiply_matches_matmul(N):
-    # the stacks paraproduct_split multiplies: (M + 1, R) blocks against
-    # (M + 1, R) cumulative sums and against the (R,) mean block
-    rng = np.random.default_rng(N)
-
-    def stack(*lead):
-        return rng.standard_normal(lead + (N, N)) + 1j * rng.standard_normal(lead + (N, N))
-
-    blocks, other, mean = stack(7, 64), stack(7, 64), stack(64)
-    for f, g in ((blocks, other), (blocks, mean), (mean, blocks)):
-        got = lb._multiply(f, g, (N, N), (N, N))
-        want = f @ g
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(f) @ np.abs(g)))
-    with pytest.raises(ValueError, match="value shapes"):
-        lb._multiply(np.ones((4, N, N + 1)), np.ones((4, N, N + 1)), (N, N + 1), (N, N + 1))
-
-
 @pytest.mark.parametrize("d, R, f_kind, g_kind", [
     (1, 256, "matrix", "matrix"),
     (2, 32, "matrix", "matrix"),
@@ -198,13 +180,30 @@ def test_leibniz_ratio_single_frequency_closed_form():
         assert abs(ratio - 2.0 ** (s - 1)) < 1e-9
 
 
+@pytest.mark.parametrize("d, R, N, scalar, q, p", [
+    (1, 64, 2, False, 4.0 / 3.0, 4.0),
+    (2, 16, 3, False, 3.0, 1.5),
+    (1, 128, 1, True, 2.0, math.inf),
+])
+def test_lp_norms_rows_equal_lp_norm_of_torus_functions(d, R, N, scalar, q, p):
+    fs = [lb.random_torus_function(d, R, band=4, N=N, seed=s, scalar=scalar) for s in range(16)]
+    rows = nc.lp_norms(np.stack([f.values for f in fs]), len(fs[0].value_shape), p, q)
+    assert rows.shape == (16,)
+    for f, row in zip(fs, rows):
+        single = nc.lp_norm(f, p, q)
+        assert type(single) is float and single == row
+        norms = nc.value_norms(f.values, len(f.value_shape), q).ravel()
+        ref = norms.max() if math.isinf(p) else np.mean(norms ** p) ** (1.0 / p)
+        assert single == pytest.approx(float(ref), rel=1e-14)
+
+
 def test_leibniz_ratio_identity_second_factor():
     N = 2
     f = lb.random_torus_function(1, 128, band=16, N=N, seed=6)
     eye = lb.TorusFunction(1, 128, np.broadcast_to(np.eye(N), (128, N, N)).copy())
     ratio = lb.leibniz_ratio(f, eye, 1.5, EXPS)
     # the denominator already contains |D^s f| |I| with the dual indices
-    eye_norm = lb.lp_schatten_norm(eye, 4.0, 4.0 / 3.0)
+    eye_norm = nc.lp_norm(eye, 4.0, 4.0 / 3.0)
     assert ratio <= 1.0 / eye_norm + 1e-12
 
 

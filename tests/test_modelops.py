@@ -330,10 +330,19 @@ def test_shift_rewrite_builds_one_pyramid_per_input(monkeypatch):
     assert not any(p.flat.flags.writeable for p in pyrs)
 
 
+def _merged_table(level, index, eta, value, sum_repeats=False):
+    """A table of the rows, those with one key merged by ``_merge_repeats``."""
+    t = mo.CoeffTable(level, index, eta, value)
+    keep, value = mo._merge_repeats(t._keys(), t.value, sum_repeats)
+    if keep is None:
+        return t
+    return mo.CoeffTable(t.level[keep], t.index[keep], t.eta[keep], value)
+
+
 def _reduce_shift_reference(spec):
     """``reduce_shift`` as every row expanded, then merged: each slot
     replaces each row by its variants (level, index, eta, gamma factor),
-    and CoeffTable sums the rows that land on one key."""
+    and ``_merge_repeats`` sums the rows that land on one key."""
     lat, t = spec.lattice, spec.coeffs
     n1, d, R = spec.n + 1, lat.dim, len(spec.coeffs)
     expand_slots = [j for j in range(1, n1 + 1)
@@ -371,7 +380,7 @@ def _reduce_shift_reference(spec):
         levels = tuple(k if kind[0] == "canc" else kind[-1] if kind[0] == "delta" else 0
                        for k, kind in zip(spec.complexity, labels))
         canc = spec.cancellative | {j for j, kind in choice.items() if kind[0] == "delta"}
-        table = mo.CoeffTable(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma,
+        table = _merged_table(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma,
                               sum_repeats=True)
         terms.append((tuple(labels), levels, canc, table, len(src)))
     return terms
@@ -506,6 +515,20 @@ def test_shift_json_bytes_pinned():
     assert mo.shift_to_json(mo.shift_from_json(text)) == text
 
 
+def test_empty_tables_load_back():
+    # a scale-0 shift has no coefficients; its file must load as it was written
+    lat = dl.build_lattice(2, 3)
+    spec = mo.make_random_shift(lat, 1, (1, 0), {1, 2}, seed=0, scale=0.0)
+    text = mo.shift_to_json(spec)
+    again = mo.shift_from_json(text)
+    assert len(again.coeffs) == 0 and again.coeffs.index.shape == (0, 3, 2)
+    assert mo.shift_to_json(again) == text
+    empty = mo.ParaproductSpec(lat, 1, 1, mo.CoeffTable(np.zeros((0, 1)), np.zeros((0, 1, 2)),
+                                                        np.zeros((0, 1)), []))
+    text = mo.paraproduct_to_json(empty)
+    assert mo.paraproduct_to_json(mo.paraproduct_from_json(text)) == text
+
+
 # recorded from the writer that built one dict per entry for json.dumps
 PARAPRODUCT_JSON_SHA256 = "4b00d102c1deca798401b126035fb92be9113ece40f78b4de74949391022f52f"
 
@@ -567,6 +590,10 @@ def _shift_payload():
                  id="repeat-then-K-depth"),
     pytest.param(lambda o: o["coeffs"].insert(1, dict(o["coeffs"][0], re=50)), "coeffs[1].re",
                  id="repeat-over-bound"),
+    # header integers out of range
+    pytest.param(lambda o: o.update(dim=0), "dim", id="dim-zero"),
+    pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
+    pytest.param(lambda o: o.update(n=0), "n", id="n-zero"),
 ])
 def test_shift_loader_names_bad_field(edit, field):
     obj = _shift_payload()
@@ -595,6 +622,12 @@ def test_shift_loader_names_bad_field(edit, field):
     pytest.param(lambda o: (o["coeffs"].insert(1, dict(o["coeffs"][0])),
                             o["coeffs"][3].update(eta=0)), "coeffs[3].eta",
                  id="repeat-then-eta-zero"),
+    # header integers out of range; the payload has n = 2
+    pytest.param(lambda o: o.update(dim=0), "dim", id="dim-zero"),
+    pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
+    pytest.param(lambda o: o.update(n=0), "n", id="n-zero"),
+    pytest.param(lambda o: o.update(haar_position=0), "haar_position", id="haar-position-zero"),
+    pytest.param(lambda o: o.update(haar_position=4), "haar_position", id="haar-position-above"),
 ])
 def test_paraproduct_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 3)
@@ -689,9 +722,11 @@ def test_json_writer_equals_one_dict_per_entry(d):
 def test_coeff_table_merges_repeated_keys():
     Q, K = dl.Cube(1, (1,)), dl.Cube(0, (0,))
     rows = ([[1], [0], [1]], [[[1]], [[0]], [[1]]], [[1], [1], [1]], [1.0, 2.0, 3.0])
-    last = mo.CoeffTable(*rows)
+    # a table keeps the rows it is given; the merge is the builder's
+    assert len(mo.CoeffTable(*rows)) == 3
+    last = _merged_table(*rows)
     assert list(last.items()) == [((Q, 1), 3.0), ((K, 1), 2.0)]
-    summed = mo.CoeffTable(*rows, sum_repeats=True)
+    summed = _merged_table(*rows, sum_repeats=True)
     assert list(summed.items()) == [((Q, 1), 4.0), ((K, 1), 2.0)]
     # equality is by key and value, whatever the row order
     swapped = mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 3.0])
@@ -701,10 +736,9 @@ def test_coeff_table_merges_repeated_keys():
 def _raw_table(keys, values, sum_repeats):
     """A table of rows (K, Q_1, Q_2) with etas (e_1, e_2) at d = 1, from
     keys ((level, index) per cube, etas)."""
-    return mo.CoeffTable(np.reshape([[c[0] for c in cs] for cs, _ in keys], (-1, 3)),
+    return _merged_table(np.reshape([[c[0] for c in cs] for cs, _ in keys], (-1, 3)),
                          np.reshape([[[c[1]] for c in cs] for cs, _ in keys], (-1, 3, 1)),
-                         np.reshape([es for _, es in keys], (-1, 2)), values,
-                         sum_repeats=sum_repeats)
+                         np.reshape([es for _, es in keys], (-1, 2)), values, sum_repeats)
 
 
 @pytest.mark.parametrize("sum_repeats", [False, True])
@@ -780,8 +814,7 @@ def test_carleson_and_bmo_sweeps_match_brute_force(d, L):
 
 def _mixed_input_norm(f, p):
     # L^p norm of the pointwise dual-Schatten norm
-    from dyadlab.ncspaces import conjugate_exponent
-    from dyadlab.lattice import lp_norm
+    from dyadlab.ncspaces import conjugate_exponent, lp_norm
     return lp_norm(f, p, conjugate_exponent(p))
 
 

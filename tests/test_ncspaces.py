@@ -111,6 +111,48 @@ def test_value_norms_reject_other_values_and_small_exponents():
             nc.value_norms(np.ones((3, 2, 2)), ndim, 0.5)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chain_matches_matmul(N):
+    # the broadcasts in use: (R, N, N) stacks in forms and Leibniz products,
+    # (M + 1, R) blocks against the (R,) mean block in paraproduct_split,
+    # and one (N, N) matrix against a (B, N, N) stack in _best_gaussian
+    rng = np.random.default_rng(N)
+
+    def stack(*lead):
+        return rng.standard_normal(lead + (N, N)) + 1j * rng.standard_normal(lead + (N, N))
+
+    blocks, other, mean, e = stack(7, 64), stack(7, 64), stack(64), stack()
+    for f, g in ((blocks, other), (blocks, mean), (mean, blocks), (e, mean), (mean, e), (e, e)):
+        got = nc.chain([f, g])
+        want = f @ g
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(f) @ np.abs(g)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chain_rows_equal_single_chains(N):
+    rng = np.random.default_rng(10 + N)
+    mats = [rng.standard_normal((33, N, N)) + 1j * rng.standard_normal((33, N, N))
+            for _ in range(4)]
+    e = mats[0][0]
+    rows = nc.chain(mats)
+    with_e = nc.chain([e, *mats[1:]])
+    for r in range(33):
+        assert nc.chain([m[r] for m in mats]).tobytes() == rows[r].tobytes()
+        assert nc.chain([e, *(m[r] for m in mats[1:])]).tobytes() == with_e[r].tobytes()
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones((4, 2, 3)), np.ones((4, 2, 3))),   # not square
+    (np.ones((2, 2)), np.ones((3, 3))),         # sizes differ
+    (np.ones((4, 2, 2)), np.ones((4, 2))),      # not a matrix
+    (np.ones(2), np.ones(2)),
+])
+def test_chain_rejects_mismatched_shapes(a, b):
+    with pytest.raises(ValueError, match="cannot multiply"):
+        nc.chain([a, b])
+
+
 def test_power_pos(rng):
     assert np.allclose(nc.power_pos(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
     a = random_psd(rng, 3)

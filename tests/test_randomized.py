@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dyadlab as dl
+from dyadlab import ncspaces as nc
 from dyadlab import randomized as rz
 from dyadlab import cli
 from dyadlab.lattice import _cell_block, from_aligned
@@ -94,7 +95,8 @@ def _stein_per_cube(lat, values, level, index, p, schatten, ens):
     eps = ens.patterns()[:, :len(cubes)]
     raw = np.stack([fqs[Q].values for Q in cubes])
     avg = np.stack([dl.expect(fqs[Q], Q).values for Q in cubes])
-    return tuple(float(np.mean(dl.lp_norm(np.tensordot(eps, x, axes=(1, 0)), p, schatten, lat)))
+    vdim = values.ndim - 1 - lat.dim
+    return tuple(float(np.mean(nc.lp_norms(np.tensordot(eps, x, axes=(1, 0)), vdim, p, schatten)))
                  for x in (avg, raw))
 
 
@@ -356,7 +358,7 @@ def _transform_ratio_per_cube(f, p, schatten, ens):
     base = f.values - f.values.mean(axis=tuple(range(lat.dim)), keepdims=True)
     den = dl.lp_norm(dl.GridFunction(lat, base), p, schatten)
     signed = np.tensordot(ens.patterns()[:, :len(cubes)], diffs, axes=(1, 0))
-    return float(dl.lp_norm(signed, p, schatten, lat).max()) / den
+    return float(nc.lp_norms(signed, len(f.value_shape), p, schatten).max()) / den
 
 
 @pytest.mark.parametrize("L, ens", [
