@@ -142,6 +142,9 @@ def _checked(value, rule: dict, path: str):
 def _field_error(config: dict) -> tuple[str, str] | None:
     """(field, message) for a broken rule between fields, which the
     per-field rules of FIELDS cannot see."""
+    # every lattice is built at d = 1 where the command has no d
+    if "L" in config and config.get("d", 1) * config["L"] > lt.MAX_CUBE_BITS:
+        return "L", f"d * L must be at most {lt.MAX_CUBE_BITS}"
     if "complexity" in config and not config.get("shift_file"):
         slots = config["n"] + 1
         if len(config["complexity"]) != slots:

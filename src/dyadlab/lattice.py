@@ -25,8 +25,23 @@ from typing import Iterator
 import numpy as np
 
 SHIFT_QUANTIZATION_TOL = 1e-9
+# dim * depth is at most this, so that the heap number of every cube
+# (``_heap_number``) fits an int64
+MAX_CUBE_BITS = 62
 # cubes, or table rows, that a block-wise sweep handles at once
 _BLOCK = 1024
+
+
+class FieldError(ValueError):
+    """A value that breaks a rule of the object built from it, named by
+    its file field: a header ``field``, or with a ``row`` that field of
+    coefficient entry ``row`` (the whole entry for ""); table row r is
+    file entry r.  The message is ``field <path> is rejected: ...``."""
+
+    def __init__(self, field: str, reason: str, row: int | None = None):
+        path = field if row is None else f"coeffs[{row}]" + (f".{field}" if field else "")
+        super().__init__(f"field {path} is rejected: {reason}")
+        self.field, self.row = field, row
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +61,12 @@ class Lattice:
     shift_cells: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        _check_size(self.dim, self.depth)
         if len(self.shift_cells) != self.dim:
-            raise ValueError("shift has wrong number of components")
+            raise FieldError("shift", f"must have one component per axis ({self.dim})")
         n = 1 << self.depth
         if any(not (0 <= s < n) for s in self.shift_cells):
-            raise ValueError("shift out of range")
+            raise FieldError("shift", f"cells must lie in 0..{n - 1}")
 
     @property
     def shift(self) -> tuple[float, ...]:
@@ -111,16 +123,28 @@ class Cube:
         return out
 
 
+def _check_size(d: int, L: int) -> None:
+    """The rules on the dimension d and depth L of a lattice, checked
+    before anything of size 2^L is made."""
+    if d < 1:
+        raise FieldError("dim", "must be at least 1")
+    if L < 1:
+        raise FieldError("depth", "must be at least 1")
+    if d * L > MAX_CUBE_BITS:
+        raise FieldError("depth", f"dim * depth = {d * L} exceeds {MAX_CUBE_BITS}, "
+                         "the bits of a cube's heap number")
+
+
 def build_lattice(d: int, L: int, seed_or_shift=None) -> Lattice:
     """Build a lattice; the optional argument selects the shift.
 
     ``None`` gives the standard grid.  A sequence of floats is a shift
     vector (components must be exact multiples of 2^-L).  An integer is
     an RNG seed: each binary digit of the shift is drawn uniformly, the
-    finite analogue of a random translated grid.
+    finite analogue of a random translated grid.  A broken rule raises
+    FieldError naming ``dim``, ``depth`` or ``shift``.
     """
-    if d < 1 or L < 1:
-        raise ValueError("need d >= 1 and L >= 1")
+    _check_size(d, L)
     n = 1 << L
     if seed_or_shift is None:
         cells = (0,) * d
@@ -130,16 +154,13 @@ def build_lattice(d: int, L: int, seed_or_shift=None) -> Lattice:
         cells = tuple(int(sum(digits[k, a] << (L - 1 - k) for k in range(L)))
                       for a in range(d))
     else:
-        shift = tuple(float(s) for s in seed_or_shift)
-        if len(shift) != d:
-            raise ValueError("shift has wrong number of components")
         cells = []
-        for s in shift:
+        for s in map(float, seed_or_shift):
             if not 0.0 <= s < 1.0:
-                raise ValueError("shift components must lie in [0,1)")
+                raise FieldError("shift", f"{s} does not lie in [0, 1)")
             c = s * n
             if abs(c - round(c)) > SHIFT_QUANTIZATION_TOL * n:
-                raise ValueError(f"shift {s} is not a multiple of 2^-{L}")
+                raise FieldError("shift", f"{s} is not a multiple of 2^-{L}")
             cells.append(int(round(c)) % n)
         cells = tuple(cells)
     return Lattice(d, L, cells)
@@ -154,8 +175,9 @@ class GridFunction:
 
     ``values`` has shape (2^L,)*d + value_shape in physical cell
     coordinates (axis a indexes the a-th coordinate, row-major).  The
-    value shape is () for scalars, (N, N) for matrix values and any
-    longer tuple ending in (N, N) for nested (mixed-norm) values.
+    value shape is () for scalars and (N, N) for matrix values, the two
+    kinds a file holds; extra leading value axes hold in-memory stacks
+    of such functions (nested values, or one function per cube).
     Real float64 values stay real; every other dtype becomes complex128.
     """
 
@@ -175,12 +197,13 @@ class GridFunction:
 
     @property
     def kind(self) -> str:
+        """The file kind: "scalar", or "matrix" for N x N values."""
         vs = self.value_shape
         if vs == ():
             return "scalar"
         if len(vs) == 2 and vs[0] == vs[1]:
             return "matrix"
-        return "nested"
+        raise ValueError(f"value shape {vs} is neither scalar nor N x N")
 
     @property
     def N(self) -> int:
@@ -530,6 +553,8 @@ class HaarPyramid:
 # ---------------------------------------------------------------------------
 
 def grid_function_to_json(f: GridFunction) -> str:
+    """Serialize a function of scalar or N x N values (``kind`` raises
+    ValueError for any other value shape)."""
     lat = f.lattice
     flat = f.values.reshape(-1)
     payload = {
@@ -540,24 +565,19 @@ def grid_function_to_json(f: GridFunction) -> str:
         "N": f.N,
         "values": [[float(v.real), float(v.imag)] for v in flat],
     }
-    if f.kind == "nested":
-        payload["shape"] = list(f.value_shape)
     return json.dumps(payload, sort_keys=True)
 
 
 def grid_function_from_json(text: str) -> GridFunction:
-    """Load a grid function; a missing field, a wrong shape and a
-    non-finite value raise ValueError naming the field."""
+    """Load a grid function; a missing field, a wrong type or shape, a
+    lattice rule broken and a non-finite value raise ValueError naming
+    the field."""
     obj = json.loads(text)
-    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _field(obj, "shift"))
+    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
     kind = _field(obj, "kind")
-    if kind not in ("scalar", "matrix", "nested"):
-        raise ValueError("field kind must be scalar, matrix or nested")
-    vs = (() if kind == "scalar" else (_int(obj, "N"),) * 2 if kind == "matrix"
-          else tuple(_ints(_field(obj, "shape"), None, "shape")))
-    if any(v < 1 for v in vs):
-        raise ValueError("field shape must hold positive integers")
-    shape = (lat.cells_per_axis,) * lat.dim + vs
+    if kind not in ("scalar", "matrix"):
+        raise ValueError("field kind must be scalar or matrix")
+    shape = (lat.cells_per_axis,) * lat.dim + ((_int(obj, "N"),) * 2 if kind == "matrix" else ())
     try:
         pairs = np.array(_field(obj, "values"), dtype=np.float64)
     except (TypeError, ValueError):
@@ -572,16 +592,14 @@ def grid_function_from_json(text: str) -> GridFunction:
 
 def _field(obj, key: str, path: str | None = None):
     if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing field {path or key}")
+        raise ValueError(f"field {path or key} is missing")
     return obj[key]
 
 
-def _int(obj, key: str, top: int | None = None) -> int:
-    """A positive integer, at most ``top`` if given."""
+def _int(obj, key: str) -> int:
     x = _field(obj, key)
-    if type(x) is not int or x < 1 or (top is not None and x > top):
-        raise ValueError(f"field {key} must be "
-                         + ("a positive integer" if top is None else f"an integer in 1..{top}"))
+    if type(x) is not int or x < 1:
+        raise ValueError(f"field {key} must be a positive integer")
     return x
 
 
@@ -592,8 +610,8 @@ def _ints(x, count: int | None, path: str) -> list[int]:
     return x
 
 
-def _finite(obj, key: str, path: str) -> float:
-    x = _field(obj, key, path)
+def _finite(x, path: str) -> float:
+    """x, a JSON number (not a bool) of finite float value."""
     try:
         if type(x) in (int, float) and math.isfinite(x):
             return x
@@ -602,11 +620,18 @@ def _finite(obj, key: str, path: str) -> float:
     raise ValueError(f"field {path} must be a finite number")
 
 
+def _shift(obj) -> list[float]:
+    x = _field(obj, "shift")
+    if not isinstance(x, list):
+        raise ValueError("field shift must be a list of finite numbers")
+    return [_finite(s, "shift") for s in x]
+
+
 def _cube_json(c, d: int, path: str) -> tuple[int, list[int]]:
     """A JSON cube [level, [indices]] as (level, indices)."""
     if not isinstance(c, list) or len(c) != 2 or type(c[0]) is not int:
         raise ValueError(f"field {path} must hold cubes [level, [{d} indices]]")
     index = _ints(c[1], d, path)
-    if not 0 <= c[0] <= 62 // d or any(not 0 <= i < 1 << c[0] for i in index):
+    if not 0 <= c[0] <= MAX_CUBE_BITS // d or any(not 0 <= i < 1 << c[0] for i in index):
         raise ValueError(f"field {path} holds a cube out of range")
     return c[0], index

@@ -37,10 +37,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import (_BLOCK, Cube, GridFunction, HaarPyramid, Lattice, _block_means,
-                      _cube_json, _expand, _field, _finite, _haar_patch, _haar_signs,
-                      _heap_cubes, _heap_number, _heap_size, _int, _ints, _level_views,
-                      build_lattice, from_aligned, haar, pairing)
+from .lattice import (_BLOCK, MAX_CUBE_BITS, Cube, FieldError, GridFunction, HaarPyramid,
+                      Lattice, _block_means, _cube_json, _expand, _field, _finite,
+                      _haar_patch, _haar_signs, _heap_cubes, _heap_number, _heap_size, _int,
+                      _ints, _level_views, _shift, build_lattice, from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -52,11 +52,11 @@ class CoeffTable:
     Row r holds the cubes (level[r, s], index[r, s, :]) for s = 0..S-1,
     cube 0 being the base cube K, the eta masks eta[r, :] and value[r].
     A shift row is (K, Q_1..Q_{n+1}) with one eta per slot; a
-    paraproduct row is (K,) with one eta.  Keys must be unique; a table
-    never merges rows, so a builder whose rows may repeat a key merges
-    them first (``_merge_repeats``).  ``len`` counts rows; ``==``
-    compares the tables as mappings from keys to values, whatever their
-    row order.
+    paraproduct row is (K,) with one eta.  Keys must be unique, which
+    ``ShiftSpec`` and ``ParaproductSpec`` check; a table never merges
+    rows, and ``reduce_shift``, whose rows may repeat a key, sums them
+    first (``_merge_repeats``).  ``len`` counts rows; ``==`` compares the
+    tables as mappings from keys to values, whatever their row order.
     """
 
     def __init__(self, level, index, eta, value):
@@ -64,7 +64,7 @@ class CoeffTable:
         self.index = np.asarray(index, dtype=np.int64)
         self.eta = np.asarray(eta, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.complex128)
-        if np.any((self.level < 0) | (self.level * self.dim > 62)):
+        if np.any((self.level < 0) | (self.level * self.dim > MAX_CUBE_BITS)):
             raise ValueError("cube level out of range")
         if np.any(self.index < 0) or np.any(self.index.max(axis=-1) >> self.level):
             raise ValueError("cube index out of range")
@@ -100,17 +100,14 @@ class CoeffTable:
                    else (cs[0], tuple(cs[1:]), tuple(es))), a
 
 
-def _merge_repeats(keys: Sequence[np.ndarray], value: np.ndarray,
-                   sum_repeats: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """Merge the rows of ``value`` whose key columns all agree.
-
-    A merged row takes the position of the first row with its key and
-    keeps the last row's value, or with ``sum_repeats`` the sum of the
-    values in row order.  ``value`` may carry trailing axes, merged
-    entry by entry.  Returns the rows kept, in order, and their values;
-    (None, value) if all keys are distinct.  Key changes along the
-    sorted rows are found one column at a time, so besides the sort
-    order only one column is copied at once.
+def _merge_repeats(keys: Sequence[np.ndarray],
+                   value: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Sum the rows of ``value`` whose key columns all agree, in row
+    order, into the position of the first of them.  ``value`` may carry
+    trailing axes, merged entry by entry.  Returns the rows kept, in
+    order, and their values; (None, value) if all keys are distinct.
+    Key changes along the sorted rows are found one column at a time, so
+    besides the sort order only one column is copied at once.
     """
     rows = len(value)
     order = np.lexsort(keys[::-1])  # stable: equal keys keep row order
@@ -124,33 +121,27 @@ def _merge_repeats(keys: Sequence[np.ndarray], value: np.ndarray,
     first = np.empty(rows, dtype=np.intp)  # each row's first row with its key
     first[order] = order[starts][np.cumsum(starts) - 1]
     keep, target = np.unique(first, return_inverse=True)
-    if sum_repeats:
-        merged = np.zeros((len(keep),) + value.shape[1:], dtype=np.complex128)
-        np.add.at(merged, target, value)
-        return keep, merged
-    last = np.zeros(len(keep), dtype=np.intp)
-    np.maximum.at(last, target, np.arange(rows))
-    return keep, value[last]
-
-
-class CoeffRowError(ValueError):
-    """A coefficient row that does not fit its operator: ``row`` is the
-    table row and ``field`` the file field at fault (K, Qs, etas, eta,
-    re or im), for loaders to name the entry."""
-
-    def __init__(self, row: int, field: str, message: str):
-        super().__init__(message)
-        self.row, self.field = row, field
+    merged = np.zeros((len(keep),) + value.shape[1:], dtype=np.complex128)
+    np.add.at(merged, target, value)
+    return keep, merged
 
 
 def _reject_rows(faults) -> None:
     """For the first (bad, field, message) whose (rows, slots) mask holds
-    a fault, raise CoeffRowError at its first bad row; ``{j}`` in the
+    a fault, raise FieldError at its first bad row; ``{j}`` in the
     message is that row's first bad slot, 1-based."""
     for bad, field, message in faults:
         if bad.any():
             r = int(np.argmax(bad.any(axis=1)))
-            raise CoeffRowError(r, field, message.format(j=int(np.argmax(bad[r])) + 1))
+            raise FieldError(field, message.format(j=int(np.argmax(bad[r])) + 1), r)
+
+
+def _reject_repeats(t: CoeffTable) -> None:
+    """FieldError at the first row whose key an earlier row holds."""
+    keep, _ = _merge_repeats(t._keys(), t.value)
+    if keep is not None:
+        r = int(np.flatnonzero(~np.isin(np.arange(len(t)), keep))[0])
+        raise FieldError("", "its key repeats that of an earlier entry", r)
 
 
 def _coeff_bound(level: np.ndarray, dim: int, n: int) -> np.ndarray:
@@ -165,21 +156,23 @@ def _coeff_bound(level: np.ndarray, dim: int, n: int) -> np.ndarray:
 class ShiftSpec:
     """An n-linear dyadic shift bound to a lattice.
 
-    ``cancellative`` holds 1-based slot indices (at least two).  The
-    coefficients are a ``CoeffTable`` of rows (K, Q_1..Q_{n+1}) with one
-    eta mask per slot.  Out-of-bound coefficients are rejected.
+    ``cancellative`` holds distinct 1-based slot indices (at least two).
+    The coefficients are a ``CoeffTable`` of rows (K, Q_1..Q_{n+1}) with
+    one eta mask per slot and unique keys.  Out-of-bound coefficients
+    are rejected.  A broken rule raises FieldError naming the field.
     """
 
     def __init__(self, lattice: Lattice, n: int, complexity: Sequence[int],
                  cancellative: Iterable[int], coeffs: CoeffTable):
         complexity = tuple(int(k) for k in complexity)
-        cancellative = frozenset(int(j) for j in cancellative)
+        slots = [int(j) for j in cancellative]
+        cancellative = frozenset(slots)
         if n < 1:
-            raise ValueError("linearity must be >= 1")
+            raise FieldError("n", "must be at least 1")
         if len(complexity) != n + 1 or any(k < 0 for k in complexity):
-            raise ValueError("complexity must be n+1 non-negative integers")
-        if len(cancellative) < 2 or not cancellative <= set(range(1, n + 2)):
-            raise ValueError("need at least two cancellative slots in 1..n+1")
+            raise FieldError("complexity", f"needs n + 1 = {n + 1} non-negative integers")
+        if not 2 <= len(cancellative) == len(slots) or not cancellative <= set(range(1, n + 2)):
+            raise FieldError("cancellative", f"needs two or more distinct slots in 1..{n + 1}")
         self.lattice = lattice
         self.n = n
         self.complexity = complexity
@@ -212,37 +205,40 @@ class ShiftSpec:
         over = mag > bound * (1.0 + NORMALIZATION_SLACK)
         if over.any():
             r = int(np.argmax(over))
-            raise CoeffRowError(r, "re" if abs(t.value[r].real) >= abs(t.value[r].imag) else "im",
-                                f"coefficient {t.value[r]} exceeds the bound {bound[r]}")
+            raise FieldError("re" if abs(t.value[r].real) >= abs(t.value[r].imag) else "im",
+                             f"coefficient {t.value[r]} exceeds the bound {bound[r]}", r)
+        _reject_repeats(t)
 
 
 class ParaproductSpec:
     """An n-linear dyadic paraproduct: one Haar slot, n averaged slots.
 
     The coefficients are a ``CoeffTable`` of rows (K,) with one eta
-    mask.  They must satisfy the Carleson condition
+    mask and unique keys.  They must satisfy the Carleson condition
     sup_{K0} (|K0|^-1 sum_{K <= K0} |a_K|^2)^(1/2) <= 1, verified over
-    every cube of the lattice.
+    every cube of the lattice.  A broken rule raises FieldError naming
+    the field.
     """
 
     def __init__(self, lattice: Lattice, n: int, haar_position: int,
                  coeffs: CoeffTable):
         if n < 1:
-            raise ValueError("linearity must be >= 1")
+            raise FieldError("n", "must be at least 1")
         if not 1 <= haar_position <= n + 1:
-            raise ValueError("haar position out of range")
+            raise FieldError("haar_position", f"must lie in 1..{n + 1}")
         t = self.coeffs = coeffs
         if t.level.shape[1:] != (1,) or t.eta.shape[1:] != (1,) or t.dim != lattice.dim:
             raise ValueError("coefficient key has wrong arity")
         _reject_rows((((t.eta < 1) | (t.eta >= 1 << lattice.dim), "eta",
                        "paraproduct coefficients need cancellative eta"),
                       (t.level >= lattice.depth, "K", "coefficient cube at the finest level")))
+        _reject_repeats(t)
         self.lattice = lattice
         self.n = n
         self.haar_position = haar_position
         c = self.carleson_constant()
         if c > 1.0 + 1e-9:
-            raise ValueError(f"coefficients violate the Carleson condition ({c})")
+            raise FieldError("coeffs", f"the Carleson constant {c} exceeds 1")
 
     def carleson_constant(self) -> float:
         """Sup over all lattice cubes K0 of the normalized square function."""
@@ -592,7 +588,7 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
             gamma = gamma * factor
         keep, value = _merge_repeats(
             [_heap_number(lv, ix, d) for lv, ix in cubes] + [e for e in row_etas if e is not None],
-            t.value[:, None] * gamma, sum_repeats=True)
+            t.value[:, None] * gamma)
         del gamma, factor  # freed before the term's table is built
         rows = np.arange(R) if keep is None else keep
         eta = np.empty((len(rows), len(choices), n1), dtype=np.int64)
@@ -638,13 +634,9 @@ def _json_floats(x: np.ndarray) -> list[str]:
     return json.dumps(x.tolist())[1:-1].split(", ") if len(x) else []
 
 
-def _table_from_json(obj, d: int, qs: int, eta_key: str,
-                     eta_default) -> tuple[CoeffTable, np.ndarray]:
-    """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im}, in file
-    order, as a table and the keys of the entries, one row per entry:
-    levels, indices and etas as in the table's rows.  Entries with one
-    key become one row, at the first one's position with the last one's
-    value.
+def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTable:
+    """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im} as a
+    table, row r from entry r.
 
     Well-formed entries are read column by column; at any anomaly the
     entries are read again one at a time, so the error names its field."""
@@ -654,23 +646,8 @@ def _table_from_json(obj, d: int, qs: int, eta_key: str,
     cols = _columns(entries, d, qs, eta_key, eta_default)
     level, index, eta, value = cols if cols is not None else _rows(
         entries, d, qs, eta_key, eta_default)
-    level, index, eta = (np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
-                         np.reshape(eta, (-1, qs or 1)))
-    keys = np.concatenate([level, index.reshape(len(level), (qs + 1) * d), eta], axis=1)
-    keep, value = _merge_repeats(list(keys.T), np.asarray(value), sum_repeats=False)
-    if keep is not None:
-        level, index, eta = level[keep], index[keep], eta[keep]
-    return CoeffTable(level, index, eta, value), keys
-
-
-def _entry_error(err: CoeffRowError, t: CoeffTable, keys: np.ndarray) -> ValueError:
-    """``err`` naming the file entry of its table row: the first entry with
-    the row's key, or for a value the last one, whose value the table kept."""
-    r = err.row
-    key = np.concatenate([t.level[r], t.index[r].reshape(-1), t.eta[r]])
-    same = np.flatnonzero((keys == key).all(axis=1))
-    i = same[-1] if err.field in ("re", "im") else same[0]
-    return ValueError(f"field coeffs[{i}].{err.field} is rejected: {err}")
+    return CoeffTable(np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
+                      np.reshape(eta, (-1, qs or 1)), value)
 
 
 def _only(xs: list, t: type) -> bool:
@@ -700,7 +677,7 @@ def _columns(entries: list, d: int, qs: int, eta_key: str, eta_default):
             return None
         etas = list(itertools.chain.from_iterable(etas))
     if not (_only(index, int) and _only(etas, int) and set(map(type, re + im)) <= {int, float}
-            and 0 <= min(level) and max(level) <= 62 // d
+            and 0 <= min(level) and max(level) <= MAX_CUBE_BITS // d
             and 0 <= min(index) and max(index) < 1 << 62
             and 0 <= min(etas) and max(etas) < 1 << d):
         return None
@@ -736,7 +713,8 @@ def _rows(entries: list, d: int, qs: int, eta_key: str, eta_default):
         if any(not 0 <= e < 1 << d for e in es):
             raise ValueError(f"field {p}.{eta_key} must hold eta masks below {1 << d}")
         eta += es
-        value.append(complex(_finite(ent, "re", f"{p}.re"), _finite(ent, "im", f"{p}.im")))
+        re, im = (_finite(_field(ent, k, f"{p}.{k}"), f"{p}.{k}") for k in ("re", "im"))
+        value.append(complex(re, im))
     return level, index, eta, value
 
 
@@ -750,24 +728,21 @@ def shift_from_json(text: str) -> ShiftSpec:
     """Load a shift; normalization is re-validated.
 
     Missing ``etas`` entries default to the fully cancellative pattern
-    on cancellative slots and zero elsewhere.  A repeated key keeps its
-    first position and its last value.  A missing field, a wrong arity
-    or shape, a non-finite ``re``/``im`` and an entry that does not fit
-    the lattice, its slots or the normalization raise ValueError naming
-    the field, for example ``dim`` or ``coeffs[3].Qs``; the index counts
-    the entries of the file.
+    on cancellative slots and zero elsewhere.  A missing field, a wrong
+    type, arity or shape, and a value that breaks a rule of the lattice
+    or the shift (``build_lattice``, ``ShiftSpec``: a repeated key, an
+    entry that does not fit the lattice, its slots or the normalization)
+    raise ValueError naming the field, for example ``dim`` or
+    ``coeffs[3].Qs``; the index counts the entries of the file.
     """
     obj = json.loads(text)
-    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), obj.get("shift"))
+    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
     n = _int(obj, "n")
-    canc = set(_ints(_field(obj, "cancellative"), None, "cancellative"))
+    canc = _ints(_field(obj, "cancellative"), None, "cancellative")
     complexity = _ints(_field(obj, "complexity"), n + 1, "complexity")
     default = [(1 << lat.dim) - 1 if (j + 1) in canc else 0 for j in range(n + 1)]
-    table, keys = _table_from_json(obj, lat.dim, n + 1, "etas", default)
-    try:
-        return ShiftSpec(lat, n, complexity, canc, table)
-    except CoeffRowError as err:
-        raise _entry_error(err, table, keys) from None
+    return ShiftSpec(lat, n, complexity, canc,
+                     _table_from_json(obj, lat.dim, n + 1, "etas", default))
 
 
 def paraproduct_to_json(spec: ParaproductSpec) -> str:
@@ -777,14 +752,9 @@ def paraproduct_to_json(spec: ParaproductSpec) -> str:
 
 def paraproduct_from_json(text: str) -> ParaproductSpec:
     """Load a paraproduct; a missing ``eta`` defaults to the all-ones
-    pattern.  Malformed files and entries that do not fit the lattice
-    raise ValueError naming the field."""
+    pattern.  Malformed files and values that break a rule of the
+    lattice or the paraproduct raise ValueError naming the field."""
     obj = json.loads(text)
-    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), obj.get("shift"))
-    n = _int(obj, "n")
-    position = _int(obj, "haar_position", n + 1)
-    table, keys = _table_from_json(obj, lat.dim, 0, "eta", (1 << lat.dim) - 1)
-    try:
-        return ParaproductSpec(lat, n, position, table)
-    except CoeffRowError as err:
-        raise _entry_error(err, table, keys) from None
+    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
+    return ParaproductSpec(lat, _int(obj, "n"), _int(obj, "haar_position"),
+                           _table_from_json(obj, lat.dim, 0, "eta", (1 << lat.dim) - 1))

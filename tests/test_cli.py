@@ -153,6 +153,9 @@ def test_config_schema_violation_reports_path(tmp_path):
     ("reduce-verify", "complexity", [1, 0]),
     ("shift-eval", "cancellative", [1, 5]),
     ("decouple", "j", 3),
+    # d * L above the 62 bits of a cube's heap number
+    ("haar-suite", "L", 80),
+    ("sparse-verify", "L", 63),
 ])
 def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)
@@ -309,10 +312,12 @@ def test_shift_file_skips_the_rules_between_fields(tmp_path):
 
 @pytest.mark.parametrize("tamper, reason", [
     (lambda obj: obj["coeffs"][1].update(K=[9, [0]]), r"field coeffs\[1\]\.K is rejected: "),
-    (lambda obj: obj.pop("dim"), "missing field dim"),
+    (lambda obj: obj.pop("dim"), "field dim is missing"),
     (None, r"\[Errno 2\] No such file"),
     pytest.param(lambda obj: obj.update(dim=0), "field dim must be a positive integer",
                  id="dim-zero"),
+    pytest.param(lambda obj: obj.update(depth=80), "field depth is rejected: dim \\* depth",
+                 id="depth-bound"),
 ])
 def test_shift_file_errors_report_the_field(tmp_path, tamper, reason):
     import dyadlab as dl

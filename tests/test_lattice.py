@@ -43,6 +43,17 @@ def test_nonquantized_shift_rejected():
         dl.build_lattice(1, 3, (1.0,))
 
 
+@pytest.mark.parametrize("d, L", [(1, 62), (2, 31), (3, 20), (62, 1)])
+def test_lattice_size_bound(d, L):
+    # dim * depth <= 62, so the heap number of every cube fits an int64
+    assert dl.build_lattice(d, L).depth == L
+    for bad in [(d, L + 1), (d + 1, L)]:
+        with pytest.raises(lt.FieldError, match=r"^field depth is rejected: dim \* depth"):
+            dl.build_lattice(*bad, 0)
+        with pytest.raises(lt.FieldError, match=r"^field depth is rejected"):
+            dl.Lattice(*bad, (0,) * bad[0])
+
+
 def test_haar_values_1d():
     lat = dl.build_lattice(1, 3)
     h = dl.haar(lat, (dl.Cube(0, (0,)), 1))
@@ -430,14 +441,13 @@ def test_serialization_scalar_and_kind():
 
 
 def test_serialization_nested_values():
+    # a stack along an extra value axis lives in memory only: files hold
+    # scalar or N x N values
     lat = dl.build_lattice(1, 2)
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
-    f = dl.GridFunction(lat, vals)
-    assert f.kind == "nested"
-    g = dl.grid_function_from_json(dl.grid_function_to_json(f))
-    assert g.kind == "nested" and g.value_shape == (3, 2, 2)
-    assert np.array_equal(g.values, f.values)
+    for vs in [(3, 2, 2), (2, 3), (3,)]:
+        f = dl.GridFunction(lat, np.zeros((4,) + vs))
+        with pytest.raises(ValueError, match="neither scalar nor N x N"):
+            dl.grid_function_to_json(f)
 
 
 def test_aligned_roundtrip():
@@ -459,8 +469,14 @@ def test_aligned_roundtrip():
     pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
     pytest.param(lambda o: o.update(N=-2), "N", id="N-negative"),
     pytest.param(lambda o: o.update(N=0), "N", id="N-zero"),
-    pytest.param(lambda o: o.update(kind="nested", shape=[-1, 2, 2]), "shape",
+    # the kinds a file holds are scalar and matrix
+    pytest.param(lambda o: o.update(kind="nested", shape=[-1, 2, 2]), "kind",
                  id="nested-shape-negative"),
+    pytest.param(lambda o: o.update(kind="nested", shape=[1, 2, 2]), "kind", id="nested-kind"),
+    # values that break a rule of the lattice; the payload has depth 2
+    pytest.param(lambda o: o.update(depth=70), "depth", id="depth-bound"),
+    pytest.param(lambda o: o.update(shift=[0.3]), "shift", id="shift-not-multiple"),
+    pytest.param(lambda o: o.update(shift=["x"]), "shift", id="shift-not-numbers"),
 ])
 def test_serialization_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 2)

@@ -9,6 +9,7 @@ import pytest
 
 import dyadlab as dl
 from dyadlab import modelops as mo
+from dyadlab.lattice import FieldError
 
 
 def _lat(L=4):
@@ -52,17 +53,16 @@ def test_constant_in_cancellative_slot_vanishes():
     assert abs(mo.eval_shift_form(spec, [one, h])) < 1e-15
 
 
-def test_normalization_reject_and_clamp():
+def test_normalization_rejects_over_bound():
     lat = _lat()
     K = lat.top()
     Q = dl.Cube(1, (0,))
     # bound for complexity (1,1): |Q1|^(1/2)|Q2|^(1/2)/|K| = 1/2
     coeffs = _table({(K, (Q, Q), (1, 1)): 0.9})
-    with pytest.raises(mo.CoeffRowError, match="exceeds the bound 0.5"):
+    with pytest.raises(FieldError, match=r"^field coeffs\[0\]\.re is rejected: .*exceeds the "
+                       "bound 0.5") as err:
         mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs)
-    # rejection is the only way: nothing projects onto the bound
-    with pytest.raises(TypeError):
-        mo.ShiftSpec(lat, 1, (1, 1), {1, 2}, coeffs, clamp=True)
+    assert (err.value.field, err.value.row) == ("re", 0)
 
 
 def test_spec_rejects_wrong_ancestry_or_eta():
@@ -330,10 +330,10 @@ def test_shift_rewrite_builds_one_pyramid_per_input(monkeypatch):
     assert not any(p.flat.flags.writeable for p in pyrs)
 
 
-def _merged_table(level, index, eta, value, sum_repeats=False):
-    """A table of the rows, those with one key merged by ``_merge_repeats``."""
+def _merged_table(level, index, eta, value):
+    """A table of the rows, those with one key summed by ``_merge_repeats``."""
     t = mo.CoeffTable(level, index, eta, value)
-    keep, value = mo._merge_repeats(t._keys(), t.value, sum_repeats)
+    keep, value = mo._merge_repeats(t._keys(), t.value)
     if keep is None:
         return t
     return mo.CoeffTable(t.level[keep], t.index[keep], t.eta[keep], value)
@@ -380,8 +380,7 @@ def _reduce_shift_reference(spec):
         levels = tuple(k if kind[0] == "canc" else kind[-1] if kind[0] == "delta" else 0
                        for k, kind in zip(spec.complexity, labels))
         canc = spec.cancellative | {j for j, kind in choice.items() if kind[0] == "delta"}
-        table = _merged_table(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma,
-                              sum_repeats=True)
+        table = _merged_table(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma)
         terms.append((tuple(labels), levels, canc, table, len(src)))
     return terms
 
@@ -470,7 +469,7 @@ def test_shift_json_roundtrip():
     assert mo.shift_to_json(again) == text
 
 
-def test_shift_json_eta_default_and_clamp():
+def test_shift_json_eta_default():
     lat = dl.build_lattice(1, 3)
     K = lat.top()
     payload = {
@@ -479,11 +478,8 @@ def test_shift_json_eta_default_and_clamp():
         "coeffs": [{"K": [0, [0]], "Qs": [[0, [0]], [0, [0]]],
                     "re": 2.0, "im": 0.0}],
     }
-    import json
     with pytest.raises(ValueError, match=r"field coeffs\[0\]\.re"):
         mo.shift_from_json(json.dumps(payload))
-    with pytest.raises(TypeError):
-        mo.shift_from_json(json.dumps(payload), clamp=True)
     # within the bound, the missing etas default to the fully cancellative pattern
     payload["coeffs"][0]["re"] = 1.0
     spec = mo.shift_from_json(json.dumps(payload))
@@ -583,8 +579,10 @@ def _shift_payload():
                  id="eta-for-slot"),
     pytest.param(lambda o: o["coeffs"][0].update(re=50), "coeffs[0].re", id="over-bound-re"),
     pytest.param(lambda o: o["coeffs"][2].update(im=-50), "coeffs[2].im", id="over-bound-im"),
-    # a repeated key merges two entries into one table row: the index
-    # still counts file entries, and a value names the entry it came from
+    # a repeated key is rejected at its second entry, after the rules each
+    # entry must keep on its own; table row r is file entry r
+    pytest.param(lambda o: o["coeffs"].insert(1, dict(o["coeffs"][0])), "coeffs[1]",
+                 id="repeat"),
     pytest.param(lambda o: (o["coeffs"].insert(1, dict(o["coeffs"][0])),
                             o["coeffs"][3].update(K=[9, [0]])), "coeffs[3].K",
                  id="repeat-then-K-depth"),
@@ -594,6 +592,21 @@ def _shift_payload():
     pytest.param(lambda o: o.update(dim=0), "dim", id="dim-zero"),
     pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
     pytest.param(lambda o: o.update(n=0), "n", id="n-zero"),
+    # header values that break a rule of the lattice or the shift; the
+    # payload has n = 1 and depth 3
+    pytest.param(lambda o: o.update(depth=80), "depth", id="depth-bound"),
+    pytest.param(lambda o: o.update(dim=63, depth=1), "depth", id="dim-depth-bound"),
+    pytest.param(lambda o: o.update(complexity=[-1, 0]), "complexity", id="complexity-negative"),
+    pytest.param(lambda o: o.update(cancellative=[1, 5]), "cancellative",
+                 id="cancellative-range"),
+    pytest.param(lambda o: o.update(cancellative=[1]), "cancellative", id="cancellative-one"),
+    pytest.param(lambda o: o.update(cancellative=[1, 1, 2]), "cancellative",
+                 id="cancellative-repeat"),
+    pytest.param(lambda o: o.update(shift=[0.3]), "shift", id="shift-not-multiple"),
+    pytest.param(lambda o: o.update(shift=[0.0, 0.0]), "shift", id="shift-length"),
+    pytest.param(lambda o: o.update(shift="x"), "shift", id="shift-not-numbers"),
+    pytest.param(lambda o: o.update(shift=[True]), "shift", id="shift-true"),
+    pytest.param(lambda o: o.pop("shift"), "shift", id="shift-missing"),
 ])
 def test_shift_loader_names_bad_field(edit, field):
     obj = _shift_payload()
@@ -619,15 +632,20 @@ def test_shift_loader_names_bad_field(edit, field):
     pytest.param(lambda o: o["coeffs"][2].update(eta=2), "coeffs[2].eta", id="eta-range"),
     pytest.param(lambda o: o["coeffs"][2].update(K=[3, [5]]), "coeffs[2].K", id="finest-level"),
     pytest.param(lambda o: o["coeffs"][2].update(eta=0), "coeffs[2].eta", id="eta-zero"),
+    pytest.param(lambda o: o["coeffs"].insert(1, dict(o["coeffs"][0])), "coeffs[1]",
+                 id="repeat"),
     pytest.param(lambda o: (o["coeffs"].insert(1, dict(o["coeffs"][0])),
                             o["coeffs"][3].update(eta=0)), "coeffs[3].eta",
                  id="repeat-then-eta-zero"),
+    pytest.param(lambda o: o["coeffs"][0].update(re=100.0), "coeffs", id="carleson"),
     # header integers out of range; the payload has n = 2
     pytest.param(lambda o: o.update(dim=0), "dim", id="dim-zero"),
     pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
     pytest.param(lambda o: o.update(n=0), "n", id="n-zero"),
     pytest.param(lambda o: o.update(haar_position=0), "haar_position", id="haar-position-zero"),
     pytest.param(lambda o: o.update(haar_position=4), "haar_position", id="haar-position-above"),
+    pytest.param(lambda o: o.update(depth=80), "depth", id="depth-bound"),
+    pytest.param(lambda o: o.pop("shift"), "shift", id="shift-missing"),
 ])
 def test_paraproduct_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 3)
@@ -722,44 +740,41 @@ def test_json_writer_equals_one_dict_per_entry(d):
 def test_coeff_table_merges_repeated_keys():
     Q, K = dl.Cube(1, (1,)), dl.Cube(0, (0,))
     rows = ([[1], [0], [1]], [[[1]], [[0]], [[1]]], [[1], [1], [1]], [1.0, 2.0, 3.0])
-    # a table keeps the rows it is given; the merge is the builder's
+    # a table keeps the rows it is given; the merge is reduce_shift's
     assert len(mo.CoeffTable(*rows)) == 3
-    last = _merged_table(*rows)
-    assert list(last.items()) == [((Q, 1), 3.0), ((K, 1), 2.0)]
-    summed = _merged_table(*rows, sum_repeats=True)
+    summed = _merged_table(*rows)
     assert list(summed.items()) == [((Q, 1), 4.0), ((K, 1), 2.0)]
     # equality is by key and value, whatever the row order
-    swapped = mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 3.0])
-    assert len(swapped) == 2 and swapped == last and swapped != summed
+    swapped = mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 4.0])
+    assert len(swapped) == 2 and swapped == summed
+    assert swapped != mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 3.0])
 
 
-def _raw_table(keys, values, sum_repeats):
+def _raw_table(keys, values):
     """A table of rows (K, Q_1, Q_2) with etas (e_1, e_2) at d = 1, from
     keys ((level, index) per cube, etas)."""
     return _merged_table(np.reshape([[c[0] for c in cs] for cs, _ in keys], (-1, 3)),
                          np.reshape([[[c[1]] for c in cs] for cs, _ in keys], (-1, 3, 1)),
-                         np.reshape([es for _, es in keys], (-1, 2)), values, sum_repeats)
+                         np.reshape([es for _, es in keys], (-1, 2)), values)
 
 
-@pytest.mark.parametrize("sum_repeats", [False, True])
-def test_coeff_table_merge_edge_cases(sum_repeats):
+def test_coeff_table_merge_edge_cases():
     cubes = ((0, 0), (1, 1), (1, 0))
-    empty = _raw_table([], [], sum_repeats)
+    empty = _raw_table([], [])
     assert len(empty) == 0 and empty.level.shape == (0, 3) and empty.eta.shape == (0, 2)
     # one row keeps its value to the bit, a negative zero too
-    one = _raw_table([(cubes, (1, 1))], [complex(-0.0, 5e-324)], sum_repeats)
+    one = _raw_table([(cubes, (1, 1))], [complex(-0.0, 5e-324)])
     assert one.value.tobytes() == np.array([complex(-0.0, 5e-324)]).tobytes()
-    same = _raw_table([(cubes, (1, 1))] * 3, [1.0, 2.0, 4.0], sum_repeats)
-    assert len(same) == 1 and same.value.tolist() == [7.0 if sum_repeats else 4.0]
+    same = _raw_table([(cubes, (1, 1))] * 3, [1.0, 2.0, 4.0])
+    assert len(same) == 1 and same.value.tolist() == [7.0]
     # keys that differ only in the last eta column stay apart, in first-row order
-    last = _raw_table([(cubes, (1, 1)), (cubes, (1, 0)), (cubes, (1, 1))], [1.0, 2.0, 4.0],
-                      sum_repeats)
+    last = _raw_table([(cubes, (1, 1)), (cubes, (1, 0)), (cubes, (1, 1))], [1.0, 2.0, 4.0])
     assert last.eta.tolist() == [[1, 1], [1, 0]]
-    assert last.value.tolist() == [5.0 if sum_repeats else 4.0, 2.0]
+    assert last.value.tolist() == [5.0, 2.0]
     # the sum runs in row order: (1e16 + 1) rounds back to 1e16, so the
     # rows sum to 0, where any other order would give 1
-    order = _raw_table([(cubes, (1, 1))] * 3, [1e16, 1.0, -1e16], sum_repeats)
-    assert order.value.tolist() == [0.0 if sum_repeats else -1e16]
+    order = _raw_table([(cubes, (1, 1))] * 3, [1e16, 1.0, -1e16])
+    assert order.value.tolist() == [0.0]
 
 
 def _contains(K0, K):
