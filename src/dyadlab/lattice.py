@@ -301,11 +301,32 @@ def random_grid_function(lat: Lattice, N: int = 1, seed: int = 0,
 def _haar_signs(d: int) -> np.ndarray:
     """The sign of each Haar function on each child of its cube.
 
-    Entry [eta, e] is prod_a (-1)^(eta_a e_a): eta_a is bit a of the eta
-    mask, and the 2^d children e are numbered in C order, so that axis a
-    of child e is bit d - 1 - a (axis 0 is the high bit)."""
+    Entry [eta, e] is prod_a (-1)^(eta_a e_a), one factor per axis as
+    ``_haar_butterfly`` applies it: eta_a is bit a of the eta mask, and
+    the 2^d children e are in C order (axis a of e is bit d - 1 - a)."""
     bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
     return (-1.0) ** (bits @ bits[:, ::-1].T)
+
+
+def _haar_butterfly(x: np.ndarray, d: int) -> np.ndarray:
+    """(x0 + x1, x0 - x1) along each axis 2a + 1 of x, of shape (n_0, 2,
+    ..., n_(d-1), 2) + value shape: child bit e_a in, mask bit eta_a out,
+    entry eta being sum_e ``_haar_signs``[eta, e] x[e].  It is its own
+    transpose; applied twice it multiplies by 2^d."""
+    for a in range(d):
+        at, out = (slice(None),) * (2 * a + 1), np.empty(x.shape, x.dtype)
+        np.add(x[at + (0,)], x[at + (1,)], out=out[at + (0,)])
+        np.subtract(x[at + (0,)], x[at + (1,)], out=out[at + (1,)])
+        x = out
+    return x
+
+
+def _eta_interleaved(a: np.ndarray, d: int) -> np.ndarray:
+    """A view of (cube, eta mask) slots, shape (n,)*d + (2^d,) + value
+    shape, in the layout of ``_haar_butterfly``: mask bit a (axis
+    2d - 1 - a once the mask is split) moves next to cube axis a."""
+    v = a.reshape(a.shape[:d] + (2,) * d + a.shape[d + 1:])
+    return np.moveaxis(v, range(2 * d - 1, d - 1, -1), range(1, 2 * d, 2))
 
 
 def haar(lat: Lattice, h: tuple[Cube, int]) -> GridFunction:
@@ -489,11 +510,10 @@ class HaarPyramid:
     through ``pairings`` (arrays of heap numbers and eta masks), which
     alone knows where a pairing sits.
 
-    The sweep contracts each level against ``_haar_signs`` one block of
-    about ``_BLOCK`` cubes at a time, writing straight into ``flat``.
-    Beyond ``flat`` (and the aligned copy of f on a shifted lattice) it
-    holds the child sums of one level, a quarter of f's size at d = 2,
-    and one block.
+    The sweep takes the children of about ``_BLOCK`` cubes at a time
+    through ``_haar_butterfly`` into ``flat``.  Beyond ``flat`` (and the
+    aligned copy of f on a shifted lattice) it holds the child sums of
+    one level (eta = 0), a quarter of f's size at d = 2, and two blocks.
     """
 
     def __init__(self, f: GridFunction):
@@ -502,13 +522,11 @@ class HaarPyramid:
         vs = f.value_shape
         self.lattice = lat
         self.value_shape = vs
-        m, signs = 1 << d, _haar_signs(d)
         self._coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
-        top = self._coarse * m  # where the finest level starts
+        top = self._coarse << d  # where the finest level starts
         self.flat = np.empty((top + lat.num_cells,) + vs, dtype=np.complex128)
-        levels = _level_views(self.flat[:top].reshape((self._coarse, m) + vs), L - 1, d)
+        levels = _level_views(self.flat[:top].reshape((self._coarse, 1 << d) + vs), L - 1, d)
         fine = self.flat[top:].reshape((lat.cells_per_axis,) * d + vs)
-        child_axes = tuple(2 * ax + 1 for ax in range(d))
         cur = f.aligned()
         for l in range(L - 1, -1, -1):
             below, cur = cur, np.empty((1 << l,) * d + vs, dtype=cur.dtype)
@@ -520,16 +538,9 @@ class HaarPyramid:
                 if l == L - 1:  # the cells: the integral of f over each, and h^0 pairings
                     r = r * lat.cell_volume
                     np.multiply(r, 2.0 ** (L * d / 2.0), out=fine[children])
-                # gather the 2^d child sums of each level-l cube of the block
-                r = r.reshape((len(r) // 2, 2) + (1 << l, 2) * (d - 1) + vs)
-                # move the d child axes (1,3,..) to one trailing axis of size 2^d
-                r = np.moveaxis(r, child_axes, tuple(range(d, 2 * d)))
-                r = r.reshape(r.shape[:d] + (m,) + vs)
-                # contract the child axis against the sign matrix; the new eta
-                # axis lands at the end, move it back next to the grid axes
-                lvl = np.tensordot(r, signs, axes=([d], [1]))
-                np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=levels[l][block])
-                cur[block] = r.sum(axis=d)
+                r = _haar_butterfly(r.reshape((len(r) // 2, 2) + (1 << l, 2) * (d - 1) + vs), d)
+                np.multiply(r, 2.0 ** (l * d / 2.0), out=_eta_interleaved(levels[l][block], d))
+                cur[block] = r[(slice(None), 0) * d]
         self.flat.setflags(write=False)
 
     def pairings(self, heap, eta) -> np.ndarray:
@@ -546,6 +557,22 @@ class HaarPyramid:
             raise ValueError("cancellative Haar needs level < depth")
         # heap * 2^d + eta on levels 0..L-1, heap + coarse * (2^d - 1) on level L
         return self.flat[heap * m + eta - fine * (heap - self._coarse) * (m - 1)]
+
+
+def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
+    """Aligned values of sum_r coef_r h_{Q_r}^{eta_r}, the inverse of the
+    pyramid: summed per cube and eta, each level's coefficients go to
+    its children by ``_haar_butterfly``, on top of the coarser levels."""
+    d, L = lat.dim, lat.depth
+    vs = coef.shape[1:]
+    c = np.zeros((_heap_size(L, d), 1 << d) + vs, dtype=np.complex128)
+    np.add.at(c, (heap, eta), coef)
+    levels = _level_views(c, L, d)
+    out = np.zeros((1,) * d + vs, dtype=np.complex128)
+    for l in range(L):
+        kids = _haar_butterfly(_eta_interleaved(levels[l], d), d) * 2.0 ** (l * d / 2.0)
+        out = (kids + out[(slice(None), None) * d]).reshape((2 << l,) * d + vs)
+    return out + levels[L][(slice(None),) * d + (0,)] * 2.0 ** (L * d / 2.0)
 
 
 # ---------------------------------------------------------------------------

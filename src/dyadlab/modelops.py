@@ -38,9 +38,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (_BLOCK, MAX_CUBE_BITS, Cube, FieldError, GridFunction, HaarPyramid,
-                      Lattice, _block_means, _cube_json, _expand, _field, _finite,
-                      _haar_patch, _haar_signs, _heap_cubes, _heap_number, _heap_size, _int,
-                      _ints, _level_views, _shift, build_lattice, from_aligned, haar, pairing)
+                      Lattice, _block_means, _cube_json, _field, _finite, _haar_signs,
+                      _heap_cubes, _heap_number, _heap_size, _int, _ints, _level_views, _shift,
+                      _synthesize, build_lattice, from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -499,25 +499,6 @@ def adjoint_eval(spec, j0: int, fs: Sequence[GridFunction]) -> GridFunction:
     return from_aligned(lat, out.reshape(out.shape[:lat.dim] + fs[0].value_shape))
 
 
-def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
-    """Aligned values of sum_r coef_r h_{Q_r}^{eta_r}: the coefficients
-    are summed per cube and eta, then each (level, eta) slice is spread
-    over its cubes with the pattern of h^eta on the level's first cube."""
-    d, L = lat.dim, lat.depth
-    c = np.zeros((_heap_size(L, d), 1 << d) + coef.shape[1:], dtype=np.complex128)
-    np.add.at(c, (heap, eta), coef)
-    out = np.zeros((lat.cells_per_axis,) * d + coef.shape[1:], dtype=np.complex128)
-    for lv, level in enumerate(_level_views(c, L, d)):
-        w = 1 << (L - lv)
-        for e in range(1 << d):
-            part = level[(slice(None),) * d + (e,)]
-            if part.any():
-                h = _haar_patch(lat, lv, e)
-                pattern = np.tile(h, (1 << lv,) * d)[(...,) + (None,) * (coef.ndim - 1)]
-                out += _expand(part, w, d) * pattern
-    return out
-
-
 def form_value(spec, fs: Sequence[GridFunction]) -> complex:
     if isinstance(spec, ParaproductSpec):
         return eval_paraproduct_form(spec, fs)
@@ -679,7 +660,7 @@ def _columns(entries: list, d: int, qs: int, eta_key: str, eta_default):
     if not (_only(index, int) and _only(etas, int) and set(map(type, re + im)) <= {int, float}
             and 0 <= min(level) and max(level) <= MAX_CUBE_BITS // d
             and 0 <= min(index) and max(index) < 1 << 62
-            and 0 <= min(etas) and max(etas) < 1 << d):
+            and -1 << 63 <= min(etas) and max(etas) < 1 << 63):
         return None
     level, index = np.array(level), np.array(index).reshape(-1, d)
     if np.any(index >> level[:, None]):  # an index out of range for its level
@@ -710,8 +691,8 @@ def _rows(entries: list, d: int, qs: int, eta_key: str, eta_default):
         index += [c[1] for c in cubes]
         es = ent.get(eta_key, eta_default)
         es = _ints(es if qs else [es], qs or 1, f"{p}.{eta_key}")
-        if any(not 0 <= e < 1 << d for e in es):
-            raise ValueError(f"field {p}.{eta_key} must hold eta masks below {1 << d}")
+        if any(not -1 << 63 <= e < 1 << 63 for e in es):
+            raise ValueError(f"field {p}.{eta_key} must hold eta masks that fit an int64")
         eta += es
         re, im = (_finite(_field(ent, k, f"{p}.{k}"), f"{p}.{k}") for k in ("re", "im"))
         value.append(complex(re, im))

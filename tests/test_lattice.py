@@ -7,6 +7,7 @@ import pytest
 
 import dyadlab as dl
 from dyadlab import lattice as lt
+from dyadlab.criteria import IDENTITY_TOL
 from dyadlab.lattice import _cell_block, from_aligned, haar_level
 
 
@@ -310,6 +311,12 @@ def test_haar_signs_are_the_product_of_axis_signs(d):
             expected = math.prod((-1) ** (((eta >> a) & 1) * ((e >> (d - 1 - a)) & 1))
                                  for a in range(d))
             assert signs[eta, e] == expected
+    # the butterfly of the identity: child e in, eta bits out on the child
+    # axes, bit a on axis 2a + 1; the mask's bit 0 is the last axis of signs
+    eye = np.eye(2 ** d).reshape((1, 2) * d + (2 ** d,))
+    out = lt._haar_butterfly(eye, d).reshape((2,) * d + (2 ** d,))
+    assert np.array_equal(out.transpose(tuple(range(d))[::-1] + (d,)).reshape(signs.shape),
+                          signs)
 
 
 @pytest.mark.parametrize("d, L", [(1, 4), (2, 3), (3, 2)])
@@ -366,25 +373,19 @@ def test_pyramid_matches_direct_pairings():
 def _full_layout(f):
     """The reference layout of a pyramid: every (cube, eta) slot, the
     finest level's cancellative ones zero, in an array of shape
-    (#cubes, 2^d) + value shape indexed by heap number, from the same
-    sweep as ``HaarPyramid``."""
+    (#cubes, 2^d) + value shape indexed by heap number, from whole-level
+    passes of ``_haar_butterfly``."""
     lat = f.lattice
     d, L, vs = lat.dim, lat.depth, f.value_shape
     sums = f.aligned() * lat.cell_volume
-    m = 1 << d
-    bits = (np.arange(m)[:, None] >> np.arange(d)) & 1
-    signs = (-1.0) ** (bits @ bits[:, ::-1].T)
-    flat = np.zeros((lt._heap_size(L, d), m) + vs, dtype=np.complex128)
+    flat = np.zeros((lt._heap_size(L, d), 1 << d) + vs, dtype=np.complex128)
     levels = lt._level_views(flat, L, d)
     levels[L][(slice(None),) * d + (0,)] = sums * 2.0 ** (L * d / 2.0)
     cur = sums
     for l in range(L - 1, -1, -1):
-        r = cur.reshape((1 << l, 2) * d + vs)
-        r = np.moveaxis(r, tuple(2 * ax + 1 for ax in range(d)), tuple(range(d, 2 * d)))
-        r = r.reshape((1 << l,) * d + (m,) + vs)
-        lvl = np.tensordot(r, signs, axes=([d], [1]))
-        np.multiply(np.moveaxis(lvl, -1, d), 2.0 ** (l * d / 2.0), out=levels[l])
-        cur = r.sum(axis=d)
+        r = lt._haar_butterfly(cur.reshape((1 << l, 2) * d + vs), d)
+        lt._eta_interleaved(levels[l], d)[...] = r * 2.0 ** (l * d / 2.0)
+        cur = r[(slice(None), 0) * d]
     return flat
 
 
@@ -403,6 +404,41 @@ def test_pyramid_lookup_bit_equals_the_full_layout(d, L, scalar):
     heap = rng.integers(len(full), size=200)
     eta = np.where(heap < coarse, rng.integers(m, size=200), 0)
     assert np.array_equal(pyr.pairings(heap, eta), full[heap, eta])
+
+
+_SHIFTED_LATTICES = pytest.mark.parametrize(
+    "lat", [dl.build_lattice(1, 5, 3), dl.build_lattice(2, 3, 4), dl.build_lattice(3, 2, 5)],
+    ids=["d1", "d2", "d3"])
+
+
+@_SHIFTED_LATTICES
+def test_synthesize_matches_the_sum_of_haar_functions(lat):
+    # random rows with repeated (cube, eta) keys; cancellative etas only
+    # above the finest level
+    d, L = lat.dim, lat.depth
+    rng = np.random.default_rng(d)
+    level, index = lt._heap_cubes(L, d)
+    heap = rng.integers(len(level), size=60)
+    heap[30:] = heap[:30]
+    eta = np.where(level[heap] < L, rng.integers(1 << d, size=60), 0)
+    coef = rng.standard_normal((60, 2, 2)) + 1j * rng.standard_normal((60, 2, 2))
+    naive = sum(c * dl.haar(lat, (dl.Cube(int(level[q]), tuple(index[q])), int(e))).values[
+        ..., None, None] for q, e, c in zip(heap, eta, coef))
+    out = from_aligned(lat, lt._synthesize(lat, heap, eta, coef)).values
+    assert np.abs(out - naive).max() < 1e-12
+
+
+@_SHIFTED_LATTICES
+def test_synthesizing_every_pairing_rebuilds_f(lat):
+    # f = <f, h^0_top> h^0_top + the sum of <f, h_Q^eta> h_Q^eta over the
+    # cancellative Haar functions, from one pyramid
+    d = lat.dim
+    f = dl.random_grid_function(lat, N=2, seed=d)
+    coarse = lt._heap_size(lat.depth - 1, d)
+    heap = np.append(np.repeat(np.arange(coarse), (1 << d) - 1), 0)
+    eta = np.append(np.tile(np.arange(1, 1 << d), coarse), 0)
+    out = lt._synthesize(lat, heap, eta, dl.HaarPyramid(f).pairings(heap, eta))
+    assert np.abs(from_aligned(lat, out).values - f.values).max() <= IDENTITY_TOL
 
 
 def test_pyramid_stores_only_pairings_that_exist():

@@ -243,27 +243,32 @@ def _dual_pair(lat, g, f):
     return complex(np.einsum("xii->x", prod).sum() * lat.cell_volume)
 
 
+# d = 2 on a shifted lattice: the synthesis then crosses cube edges that
+# wrap around the torus, and spreads four eta masks per cube
+_ADJOINT_D2 = dl.build_lattice(2, 3, (0.25, 0.625))
+
+
 def test_adjoint_duality_all_slots(rng):
-    lat = dl.build_lattice(1, 3)
-    spec = mo.make_random_shift(lat, 2, (1, 0, 1), {2, 3}, seed=8)
-    fs = [dl.random_grid_function(lat, N=2, seed=70 + i) for i in range(3)]
-    value = mo.eval_shift_form(spec, fs)
-    for j0 in (1, 2, 3):
-        rest = [fs[i] for i in range(3) if i != j0 - 1]
-        g = mo.adjoint_eval(spec, j0, rest)
-        assert abs(_dual_pair(lat, g, fs[j0 - 1]) - value) < 1e-12
+    for lat in (dl.build_lattice(1, 3), _ADJOINT_D2):
+        spec = mo.make_random_shift(lat, 2, (1, 0, 1), {2, 3}, seed=8)
+        fs = [dl.random_grid_function(lat, N=2, seed=70 + i) for i in range(3)]
+        value = mo.eval_shift_form(spec, fs)
+        for j0 in (1, 2, 3):
+            rest = [fs[i] for i in range(3) if i != j0 - 1]
+            g = mo.adjoint_eval(spec, j0, rest)
+            assert abs(_dual_pair(lat, g, fs[j0 - 1]) - value) < 1e-12
 
 
 def test_adjoint_duality_paraproduct(rng):
-    lat = _lat()
-    h = dl.random_grid_function(lat, seed=3, scalar=True)
-    pp = mo.ParaproductSpec(lat, 2, 2, mo.make_bmo_coeffs(lat, h))
-    fs = [dl.random_grid_function(lat, N=2, seed=80 + i) for i in range(3)]
-    value = mo.eval_paraproduct_form(pp, fs)
-    for j0 in (1, 2, 3):
-        rest = [fs[i] for i in range(3) if i != j0 - 1]
-        g = mo.adjoint_eval(pp, j0, rest)
-        assert abs(_dual_pair(lat, g, fs[j0 - 1]) - value) < 1e-12
+    for lat in (_lat(), _ADJOINT_D2):
+        h = dl.random_grid_function(lat, seed=3, scalar=True)
+        pp = mo.ParaproductSpec(lat, 2, 2, mo.make_bmo_coeffs(lat, h))
+        fs = [dl.random_grid_function(lat, N=2, seed=80 + i) for i in range(3)]
+        value = mo.eval_paraproduct_form(pp, fs)
+        for j0 in (1, 2, 3):
+            rest = [fs[i] for i in range(3) if i != j0 - 1]
+            g = mo.adjoint_eval(pp, j0, rest)
+            assert abs(_dual_pair(lat, g, fs[j0 - 1]) - value) < 1e-12
 
 
 def test_reduce_all_cancellative_passthrough():
@@ -525,8 +530,9 @@ def test_empty_tables_load_back():
     assert mo.paraproduct_to_json(mo.paraproduct_from_json(text)) == text
 
 
-# recorded from the writer that built one dict per entry for json.dumps
-PARAPRODUCT_JSON_SHA256 = "4b00d102c1deca798401b126035fb92be9113ece40f78b4de74949391022f52f"
+# recorded from the writer that built one dict per entry for json.dumps,
+# on pairings from the butterfly sweep (``lattice._haar_butterfly``)
+PARAPRODUCT_JSON_SHA256 = "2cf87b34b56933e7acf9016d79d4a02189c95aa72659e743f3ceacb80e976aa6"
 
 
 def test_paraproduct_json_bytes_pinned():
@@ -691,6 +697,20 @@ def test_column_reader_falls_back_to_the_named_error(kind, edit):
     with pytest.raises(ValueError) as loaded:
         mo._table_from_json(obj, 1, qs, key, default)
     assert str(loaded.value) == str(per_entry.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("eta", [2, -1])
+def test_eta_mask_range_is_checked_by_the_spec(kind, eta):
+    # the readers bound an eta mask only by int64; its 2^d bound is a rule
+    # of the shift or paraproduct, which raises FieldError
+    payload, qs, key, default = _READERS[kind]
+    obj = payload()
+    obj["coeffs"][1][key] = [eta] * qs if qs else eta
+    assert mo._columns(obj["coeffs"], 1, qs, key, default) is not None
+    load = mo.shift_from_json if kind == "shift" else mo.paraproduct_from_json
+    with pytest.raises(FieldError, match=rf"^field coeffs\[1\]\.{key} is rejected: "):
+        load(json.dumps(obj))
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
