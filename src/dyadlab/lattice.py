@@ -507,8 +507,8 @@ class HaarPyramid:
     cubes of levels 0..L-1 in heap order (``Lattice.cubes()``), 2^d eta
     slots each, then the finest cubes in heap order, one slot each.  A
     pyramid can therefore serve several form evaluations.  Read it
-    through ``pairings`` (arrays of heap numbers and eta masks), which
-    alone knows where a pairing sits.
+    through ``pairings`` (arrays of heap numbers and eta masks); where a
+    pairing sits is known to ``_pairing_slots`` alone.
 
     The sweep takes the children of about ``_BLOCK`` cubes at a time
     through ``_haar_butterfly`` into ``flat``.  Beyond ``flat`` (and the
@@ -522,10 +522,10 @@ class HaarPyramid:
         vs = f.value_shape
         self.lattice = lat
         self.value_shape = vs
-        self._coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
-        top = self._coarse << d  # where the finest level starts
+        coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
+        top = coarse << d  # where the finest level starts
         self.flat = np.empty((top + lat.num_cells,) + vs, dtype=np.complex128)
-        levels = _level_views(self.flat[:top].reshape((self._coarse, 1 << d) + vs), L - 1, d)
+        levels = _level_views(self.flat[:top].reshape((coarse, 1 << d) + vs), L - 1, d)
         fine = self.flat[top:].reshape((lat.cells_per_axis,) * d + vs)
         cur = f.aligned()
         for l in range(L - 1, -1, -1):
@@ -547,32 +547,42 @@ class HaarPyramid:
         """<f, h_Q^eta> for arrays of heap numbers of Q (``_heap_number``)
         and eta masks, broadcast together; the result has their shape
         followed by the value shape."""
-        heap, eta = np.asarray(heap), np.asarray(eta)
-        m = 1 << self.lattice.dim
-        fine = heap >= self._coarse
-        # one test for both conditions (a negative mask wraps to a huge one)
-        if (eta.astype(np.uint64) >= np.where(fine, 1, m)).any():
-            if ((eta < 0) | (eta >= m)).any():
-                raise ValueError(f"eta mask must lie in 0..{m - 1}")
-            raise ValueError("cancellative Haar needs level < depth")
-        # heap * 2^d + eta on levels 0..L-1, heap + coarse * (2^d - 1) on level L
-        return self.flat[heap * m + eta - fine * (heap - self._coarse) * (m - 1)]
+        return self.flat[_pairing_slots(self.lattice, heap, eta)]
+
+
+def _pairing_slots(lat: Lattice, heap, eta) -> np.ndarray:
+    """Where <f, h_Q^eta> sits in ``HaarPyramid.flat``, for heap numbers
+    and eta masks broadcast together: heap * 2^d + eta on levels 0..L-1,
+    heap + #(cubes of levels 0..L-1) * (2^d - 1) on level L.  ValueError
+    for an eta outside [0, 2^d), or one not 0 on the finest level."""
+    heap, eta = np.asarray(heap), np.asarray(eta)
+    m = 1 << lat.dim
+    coarse = _heap_size(lat.depth - 1, lat.dim)
+    fine = heap >= coarse
+    # one test for both conditions (a negative mask wraps to a huge one)
+    if (eta.astype(np.uint64) >= np.where(fine, 1, m)).any():
+        if ((eta < 0) | (eta >= m)).any():
+            raise ValueError(f"eta mask must lie in 0..{m - 1}")
+        raise ValueError("cancellative Haar needs level < depth")
+    return heap * m + eta - fine * (heap - coarse) * (m - 1)
 
 
 def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
     """Aligned values of sum_r coef_r h_{Q_r}^{eta_r}, the inverse of the
-    pyramid: summed per cube and eta, each level's coefficients go to
-    its children by ``_haar_butterfly``, on top of the coarser levels."""
+    pyramid: summed in the pyramid's layout, each level goes to its
+    children by ``_haar_butterfly``, on top of the coarser levels."""
     d, L = lat.dim, lat.depth
     vs = coef.shape[1:]
-    c = np.zeros((_heap_size(L, d), 1 << d) + vs, dtype=np.complex128)
-    np.add.at(c, (heap, eta), coef)
-    levels = _level_views(c, L, d)
+    coarse = _heap_size(L - 1, d)
+    top = coarse << d  # where the finest level starts
+    buf = np.zeros((top + lat.num_cells,) + vs, dtype=np.complex128)
+    np.add.at(buf, _pairing_slots(lat, heap, eta), coef)
+    levels = _level_views(buf[:top].reshape((coarse, 1 << d) + vs), L - 1, d)
     out = np.zeros((1,) * d + vs, dtype=np.complex128)
     for l in range(L):
         kids = _haar_butterfly(_eta_interleaved(levels[l], d), d) * 2.0 ** (l * d / 2.0)
         out = (kids + out[(slice(None), None) * d]).reshape((2 << l,) * d + vs)
-    return out + levels[L][(slice(None),) * d + (0,)] * 2.0 ** (L * d / 2.0)
+    return out + buf[top:].reshape((lat.cells_per_axis,) * d + vs) * 2.0 ** (L * d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -637,28 +647,12 @@ def _ints(x, count: int | None, path: str) -> list[int]:
     return x
 
 
-def _finite(x, path: str) -> float:
-    """x, a JSON number (not a bool) of finite float value."""
+def _shift(obj) -> list[float]:
+    """The ``shift`` field, a JSON list of numbers (not bools) of finite float value."""
+    x = _field(obj, "shift")
     try:
-        if type(x) in (int, float) and math.isfinite(x):
+        if isinstance(x, list) and all(type(s) in (int, float) and math.isfinite(s) for s in x):
             return x
     except OverflowError:  # an integer beyond the float range
         pass
-    raise ValueError(f"field {path} must be a finite number")
-
-
-def _shift(obj) -> list[float]:
-    x = _field(obj, "shift")
-    if not isinstance(x, list):
-        raise ValueError("field shift must be a list of finite numbers")
-    return [_finite(s, "shift") for s in x]
-
-
-def _cube_json(c, d: int, path: str) -> tuple[int, list[int]]:
-    """A JSON cube [level, [indices]] as (level, indices)."""
-    if not isinstance(c, list) or len(c) != 2 or type(c[0]) is not int:
-        raise ValueError(f"field {path} must hold cubes [level, [{d} indices]]")
-    index = _ints(c[1], d, path)
-    if not 0 <= c[0] <= MAX_CUBE_BITS // d or any(not 0 <= i < 1 << c[0] for i in index):
-        raise ValueError(f"field {path} holds a cube out of range")
-    return c[0], index
+    raise ValueError("field shift must be a list of finite numbers")

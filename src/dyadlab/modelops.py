@@ -38,9 +38,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (_BLOCK, MAX_CUBE_BITS, Cube, FieldError, GridFunction, HaarPyramid,
-                      Lattice, _block_means, _cube_json, _field, _finite, _haar_signs,
-                      _heap_cubes, _heap_number, _heap_size, _int, _ints, _level_views, _shift,
-                      _synthesize, build_lattice, from_aligned, haar, pairing)
+                      Lattice, _block_means, _field, _haar_signs, _heap_cubes, _heap_number,
+                      _heap_size, _int, _ints, _level_views, _shift, _synthesize, build_lattice,
+                      from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -52,7 +52,10 @@ class CoeffTable:
     Row r holds the cubes (level[r, s], index[r, s, :]) for s = 0..S-1,
     cube 0 being the base cube K, the eta masks eta[r, :] and value[r].
     A shift row is (K, Q_1..Q_{n+1}) with one eta per slot; a
-    paraproduct row is (K,) with one eta.  Keys must be unique, which
+    paraproduct row is (K,) with one eta.  A level outside
+    0..MAX_CUBE_BITS // dim, an index outside [0, 2^level) and a
+    non-finite value raise FieldError at their row and field (``K``,
+    ``Qs``, ``re``, ``im``).  Keys must be unique, which
     ``ShiftSpec`` and ``ParaproductSpec`` check; a table never merges
     rows, and ``reduce_shift``, whose rows may repeat a key, sums them
     first (``_merge_repeats``).  ``len`` counts rows; ``==`` compares the
@@ -64,10 +67,15 @@ class CoeffTable:
         self.index = np.asarray(index, dtype=np.int64)
         self.eta = np.asarray(eta, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.complex128)
-        if np.any((self.level < 0) | (self.level * self.dim > MAX_CUBE_BITS)):
-            raise ValueError("cube level out of range")
-        if np.any(self.index < 0) or np.any(self.index.max(axis=-1) >> self.level):
-            raise ValueError("cube index out of range")
+        top = MAX_CUBE_BITS // self.dim
+        bad = (self.level < 0) | (self.level > top)  # checked first: index >> level needs it
+        _reject_rows(((bad[:, :1], "K", f"level outside 0..{top}"),
+                      (bad[:, 1:], "Qs", f"level in slot {{j}} outside 0..{top}")))
+        bad = (self.index >> self.level[:, :, None] != 0).any(axis=2)  # a negative one too
+        _reject_rows(((bad[:, :1], "K", "index outside [0, 2^level)"),
+                      (bad[:, 1:], "Qs", "index in slot {j} outside [0, 2^level)"),
+                      (~np.isfinite(self.value.real[:, None]), "re", "not a finite number"),
+                      (~np.isfinite(self.value.imag[:, None]), "im", "not a finite number")))
 
     @property
     def dim(self) -> int:
@@ -617,86 +625,76 @@ def _json_floats(x: np.ndarray) -> list[str]:
 
 def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTable:
     """Entries {K, Qs (``qs`` cubes, none if 0), eta_key, re, im} as a
-    table, row r from entry r.
-
-    Well-formed entries are read column by column; at any anomaly the
-    entries are read again one at a time, so the error names its field."""
+    table, row r from entry r.  The first malformed entry in file order
+    raises ValueError naming its field; what the values mean is checked
+    by ``CoeffTable`` and the specs."""
     entries = _field(obj, "coeffs")
     if not isinstance(entries, list):
         raise ValueError("field coeffs must be a list")
-    cols = _columns(entries, d, qs, eta_key, eta_default)
-    level, index, eta, value = cols if cols is not None else _rows(
-        entries, d, qs, eta_key, eta_default)
-    return CoeffTable(np.reshape(level, (-1, qs + 1)), np.reshape(index, (-1, qs + 1, d)),
-                      np.reshape(eta, (-1, qs or 1)), value)
-
-
-def _only(xs: list, t: type) -> bool:
-    """Whether every item of xs has exactly type t (so no bool passes as int)."""
-    return set(map(type, xs)) <= {t}
-
-
-def _columns(entries: list, d: int, qs: int, eta_key: str, eta_default):
-    """(levels, indices, etas, values) of the entries gathered as columns
-    and checked as a whole, or None if there are none or any is malformed."""
     try:
-        cubes = [[e["K"], *e["Qs"]] for e in entries] if qs else [[e["K"]] for e in entries]
-        etas = [e.get(eta_key, eta_default) for e in entries]
-        re, im = [e["re"] for e in entries], [e["im"] for e in entries]
-    except (AttributeError, KeyError, TypeError):
-        return None
-    flat = list(itertools.chain.from_iterable(cubes))
-    if not (entries and set(map(len, cubes)) <= {qs + 1} and _only(flat, list)
-            and set(map(len, flat)) <= {2}):
-        return None
-    level, index = [c[0] for c in flat], [c[1] for c in flat]
-    if not (_only(level, int) and _only(index, list) and set(map(len, index)) <= {d}):
-        return None
-    index = list(itertools.chain.from_iterable(index))
-    if qs:
-        if not (_only(etas, list) and set(map(len, etas)) <= {qs}):
-            return None
-        etas = list(itertools.chain.from_iterable(etas))
-    if not (_only(index, int) and _only(etas, int) and set(map(type, re + im)) <= {int, float}
-            and 0 <= min(level) and max(level) <= MAX_CUBE_BITS // d
-            and 0 <= min(index) and max(index) < 1 << 62
-            and -1 << 63 <= min(etas) and max(etas) < 1 << 63):
-        return None
-    level, index = np.array(level), np.array(index).reshape(-1, d)
-    if np.any(index >> level[:, None]):  # an index out of range for its level
-        return None
-    value = np.empty(len(re), dtype=np.complex128)
-    try:
-        value.real, value.imag = re, im
-    except OverflowError:  # an integer too large for a float
-        return None
-    if not np.isfinite(value).all():
-        return None
-    return level, index, etas, value
+        return CoeffTable(*_read_entries(entries, d, qs, eta_key, eta_default))
+    except _Malformed:
+        for i, ent in enumerate(entries):
+            try:
+                _read_entries([ent], d, qs, eta_key, eta_default)
+            except _Malformed as bad:
+                raise ValueError(f"field coeffs[{i}].{bad.args[0]} {bad.args[1]}") from None
+        raise
 
 
-def _rows(entries: list, d: int, qs: int, eta_key: str, eta_default):
-    """(levels, indices, etas, values) of the entries read one at a time;
-    the first malformed one raises ValueError naming its field."""
-    level, index, eta, value = [], [], [], []
-    for i, ent in enumerate(entries):
-        p = f"coeffs[{i}]"
-        cubes = [_cube_json(_field(ent, "K", f"{p}.K"), d, f"{p}.K")]
+class _Malformed(Exception):
+    """(field, reason): a field of some entry has the wrong JSON type or shape."""
+
+
+def _read_entries(entries: list, d: int, qs: int, eta_key: str, eta_default):
+    """(levels, indices, etas, values) of the entries in one pass, shaped
+    for a ``CoeffTable``; JSON types and shapes are checked, and
+    integers must fit an int64 and numbers a float."""
+    K_ints, Q_ints, eta, re, im = [], [], [], [], []  # cubes as level, indices
+    for ent in entries:
+        K = ent.get("K") if type(ent) is dict else None
+        if type(K) is not list or len(K) != 2 or type(K[1]) is not list or len(K[1]) != d:
+            raise _Malformed("K", f"must be a cube [level, [{d} indices]]")
+        K_ints.append(K[0])
+        K_ints += K[1]
         if qs:
-            Qs = _field(ent, "Qs", f"{p}.Qs")
-            if not isinstance(Qs, list) or len(Qs) != qs:
-                raise ValueError(f"field {p}.Qs must hold {qs} cubes")
-            cubes += [_cube_json(c, d, f"{p}.Qs") for c in Qs]
-        level += [c[0] for c in cubes]
-        index += [c[1] for c in cubes]
-        es = ent.get(eta_key, eta_default)
-        es = _ints(es if qs else [es], qs or 1, f"{p}.{eta_key}")
-        if any(not -1 << 63 <= e < 1 << 63 for e in es):
-            raise ValueError(f"field {p}.{eta_key} must hold eta masks that fit an int64")
-        eta += es
-        re, im = (_finite(_field(ent, k, f"{p}.{k}"), f"{p}.{k}") for k in ("re", "im"))
-        value.append(complex(re, im))
-    return level, index, eta, value
+            Qs = ent.get("Qs")
+            if type(Qs) is not list or len(Qs) != qs:
+                raise _Malformed("Qs", f"must hold {qs} cubes [level, [{d} indices]]")
+            for Q in Qs:
+                if type(Q) is not list or len(Q) != 2 or type(Q[1]) is not list or len(Q[1]) != d:
+                    raise _Malformed("Qs", f"must hold {qs} cubes [level, [{d} indices]]")
+                Q_ints.append(Q[0])
+                Q_ints += Q[1]
+            es = ent.get(eta_key, eta_default)
+            if type(es) is not list or len(es) != qs:
+                raise _Malformed(eta_key, f"must be a list of {qs} integers")
+            eta += es
+        else:
+            eta.append(ent.get(eta_key, eta_default))
+        if "re" not in ent or "im" not in ent:
+            raise _Malformed("im" if "re" in ent else "re", "is missing")
+        re.append(ent["re"])
+        im.append(ent["im"])
+    R = len(entries)
+    cubes = np.concatenate([_array(K_ints, "K", np.int64).reshape(R, 1, d + 1),
+                            _array(Q_ints, "Qs", np.int64).reshape(R, qs, d + 1)], axis=1)
+    eta = _array(eta, eta_key, np.int64).reshape(R, qs or 1)
+    value = np.empty(R, dtype=np.complex128)
+    value.real, value.imag = _array(re, "re", np.float64), _array(im, "im", np.float64)
+    return cubes[:, :, 0], cubes[:, :, 1:], eta, value
+
+
+def _array(xs: list, field: str, dtype) -> np.ndarray:
+    """xs as an int64 or float64 array; _Malformed if a value is not an
+    integer, or for float64 a number (never a bool), or does not fit."""
+    what = "an integer" if dtype is np.int64 else "a number"
+    if not set(map(type, xs)) <= ({int} if dtype is np.int64 else {int, float}):
+        raise _Malformed(field, f"holds a value that is not {what}")
+    try:
+        return np.array(xs, dtype=dtype)
+    except OverflowError:
+        raise _Malformed(field, f"holds a value that does not fit {np.dtype(dtype).name}") from None
 
 
 def shift_to_json(spec: ShiftSpec) -> str:
@@ -710,11 +708,11 @@ def shift_from_json(text: str) -> ShiftSpec:
 
     Missing ``etas`` entries default to the fully cancellative pattern
     on cancellative slots and zero elsewhere.  A missing field, a wrong
-    type, arity or shape, and a value that breaks a rule of the lattice
-    or the shift (``build_lattice``, ``ShiftSpec``: a repeated key, an
-    entry that does not fit the lattice, its slots or the normalization)
-    raise ValueError naming the field, for example ``dim`` or
-    ``coeffs[3].Qs``; the index counts the entries of the file.
+    type or shape, an integer beyond int64, and a value that breaks a
+    rule of the lattice, the table (``CoeffTable``: levels, indices,
+    finiteness) or the shift (``ShiftSpec``) raise ValueError naming the
+    field, for example ``dim`` or ``coeffs[3].Qs``; the index counts the
+    entries of the file.
     """
     obj = json.loads(text)
     lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
@@ -733,8 +731,9 @@ def paraproduct_to_json(spec: ParaproductSpec) -> str:
 
 def paraproduct_from_json(text: str) -> ParaproductSpec:
     """Load a paraproduct; a missing ``eta`` defaults to the all-ones
-    pattern.  Malformed files and values that break a rule of the
-    lattice or the paraproduct raise ValueError naming the field."""
+    pattern.  A malformed file, and values that break a rule of the
+    lattice, the table or the paraproduct, raise ValueError naming the
+    field, as for ``shift_from_json``."""
     obj = json.loads(text)
     lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
     return ParaproductSpec(lat, _int(obj, "n"), _int(obj, "haar_position"),

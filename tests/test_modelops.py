@@ -65,6 +65,25 @@ def test_normalization_rejects_over_bound():
     assert (err.value.field, err.value.row) == ("re", 0)
 
 
+@pytest.mark.parametrize("kind", ["shift", "paraproduct"])
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_specs_reject_a_non_finite_coefficient(kind, part, bad):
+    # a NaN passes the bound test and the Carleson sup, as every comparison
+    # with it is False; the table rejects it at its row and part
+    lat = dl.build_lattice(1, 3)
+    if kind == "shift":
+        t = mo.make_random_shift(lat, 1, (0, 0), {1, 2}, seed=0).coeffs
+        build = lambda table: mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, table)
+    else:
+        t = mo.make_bmo_coeffs(lat, dl.random_grid_function(lat, seed=5, scalar=True))
+        build = lambda table: mo.ParaproductSpec(lat, 1, 1, table)
+    value = t.value.copy()
+    value[1] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
+    with pytest.raises(FieldError, match=rf"^field coeffs\[1\]\.{part} is rejected: not a finite"):
+        build(mo.CoeffTable(t.level, t.index, t.eta, value))
+
+
 def test_spec_rejects_wrong_ancestry_or_eta():
     lat = _lat()
     K = lat.top()
@@ -464,6 +483,19 @@ def test_shift_form_memory_follows_the_rows(d2_reduce):
     assert peak <= 48 * len(term.coeffs)
 
 
+def test_adjoint_memory_follows_the_pyramid_layout():
+    # coefficients are summed into the pyramid's layout, one slot per finest
+    # cube (a (#cubes, 2^d) table with the finest level's dead cancellative
+    # slots peaked at 11.2 MB here)
+    lat = dl.build_lattice(2, 7)
+    spec = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, seed=0, blocks=64,
+                                tuples_per_block=32)
+    assert len(spec.coeffs) == 8181
+    fs = [dl.random_grid_function(lat, N=2, seed=10 + i) for i in range(2)]
+    _, peak = _traced_peak(lambda: mo.adjoint_eval(spec, 2, fs))
+    assert peak <= 9e6
+
+
 def test_shift_json_roundtrip():
     lat = dl.build_lattice(1, 4)
     spec = mo.make_random_shift(lat, 2, (1, 0, 2), {1, 3}, seed=11)
@@ -573,6 +605,8 @@ def _shift_payload():
                  id="list-entry"),
     pytest.param(lambda o: o["coeffs"][1]["Qs"][0][1].__setitem__(0, 99), "coeffs[1].Qs",
                  id="index-range"),
+    pytest.param(lambda o: o["coeffs"][1]["K"].__setitem__(0, 63), "coeffs[1].K",
+                 id="level-range"),
     pytest.param(lambda o: o["coeffs"][1].update(re=10 ** 400), "coeffs[1].re",
                  id="huge-int"),
     pytest.param(lambda o: o["coeffs"][1].update(etas=[2 ** 70, 1]), "coeffs[1].etas",
@@ -634,6 +668,10 @@ def test_shift_loader_names_bad_field(edit, field):
     pytest.param(lambda o: o["coeffs"].__setitem__(2, "K"), "coeffs[2].K", id="str-entry"),
     pytest.param(lambda o: o["coeffs"][2]["K"][1].__setitem__(0, -1), "coeffs[2].K",
                  id="index-range"),
+    pytest.param(lambda o: o["coeffs"][2]["K"].__setitem__(0, 63), "coeffs[2].K",
+                 id="level-range"),
+    pytest.param(lambda o: o["coeffs"][2].update(im=10 ** 400), "coeffs[2].im", id="huge-int"),
+    pytest.param(lambda o: o["coeffs"][2].pop("re"), "coeffs[2].re", id="missing-key"),
     pytest.param(lambda o: o["coeffs"][2].update(eta=True), "coeffs[2].eta", id="true-eta"),
     pytest.param(lambda o: o["coeffs"][2].update(eta=2), "coeffs[2].eta", id="eta-range"),
     pytest.param(lambda o: o["coeffs"][2].update(K=[3, [5]]), "coeffs[2].K", id="finest-level"),
@@ -676,54 +714,47 @@ _READERS = {"shift": (_shift_payload, 2, "etas", [1, 1]),
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
-@pytest.mark.parametrize("edit", [
-    lambda o: o["coeffs"][1]["K"].__setitem__(0, True),         # a true level
-    lambda o: o["coeffs"][1]["K"][1].__setitem__(0, 1.0),       # a 1.0 index
-    lambda o: o["coeffs"].__setitem__(1, [0, [0]]),             # an entry not a dict
-    lambda o: o["coeffs"][1]["K"][1].__setitem__(0, 8),         # an index out of range
-    lambda o: o["coeffs"][1]["K"].__setitem__(0, 63),           # a level out of range
-    lambda o: o["coeffs"][1].update(im=10 ** 400),              # no float
-    lambda o: o["coeffs"][1].pop("re"),                         # a missing key
-], ids=["true-level", "float-index", "list-entry", "index-range", "level-range", "huge-int",
-        "missing-key"])
-def test_column_reader_falls_back_to_the_named_error(kind, edit):
-    payload, qs, key, default = _READERS[kind]
-    obj = payload()
-    assert mo._columns(obj["coeffs"], 1, qs, key, default) is not None
-    edit(obj)
-    assert mo._columns(obj["coeffs"], 1, qs, key, default) is None
-    with pytest.raises(ValueError, match=r"field coeffs\[1\]\.") as per_entry:
-        mo._rows(obj["coeffs"], 1, qs, key, default)
-    with pytest.raises(ValueError) as loaded:
-        mo._table_from_json(obj, 1, qs, key, default)
-    assert str(loaded.value) == str(per_entry.value)
-
-
-@pytest.mark.parametrize("kind", sorted(_READERS))
 @pytest.mark.parametrize("eta", [2, -1])
 def test_eta_mask_range_is_checked_by_the_spec(kind, eta):
     # the readers bound an eta mask only by int64; its 2^d bound is a rule
     # of the shift or paraproduct, which raises FieldError
-    payload, qs, key, default = _READERS[kind]
+    payload, qs, key, _ = _READERS[kind]
     obj = payload()
     obj["coeffs"][1][key] = [eta] * qs if qs else eta
-    assert mo._columns(obj["coeffs"], 1, qs, key, default) is not None
     load = mo.shift_from_json if kind == "shift" else mo.paraproduct_from_json
     with pytest.raises(FieldError, match=rf"^field coeffs\[1\]\.{key} is rejected: "):
         load(json.dumps(obj))
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
-def test_column_reader_equals_per_entry_reader(kind):
-    payload, qs, key, default = _READERS[kind]
-    obj = payload()
-    obj["coeffs"][0].pop(key)  # the default pattern
-    obj["coeffs"][1].update(re=1, im=-0.0)  # an integer and a negative zero
-    fast = mo._columns(obj["coeffs"], 1, qs, key, default)
-    slow = mo._rows(obj["coeffs"], 1, qs, key, default)
-    for a, b in zip(fast, slow):
-        assert np.array_equal(np.reshape(a, -1), np.reshape(b, -1))
-    assert np.array_equal(np.signbit(fast[3].imag), np.signbit(np.imag(slow[3])))
+def test_loader_names_the_first_bad_entry_in_file_order(kind):
+    # a 1.0 index in the last entry (2 or 6), a string re in entry 1
+    obj = _READERS[kind][0]()
+    obj["coeffs"][-1]["K"][1][0] = 1.0
+    obj["coeffs"][1]["re"] = "0.5"
+    load = mo.shift_from_json if kind == "shift" else mo.paraproduct_from_json
+    with pytest.raises(ValueError, match=r"^field coeffs\[1\]\.re "):
+        load(json.dumps(obj))
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_loaders_keep_an_integer_a_negative_zero_and_the_default_eta(kind):
+    # entry 0 takes the default eta pattern; entry 1 has re = 1 and im = -0.0
+    if kind == "shift":
+        head = {"n": 1, "complexity": [0, 0], "cancellative": [1, 2]}
+        cubes = [{"K": [1, [0]], "Qs": [[1, [0]], [1, [0]]]},
+                 {"K": [0, [0]], "Qs": [[0, [0]], [0, [0]]], "etas": [1, 1]}]
+        load, dump = mo.shift_from_json, mo.shift_to_json
+    else:
+        head = {"n": 1, "haar_position": 1}
+        cubes = [{"K": [1, [1]]}, {"K": [0, [0]], "eta": 1}]
+        load, dump = mo.paraproduct_from_json, mo.paraproduct_to_json
+    obj = {**head, "dim": 1, "depth": 3, "shift": [0.0],
+           "coeffs": [dict(cubes[0], re=0.0, im=0.0), dict(cubes[1], re=1, im=-0.0)]}
+    spec = load(json.dumps(obj))
+    assert spec.coeffs.eta[0].tolist() == np.ravel(_READERS[kind][3]).tolist()
+    for t in (spec.coeffs, load(dump(spec)).coeffs):
+        assert t.value[1] == 1.0 and np.signbit(t.value[1].imag)
 
 
 def _dict_json(spec, header):
