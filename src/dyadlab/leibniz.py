@@ -379,6 +379,12 @@ def cz_kernel_constant(ks: KernelSample) -> tuple[float, float]:
     return size_c, holder_c
 
 
+def _doublings(a: float, b: float) -> int:
+    """The number of j >= 0 with a 2^j <= b, for a > 0, b > 0, exactly."""
+    (f, e), (g, h) = math.frexp(a), math.frexp(b)
+    return max(h - e + (f <= g), 0)
+
+
 class DiagonalKernel:
     """The comparable-frequency kernel of the derivative-of-product split.
 
@@ -411,25 +417,29 @@ class DiagonalKernel:
     interpolation with the same node shift and fraction at every point
     of the scale.
 
-    * Near-diagonal scales (all centers within one table step): a center
-      t table steps above the smallest reads T[k] - t (T[k] - T[k-1]) at
-      node k, so the sum over the interior points is exactly
-      M00 - tA M10 - tB M01 + tA tB M11, with four moment sums for each
-      profile that can sit at the smallest center, computed once.
-    * All other scales, and the end points of near-diagonal ones, are
-      segments i = start .. stop.  Center j of a segment reads row
+    * Scales whose largest offset is at most LAGS table steps: a center
+      r = n + t table steps above the smallest (n whole, 0 <= t < 1)
+      reads T[k - n] - t (T[k - n] - T[k - n - 1]) at node k = stride i,
+      so the interior sum is M00 - tA M10 - tB M01 + tA tB M11, read for
+      the lags (nA, nB) of the two other centers from one table of
+      moment sums built once.  A term counts where all three reads are
+      in the table (k - n - 1 >= 0), so the interior runs from i0 =
+      ceil((max(nA, nB) + 1) / stride) to last - 1; the end points
+      i0 - 1 and last are read from the (node value, slope) rows where
+      the float test below admits them.
+    * All other scales (a larger offset, or an in-table range that ends
+      elsewhere, which only rounding next to a whole lag brings about)
+      are segments i = start .. stop.  Center j of a segment reads row
       stride i + a_j of a table of (node value, slope) pairs at one
       fraction f_j, so its rows are one contiguous run i + b_j of the
       rows of residue class a_j mod stride.  The tables are split by
       residue class and zero-padded once, under one sliding window
-      view; a call copies each center's runs as (segments, 2, W)
-      blocks, interpolates them as (1, f_j) @ block, multiplies the
-      three centers and sums each segment over its own length with one
-      ``np.add.reduceat``, so the padding is never summed.  Far scales
-      and near-diagonal end points take one such pass each, with W the
-      longest segment of the pass.  Positions are taken relative to lo
-      as rounded, not min c - halfwidth, as the interpolation of the
-      Riemann sum sees them.
+      view; a call copies each center's runs as (segments, 2, W) blocks,
+      interpolates them as (1, f_j) @ block, multiplies the three
+      centers and sums each segment over its own length with one
+      ``np.add.reduceat``, so the padding is never summed.  Positions
+      are taken relative to lo as rounded, not min c - halfwidth, as
+      the interpolation of the Riemann sum sees them.
 
     Table ends.  A point counts for a center exactly when the float test
     of the Riemann sum admits it: when (lo + i v_step) - c lies in
@@ -441,6 +451,8 @@ class DiagonalKernel:
     ``_naive_terms`` evaluates the Riemann sums scale by scale with
     ``np.interp``, the oracle of the fast path.
     """
+
+    LAGS = 64  # largest lag of the moment table, capped by the table length
 
     def __init__(self, s: float, halfwidth: float = 60.0, table_step: float = 1.0 / 64,
                  quad_points: int = 4000, v_step: float = 1.0 / 16):
@@ -487,19 +499,28 @@ class DiagonalKernel:
         classes[:, :len(xs) + 1] = self._lerp
         classes = classes.reshape(2, runs, stride, 2).transpose(0, 2, 3, 1).copy()
         self._windows = np.lib.stride_tricks.sliding_window_view(classes, self._width, axis=3)
-        # moment sums over the interior points i = 1 .. last - 1 of a
-        # near-diagonal scale; node k = stride i, D the backward difference
+        # moments (M00, M10, M01, M11)[case, nA, nB]: sums over k = stride i,
+        # i = 1 .. last - 1, of S[k] X[k - nA] Y[k - nB], X and Y the value
+        # or backward difference of A and B, zero where k - n - 1 < 0; phi_s
+        # at S (case 0) or A (case 1), psi elsewhere.  Row lags + j of rows
+        # is node j >= 1; blocks of 96 nodes stay below the FFT's memory
         self._last = (len(xs) - 1) // stride
-        k = stride * np.arange(1, self._last)
-        phi, psi = tables[:, k]
-        dphi, dpsi = tables[:, k] - tables[:, k - 1]
-        self._moments = np.array([
-            # phi_s at the smallest center; A and B are the two psi centers
-            [np.sum(phi * psi * psi), np.sum(phi * dpsi * psi),
-             np.sum(phi * psi * dpsi), np.sum(phi * dpsi * dpsi)],
-            # psi at the smallest center; A is the phi_s center, B the psi one
-            [np.sum(psi * phi * psi), np.sum(psi * dphi * psi),
-             np.sum(psi * phi * dpsi), np.sum(psi * dphi * dpsi)]])
+        lags = self._lags = min(self.LAGS, stride * (self._last - 1) - 1)
+        rows = np.zeros((2, lags + len(xs), 2))
+        rows[:, lags + 1:] = np.stack([tables[:, 1:], np.diff(tables, axis=1)], axis=2)
+        # in reverse node order: windows[p, len(xs) - 1 - k, :, n] is node k - n
+        windows = np.lib.stride_tricks.sliding_window_view(rows[:, ::-1], lags + 1, axis=1)
+        sums = np.zeros((2, 2 * lags + 2, 2 * lags + 2))
+        nodes = stride * np.arange(1, self._last)
+        for block in np.split(nodes, range(96, len(nodes), 96)):
+            phi, psi = windows[:, len(xs) - 1 - block].reshape(2, len(block), -1)
+            sums[0] += (tables[0, block, None] * psi).T @ psi
+            sums[1] += (tables[1, block, None] * phi).T @ psi
+        # [case, a nA, b nB] -> [case, nA, nB, 2 b + a]
+        self._moments = sums.reshape(2, 2, lags + 1, 2, lags + 1).transpose(
+            0, 2, 4, 3, 1).reshape(2, lags + 1, lags + 1, 4)
+        self._pow2 = 2.0 ** np.arange(40)  # a window spans at most 38 scales
+        self._row1 = np.array([1, len(xs) + 2, len(xs) + 2])  # in _lerp's (phi_s, psi, psi)
 
     @staticmethod
     def _window(x: float, y1: float, y2: float) -> tuple[int, int]:
@@ -536,17 +557,18 @@ class DiagonalKernel:
     def __call__(self, x: float, y1: float, y2: float) -> float:
         m_lo, m_hi = self._window(x, y1, y2)
         hw, vs, ts = self.halfwidth, self.v_step, self.table_step
-        pts = np.array([x, y1, y2], dtype=float)
-        jmin = int(pts.argmin())
-        pmin, pmax = pts[jmin], pts.max()
-        # scaling by lam = 2^m is exact, so min c = lam min pts and the
-        # spread of the centers is lam (max pts - min pts): a scale whose
+        p = [x, y1, y2]
+        pmin, pmax = min(p), max(p)
+        jmin = p.index(pmin)
+        # scaling by lam = 2^m is exact, so min c = lam min p and the
+        # spread of the centers is lam (max p - min p): a scale whose
         # bumps no longer overlap lies above every kept one, and a
-        # near-diagonal scale below every other
-        lam = np.ldexp(1.0, np.arange(m_lo, m_hi + 1))
-        lam = lam[:np.searchsorted(lam * (pmax - pmin), 2.0 * hw, side="right")]
-        k = np.searchsorted(lam * ((pmax - pmin) / ts), 1.0, side="right")
-        c = lam[:, None] * pts
+        # closed-form scale below every other
+        spread = math.ldexp(pmax - pmin, m_lo)
+        n = min(_doublings(spread, 2.0 * hw), m_hi - m_lo + 1)
+        nc = min(_doublings(spread / ts, self._lags), n)
+        lam = math.ldexp(1.0, m_lo) * self._pow2[:n]
+        c = lam[:, None] * np.array(p)
         cmin = lam * pmin
         lo = cmin - hw
         d = c - cmin[:, None]
@@ -566,24 +588,35 @@ class DiagonalKernel:
         lo_err = (cmin - (lo - lo_dev)) + (-hw - lo_dev)  # (min c - hw) - lo, exactly
         pos = (d + lo_err[:, None]) / ts
 
-        # scales k.. whole; scales ..k - 1 near-diagonal: closed-form
-        # interior, then the end points i <= 0 and i >= last
-        sums = np.empty(len(lam))
-        sums[k:] = self._gathered(start[k:], stop[k:], pos[k:])
-        ends = self._gathered(np.concatenate([start[:k], np.maximum(start[:k], self._last)]),
-                              np.concatenate([np.minimum(stop[:k], 0), stop[:k]]),
-                              np.concatenate([pos[:k], pos[:k]]))
-        sums[:k] = self._near_interior(d[:k] / ts, jmin) + ends[:k] + ends[k:]
+        # closed-form scales: lags of the two other centers (A, then B) and
+        # the interior from the moment table, then the end points i0 - 1
+        # and last, each where the float test admits it (start = i0 - 1,
+        # resp. stop = last).  A scale whose range ends elsewhere, which
+        # only rounding next to a whole lag brings about, takes the segments
+        r = d[:nc, (slice(1, 3), slice(0, 3, 2), slice(0, 2))[jmin]] / ts
+        lag = np.floor(r)
+        tA, tB = (r - lag).T
+        lag = lag.astype(np.intp)
+        low = lag.max(axis=1) // self.stride
+        gap = np.array([start[:nc] - low, self._last - stop[:nc]])
+        ok = ((gap >= 0) & (gap <= 1)).all(axis=0)
+        nc = nc if ok.all() else int(ok.argmin())
+        m00, m10, m01, m11 = self._moments[int(jmin != 0), lag[:nc, 0], lag[:nc, 1]].T
+        tA, tB, ends = tA[:nc], tB[:nc], np.array([low[:nc], np.full(nc, self._last)])
+        sums = np.empty(n)
+        sums[:nc] = m00 - tA * m10 - tB * m01 + tA * tB * m11
+        sums[:nc] += (self._points(ends, pos[:nc]) * (1 - gap[:, :nc])).sum(axis=0)
+        sums[nc:] = self._gathered(start[nc:], stop[nc:], pos[nc:])
         return sum((lam ** 2 * sums * vs).tolist())  # in the order of the scales
 
-    def _near_interior(self, r: np.ndarray, jmin: int) -> np.ndarray:
-        """Sums over i = 1 .. last - 1 of near-diagonal scales (rows of
-        offsets r <= 1 in table steps, center jmin the smallest), in
-        closed form."""
-        tA = r[:, 1 if jmin == 0 else 0]
-        tB = r[:, 1 if jmin == 2 else 2]
-        m00, m10, m01, m11 = self._moments[int(jmin != 0)].tolist()
-        return m00 - tA * m10 - tB * m01 + tA * tB * m11
+    def _points(self, i: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The integrand at point i[..., s] of scale s: center j reads
+        _lerp row stride i + 1 - ceil(pos[s, j]), or any row for a point
+        more than a table step below the table, which no range admits."""
+        q = np.ceil(pos)
+        at = self.stride * i[..., None] + (self._row1 - q.astype(np.intp))
+        rows = self._lerp.reshape(-1, 2)[at]
+        return (rows[..., 0] + (q - pos) * rows[..., 1]).prod(axis=-1)
 
     def _gathered(self, start: np.ndarray, stop: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Sums over i = start .. stop of each segment; center j of a

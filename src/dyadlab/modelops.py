@@ -60,13 +60,16 @@ class CoeffTable:
     rows, and ``reduce_shift``, whose rows may repeat a key, sums them
     first (``_merge_repeats``).  ``len`` counts rows; ``==`` compares the
     tables as mappings from keys to values, whatever their row order.
+    The four arrays are read-only views, so no value skips the checks.
     """
 
     def __init__(self, level, index, eta, value):
-        self.level = np.asarray(level, dtype=np.int64)
-        self.index = np.asarray(index, dtype=np.int64)
-        self.eta = np.asarray(eta, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.complex128)
+        self.level = np.asarray(level, dtype=np.int64).view()
+        self.index = np.asarray(index, dtype=np.int64).view()
+        self.eta = np.asarray(eta, dtype=np.int64).view()
+        self.value = np.asarray(value, dtype=np.complex128).view()
+        for a in (self.level, self.index, self.eta, self.value):
+            a.setflags(write=False)
         top = MAX_CUBE_BITS // self.dim
         bad = (self.level < 0) | (self.level > top)  # checked first: index >> level needs it
         _reject_rows(((bad[:, :1], "K", f"level outside 0..{top}"),

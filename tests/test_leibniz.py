@@ -371,6 +371,66 @@ def test_diagonal_kernel_matches_oracle_on_a_short_table():
                            + _tie_and_order_triples() + _table_end_triples(40, seed=11))
 
 
+def _lag_triples(kernel):
+    """Triples whose scale m = 0 has its largest offset exactly 1, LAGS,
+    LAGS -+ 2^-20 or a whole number of table steps (t = 0), the middle
+    center at a whole or a fractional lag, and each of x, y1 and y2 as
+    the smallest center (dyadic offsets, checked exact)."""
+    ts, lags = kernel.table_step, kernel.LAGS
+    triples = []
+    for top in (1.0, lags, lags - 2.0 ** -20, lags + 2.0 ** -20, 12.0, 37.0):
+        for mid in (0.0, 0.375, math.floor(top / 2), top):
+            for base in (0.3125, -0.71875):
+                pts = (base, base + mid * ts, base + top * ts)
+                assert (pts[1] - base, pts[2] - base) == (mid * ts, top * ts)
+                triples += itertools.permutations(pts)
+    # largest offset a hair below 64 table steps at m = 0, where at
+    # halfwidth 3 the rounding of lo puts the first interior point just
+    # off the table, so that the scale must leave the closed form
+    for pts in ((-1.8361059042552212, -1.5361059042552214, -0.8361059042552214),
+                (-1.5292078569330907, -1.2292078569330909, -0.5292078569330908)):
+        assert 64.0 - 1e-13 < (pts[2] - pts[0]) / ts < 64.0
+        triples += itertools.permutations(pts)
+    return triples
+
+
+@pytest.mark.parametrize("halfwidth", [60.0, 3.0])
+def test_diagonal_kernel_matches_oracle_at_whole_and_boundary_lags(halfwidth):
+    # the closed form up to LAGS, the segments past it, and the end
+    # points where a whole lag puts a grid point on the end of the table
+    k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
+    _assert_matches_oracle(k, _lag_triples(k))
+
+
+@pytest.mark.parametrize("halfwidth", [60.0, 3.0])
+def test_lag_moments_match_a_direct_sum(halfwidth):
+    k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
+    lags = k.LAGS
+    assert k._moments.shape == (2, lags + 1, lags + 1, 4)
+    nodes = k.stride * np.arange(1, k._last)
+    for case, (small, a, b) in enumerate(((k.phi_s, k.psi, k.psi), (k.psi, k.phi_s, k.psi))):
+        for na, nb in itertools.product((0, 1, 2, lags - 1, lags), repeat=2):
+            # the terms where all three reads are in the table
+            kk = nodes[nodes - max(na, nb) - 1 >= 0]
+            pa, pb = a[kk - na], b[kk - nb]
+            da, db = pa - a[kk - na - 1], pb - b[kk - nb - 1]
+            for e, (u, w) in enumerate(((pa, pb), (da, pb), (pa, db), (da, db))):
+                terms = small[kk] * u * w
+                want = math.fsum(terms)
+                assert abs(k._moments[case, na, nb, e] - want) <= 1e-13 * np.abs(terms).sum()
+
+
+def test_diagonal_kernel_end_points_match_the_points(kernel):
+    # the end points of closed-form scales, low = max lag // stride and
+    # the last point, read from the (value, slope) rows one point each
+    pos = np.array([(0.0, 0.25, 0.5), (1e-13, 64.0, 63.5), (-2e-14, 12.0, 37.25)])
+    i = np.array([[0, 16, 10], [1920, 1920, 1920]])
+    got = kernel._points(i, pos)
+    for row, want in zip(i, got):
+        assert np.allclose(_segment_sums_by_point(kernel, row, row, pos)[0], want,
+                           rtol=1e-15, atol=0.0)
+
+
 def _segment_sums_by_point(kernel, start, stop, pos):
     """Per point: center j reads _lerp row stride i + 1 - ceil(pos_j) at
     fraction ceil(pos_j) - pos_j."""
@@ -414,8 +474,8 @@ def test_diagonal_kernel_segment_sums_match_the_points(kernel):
         # the whole window, and the last segment: it ends the buffer
         (0, width - 1, (1.0, 0.5, 0.25)),
     ])
-    # short segments only, as for the end points of near-diagonal scales
-    # (1920, 1920, ...) reads the last row, the end node with slope 0
+    # short segments only; (1920, 1920, ...) reads the last row, the end
+    # node with slope 0
     _assert_segment_sums(kernel, [(0, 0, (0.0, 0.25, 0.5)), (3, 1, (0.1, 0.2, 0.3)),
                                   (1920, 1920, (0.0, 0.5, 1.0))])
     _assert_segment_sums(kernel, [(7, 6, (0.3, 0.6, 0.9)), (2, 1, (0.0, 0.5, 1.0))])
@@ -471,11 +531,12 @@ def test_diagonal_kernel_rejects_a_grid_without_a_whole_fft_length():
 
 
 def test_diagonal_kernel_tables_take_little_memory():
-    # the tables are 7,681 floats each; the quadrature is one FFT per profile
+    # the tables are 7,681 floats each; the quadrature is one FFT per
+    # profile, and the lag moments are summed in blocks of nodes
     tracemalloc.start()
     try:
         lb.DiagonalKernel(1.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 4e6

@@ -774,18 +774,33 @@ def _dict_json(spec, header):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_json_writer_equals_one_dict_per_entry(d):
     lat = dl.build_lattice(d, 3)
-    spec = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, seed=d, blocks=3,
-                                tuples_per_block=3)
-    spec.coeffs.value[:4] = [-0.0, 1e-300, complex(0.0, -0.0), 5e-324]
+    t = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, seed=d, blocks=3,
+                             tuples_per_block=3).coeffs
+    value = t.value.copy()
+    value[:4] = [-0.0, 1e-300, complex(0.0, -0.0), 5e-324]
+    spec = mo.ShiftSpec(lat, 2, (1, 0, 1), {1, 3}, mo.CoeffTable(t.level, t.index, t.eta, value))
     header = {"n": 2, "complexity": [1, 0, 1], "cancellative": [1, 3]}
     assert mo.shift_to_json(spec) == _dict_json(spec, header)
     h = dl.random_grid_function(lat, seed=d, scalar=True)
     pp = mo.ParaproductSpec(lat, 1, 2, mo.make_bmo_coeffs(lat, h))
-    pp.coeffs.value[0] = float("nan")
     assert mo.paraproduct_to_json(pp) == _dict_json(pp, {"n": 1, "haar_position": 2})
     empty = mo.ParaproductSpec(lat, 1, 1, mo.CoeffTable(np.zeros((0, 1)), np.zeros((0, 1, d)),
                                                         np.zeros((0, 1)), []))
     assert mo.paraproduct_to_json(empty) == _dict_json(empty, {"n": 1, "haar_position": 1})
+
+
+def test_coeff_table_arrays_are_read_only():
+    # a value written after the checks could be NaN, which the writer
+    # would put into the file as a bare NaN
+    spec = mo.make_random_shift(dl.build_lattice(1, 3), 2, (1, 0, 1), {1, 3}, seed=1,
+                                blocks=3, tuples_per_block=3)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.coeffs.value[0] = float("nan")
+    # the views do not copy, and the caller's arrays stay writeable
+    level = np.zeros((1, 1), dtype=np.int64)
+    t = mo.CoeffTable(level, np.zeros((1, 1, 1)), [[1]], [1.0])
+    assert np.shares_memory(t.level, level) and level.flags.writeable
+    assert not any(a.flags.writeable for a in (t.level, t.index, t.eta, t.value))
 
 
 def test_coeff_table_merges_repeated_keys():
