@@ -420,26 +420,27 @@ class DiagonalKernel:
     * Scales whose largest offset is at most LAGS table steps: a center
       r = n + t table steps above the smallest (n whole, 0 <= t < 1)
       reads T[k - n] - t (T[k - n] - T[k - n - 1]) at node k = stride i,
-      so the interior sum is M00 - tA M10 - tB M01 + tA tB M11, read for
+      so the scale's sum is M00 - tA M10 - tB M01 + tA tB M11, read for
       the lags (nA, nB) of the two other centers from one table of
       moment sums built once.  A term counts where all three reads are
-      in the table (k - n - 1 >= 0), so the interior runs from i0 =
-      ceil((max(nA, nB) + 1) / stride) to last - 1; the end points
-      i0 - 1 and last are read from the (node value, slope) rows where
-      the float test below admits them.
-    * All other scales (a larger offset, or an in-table range that ends
-      elsewhere, which only rounding next to a whole lag brings about)
-      are segments i = start .. stop.  Center j of a segment reads row
-      stride i + a_j of a table of (node value, slope) pairs at one
-      fraction f_j, so its rows are one contiguous run i + b_j of the
-      rows of residue class a_j mod stride.  The tables are split by
-      residue class and zero-padded once, under one sliding window
-      view; a call copies each center's runs as (segments, 2, W) blocks,
-      interpolates them as (1, f_j) @ block, multiplies the three
-      centers and sums each segment over its own length with one
-      ``np.add.reduceat``, so the padding is never summed.  Positions
-      are taken relative to lo as rounded, not min c - halfwidth, as
-      the interpolation of the Riemann sum sees them.
+      in the table (k - n - 1 >= 0), so the table sums i = i0 =
+      ceil((max(nA, nB) + 1) / stride) .. last, the last point
+      included.  A scale takes it only where the float test below
+      admits exactly that range.
+    * All other scales (a larger offset, or at or above a scale whose
+      in-table range is not i0 .. last, which only rounding at the last
+      point or next to a whole lag brings about) are segments i =
+      start .. stop.  Center j of a segment reads row stride i + a_j
+      of a table of (node value, slope) pairs at one fraction f_j, so
+      its rows are one contiguous run i + b_j of the rows of residue
+      class a_j mod stride.  The tables are split by residue class and
+      zero-padded once, under one sliding window view; a call copies
+      each center's runs as (segments, 2, W) blocks, interpolates them
+      as (1, f_j) @ block, multiplies the three centers and sums each
+      segment over its own length with one ``np.add.reduceat``, so the
+      padding is never summed.  Positions are taken relative to lo as
+      rounded, not min c - halfwidth, as the interpolation of the
+      Riemann sum sees them.
 
     Table ends.  A point counts for a center exactly when the float test
     of the Riemann sum admits it: when (lo + i v_step) - c lies in
@@ -500,8 +501,8 @@ class DiagonalKernel:
         classes = classes.reshape(2, runs, stride, 2).transpose(0, 2, 3, 1).copy()
         self._windows = np.lib.stride_tricks.sliding_window_view(classes, self._width, axis=3)
         # moments (M00, M10, M01, M11)[case, nA, nB]: sums over k = stride i,
-        # i = 1 .. last - 1, of S[k] X[k - nA] Y[k - nB], X and Y the value
-        # or backward difference of A and B, zero where k - n - 1 < 0; phi_s
+        # i = 1 .. last, of S[k] X[k - nA] Y[k - nB], X and Y the value or
+        # backward difference of A and B, zero where k - n - 1 < 0; phi_s
         # at S (case 0) or A (case 1), psi elsewhere.  Row lags + j of rows
         # is node j >= 1; blocks of 96 nodes stay below the FFT's memory
         self._last = (len(xs) - 1) // stride
@@ -511,7 +512,7 @@ class DiagonalKernel:
         # in reverse node order: windows[p, len(xs) - 1 - k, :, n] is node k - n
         windows = np.lib.stride_tricks.sliding_window_view(rows[:, ::-1], lags + 1, axis=1)
         sums = np.zeros((2, 2 * lags + 2, 2 * lags + 2))
-        nodes = stride * np.arange(1, self._last)
+        nodes = stride * np.arange(1, self._last + 1)
         for block in np.split(nodes, range(96, len(nodes), 96)):
             phi, psi = windows[:, len(xs) - 1 - block].reshape(2, len(block), -1)
             sums[0] += (tables[0, block, None] * psi).T @ psi
@@ -520,7 +521,6 @@ class DiagonalKernel:
         self._moments = sums.reshape(2, 2, lags + 1, 2, lags + 1).transpose(
             0, 2, 4, 3, 1).reshape(2, lags + 1, lags + 1, 4)
         self._pow2 = 2.0 ** np.arange(40)  # a window spans at most 38 scales
-        self._row1 = np.array([1, len(xs) + 2, len(xs) + 2])  # in _lerp's (phi_s, psi, psi)
 
     @staticmethod
     def _window(x: float, y1: float, y2: float) -> tuple[int, int]:
@@ -584,39 +584,26 @@ class DiagonalKernel:
         start = np.maximum(first.max(axis=1), 0).astype(np.intp)
         count = np.ceil((lam * pmax + hw - lo) / vs)  # points of the Riemann sum
         stop = np.minimum(last.min(axis=1), count - 1).astype(np.intp)
-        lo_dev = lo - cmin
-        lo_err = (cmin - (lo - lo_dev)) + (-hw - lo_dev)  # (min c - hw) - lo, exactly
-        pos = (d + lo_err[:, None]) / ts
 
-        # closed-form scales: lags of the two other centers (A, then B) and
-        # the interior from the moment table, then the end points i0 - 1
-        # and last, each where the float test admits it (start = i0 - 1,
-        # resp. stop = last).  A scale whose range ends elsewhere, which
-        # only rounding next to a whole lag brings about, takes the segments
+        # closed-form scales: lags of the two other centers (A, then B), and
+        # the sum over i0 .. last from the moment table, where the float test
+        # admits exactly that range (start = i0 = max lag // stride + 1 and
+        # stop = last).  From the first scale whose range ends elsewhere,
+        # which only rounding at the last point or next to a whole lag
+        # brings about, the scales take the segments
         r = d[:nc, (slice(1, 3), slice(0, 3, 2), slice(0, 2))[jmin]] / ts
-        lag = np.floor(r)
-        tA, tB = (r - lag).T
-        lag = lag.astype(np.intp)
-        low = lag.max(axis=1) // self.stride
-        gap = np.array([start[:nc] - low, self._last - stop[:nc]])
-        ok = ((gap >= 0) & (gap <= 1)).all(axis=0)
+        lag = np.floor(r).astype(np.intp)
+        ok = (start[:nc] == lag.max(axis=1) // self.stride + 1) & (stop[:nc] == self._last)
         nc = nc if ok.all() else int(ok.argmin())
+        tA, tB = (r[:nc] - lag[:nc]).T
         m00, m10, m01, m11 = self._moments[int(jmin != 0), lag[:nc, 0], lag[:nc, 1]].T
-        tA, tB, ends = tA[:nc], tB[:nc], np.array([low[:nc], np.full(nc, self._last)])
         sums = np.empty(n)
         sums[:nc] = m00 - tA * m10 - tB * m01 + tA * tB * m11
-        sums[:nc] += (self._points(ends, pos[:nc]) * (1 - gap[:, :nc])).sum(axis=0)
-        sums[nc:] = self._gathered(start[nc:], stop[nc:], pos[nc:])
+        lo, cmin = lo[nc:], cmin[nc:]  # the segment scales
+        lo_dev = lo - cmin
+        lo_err = (cmin - (lo - lo_dev)) + (-hw - lo_dev)  # (min c - hw) - lo, exactly
+        sums[nc:] = self._gathered(start[nc:], stop[nc:], (d[nc:] + lo_err[:, None]) / ts)
         return sum((lam ** 2 * sums * vs).tolist())  # in the order of the scales
-
-    def _points(self, i: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The integrand at point i[..., s] of scale s: center j reads
-        _lerp row stride i + 1 - ceil(pos[s, j]), or any row for a point
-        more than a table step below the table, which no range admits."""
-        q = np.ceil(pos)
-        at = self.stride * i[..., None] + (self._row1 - q.astype(np.intp))
-        rows = self._lerp.reshape(-1, 2)[at]
-        return (rows[..., 0] + (q - pos) * rows[..., 1]).prod(axis=-1)
 
     def _gathered(self, start: np.ndarray, stop: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Sums over i = start .. stop of each segment; center j of a

@@ -339,11 +339,9 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
     tuples = tuples_per_block if scale > 0.0 else 0
     rng = np.random.default_rng(seed)
     K_level, K_index = _heap_cubes(max_level, d)  # the candidate base cubes
-    draws = {}  # (base cube, offsets of the Q_j in it) -> uniforms of the phases
-    for ki in np.repeat(rng.choice(len(K_level), size=min(blocks, len(K_level)),
-                                   replace=False), tuples).tolist():
-        key = (ki, *rng.integers(1 << (k * d)).tolist())
-        draws[key] = rng.uniform(size=len(etas))
+    bases = np.repeat(rng.choice(len(K_level), size=min(blocks, len(K_level)),
+                                 replace=False), tuples).tolist()
+    draws = _draw_tuples(rng, bases, (k * d).tolist(), len(etas))
     rows = np.array(list(draws), dtype=np.int64).reshape(-1, n + 2)
     base, uniforms = rows[:, 0], np.reshape(list(draws.values()), (-1, len(etas)))
     # Q_j's flat offset inside K, in C order over (2^k_j,)*d, split per axis
@@ -356,6 +354,19 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
     return ShiftSpec(lat, n, complexity, canc, CoeffTable(
         np.repeat(level, len(etas), axis=0), np.repeat(index, len(etas), axis=0),
         np.tile(etas, (len(base), 1)), value.reshape(-1)))
+
+
+def _draw_tuples(rng: np.random.Generator, bases: list[int], bits: list[int],
+                 m: int) -> dict:
+    """(base, offsets) -> m uniforms, per base: offset j below 2^bits[j],
+    one scalar draw each (a zero range draws nothing, as in one array
+    draw of all offsets), then the uniforms.  A tuple drawn twice keeps
+    its first place and its last uniforms."""
+    draws = {}
+    for ki in bases:
+        key = (ki, *[rng.integers(1 << b) if b else 0 for b in bits])
+        draws[key] = rng.random(m)
+    return draws
 
 
 def bmo_norm(h: GridFunction | HaarPyramid) -> float:

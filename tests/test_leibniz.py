@@ -396,10 +396,14 @@ def _lag_triples(kernel):
 
 @pytest.mark.parametrize("halfwidth", [60.0, 3.0])
 def test_diagonal_kernel_matches_oracle_at_whole_and_boundary_lags(halfwidth):
-    # the closed form up to LAGS, the segments past it, and the end
-    # points where a whole lag puts a grid point on the end of the table
+    # the closed form up to LAGS, the segments past it, and the segments
+    # where a whole lag puts a grid point on the end of the table: the
+    # point i0 - 1 = lag // stride, which the moment table leaves out
     k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
-    _assert_matches_oracle(k, _lag_triples(k))
+    triples = _lag_triples(k)
+    assert any(start == lag // k.stride for t in triples
+               for lag, start, _ in _closed_form_ranges(k, *t))
+    _assert_matches_oracle(k, triples)
 
 
 @pytest.mark.parametrize("halfwidth", [60.0, 3.0])
@@ -407,7 +411,8 @@ def test_lag_moments_match_a_direct_sum(halfwidth):
     k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
     lags = k.LAGS
     assert k._moments.shape == (2, lags + 1, lags + 1, 4)
-    nodes = k.stride * np.arange(1, k._last)
+    # i = i0 .. last: the interior and the last point
+    nodes = k.stride * np.arange(1, k._last + 1)
     for case, (small, a, b) in enumerate(((k.phi_s, k.psi, k.psi), (k.psi, k.phi_s, k.psi))):
         for na, nb in itertools.product((0, 1, 2, lags - 1, lags), repeat=2):
             # the terms where all three reads are in the table
@@ -420,15 +425,37 @@ def test_lag_moments_match_a_direct_sum(halfwidth):
                 assert abs(k._moments[case, na, nb, e] - want) <= 1e-13 * np.abs(terms).sum()
 
 
-def test_diagonal_kernel_end_points_match_the_points(kernel):
-    # the end points of closed-form scales, low = max lag // stride and
-    # the last point, read from the (value, slope) rows one point each
-    pos = np.array([(0.0, 0.25, 0.5), (1e-13, 64.0, 63.5), (-2e-14, 12.0, 37.25)])
-    i = np.array([[0, 16, 10], [1920, 1920, 1920]])
-    got = kernel._points(i, pos)
-    for row, want in zip(i, got):
-        assert np.allclose(_segment_sums_by_point(kernel, row, row, pos)[0], want,
-                           rtol=1e-15, atol=0.0)
+def _closed_form_ranges(kernel, x, y1, y2):
+    """(largest lag, first i, last i) of each scale whose largest offset is
+    at most LAGS table steps: the whole part of that offset, and the ends of
+    the run of points of the oracle's Riemann sum at which all three
+    centers are in the table."""
+    pts = np.array([x, y1, y2])
+    m_lo, m_hi = kernel._window(x, y1, y2)
+    ranges = []
+    for m in range(m_lo, m_hi + 1):
+        c = 2.0 ** m * pts
+        top = (c.max() - c.min()) / kernel.table_step
+        if top > kernel.LAGS:
+            break  # the offsets double with m
+        v = np.arange(c.min() - kernel.halfwidth, c.max() + kernel.halfwidth,
+                      kernel.v_step)[:, None] - c
+        i = np.flatnonzero(((v >= kernel.xs[0]) & (v <= kernel.xs[-1])).all(axis=1))
+        ranges.append((math.floor(top), i[0], i[-1]))
+    return ranges
+
+
+@pytest.mark.parametrize("halfwidth", [60.0, 3.0])
+def test_diagonal_kernel_matches_oracle_where_the_last_point_is_dropped(halfwidth):
+    # the moment table sums i0 .. last; a scale within LAGS table steps
+    # whose float test drops the last point, as rounding of lo does at
+    # about one closed-form scale in 150, takes the segments
+    k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
+    last = (len(k.xs) - 1) // k.stride
+    triples = [t for t in _sampler_triples(200, seed=13)
+               if any(stop == last - 1 for _, _, stop in _closed_form_ranges(k, *t))]
+    assert len(triples) >= 20
+    _assert_matches_oracle(k, triples)
 
 
 def _segment_sums_by_point(kernel, start, stop, pos):

@@ -1016,3 +1016,26 @@ def test_paraproduct_boundedness_harness():
         assert math.isfinite(ratio)
         worst = max(worst, ratio)
     assert worst < 1e3
+
+
+def _draw_tuples_by_array(rng, bases, bits, m):
+    """The tuples as one array draw of the offsets each, the stream that
+    ``_draw_tuples`` keeps."""
+    draws = {}
+    for ki in bases:
+        key = (ki, *rng.integers(1 << np.array(bits, dtype=np.int64)).tolist())
+        draws[key] = rng.uniform(size=m)
+    return draws
+
+
+@pytest.mark.parametrize("bits", [(0, 2, 0), (2, 32, 2), (0, 36), (2, 0, 2, 2)])
+def test_draw_tuples_follow_the_array_draws(bits):
+    # small ranges repeat tuples: the first place and the last uniforms stay
+    for seed in range(3):
+        bases = np.random.default_rng(seed + 10).integers(4, size=50).tolist()
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mo._draw_tuples(got_rng, bases, list(bits), 3)
+        want = _draw_tuples_by_array(want_rng, bases, bits, 3)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        assert got_rng.random() == want_rng.random()  # the same draws taken
