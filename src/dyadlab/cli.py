@@ -103,8 +103,10 @@ FIELDS = {
     "shift_file": {"type": "string"},
 }
 # rules one command adds or narrows: shift-eval may read its operator from a
-# file, and the kernel's Holder exponent (s-1)/2 must lie in (0, 1]
+# file, rad-suite sums over all 2^M sign patterns, and the kernel's Holder
+# exponent (s-1)/2 must lie in (0, 1]
 OVERRIDES = {"shift-eval": {"shift_file": FIELDS["shift_file"]},
+             "rad-suite": {"M": {**FIELDS["M"], "maximum": rz.EXHAUSTIVE_LIMIT}},
              "kernel-const": {"s": {**FIELDS["s"], "maximum": 3}}}
 
 _TYPES = {"integer": int, "number": (int, float), "string": str, "array": list}
@@ -140,8 +142,8 @@ def _checked(value, rule: dict, path: str):
 
 
 def _field_error(config: dict) -> tuple[str, str] | None:
-    """(field, message) for a broken rule between fields, which the
-    per-field rules of FIELDS cannot see."""
+    """(field, message) for a broken rule between fields or between the
+    entries of one field, which the per-field rules of FIELDS cannot see."""
     # every lattice is built at d = 1 where the command has no d
     if "L" in config and config.get("d", 1) * config["L"] > lt.MAX_CUBE_BITS:
         return "L", f"d * L must be at most {lt.MAX_CUBE_BITS}"
@@ -154,6 +156,10 @@ def _field_error(config: dict) -> tuple[str, str] | None:
         # modelops.make_random_shift needs a level for its base cubes
         if mo.max_base_level(config["L"], config["complexity"], config["cancellative"]) < 0:
             return "L", "too shallow for the complexity and cancellative slots"
+    # kernel-const's monotonicity check compares each budget with the one before
+    budgets = config.get("budgets", [])
+    if any(a > b for a, b in zip(budgets, budgets[1:])):
+        return "budgets", "each budget must be at least the one before"
     if "j" in config:
         j, k = config["j"], config["k"]
         if j > k:

@@ -224,9 +224,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.lattice, -self.values)
-
     def _check_compatible(self, other):
         if not isinstance(other, GridFunction):
             raise TypeError("expected a GridFunction")
@@ -625,11 +622,11 @@ def grid_function_from_json(text: str) -> GridFunction:
     return GridFunction(lat, pairs.view(np.complex128).reshape(shape))
 
 
-# loader helpers: each failure names the field at ``path``
+# loader helpers: each failure names the field
 
-def _field(obj, key: str, path: str | None = None):
+def _field(obj, key: str):
     if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"field {path or key} is missing")
+        raise ValueError(f"field {key} is missing")
     return obj[key]
 
 

@@ -57,11 +57,6 @@ class TorusFunction:
         return self.values.shape[self.dim:]
 
     @property
-    def N(self) -> int:
-        vs = self.value_shape
-        return 1 if vs == () else vs[-1]
-
-    @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:
             axes = tuple(range(self.dim))
@@ -83,9 +78,6 @@ class TorusFunction:
 
     def __add__(self, other):
         return TorusFunction(self.dim, self.resolution, self.values + other.values)
-
-    def __sub__(self, other):
-        return TorusFunction(self.dim, self.resolution, self.values - other.values)
 
     def __mul__(self, c):
         return TorusFunction(self.dim, self.resolution, self.values * c)
@@ -396,15 +388,15 @@ class DiagonalKernel:
             phi_s(v - 2^m x) psi(v - 2^m y1) psi(v - 2^m y2) dv
 
     (dimension one).  The profiles are tabulated on the grid x_k =
-    -halfwidth + k h, h = ``table_step``, by quadrature over the compact
-    frequency support: phi_s(x_k) = 2 dxi sum_j w_j cos(2 pi x_k xi_j)
-    on the nodes xi_j = j dxi of [0, 2], dxi = 2 / (quad_points - 1),
-    with w_j = (2 pi xi_j)^s times the low-pass profile (the annulus
-    bump for psi).  As h dxi = 1 / nfft with nfft = (quad_points - 1) /
-    (2 h), each table is 2 dxi Re of one length-nfft FFT: with x_k =
-    (k - k0) h + delta, k0 = round(halfwidth / h), row k is the FFT of
-    w_j exp(-2 pi i delta xi_j), j folded mod nfft, at (k - k0) mod
-    nfft.  A grid whose nfft is not a whole number is rejected.
+    -halfwidth + k h, h = ``table_step`` = 1/64, by quadrature over the
+    compact frequency support: phi_s(x_k) = 2 dxi sum_j w_j cos(2 pi
+    x_k xi_j) on the nodes xi_j = j dxi of [0, 2], dxi = 2 /
+    (quad_points - 1), with w_j = (2 pi xi_j)^s times the low-pass
+    profile (the annulus bump for psi).  As h dxi = 1 / nfft with nfft
+    = 32 (quad_points - 1), each table is 2 dxi Re of one length-nfft
+    FFT of the w_j.  A halfwidth that is not a whole number k0 of table
+    steps is rejected, so x_k = (k - k0) h and row k is bin (k - k0)
+    mod nfft.
 
     The scales m run over a window around the scale of the triple; a scale
     whose centers c = 2^m (x, y1, y2) lie more than 2 halfwidth apart is
@@ -412,7 +404,7 @@ class DiagonalKernel:
     v_i = lo + i v_step, lo = min c - halfwidth, of the profiles read by
     linear interpolation in the tables and taken as zero off them.
 
-    Evaluation.  ``v_step`` is a whole number of table steps, so the
+    Evaluation.  ``v_step`` = 1/16 is ``stride`` = 4 table steps, so the
     smallest center reads table nodes, and every other center reads one
     interpolation with the same node shift and fraction at every point
     of the scale.
@@ -454,36 +446,29 @@ class DiagonalKernel:
     """
 
     LAGS = 64  # largest lag of the moment table, capped by the table length
+    table_step = 1.0 / 64  # h, a power of two: the FFT length below is whole
+    stride = 4
+    v_step = stride * table_step
 
-    def __init__(self, s: float, halfwidth: float = 60.0, table_step: float = 1.0 / 64,
-                 quad_points: int = 4000, v_step: float = 1.0 / 16):
-        stride = round(v_step / table_step)
-        if stride < 2 or stride * table_step != v_step:
-            raise ValueError("v_step must be a whole number (at least 2) of table steps")
-        nfft = round((quad_points - 1) / (2.0 * table_step))
-        if nfft * 2.0 * table_step != quad_points - 1:
-            raise ValueError("(quad_points - 1) / (2 table_step) must be a whole number")
+    def __init__(self, s: float, halfwidth: float = 60.0, quad_points: int = 4000):
+        ts, stride = self.table_step, self.stride
+        k0 = round(halfwidth / ts)
+        if k0 * ts != halfwidth:
+            raise ValueError("halfwidth must be a whole number of table steps")
         self.s = s
         self.halfwidth = halfwidth
-        self.table_step = table_step
-        self.v_step = v_step
-        self.stride = stride
-        xs = np.arange(-halfwidth, halfwidth + table_step, table_step)
+        xs = np.arange(-halfwidth, halfwidth + ts, ts)
         xi = np.linspace(0.0, 2.0, quad_points)
         dxi = xi[1] - xi[0]
         # cosine transforms of even profiles (trapezoid over the support),
-        # one FFT each.  The k0 whole turns of x_k xi_j are index arithmetic,
-        # so only the small phase delta xi_j is rounded, not x_0 xi_j
-        k0 = round(halfwidth / table_step)
-        delta = xs[0] + k0 * table_step
-        phase = np.exp(-2j * np.pi * (delta * xi))
-        j, k = np.arange(quad_points) % nfft, (np.arange(len(xs)) - k0) % nfft
+        # one FFT each: h dxi = 1 / nfft and x_k = (k - k0) h, so row k is
+        # bin (k - k0) mod nfft, and nfft >= quad_points leaves no fold
+        nfft = round((quad_points - 1) / (2.0 * ts))
+        k = (np.arange(len(xs)) - k0) % nfft
         tables = np.empty((2, len(xs)))
         for row, w in enumerate(((2.0 * np.pi * xi) ** s * lowpass_profile(xi),
                                  annulus_profile(xi))):
-            a = w * phase
-            folded = np.bincount(j, a.real) + 1j * np.bincount(j, a.imag)
-            tables[row] = 2.0 * dxi * np.fft.fft(folded, nfft).real[k]
+            tables[row] = 2.0 * dxi * np.fft.fft(w, nfft).real[k]
         self.xs = xs
         self.phi_s, self.psi = tables
         # (node value, slope to the next node) per profile, with each end

@@ -156,6 +156,10 @@ def test_config_schema_violation_reports_path(tmp_path):
     # d * L above the 62 bits of a cube's heap number
     ("haar-suite", "L", 80),
     ("sparse-verify", "L", 63),
+    # 2^21 sign patterns, past randomized.EXHAUSTIVE_LIMIT
+    ("rad-suite", "M", 21),
+    # the monotonicity check compares each budget with the one before
+    ("kernel-const", "budgets", [80, 20]),
 ])
 def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)
@@ -289,6 +293,12 @@ def test_only_kernel_const_caps_s(tmp_path):
     assert cli.load_config("kernel-const", str(cfg), None)["s"] == 3
     cfg.write_text(json.dumps({"s": 3.5}))
     assert cli.load_config("leibniz-study", str(cfg), None)["s"] == 3.5
+
+
+def test_equal_budgets_load(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": [20, 20]}))
+    assert cli.load_config("kernel-const", str(cfg), None)["budgets"] == [20, 20]
 
 
 def test_reports_are_strict_json(tmp_path):

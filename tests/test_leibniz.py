@@ -371,6 +371,13 @@ def test_diagonal_kernel_matches_oracle_on_a_short_table():
                            + _tie_and_order_triples() + _table_end_triples(40, seed=11))
 
 
+def test_diagonal_kernel_matches_oracle_below_the_lag_cap():
+    # a table of 65 nodes: the moment table stops at 59 lags, not LAGS
+    short = lb.DiagonalKernel(1.5, halfwidth=0.5)
+    assert short._lags == 59
+    _assert_matches_oracle(short, _sampler_triples(300, seed=14))
+
+
 def _lag_triples(kernel):
     """Triples whose scale m = 0 has its largest offset exactly 1, LAGS,
     LAGS -+ 2^-20 or a whole number of table steps (t = 0), the middle
@@ -406,10 +413,11 @@ def test_diagonal_kernel_matches_oracle_at_whole_and_boundary_lags(halfwidth):
     _assert_matches_oracle(k, triples)
 
 
-@pytest.mark.parametrize("halfwidth", [60.0, 3.0])
+# at halfwidth 0.5 the table is too short for LAGS lags: 59
+@pytest.mark.parametrize("halfwidth", [60.0, 3.0, 0.5])
 def test_lag_moments_match_a_direct_sum(halfwidth):
     k = lb.DiagonalKernel(1.5, halfwidth=halfwidth)
-    lags = k.LAGS
+    lags = k._lags
     assert k._moments.shape == (2, lags + 1, lags + 1, 4)
     # i = i0 .. last: the interior and the last point
     nodes = k.stride * np.arange(1, k._last + 1)
@@ -532,13 +540,7 @@ def _assert_tables_match(dk, rows, s, quad_points):
     (2.0, {"quad_points": 64}),
     (1.5, {"halfwidth": 3.0}),
     (1.5, {"halfwidth": 4.0}),
-    # not a power of two: xs is not symmetric about 0
-    (2.0, {"halfwidth": 1.0, "table_step": 0.1, "quad_points": 64, "v_step": 0.2}),
-    # halfwidth is 32.5 table steps: x_k = (k - 32) h - h / 2, a nonzero delta
-    (1.5, {"halfwidth": 2.03125, "table_step": 1 / 16, "quad_points": 64, "v_step": 1 / 8}),
-    # nfft = 21 < quad_points: the quadrature nodes fold, and rows k >= 21 wrap
-    (1.5, {"halfwidth": 30.0, "table_step": 1.5, "quad_points": 64, "v_step": 3.0}),
-], ids=["default", "quad64", "halfwidth3", "halfwidth4", "step0.1", "offset", "folded"])
+], ids=["default", "quad64", "halfwidth3", "halfwidth4"])
 def test_diagonal_kernel_tables_match_the_cosine_sum(s, kwargs):
     dk = lb.DiagonalKernel(s, **kwargs)
     n = len(dk.xs)
@@ -551,10 +553,10 @@ def test_diagonal_kernel_tables_match_the_cosine_sum(s, kwargs):
     _assert_tables_match(dk, rows, s, kwargs.get("quad_points", 4000))
 
 
-def test_diagonal_kernel_rejects_a_grid_without_a_whole_fft_length():
-    # (quad_points - 1) / (2 table_step) = 63 / 0.8 = 78.75
-    with pytest.raises(ValueError, match="quad_points"):
-        lb.DiagonalKernel(1.5, halfwidth=4.0, table_step=0.4, quad_points=64, v_step=0.8)
+@pytest.mark.parametrize("halfwidth", [1 / 128, 3.01])
+def test_diagonal_kernel_rejects_a_halfwidth_off_the_table_steps(halfwidth):
+    with pytest.raises(ValueError, match="whole number of table steps"):
+        lb.DiagonalKernel(1.5, halfwidth=halfwidth)
 
 
 def test_diagonal_kernel_tables_take_little_memory():
