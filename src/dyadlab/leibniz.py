@@ -394,9 +394,9 @@ class DiagonalKernel:
     (quad_points - 1), with w_j = (2 pi xi_j)^s times the low-pass
     profile (the annulus bump for psi).  As h dxi = 1 / nfft with nfft
     = 32 (quad_points - 1), each table is 2 dxi Re of one length-nfft
-    FFT of the w_j.  A halfwidth that is not a whole number k0 of table
-    steps is rejected, so x_k = (k - k0) h and row k is bin (k - k0)
-    mod nfft.
+    FFT of the w_j.  A halfwidth that is not a whole number k0 >= stride
+    of table steps is rejected, so x_k = (k - k0) h and row k is bin
+    (k - k0) mod nfft.
 
     The scales m run over a window around the scale of the triple; a scale
     whose centers c = 2^m (x, y1, y2) lie more than 2 halfwidth apart is
@@ -453,8 +453,8 @@ class DiagonalKernel:
     def __init__(self, s: float, halfwidth: float = 60.0, quad_points: int = 4000):
         ts, stride = self.table_step, self.stride
         k0 = round(halfwidth / ts)
-        if k0 * ts != halfwidth:
-            raise ValueError("halfwidth must be a whole number of table steps")
+        if k0 * ts != halfwidth or k0 < stride:  # fewer steps leave the moment table no lag
+            raise ValueError(f"halfwidth must be a whole number of table steps, at least {stride}")
         self.s = s
         self.halfwidth = halfwidth
         xs = np.arange(-halfwidth, halfwidth + ts, ts)

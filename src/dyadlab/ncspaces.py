@@ -15,10 +15,11 @@ Mixed-norm spaces stack finitely many weighted atom levels on top of
 the matrix level; the nested norm of a value tree evaluates one weighted
 l^p norm per level, with the Schatten norm at the bottom.
 
-The factorization routines split a positive unit-norm element into a
-product of unit-norm factors, one per exponent: the subtree norms from
-the same bottom-up pass carry the powers q^s/p_u^s level by level, and
-spectral powers split each leaf's unit-norm direction.
+Duality and factorization are spectral splits: ``dual_maximizers``
+takes the unit-S^p B with tr(AB) = |A|_{p'} of each matrix of a stack
+from one batched SVD, and ``power_pos`` every power of a factorization
+from one ``eigh``; the factorizations of mixed elements scale them by
+the subtree norms of the same bottom-up pass, to the powers q^s/p_u^s.
 """
 
 from __future__ import annotations
@@ -167,51 +168,57 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    a = np.asarray(a)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= HERMITIAN_TOL * scale)
+def power_pos(a: np.ndarray, theta: float | list[float]):
+    """Spectral power A^theta of a positive semidefinite matrix, or of each
+    matrix of a stack over the last two axes.
 
-
-def power_pos(a: np.ndarray, theta: float) -> np.ndarray:
-    """Spectral power A^theta of a positive semidefinite matrix.
-
+    A list of exponents gives the list of powers, all from one ``eigh``.
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything more
-    negative, or a non-Hermitian input, is rejected.
+    negative, or a non-Hermitian member, is rejected.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if not is_hermitian(a):
+    thetas = theta if isinstance(theta, list) else [theta]
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > HERMITIAN_TOL * scale):
         raise ValueError("power_pos needs a Hermitian matrix")
-    if theta <= 0:
+    if min(thetas) <= 0:
         raise ValueError("exponent must be positive")
     w, v = np.linalg.eigh(a)
-    if w.min(initial=0.0) < -POSITIVITY_TOL * max(1.0, float(np.abs(w).max(initial=0.0))):
+    if np.any(w.min(axis=-1, initial=0.0)
+              < -POSITIVITY_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))):
         raise ValueError("matrix is not positive semidefinite")
     w = np.clip(w, 0.0, None)
-    return (v * (w ** theta)) @ v.conj().T
+    vh = v.conj().swapaxes(-2, -1)
+    powers = [(v * (w ** t)[..., None, :]) @ vh for t in thetas]
+    return powers if isinstance(theta, list) else powers[0]
 
 
-def schatten_dual_maximizer(a: np.ndarray, p: float) -> np.ndarray:
-    """Unit-S^p matrix B with tr(AB) = |A|_{p'} (built from the SVD of A).
+def dual_maximizers(stack: np.ndarray, p: float) -> np.ndarray:
+    """For each matrix A of a stack (batched, as ``schatten_norms``), the
+    unit-S^p matrix B with tr(AB) = |A|_{p'} = sup |tr(AB)| over unit B."""
+    v, d, uh = _dual_split(stack, p)
+    return (v * d[..., None, :]) @ uh
 
-    Realizes the duality |A|_{p'} = sup { |tr(AB)| : |B|_p = 1 }.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a)
-    if s.max(initial=0.0) <= 0.0:
-        b = np.zeros_like(a)
-        b[0, 0] = 1.0
-        return b
+
+def _dual_split(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, d, U*) of each A = U diag(s) V* of a stack, from one batched
+    SVD, with B = V diag(d) U* the dual maximizer: d is all ones at p =
+    inf, the tied largest singular values share the unit weight at p =
+    1, and d ~ s^(p'/p) otherwise.  A zero matrix gets B = E_11."""
+    u, s, vh = np.linalg.svd(np.asarray(stack, dtype=np.complex128))
+    zero = s[..., 0] <= 0.0  # A = 0 splits as I diag(e_1) I
+    eye = np.eye(s.shape[-1])
+    u[zero], vh[zero], s[zero] = eye, eye, eye[0]
     if np.isinf(p):
-        d = np.ones_like(s)
+        d = np.where(zero[..., None], s, 1.0)
     elif p == 1:
-        d = (s == s.max()).astype(float)
-        d /= d.sum()
+        d = (s == s[..., :1]).astype(float)
+        d /= d.sum(axis=-1, keepdims=True)
     else:
-        pp = conjugate_exponent(p)
-        d = s ** (pp / p)
-        d /= (d ** p).sum() ** (1.0 / p)
-    return vh.conj().T @ np.diag(d) @ u.conj().T
+        d = s ** (conjugate_exponent(p) / p)
+        d /= (d ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+    return vh.conj().swapaxes(-2, -1), d, u.conj().swapaxes(-2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +364,24 @@ def _random_unit(rng, n: int, p: float) -> np.ndarray:
     return g / nrm if nrm > 0 else np.eye(n, dtype=np.complex128)
 
 
-def _aligned_factors(b: np.ndarray, q: float, ps: Sequence[float]) -> list[np.ndarray]:
-    """Split B = U diag(s) V* into unit-S^{p_u} factors U diag(s^{q/p_u}) U*,
-    the last one closing with V*; for unit-S^q input the product is B."""
-    u, s, vh = np.linalg.svd(b)
-    out = []
-    for i, p in enumerate(ps):
-        d = s ** (q / p)
-        nrm = (d ** p).sum() ** (1.0 / p)
-        if nrm > 0:
-            d = d / nrm
-        right = vh if i == len(ps) - 1 else u.conj().T
-        out.append((u * d) @ right)
-    return out
+def _aligned_factors(e: np.ndarray, q: float, ps: Sequence[float]) -> list[np.ndarray]:
+    """Split the unit-S^q maximizer B = V diag(d) U* of tr(eB), from the
+    SVD of e, into unit-S^{p_u} factors V diag(d^{q/p_u}) V*, the last
+    one closing with U*; the product is B."""
+    v, d, uh = _dual_split(e, q)
+    rights = [v.conj().T] * (len(ps) - 1) + [uh]
+    return [(v * d ** (q / p)) @ right for p, right in zip(ps, rights)]
 
 
 def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
            budget: int = 10_000, seed: int = 0) -> YNormResult:
     """Dual seminorm of e against the spaces indexed by J (matrix case).
 
-    The analytic value is the Schatten norm with the complementary
-    exponent p_J^0.  The empirical value is the best of ``budget``
-    random proposals for sup |tr(e e_{s(1)} ... e_{s(k)})| over unit
-    e_u and permutations s; proposals mix normalized complex Gaussians
-    with factors aligned to the SVD of e, which attain the supremum.
+    The analytic value is the Schatten norm with the exponent conjugate
+    to q_J^0.  The empirical value is the best of ``budget`` random
+    proposals for sup |tr(e e_{s(1)} ... e_{s(k)})| over unit e_u and
+    permutations s; proposals mix normalized complex Gaussians with
+    factors aligned to the SVD of e, which attain the supremum.
 
     The aligned proposal is the first.  ``_best_gaussian`` scores the
     other budget - 1 in chunks of arrays: one normal draw per chunk, one
@@ -397,14 +398,10 @@ def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
         raise ValueError("index set must be non-empty")
     e = np.asarray(e, dtype=np.complex128)
     ps = [tab.column(j)[0] for j in J]
-    q = 1.0 / sum(1.0 / p for p in ps)          # pairing exponent
-    inv_dual = 1.0 - 1.0 / q
-    p_dual = math.inf if inv_dual == 0 else 1.0 / inv_dual
-    analytic = schatten_norm(e, p_dual)
-
+    q = tab.q_col(J)[0]  # pairing exponent
+    analytic = schatten_norm(e, conjugate_exponent(q))
     perms = list(itertools.permutations(range(len(J))))
-    # SVD-aligned candidate: unit-S^q maximizer of tr(eB), factored
-    aligned = _best_pairing(e, [_aligned_factors(schatten_dual_maximizer(e, q), q, ps)], perms)
+    aligned = _best_pairing(e, [_aligned_factors(e, q, ps)], perms)
     return YNormResult(analytic, max(aligned, _best_gaussian(e, ps, perms, budget - 1, seed)))
 
 
@@ -475,7 +472,7 @@ def factorize_positive(a: np.ndarray, q: float, ps: Sequence[float]) -> list[np.
     nrm = schatten_norm(a, q)
     if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"input must have unit S^{q} norm (got {nrm})")
-    return [power_pos(a, q / p) for p in ps]
+    return power_pos(a, [q / p for p in ps])
 
 
 def factorize_mixed(values: np.ndarray, J: Sequence[int],
@@ -514,10 +511,9 @@ def factorize_mixed(values: np.ndarray, J: Sequence[int],
         for u in range(len(J)):
             scale[u] = scale[u] * ratio ** (q_col[s] / cols[u][s])
     outs = [np.zeros_like(values) for _ in J]
-    for leaf in np.ndindex(levels[0].shape):
-        if levels[0][leaf] == 0.0:
-            continue
-        direction = values[leaf] / levels[0][leaf]
-        for u in range(len(J)):
-            outs[u][leaf] = scale[u][leaf] * power_pos(direction, q_col[0] / cols[u][0])
+    nz = levels[0] > 0.0
+    powers = power_pos(values[nz] / levels[0][nz][:, None, None],
+                       [q_col[0] / col[0] for col in cols])
+    for out, sc, pw in zip(outs, scale, powers):
+        out[nz] = sc[nz][:, None, None] * pw
     return outs

@@ -284,8 +284,8 @@ def test_criterion_5_dual_norm():
             tab = nc.holder_tuple(ps)
             recs.append(cr.dual_norm_attainment(e, J, tab, 10_000, int(rng.integers(2 ** 31))))
             # duality attained by the aligned maximizer
-            q = 1.0 / sum(1.0 / tab.column(j)[0] for j in J)
-            b = nc.schatten_dual_maximizer(e, q)
+            q = tab.q_col(J)[0]
+            b = nc.dual_maximizers(e, q)
             target = nc.schatten_norm(e, nc.conjugate_exponent(q))
             ok_maximizer &= abs(abs(np.trace(e @ b)) - target) <= 1e-9 * max(1.0, target)
     fractions = [r["empirical"] / r["analytic"] for r in recs if r["analytic"] > 0]

@@ -559,6 +559,19 @@ def test_diagonal_kernel_rejects_a_halfwidth_off_the_table_steps(halfwidth):
         lb.DiagonalKernel(1.5, halfwidth=halfwidth)
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, 1 / 64, 1 / 32, 3 / 64])
+def test_diagonal_kernel_rejects_a_halfwidth_below_four_table_steps(halfwidth):
+    with pytest.raises(ValueError, match="table steps, at least 4"):
+        lb.DiagonalKernel(1.5, halfwidth=halfwidth, quad_points=64)
+
+
+@pytest.mark.parametrize("halfwidth", [1 / 16, 5 / 64])
+def test_diagonal_kernel_builds_from_four_table_steps(halfwidth):
+    short = lb.DiagonalKernel(1.5, halfwidth=halfwidth, quad_points=64)
+    assert short._lags == 3
+    _assert_matches_oracle(short, _sampler_triples(100, seed=15))
+
+
 def test_diagonal_kernel_tables_take_little_memory():
     # the tables are 7,681 floats each; the quadrature is one FFT per
     # profile, and the lag moments are summed in blocks of nodes
