@@ -164,8 +164,9 @@ def _field_error(config: dict) -> tuple[str, str] | None:
         j, k = config["j"], config["k"]
         if j > k:
             return "j", "the residue j must not exceed the step k"
-        # run_decouple takes l up to k
-        if not rz.decoupling_levels(config["L"], j, k, min(config["l"], k)):
+        if config["l"] > k:
+            return "l", "the order l must not exceed the step k"
+        if not rz.decoupling_levels(config["L"], j, k, config["l"]):
             return "L", "no decoupling level leaves room for l more levels"
 
 
@@ -305,8 +306,7 @@ def run_rad_suite(config, out, fmt):
 
 def run_decouple(config, out, fmt):
     lat = lt.build_lattice(config["d"], config["L"])
-    j, k = config["j"], config["k"]
-    l = min(config["l"], k)
+    j, k, l = config["j"], config["k"], config["l"]
     samp = rz.DecouplingSampler(lat, seed=config["seed"] + 1)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=config["samples"],
                           seed=config["seed"] + 2)

@@ -1,14 +1,15 @@
 """Spectral fractional derivative and frequency-split products on the torus.
 
 Functions are periodic on [0,1)^d, sampled on R points per axis, with
-values scalar or matrix.  The derivative of order s is the Fourier
+N x N matrix values (a scalar function is N = 1) that multiply through
+``ncspaces.chain``.  The derivative of order s is the Fourier
 multiplier |2 pi k|^s with the zero frequency annihilated.  Products
 split into three frequency-interaction parts by a smooth dyadic
 partition built from a compactly supported radial profile equal to one
 on [0,1] and vanishing beyond 2 (exponential bridge in between): the
-annulus bump is supported in 1/2 <= |xi| <= 2 and the partition is
-exact on every occupied discrete frequency, so reconstruction defects
-come only from rounding.
+annulus bump is supported in 1/2 <= |xi| <= 2 and the partition sums
+to one on every frequency of the grid, so reconstruction defects come
+only from rounding.
 
 The comparable-frequency part has an integral kernel assembled from the
 dilated profiles; ``cz_kernel_constant`` estimates its size and
@@ -72,17 +73,8 @@ class TorusFunction:
         out._coeffs = np.asarray(coeffs, dtype=np.complex128)
         return out
 
-    def frequencies(self) -> np.ndarray:
-        """Integer frequency magnitude |k| on the coefficient grid."""
-        return _frequencies(self.dim, self.resolution)
-
     def __add__(self, other):
         return TorusFunction(self.dim, self.resolution, self.values + other.values)
-
-    def __mul__(self, c):
-        return TorusFunction(self.dim, self.resolution, self.values * c)
-
-    __rmul__ = __mul__
 
 
 def _frequencies(d: int, R: int) -> np.ndarray:
@@ -91,28 +83,24 @@ def _frequencies(d: int, R: int) -> np.ndarray:
     return np.sqrt(sum(g ** 2 for g in grids))
 
 
-def product(f: TorusFunction, g: TorusFunction) -> TorusFunction:
-    """Pointwise product; matrix values multiply as matrices."""
+def _grid(f: TorusFunction, g: TorusFunction) -> tuple[int, int]:
+    """The (d, R) grid of f and g, which must share it."""
     if (f.dim, f.resolution) != (g.dim, g.resolution):
         raise ValueError("grids do not match")
-    return TorusFunction(f.dim, f.resolution,
-                         _multiply(f.values, g.values, f.value_shape, g.value_shape))
+    return f.dim, f.resolution
 
 
-def _multiply(fv: np.ndarray, gv: np.ndarray, fvs: tuple, gvs: tuple) -> np.ndarray:
-    """Pointwise product of value arrays whose trailing axes hold values of
-    shapes fvs and gvs; the leading axes broadcast.  Two matrix values
-    multiply by ``chain``; a scalar scales the other value."""
-    if fvs and gvs:
-        return chain([fv, gv])
-    return fv.reshape(fv.shape + (1,) * len(gvs)) * gv.reshape(gv.shape + (1,) * len(fvs))
+def product(f: TorusFunction, g: TorusFunction) -> TorusFunction:
+    """Pointwise product: the matrix values multiply through ``chain``."""
+    return TorusFunction(*_grid(f, g), chain([f.values, g.values]))
 
 
 def random_torus_function(dim: int, resolution: int, band: int, N: int = 1,
-                          seed: int = 0, scalar: bool = False) -> TorusFunction:
-    """Random band-limited data: coefficients supported in |k|_inf <= band."""
+                          seed: int = 0) -> TorusFunction:
+    """Random band-limited N x N data: coefficients supported in
+    |k|_inf <= band."""
     rng = np.random.default_rng(seed)
-    vs = () if scalar else (N, N)
+    vs = (N, N)
     shape = (resolution,) * dim + vs
     coeffs = np.zeros(shape, dtype=np.complex128)
     k1 = (np.fft.fftfreq(resolution) * resolution).astype(int)
@@ -128,7 +116,7 @@ def fractional_derivative(f: TorusFunction, s: float) -> TorusFunction:
     """Fourier multiplier |2 pi k|^s; the zero frequency is annihilated."""
     if s < 0:
         raise ValueError("order must be nonnegative")
-    r = f.frequencies()
+    r = _frequencies(f.dim, f.resolution)
     mult = np.where(r > 0, (2.0 * np.pi * r) ** s, 0.0)
     mult = mult.reshape(mult.shape + (1,) * len(f.value_shape))
     return TorusFunction.from_coeffs(f.dim, f.resolution, f.coeffs * mult)
@@ -172,7 +160,6 @@ class ParaproductParts:
     high_low: TorusFunction      # f carries the high frequencies
     low_high: TorusFunction      # g carries the high frequencies
     diagonal: TorusFunction      # comparable frequencies
-    partition_defect: float      # max |1 - partition sum| on occupied modes
 
     def total(self) -> TorusFunction:
         return self.high_low + self.low_high + self.diagonal
@@ -182,7 +169,7 @@ def paraproduct_split(f: TorusFunction, g: TorusFunction, s: float) -> Paraprodu
     """Split D^s(fg) by frequency interaction.
 
     Both functions decompose into a mean block plus dyadic annulus
-    blocks m = 0..M with M chosen so the partition is exact on the
+    blocks m = 0..M with M chosen so the partition sums to one on the
     grid.  Pairs with block indices at distance >= 2 go to the high-low
     or low-high part (the mean block counts as lowest), pairs within
     distance 1 and the mean-mean pair go to the diagonal part.
@@ -199,25 +186,25 @@ def paraproduct_split(f: TorusFunction, g: TorusFunction, s: float) -> Paraprodu
     products instead of (M + 2)^2.  ``_paraproduct_split_pairwise``,
     one product per pair of blocks, is the oracle.
     """
-    d, R, r, M, defect = _split_grid(f, g)
-    windows = _split_windows(d, R)[3]
+    d, R = _grid(f, g)
+    _, M, windows = _split_windows(d, R)
     fb, gb = _block_values(f, windows), _block_values(g, windows)
-    fvs, gvs = f.value_shape, g.value_shape
     low = np.maximum(np.arange(1, M + 2) - 2, 0)  # prefix end for blocks 1 .. M+1
-    hl = _multiply(fb[1:], np.cumsum(gb, axis=0)[low], fvs, gvs).sum(axis=0)
-    lh = _multiply(np.cumsum(fb, axis=0)[low], gb[1:], fvs, gvs).sum(axis=0)
+    hl = chain([fb[1:], np.cumsum(gb, axis=0)[low]]).sum(axis=0)
+    lh = chain([np.cumsum(fb, axis=0)[low], gb[1:]]).sum(axis=0)
     near = gb[1:].copy()  # g_{i-1} + g_i + g_{i+1} for i = 1 .. M+1, annuli only
     near[1:] += gb[1:-1]
     near[:-1] += gb[2:]
-    dg = _multiply(fb[0], gb[0], fvs, gvs) + _multiply(fb[1:], near, fvs, gvs).sum(axis=0)
+    dg = chain([fb[0], gb[0]]) + chain([fb[1:], near]).sum(axis=0)
     ds = lambda arr: fractional_derivative(TorusFunction(d, R, arr), s)
-    return ParaproductParts(ds(hl), ds(lh), ds(dg), defect)
+    return ParaproductParts(ds(hl), ds(lh), ds(dg))
 
 
 def _paraproduct_split_pairwise(f: TorusFunction, g: TorusFunction,
                                 s: float) -> ParaproductParts:
     """Oracle of ``paraproduct_split``: one product per pair of blocks."""
-    d, R, r, M, defect = _split_grid(f, g)
+    d, R = _grid(f, g)
+    r, M, _ = _split_windows(d, R)
 
     def blocks(h: TorusFunction) -> list[TorusFunction]:
         out = []
@@ -233,7 +220,7 @@ def _paraproduct_split_pairwise(f: TorusFunction, g: TorusFunction,
 
     fb = blocks(f)
     gb = blocks(g)
-    zero_shape = (R,) * d + _product_shape(f, g)
+    zero_shape = (R,) * d + f.value_shape
     hl = np.zeros(zero_shape, dtype=np.complex128)
     lh = np.zeros(zero_shape, dtype=np.complex128)
     dg = np.zeros(zero_shape, dtype=np.complex128)
@@ -254,35 +241,22 @@ def _paraproduct_split_pairwise(f: TorusFunction, g: TorusFunction,
             else:
                 dg += pv
     ds = lambda arr: fractional_derivative(TorusFunction(d, R, arr), s)
-    return ParaproductParts(ds(hl), ds(lh), ds(dg), defect)
-
-
-def _split_grid(f: TorusFunction, g: TorusFunction):
-    """Grid of a split: (d, R, frequency magnitudes r, top annulus M,
-    partition defect on the modes occupied by f or g)."""
-    if (f.dim, f.resolution) != (g.dim, g.resolution):
-        raise ValueError("grids do not match")
-    d, R = f.dim, f.resolution
-    r, M, window_sum, _ = _split_windows(d, R)
-    occupied = (np.abs(f.coeffs).reshape(r.shape + (-1,)).max(axis=-1) > 0) | \
-               (np.abs(g.coeffs).reshape(r.shape + (-1,)).max(axis=-1) > 0)
-    defect = float(np.abs(1.0 - window_sum)[occupied].max(initial=0.0))
-    return d, R, r, M, defect
+    return ParaproductParts(ds(hl), ds(lh), ds(dg))
 
 
 @functools.lru_cache(maxsize=4)
 def _split_windows(d: int, R: int):
     """What a split needs of the (d, R) grid, built once per grid and
-    read-only: (frequency magnitudes r, top annulus M, the partition sum
-    lowpass(r / 2^M), the windows of the mean block and of annuli 0 .. M
-    stacked on the leading axis)."""
+    read-only: (frequency magnitudes r, top annulus M, the windows of the
+    mean block and of annuli 0 .. M stacked on the leading axis).  With
+    2^M >= max r the windows sum to one on every mode: they telescope to
+    [r = 0] + lowpass(r / 2^M) - lowpass(2 r)."""
     r = _frequencies(d, R)
     M = max(0, math.ceil(math.log2(max(float(r.max()), 1.0))))
-    window_sum = lowpass_profile(r / 2.0 ** M)
     windows = np.stack([r == 0] + [annulus_profile(r / 2.0 ** m) for m in range(M + 1)])
-    for a in (r, window_sum, windows):
+    for a in (r, windows):
         a.setflags(write=False)
-    return r, M, window_sum, windows
+    return r, M, windows
 
 
 def _block_values(h: TorusFunction, windows: np.ndarray) -> np.ndarray:
@@ -291,10 +265,6 @@ def _block_values(h: TorusFunction, windows: np.ndarray) -> np.ndarray:
     windows = windows.reshape(windows.shape + (1,) * len(h.value_shape))
     axes = tuple(range(1, h.dim + 1))
     return np.fft.ifftn(h.coeffs * windows * h.resolution ** h.dim, axes=axes)
-
-
-def _product_shape(f, g):
-    return f.value_shape if f.value_shape != () else g.value_shape
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +358,14 @@ class DiagonalKernel:
             phi_s(v - 2^m x) psi(v - 2^m y1) psi(v - 2^m y2) dv
 
     (dimension one).  The profiles are tabulated on the grid x_k =
-    -halfwidth + k h, h = ``table_step`` = 1/64, by quadrature over the
-    compact frequency support: phi_s(x_k) = 2 dxi sum_j w_j cos(2 pi
-    x_k xi_j) on the nodes xi_j = j dxi of [0, 2], dxi = 2 /
-    (quad_points - 1), with w_j = (2 pi xi_j)^s times the low-pass
-    profile (the annulus bump for psi).  As h dxi = 1 / nfft with nfft
-    = 32 (quad_points - 1), each table is 2 dxi Re of one length-nfft
-    FFT of the w_j.  A halfwidth that is not a whole number k0 >= stride
-    of table steps is rejected, so x_k = (k - k0) h and row k is bin
-    (k - k0) mod nfft.
+    (k - k0) h of [-halfwidth, halfwidth], h = ``table_step`` = 1/64 and
+    ``halfwidth`` = 60 = k0 h, by quadrature over the compact frequency
+    support: phi_s(x_k) = 2 dxi sum_j w_j cos(2 pi x_k xi_j) on the
+    nodes xi_j = j dxi of [0, 2], dxi = 2 / (quad_points - 1), with w_j
+    = (2 pi xi_j)^s times the low-pass profile (the annulus bump for
+    psi).  As h dxi = 1 / nfft with nfft = 32 (quad_points - 1), each
+    table is 2 dxi Re of one length-nfft FFT of the w_j, row k being
+    bin (k - k0) mod nfft.
 
     The scales m run over a window around the scale of the triple; a scale
     whose centers c = 2^m (x, y1, y2) lie more than 2 halfwidth apart is
@@ -445,26 +414,23 @@ class DiagonalKernel:
     ``np.interp``, the oracle of the fast path.
     """
 
-    LAGS = 64  # largest lag of the moment table, capped by the table length
+    LAGS = 64  # largest lag of the moment table
+    halfwidth = 60.0  # a whole number of table steps
     table_step = 1.0 / 64  # h, a power of two: the FFT length below is whole
     stride = 4
     v_step = stride * table_step
 
-    def __init__(self, s: float, halfwidth: float = 60.0, quad_points: int = 4000):
-        ts, stride = self.table_step, self.stride
-        k0 = round(halfwidth / ts)
-        if k0 * ts != halfwidth or k0 < stride:  # fewer steps leave the moment table no lag
-            raise ValueError(f"halfwidth must be a whole number of table steps, at least {stride}")
+    def __init__(self, s: float, quad_points: int = 4000):
+        hw, ts, stride = self.halfwidth, self.table_step, self.stride
         self.s = s
-        self.halfwidth = halfwidth
-        xs = np.arange(-halfwidth, halfwidth + ts, ts)
+        xs = np.arange(-hw, hw + ts, ts)
         xi = np.linspace(0.0, 2.0, quad_points)
         dxi = xi[1] - xi[0]
         # cosine transforms of even profiles (trapezoid over the support),
         # one FFT each: h dxi = 1 / nfft and x_k = (k - k0) h, so row k is
         # bin (k - k0) mod nfft, and nfft >= quad_points leaves no fold
         nfft = round((quad_points - 1) / (2.0 * ts))
-        k = (np.arange(len(xs)) - k0) % nfft
+        k = (np.arange(len(xs)) - round(hw / ts)) % nfft
         tables = np.empty((2, len(xs)))
         for row, w in enumerate(((2.0 * np.pi * xi) ** s * lowpass_profile(xi),
                                  annulus_profile(xi))):
@@ -491,7 +457,7 @@ class DiagonalKernel:
         # at S (case 0) or A (case 1), psi elsewhere.  Row lags + j of rows
         # is node j >= 1; blocks of 96 nodes stay below the FFT's memory
         self._last = (len(xs) - 1) // stride
-        lags = self._lags = min(self.LAGS, stride * (self._last - 1) - 1)
+        lags = self.LAGS
         rows = np.zeros((2, lags + len(xs), 2))
         rows[:, lags + 1:] = np.stack([tables[:, 1:], np.diff(tables, axis=1)], axis=2)
         # in reverse node order: windows[p, len(xs) - 1 - k, :, n] is node k - n
@@ -515,12 +481,6 @@ class DiagonalKernel:
             raise ValueError("kernel evaluated on the diagonal")
         return math.floor(-math.log2(scale)) - 24, math.ceil(-math.log2(scale)) + 12
 
-    def _phi(self, x):
-        return np.interp(x, self.xs, self.phi_s, left=0.0, right=0.0)
-
-    def _psi(self, x):
-        return np.interp(x, self.xs, self.psi, left=0.0, right=0.0)
-
     def _naive_terms(self, x: float, y1: float, y2: float) -> list[float]:
         """Oracle: the Riemann sum of each scale with ``np.interp``; their
         sum in this order is the kernel.  The grid points of all scales
@@ -534,7 +494,8 @@ class DiagonalKernel:
              for a, b in zip(lo[keep] - self.halfwidth, hi[keep] + self.halfwidth)]
         sizes = np.array([len(part) for part in v])
         v, (c0, c1, c2) = np.concatenate(v), np.repeat(c[:, keep], sizes, axis=1)
-        integrand = self._phi(v - c0) * self._psi(v - c1) * self._psi(v - c2)
+        read = lambda table, c: np.interp(v - c, self.xs, table, left=0.0, right=0.0)
+        integrand = read(self.phi_s, c0) * read(self.psi, c1) * read(self.psi, c2)
         ends = np.cumsum(sizes)
         sums = np.array([integrand[a:b].sum() for a, b in zip(ends - sizes, ends)])
         return list(lam[keep] ** 2 * sums * self.v_step)
@@ -551,7 +512,7 @@ class DiagonalKernel:
         # closed-form scale below every other
         spread = math.ldexp(pmax - pmin, m_lo)
         n = min(_doublings(spread, 2.0 * hw), m_hi - m_lo + 1)
-        nc = min(_doublings(spread / ts, self._lags), n)
+        nc = min(_doublings(spread / ts, self.LAGS), n)
         lam = math.ldexp(1.0, m_lo) * self._pow2[:n]
         c = lam[:, None] * np.array(p)
         cmin = lam * pmin

@@ -352,11 +352,6 @@ def universal_sparse_bound(fs: list[GridFunction], value: float,
 # domination reports
 # ---------------------------------------------------------------------------
 
-def pointwise_schatten(f: GridFunction, p: float) -> GridFunction:
-    """Scalar function x -> |f(x)|_{S^p}."""
-    return GridFunction(f.lattice, value_norms(f.values, len(f.value_shape), p))
-
-
 def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> dict:
     """Measure |form(f)| against the sparse form of the pointwise S^{n+1}
     norms.
@@ -368,24 +363,12 @@ def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> di
     """
     n1 = op.n + 1
     lhs = abs(form_value(op, fs))
-    norms = [pointwise_schatten(f, float(n1)) for f in fs]
-    theta = n1 / (1.0 - eta)
-    col = build_sparse_stopping(norms, theta)
+    norms = [GridFunction(f.lattice, value_norms(f.values, len(f.value_shape), float(n1)))
+             for f in fs]
+    col = build_sparse_stopping(norms, n1 / (1.0 - eta))
     rhs = sparse_form(col, norms)
     if rhs == 0.0:
         constant = 0.0 if lhs == 0.0 else float("inf")
     else:
         constant = lhs / rhs
-    return {
-        "eta": eta,
-        "theta": theta,
-        "lhs": lhs,
-        "rhs": rhs,
-        "constant": constant,
-        "kappa": getattr(op, "kappa", 0),
-        "n": op.n,
-        "N": fs[0].N,
-        "L": fs[0].lattice.depth,
-        "collection_size": len(col),
-        "sparse": is_sparse(col, eta),
-    }
+    return {"lhs": lhs, "rhs": rhs, "constant": constant, "sparse": is_sparse(col, eta)}

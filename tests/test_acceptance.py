@@ -298,7 +298,7 @@ def test_criterion_6_leibniz_study():
     # closed-form single-frequency case
     worst = 0.0
     for k, s in ((1, 1.5), (3, 1.5), (5, 2.5)):
-        c = np.zeros(256, dtype=complex)
+        c = np.zeros((256, 1, 1), dtype=complex)
         c[k] = 1.0
         f = lb.TorusFunction.from_coeffs(1, 256, c)
         ratio = lb.leibniz_ratio(f, f, s, cr.LEIBNIZ_EXPONENTS)

@@ -160,6 +160,8 @@ def test_config_schema_violation_reports_path(tmp_path):
     ("rad-suite", "M", 21),
     # the monotonicity check compares each budget with the one before
     ("kernel-const", "budgets", [80, 20]),
+    # decouple runs at order l up to the step k (k = 1 by default)
+    ("decouple", "l", 2),
 ])
 def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)

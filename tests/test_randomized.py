@@ -277,9 +277,12 @@ def test_decoupling_levels_residues():
                     side = [lv for lv in range(L + 1) if lv + l <= L - 1
                             and any(-lv == m * (k + 1) + j for m in range(-L - 1, 1))]
                     assert rz.decoupling_levels(L, j, k, l) == side
-                    # decouple reads l up to k; its config fails at load without a level
+                    # decouple's config fails at load with l above k, or without a level
                     error = cli._field_error({"L": L, "j": j, "k": k, "l": l})
-                    assert (error is not None) == (not rz.decoupling_levels(L, j, k, min(l, k)))
+                    if l > k:
+                        assert error == ("l", "the order l must not exceed the step k")
+                        continue
+                    assert (error is not None) == (not rz.decoupling_levels(L, j, k, l))
                     assert error in (None, ("L", "no decoupling level leaves room for l more "
                                                   "levels"))
 
