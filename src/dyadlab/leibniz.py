@@ -77,10 +77,15 @@ class TorusFunction:
         return TorusFunction(self.dim, self.resolution, self.values + other.values)
 
 
+@functools.lru_cache(maxsize=4)
 def _frequencies(d: int, R: int) -> np.ndarray:
+    """|k| of every mode of the (d, R) grid, built once per grid and
+    read-only."""
     k1 = np.fft.fftfreq(R) * R
     grids = np.meshgrid(*([k1] * d), indexing="ij")
-    return np.sqrt(sum(g ** 2 for g in grids))
+    r = np.sqrt(sum(g ** 2 for g in grids))
+    r.setflags(write=False)
+    return r
 
 
 def _grid(f: TorusFunction, g: TorusFunction) -> tuple[int, int]:
@@ -254,8 +259,7 @@ def _split_windows(d: int, R: int):
     r = _frequencies(d, R)
     M = max(0, math.ceil(math.log2(max(float(r.max()), 1.0))))
     windows = np.stack([r == 0] + [annulus_profile(r / 2.0 ** m) for m in range(M + 1)])
-    for a in (r, windows):
-        a.setflags(write=False)
+    windows.setflags(write=False)
     return r, M, windows
 
 

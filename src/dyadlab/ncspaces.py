@@ -384,12 +384,15 @@ def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
     factors aligned to the SVD of e, which attain the supremum.
 
     The aligned proposal is the first.  ``_best_gaussian`` scores the
-    other budget - 1 in chunks of arrays: one normal draw per chunk, one
-    batched normalization per slot and one ``chain`` of stacks per
-    permutation.  Its oracle ``_best_gaussian_per_draw`` draws,
-    normalizes and scores one proposal at a time; the two agree to the
-    last bit of each normalization (array and scalar powers may round
-    differently), within 1e-12.
+    other budget - 1 in chunks of arrays: one normal draw per chunk, then
+    one batched normalization per slot and one ``chain`` of stacks per
+    permutation for only the proposals that a Frobenius bound of their
+    Schatten norms leaves able to beat the best so far; the result is
+    the same float as with every proposal normalized.  Its oracle
+    ``_best_gaussian_per_draw`` draws, normalizes and scores one
+    proposal at a time; the two agree to the last bit of each
+    normalization and score (array and scalar powers and absolute values
+    may round differently), within 1e-12.
     """
     if tab.S != 0:
         raise ValueError("y_norm handles the matrix case (S = 0) only")
@@ -413,8 +416,13 @@ def _best_gaussian(e: np.ndarray, ps: Sequence[float], perms: list,
     The proposals come in chunks of at most ``_CHUNK_BYTES``: one
     ``standard_normal((B, k, 2, N, N))`` array per chunk, real parts at
     [..., 0, :, :] and imaginary parts at [..., 1, :, :] (the stream of
-    one draw at a time), one ``schatten_norms`` call per slot, and one
-    ``chain`` of stacks and trace per permutation.
+    one draw at a time).  A proposal's best trace over the permutations,
+    unnormalized, over prod_u N^min(0, 1/p_u - 1/2) |g_u|_F (at most
+    prod_u |g_u|_{S^{p_u}}) bounds its score, so only proposals whose
+    bound reaches the running best, less 1e-9 for rounding, are
+    normalized (one ``schatten_norms`` call per slot) and scored (one
+    ``chain`` of stacks and trace per permutation), each row as in the
+    whole chunk: the best is the same float as without the bound.
     ``_best_gaussian_per_draw`` is its oracle.
     """
     rng = np.random.default_rng(seed)
@@ -425,15 +433,23 @@ def _best_gaussian(e: np.ndarray, ps: Sequence[float], perms: list,
     for start in range(0, max(0, draws), rows):
         x = rng.standard_normal((min(rows, draws - start), k, 2, n, n))
         g = x[:, :, 0] + 1j * x[:, :, 1]
+        den = math.prod(n ** min(0.0, 1.0 / p - 0.5) * schatten_norms(g[:, u], 2)
+                        for u, p in enumerate(ps))
+        g = g[_best_traces(e, g, perms) >= best * (1 - 1e-9) * den]
         for u, p in enumerate(ps):
             nrm = schatten_norms(g[:, u], p)
             pos = nrm > 0
             g[pos, u] /= nrm[pos, None, None]
             g[~pos, u] = eye
-        for perm in perms:
-            prod = chain([e, *(g[:, i] for i in perm)])
-            best = max(best, float(np.abs(np.trace(prod, axis1=-2, axis2=-1)).max()))
+        best = max(best, float(_best_traces(e, g, perms).max(initial=0.0)))
     return best
+
+
+def _best_traces(e: np.ndarray, g: np.ndarray, perms: list) -> np.ndarray:
+    """max over permutations s of |tr(e g_{s(1)} ... g_{s(k)})| for each
+    proposal (row) of a (B, k, N, N) stack."""
+    return np.max([np.abs(np.trace(chain([e, *(g[:, i] for i in perm)]), axis1=-2, axis2=-1))
+                   for perm in perms], axis=0)
 
 
 def _best_gaussian_per_draw(e: np.ndarray, ps: Sequence[float], perms: list,

@@ -179,6 +179,8 @@ def test_split_windows_are_built_once_per_grid(monkeypatch):
     assert len(calls) == built > 0
     r, M, windows = lb._split_windows(1, 64)
     assert not any(a.flags.writeable for a in (r, windows))
+    # the frequency magnitudes too, which fractional_derivative also reads
+    assert r is lb._frequencies(1, 64)
 
 
 def test_reconstruction_check_sees_a_broken_partition(monkeypatch, request):

@@ -115,8 +115,10 @@ def test_value_norms_reject_other_values_and_small_exponents():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_chain_matches_matmul(N):
     # the broadcasts in use: (R, N, N) stacks in forms and Leibniz products,
-    # (M + 1, R) blocks against the (R,) mean block in paraproduct_split,
-    # and one (N, N) matrix against a (B, N, N) stack in _best_gaussian
+    # (M + 1, R) stacks against (M + 1, R) stacks and (R,) against (R,) in
+    # paraproduct_split, and one (N, N) matrix against a (B, N, N) stack in
+    # _best_gaussian; (M + 1, R) against (R,) checks the broadcast over
+    # leading axes that chain promises
     rng = np.random.default_rng(N)
 
     def stack(*lead):
@@ -241,15 +243,18 @@ def test_aligned_factors_are_unit_and_multiply_to_the_maximizer(rng, ps):
             assert abs(nc.schatten_norm(fac, p) - 1.0) <= 1e-12
 
 
+# the Hoelder cases (table, index set) of criterion 5
+_HOLDER_CASES = [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
+                 ([2.0, 4.0, 4.0], [1, 2]), ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])]
+
+
 def test_gaussian_search_alone_reaches_most_of_the_dual_norm():
     # the twelve cases of criterion 5, whose aligned candidate alone
     # attains the dual norm; here the 9,999 Gaussian proposals are scored
     # without it
     rng = np.random.default_rng(6)
-    cases = [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
-             ([2.0, 4.0, 4.0], [1, 2]), ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])]
     for N in (1, 2, 3):
-        for ps, J in cases:
+        for ps, J in _HOLDER_CASES:
             e = random_matrix(rng, N)
             tab = nc.holder_tuple(ps)
             seed = int(rng.integers(2 ** 31))
@@ -257,6 +262,111 @@ def test_gaussian_search_alone_reaches_most_of_the_dual_norm():
             perms = list(itertools.permutations(range(len(J))))
             best = nc._best_gaussian(e, [tab.column(j)[0] for j in J], perms, 9_999, seed)
             assert 0.6 * analytic <= best <= analytic * (1 + cr.DUAL_SLACK), (N, ps, J)
+
+
+def _unpruned_best_gaussian(e, ps, perms, draws, seed):
+    """Reference of ``nc._best_gaussian`` without its Frobenius bound:
+    every proposal of every chunk normalized and scored."""
+    rng = np.random.default_rng(seed)
+    n, k = e.shape[0], len(ps)
+    rows = max(1, nc._CHUNK_BYTES // (k * n * n * 16))
+    eye = np.eye(n, dtype=np.complex128)
+    best = 0.0
+    for start in range(0, max(0, draws), rows):
+        x = rng.standard_normal((min(rows, draws - start), k, 2, n, n))
+        g = x[:, :, 0] + 1j * x[:, :, 1]
+        for u, p in enumerate(ps):
+            nrm = nc.schatten_norms(g[:, u], p)
+            pos = nrm > 0
+            g[pos, u] /= nrm[pos, None, None]
+            g[~pos, u] = eye
+        for perm in perms:
+            prod = nc.chain([e, *(g[:, i] for i in perm)])
+            best = max(best, float(np.abs(np.trace(prod, axis1=-2, axis2=-1)).max()))
+    return best
+
+
+def _slots_and_perms(ps, J):
+    tab = nc.holder_tuple(ps)
+    return [tab.column(j)[0] for j in J], list(itertools.permutations(range(len(J))))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("ps, J", _HOLDER_CASES)
+def test_pruned_gaussian_search_equals_the_unpruned_search(monkeypatch, ps, J, N):
+    # seven proposals a chunk, so the bound prunes from the second chunk
+    # on; 9,999 draws run at the default chunk size (1,429 chunks of seven
+    # would take seconds)
+    rng = np.random.default_rng(N)
+    e = random_matrix(rng, N)
+    slots, perms = _slots_and_perms(ps, J)
+    default = nc._CHUNK_BYTES
+    for draws in (0, 1, 7, 8, 999, 9_999):
+        monkeypatch.setattr(nc, "_CHUNK_BYTES",
+                            default if draws == 9_999 else 7 * len(J) * N * N * 16)
+        seed = int(rng.integers(2 ** 31))
+        want = _unpruned_best_gaussian(e, slots, perms, draws, seed)
+        assert nc._best_gaussian(e, slots, perms, draws, seed) == want, draws
+
+
+def test_gaussian_search_normalizes_few_proposals(monkeypatch):
+    # every proposal is bounded by its Frobenius norms, and only the few
+    # that can still win are normalized
+    calls, schatten_norms = [], nc.schatten_norms
+
+    def counted(stack, p):
+        calls.append((p, len(stack)))
+        return schatten_norms(stack, p)
+
+    monkeypatch.setattr(nc, "schatten_norms", counted)
+    e = random_matrix(np.random.default_rng(3), 3)
+    slots, perms = _slots_and_perms([3.0, 3.0, 3.0], [1, 2])
+    nc._best_gaussian(e, slots, perms, 9_999, 3)
+    assert sum(n for p, n in calls if p == 2) == 2 * 9_999
+    assert sum(n for p, n in calls if p != 2) <= 0.2 * 2 * 9_999
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_frobenius_bound_is_at_most_the_schatten_norm(rng, p, N):
+    # |g|_p >= N^min(0, 1/p - 1/2) |g|_F, tight for the identity at
+    # p >= 2 and for rank one at p <= 2
+    u, v = random_matrix(rng, N)[:, :1], random_matrix(rng, N)[:, :1]
+    stack = np.stack([*(random_matrix(rng, N) for _ in range(20)),
+                      u @ v.conj().T, np.eye(N, dtype=complex)])
+    bound = N ** min(0.0, 1.0 / p - 0.5) * nc.schatten_norms(stack, 2)
+    exact = nc.schatten_norms(stack, p)
+    assert np.all(bound <= exact * (1 + 1e-12))
+    tight = [-1] if p >= 2 else [-2]
+    assert np.all(np.abs(bound[tight] - exact[tight]) <= 1e-12 * exact[tight])
+
+
+class _ZeroNormals:
+    """A generator whose normal draws are all zero."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_zero_proposals_score_the_trace_of_e(monkeypatch):
+    # every proposal is the zero matrix in each slot, normalized to the
+    # identity, so each scores |tr e|; the bound, which keeps them from the
+    # second chunk of seven on, must not divide 0 by 0.
+    # The chunks take |.| with numpy's array absolute, the oracle with the
+    # scalar one, and SIMD builds may round the two apart in the last bit.
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(np.random, "default_rng", _ZeroNormals)
+    for N in (1, 2, 3):
+        for ps, J in _HOLDER_CASES:
+            e = random_matrix(rng, N)
+            slots, perms = _slots_and_perms(ps, J)
+            monkeypatch.setattr(nc, "_CHUNK_BYTES", 7 * len(J) * N * N * 16)
+            for draws in (1, 20):
+                assert nc._best_gaussian(e, slots, perms, draws, 0) == np.abs([np.trace(e)])[0]
+                assert nc._best_gaussian_per_draw(e, slots, perms, draws, 0) == abs(np.trace(e))
 
 
 def test_y_norm_single_space():
