@@ -205,7 +205,7 @@ def run_haar_suite(config, out, fmt):
     d, L, seed = config["d"], config["L"], config["seed"]
     lat = lt.build_lattice(d, L, seed)
     f = lt.random_grid_function(lat, N=config["N"], seed=seed + 1)
-    fq = lt.random_grid_function(lat, seed=seed + 2, scalar=True)
+    fq = lt.random_grid_function(lat, seed=seed + 2)
     checks = [cr.haar_orthonormality(lat), cr.martingale_telescoping(f),
               cr.projection_algebra(fq), cr.average_expansion(f),
               cr.serialization_roundtrip(f)]
@@ -285,8 +285,8 @@ def run_rad_suite(config, out, fmt):
     # aligned cells of cell_cubes are the physical ones
     lat = lt.build_lattice(1, 3)
     level, index = np.array([0, 1, 2]), np.array([[0], [0], [3]])
-    gs = [lt.random_grid_function(lat, seed=int(rng.integers(2 ** 32)), scalar=True) for _ in level]
-    fqs = np.stack([g.values * (lt.cell_cubes(lat, lv) == i)
+    gs = [lt.random_grid_function(lat, seed=int(rng.integers(2 ** 32))) for _ in level]
+    fqs = np.stack([g.values * (lt.cell_cubes(lat, lv) == i)[..., None, None]
                     for g, lv, (i,) in zip(gs, level, index)])
 
     con, con_evals = cr.contraction(contractions)
@@ -310,7 +310,7 @@ def run_decouple(config, out, fmt):
     samp = rz.DecouplingSampler(lat, seed=config["seed"] + 1)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=config["samples"],
                           seed=config["seed"] + 2)
-    fsc = lt.random_grid_function(lat, seed=config["seed"], scalar=True)
+    fsc = lt.random_grid_function(lat, seed=config["seed"])
     fm = lt.random_grid_function(lat, N=config["N"], seed=config["seed"] + 3)
     checks = [cr.decoupling_anchor(fsc, j, k, l, samp, ens),
               cr.decoupling_band(fm, j, k, l, config["p"], samp, ens, config["band"])]

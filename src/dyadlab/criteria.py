@@ -126,12 +126,12 @@ def projection_algebra(f: lt.GridFunction) -> dict:
     for lv in range(lat.depth):
         diffs = lt.level_blocks(f, lv)[1]
         covered = np.zeros_like(diffs)
-        ones = (1,) * (diffs.ndim - d)  # one axis per value axis
-        cell_cube = lt.cell_cubes(lat, lv).reshape(diffs.shape[:d] + (1,) + ones)
+        # axes: cells, the cube stack, N x N
+        cell_cube = lt.cell_cubes(lat, lv)[..., None, None, None]
         cubes = 1 << (lv * d)
         rows = max(1, _CHUNK_BYTES // diffs.nbytes)
         for start in range(0, cubes, rows):
-            chunk = np.arange(start, min(start + rows, cubes)).reshape((-1,) + ones)
+            chunk = np.arange(start, min(start + rows, cubes))[:, None, None]
             dq = np.where(cell_cube == chunk, np.expand_dims(diffs, d), 0)
             covered += dq.sum(axis=d)
             g = lt.from_aligned(lat, dq)

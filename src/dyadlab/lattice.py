@@ -173,12 +173,13 @@ def build_lattice(d: int, L: int, seed_or_shift=None) -> Lattice:
 class GridFunction:
     """Piecewise-constant function at the finest lattice level.
 
-    ``values`` has shape (2^L,)*d + value_shape in physical cell
-    coordinates (axis a indexes the a-th coordinate, row-major).  The
-    value shape is () for scalars and (N, N) for matrix values, the two
-    kinds a file holds; extra leading value axes hold in-memory stacks
-    of such functions (nested values, or one function per cube).
-    Real float64 values stay real; every other dtype becomes complex128.
+    ``values`` has shape (2^L,)*d + (N, N) in physical cell coordinates
+    (axis a indexes the a-th coordinate, row-major): N x N matrix values,
+    a scalar function being N = 1.  An array of exactly the grid shape
+    holds scalars and gets two unit axes appended.  Extra value axes
+    before the last two hold in-memory stacks of such functions (one
+    function per cube).  Real float64 values stay real; every other dtype
+    becomes complex128.
     """
 
     def __init__(self, lattice: Lattice, values: np.ndarray):
@@ -188,6 +189,11 @@ class GridFunction:
         grid_shape = (lattice.cells_per_axis,) * lattice.dim
         if values.shape[:lattice.dim] != grid_shape:
             raise ValueError(f"values grid shape {values.shape} does not match lattice {grid_shape}")
+        if values.ndim == lattice.dim:
+            values = values[..., None, None]
+        vs = values.shape[lattice.dim:]
+        if len(vs) < 2 or vs[-1] != vs[-2]:
+            raise ValueError(f"value shape {vs} does not end in N x N")
         self.lattice = lattice
         self.values = values
 
@@ -196,19 +202,8 @@ class GridFunction:
         return self.values.shape[self.lattice.dim:]
 
     @property
-    def kind(self) -> str:
-        """The file kind: "scalar", or "matrix" for N x N values."""
-        vs = self.value_shape
-        if vs == ():
-            return "scalar"
-        if len(vs) == 2 and vs[0] == vs[1]:
-            return "matrix"
-        raise ValueError(f"value shape {vs} is neither scalar nor N x N")
-
-    @property
     def N(self) -> int:
-        vs = self.value_shape
-        return 1 if vs == () else vs[-1]
+        return self.value_shape[-1]
 
     # -- arithmetic (pointwise) ------------------------------------------
     def __add__(self, other):
@@ -268,25 +263,25 @@ def integral(f: GridFunction):
 def pairing(f: GridFunction, g: GridFunction):
     """Bilinear pairing <f, g> = integral of f*g (no conjugation).
 
-    ``g`` must be scalar-valued; the result has f's value kind.
+    ``f`` is one function, not a stack, and ``g`` a scalar weight
+    (N = 1), multiplied in by broadcasting; the result has f's value
+    shape.
     """
-    if g.value_shape != ():
-        raise ValueError("pairing weight must be scalar-valued")
+    if g.value_shape != (1, 1) or len(f.value_shape) != 2:
+        raise ValueError(f"pairing takes an N x N function and a scalar (N = 1) weight, not "
+                         f"value shapes {f.value_shape} and {g.value_shape}")
     lat = f.lattice
     if g.lattice != lat:
         raise ValueError("grid functions live on different lattices")
-    gv = g.values.reshape(g.values.shape + (1,) * len(f.value_shape))
-    return (f.values * gv).sum(axis=grid_axes(lat)) * lat.cell_volume
+    return (f.values * g.values).sum(axis=grid_axes(lat)) * lat.cell_volume
 
 
 def random_grid_function(lat: Lattice, N: int = 1, seed: int = 0,
                          scalar: bool = False) -> GridFunction:
-    """Complex Gaussian test data: scalar values if ``scalar``, else N x N
-    matrices (1 x 1 at N = 1)."""
+    """Complex Gaussian test data with N x N values (1 x 1 at N = 1);
+    ``scalar`` means N = 1."""
     rng = np.random.default_rng(seed)
-    shape = (lat.cells_per_axis,) * lat.dim
-    if not scalar:
-        shape = shape + (N, N)
+    shape = (lat.cells_per_axis,) * lat.dim + ((1, 1) if scalar else (N, N))
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return GridFunction(lat, vals)
 
@@ -384,11 +379,9 @@ def _haar_patch(lat: Lattice, level: int, eta: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def average(f: GridFunction, Q: Cube):
-    """<f>_Q: mean of f over Q (value kind preserved)."""
+    """<f>_Q: mean of f over Q, of f's value shape."""
     lat = f.lattice
-    a = f.aligned()[_cell_block(lat, Q)]
-    out = a.mean(axis=grid_axes(lat))
-    return complex(out) if f.value_shape == () else out
+    return f.aligned()[_cell_block(lat, Q)].mean(axis=grid_axes(lat))
 
 
 def expect(f: GridFunction, Q: Cube, k: int = 0) -> GridFunction:
@@ -587,15 +580,17 @@ def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def grid_function_to_json(f: GridFunction) -> str:
-    """Serialize a function of scalar or N x N values (``kind`` raises
-    ValueError for any other value shape)."""
+    """Serialize a function of N x N values, ``kind`` "matrix"; a stack
+    of functions raises ValueError."""
+    if len(f.value_shape) != 2:
+        raise ValueError(f"value shape {f.value_shape} is a stack, not N x N")
     lat = f.lattice
     flat = f.values.reshape(-1)
     payload = {
         "dim": lat.dim,
         "depth": lat.depth,
         "shift": list(lat.shift),
-        "kind": f.kind,
+        "kind": "matrix",
         "N": f.N,
         "values": [[float(v.real), float(v.imag)] for v in flat],
     }
@@ -605,13 +600,14 @@ def grid_function_to_json(f: GridFunction) -> str:
 def grid_function_from_json(text: str) -> GridFunction:
     """Load a grid function; a missing field, a wrong type or shape, a
     lattice rule broken and a non-finite value raise ValueError naming
-    the field."""
+    the field.  A file of kind "scalar" loads as N = 1."""
     obj = json.loads(text)
     lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
     kind = _field(obj, "kind")
     if kind not in ("scalar", "matrix"):
         raise ValueError("field kind must be scalar or matrix")
-    shape = (lat.cells_per_axis,) * lat.dim + ((_int(obj, "N"),) * 2 if kind == "matrix" else ())
+    N = _int(obj, "N") if kind == "matrix" else 1
+    shape = (lat.cells_per_axis,) * lat.dim + (N, N)
     try:
         pairs = np.array(_field(obj, "values"), dtype=np.float64)
     except (TypeError, ValueError):

@@ -39,15 +39,21 @@ from .ncspaces import chain, conjugate_exponent, lp_norm
 class TorusFunction:
     """Periodic grid function with cached Fourier coefficients.
 
-    ``values`` has shape (R,)*d + value_shape; coefficients follow the
-    FFT layout with integer frequencies in [-R/2, R/2) per axis and the
-    convention f(x) = sum_k c_k exp(2 pi i k.x).
+    ``values`` has shape (R,)*d + (N, N); an array of exactly the grid
+    shape holds scalars and gets two unit axes appended (N = 1).
+    Coefficients follow the FFT layout with integer frequencies in
+    [-R/2, R/2) per axis and the convention f(x) = sum_k c_k exp(2 pi i k.x).
     """
 
     def __init__(self, dim: int, resolution: int, values: np.ndarray):
         values = np.asarray(values, dtype=np.complex128)
         if values.shape[:dim] != (resolution,) * dim:
             raise ValueError("grid shape mismatch")
+        if values.ndim == dim:
+            values = values[..., None, None]
+        vs = values.shape[dim:]
+        if len(vs) != 2 or vs[0] != vs[1]:
+            raise ValueError(f"value shape {vs} is not N x N")
         self.dim = dim
         self.resolution = resolution
         self.values = values
@@ -122,8 +128,7 @@ def fractional_derivative(f: TorusFunction, s: float) -> TorusFunction:
     if s < 0:
         raise ValueError("order must be nonnegative")
     r = _frequencies(f.dim, f.resolution)
-    mult = np.where(r > 0, (2.0 * np.pi * r) ** s, 0.0)
-    mult = mult.reshape(mult.shape + (1,) * len(f.value_shape))
+    mult = np.where(r > 0, (2.0 * np.pi * r) ** s, 0.0)[..., None, None]
     return TorusFunction.from_coeffs(f.dim, f.resolution, f.coeffs * mult)
 
 
@@ -218,8 +223,7 @@ def _paraproduct_split_pairwise(f: TorusFunction, g: TorusFunction,
         mean[zero] = h.coeffs[zero]
         out.append(TorusFunction.from_coeffs(d, R, mean))
         for m in range(M + 1):
-            w = annulus_profile(r / 2.0 ** m)
-            w = w.reshape(w.shape + (1,) * len(h.value_shape))
+            w = annulus_profile(r / 2.0 ** m)[..., None, None]
             out.append(TorusFunction.from_coeffs(d, R, h.coeffs * w))
         return out
 
@@ -266,9 +270,8 @@ def _split_windows(d: int, R: int):
 def _block_values(h: TorusFunction, windows: np.ndarray) -> np.ndarray:
     """Values of the blocks of h, one per frequency window (stacked on
     the leading axis), from one inverse FFT."""
-    windows = windows.reshape(windows.shape + (1,) * len(h.value_shape))
     axes = tuple(range(1, h.dim + 1))
-    return np.fft.ifftn(h.coeffs * windows * h.resolution ** h.dim, axes=axes)
+    return np.fft.ifftn(h.coeffs * windows[..., None, None] * h.resolution ** h.dim, axes=axes)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ Coefficients live in one ``CoeffTable``: integer arrays for the cubes'
 levels, indices and eta masks plus a complex value array.  Validation
 and the rewrite are index arithmetic on them (ancestors are bit shifts);
 a form gathers each slot's pairings from one HaarPyramid sweep and
-contracts them as a batched matrix chain (scalars as 1x1 matrices); the
+contracts them as a batched matrix chain (a scalar is N = 1); the
 Carleson and BMO sups are one bottom-up sweep of level sums of |a|^2.
 """
 
@@ -372,9 +372,11 @@ def _draw_tuples(rng: np.random.Generator, bases: list[int], bits: list[int],
 def bmo_norm(h: GridFunction | HaarPyramid) -> float:
     """Dyadic BMO norm: sup over cubes K0 of
     (|K0|^-1 sum over Haar coefficients inside K0)^(1/2).  h may be
-    given as its ``HaarPyramid``, which is then not swept again."""
-    if h.value_shape != ():
-        raise ValueError("BMO norm is for scalar functions")
+    given as its ``HaarPyramid``, which is then not swept again.  h must
+    be scalar (N = 1)."""
+    if h.value_shape != (1, 1):
+        raise ValueError(f"BMO norm is for scalar (N = 1) functions, not value shape "
+                         f"{h.value_shape}")
     lat = h.lattice
     pyr = h if isinstance(h, HaarPyramid) else HaarPyramid(h)
     coefs = _cancellative_pairings(pyr)
@@ -384,11 +386,12 @@ def bmo_norm(h: GridFunction | HaarPyramid) -> float:
 
 
 def _cancellative_pairings(pyr: HaarPyramid) -> np.ndarray:
-    """The pairings of a scalar pyramid with every cancellative Haar
-    function, of shape (#cubes of levels 0..L-1, 2^d - 1) in heap order."""
+    """The pairings of a scalar (N = 1) pyramid with every cancellative
+    Haar function, of shape (#cubes of levels 0..L-1, 2^d - 1) in heap
+    order."""
     d = pyr.lattice.dim
     return pyr.pairings(np.arange(_heap_size(pyr.lattice.depth - 1, d))[:, None],
-                        np.arange(1, 1 << d))
+                        np.arange(1, 1 << d))[..., 0, 0]
 
 
 def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
@@ -422,9 +425,9 @@ def _check_inputs(lat: Lattice, fs: Sequence[GridFunction], arity: int) -> int:
             raise ValueError("function lattice does not match the operator")
         if f.value_shape != vs:
             raise ValueError("functions have mixed value shapes")
-    if vs != () and (len(vs) != 2 or vs[0] != vs[1]):
-        raise ValueError("form inputs must be scalar or square-matrix valued")
-    return 1 if vs == () else vs[0]
+    if len(vs) != 2:  # a grid function's values end in N x N
+        raise ValueError(f"form inputs must have N x N values, not value shape {vs}")
+    return vs[0]
 
 
 def _slots(spec, rows: slice = slice(None)) -> list[tuple]:
@@ -483,11 +486,10 @@ def eval_shift_form_naive(spec: ShiftSpec | ReducedShiftTerm,
     """Direct enumeration oracle: build every Haar function on the grid
     and integrate the pairings term by term."""
     lat = spec.lattice
-    N = _check_inputs(lat, fs, spec.n + 1)
+    _check_inputs(lat, fs, spec.n + 1)
     total = 0j
     for (K, qs, etas), a in spec.coeffs.items():
-        mats = [np.reshape(pairing(f, haar(lat, (q, e))), (1, N, N))
-                for f, q, e in zip(fs, qs, etas)]
+        mats = [pairing(f, haar(lat, (q, e)))[None] for f, q, e in zip(fs, qs, etas)]
         total += a * np.trace(chain(mats)[0])
     return complex(total)
 
@@ -518,7 +520,7 @@ def adjoint_eval(spec, j0: int, fs: Sequence[GridFunction]) -> GridFunction:
     heap, eta, div = slots[j0 - 1]
     out = _synthesize(lat, heap, eta, spec.coeffs.value[:, None, None] * prod
                       / np.reshape(div, (-1, 1, 1)))
-    return from_aligned(lat, out.reshape(out.shape[:lat.dim] + fs[0].value_shape))
+    return from_aligned(lat, out)
 
 
 def form_value(spec, fs: Sequence[GridFunction]) -> complex:

@@ -7,9 +7,10 @@ broadcast over the leading axes of stacks.  Schatten norms need no
 per-matrix LAPACK call where a closed form exists: the S^2 norm is the
 Frobenius norm, and a 2x2 matrix has its singular values in closed
 form; any other matrix takes them from a batched SVD.  A scalar value
-is a 1x1 matrix.  ``lp_norm`` is the L^p(S^q) norm of a grid or torus
-function, the power mean of its cells' Schatten norms, and ``lp_norms``
-that of each row of a stack.  This module imports no other dyadlab module.
+is a 1x1 matrix, whose one singular value |a| is its norm at every p.
+``lp_norm`` is the L^p(S^q) norm of a grid or torus function, the power
+mean of its cells' Schatten norms, and ``lp_norms`` that of each row of
+a stack.  This module imports no other dyadlab module.
 
 Mixed-norm spaces stack finitely many weighted atom levels on top of
 the matrix level; the nested norm of a value tree evaluates one weighted
@@ -49,12 +50,15 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
 
 def schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
     """Schatten norms of a stack of matrices (batched) over the last two
-    axes.  At p = 2 this is the Frobenius norm.  Otherwise a 2x2 stack
-    takes its singular values in closed form (``_singular_values_2x2``),
-    and any other shape from a batched SVD."""
+    axes.  A 1x1 matrix (a scalar) has one singular value, |a|, its norm
+    at every p.  At p = 2 any other shape takes the Frobenius norm.
+    Otherwise a 2x2 stack takes its singular values in closed form
+    (``_singular_values_2x2``), and any other shape from a batched SVD."""
     if p < 1:
         raise ValueError("Schatten exponent must be >= 1")
     a = np.asarray(stack, dtype=np.complex128)
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
     if p == 2:
         return np.sqrt((a.real ** 2 + a.imag ** 2).sum(axis=(-2, -1)))
     if a.shape[-2:] == (2, 2):
@@ -87,19 +91,6 @@ def _singular_values_2x2(a: np.ndarray) -> np.ndarray:
     return np.stack([s_max, s_min], axis=-1)
 
 
-def value_norms(values: np.ndarray, value_ndim: int, p: float) -> np.ndarray:
-    """|v|_{S^p} of each value v of an array whose last ``value_ndim``
-    axes hold one value: 0 for scalars, 2 for matrices.  A scalar is a
-    1x1 matrix, so its S^p norm is |v| for every p >= 1."""
-    if value_ndim == 2:
-        return schatten_norms(values, p)
-    if value_ndim != 0:
-        raise ValueError("values must be scalars or matrices")
-    if p < 1:
-        raise ValueError("Schatten exponent must be >= 1")
-    return np.abs(values)
-
-
 def scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
     """x ** e entry by entry with the scalar (C library) power.
 
@@ -125,20 +116,19 @@ def power_mean(x: np.ndarray, p: float) -> np.ndarray:
 
 def lp_norm(f, p: float, schatten: float) -> float:
     """L^p norm of x -> |f(x)|_{S^schatten} over the cells of a grid or
-    torus function f (anything with ``values`` and ``value_shape``), each
-    cell of equal weight."""
-    return float(lp_norms(f.values[None], len(f.value_shape), p, schatten)[0])
+    torus function f (anything with N x N ``values``), each cell of equal
+    weight."""
+    return float(lp_norms(f.values[None], p, schatten)[0])
 
 
-def lp_norms(stack: np.ndarray, value_ndim: int, p: float, schatten: float) -> np.ndarray:
+def lp_norms(stack: np.ndarray, p: float, schatten: float) -> np.ndarray:
     """``lp_norm`` of each row of a stack of functions: axis 0 runs over
-    the functions, the last ``value_ndim`` axes hold one value and the
-    axes between are the cells.  Each row's norm is bit for bit its norm
+    the functions, the last two axes hold one N x N value and the axes
+    between are the cells.  Each row's norm is bit for bit its norm
     alone."""
     stack = np.asarray(stack)
-    cut = stack.ndim - value_ndim
-    norms = value_norms(stack.reshape((-1,) + stack.shape[cut:]), value_ndim, schatten)
-    return power_mean(norms.reshape(len(stack), math.prod(stack.shape[1:cut])), p)
+    norms = schatten_norms(stack.reshape((-1,) + stack.shape[-2:]), schatten)
+    return power_mean(norms.reshape(len(stack), math.prod(stack.shape[1:-2])), p)
 
 
 def conjugate_exponent(p: float) -> float:

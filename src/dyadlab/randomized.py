@@ -26,9 +26,7 @@ from .lattice import (
     level_blocks,
 )
 from .ncspaces import (chain, conjugate_exponent, lp_norm, lp_norms, power_mean, scalar_pow,
-                       schatten_norm, value_norms)
-# schatten_norms is not called here, but perfbench's span test reads it in this namespace
-from .ncspaces import schatten_norms  # noqa: F401
+                       schatten_norm, schatten_norms)
 
 EXHAUSTIVE_LIMIT = 20
 # largest accumulator of one chunk of decoupling samples, in bytes
@@ -62,9 +60,9 @@ class SignEnsemble:
 
 def _signed_norms(xs: Sequence, eps: np.ndarray, schatten: float) -> np.ndarray:
     """|sum_m eps_m x_m|_{S^schatten} for each sign pattern (row of eps);
-    the x_m are scalars or matrices of one shape."""
+    the x_m are N x N matrices of one N (a scalar is 1 x 1)."""
     stack = np.stack([np.asarray(x, dtype=np.complex128) for x in xs])
-    return value_norms(np.tensordot(eps, stack, axes=(1, 0)), stack.ndim - 1, schatten)
+    return schatten_norms(np.tensordot(eps, stack, axes=(1, 0)), schatten)
 
 
 def _patterns_for(ens: SignEnsemble, count: int) -> np.ndarray:
@@ -138,14 +136,14 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
     for i in np.lexsort(tuple(index.T[::-1]) + (level,)):
         f, lv = GridFunction(lat, values[i]), int(level[i])
         inside = cell_cubes(lat, lv) == np.ravel_multi_index(index[i], (1 << lv,) * lat.dim)
-        inside = inside.reshape(inside.shape + (1,) * len(f.value_shape))
+        inside = inside[..., None, None]
         if np.abs(np.where(inside, 0, f.aligned())).max() > 1e-12 * max(1, np.abs(f.values).max()):
             raise ValueError(f"function {i} is not supported in its cube")
         raw.append(f.values)
         avg.append(from_aligned(lat, np.where(inside, level_blocks(f, lv)[0], 0)).values)
     eps = _patterns_for(ens, len(level))
     sums = [np.tensordot(eps, np.stack(x), axes=(1, 0)) for x in (avg, raw)]
-    return tuple(float(np.mean(lp_norms(v, v.ndim - 1 - lat.dim, p, schatten))) for v in sums)
+    return tuple(float(np.mean(lp_norms(v, p, schatten))) for v in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +198,7 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
                                                                  sampler, ens)
     count = len(offsets)
     d, vs = lat.dim, f.value_shape
-    rows = max(1, _CHUNK_BYTES // (lat.num_cells * int(np.prod(vs, dtype=int)) * 16))
+    rows = max(1, _CHUNK_BYTES // (lat.num_cells * f.N ** 2 * 16))
     vals = np.empty(count)
     for a in range(0, count, rows):
         b = min(a + rows, count)
@@ -214,12 +212,12 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
             cells = zip(np.unravel_index(np.arange(m ** d), (m,) * d),
                         np.unravel_index(offsets[a:b, cols], (w,) * d))
             v = diffs[lv][tuple(i * w + r for i, r in cells)]
-            v = signs[a:b, cols].reshape((b - a, -1) + (1,) * len(vs)) * v
+            v = signs[a:b, cols][..., None, None] * v
             # axis 2t + 1 of the view runs over the cube's cells along axis t
             acc.reshape((b - a,) + (m, w) * d + vs)[...] += v.reshape((b - a,) + (m, 1) * d + vs)
         if any(lat.shift_cells):  # back to physical cells, as from_aligned does
             acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, d + 1)))
-        vals[a:b] = scalar_pow(lp_norms(acc, len(vs), p, schatten), p)
+        vals[a:b] = scalar_pow(lp_norms(acc, p, schatten), p)
     return _ratio(lhs, vals)
 
 
@@ -346,10 +344,10 @@ def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
     time, each level's Delta f (``level_blocks``) is multiplied cell by cell
     by the sign of the cell's cube (``cell_cubes``), in aligned cells."""
     lat, d = f.lattice, f.lattice.dim
-    # column of each cell's cube in the patterns, level by level, with one
-    # axis for each value axis
-    shape = f.values.shape[:d] + (1,) * len(f.value_shape)
-    cols = [(_heap_size(lv - 1, d) + cell_cubes(lat, lv)).reshape(shape) for lv in range(lat.depth)]
+    # column of each cell's cube in the patterns, level by level, with two
+    # unit axes for the value
+    cols = [(_heap_size(lv - 1, d) + cell_cubes(lat, lv))[..., None, None]
+            for lv in range(lat.depth)]
     if cols[-1].max() >= ens.M:
         raise ValueError("ensemble too small for the cube count")
     deltas = [level_blocks(f, lv)[1] for lv in range(lat.depth)]
@@ -362,5 +360,5 @@ def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
     worst = 0.0
     for a in range(0, len(eps), rows):
         v = sum(eps[a:a + rows, c] * delta for c, delta in zip(cols, deltas))
-        worst = max(worst, float(lp_norms(v, len(f.value_shape), p, schatten).max(initial=0.0)))
+        worst = max(worst, float(lp_norms(v, p, schatten).max(initial=0.0)))
     return worst / den

@@ -36,16 +36,16 @@ import numpy as np
 from .lattice import (Cube, GridFunction, Lattice, _block_means, _cell_block, _expand,
                       _heap_number, _heap_size, _level_views, build_lattice, from_aligned)
 from .modelops import form_value
-from .ncspaces import value_norms
+from .ncspaces import schatten_norms
 
 MEASURE_SLACK = 1e-12
 
 
 def _pyramid(fs: list[GridFunction],
              known: np.ndarray | None = None) -> tuple[Lattice, np.ndarray]:
-    """The lattice of scalar inputs fs and the block means of each |f_j|
-    on every cube, shape (cubes, len(fs)), rows in the order of
-    ``Lattice.cubes()`` (see ``lattice._level_views``).
+    """The lattice of scalar (N = 1) inputs fs and the block means of
+    each |f_j| on every cube, shape (cubes, len(fs)), rows in the order
+    of ``Lattice.cubes()`` (see ``lattice._level_views``).
 
     ``known`` is a pyramid computed before; it is returned as it is when
     its finest level equals |f_j| cell by cell for every j, since every
@@ -55,10 +55,10 @@ def _pyramid(fs: list[GridFunction],
         raise ValueError("need at least one function")
     lat = fs[0].lattice
     for f in fs:
-        if f.lattice != lat or f.value_shape != ():
-            raise ValueError("inputs must be scalar functions on one lattice")
+        if f.lattice != lat or f.value_shape != (1, 1):
+            raise ValueError("inputs must be scalar (N = 1) functions on one lattice")
     d, L = lat.dim, lat.depth
-    mats = [np.abs(f.aligned()) for f in fs]
+    mats = [np.abs(f.aligned()[..., 0, 0]) for f in fs]
     if known is not None and known.shape == (_heap_size(L, d), len(fs)):
         finest = _level_views(known, L, d)[L]
         if all(np.array_equal(finest[..., j], m) for j, m in enumerate(mats)):
@@ -305,7 +305,7 @@ def _masks_sparse(lat: Lattice, cubes, exceptional: dict, eta: float) -> bool:
 def _sparse_form_per_cube(cubes, fs: list[GridFunction]) -> float:
     """Oracle of ``sparse_form``: one block mean per cube and input."""
     lat = fs[0].lattice
-    mats = [np.abs(f.aligned()) for f in fs]
+    mats = [np.abs(f.aligned()[..., 0, 0]) for f in fs]
     total = 0.0
     for Q in cubes:
         blk = _cell_block(lat, Q)
@@ -332,6 +332,8 @@ def universal_sparse_bound(fs: list[GridFunction], value: float,
     """Search the 3^d shifted grids for a stopping collection whose
     sparse form dominates ``value``; returns the best grid and the
     ratio value / best_form."""
+    if not fs:
+        raise ValueError("need at least one function")
     lat = fs[0].lattice
     n1 = len(fs)
     theta = theta if theta is not None else 2.0 * n1
@@ -363,8 +365,7 @@ def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> di
     """
     n1 = op.n + 1
     lhs = abs(form_value(op, fs))
-    norms = [GridFunction(f.lattice, value_norms(f.values, len(f.value_shape), float(n1)))
-             for f in fs]
+    norms = [GridFunction(f.lattice, schatten_norms(f.values, float(n1))) for f in fs]
     col = build_sparse_stopping(norms, n1 / (1.0 - eta))
     rhs = sparse_form(col, norms)
     if rhs == 0.0:

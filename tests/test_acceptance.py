@@ -94,7 +94,7 @@ def test_criterion_1_exact_identities():
     # telescoping and projection algebra
     f = dl.random_grid_function(dl.build_lattice(2, 3, 23), N=2, seed=31)
     identity("1b martingale telescoping", [cr.martingale_telescoping(f)])
-    fs = dl.random_grid_function(dl.build_lattice(1, 4), seed=7, scalar=True)
+    fs = dl.random_grid_function(dl.build_lattice(1, 4), seed=7)
     identity("1c projection algebra", [cr.projection_algebra(fs)])
 
     # expansion identity for all admissible (K, k)
@@ -126,7 +126,7 @@ def test_criterion_1_exact_identities():
             worst = max(worst, abs(val - value))
     lat4 = dl.build_lattice(1, 4)
     pp = mo.ParaproductSpec(lat4, 2, 2, mo.make_bmo_coeffs(
-        lat4, dl.random_grid_function(lat4, seed=41, scalar=True)))
+        lat4, dl.random_grid_function(lat4, seed=41)))
     fsp = [dl.random_grid_function(lat4, N=2, seed=400 + i) for i in range(3)]
     value = mo.eval_paraproduct_form(pp, fsp)
     for j0 in (1, 2, 3):
@@ -252,7 +252,7 @@ def test_criterion_4_randomized_suite():
 
     # decoupling anchor
     lat = dl.build_lattice(1, 4)
-    rec = cr.decoupling_anchor(dl.random_grid_function(lat, seed=8, scalar=True), 0, 1, 1,
+    rec = cr.decoupling_anchor(dl.random_grid_function(lat, seed=8), 0, 1, 1,
                                rz.DecouplingSampler(lat, seed=3),
                                rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9))
     _report("criterion 4c scalar p=2 decoupling ratio is 1 within "

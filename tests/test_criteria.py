@@ -65,7 +65,7 @@ def test_identity_checks_fail_on_one_wrong_block(monkeypatch, lat, check, which)
 def test_projection_algebra_fails_on_a_skipped_cube(monkeypatch, lat):
     # numbered 1..#cubes, the last cube of each level is in no stack; each
     # stacked Delta_Q f still satisfies the algebra by itself
-    f = dl.random_grid_function(lat, seed=3, scalar=True)
+    f = dl.random_grid_function(lat, seed=3)
     real = lt.cell_cubes
     monkeypatch.setattr(lt, "cell_cubes", lambda lat, level: real(lat, level) + 1)
     rec = cr.projection_algebra(f)

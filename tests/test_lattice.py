@@ -136,7 +136,7 @@ def test_martingale_diff_basics():
 
 def test_martingale_diff_haar_expansion():
     lat = dl.build_lattice(2, 2)
-    f = dl.random_grid_function(lat, seed=1, scalar=True)
+    f = dl.random_grid_function(lat, seed=1)
     Q = dl.Cube(0, (0, 0))
     target = dl.martingale_diff(f, Q)
     acc = np.zeros_like(f.values)
@@ -148,7 +148,7 @@ def test_martingale_diff_haar_expansion():
 
 def test_martingale_diff_integral_zero():
     lat = dl.build_lattice(1, 4)
-    f = dl.random_grid_function(lat, seed=2, scalar=True)
+    f = dl.random_grid_function(lat, seed=2)
     for Q in lat.cubes():
         if Q.level < 4:
             assert abs(dl.integral(dl.martingale_diff(f, Q))) < 1e-12
@@ -156,7 +156,7 @@ def test_martingale_diff_integral_zero():
 
 def test_depth_k_operators():
     lat = dl.build_lattice(1, 4)
-    f = dl.random_grid_function(lat, seed=3, scalar=True)
+    f = dl.random_grid_function(lat, seed=3)
     Q = dl.Cube(1, (1,))
     # brute-force sums over depth-2 descendants
     acc, avg = np.zeros_like(f.values), np.zeros_like(f.values)
@@ -170,7 +170,7 @@ def test_depth_k_operators():
 
 def test_depth_overflow_rejected():
     lat = dl.build_lattice(1, 3)
-    f = dl.random_grid_function(lat, seed=1, scalar=True)
+    f = dl.random_grid_function(lat, seed=1)
     for op, level, k in [(dl.expect, 1, 3), (dl.expect, 1, -1), (dl.martingale_diff, 1, 2),
                          (dl.martingale_diff, 3, 0), (dl.martingale_diff, 1, -1)]:
         with pytest.raises(ValueError, match="descendant level exceeds lattice depth"):
@@ -203,7 +203,7 @@ def test_telescoping():
 
 def test_projection_algebra():
     lat = dl.build_lattice(1, 3)
-    f = dl.random_grid_function(lat, seed=6, scalar=True)
+    f = dl.random_grid_function(lat, seed=6)
     cubes = [Q for Q in lat.cubes() if Q.level < 3]
     for Q in cubes:
         dq = dl.martingale_diff(f, Q)
@@ -233,7 +233,7 @@ def _on_block(lat, aligned, Q):
 @pytest.mark.parametrize("scalar", [True, False])
 def test_level_blocks_match_per_cube_operators(lat, scalar):
     # oracle: expect and martingale_diff, one cube at a time
-    f = dl.random_grid_function(lat, N=2, seed=8, scalar=scalar)
+    f = dl.random_grid_function(lat, N=1 if scalar else 2, seed=8)
     for level in range(lat.depth + 1):
         for k in range(lat.depth - level + 1):
             E, D = dl.level_blocks(f, level, k)
@@ -247,7 +247,7 @@ def test_level_blocks_match_per_cube_operators(lat, scalar):
 
 
 def test_level_blocks_rejects_levels_below_the_lattice():
-    f = dl.random_grid_function(dl.build_lattice(1, 3), seed=1, scalar=True)
+    f = dl.random_grid_function(dl.build_lattice(1, 3), seed=1)
     for level, k in [(4, 0), (2, 2), (-1, 0), (0, -1)]:
         with pytest.raises(ValueError):
             dl.level_blocks(f, level, k)
@@ -263,7 +263,7 @@ def test_haar_level_equals_haar(lat):
                                                                  2 ** lat.dim - 1)
         for q, Q in enumerate(lat.cubes(level)):
             for eta in range(2 ** lat.dim):
-                h = dl.haar(lat, (Q, eta)).values
+                h = dl.haar(lat, (Q, eta)).values[..., 0, 0]
                 assert h.dtype == np.float64
                 if eta:
                     assert np.array_equal(stack[..., q, eta - 1], h)
@@ -354,9 +354,9 @@ def test_shift_equivariance():
 def test_pyramid_matches_direct_pairings():
     # d = 3 has 8 eta slots per cube; at depth 1 (depth 0 is no lattice)
     # the top cube is the only one with cancellative pairings
-    for lat, scalar in [(dl.build_lattice(2, 3, 5), False), (dl.build_lattice(1, 4, 2), False),
-                        (dl.build_lattice(3, 2, 1), False), (dl.build_lattice(2, 1, 4), True)]:
-        f = dl.random_grid_function(lat, N=2, seed=3, scalar=scalar)
+    for lat, N in [(dl.build_lattice(2, 3, 5), 2), (dl.build_lattice(1, 4, 2), 2),
+                   (dl.build_lattice(3, 2, 1), 2), (dl.build_lattice(2, 1, 4), 1)]:
+        f = dl.random_grid_function(lat, N=N, seed=3)
         pyr = dl.HaarPyramid(f)
         for heap, Q in enumerate(lat.cubes()):  # heap numbers follow Lattice.cubes()
             for eta in range(1 << lat.dim):
@@ -393,7 +393,7 @@ def _full_layout(f):
 @pytest.mark.parametrize("scalar", [True, False])
 def test_pyramid_lookup_bit_equals_the_full_layout(d, L, scalar):
     lat = dl.build_lattice(d, L, 7)
-    f = dl.random_grid_function(lat, N=2, seed=d, scalar=scalar)
+    f = dl.random_grid_function(lat, N=1 if scalar else 2, seed=d)
     full, pyr = _full_layout(f), dl.HaarPyramid(f)
     coarse, m = lt._heap_size(L - 1, d), 1 << d
     assert not full[coarse:, 1:].any()
@@ -422,8 +422,8 @@ def test_synthesize_matches_the_sum_of_haar_functions(lat):
     heap[30:] = heap[:30]
     eta = np.where(level[heap] < L, rng.integers(1 << d, size=60), 0)
     coef = rng.standard_normal((60, 2, 2)) + 1j * rng.standard_normal((60, 2, 2))
-    naive = sum(c * dl.haar(lat, (dl.Cube(int(level[q]), tuple(index[q])), int(e))).values[
-        ..., None, None] for q, e, c in zip(heap, eta, coef))
+    naive = sum(c * dl.haar(lat, (dl.Cube(int(level[q]), tuple(index[q])), int(e))).values
+                for q, e, c in zip(heap, eta, coef))
     out = from_aligned(lat, lt._synthesize(lat, heap, eta, coef)).values
     assert np.abs(out - naive).max() < 1e-12
 
@@ -469,26 +469,87 @@ def test_serialization_roundtrip_bit_exact():
 
 
 def test_serialization_scalar_and_kind():
+    # a scalar function is written as a 1 x 1 matrix
     lat = dl.build_lattice(1, 2)
-    f = dl.random_grid_function(lat, seed=1, scalar=True)
-    g = dl.grid_function_from_json(dl.grid_function_to_json(f))
-    assert g.kind == "scalar"
-    assert np.array_equal(g.values, f.values)
+    f = dl.random_grid_function(lat, seed=1)
+    text = dl.grid_function_to_json(f)
+    payload = json.loads(text)
+    assert payload["kind"] == "matrix" and payload["N"] == 1
+    g = dl.grid_function_from_json(text)
+    assert g.value_shape == (1, 1) and np.array_equal(g.values, f.values)
+
+
+def test_legacy_scalar_file_loads_as_n1():
+    # files of kind "scalar" come from outside; they read as 1 x 1 values
+    # whatever their N field says
+    lat = dl.build_lattice(2, 1, (0.5, 0.0))
+    f = dl.random_grid_function(lat, seed=4)
+    payload = json.loads(dl.grid_function_to_json(f))
+    for N in (1, 7, None):
+        legacy = dict(payload, kind="scalar", N=N)
+        if N is None:
+            del legacy["N"]
+        g = dl.grid_function_from_json(json.dumps(legacy))
+        assert g.lattice == lat and g.value_shape == (1, 1) and g.N == 1
+        assert np.array_equal(g.values, f.values)
 
 
 def test_serialization_nested_values():
     # a stack along an extra value axis lives in memory only: files hold
-    # scalar or N x N values
+    # N x N values
     lat = dl.build_lattice(1, 2)
-    for vs in [(3, 2, 2), (2, 3), (3,)]:
-        f = dl.GridFunction(lat, np.zeros((4,) + vs))
-        with pytest.raises(ValueError, match="neither scalar nor N x N"):
-            dl.grid_function_to_json(f)
+    f = dl.GridFunction(lat, np.zeros((4, 3, 2, 2)))
+    with pytest.raises(ValueError, match="is a stack, not N x N"):
+        dl.grid_function_to_json(f)
+
+
+@pytest.mark.parametrize("vs", [(2, 3), (3,), (3, 1, 2)])
+def test_grid_function_values_end_in_n_by_n(vs):
+    with pytest.raises(ValueError, match=r"does not end in N x N"):
+        dl.GridFunction(dl.build_lattice(1, 2), np.zeros((4,) + vs))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_grid_shaped_values_are_scalars(dtype):
+    lat = dl.build_lattice(2, 2, 3)
+    vals = np.arange(16, dtype=dtype).reshape(4, 4)
+    f = dl.GridFunction(lat, vals)
+    assert f.value_shape == (1, 1) and f.N == 1
+    assert f.values.dtype == dtype
+    assert np.array_equal(f.values[..., 0, 0], vals)
+
+
+def test_scalar_flag_is_n1():
+    # the same random stream: the scalar flag draws exactly the N = 1 values
+    lat = dl.build_lattice(2, 3, 1)
+    a = dl.random_grid_function(lat, seed=5, scalar=True)
+    b = dl.random_grid_function(lat, N=1, seed=5)
+    assert a.value_shape == b.value_shape == (1, 1)
+    assert a.values.tobytes() == b.values.tobytes()
+    # and that is the stream of a grid-shaped draw: real parts, then imaginary
+    rng = np.random.default_rng(5)
+    ref = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    assert a.values[..., 0, 0].tobytes() == ref.tobytes()
+
+
+def test_pairing_weight_is_scalar():
+    lat = dl.build_lattice(1, 3)
+    f = dl.random_grid_function(lat, N=2, seed=1)
+    h = dl.haar(lat, (dl.Cube(0, (0,)), 1))
+    got = dl.pairing(f, h)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got, (f.values * h.values[..., 0, 0][:, None, None]).sum(axis=0)
+                          * lat.cell_volume)
+    assert dl.pairing(dl.random_grid_function(lat, seed=2), h).shape == (1, 1)
+    stack = dl.GridFunction(lat, np.ones((8, 8, 1, 1)))  # 8 functions on 8 cells
+    for args in ((h, f), (stack, h)):
+        with pytest.raises(ValueError, match=r"pairing takes an N x N function and a scalar"):
+            dl.pairing(*args)
 
 
 def test_aligned_roundtrip():
     lat = dl.build_lattice(1, 3, (0.25,))
-    f = dl.random_grid_function(lat, seed=2, scalar=True)
+    f = dl.random_grid_function(lat, seed=2)
     assert np.array_equal(from_aligned(lat, f.aligned()).values, f.values)
 
 
@@ -530,11 +591,13 @@ def test_serialization_loader_names_bad_field(edit, field):
 def test_lp_norm_batch_rows_equal_single_calls(d, L, N, scalar, norm, p):
     from dyadlab import ncspaces as nc
     # scalars are 1x1 matrices: |v| is their S^2 norm
-    norm_of = {"abs": lambda v: np.abs(v[None])[0],
+    norm_of = {"abs": lambda v: np.abs(v[0, 0]),
                "schatten2": lambda v: nc.schatten_norms(v[None], 2.0)[0]}[norm]
     lat = dl.build_lattice(d, L, 1)
-    rows = [dl.random_grid_function(lat, N=N, seed=s, scalar=scalar) for s in range(64)]
-    batch = nc.lp_norms(np.stack([f.values for f in rows]), 0 if scalar else 2, p, 2.0)
+    rows = [dl.random_grid_function(lat, N=N, seed=s) for s in range(64)]
+    if scalar:  # made from grid-shaped values, which read as 1 x 1 matrices
+        rows = [dl.GridFunction(lat, f.values[..., 0, 0]) for f in rows]
+    batch = nc.lp_norms(np.stack([f.values for f in rows]), p, 2.0)
     assert batch.shape == (64,)
     for f, b in zip(rows, batch):
         single = dl.lp_norm(f, p, 2.0)

@@ -141,14 +141,25 @@ def test_split_matches_the_pairwise_oracle(d, R, f_kind, g_kind):
 
 
 def test_products_reject_a_scalar_by_matrix_product():
-    # values multiply as matrices only: a 1 x 1 value, or a value with no
-    # matrix axes, does not scale a 2 x 2 one
+    # values multiply as matrices only: a 1 x 1 value, also one made from
+    # grid-shaped values, does not scale a 2 x 2 one
     one = lb.random_torus_function(1, 16, band=2, N=1, seed=1)
     g = lb.random_torus_function(1, 16, band=2, N=2, seed=2)
     for f in (one, lb.TorusFunction(1, 16, one.values[:, 0, 0])):
         for multiply in (lb.product, lambda f, g: lb.paraproduct_split(f, g, 1.5)):
             with pytest.raises(ValueError, match="cannot multiply"):
                 multiply(f, g)
+
+
+def test_grid_shaped_torus_values_are_scalars():
+    # read as 1 x 1 matrices, not as one matrix over the grid axes
+    f = lb.random_torus_function(1, 16, band=2, N=1, seed=1)
+    g = lb.TorusFunction(1, 16, f.values[:, 0, 0])
+    assert g.value_shape == (1, 1) and np.array_equal(g.values, f.values)
+    assert nc.lp_norm(g, 3.0, 2.0) == nc.lp_norm(f, 3.0, 2.0)
+    for vs in [(3,), (2, 3), (1, 2, 2)]:
+        with pytest.raises(ValueError, match="is not N x N"):
+            lb.TorusFunction(1, 16, np.zeros((16,) + vs))
 
 
 def test_split_diagonal_of_weakly_overlapping_frequencies():
@@ -215,14 +226,13 @@ def test_leibniz_ratio_single_frequency_closed_form():
 ])
 def test_lp_norms_rows_equal_lp_norm_of_torus_functions(d, R, N, scalar, q, p):
     fs = [lb.random_torus_function(d, R, band=4, N=N, seed=s) for s in range(16)]
-    if scalar:  # the values themselves, not 1 x 1 matrices
-        fs = [lb.TorusFunction(d, R, f.values[..., 0, 0]) for f in fs]
-    rows = nc.lp_norms(np.stack([f.values for f in fs]), len(fs[0].value_shape), p, q)
+    rows = nc.lp_norms(np.stack([f.values for f in fs]), p, q)
     assert rows.shape == (16,)
     for f, row in zip(fs, rows):
         single = nc.lp_norm(f, p, q)
         assert type(single) is float and single == row
-        norms = nc.value_norms(f.values, len(f.value_shape), q).ravel()
+        # a scalar (1 x 1) value's norm is its modulus
+        norms = np.abs(f.values).ravel() if scalar else nc.schatten_norms(f.values, q).ravel()
         ref = norms.max() if math.isinf(p) else np.mean(norms ** p) ** (1.0 / p)
         assert single == pytest.approx(float(ref), rel=1e-14)
 

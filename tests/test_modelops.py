@@ -76,7 +76,7 @@ def test_specs_reject_a_non_finite_coefficient(kind, part, bad):
         t = mo.make_random_shift(lat, 1, (0, 0), {1, 2}, seed=0).coeffs
         build = lambda table: mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, table)
     else:
-        t = mo.make_bmo_coeffs(lat, dl.random_grid_function(lat, seed=5, scalar=True))
+        t = mo.make_bmo_coeffs(lat, dl.random_grid_function(lat, seed=5))
         build = lambda table: mo.ParaproductSpec(lat, 1, 1, table)
     value = t.value.copy()
     value[1] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
@@ -157,8 +157,8 @@ def test_form_multilinear(rng):
 def test_mismatched_inputs_rejected():
     lat = _lat()
     spec = _unit_shift(lat)
-    other = dl.random_grid_function(dl.build_lattice(1, 3), seed=0, scalar=True)
-    mine = dl.random_grid_function(lat, seed=0, scalar=True)
+    other = dl.random_grid_function(dl.build_lattice(1, 3), seed=0)
+    mine = dl.random_grid_function(lat, seed=0)
     with pytest.raises(ValueError):
         mo.eval_shift_form(spec, [mine, other])
     m1 = dl.random_grid_function(lat, N=2, seed=1)
@@ -181,7 +181,7 @@ def test_paraproduct_examples():
 
 def test_paraproduct_oracle(rng):
     lat = _lat()
-    h = dl.random_grid_function(lat, seed=31, scalar=True)
+    h = dl.random_grid_function(lat, seed=31)
     coeffs = mo.make_bmo_coeffs(lat, h)
     pp = mo.ParaproductSpec(lat, 2, 3, coeffs)
     fs = [dl.random_grid_function(lat, N=2, seed=50 + i) for i in range(3)]
@@ -206,7 +206,7 @@ def test_bmo_coeffs():
     five = mo.make_bmo_coeffs(lat, 5.0 * h)
     assert dict(five.items())[(K, 1)] == pytest.approx(1.0)
     # normalized output attains Carleson constant one
-    g = dl.random_grid_function(lat, seed=7, scalar=True)
+    g = dl.random_grid_function(lat, seed=7)
     pp = mo.ParaproductSpec(lat, 1, 1, mo.make_bmo_coeffs(lat, g))
     assert pp.carleson_constant() == pytest.approx(1.0, abs=1e-12)
 
@@ -217,9 +217,28 @@ def test_bmo_rejects_constant():
         mo.make_bmo_coeffs(lat, dl.GridFunction(lat, np.full(16, 2.0)))
 
 
+def test_bmo_needs_scalar_values():
+    lat = dl.build_lattice(2, 3, 1)
+    h = dl.random_grid_function(lat, seed=4)
+    assert mo.bmo_norm(h) > 0.0 and len(mo.make_bmo_coeffs(lat, h)) > 0
+    m = dl.random_grid_function(lat, N=2, seed=4)
+    for run in (lambda: mo.bmo_norm(m), lambda: mo.bmo_norm(dl.HaarPyramid(m)),
+                lambda: mo.make_bmo_coeffs(lat, m)):
+        with pytest.raises(ValueError, match=r"BMO norm is for scalar \(N = 1\) functions"):
+            run()
+
+
+def test_form_inputs_are_single_functions():
+    # a stack of functions along an extra value axis is no form input
+    lat = _lat()
+    stack = dl.GridFunction(lat, np.ones((16, 3, 1, 1)))
+    with pytest.raises(ValueError, match="form inputs must have N x N values"):
+        mo.eval_shift_form(_unit_shift(lat), [stack, stack])
+
+
 def test_make_bmo_coeffs_builds_one_pyramid(monkeypatch):
     lat = dl.build_lattice(1, 6)
-    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    h = dl.random_grid_function(lat, seed=5)
     expected = mo.make_bmo_coeffs(lat, h)
     built = []
     init = dl.HaarPyramid.__init__
@@ -254,8 +273,6 @@ def test_adjoint_trivial_shift_maps_haar_to_haar():
 
 def _dual_pair(lat, g, f):
     # integral of tau(g f)
-    if g.value_shape == ():
-        return complex((g.values * f.values).sum() * lat.cell_volume)
     gv = g.values.reshape((-1,) + g.value_shape)
     fv = f.values.reshape((-1,) + f.value_shape)
     prod = np.einsum("xij,xjk->xik", gv, fv)
@@ -280,7 +297,7 @@ def test_adjoint_duality_all_slots(rng):
 
 def test_adjoint_duality_paraproduct(rng):
     for lat in (_lat(), _ADJOINT_D2):
-        h = dl.random_grid_function(lat, seed=3, scalar=True)
+        h = dl.random_grid_function(lat, seed=3)
         pp = mo.ParaproductSpec(lat, 2, 2, mo.make_bmo_coeffs(lat, h))
         fs = [dl.random_grid_function(lat, N=2, seed=80 + i) for i in range(3)]
         value = mo.eval_paraproduct_form(pp, fs)
@@ -525,7 +542,7 @@ def test_shift_json_eta_default():
 
 def test_paraproduct_json_roundtrip():
     lat = dl.build_lattice(1, 3)
-    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    h = dl.random_grid_function(lat, seed=5)
     pp = mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))
     text = mo.paraproduct_to_json(pp)
     again = mo.paraproduct_from_json(text)
@@ -569,7 +586,7 @@ PARAPRODUCT_JSON_SHA256 = "2cf87b34b56933e7acf9016d79d4a02189c95aa72659e743f3cea
 
 def test_paraproduct_json_bytes_pinned():
     lat = dl.build_lattice(2, 3, (0.25, 0.5))
-    h = dl.random_grid_function(lat, seed=3, scalar=True)
+    h = dl.random_grid_function(lat, seed=3)
     pp = mo.ParaproductSpec(lat, 2, 2, mo.make_bmo_coeffs(lat, h))
     assert len(pp.coeffs) == 63
     text = mo.paraproduct_to_json(pp)
@@ -693,7 +710,7 @@ def test_shift_loader_names_bad_field(edit, field):
 ])
 def test_paraproduct_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 3)
-    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    h = dl.random_grid_function(lat, seed=5)
     obj = json.loads(mo.paraproduct_to_json(
         mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))))
     edit(obj)
@@ -703,7 +720,7 @@ def test_paraproduct_loader_names_bad_field(edit, field):
 
 def _paraproduct_payload():
     lat = dl.build_lattice(1, 3)
-    h = dl.random_grid_function(lat, seed=5, scalar=True)
+    h = dl.random_grid_function(lat, seed=5)
     return json.loads(mo.paraproduct_to_json(
         mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))))
 
@@ -781,7 +798,7 @@ def test_json_writer_equals_one_dict_per_entry(d):
     spec = mo.ShiftSpec(lat, 2, (1, 0, 1), {1, 3}, mo.CoeffTable(t.level, t.index, t.eta, value))
     header = {"n": 2, "complexity": [1, 0, 1], "cancellative": [1, 3]}
     assert mo.shift_to_json(spec) == _dict_json(spec, header)
-    h = dl.random_grid_function(lat, seed=d, scalar=True)
+    h = dl.random_grid_function(lat, seed=d)
     pp = mo.ParaproductSpec(lat, 1, 2, mo.make_bmo_coeffs(lat, h))
     assert mo.paraproduct_to_json(pp) == _dict_json(pp, {"n": 1, "haar_position": 2})
     empty = mo.ParaproductSpec(lat, 1, 1, mo.CoeffTable(np.zeros((0, 1)), np.zeros((0, 1, d)),
@@ -864,7 +881,7 @@ def _carleson_brute(lat, coeffs):
 
 def _bmo_brute(h):
     lat = h.lattice
-    sq = {Q: sum(abs(complex(dl.pairing(h, dl.haar(lat, (Q, eta))))) ** 2
+    sq = {Q: sum(abs(complex(dl.pairing(h, dl.haar(lat, (Q, eta)))[0, 0])) ** 2
                  for eta in range(1, 1 << lat.dim))
           for Q in lat.cubes() if Q.level < lat.depth}
     best = 0.0
@@ -889,7 +906,7 @@ def test_carleson_and_bmo_sweeps_match_brute_force(d, L):
         pp = mo.ParaproductSpec(lat, 1, 1, _table({key: a * scale for key, a in coeffs.items()},
                                                   (1, 1)))
         assert abs(pp.carleson_constant() - _carleson_brute(lat, pp.coeffs.items())) < 1e-12
-        h = dl.random_grid_function(lat, seed=trial, scalar=True)
+        h = dl.random_grid_function(lat, seed=trial)
         assert abs(mo.bmo_norm(h) - _bmo_brute(h)) < 1e-12
 
 
@@ -982,7 +999,7 @@ def test_adjoint_duality_2d_shifted_lattice():
 
 def test_paraproduct_2d_carleson_and_form():
     lat = dl.build_lattice(2, 2)
-    h = dl.random_grid_function(lat, seed=44, scalar=True)
+    h = dl.random_grid_function(lat, seed=44)
     coeffs = mo.make_bmo_coeffs(lat, h)
     assert any(eta in (2, 3) for (_Q, eta), _a in coeffs.items())
     pp = mo.ParaproductSpec(lat, 1, 2, coeffs)
@@ -1002,8 +1019,7 @@ def test_paraproduct_boundedness_harness():
     for trial in range(60):
         n = int(rng.integers(1, 4))
         lat = dl.build_lattice(1, int(rng.integers(3, 6)))
-        h = dl.random_grid_function(lat, seed=int(rng.integers(2 ** 31)),
-                                    scalar=True)
+        h = dl.random_grid_function(lat, seed=int(rng.integers(2 ** 31)))
         pp = mo.ParaproductSpec(lat, n, int(rng.integers(1, n + 2)),
                                 mo.make_bmo_coeffs(lat, h))
         p = float(n + 1)

@@ -94,22 +94,25 @@ def test_schatten_norms_match_the_svd(rng, p, N):
     assert nc.schatten_norm(a, p) == float(nc.schatten_norms(a, p))
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-def test_value_norms_take_scalars_as_1x1_matrices(rng, p):
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, math.inf])
+def test_schatten_norms_of_1x1_matrices_are_the_modulus(rng, p):
+    # a scalar is a 1x1 matrix with one singular value, |z|, at every p:
+    # equal to np.abs, not the Frobenius form sqrt(re^2 + im^2), which rounds
+    # differently, and no overflow or underflow at 2^+-400
     z = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    scalar = nc.value_norms(z, 0, p)
-    as_matrices = nc.schatten_norms(z[..., None, None], p)
-    assert scalar.shape == as_matrices.shape == (6, 5)
-    assert np.all(np.abs(scalar - as_matrices) <= 1e-15 * as_matrices)
-    assert np.array_equal(nc.value_norms(z[..., None, None], 2, p), as_matrices)
+    for scale in (1.0, 2.0 ** 400, 2.0 ** -400):
+        a = (z * scale)[..., None, None]
+        got = nc.schatten_norms(a, p)
+        assert got.shape == (6, 5)
+        assert np.array_equal(got, np.abs(z * scale))
+    real = rng.standard_normal((7, 1, 1))
+    assert np.array_equal(nc.schatten_norms(real, p), np.abs(real[:, 0, 0]))
+    assert nc.schatten_norm(np.array([[3 - 4j]]), p) == 5.0
 
 
-def test_value_norms_reject_other_values_and_small_exponents():
-    with pytest.raises(ValueError, match="scalars or matrices"):
-        nc.value_norms(np.ones((3, 2)), 1, 2.0)
-    for ndim in (0, 2):
-        with pytest.raises(ValueError, match="exponent"):
-            nc.value_norms(np.ones((3, 2, 2)), ndim, 0.5)
+def test_schatten_norms_of_1x1_matrices_reject_small_exponents():
+    with pytest.raises(ValueError, match="exponent"):
+        nc.schatten_norms(np.ones((3, 1, 1)), 0.5)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

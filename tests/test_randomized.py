@@ -23,7 +23,8 @@ def test_ensemble_exhaustive_patterns():
 
 def test_rad_norm_examples(rng):
     ens = rz.SignEnsemble(2)
-    assert rz.rad_norm([1.0, 1.0], 2.0, ens) == pytest.approx(math.sqrt(2))
+    one = np.ones((1, 1))  # a scalar is a 1 x 1 matrix
+    assert rz.rad_norm([one, one], 2.0, ens) == pytest.approx(math.sqrt(2))
     e1 = np.diag([1.0, 0.0]).astype(complex)
     e2 = np.diag([0.0, 1.0]).astype(complex)
     assert rz.rad_norm([e1, e2], math.inf, ens) == pytest.approx(1.0)
@@ -40,14 +41,14 @@ def test_rad_norm_monte_carlo_matches_exhaustive(rng):
 
 def test_kk_ratio_degenerate_cases(rng):
     ens = rz.SignEnsemble(1)
-    assert rz.kk_ratio([3.0 + 1j], 2.0, 1.0, 2.0, ens) == pytest.approx(1.0)
+    assert rz.kk_ratio([np.array([[3.0 + 1j]])], 2.0, 1.0, 2.0, ens) == pytest.approx(1.0)
     xs = [random_matrix(rng, 2) for _ in range(4)]
     assert rz.kk_ratio(xs, 2.0, 3.0, 3.0,
                        rz.SignEnsemble(4)) == pytest.approx(1.0)
 
 
 def test_kk_ratio_khintchine_regime(rng):
-    vals = list(rng.standard_normal(10))
+    vals = list(rng.standard_normal((10, 1, 1)))
     r = rz.kk_ratio(vals, 2.0, 1.0, 2.0, rz.SignEnsemble(10))
     assert 1.0 / math.sqrt(2) - 1e-12 <= r <= 1.0 + 1e-12
 
@@ -68,19 +69,18 @@ def test_contraction_exact(rng):
 
 def test_contraction_rejects_bad_p(rng):
     with pytest.raises(ValueError):
-        rz.contraction_check([1.0], [1.0], 2.0, 0.5, rz.SignEnsemble(1))
+        rz.contraction_check([np.ones((1, 1))], [1.0], 2.0, 0.5, rz.SignEnsemble(1))
 
 
-def _supported(lat, level, index, seed, N=None):
-    """Random values, scalar or N x N, that vanish off the cube (level, index)."""
-    g = dl.random_grid_function(lat, N=N or 1, seed=seed, scalar=N is None)
+def _supported(lat, level, index, seed, N=1):
+    """Random N x N values that vanish off the cube (level, index)."""
+    g = dl.random_grid_function(lat, N=N, seed=seed)
     mask = np.zeros((lat.cells_per_axis,) * lat.dim)
     mask[_cell_block(lat, dl.Cube(level, tuple(index)))] = 1.0
-    mask = from_aligned(lat, mask).values
-    return g.values * mask.reshape(mask.shape + (1,) * len(g.value_shape))
+    return g.values * from_aligned(lat, mask).values
 
 
-def _stein(lat, cubes, p, seeds, N=None):
+def _stein(lat, cubes, p, seeds, N=1):
     values = np.stack([_supported(lat, lv, ix, seed, N) for (lv, ix), seed in zip(cubes, seeds)])
     level, index = [lv for lv, _ in cubes], [ix for _, ix in cubes]
     return rz.stein_check(lat, values, level, index, p, 2.0, rz.SignEnsemble(len(cubes)))
@@ -95,14 +95,13 @@ def _stein_per_cube(lat, values, level, index, p, schatten, ens):
     eps = ens.patterns()[:, :len(cubes)]
     raw = np.stack([fqs[Q].values for Q in cubes])
     avg = np.stack([dl.expect(fqs[Q], Q).values for Q in cubes])
-    vdim = values.ndim - 1 - lat.dim
-    return tuple(float(np.mean(nc.lp_norms(np.tensordot(eps, x, axes=(1, 0)), vdim, p, schatten)))
+    return tuple(float(np.mean(nc.lp_norms(np.tensordot(eps, x, axes=(1, 0)), p, schatten)))
                  for x in (avg, raw))
 
 
 def test_stein_single_constant_cube():
     lat = dl.build_lattice(1, 3)
-    c = np.full((1, 8), 1.5)
+    c = np.full((1, 8, 1, 1), 1.5)
     lhs, rhs = rz.stein_check(lat, c, [0], [[0]], 2.0, 2.0, rz.SignEnsemble(1))
     assert lhs == pytest.approx(rhs)
 
@@ -142,11 +141,11 @@ def test_stein_matches_the_per_cube_expectations(p, schatten):
 def test_stein_rejects_unsupported():
     for lat in (dl.build_lattice(1, 3), dl.build_lattice(2, 3, (0.25, 0.5))):
         cube = (0,) * lat.dim
-        g = dl.random_grid_function(lat, seed=5, scalar=True).values
+        g = dl.random_grid_function(lat, seed=5).values
         check = lambda v: rz.stein_check(lat, v[None], [1], [cube], 2.0, 2.0, rz.SignEnsemble(1))
         with pytest.raises(ValueError, match="not supported"):
             check(g)
-        mask = np.zeros(g.shape)
+        mask = np.zeros(g.shape[:lat.dim] + (1, 1))
         mask[_cell_block(lat, dl.Cube(1, cube))] = 1.0
         check(g * from_aligned(lat, mask).values)
         if any(lat.shift_cells):
@@ -181,7 +180,7 @@ def test_sampler_marginal_uniform():
 
 def test_decoupling_scalar_p2_anchor():
     lat = dl.build_lattice(1, 4)
-    f = dl.random_grid_function(lat, seed=8, scalar=True)
+    f = dl.random_grid_function(lat, seed=8)
     samp = rz.DecouplingSampler(lat, seed=3)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9)
     ratio, se = rz.decoupling_ratio(f, 0, 1, 1, 2.0, 2.0, samp, ens)
@@ -206,6 +205,13 @@ def test_decoupling_matrix_band():
     assert 0.1 <= ratio <= 10.0
 
 
+def _decoupling_input(lat, N, scalar, seed):
+    """Random N x N data; a scalar one made from grid-shaped values, which
+    read as 1 x 1 matrices."""
+    f = dl.random_grid_function(lat, N=N, seed=seed)
+    return dl.GridFunction(lat, f.values[..., 0, 0]) if scalar else f
+
+
 @pytest.mark.parametrize("d, L, shift, N, scalar, p, jkl", [
     (1, 4, None, 1, True, 2.0, (0, 1, 1)),
     (1, 4, None, 2, False, 4.0, (0, 1, 1)),
@@ -218,7 +224,7 @@ def test_decoupling_chunks_match_the_per_sample_oracle(monkeypatch, d, L, shift,
                                                        scalar, p, jkl):
     lat = dl.build_lattice(d, L, shift)
     assert (shift is None) == (not any(lat.shift_cells))
-    f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
+    f = _decoupling_input(lat, N, scalar, d + L)
     samp = rz.DecouplingSampler(lat, seed=4)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=300, seed=6)
     # 64 samples a chunk, so 300 samples end in a partial chunk
@@ -247,7 +253,7 @@ def test_decoupling_default_chunk_matches_the_per_sample_oracle():
 ])
 def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, scalar, jkl):
     lat = dl.build_lattice(d, L, shift)
-    f = dl.random_grid_function(lat, N=N, seed=d + L, scalar=scalar)
+    f = _decoupling_input(lat, N, scalar, d + L)
     samp = rz.DecouplingSampler(lat, seed=4)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=6)
     _, levels, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
@@ -289,7 +295,7 @@ def test_decoupling_levels_residues():
 
 def test_decoupling_validates_levels():
     lat = dl.build_lattice(1, 4)
-    f = dl.random_grid_function(lat, seed=8, scalar=True)
+    f = dl.random_grid_function(lat, seed=8)
     samp = rz.DecouplingSampler(lat, seed=3)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=0)
     with pytest.raises(ValueError):
@@ -345,7 +351,7 @@ def test_key_product_inequality(rng):
 
 def test_martingale_transform_statistic():
     lat = dl.build_lattice(1, 3)
-    f = dl.random_grid_function(lat, seed=21, scalar=True)
+    f = dl.random_grid_function(lat, seed=21)
     stat = rz.martingale_transform_ratio(f, 2.0, 2.0, rz.SignEnsemble(7))
     # p = 2 is an isometry class: every sign choice preserves the norm
     assert stat == pytest.approx(1.0, abs=1e-10)
@@ -361,7 +367,7 @@ def _transform_ratio_per_cube(f, p, schatten, ens):
     base = f.values - f.values.mean(axis=tuple(range(lat.dim)), keepdims=True)
     den = dl.lp_norm(dl.GridFunction(lat, base), p, schatten)
     signed = np.tensordot(ens.patterns()[:, :len(cubes)], diffs, axes=(1, 0))
-    return float(nc.lp_norms(signed, len(f.value_shape), p, schatten).max()) / den
+    return float(nc.lp_norms(signed, p, schatten).max()) / den
 
 
 @pytest.mark.parametrize("L, ens", [

@@ -8,7 +8,7 @@ import dyadlab as dl
 from dyadlab import modelops as mo
 from dyadlab import sparse as sp
 from dyadlab.lattice import _block_means, _cell_block
-from dyadlab.ncspaces import value_norms
+from dyadlab.ncspaces import schatten_norms
 
 
 def _ones(lat):
@@ -30,20 +30,20 @@ def test_maximal_disjoint_halves():
     f1 = dl.GridFunction(lat, (np.arange(8) < 4).astype(float))
     f2 = dl.GridFunction(lat, (np.arange(8) >= 4).astype(float))
     m = sp.multilinear_maximal([f1, f2])
-    assert np.allclose(m.values.real, 0.25)
+    assert m.value_shape == (1, 1) and np.allclose(m.values.real, 0.25)
     # brute force over all cubes
     best = np.zeros(8)
     for Q in lat.cubes():
-        prod = abs(dl.average(f1, Q)) * abs(dl.average(f2, Q))
+        prod = abs(dl.average(f1, Q)[0, 0]) * abs(dl.average(f2, Q)[0, 0])
         blk = _cell_block(lat, Q)
         best[blk] = np.maximum(best[blk], prod)
-    assert np.abs(m.values.real - best).max() < 1e-14
+    assert np.abs(m.values[..., 0, 0].real - best).max() < 1e-14
 
 
 def test_maximal_dominates_function():
     lat = dl.build_lattice(2, 2)
-    h = dl.random_grid_function(lat, seed=1, scalar=True)
-    f = dl.GridFunction(lat, value_norms(h.values, len(h.value_shape), 2))
+    h = dl.random_grid_function(lat, seed=1)
+    f = dl.GridFunction(lat, schatten_norms(h.values, 2))
     m = sp.multilinear_maximal([f])
     assert np.all(m.values.real + 1e-13 >= np.abs(f.values))
 
@@ -51,7 +51,7 @@ def test_maximal_dominates_function():
 def test_maximal_monotone(rng):
     lat = dl.build_lattice(1, 4)
     f = [dl.GridFunction(lat, np.abs(rng.standard_normal(16))) for _ in range(2)]
-    g = [dl.GridFunction(lat, np.abs(f[i].values) + np.abs(rng.standard_normal(16)))
+    g = [dl.GridFunction(lat, np.abs(f[i].values[..., 0, 0]) + np.abs(rng.standard_normal(16)))
          for i in range(2)]
     mf = sp.multilinear_maximal(f)
     mg = sp.multilinear_maximal(g)
@@ -62,7 +62,7 @@ def test_maximal_is_real():
     # float() of a complex mean warns (ComplexWarning), so a complex
     # maximal function would fail here
     lat = dl.build_lattice(2, 3, (0.25, 0.5))
-    fs = [dl.random_grid_function(lat, seed=s, scalar=True) for s in (1, 2)]
+    fs = [dl.random_grid_function(lat, seed=s) for s in (1, 2)]
     mx = sp.multilinear_maximal(fs)
     assert mx.values.dtype == np.float64
     with warnings.catch_warnings():
@@ -342,9 +342,26 @@ def test_domination_constants_scale_invariant(rng):
     assert rep1["constant"] == pytest.approx(rep2["constant"], abs=1e-10)
 
 
+def test_scalar_inputs_are_n1():
+    lat = dl.build_lattice(2, 3, 1)
+    fs = [dl.random_grid_function(lat, seed=s) for s in (1, 2)]
+    col = sp.build_sparse_stopping(fs, 4.0)
+    assert len(col) >= 1 and sp.sparse_form(col, fs) > 0.0
+    bad = [fs[0], dl.random_grid_function(lat, N=2, seed=3)]
+    for run in (lambda: sp.build_sparse_stopping(bad, 4.0), lambda: sp.sparse_form(col, bad),
+                lambda: sp.multilinear_maximal(bad)):
+        with pytest.raises(ValueError, match=r"inputs must be scalar \(N = 1\) functions"):
+            run()
+
+
+def test_universal_bound_needs_a_function():
+    with pytest.raises(ValueError, match="need at least one function"):
+        sp.universal_sparse_bound([], 1.0)
+
+
 def test_domination_constant_paraproduct_constants():
     lat = dl.build_lattice(1, 4)
-    h = dl.random_grid_function(lat, seed=2, scalar=True)
+    h = dl.random_grid_function(lat, seed=2)
     pp = mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))
     eye = dl.GridFunction(lat, np.broadcast_to(np.eye(2), (16, 2, 2)).copy())
     rep = sp.verify_sparse_domination(pp, [eye, eye, eye])
