@@ -176,10 +176,9 @@ class GridFunction:
     ``values`` has shape (2^L,)*d + (N, N) in physical cell coordinates
     (axis a indexes the a-th coordinate, row-major): N x N matrix values,
     a scalar function being N = 1.  An array of exactly the grid shape
-    holds scalars and gets two unit axes appended.  Extra value axes
-    before the last two hold in-memory stacks of such functions (one
-    function per cube).  Real float64 values stay real; every other dtype
-    becomes complex128.
+    holds scalars and gets two unit axes appended; any other axis raises
+    ValueError.  Real float64 values stay real; every other dtype becomes
+    complex128.
     """
 
     def __init__(self, lattice: Lattice, values: np.ndarray):
@@ -192,8 +191,8 @@ class GridFunction:
         if values.ndim == lattice.dim:
             values = values[..., None, None]
         vs = values.shape[lattice.dim:]
-        if len(vs) < 2 or vs[-1] != vs[-2]:
-            raise ValueError(f"value shape {vs} does not end in N x N")
+        if len(vs) != 2 or vs[0] != vs[1]:
+            raise ValueError(f"value shape {vs} is not N x N")
         self.lattice = lattice
         self.values = values
 
@@ -205,27 +204,8 @@ class GridFunction:
     def N(self) -> int:
         return self.value_shape[-1]
 
-    # -- arithmetic (pointwise) ------------------------------------------
-    def __add__(self, other):
-        self._check_compatible(other)
-        return GridFunction(self.lattice, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return GridFunction(self.lattice, self.values - other.values)
-
-    def __mul__(self, c):
-        return GridFunction(self.lattice, self.values * c)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other):
-        if not isinstance(other, GridFunction):
-            raise TypeError("expected a GridFunction")
-        if other.lattice != self.lattice or other.value_shape != self.value_shape:
-            raise ValueError("incompatible grid functions")
-
     def copy(self) -> "GridFunction":
+        """A copy with its own values; a sparse-form test's oracle."""
         return GridFunction(self.lattice, self.values.copy())
 
     def aligned(self) -> np.ndarray:
@@ -263,13 +243,12 @@ def integral(f: GridFunction):
 def pairing(f: GridFunction, g: GridFunction):
     """Bilinear pairing <f, g> = integral of f*g (no conjugation).
 
-    ``f`` is one function, not a stack, and ``g`` a scalar weight
-    (N = 1), multiplied in by broadcasting; the result has f's value
-    shape.
+    ``g`` is a scalar weight (N = 1), multiplied in by broadcasting; the
+    result is N x N.
     """
-    if g.value_shape != (1, 1) or len(f.value_shape) != 2:
-        raise ValueError(f"pairing takes an N x N function and a scalar (N = 1) weight, not "
-                         f"value shapes {f.value_shape} and {g.value_shape}")
+    if g.value_shape != (1, 1):
+        raise ValueError(f"pairing takes a scalar (N = 1) weight, not value shape "
+                         f"{g.value_shape}")
     lat = f.lattice
     if g.lattice != lat:
         raise ValueError("grid functions live on different lattices")
@@ -402,26 +381,26 @@ def martingale_diff(f: GridFunction, Q: Cube, k: int = 0) -> GridFunction:
     """Delta_Q^k f = E_Q^(k+1) f - E_Q^k f: sum of Delta_R f over the
     descendants R of Q with R^(k) = Q; mean zero on Q.  Needs
     level(Q) + k < L (``expect`` raises otherwise)."""
-    return expect(f, Q, k + 1) - expect(f, Q, k)
+    return GridFunction(f.lattice, expect(f, Q, k + 1).values - expect(f, Q, k).values)
 
 
-def level_blocks(f: GridFunction, level: int,
+def level_blocks(lat: Lattice, a: np.ndarray, level: int,
                  k: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
     """(E^k, Delta^k): E_Q^k f and Delta_Q^k f for every cube Q of a level.
 
-    Each is one array in aligned coordinates (``GridFunction.aligned``)
-    of f's grid and value shape.  The cubes of a level tile the grid:
-    the block of cells covered by Q (``_cell_block``) holds E_Q^k f,
-    resp. Delta_Q^k f, there, and both vanish off Q.  They are expanded
-    from the block means at level + k and level + k + 1 of one aligned
-    copy of f, and ``from_aligned`` takes a sum of them back to a grid
-    function in one roll.  Delta^k is None at level + k = L.
+    ``a`` holds aligned values (``GridFunction.aligned``) on ``lat``: of
+    one function, or of a stack of functions on the axes between the
+    grid and N x N.  Each result is one array of a's shape in aligned
+    coordinates.  The cubes of a level tile the grid: the block of cells
+    covered by Q (``_cell_block``) holds E_Q^k f, resp. Delta_Q^k f,
+    there, and both vanish off Q.  They are expanded from the block
+    means of a at level + k and level + k + 1, and ``from_aligned``
+    takes a sum of them back to a grid function in one roll.  Delta^k is
+    None at level + k = L.
     """
-    lat = f.lattice
     d, L = lat.dim, lat.depth
     if level < 0 or k < 0 or level + k > L:
         raise ValueError("descendant level exceeds lattice depth")
-    a = f.aligned()
     w = 1 << (L - level - k)
     coarse = _expand(_block_means(a, w, d), w, d)
     if w == 1:
@@ -580,10 +559,7 @@ def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def grid_function_to_json(f: GridFunction) -> str:
-    """Serialize a function of N x N values, ``kind`` "matrix"; a stack
-    of functions raises ValueError."""
-    if len(f.value_shape) != 2:
-        raise ValueError(f"value shape {f.value_shape} is a stack, not N x N")
+    """Serialize a function of N x N values, ``kind`` "matrix"."""
     lat = f.lattice
     flat = f.values.reshape(-1)
     payload = {
@@ -608,17 +584,39 @@ def grid_function_from_json(text: str) -> GridFunction:
         raise ValueError("field kind must be scalar or matrix")
     N = _int(obj, "N") if kind == "matrix" else 1
     shape = (lat.cells_per_axis,) * lat.dim + (N, N)
-    try:
-        pairs = np.array(_field(obj, "values"), dtype=np.float64)
-    except (TypeError, ValueError):
-        pairs = np.zeros(0)
-    if pairs.shape != (np.prod(shape, dtype=int), 2) or not np.isfinite(pairs).all():
-        raise ValueError(f"field values must hold {np.prod(shape, dtype=int)} finite "
-                         "[re, im] pairs")
-    return GridFunction(lat, pairs.view(np.complex128).reshape(shape))
+    count = np.prod(shape, dtype=int)
+    flat = _field(obj, "values")
+    if isinstance(flat, list) and all(type(v) is list and len(v) == 2 for v in flat):
+        flat = _json_array([x for v in flat for x in v], "values", np.float64)
+    if not isinstance(flat, np.ndarray) or flat.size != 2 * count or not np.isfinite(flat).all():
+        raise ValueError(f"field values must hold {count} finite [re, im] pairs")
+    return GridFunction(lat, flat.view(np.complex128).reshape(shape))
 
 
 # loader helpers: each failure names the field
+
+class _Malformed(ValueError):
+    """A field of a file has the wrong JSON type or shape.  The message
+    is ``field <field> <reason>``; a reader that names the file entry too
+    reads ``field`` and ``reason``."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"field {field} {reason}")
+        self.field, self.reason = field, reason
+
+
+def _json_array(xs: list, field: str, dtype) -> np.ndarray:
+    """xs as an int64 or float64 array; _Malformed if a value is not an
+    integer, or for float64 a number (never a bool, a string or null),
+    or does not fit."""
+    what = "an integer" if dtype is np.int64 else "a number"
+    if not set(map(type, xs)) <= ({int} if dtype is np.int64 else {int, float}):
+        raise _Malformed(field, f"holds a value that is not {what}")
+    try:
+        return np.array(xs, dtype=dtype)
+    except OverflowError:
+        raise _Malformed(field, f"holds a value that does not fit {np.dtype(dtype).name}") from None
+
 
 def _field(obj, key: str):
     if not isinstance(obj, dict) or key not in obj:

@@ -614,11 +614,11 @@ def leibniz_ratio(f: TorusFunction, g: TorusFunction, s: float,
         # operator norm once the outer exponent reaches 1
         return math.inf if p <= 1.0 else conjugate_exponent(p)
 
-    num = lp_norm(fractional_derivative(product(f, g), s), q3, conj(q3))
-    den = (lp_norm(fractional_derivative(f, s), p1, conj(p1))
-           * lp_norm(g, p2, conj(p2))
-           + lp_norm(f, r1, conj(r1))
-           * lp_norm(fractional_derivative(g, s), r2, conj(r2)))
+    num = lp_norm(fractional_derivative(product(f, g), s).values, q3, conj(q3))
+    den = (lp_norm(fractional_derivative(f, s).values, p1, conj(p1))
+           * lp_norm(g.values, p2, conj(p2))
+           + lp_norm(f.values, r1, conj(r1))
+           * lp_norm(fractional_derivative(g, s).values, r2, conj(r2)))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den

@@ -38,9 +38,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (_BLOCK, MAX_CUBE_BITS, Cube, FieldError, GridFunction, HaarPyramid,
-                      Lattice, _block_means, _field, _haar_signs, _heap_cubes, _heap_number,
-                      _heap_size, _int, _ints, _level_views, _shift, _synthesize, build_lattice,
-                      from_aligned, haar, pairing)
+                      Lattice, _Malformed, _block_means, _field, _haar_signs, _heap_cubes,
+                      _heap_number, _heap_size, _int, _ints, _json_array, _level_views, _shift,
+                      _synthesize, build_lattice, from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -425,8 +425,6 @@ def _check_inputs(lat: Lattice, fs: Sequence[GridFunction], arity: int) -> int:
             raise ValueError("function lattice does not match the operator")
         if f.value_shape != vs:
             raise ValueError("functions have mixed value shapes")
-    if len(vs) != 2:  # a grid function's values end in N x N
-        raise ValueError(f"form inputs must have N x N values, not value shape {vs}")
     return vs[0]
 
 
@@ -521,12 +519,6 @@ def adjoint_eval(spec, j0: int, fs: Sequence[GridFunction]) -> GridFunction:
     out = _synthesize(lat, heap, eta, spec.coeffs.value[:, None, None] * prod
                       / np.reshape(div, (-1, 1, 1)))
     return from_aligned(lat, out)
-
-
-def form_value(spec, fs: Sequence[GridFunction]) -> complex:
-    if isinstance(spec, ParaproductSpec):
-        return eval_paraproduct_form(spec, fs)
-    return eval_shift_form(spec, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +646,8 @@ def _table_from_json(obj, d: int, qs: int, eta_key: str, eta_default) -> CoeffTa
             try:
                 _read_entries([ent], d, qs, eta_key, eta_default)
             except _Malformed as bad:
-                raise ValueError(f"field coeffs[{i}].{bad.args[0]} {bad.args[1]}") from None
+                raise ValueError(f"field coeffs[{i}].{bad.field} {bad.reason}") from None
         raise
-
-
-class _Malformed(Exception):
-    """(field, reason): a field of some entry has the wrong JSON type or shape."""
 
 
 def _read_entries(entries: list, d: int, qs: int, eta_key: str, eta_default):
@@ -693,24 +681,12 @@ def _read_entries(entries: list, d: int, qs: int, eta_key: str, eta_default):
         re.append(ent["re"])
         im.append(ent["im"])
     R = len(entries)
-    cubes = np.concatenate([_array(K_ints, "K", np.int64).reshape(R, 1, d + 1),
-                            _array(Q_ints, "Qs", np.int64).reshape(R, qs, d + 1)], axis=1)
-    eta = _array(eta, eta_key, np.int64).reshape(R, qs or 1)
+    cubes = np.concatenate([_json_array(K_ints, "K", np.int64).reshape(R, 1, d + 1),
+                            _json_array(Q_ints, "Qs", np.int64).reshape(R, qs, d + 1)], axis=1)
+    eta = _json_array(eta, eta_key, np.int64).reshape(R, qs or 1)
     value = np.empty(R, dtype=np.complex128)
-    value.real, value.imag = _array(re, "re", np.float64), _array(im, "im", np.float64)
+    value.real, value.imag = _json_array(re, "re", np.float64), _json_array(im, "im", np.float64)
     return cubes[:, :, 0], cubes[:, :, 1:], eta, value
-
-
-def _array(xs: list, field: str, dtype) -> np.ndarray:
-    """xs as an int64 or float64 array; _Malformed if a value is not an
-    integer, or for float64 a number (never a bool), or does not fit."""
-    what = "an integer" if dtype is np.int64 else "a number"
-    if not set(map(type, xs)) <= ({int} if dtype is np.int64 else {int, float}):
-        raise _Malformed(field, f"holds a value that is not {what}")
-    try:
-        return np.array(xs, dtype=dtype)
-    except OverflowError:
-        raise _Malformed(field, f"holds a value that does not fit {np.dtype(dtype).name}") from None
 
 
 def shift_to_json(spec: ShiftSpec) -> str:

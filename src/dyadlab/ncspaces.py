@@ -8,7 +8,7 @@ per-matrix LAPACK call where a closed form exists: the S^2 norm is the
 Frobenius norm, and a 2x2 matrix has its singular values in closed
 form; any other matrix takes them from a batched SVD.  A scalar value
 is a 1x1 matrix, whose one singular value |a| is its norm at every p.
-``lp_norm`` is the L^p(S^q) norm of a grid or torus function, the power
+``lp_norm`` is the L^p(S^q) norm of one function's values, the power
 mean of its cells' Schatten norms, and ``lp_norms`` that of each row of
 a stack.  This module imports no other dyadlab module.
 
@@ -114,11 +114,12 @@ def power_mean(x: np.ndarray, p: float) -> np.ndarray:
     return scalar_pow(means.ravel(), 1.0 / p).reshape(means.shape)
 
 
-def lp_norm(f, p: float, schatten: float) -> float:
-    """L^p norm of x -> |f(x)|_{S^schatten} over the cells of a grid or
-    torus function f (anything with N x N ``values``), each cell of equal
-    weight."""
-    return float(lp_norms(f.values[None], p, schatten)[0])
+def lp_norm(values: np.ndarray, p: float, schatten: float) -> float:
+    """L^p norm of x -> |f(x)|_{S^schatten} over the cells of one function
+    f, given by its ``values``: the cells' axes, then one N x N value (a
+    grid or torus function's ``values``, or a grid function's
+    ``aligned()``), each cell of equal weight."""
+    return float(lp_norms(np.asarray(values)[None], p, schatten)[0])
 
 
 def lp_norms(stack: np.ndarray, p: float, schatten: float) -> np.ndarray:

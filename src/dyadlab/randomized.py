@@ -16,15 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import (
-    GridFunction,
-    _heap_size,
-    Lattice,
-    cell_cubes,
-    from_aligned,
-    grid_axes,
-    level_blocks,
-)
+from .lattice import GridFunction, Lattice, _heap_size, cell_cubes, grid_axes, level_blocks
 from .ncspaces import (chain, conjugate_exponent, lp_norm, lp_norms, power_mean, scalar_pow,
                        schatten_norm, schatten_norms)
 
@@ -127,20 +119,21 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
     ``values`` stacks the functions f_Q, shape (M,) + grid + value shape
     as ``lp_norms`` takes them; row i belongs to the cube (level[i],
     index[i]) and must be supported in it.  The rows take their signs in
-    the order of their cubes by level, then index."""
+    the order of their cubes by level, then index, and the norms are
+    taken in aligned cells (``GridFunction.aligned``)."""
     level = np.asarray(level)
     index = np.reshape(index, (len(level), lat.dim))
     if len(level) == 0 or len(values) != len(level):
         raise ValueError("need one function per cube, and at least one cube")
     raw, avg = [], []
     for i in np.lexsort(tuple(index.T[::-1]) + (level,)):
-        f, lv = GridFunction(lat, values[i]), int(level[i])
+        a, lv = GridFunction(lat, values[i]).aligned(), int(level[i])
         inside = cell_cubes(lat, lv) == np.ravel_multi_index(index[i], (1 << lv,) * lat.dim)
         inside = inside[..., None, None]
-        if np.abs(np.where(inside, 0, f.aligned())).max() > 1e-12 * max(1, np.abs(f.values).max()):
+        if np.abs(np.where(inside, 0, a)).max() > 1e-12 * max(1, np.abs(a).max()):
             raise ValueError(f"function {i} is not supported in its cube")
-        raw.append(f.values)
-        avg.append(from_aligned(lat, np.where(inside, level_blocks(f, lv)[0], 0)).values)
+        raw.append(a)
+        avg.append(np.where(inside, level_blocks(lat, a, lv)[0], 0))
     eps = _patterns_for(ens, len(level))
     sums = [np.tensordot(eps, np.stack(x), axes=(1, 0)) for x in (avg, raw)]
     return tuple(float(np.mean(lp_norms(v, p, schatten))) for v in sums)
@@ -191,7 +184,8 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
     accumulator.  Per chunk and level, one gather reads each sample's point
     of Delta_Q^l f in every cube Q of the level, and one add spreads the
     signed values over the cubes' blocks of the (samples, cells..., value)
-    accumulator; one ``lp_norms`` call takes the norms.  The oracle
+    accumulator; one ``lp_norms`` call takes the norms, in aligned cells
+    (``GridFunction.aligned``) as on the plain side.  The oracle
     ``_decoupling_ratio_per_sample`` agrees bit for bit.
     """
     lat, levels, diffs, lhs, offsets, signs = _decoupling_inputs(f, j, k, l, p, schatten,
@@ -215,8 +209,6 @@ def decoupling_ratio(f: GridFunction, j: int, k: int, l: int, p: float,
             v = signs[a:b, cols][..., None, None] * v
             # axis 2t + 1 of the view runs over the cube's cells along axis t
             acc.reshape((b - a,) + (m, w) * d + vs)[...] += v.reshape((b - a,) + (m, 1) * d + vs)
-        if any(lat.shift_cells):  # back to physical cells, as from_aligned does
-            acc = np.roll(acc, lat.shift_cells, axis=tuple(range(1, d + 1)))
         vals[a:b] = scalar_pow(lp_norms(acc, p, schatten), p)
     return _ratio(lhs, vals)
 
@@ -239,7 +231,7 @@ def _decoupling_ratio_per_sample(f: GridFunction, j: int, k: int, l: int, p: flo
             rel = np.unravel_index(int(offsets[i, c]), (w,) * d)
             v = diffs[lv][tuple(q * w + r for q, r in zip(idx, rel))]
             acc[tuple(slice(q * w, (q + 1) * w) for q in idx)] += signs[i, c] * v
-        vals[i] = lp_norm(from_aligned(lat, acc), p, schatten) ** p
+        vals[i] = lp_norm(acc, p, schatten) ** p
     return _ratio(lhs, vals)
 
 
@@ -247,8 +239,9 @@ def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
     """What both forms of ``decoupling_ratio`` start from: the lattice,
     the cube levels, Delta^l f of each level (``level_blocks``: cube Q's
     block of ``diffs[level of Q]`` holds the aligned Delta_Q^l f), the
-    plain side, and the sampled offsets and signs (one row per sample,
-    one column per cube, as ``DecouplingSampler.draws`` orders them)."""
+    plain side (normed in aligned cells), and the sampled offsets and
+    signs (one row per sample, one column per cube, as
+    ``DecouplingSampler.draws`` orders them)."""
     if l > k:
         raise ValueError("need l <= k")
     lat = f.lattice
@@ -257,8 +250,9 @@ def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
     levels = decoupling_levels(lat.depth, j, k, l)
     if not levels:
         raise ValueError("no admissible cubes at this depth")
-    diffs = {lv: level_blocks(f, lv, l)[1] for lv in levels}
-    lhs = lp_norm(from_aligned(lat, sum(diffs.values())), p, schatten) ** p
+    a = f.aligned()
+    diffs = {lv: level_blocks(lat, a, lv, l)[1] for lv in levels}
+    lhs = lp_norm(sum(diffs.values()), p, schatten) ** p
 
     count = ens.samples
     rng = np.random.default_rng(ens.seed + 1)
@@ -350,9 +344,10 @@ def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
             for lv in range(lat.depth)]
     if cols[-1].max() >= ens.M:
         raise ValueError("ensemble too small for the cube count")
-    deltas = [level_blocks(f, lv)[1] for lv in range(lat.depth)]
+    aligned = f.aligned()
+    deltas = [level_blocks(lat, aligned, lv)[1] for lv in range(lat.depth)]
     base = f.values - np.mean(f.values, axis=grid_axes(lat), keepdims=True)
-    den = lp_norm(GridFunction(lat, base), p, schatten)
+    den = lp_norm(base, p, schatten)
     if den == 0.0:
         return 1.0
     eps = ens.patterns()

@@ -35,7 +35,7 @@ import numpy as np
 
 from .lattice import (Cube, GridFunction, Lattice, _block_means, _cell_block, _expand,
                       _heap_number, _heap_size, _level_views, build_lattice, from_aligned)
-from .modelops import form_value
+from .modelops import ParaproductSpec, eval_paraproduct_form, eval_shift_form
 from .ncspaces import schatten_norms
 
 MEASURE_SLACK = 1e-12
@@ -364,7 +364,8 @@ def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> di
     constant.
     """
     n1 = op.n + 1
-    lhs = abs(form_value(op, fs))
+    form = eval_paraproduct_form if isinstance(op, ParaproductSpec) else eval_shift_form
+    lhs = abs(form(op, fs))
     norms = [GridFunction(f.lattice, schatten_norms(f.values, float(n1))) for f in fs]
     col = build_sparse_stopping(norms, n1 / (1.0 - eta))
     rhs = sparse_form(col, norms)

@@ -46,12 +46,39 @@ def test_haar_suite_green(tmp_path):
 
 
 def test_shift_eval_zero_scale(tmp_path):
+    # scale 0 draws no coefficient: the form is 0, and no evidence
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scale": 0.0}))
-    assert run("shift-eval", tmp_path, ["--config", str(cfg)]) == 0
+    assert run("shift-eval", tmp_path, ["--config", str(cfg)]) == 1
     report = json.loads((tmp_path / "shift-eval.json").read_text())
     chk = report["checks"][0]
     assert chk["value_re"] == 0.0 and chk["value_im"] == 0.0
+    assert chk["coefficients"] == 0 and chk["pass"] is False
+
+
+@pytest.mark.parametrize("command, source, statements", [
+    ("shift-eval", "empty-shift-file", ["shift-form-oracle-agreement"]),
+    # reduce-verify takes no shift_file
+    ("reduce-verify", "scale-0", ["shift-rewrite-form-preservation",
+                                  "shift-rewrite-normalization"]),
+], ids=["shift-eval-empty-shift-file", "reduce-verify-scale-0"])
+def test_shift_checks_without_coefficients_fail(tmp_path, capsys, command, source, statements):
+    from dyadlab import modelops as mo
+
+    config = {"scale": 0}
+    if source == "empty-shift-file":
+        spec = mo.make_random_shift(dyadlab.build_lattice(1, 3), 1, (0, 1), {1, 2}, seed=0)
+        payload = dict(json.loads(mo.shift_to_json(spec)), coeffs=[])
+        (tmp_path / "shift.json").write_text(json.dumps(payload))
+        config = {"shift_file": str(tmp_path / "shift.json")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, tmp_path, ["--config", str(cfg)]) == 1
+    report = json.loads((tmp_path / f"{command}.json").read_text())
+    assert [(c["statement"], c["pass"]) for c in report["checks"]] == \
+        [(s, False) for s in statements]
+    out = capsys.readouterr().out
+    assert all(f"[FAIL] {s}" in out for s in statements)
 
 
 def test_reduce_verify_trivial_all_cancellative(tmp_path):

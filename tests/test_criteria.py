@@ -4,8 +4,8 @@ Each check of ``criteria`` built on ``lattice.level_blocks`` is run with
 a helper whose output is off by 1e-6 on the block of one cube, and the
 Haar check with one Haar function given an imaginary part or a small
 share of another Haar function, of its own level or of another.  The
-checks over lists of cases are run with no case, and the decoupling
-anchor with a zero standard error.
+checks over lists of cases are run with no case, the shift checks with
+no coefficient, and the decoupling anchor with a zero standard error.
 """
 
 import tracemalloc
@@ -16,6 +16,7 @@ import pytest
 import dyadlab as dl
 from dyadlab import criteria as cr
 from dyadlab import lattice as lt
+from dyadlab import modelops as mo
 from dyadlab import randomized as rz
 
 OFF = 1e-6
@@ -30,11 +31,11 @@ def _off_on_one_block(monkeypatch, cube, which):
     by OFF on the block of ``cube``, for every k at the cube's level."""
     real = lt.level_blocks
 
-    def mutated(f, level, k=0):
-        out = list(real(f, level, k))
+    def mutated(lat, a, level, k=0):
+        out = list(real(lat, a, level, k))
         if level == cube.level and out[which] is not None:
             out[which] = out[which].copy()
-            out[which][lt._cell_block(f.lattice, cube)] += OFF
+            out[which][lt._cell_block(lat, cube)] += OFF
         return tuple(out)
 
     monkeypatch.setattr(lt, "level_blocks", mutated)
@@ -134,6 +135,14 @@ def test_haar_orthonormality_fails_on_a_unit_phase(monkeypatch):
     assert cr.haar_orthonormality(lat)["pass"] is False
 
 
+def _empty_shift():
+    # scale 0 draws no coefficient: every form is 0 and every term normalized
+    lat = dl.build_lattice(1, 4)
+    spec = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, 0, scale=0.0)
+    assert len(spec.coeffs) == 0
+    return spec, [dl.random_grid_function(lat, N=2, seed=i) for i in range(3)]
+
+
 def _zero_anchor():
     # f = 0: both sides vanish, so the ratio is 1 with a zero standard error
     lat = dl.build_lattice(1, 4)
@@ -151,8 +160,12 @@ def _zero_anchor():
     lambda: cr.factorization_roundtrips([], [])[1],
     lambda: cr.paraproduct_reconstruction([]),
     _zero_anchor,
+    lambda: cr.shift_form_oracle(*_empty_shift(), 100),
+    lambda: cr.shift_rewrite(*_empty_shift())[0],
+    lambda: cr.shift_rewrite(*_empty_shift())[1],
 ], ids=["contraction", "product-bound", "positive-factorization", "mixed-factorization",
-        "paraproduct-reconstruction", "decoupling-anchor"])
+        "paraproduct-reconstruction", "decoupling-anchor", "shift-form-oracle",
+        "shift-rewrite-form-preservation", "shift-rewrite-normalization"])
 def test_hard_checks_fail_without_evidence(no_evidence):
     rec = no_evidence()
     assert rec["kind"] == cr.HARD and rec["pass"] is False

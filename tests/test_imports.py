@@ -81,3 +81,31 @@ def test_cli_import_loads_no_schema_validator():
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _shift_readers(path: Path) -> set[str]:
+    """What one source file uses of the lattice shift: ``.shift_cells``,
+    and ``roll`` as an attribute (``np.roll``) or a name."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("shift_cells", "roll"):
+            used.add(name)
+    return used
+
+
+def test_only_lattice_knows_the_lattice_shift():
+    # other modules work in aligned cells (GridFunction.aligned), and
+    # from_aligned takes them back
+    found = {path.name: _shift_readers(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert found.pop("lattice.py") == {"shift_cells", "roll"}
+    assert {name: used for name, used in found.items() if used} == {}
+
+
+def test_shift_check_sees_attributes_and_names(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from numpy import roll\n\ndef f(lat, a):\n"
+                    "    return roll(a, lat.shift_cells)\n")
+    assert _shift_readers(path) == {"shift_cells", "roll"}
+    path.write_text("import numpy as np\nx = np.roll\n")
+    assert _shift_readers(path) == {"roll"}

@@ -185,20 +185,20 @@ def test_average_expansion_identity():
         for K in lat.cubes():
             for k in range(L - K.level + 1):
                 lhs = dl.expect(f, K, k)
-                rhs = dl.expect(f, K)
+                rhs = dl.expect(f, K).values
                 for l in range(k):
-                    rhs = rhs + dl.martingale_diff(f, K, l)
-                assert np.abs(lhs.values - rhs.values).max() < 1e-12
+                    rhs = rhs + dl.martingale_diff(f, K, l).values
+                assert np.abs(lhs.values - rhs).max() < 1e-12
 
 
 def test_telescoping():
     lat = dl.build_lattice(2, 3, 21)
     f = dl.random_grid_function(lat, N=2, seed=5)
-    g = dl.GridFunction(lat, np.broadcast_to(dl.integral(f), f.values.shape).copy())
+    g = np.broadcast_to(dl.integral(f), f.values.shape).copy()
     for Q in lat.cubes():
         if Q.level < 3:
-            g = g + dl.martingale_diff(f, Q)
-    assert np.abs(g.values - f.values).max() < 1e-12
+            g += dl.martingale_diff(f, Q).values
+    assert np.abs(g - f.values).max() < 1e-12
 
 
 def test_projection_algebra():
@@ -236,7 +236,7 @@ def test_level_blocks_match_per_cube_operators(lat, scalar):
     f = dl.random_grid_function(lat, N=1 if scalar else 2, seed=8)
     for level in range(lat.depth + 1):
         for k in range(lat.depth - level + 1):
-            E, D = dl.level_blocks(f, level, k)
+            E, D = dl.level_blocks(lat, f.aligned(), level, k)
             assert E.shape == f.values.shape
             assert (D is None) == (level + k == lat.depth)
             for Q in lat.cubes(level):
@@ -250,7 +250,24 @@ def test_level_blocks_rejects_levels_below_the_lattice():
     f = dl.random_grid_function(dl.build_lattice(1, 3), seed=1)
     for level, k in [(4, 0), (2, 2), (-1, 0), (0, -1)]:
         with pytest.raises(ValueError):
-            dl.level_blocks(f, level, k)
+            dl.level_blocks(f.lattice, f.aligned(), level, k)
+
+
+@pytest.mark.parametrize("lat", [dl.build_lattice(1, 4, (0.25,)),
+                                 dl.build_lattice(2, 3, (0.125, 0.5))],
+                         ids=["d1-shifted", "d2-shifted"])
+def test_level_blocks_of_a_stack_equal_one_call_per_function(lat):
+    # a stack of three aligned functions on the axis after the cells
+    fs = [dl.random_grid_function(lat, N=2, seed=s) for s in range(3)]
+    stack = np.stack([f.aligned() for f in fs], axis=lat.dim)
+    for level in range(lat.depth + 1):
+        for k in range(lat.depth - level + 1):
+            blocks = dl.level_blocks(lat, stack, level, k)
+            for i, f in enumerate(fs):
+                for got, want in zip(blocks, dl.level_blocks(lat, f.aligned(), level, k)):
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert np.take(got, i, axis=lat.dim).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lat", list(_lattices()),
@@ -494,19 +511,16 @@ def test_legacy_scalar_file_loads_as_n1():
         assert np.array_equal(g.values, f.values)
 
 
-def test_serialization_nested_values():
-    # a stack along an extra value axis lives in memory only: files hold
-    # N x N values
-    lat = dl.build_lattice(1, 2)
-    f = dl.GridFunction(lat, np.zeros((4, 3, 2, 2)))
-    with pytest.raises(ValueError, match="is a stack, not N x N"):
-        dl.grid_function_to_json(f)
-
-
-@pytest.mark.parametrize("vs", [(2, 3), (3,), (3, 1, 2)])
-def test_grid_function_values_end_in_n_by_n(vs):
-    with pytest.raises(ValueError, match=r"does not end in N x N"):
-        dl.GridFunction(dl.build_lattice(1, 2), np.zeros((4,) + vs))
+# from vs3 on, a stack of N x N functions on an axis between the grid and
+# the values: that is no grid function, stacks are aligned arrays
+# (level_blocks)
+@pytest.mark.parametrize("d, vs", [(1, (2, 3)), (1, (3,)), (1, (3, 1, 2)),
+                                   (1, (3, 2, 2)), (1, (3, 1, 1)), (1, (1, 1, 1)),
+                                   (2, (2, 1, 1)), (2, (5, 3, 3))],
+                         ids=[f"vs{i}" for i in range(8)])
+def test_grid_function_values_end_in_n_by_n(d, vs):
+    with pytest.raises(ValueError, match=r"is not N x N"):
+        dl.GridFunction(dl.build_lattice(d, 2), np.zeros((4,) * d + vs))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -541,10 +555,8 @@ def test_pairing_weight_is_scalar():
     assert np.array_equal(got, (f.values * h.values[..., 0, 0][:, None, None]).sum(axis=0)
                           * lat.cell_volume)
     assert dl.pairing(dl.random_grid_function(lat, seed=2), h).shape == (1, 1)
-    stack = dl.GridFunction(lat, np.ones((8, 8, 1, 1)))  # 8 functions on 8 cells
-    for args in ((h, f), (stack, h)):
-        with pytest.raises(ValueError, match=r"pairing takes an N x N function and a scalar"):
-            dl.pairing(*args)
+    with pytest.raises(ValueError, match=r"pairing takes a scalar \(N = 1\) weight"):
+        dl.pairing(h, f)
 
 
 def test_aligned_roundtrip():
@@ -574,6 +586,13 @@ def test_aligned_roundtrip():
     pytest.param(lambda o: o.update(depth=70), "depth", id="depth-bound"),
     pytest.param(lambda o: o.update(shift=[0.3]), "shift", id="shift-not-multiple"),
     pytest.param(lambda o: o.update(shift=["x"]), "shift", id="shift-not-numbers"),
+    # the coefficient reader's number rule, though numpy would convert these
+    pytest.param(lambda o: o["values"][5].__setitem__(1, "1.5"), "values", id="values-string"),
+    pytest.param(lambda o: o["values"][5].__setitem__(1, True), "values", id="values-true"),
+    pytest.param(lambda o: o["values"][5].__setitem__(1, False), "values", id="values-false"),
+    pytest.param(lambda o: o["values"][5].__setitem__(1, None), "values", id="values-null"),
+    pytest.param(lambda o: o["values"][5].__setitem__(1, 10 ** 400), "values",
+                 id="values-beyond-float"),
 ])
 def test_serialization_loader_names_bad_field(edit, field):
     lat = dl.build_lattice(1, 2)
@@ -600,7 +619,7 @@ def test_lp_norm_batch_rows_equal_single_calls(d, L, N, scalar, norm, p):
     batch = nc.lp_norms(np.stack([f.values for f in rows]), p, 2.0)
     assert batch.shape == (64,)
     for f, b in zip(rows, batch):
-        single = dl.lp_norm(f, p, 2.0)
+        single = dl.lp_norm(f.values, p, 2.0)
         assert type(single) is float and single == b
         # the definition with numpy's scalar power, cell by cell
         flat = f.values.reshape((lat.num_cells,) + f.value_shape)

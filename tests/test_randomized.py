@@ -88,13 +88,14 @@ def _stein(lat, cubes, p, seeds, N=1):
 
 def _stein_per_cube(lat, values, level, index, p, schatten, ens):
     """stein_check as a dict of cube functions: E_Q f_Q from ``expect`` on
-    each cube, the cubes sorted by (level, index)."""
+    each cube, the cubes sorted by (level, index), the norms taken in
+    aligned cells as stein_check takes them."""
     fqs = {dl.Cube(int(lv), tuple(int(i) for i in ix)): dl.GridFunction(lat, v)
            for v, lv, ix in zip(values, level, index)}
     cubes = sorted(fqs, key=lambda Q: (Q.level, Q.index))
     eps = ens.patterns()[:, :len(cubes)]
-    raw = np.stack([fqs[Q].values for Q in cubes])
-    avg = np.stack([dl.expect(fqs[Q], Q).values for Q in cubes])
+    raw = np.stack([fqs[Q].aligned() for Q in cubes])
+    avg = np.stack([dl.expect(fqs[Q], Q).aligned() for Q in cubes])
     return tuple(float(np.mean(nc.lp_norms(np.tensordot(eps, x, axes=(1, 0)), p, schatten)))
                  for x in (avg, raw))
 
@@ -262,7 +263,7 @@ def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, 
     for Q, g in zip(cubes, per_cube):
         block = _cell_block(lat, Q)
         assert np.abs(diffs[Q.level][block] - g.aligned()[block]).max() <= 1e-12
-    total = sum(per_cube[1:], per_cube[0])
+    total = sum(g.values for g in per_cube)
     assert abs(lhs - dl.lp_norm(total, 3.0, 2.0) ** 3.0) <= 1e-12 * max(1.0, lhs)
 
 
@@ -365,7 +366,7 @@ def _transform_ratio_per_cube(f, p, schatten, ens):
     cubes = [Q for lv in range(lat.depth) for Q in lat.cubes(lv)]
     diffs = np.stack([dl.martingale_diff(f, Q).values for Q in cubes])
     base = f.values - f.values.mean(axis=tuple(range(lat.dim)), keepdims=True)
-    den = dl.lp_norm(dl.GridFunction(lat, base), p, schatten)
+    den = dl.lp_norm(base, p, schatten)
     signed = np.tensordot(ens.patterns()[:, :len(cubes)], diffs, axes=(1, 0))
     return float(nc.lp_norms(signed, p, schatten).max()) / den
 

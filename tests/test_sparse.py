@@ -11,8 +11,8 @@ from dyadlab.lattice import _block_means, _cell_block
 from dyadlab.ncspaces import schatten_norms
 
 
-def _ones(lat):
-    return dl.GridFunction(lat, np.ones((lat.cells_per_axis,) * lat.dim))
+def _ones(lat, c=1.0):
+    return dl.GridFunction(lat, np.full((lat.cells_per_axis,) * lat.dim, c))
 
 
 def _tree(lat, cubes, parent):
@@ -108,9 +108,9 @@ def test_is_sparse_detects_leakage():
 
 def test_stopping_constant_inputs():
     lat = dl.build_lattice(1, 4)
-    col = sp.build_sparse_stopping([_ones(lat), 2.0 * _ones(lat)], theta=5.0)
+    col = sp.build_sparse_stopping([_ones(lat), _ones(lat, 2.0)], theta=5.0)
     assert len(col) == 1
-    assert sp.sparse_form(col, [_ones(lat), 2.0 * _ones(lat)]) == pytest.approx(2.0)
+    assert sp.sparse_form(col, [_ones(lat), _ones(lat, 2.0)]) == pytest.approx(2.0)
 
 
 def test_stopping_spike_descends():
@@ -145,7 +145,7 @@ def test_stopping_rejects_small_theta():
 def test_sparse_form_examples():
     lat = dl.build_lattice(1, 3)
     col = _tree(lat, (lat.top(),), [-1])
-    assert sp.sparse_form(col, [2 * _ones(lat), 3 * _ones(lat)]) == pytest.approx(6.0)
+    assert sp.sparse_form(col, [_ones(lat, 2.0), _ones(lat, 3.0)]) == pytest.approx(6.0)
     empty = _tree(lat, (), [])
     assert sp.sparse_form(empty, [_ones(lat)]) == 0.0
 
@@ -236,7 +236,7 @@ def test_sparse_form_reuses_the_pyramid_only_for_its_own_inputs(monkeypatch):
     assert sp.sparse_form(col, [f.copy() for f in fs]) == expected
     assert not built  # the same inputs, as objects or as equal copies: no new pyramid
     others = [
-        [fs[0], 2.0 * fs[1]],                            # one input changed
+        [fs[0], dl.GridFunction(lat, 2.0 * fs[1].values)],  # one input changed
         [fs[1], fs[0]],                                  # the inputs swapped
         [fs[0]],                                         # fewer inputs
         fs + [fs[0]],                                    # more inputs
@@ -337,7 +337,7 @@ def test_domination_constants_scale_invariant(rng):
     spec = mo.make_random_shift(lat, 2, (2, 0, 1), {2, 3}, seed=3)
     fs = [dl.random_grid_function(lat, N=2, seed=30 + i) for i in range(3)]
     rep1 = sp.verify_sparse_domination(spec, fs)
-    scaled = [2.0 * fs[0], 0.25 * fs[1], 5.0 * fs[2]]
+    scaled = [dl.GridFunction(lat, c * f.values) for c, f in zip((2.0, 0.25, 5.0), fs)]
     rep2 = sp.verify_sparse_domination(spec, scaled)
     assert rep1["constant"] == pytest.approx(rep2["constant"], abs=1e-10)
 
