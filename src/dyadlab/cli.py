@@ -86,8 +86,9 @@ FIELDS = {
     **dict.fromkeys(["d", "L", "N", "n", "M", "trials", "blocks", "tuples_per_block",
                      "max_n", "budget", "pairs", "band_limit"], _pos),
     **dict.fromkeys(["k", "j", "l", "max_kappa", "oracle_cap"], _nonneg),
-    # p is an L^p exponent; a band [1/band, band] needs band > 0
-    **dict.fromkeys(["p", "band"], {"type": "number", "exclusiveMinimum": 0}),
+    # p is an L^p exponent; a ratio can lie in [1/band, band] only when band >= 1
+    "p": {"type": "number", "exclusiveMinimum": 0},
+    "band": {"type": "number", "minimum": 1},
     **dict.fromkeys(["drift_band", "stability_band"], {"type": "number"}),
     # the derivative-of-product ratio needs s above the dimension, 1
     "s": {"type": "number", "exclusiveMinimum": 1},
@@ -103,11 +104,14 @@ FIELDS = {
     "shift_file": {"type": "string"},
 }
 # rules one command adds or narrows: shift-eval may read its operator from a
-# file, rad-suite sums over all 2^M sign patterns, and the kernel's Holder
-# exponent (s-1)/2 must lie in (0, 1]
+# file, rad-suite sums over all 2^M sign patterns, the kernel's Holder
+# exponent (s-1)/2 must lie in (0, 1], and a drift is never negative, so it
+# passes only below a positive drift_band or at most at stability_band >= 0
 OVERRIDES = {"shift-eval": {"shift_file": FIELDS["shift_file"]},
              "rad-suite": {"M": {**FIELDS["M"], "maximum": rz.EXHAUSTIVE_LIMIT}},
-             "kernel-const": {"s": {**FIELDS["s"], "maximum": 3}}}
+             "leibniz-study": {"drift_band": {**FIELDS["drift_band"], "exclusiveMinimum": 0}},
+             "kernel-const": {"s": {**FIELDS["s"], "maximum": 3},
+                              "stability_band": {**FIELDS["stability_band"], "minimum": 0}}}
 
 _TYPES = {"integer": int, "number": (int, float), "string": str, "array": list}
 _BOUNDS = {"minimum": (operator.ge, "less than the minimum of"),

@@ -204,10 +204,6 @@ class GridFunction:
     def N(self) -> int:
         return self.value_shape[-1]
 
-    def copy(self) -> "GridFunction":
-        """A copy with its own values; a sparse-form test's oracle."""
-        return GridFunction(self.lattice, self.values.copy())
-
     def aligned(self) -> np.ndarray:
         """Values rolled so cube (l, k) occupies the block of cells
         [k_a 2^(L-l), (k_a+1) 2^(L-l)) per axis."""
@@ -427,6 +423,16 @@ def _block_means(a: np.ndarray, w: int, d: int) -> np.ndarray:
     r = a.reshape(tuple(new))
     # interleaved axes 1, 3, ..., 2d-1 are the within-block axes
     return r.mean(axis=tuple(2 * ax + 1 for ax in range(d)))
+
+
+def _child_sums(a: np.ndarray, d: int) -> np.ndarray:
+    """Sum over the 2^d children of each cube of one level: a has shape
+    (2m,)*d + rest and the result (m,)*d + rest.  Adds the even and odd
+    slices, one axis at a time."""
+    for ax in range(d):
+        lead = (slice(None),) * ax
+        a = a[lead + (slice(0, None, 2),)] + a[lead + (slice(1, None, 2),)]
+    return a
 
 
 def _expand(a: np.ndarray, w: int, d: int) -> np.ndarray:

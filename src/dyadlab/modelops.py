@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (_BLOCK, MAX_CUBE_BITS, Cube, FieldError, GridFunction, HaarPyramid,
-                      Lattice, _Malformed, _block_means, _field, _haar_signs, _heap_cubes,
+                      Lattice, _Malformed, _child_sums, _field, _haar_signs, _heap_cubes,
                       _heap_number, _heap_size, _int, _ints, _json_array, _level_views, _shift,
                       _synthesize, build_lattice, from_aligned, haar, pairing)
 from .ncspaces import chain
@@ -268,8 +268,8 @@ def _carleson_sup(sums: list[np.ndarray], d: int) -> float:
     for lv in range(len(sums) - 1, -1, -1):
         total = sums[lv] + below
         best = max(best, float(total.max()) / 2.0 ** (-lv * d))
-        if lv:  # sums over the 2^d children; mean times 2^d is exact
-            below = _block_means(total, 2, d) * (1 << d)
+        if lv:
+            below = _child_sums(total, d)
     return best ** 0.5
 
 

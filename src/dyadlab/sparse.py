@@ -11,10 +11,14 @@ the construction is (1 - (n+1)/theta)-sparse.
 A ``SparseCollection`` is a cube tree: arrays of levels and indices
 plus each cube's nearest ancestor in the collection.  E_Q is Q minus
 its children in the tree, never stored; ``is_sparse`` checks the tree
-and the measures |E_Q| = |Q| - sum of its children's measures.  The
-stopping construction is one top-down sweep over the levels of the
-block-mean pyramid, which ``multilinear_maximal`` and ``sparse_form``
-read as well.
+and the measures |E_Q| = |Q| - sum of its children's measures.
+
+Every sweep goes one level at a time.  The block-mean pyramid is built
+bottom up, each level from the one below it; ``multilinear_maximal``
+and ``sparse_form`` read it, and so does the stopping construction, one
+top-down sweep that lists its cubes by (level, index), every parent
+before its children.  Each call builds its own pyramid: nothing is kept
+between calls.
 
 The sparse form sum_Q |Q| prod_j <|f_j|>_Q dominates the model-operator
 forms; ``verify_sparse_domination`` measures the constant on concrete
@@ -28,12 +32,12 @@ lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .lattice import (Cube, GridFunction, Lattice, _block_means, _cell_block, _expand,
+from .lattice import (Cube, GridFunction, Lattice, _cell_block, _child_sums, _expand,
                       _heap_number, _heap_size, _level_views, build_lattice, from_aligned)
 from .modelops import ParaproductSpec, eval_paraproduct_form, eval_shift_form
 from .ncspaces import schatten_norms
@@ -41,16 +45,12 @@ from .ncspaces import schatten_norms
 MEASURE_SLACK = 1e-12
 
 
-def _pyramid(fs: list[GridFunction],
-             known: np.ndarray | None = None) -> tuple[Lattice, np.ndarray]:
+def _pyramid(fs: list[GridFunction]) -> tuple[Lattice, np.ndarray]:
     """The lattice of scalar (N = 1) inputs fs and the block means of
     each |f_j| on every cube, shape (cubes, len(fs)), rows in the order
-    of ``Lattice.cubes()`` (see ``lattice._level_views``).
-
-    ``known`` is a pyramid computed before; it is returned as it is when
-    its finest level equals |f_j| cell by cell for every j, since every
-    coarser level is computed from that one alone.
-    """
+    of ``Lattice.cubes()`` (see ``lattice._level_views``).  Built bottom
+    up: |f_j| at the cells, then each coarser level 2^-d times the sum
+    over the children of each of its cubes."""
     if not fs:
         raise ValueError("need at least one function")
     lat = fs[0].lattice
@@ -58,15 +58,12 @@ def _pyramid(fs: list[GridFunction],
         if f.lattice != lat or f.value_shape != (1, 1):
             raise ValueError("inputs must be scalar (N = 1) functions on one lattice")
     d, L = lat.dim, lat.depth
-    mats = [np.abs(f.aligned()[..., 0, 0]) for f in fs]
-    if known is not None and known.shape == (_heap_size(L, d), len(fs)):
-        finest = _level_views(known, L, d)[L]
-        if all(np.array_equal(finest[..., j], m) for j, m in enumerate(mats)):
-            return lat, known
     flat = np.empty((_heap_size(L, d), len(fs)))
-    for lv, means in enumerate(_level_views(flat, L, d)):
-        for j, m in enumerate(mats):
-            means[..., j] = _block_means(m, 1 << (L - lv), d)
+    levels = _level_views(flat, L, d)
+    for j, f in enumerate(fs):
+        levels[L][..., j] = np.abs(f.aligned()[..., 0, 0])
+    for lv in range(L, 0, -1):
+        np.multiply(_child_sums(levels[lv], d), 2.0 ** -d, out=levels[lv - 1])
     return lat, flat
 
 
@@ -79,12 +76,11 @@ def multilinear_maximal(fs: list[GridFunction]) -> GridFunction:
     exhaustively over all levels 0..L."""
     lat, pyr = _pyramid(fs)
     d, L = lat.dim, lat.depth
-    best = np.zeros((lat.cells_per_axis,) * d)
+    best = np.zeros((1,) * d)  # per cube of the level: the sup over it and its ancestors
     for lv, means in enumerate(_level_views(pyr, L, d)):
-        prod = np.ones((1 << lv,) * d)
-        for j in range(len(fs)):
-            prod = prod * means[..., j]
-        best = np.maximum(best, _expand(prod, 1 << (L - lv), d))
+        if lv:
+            best = _expand(best, 2, d)
+        best = np.maximum(best, np.prod(means, axis=-1))
     return from_aligned(lat, best)
 
 
@@ -103,9 +99,6 @@ class SparseCollection:
     index: np.ndarray   # (S, d)
     parent: np.ndarray  # (S,)
     eta: float | None = None
-    # block-mean pyramid of the inputs of the stopping construction, for
-    # ``sparse_form`` to reuse when it is given the same inputs
-    _source_means: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.level = np.asarray(self.level, dtype=np.int64).reshape(-1)
@@ -179,8 +172,8 @@ def build_sparse_stopping(fs: list[GridFunction], theta: float) -> SparseCollect
     One sweep down the levels of the block-mean pyramid: every cell of a
     level carries the averages of its nearest collection cube, and a
     cube stops where some average exceeds theta times that cube's.  The
-    cubes come out in the order of the recursive construction
-    (``_stopping_masks``): depth first, the last stopping child first.
+    cubes come out in the order they are found, by (level, index), so
+    every parent comes before its children.
     """
     lat, pyr = _pyramid(fs)
     n1 = len(fs)
@@ -205,30 +198,16 @@ def build_sparse_stopping(fs: list[GridFunction], theta: float) -> SparseCollect
             ident[stop] = np.arange(count, count + k)
             count += k
     level, index, parent = (np.concatenate(a) for a in (level, index, parent))
-    # depth first with the last child first: by the end of the z-order range
-    # descending, an ancestor before its descendants
-    end = _z_order(level, index, L, d) + np.left_shift(1, d * (L - level))
-    order = np.lexsort((level, -end))
-    rank = np.empty(count, dtype=np.int64)
-    rank[order] = np.arange(count)
-    up = parent[order]
-    col = SparseCollection(lat, level[order], index[order],
-                           np.where(up < 0, -1, rank[up]), eta=1.0 - n1 / theta)
-    col._source_means = pyr
-    return col
+    return SparseCollection(lat, level, index, parent, eta=1.0 - n1 / theta)
 
 
 def sparse_form(s: SparseCollection, fs: list[GridFunction]) -> float:
     """sum_{Q in S} |Q| prod_j <|f_j|>_Q, added one term at a time in the
-    order of the collection.  A collection from ``build_sparse_stopping``
-    evaluated on the functions it was built from reuses their pyramid."""
-    lat, pyr = _pyramid(fs, s._source_means)
+    order of the collection."""
+    lat, pyr = _pyramid(fs)
     if lat != s.lattice:
         raise ValueError("inputs must live on the collection's lattice")
-    avgs = pyr[_heap_number(s.level, s.index, lat.dim)]
-    prod = np.ones(len(s))
-    for j in range(len(fs)):
-        prod = prod * avgs[:, j]
+    prod = np.prod(pyr[_heap_number(s.level, s.index, lat.dim)], axis=-1)
     terms = np.ldexp(1.0, -lat.dim * s.level) * prod
     return float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
 
@@ -239,7 +218,8 @@ def sparse_form(s: SparseCollection, fs: list[GridFunction]) -> float:
 
 def _stopping_masks(fs: list[GridFunction], theta: float) -> tuple[list[Cube], dict]:
     """Oracle of ``build_sparse_stopping``: the recursion over cubes, with
-    E_Q as a boolean mask over the aligned finest cells."""
+    E_Q as a boolean mask over the aligned finest cells.  The cubes are
+    listed by (level, index)."""
     lat, pyr = _pyramid(fs)
     n1 = len(fs)
     if theta <= n1:
@@ -281,6 +261,7 @@ def _stopping_masks(fs: list[GridFunction], theta: float) -> tuple[list[Cube], d
         cubes.append(Q)
         exceptional[Q] = mask.reshape(-1)
         stack.extend(kids)
+    cubes.sort(key=lambda Q: (Q.level, Q.index))
     return cubes, exceptional
 
 

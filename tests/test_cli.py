@@ -189,6 +189,13 @@ def test_config_schema_violation_reports_path(tmp_path):
     ("kernel-const", "budgets", [80, 20]),
     # decouple runs at order l up to the step k (k = 1 by default)
     ("decouple", "l", 2),
+    # bands that no value can hold: [1/band, band] is empty below band 1, and
+    # a drift is never negative
+    ("rad-suite", "band", 0.5),
+    ("decouple", "band", 0.5),
+    ("leibniz-study", "drift_band", -1),
+    ("leibniz-study", "drift_band", 0),
+    ("kernel-const", "stability_band", -0.5),
 ])
 def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)

@@ -7,7 +7,7 @@ import pytest
 import dyadlab as dl
 from dyadlab import modelops as mo
 from dyadlab import sparse as sp
-from dyadlab.lattice import _block_means, _cell_block
+from dyadlab.lattice import _cell_block
 from dyadlab.ncspaces import schatten_norms
 
 
@@ -38,6 +38,37 @@ def test_maximal_disjoint_halves():
         blk = _cell_block(lat, Q)
         best[blk] = np.maximum(best[blk], prod)
     assert np.abs(m.values[..., 0, 0].real - best).max() < 1e-14
+
+
+def test_maximal_matches_brute_force_at_d2():
+    lat = dl.build_lattice(2, 3, (0.25, 0.625))
+    fs = [dl.random_grid_function(lat, scalar=True, seed=s) for s in (4, 5)]
+    m = sp.multilinear_maximal(fs)
+    mods = [dl.GridFunction(lat, np.abs(f.values)) for f in fs]
+    best = np.zeros((8, 8))  # aligned cells
+    for Q in lat.cubes():
+        prod = dl.average(mods[0], Q)[0, 0] * dl.average(mods[1], Q)[0, 0]
+        blk = _cell_block(lat, Q)
+        best[blk] = np.maximum(best[blk], prod)
+    assert np.abs(m.aligned()[..., 0, 0] - best).max() <= 1e-12 * best.max()
+
+
+@pytest.mark.parametrize("d, L, shift", [(1, 5, (0.375,)), (2, 3, (0.25, 0.625)),
+                                         (3, 2, (0.25, 0.5, 0.75))])
+def test_pyramid_matches_block_means_of_each_cube(d, L, shift):
+    lat = dl.build_lattice(d, L, shift)
+    r = np.random.default_rng(d)
+    fs = [dl.random_grid_function(lat, scalar=True, seed=d),
+          dl.GridFunction(lat, r.standard_normal((1 << L,) * d))]
+    got, pyr = sp._pyramid(fs)
+    assert got == lat
+    cubes = list(lat.cubes())
+    assert pyr.shape == (len(cubes), 2)
+    for row, Q in zip(pyr, cubes):
+        blk = _cell_block(lat, Q)
+        for j, f in enumerate(fs):
+            mean = np.abs(f.aligned()[..., 0, 0])[blk].mean()
+            assert abs(row[j] - mean) <= 1e-12 * mean
 
 
 def test_maximal_dominates_function():
@@ -222,19 +253,28 @@ def test_stopping_tree_matches_recursive_oracle(d, L):
         assert abs(form - oracle) <= 1e-12 * abs(oracle)
 
 
-def test_sparse_form_reuses_the_pyramid_only_for_its_own_inputs(monkeypatch):
+def test_stopping_lists_cubes_by_level_and_index_parents_first():
+    built = 0
+    for d, L in [(1, 6), (2, 4), (3, 3)]:
+        for fs, theta in _oracle_inputs(d, L):
+            col = sp.build_sparse_stopping(fs, theta)
+            keys = [(Q.level, Q.index) for Q in col.cubes]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            assert col.parent[0] == -1 and np.all(col.parent[1:] >= 0)
+            assert np.all(col.parent[1:] < np.arange(1, len(col)))
+            built += len(col) > 1
+    assert built > 0
+
+
+def test_sparse_form_of_a_built_collection_reads_the_inputs_it_is_given():
     lat = dl.build_lattice(2, 4, (0.25, 0.5))
     r = np.random.default_rng(7)
     fs = [dl.GridFunction(lat, np.abs(r.standard_normal((16, 16))) ** 4) for _ in range(2)]
     col = sp.build_sparse_stopping(fs, 4.0)
-    bare = sp.SparseCollection(lat, col.level, col.index, col.parent)  # keeps no pyramid
+    bare = sp.SparseCollection(lat, col.level, col.index, col.parent)
     assert len(col) > 1
     expected = sp.sparse_form(bare, fs)
-    built = []
-    monkeypatch.setattr(sp, "_block_means", lambda *a: built.append(1) or _block_means(*a))
     assert sp.sparse_form(col, fs) == expected
-    assert sp.sparse_form(col, [f.copy() for f in fs]) == expected
-    assert not built  # the same inputs, as objects or as equal copies: no new pyramid
     others = [
         [fs[0], dl.GridFunction(lat, 2.0 * fs[1].values)],  # one input changed
         [fs[1], fs[0]],                                  # the inputs swapped
