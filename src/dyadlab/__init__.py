@@ -1,7 +1,6 @@
 """Numerical laboratory for dyadic multilinear harmonic analysis on finite lattices."""
 
 from .lattice import (
-    Cube,
     GridFunction,
     HaarPyramid,
     Lattice,
@@ -20,7 +19,6 @@ from .lattice import (
 from .ncspaces import lp_norm
 
 __all__ = [
-    "Cube",
     "GridFunction",
     "HaarPyramid",
     "Lattice",

@@ -92,7 +92,7 @@ FIELDS = {
     **dict.fromkeys(["drift_band", "stability_band"], {"type": "number"}),
     # the derivative-of-product ratio needs s above the dimension, 1
     "s": {"type": "number", "exclusiveMinimum": 1},
-    "seed": {"type": "integer"},
+    "seed": _nonneg,
     "scale": {"type": "number", "minimum": 0, "maximum": 1},
     "eta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     "complexity": {"type": "array", "items": _nonneg},
@@ -193,7 +193,7 @@ def load_config(command: str, path: str | None, seed_override: int | None) -> di
         if error:
             raise SystemExit("config error at {}: {}".format(*error))
     if seed_override is not None:
-        config["seed"] = seed_override
+        config["seed"] = _checked(seed_override, FIELDS["seed"], "seed")
     return config
 
 

@@ -20,11 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-SHIFT_QUANTIZATION_TOL = 1e-9
 # dim * depth is at most this, so that the heap number of every cube
 # (``_heap_number``) fits an int64
 MAX_CUBE_BITS = 62
@@ -84,44 +82,6 @@ class Lattice:
     def cell_volume(self) -> float:
         return 2.0 ** (-self.depth * self.dim)
 
-    def top(self) -> "Cube":
-        return Cube(0, (0,) * self.dim)
-
-    def cubes(self, level: int | None = None) -> Iterator["Cube"]:
-        """All cubes of the lattice, or all cubes of one level."""
-        levels = range(self.depth + 1) if level is None else [level]
-        for lv in levels:
-            for idx in np.ndindex(*(1 << lv,) * self.dim):
-                yield Cube(lv, tuple(int(i) for i in idx))
-
-
-@dataclass(frozen=True)
-class Cube:
-    """A cube in lattice coordinates: level and per-axis index."""
-
-    level: int
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("negative level")
-        if any(not (0 <= i < (1 << self.level)) for i in self.index):
-            raise ValueError("cube index out of range")
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def measure(self) -> float:
-        return 2.0 ** (-self.level * self.dim)
-
-    def children(self) -> list["Cube"]:
-        out = []
-        for e in np.ndindex(*(2,) * self.dim):
-            out.append(Cube(self.level + 1,
-                            tuple(2 * i + int(b) for i, b in zip(self.index, e))))
-        return out
-
 
 def _check_size(d: int, L: int) -> None:
     """The rules on the dimension d and depth L of a lattice, checked
@@ -158,10 +118,10 @@ def build_lattice(d: int, L: int, seed_or_shift=None) -> Lattice:
         for s in map(float, seed_or_shift):
             if not 0.0 <= s < 1.0:
                 raise FieldError("shift", f"{s} does not lie in [0, 1)")
-            c = s * n
-            if abs(c - round(c)) > SHIFT_QUANTIZATION_TOL * n:
+            c = s * n  # exact: a power-of-two scaling
+            if c != int(c):
                 raise FieldError("shift", f"{s} is not a multiple of 2^-{L}")
-            cells.append(int(round(c)) % n)
+            cells.append(int(c))
         cells = tuple(cells)
     return Lattice(d, L, cells)
 
@@ -220,10 +180,10 @@ def from_aligned(lat: Lattice, aligned: np.ndarray) -> GridFunction:
     return GridFunction(lat, _roll(np.asarray(aligned), lat, +1))
 
 
-def _cell_block(lat: Lattice, Q: Cube):
-    """Slices of the aligned array covered by Q."""
-    w = 1 << (lat.depth - Q.level)
-    return tuple(slice(i * w, (i + 1) * w) for i in Q.index)
+def _cell_block(lat: Lattice, level: int, index):
+    """Slices of the aligned array covered by the cube (level, index)."""
+    w = 1 << (lat.depth - level)
+    return tuple(slice(i * w, (i + 1) * w) for i in index)
 
 
 def grid_axes(lat: Lattice) -> tuple[int, ...]:
@@ -296,26 +256,26 @@ def _eta_interleaved(a: np.ndarray, d: int) -> np.ndarray:
     return np.moveaxis(v, range(2 * d - 1, d - 1, -1), range(1, 2 * d, 2))
 
 
-def haar(lat: Lattice, h: tuple[Cube, int]) -> GridFunction:
-    """The Haar function h_Q^eta of h = (Q, eta) as a real grid function
-    (L^2 norm 1).
+def haar(lat: Lattice, level: int, index, eta: int) -> GridFunction:
+    """The Haar function h_Q^eta of the cube Q = (level, index) as a real
+    grid function (L^2 norm 1).
 
     eta is a bitmask in 0..2^d - 1, bit a the sign pattern of axis a:
     eta = 0 gives the non-cancellative h_Q^0 = |Q|^(-1/2) 1_Q, any other
     eta a mean-zero tensor Haar function.  Sign convention per axis: +1
     on the left half, -1 on the right half, in lattice coordinates (the
     table ``_haar_signs``).  Cancellative indices need children at grid
-    resolution, so level(Q) < L is required when eta != 0.
+    resolution, so level < L is required when eta != 0.
     """
-    Q, eta = h
-    if Q.dim != lat.dim or Q.level > lat.depth:
+    if (len(index) != lat.dim or not 0 <= level <= lat.depth
+            or any(not 0 <= i < 1 << level for i in index)):
         raise ValueError("cube does not belong to the lattice")
     if not 0 <= eta < 1 << lat.dim:
         raise ValueError(f"eta mask must lie in 0..{(1 << lat.dim) - 1}")
-    if eta and Q.level >= lat.depth:
+    if eta and level >= lat.depth:
         raise ValueError("cancellative Haar needs level < depth")
     aligned = np.zeros((lat.cells_per_axis,) * lat.dim)
-    aligned[_cell_block(lat, Q)] = _haar_patch(lat, Q.level, eta)
+    aligned[_cell_block(lat, level, index)] = _haar_patch(lat, level, eta)
     return from_aligned(lat, aligned)
 
 
@@ -324,7 +284,7 @@ def haar_level(lat: Lattice, level: int) -> np.ndarray:
 
     The float64 result has shape grid + (2^(level d), 2^d - 1) in
     physical cell coordinates: entry [x][q, eta - 1] is h_Q^eta(x) for
-    the q-th cube Q of ``Lattice.cubes(level)`` and the eta mask
+    the q-th cube Q of the level in heap order and the eta mask
     1..2^d - 1, the same values as ``haar``.  Needs level < L.
     """
     d, L = lat.dim, lat.depth
@@ -353,31 +313,35 @@ def _haar_patch(lat: Lattice, level: int, eta: int) -> np.ndarray:
 # averages and martingale projections
 # ---------------------------------------------------------------------------
 
-def average(f: GridFunction, Q: Cube):
-    """<f>_Q: mean of f over Q, of f's value shape."""
+def average(f: GridFunction, level: int, index):
+    """<f>_Q: mean of f over the cube Q = (level, index), of f's value
+    shape.  An oracle: the brute-force paraproduct form of
+    ``test_paraproduct_oracle`` takes its averages from it."""
     lat = f.lattice
-    return f.aligned()[_cell_block(lat, Q)].mean(axis=grid_axes(lat))
+    return f.aligned()[_cell_block(lat, level, index)].mean(axis=grid_axes(lat))
 
 
-def expect(f: GridFunction, Q: Cube, k: int = 0) -> GridFunction:
-    """E_Q^k f: sum of E_R f = <f>_R 1_R over the descendants R of Q with
-    R^(k) = Q; k = 0 gives E_Q f = <f>_Q 1_Q."""
+def expect(f: GridFunction, level: int, index, k: int = 0) -> GridFunction:
+    """E_Q^k f for the cube Q = (level, index): sum of E_R f = <f>_R 1_R
+    over the descendants R of Q with R^(k) = Q; k = 0 gives
+    E_Q f = <f>_Q 1_Q."""
     lat = f.lattice
-    if k < 0 or Q.level + k > lat.depth:
+    if k < 0 or level + k > lat.depth:
         raise ValueError("descendant level exceeds lattice depth")
     out = np.zeros_like(f.values)
-    w = 1 << (lat.depth - Q.level - k)
-    blk = _cell_block(lat, Q)
+    w = 1 << (lat.depth - level - k)
+    blk = _cell_block(lat, level, index)
     # block means at the descendant level, broadcast back onto cells
     out[blk] = _expand(_block_means(f.aligned()[blk], w, lat.dim), w, lat.dim)
     return from_aligned(lat, out)
 
 
-def martingale_diff(f: GridFunction, Q: Cube, k: int = 0) -> GridFunction:
-    """Delta_Q^k f = E_Q^(k+1) f - E_Q^k f: sum of Delta_R f over the
-    descendants R of Q with R^(k) = Q; mean zero on Q.  Needs
-    level(Q) + k < L (``expect`` raises otherwise)."""
-    return GridFunction(f.lattice, expect(f, Q, k + 1).values - expect(f, Q, k).values)
+def martingale_diff(f: GridFunction, level: int, index, k: int = 0) -> GridFunction:
+    """Delta_Q^k f = E_Q^(k+1) f - E_Q^k f for the cube Q = (level,
+    index): sum of Delta_R f over the descendants R of Q with R^(k) = Q;
+    mean zero on Q.  Needs level + k < L (``expect`` raises otherwise)."""
+    return GridFunction(f.lattice, expect(f, level, index, k + 1).values
+                        - expect(f, level, index, k).values)
 
 
 def level_blocks(lat: Lattice, a: np.ndarray, level: int,
@@ -405,8 +369,8 @@ def level_blocks(lat: Lattice, a: np.ndarray, level: int,
 
 
 def cell_cubes(lat: Lattice, level: int) -> np.ndarray:
-    """The cube of each aligned cell at one level, as its position in
-    ``Lattice.cubes(level)``: an integer array of the grid's shape."""
+    """The cube of each aligned cell at one level, as its position among
+    the level's cubes in heap order: an integer array of the grid's shape."""
     m = 1 << level
     return _expand(np.arange(m ** lat.dim).reshape((m,) * lat.dim), 1 << (lat.depth - level),
                    lat.dim)
@@ -451,7 +415,7 @@ def _heap_size(depth: int, d: int) -> int:
 
 
 def _heap_number(level: np.ndarray, index: np.ndarray, d: int) -> np.ndarray:
-    """Position of each cube in the order of ``Lattice.cubes()``."""
+    """Position of each cube in heap order (``_heap_cubes``)."""
     out = ((1 << (level * d)) - 1) // ((1 << d) - 1)
     for a in range(d):
         out = out + (index[..., a] << (level * (d - 1 - a)))
@@ -460,7 +424,8 @@ def _heap_number(level: np.ndarray, index: np.ndarray, d: int) -> np.ndarray:
 
 def _heap_cubes(depth: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Levels, shape (#cubes,), and indices, shape (#cubes, d), of the
-    cubes of levels 0..depth in the order of ``Lattice.cubes()``."""
+    cubes of levels 0..depth in heap order, the one cube order: level by
+    level, and within a level the indices in ``np.ndindex`` order."""
     level = np.repeat(np.arange(depth + 1), 1 << (d * np.arange(depth + 1)))
     index = np.concatenate([np.indices((1 << lv,) * d).reshape(d, -1).T for lv in range(depth + 1)])
     return level, index
@@ -479,7 +444,7 @@ class HaarPyramid:
     Only pairings that exist are stored: cancellative Haar functions
     need level < depth, so the finest level keeps eta 0 alone.  ``flat``
     is one read-only buffer of shape (#pairings,) + value_shape: the
-    cubes of levels 0..L-1 in heap order (``Lattice.cubes()``), 2^d eta
+    cubes of levels 0..L-1 in heap order (``_heap_cubes``), 2^d eta
     slots each, then the finest cubes in heap order, one slot each.  A
     pyramid can therefore serve several form evaluations.  Read it
     through ``pairings`` (arrays of heap numbers and eta masks); where a

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import (_BLOCK, MAX_CUBE_BITS, Cube, FieldError, GridFunction, HaarPyramid,
+from .lattice import (_BLOCK, MAX_CUBE_BITS, FieldError, GridFunction, HaarPyramid,
                       Lattice, _Malformed, _child_sums, _field, _haar_signs, _heap_cubes,
                       _heap_number, _heap_size, _int, _ints, _json_array, _level_views, _shift,
                       _synthesize, build_lattice, from_aligned, haar, pairing)
@@ -101,14 +101,6 @@ class CoeffTable:
         ia, ib = np.lexsort(a), np.lexsort(b)
         return bool(all(np.array_equal(x[ia], y[ib]) for x, y in zip(a, b))
                     and np.array_equal(self.value[ia], other.value[ib]))
-
-    def items(self):
-        """(key, value) pairs in row order: keys (K, Qs, etas) or (K, eta)."""
-        for lv, ix, es, a in zip(self.level.tolist(), self.index.tolist(),
-                                 self.eta.tolist(), self.value.tolist()):
-            cs = [Cube(l, tuple(i)) for l, i in zip(lv, ix)]
-            yield ((cs[0], es[0]) if len(cs) == 1
-                   else (cs[0], tuple(cs[1:]), tuple(es))), a
 
 
 def _merge_repeats(keys: Sequence[np.ndarray],
@@ -396,7 +388,7 @@ def _cancellative_pairings(pyr: HaarPyramid) -> np.ndarray:
 
 def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
     """Nonzero Haar coefficients of h normalized by its dyadic BMO norm,
-    as a paraproduct table in the order of ``Lattice.cubes`` and eta.
+    as a paraproduct table in heap order (``_heap_cubes``) and eta.
 
     The output satisfies the Carleson condition with constant exactly
     one, attained at the sup cube.  Constant h is rejected.
@@ -485,9 +477,12 @@ def eval_shift_form_naive(spec: ShiftSpec | ReducedShiftTerm,
     and integrate the pairings term by term."""
     lat = spec.lattice
     _check_inputs(lat, fs, spec.n + 1)
+    t = spec.coeffs
     total = 0j
-    for (K, qs, etas), a in spec.coeffs.items():
-        mats = [pairing(f, haar(lat, (q, e)))[None] for f, q, e in zip(fs, qs, etas)]
+    for level, index, etas, a in zip(t.level.tolist(), t.index.tolist(), t.eta.tolist(),
+                                     t.value.tolist()):
+        mats = [pairing(f, haar(lat, lv, ix, e))[None]
+                for f, lv, ix, e in zip(fs, level[1:], index[1:], etas)]
         total += a * np.trace(chain(mats)[0])
     return complex(total)
 

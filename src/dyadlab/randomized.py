@@ -144,7 +144,7 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
 # ---------------------------------------------------------------------------
 
 def decoupling_levels(depth: int, j: int, k: int, l: int) -> list[int]:
-    """Cube levels of decoupling at step k, residue j and order l: the
+    """The cube levels of decoupling at step k, residue j and order l: the
     separated subcollection (side lengths 2^(m(k+1)+j), m an integer, so
     levels congruent to -j mod k+1) where Delta^l exists, level + l <= depth - 1."""
     if not 0 <= j <= k:
@@ -161,7 +161,7 @@ class DecouplingSampler:
 
     def draws(self, levels: Sequence[int], count: int) -> np.ndarray:
         """Array (count, cubes) of within-cube flat cell offsets, a column
-        per cube of the levels in turn (``Lattice.cubes(level)`` order): the
+        per cube of the levels in turn, each level in heap order: the
         stream of one ``integers(0, cells, size=count)`` per cube, in one draw per level."""
         rng = np.random.default_rng(self.seed)
         d, L = self.lattice.dim, self.lattice.depth

@@ -33,11 +33,10 @@ lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .lattice import (Cube, GridFunction, Lattice, _cell_block, _child_sums, _expand,
+from .lattice import (GridFunction, Lattice, _cell_block, _child_sums, _expand,
                       _heap_number, _heap_size, _level_views, build_lattice, from_aligned)
 from .modelops import ParaproductSpec, eval_paraproduct_form, eval_shift_form
 from .ncspaces import schatten_norms
@@ -47,10 +46,10 @@ MEASURE_SLACK = 1e-12
 
 def _pyramid(fs: list[GridFunction]) -> tuple[Lattice, np.ndarray]:
     """The lattice of scalar (N = 1) inputs fs and the block means of
-    each |f_j| on every cube, shape (cubes, len(fs)), rows in the order
-    of ``Lattice.cubes()`` (see ``lattice._level_views``).  Built bottom
-    up: |f_j| at the cells, then each coarser level 2^-d times the sum
-    over the children of each of its cubes."""
+    each |f_j| on every cube, shape (cubes, len(fs)), rows in heap order
+    (see ``lattice._level_views``).  Built bottom up: |f_j| at the cells,
+    then each coarser level 2^-d times the sum over the children of each
+    of its cubes."""
     if not fs:
         raise ValueError("need at least one function")
     lat = fs[0].lattice
@@ -110,15 +109,12 @@ class SparseCollection:
     def __len__(self):
         return len(self.level)
 
-    @cached_property
-    def cubes(self) -> tuple[Cube, ...]:
-        return tuple(Cube(lv, tuple(k)) for lv, k in zip(self.level.tolist(), self.index.tolist()))
-
 
 def _z_order(level: np.ndarray, index: np.ndarray, L: int, d: int) -> np.ndarray:
     """Position of each cube's first finest cell in the depth-first order
-    of ``Cube.children`` (axis 0 the most significant bit of each level);
-    a cube covers the 2^(d (L - level)) positions from there."""
+    that visits the children of a cube in heap order (axis 0 the most
+    significant bit of each level); a cube covers the 2^(d (L - level))
+    positions from there."""
     cell = index << (L - level)[:, None]
     z = np.zeros(len(level), dtype=np.int64)
     for b in range(L - 1, -1, -1):
@@ -216,10 +212,10 @@ def sparse_form(s: SparseCollection, fs: list[GridFunction]) -> float:
 # oracles: the recursive construction with dense witness masks
 # ---------------------------------------------------------------------------
 
-def _stopping_masks(fs: list[GridFunction], theta: float) -> tuple[list[Cube], dict]:
-    """Oracle of ``build_sparse_stopping``: the recursion over cubes, with
-    E_Q as a boolean mask over the aligned finest cells.  The cubes are
-    listed by (level, index)."""
+def _stopping_masks(fs: list[GridFunction], theta: float) -> tuple[list[tuple], dict]:
+    """Oracle of ``build_sparse_stopping``: the recursion over cubes
+    (level, index), with E_Q as a boolean mask over the aligned finest
+    cells, keyed by the cube.  The cubes are listed by (level, index)."""
     lat, pyr = _pyramid(fs)
     n1 = len(fs)
     if theta <= n1:
@@ -228,10 +224,12 @@ def _stopping_masks(fs: list[GridFunction], theta: float) -> tuple[list[Cube], d
     levels = _level_views(pyr, L, d)
 
     def avg(j, Q):
-        return float(levels[Q.level][Q.index + (j,)])
+        return float(levels[Q[0]][Q[1] + (j,)])
 
-    cubes = []
-    exceptional = {}
+    def children(Q):
+        level, index = Q
+        return [(level + 1, tuple(2 * i + b for i, b in zip(index, e)))
+                for e in np.ndindex(*(2,) * d)]
 
     def stopping_children(Q):
         found = []
@@ -240,29 +238,27 @@ def _stopping_masks(fs: list[GridFunction], theta: float) -> tuple[list[Cube], d
         def scan(c):
             if any(avg(j, c) > theta * base[j] for j in range(n1)):
                 found.append(c)
-                return
-            if c.level < L:
-                for cc in c.children():
+            elif c[0] < L:
+                for cc in children(c):
                     scan(cc)
 
-        if Q.level < L:
-            for c in Q.children():
+        if Q[0] < L:
+            for c in children(Q):
                 scan(c)
         return found
 
-    stack = [lat.top()]
+    exceptional = {}
+    stack = [(0, (0,) * d)]
     while stack:
         Q = stack.pop()
         kids = stopping_children(Q)
         mask = np.zeros((lat.cells_per_axis,) * d, dtype=bool)
-        mask[_cell_block(lat, Q)] = True
+        mask[_cell_block(lat, *Q)] = True
         for S in kids:
-            mask[_cell_block(lat, S)] = False
-        cubes.append(Q)
+            mask[_cell_block(lat, *S)] = False
         exceptional[Q] = mask.reshape(-1)
         stack.extend(kids)
-    cubes.sort(key=lambda Q: (Q.level, Q.index))
-    return cubes, exceptional
+    return sorted(exceptional), exceptional
 
 
 def _masks_sparse(lat: Lattice, cubes, exceptional: dict, eta: float) -> bool:
@@ -274,10 +270,10 @@ def _masks_sparse(lat: Lattice, cubes, exceptional: dict, eta: float) -> bool:
             return False
         mask = exceptional[Q]
         inside = np.zeros((lat.cells_per_axis,) * lat.dim, dtype=bool)
-        inside[_cell_block(lat, Q)] = True
+        inside[_cell_block(lat, *Q)] = True
         if np.any(mask & ~inside.reshape(-1)):
             return False  # E_Q not contained in Q
-        if mask.sum() * lat.cell_volume <= eta * Q.measure() * (1.0 - MEASURE_SLACK):
+        if mask.sum() * lat.cell_volume <= eta * 2.0 ** (-lat.dim * Q[0]) * (1.0 - MEASURE_SLACK):
             return False
         occupancy += mask
     return bool(occupancy.max(initial=0) <= 1)
@@ -288,12 +284,12 @@ def _sparse_form_per_cube(cubes, fs: list[GridFunction]) -> float:
     lat = fs[0].lattice
     mats = [np.abs(f.aligned()[..., 0, 0]) for f in fs]
     total = 0.0
-    for Q in cubes:
-        blk = _cell_block(lat, Q)
+    for level, index in cubes:
+        blk = _cell_block(lat, level, index)
         prod = 1.0
         for m in mats:
             prod *= float(m[blk].mean())
-        total += Q.measure() * prod
+        total += 2.0 ** (-lat.dim * level) * prod
     return total
 
 

@@ -28,12 +28,18 @@ def test_help_lists_commands(capsys):
         assert cmd in out
 
 
-def test_python_dash_m_runs_the_cli():
+def _dash_m(*args):
+    """``python -m dyadlab args`` in a new process, dyadlab imported from
+    this source tree."""
     src = str(Path(dyadlab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-m", "dyadlab", "factorize", "--help"],
+    return subprocess.run([sys.executable, "-m", "dyadlab", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _dash_m("factorize", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: dyadlab")
 
@@ -127,6 +133,14 @@ def test_seed_changes_report(tmp_path):
     assert (a / "shift-eval.json").read_bytes() != (b / "shift-eval.json").read_bytes()
 
 
+def test_negative_seed_option_fails_at_load(tmp_path):
+    # --seed passes the rule of the seed field, as a config file's seed does
+    done = _dash_m("haar-suite", "--seed", "-1", "--out", str(tmp_path))
+    assert done.returncode == 1
+    assert done.stderr == "config error at seed: -1 is less than the minimum of 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _config_error(tmp_path, command, field, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))
@@ -196,6 +210,11 @@ def test_config_schema_violation_reports_path(tmp_path):
     ("leibniz-study", "drift_band", -1),
     ("leibniz-study", "drift_band", 0),
     ("kernel-const", "stability_band", -0.5),
+    # numpy's generators reject a negative seed, deep inside a run
+    ("haar-suite", "seed", -1),
+    ("rad-suite", "seed", -1),
+    ("kernel-const", "seed", -1),
+    ("decouple", "seed", -1),
 ])
 def test_config_schema_bound_reports_path(tmp_path, command, field, value):
     assert f"config error at {field}" in _config_error(tmp_path, command, field, value)
@@ -302,7 +321,14 @@ def _keyword_cases():
             yield field, "uniqueItems", [1, 2], [2, 2.0], field
 
 
-@pytest.mark.parametrize("field, keyword, accepted, rejected, path", list(_keyword_cases()))
+# pytest names a case that holds a list by its index in the table, so the
+# cases of keywords given to a rule later go last and leave the names of the
+# array cases as they were
+_LATER_KEYWORDS = {("seed", "minimum")}
+_KEYWORD_CASES = sorted(_keyword_cases(), key=lambda case: case[:2] in _LATER_KEYWORDS)
+
+
+@pytest.mark.parametrize("field, keyword, accepted, rejected, path", _KEYWORD_CASES)
 def test_checker_keyword_table(field, keyword, accepted, rejected, path):
     rule = cli.FIELDS[field]
     assert cli._checked(accepted, rule, field) == accepted

@@ -28,21 +28,22 @@ def _lattices():
 
 def _off_on_one_block(monkeypatch, cube, which):
     """Make level_blocks return E^k (which=0) or Delta^k (which=1) off
-    by OFF on the block of ``cube``, for every k at the cube's level."""
+    by OFF on the block of ``cube`` = (level, index), for every k at the
+    cube's level."""
     real = lt.level_blocks
 
     def mutated(lat, a, level, k=0):
         out = list(real(lat, a, level, k))
-        if level == cube.level and out[which] is not None:
+        if level == cube[0] and out[which] is not None:
             out[which] = out[which].copy()
-            out[which][lt._cell_block(lat, cube)] += OFF
+            out[which][lt._cell_block(lat, *cube)] += OFF
         return tuple(out)
 
     monkeypatch.setattr(lt, "level_blocks", mutated)
 
 
 def _cube(lat):
-    return dl.Cube(1, (1,) * lat.dim)
+    return 1, (1,) * lat.dim
 
 
 @pytest.mark.parametrize("lat", _lattices(), ids=["d1", "d2-shifted"])

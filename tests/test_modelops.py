@@ -11,37 +11,47 @@ import dyadlab as dl
 from dyadlab import modelops as mo
 from dyadlab.lattice import FieldError
 
+from conftest import lattice_cubes
+
 
 def _lat(L=4):
     return dl.build_lattice(1, L)
 
 
 def _table(coeffs, shape=(3, 2)):
-    """CoeffTable from a dict {(K, Qs, etas): a} or {(K, eta): a};
-    ``shape`` gives the cubes and etas per row of an empty dict."""
+    """CoeffTable from a dict {(K, Qs, etas): a} or {(K, eta): a}, each
+    cube a (level, index) pair; ``shape`` gives the cubes and etas per row
+    of an empty dict."""
     rows = [((k[0], *k[1]), k[2]) if len(k) == 3 else ((k[0],), (k[1],)) for k in coeffs]
     if rows:
         shape = (len(rows[0][0]), len(rows[0][1]))
-    d = rows[0][0][0].dim if rows else 1
+    d = len(rows[0][0][0][1]) if rows else 1
     return mo.CoeffTable(
-        np.reshape([[c.level for c in cs] for cs, _ in rows], (-1, shape[0])),
-        np.reshape([[c.index for c in cs] for cs, _ in rows], (-1, shape[0], d)),
+        np.reshape([[c[0] for c in cs] for cs, _ in rows], (-1, shape[0])),
+        np.reshape([[c[1] for c in cs] for cs, _ in rows], (-1, shape[0], d)),
         np.reshape([es for _, es in rows], (-1, shape[1])), list(coeffs.values()))
 
 
-def _top(lat):
-    return lat.top()
+def _entries(t):
+    """The rows of a table as (key, value) pairs, the inverse of ``_table``:
+    keys (K, Qs, etas) or (K, eta), each cube a (level, index) pair."""
+    out = []
+    for lv, ix, es, a in zip(t.level.tolist(), t.index.tolist(), t.eta.tolist(),
+                             t.value.tolist()):
+        cs = [(l, tuple(i)) for l, i in zip(lv, ix)]
+        out.append(((cs[0], es[0]) if len(cs) == 1 else (cs[0], tuple(cs[1:]), tuple(es)), a))
+    return out
 
 
 def _unit_shift(lat):
-    K = lat.top()
+    K = (0, (0,))
     return mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, _table({(K, (K, K), (1, 1)): 1.0}))
 
 
 def test_trivial_shift_on_haar():
     lat = _lat()
     spec = _unit_shift(lat)
-    h = dl.haar(lat, (lat.top(), 1))
+    h = dl.haar(lat, 0, (0,), 1)
     assert mo.eval_shift_form(spec, [h, h]) == pytest.approx(1.0)
 
 
@@ -49,14 +59,13 @@ def test_constant_in_cancellative_slot_vanishes():
     lat = _lat()
     spec = _unit_shift(lat)
     one = dl.GridFunction(lat, np.ones(16))
-    h = dl.haar(lat, (lat.top(), 1))
+    h = dl.haar(lat, 0, (0,), 1)
     assert abs(mo.eval_shift_form(spec, [one, h])) < 1e-15
 
 
 def test_normalization_rejects_over_bound():
     lat = _lat()
-    K = lat.top()
-    Q = dl.Cube(1, (0,))
+    K, Q = (0, (0,)), (1, (0,))
     # bound for complexity (1,1): |Q1|^(1/2)|Q2|^(1/2)/|K| = 1/2
     coeffs = _table({(K, (Q, Q), (1, 1)): 0.9})
     with pytest.raises(FieldError, match=r"^field coeffs\[0\]\.re is rejected: .*exceeds the "
@@ -86,8 +95,7 @@ def test_specs_reject_a_non_finite_coefficient(kind, part, bad):
 
 def test_spec_rejects_wrong_ancestry_or_eta():
     lat = _lat()
-    K = lat.top()
-    Q = dl.Cube(1, (0,))
+    K, Q = (0, (0,)), (1, (0,))
     with pytest.raises(ValueError):
         mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, _table({(K, (Q, K), (1, 1)): 0.1}))
     with pytest.raises(ValueError):
@@ -106,7 +114,7 @@ def test_make_random_shift_deterministic_and_scaled():
     # scale 1 with everything on the top cube: |a| = bound = 1
     full = mo.make_random_shift(lat, 1, (0, 0), {1, 2}, seed=1, scale=1.0,
                                 blocks=1, tuples_per_block=1)
-    (_key, val), = full.coeffs.items()
+    val, = full.coeffs.value
     assert abs(abs(val) - mo._coeff_bound(full.coeffs.level, 1, 1)[0]) < 1e-12
 
 
@@ -168,9 +176,9 @@ def test_mismatched_inputs_rejected():
 
 def test_paraproduct_examples():
     lat = _lat()
-    K = lat.top()
+    K = (0, (0,))
     one = dl.GridFunction(lat, np.ones(16))
-    h = dl.haar(lat, (K, 1))
+    h = dl.haar(lat, *K, 1)
     pp = mo.ParaproductSpec(lat, 1, 2, _table({(K, 1): 0.8}))
     assert mo.eval_paraproduct_form(pp, [one, h]) == pytest.approx(0.8)
     # constants in every slot pair a constant against a cancellative Haar
@@ -188,23 +196,23 @@ def test_paraproduct_oracle(rng):
     # direct enumeration with explicit averages and Haar pairings
     total = 0j
     order = [1, 2, 3]  # j0 = 3: cyclic order is 1, 2, 3
-    for (K, eta), a in pp.coeffs.items():
-        prod = dl.average(fs[0], K) @ dl.average(fs[1], K)
-        prod = prod @ dl.pairing(fs[2], dl.haar(lat, (K, eta)))
+    for (K, eta), a in _entries(pp.coeffs):
+        prod = dl.average(fs[0], *K) @ dl.average(fs[1], *K)
+        prod = prod @ dl.pairing(fs[2], dl.haar(lat, *K, eta))
         total += a * np.trace(prod)
     assert abs(mo.eval_paraproduct_form(pp, fs) - total) < 1e-12
 
 
 def test_bmo_coeffs():
     lat = _lat()
-    K = lat.top()
-    h = dl.haar(lat, (K, 1))
+    K = (0, (0,))
+    h = dl.haar(lat, *K, 1)
     coeffs = mo.make_bmo_coeffs(lat, h)
-    assert dict(coeffs.items()).keys() == {(K, 1)}
-    assert dict(coeffs.items())[(K, 1)] == pytest.approx(1.0)
+    assert dict(_entries(coeffs)).keys() == {(K, 1)}
+    assert dict(_entries(coeffs))[(K, 1)] == pytest.approx(1.0)
     # homogeneity
     five = mo.make_bmo_coeffs(lat, dl.GridFunction(lat, 5.0 * h.values))
-    assert dict(five.items())[(K, 1)] == pytest.approx(1.0)
+    assert dict(_entries(five))[(K, 1)] == pytest.approx(1.0)
     # normalized output attains Carleson constant one
     g = dl.random_grid_function(lat, seed=7)
     pp = mo.ParaproductSpec(lat, 1, 1, mo.make_bmo_coeffs(lat, g))
@@ -247,7 +255,7 @@ def test_make_bmo_coeffs_builds_one_pyramid(monkeypatch):
 
 def test_carleson_violation_rejected():
     lat = _lat()
-    K = lat.top()
+    K = (0, (0,))
     with pytest.raises(ValueError):
         mo.ParaproductSpec(lat, 1, 1, _table({(K, 1): 2.0}))
 
@@ -255,7 +263,7 @@ def test_carleson_violation_rejected():
 def test_adjoint_trivial_shift_maps_haar_to_haar():
     lat = _lat()
     spec = _unit_shift(lat)
-    h = dl.haar(lat, (lat.top(), 1))
+    h = dl.haar(lat, 0, (0,), 1)
     g = mo.adjoint_eval(spec, 2, [h])
     assert np.abs(g.values - h.values).max() < 1e-12
     zero = mo.ShiftSpec(lat, 1, (0, 0), {1, 2}, _table({}))
@@ -516,8 +524,7 @@ def test_shift_json_roundtrip():
 
 
 def test_shift_json_eta_default():
-    lat = dl.build_lattice(1, 3)
-    K = lat.top()
+    K = (0, (0,))
     payload = {
         "n": 1, "complexity": [0, 0], "cancellative": [1, 2],
         "dim": 1, "depth": 3, "shift": [0.0],
@@ -529,7 +536,7 @@ def test_shift_json_eta_default():
     # within the bound, the missing etas default to the fully cancellative pattern
     payload["coeffs"][0]["re"] = 1.0
     spec = mo.shift_from_json(json.dumps(payload))
-    assert dict(spec.coeffs.items())[(K, (K, K), (1, 1))] == 1.0
+    assert dict(_entries(spec.coeffs))[(K, (K, K), (1, 1))] == 1.0
 
 
 def test_paraproduct_json_roundtrip():
@@ -661,6 +668,14 @@ def test_shift_loader_names_bad_field(edit, field):
     obj = _shift_payload()
     edit(obj)
     with pytest.raises(ValueError, match=rf"field {re.escape(field)}( |$)"):
+        mo.shift_from_json(json.dumps(obj))
+
+
+def test_shift_loader_rejects_an_inexact_shift_at_depth_30():
+    # 0.3 * 2^30 lies a fifth of a cell off a multiple: rejected, not rounded
+    obj = _shift_payload()
+    obj.update(depth=30, shift=[0.3])
+    with pytest.raises(FieldError, match=r"^field shift is rejected: 0.3 is not a multiple"):
         mo.shift_from_json(json.dumps(obj))
 
 
@@ -813,12 +828,12 @@ def test_coeff_table_arrays_are_read_only():
 
 
 def test_coeff_table_merges_repeated_keys():
-    Q, K = dl.Cube(1, (1,)), dl.Cube(0, (0,))
+    Q, K = (1, (1,)), (0, (0,))
     rows = ([[1], [0], [1]], [[[1]], [[0]], [[1]]], [[1], [1], [1]], [1.0, 2.0, 3.0])
     # a table keeps the rows it is given; the merge is reduce_shift's
     assert len(mo.CoeffTable(*rows)) == 3
     summed = _merged_table(*rows)
-    assert list(summed.items()) == [((Q, 1), 4.0), ((K, 1), 2.0)]
+    assert _entries(summed) == [((Q, 1), 4.0), ((K, 1), 2.0)]
     # equality is by key and value, whatever the row order
     swapped = mo.CoeffTable([[0], [1]], [[[0]], [[1]]], [[1], [1]], [2.0, 4.0])
     assert len(swapped) == 2 and swapped == summed
@@ -854,32 +869,32 @@ def test_coeff_table_merge_edge_cases():
 
 def _contains(K0, K):
     """K lies in K0: index >> k is the index of the ancestor k levels up."""
-    k = K.level - K0.level
-    return k >= 0 and tuple(i >> k for i in K.index) == K0.index
+    k = K[0] - K0[0]
+    return k >= 0 and tuple(i >> k for i in K[1]) == K0[1]
 
 
 def _carleson_brute(lat, coeffs):
     """Carleson constant of ((K, eta), a) pairs, cube by cube."""
     coeffs = list(coeffs)
     best = 0.0
-    for K0 in lat.cubes():
+    for K0 in lattice_cubes(lat):
         tot = 0.0
         for (K, _eta), a in coeffs:
             if _contains(K0, K):
                 tot += abs(a) ** 2
-        best = max(best, (tot / K0.measure()) ** 0.5)
+        best = max(best, (tot / 2.0 ** (-K0[0] * lat.dim)) ** 0.5)
     return best
 
 
 def _bmo_brute(h):
     lat = h.lattice
-    sq = {Q: sum(abs(complex(dl.pairing(h, dl.haar(lat, (Q, eta)))[0, 0])) ** 2
+    sq = {Q: sum(abs(complex(dl.pairing(h, dl.haar(lat, *Q, eta))[0, 0])) ** 2
                  for eta in range(1, 1 << lat.dim))
-          for Q in lat.cubes() if Q.level < lat.depth}
+          for Q in lattice_cubes(lat) if Q[0] < lat.depth}
     best = 0.0
-    for K0 in lat.cubes():
+    for K0 in lattice_cubes(lat):
         tot = sum(s for Q, s in sq.items() if _contains(K0, Q))
-        best = max(best, (tot / K0.measure()) ** 0.5)
+        best = max(best, (tot / 2.0 ** (-K0[0] * lat.dim)) ** 0.5)
     return best
 
 
@@ -889,15 +904,15 @@ def test_carleson_and_bmo_sweeps_match_brute_force(d, L):
     lat = dl.build_lattice(d, L, 3)
     for trial in range(5):
         coeffs = {}
-        for Q in lat.cubes():
+        for Q in lattice_cubes(lat):
             for eta in range(1, 1 << d):
-                if Q.level < L and rng.uniform() < 0.3:
+                if Q[0] < L and rng.uniform() < 0.3:
                     coeffs[(Q, eta)] = complex(*rng.standard_normal(2))
         # scaled to constant 1/2, so that the spec meets the Carleson condition
         scale = 0.5 / _carleson_brute(lat, coeffs.items())
         pp = mo.ParaproductSpec(lat, 1, 1, _table({key: a * scale for key, a in coeffs.items()},
                                                   (1, 1)))
-        assert abs(pp.carleson_constant() - _carleson_brute(lat, pp.coeffs.items())) < 1e-12
+        assert abs(pp.carleson_constant() - _carleson_brute(lat, _entries(pp.coeffs))) < 1e-12
         h = dl.random_grid_function(lat, seed=trial)
         assert abs(mo.bmo_norm(h) - _bmo_brute(h)) < 1e-12
 
@@ -955,8 +970,7 @@ def test_fast_form_equals_naive_2d():
     spec = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, seed=17,
                                 blocks=2, tuples_per_block=3)
     # d = 2: every cancellative slot spawns all three sign patterns
-    assert all(etas[0] in (1, 2, 3) and etas[2] in (1, 2, 3)
-               for (_K, _qs, etas), _a in spec.coeffs.items())
+    assert all(etas[0] in (1, 2, 3) and etas[2] in (1, 2, 3) for etas in spec.coeffs.eta.tolist())
     fs = [dl.random_grid_function(lat, N=2, seed=90 + i) for i in range(3)]
     assert abs(mo.eval_shift_form(spec, fs)
                - mo.eval_shift_form_naive(spec, fs)) < 1e-12
@@ -993,13 +1007,13 @@ def test_paraproduct_2d_carleson_and_form():
     lat = dl.build_lattice(2, 2)
     h = dl.random_grid_function(lat, seed=44)
     coeffs = mo.make_bmo_coeffs(lat, h)
-    assert any(eta in (2, 3) for (_Q, eta), _a in coeffs.items())
+    assert any(eta in (2, 3) for eta in coeffs.eta[:, 0].tolist())
     pp = mo.ParaproductSpec(lat, 1, 2, coeffs)
     assert pp.carleson_constant() == pytest.approx(1.0, abs=1e-12)
     fs = [dl.random_grid_function(lat, N=2, seed=96 + i) for i in range(2)]
     total = 0j
-    for (K, eta), a in pp.coeffs.items():
-        prod = dl.average(fs[0], K) @ dl.pairing(fs[1], dl.haar(lat, (K, eta)))
+    for (K, eta), a in _entries(pp.coeffs):
+        prod = dl.average(fs[0], *K) @ dl.pairing(fs[1], dl.haar(lat, *K, eta))
         total += a * np.trace(prod)
     assert abs(mo.eval_paraproduct_form(pp, fs) - total) < 1e-12
 

@@ -8,7 +8,7 @@ from dyadlab import ncspaces as nc
 from dyadlab import randomized as rz
 from dyadlab import cli
 from dyadlab.lattice import _cell_block, from_aligned
-from conftest import random_matrix
+from conftest import lattice_cubes, random_matrix
 
 
 def test_ensemble_exhaustive_patterns():
@@ -76,7 +76,7 @@ def _supported(lat, level, index, seed, N=1):
     """Random N x N values that vanish off the cube (level, index)."""
     g = dl.random_grid_function(lat, N=N, seed=seed)
     mask = np.zeros((lat.cells_per_axis,) * lat.dim)
-    mask[_cell_block(lat, dl.Cube(level, tuple(index)))] = 1.0
+    mask[_cell_block(lat, level, index)] = 1.0
     return g.values * from_aligned(lat, mask).values
 
 
@@ -90,12 +90,12 @@ def _stein_per_cube(lat, values, level, index, p, schatten, ens):
     """stein_check as a dict of cube functions: E_Q f_Q from ``expect`` on
     each cube, the cubes sorted by (level, index), the norms taken in
     aligned cells as stein_check takes them."""
-    fqs = {dl.Cube(int(lv), tuple(int(i) for i in ix)): dl.GridFunction(lat, v)
+    fqs = {(int(lv), tuple(int(i) for i in ix)): dl.GridFunction(lat, v)
            for v, lv, ix in zip(values, level, index)}
-    cubes = sorted(fqs, key=lambda Q: (Q.level, Q.index))
+    cubes = sorted(fqs)
     eps = ens.patterns()[:, :len(cubes)]
     raw = np.stack([fqs[Q].aligned() for Q in cubes])
-    avg = np.stack([dl.expect(fqs[Q], Q).aligned() for Q in cubes])
+    avg = np.stack([dl.expect(fqs[Q], *Q).aligned() for Q in cubes])
     return tuple(float(np.mean(nc.lp_norms(np.tensordot(eps, x, axes=(1, 0)), p, schatten)))
                  for x in (avg, raw))
 
@@ -147,7 +147,7 @@ def test_stein_rejects_unsupported():
         with pytest.raises(ValueError, match="not supported"):
             check(g)
         mask = np.zeros(g.shape[:lat.dim] + (1, 1))
-        mask[_cell_block(lat, dl.Cube(1, cube))] = 1.0
+        mask[_cell_block(lat, 1, cube)] = 1.0
         check(g * from_aligned(lat, mask).values)
         if any(lat.shift_cells):
             # zero off the cube's block of aligned cells, but not rolled onto
@@ -162,7 +162,7 @@ def test_sampler_draws_one_stream_per_cube_in_heap_order(d, L, levels):
     count = 37
     rng = np.random.default_rng(11)
     ref = [rng.integers(0, 2 ** ((L - lv) * d), size=count)
-           for lv in levels for _ in lat.cubes(lv)]
+           for lv in levels for _ in lattice_cubes(lat, lv)]
     got = rz.DecouplingSampler(lat, seed=11).draws(levels, count)
     assert got.shape == (count, len(ref))
     assert np.array_equal(got, np.stack(ref, axis=1))
@@ -258,11 +258,11 @@ def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, 
     samp = rz.DecouplingSampler(lat, seed=4)
     ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=6)
     _, levels, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
-    cubes = [Q for lv in levels for Q in lat.cubes(lv)]
-    per_cube = [dl.martingale_diff(f, Q, jkl[2]) for Q in cubes]
+    cubes = [Q for lv in levels for Q in lattice_cubes(lat, lv)]
+    per_cube = [dl.martingale_diff(f, *Q, jkl[2]) for Q in cubes]
     for Q, g in zip(cubes, per_cube):
-        block = _cell_block(lat, Q)
-        assert np.abs(diffs[Q.level][block] - g.aligned()[block]).max() <= 1e-12
+        block = _cell_block(lat, *Q)
+        assert np.abs(diffs[Q[0]][block] - g.aligned()[block]).max() <= 1e-12
     total = sum(g.values for g in per_cube)
     assert abs(lhs - dl.lp_norm(total, 3.0, 2.0) ** 3.0) <= 1e-12 * max(1.0, lhs)
 
@@ -363,8 +363,8 @@ def test_martingale_transform_statistic():
 def _transform_ratio_per_cube(f, p, schatten, ens):
     """martingale_transform_ratio with Delta_Q f from ``martingale_diff`` on each cube."""
     lat = f.lattice
-    cubes = [Q for lv in range(lat.depth) for Q in lat.cubes(lv)]
-    diffs = np.stack([dl.martingale_diff(f, Q).values for Q in cubes])
+    cubes = [Q for lv in range(lat.depth) for Q in lattice_cubes(lat, lv)]
+    diffs = np.stack([dl.martingale_diff(f, *Q).values for Q in cubes])
     base = f.values - f.values.mean(axis=tuple(range(lat.dim)), keepdims=True)
     den = dl.lp_norm(base, p, schatten)
     signed = np.tensordot(ens.patterns()[:, :len(cubes)], diffs, axes=(1, 0))

@@ -10,13 +10,20 @@ from dyadlab import sparse as sp
 from dyadlab.lattice import _cell_block
 from dyadlab.ncspaces import schatten_norms
 
+from conftest import lattice_cubes
+
 
 def _ones(lat, c=1.0):
     return dl.GridFunction(lat, np.full((lat.cells_per_axis,) * lat.dim, c))
 
 
 def _tree(lat, cubes, parent):
-    return sp.SparseCollection(lat, [Q.level for Q in cubes], [Q.index for Q in cubes], parent)
+    return sp.SparseCollection(lat, [Q[0] for Q in cubes], [Q[1] for Q in cubes], parent)
+
+
+def _cubes(col):
+    """The cubes of a collection as (level, index) pairs, in its order."""
+    return [(lv, tuple(ix)) for lv, ix in zip(col.level.tolist(), col.index.tolist())]
 
 
 def test_maximal_constants():
@@ -33,9 +40,9 @@ def test_maximal_disjoint_halves():
     assert m.value_shape == (1, 1) and np.allclose(m.values.real, 0.25)
     # brute force over all cubes
     best = np.zeros(8)
-    for Q in lat.cubes():
-        prod = abs(dl.average(f1, Q)[0, 0]) * abs(dl.average(f2, Q)[0, 0])
-        blk = _cell_block(lat, Q)
+    for Q in lattice_cubes(lat):
+        prod = abs(dl.average(f1, *Q)[0, 0]) * abs(dl.average(f2, *Q)[0, 0])
+        blk = _cell_block(lat, *Q)
         best[blk] = np.maximum(best[blk], prod)
     assert np.abs(m.values[..., 0, 0].real - best).max() < 1e-14
 
@@ -46,9 +53,9 @@ def test_maximal_matches_brute_force_at_d2():
     m = sp.multilinear_maximal(fs)
     mods = [dl.GridFunction(lat, np.abs(f.values)) for f in fs]
     best = np.zeros((8, 8))  # aligned cells
-    for Q in lat.cubes():
-        prod = dl.average(mods[0], Q)[0, 0] * dl.average(mods[1], Q)[0, 0]
-        blk = _cell_block(lat, Q)
+    for Q in lattice_cubes(lat):
+        prod = dl.average(mods[0], *Q)[0, 0] * dl.average(mods[1], *Q)[0, 0]
+        blk = _cell_block(lat, *Q)
         best[blk] = np.maximum(best[blk], prod)
     assert np.abs(m.aligned()[..., 0, 0] - best).max() <= 1e-12 * best.max()
 
@@ -62,10 +69,10 @@ def test_pyramid_matches_block_means_of_each_cube(d, L, shift):
           dl.GridFunction(lat, r.standard_normal((1 << L,) * d))]
     got, pyr = sp._pyramid(fs)
     assert got == lat
-    cubes = list(lat.cubes())
+    cubes = lattice_cubes(lat)
     assert pyr.shape == (len(cubes), 2)
     for row, Q in zip(pyr, cubes):
-        blk = _cell_block(lat, Q)
+        blk = _cell_block(lat, *Q)
         for j, f in enumerate(fs):
             mean = np.abs(f.aligned()[..., 0, 0])[blk].mean()
             assert abs(row[j] - mean) <= 1e-12 * mean
@@ -111,15 +118,13 @@ def test_maximal_rejects_empty_and_matrix():
 
 def test_is_sparse_top_cube():
     lat = dl.build_lattice(1, 3)
-    col = _tree(lat, (lat.top(),), [-1])
+    col = _tree(lat, ((0, (0,)),), [-1])
     assert sp.is_sparse(col, 0.99)
 
 
 def test_is_sparse_nested_chain_fails():
     lat = dl.build_lattice(1, 4)
-    cubes = [lat.top()]
-    while cubes[-1].level < 4:
-        cubes.append(cubes[-1].children()[0])
+    cubes = [(lv, (0,)) for lv in range(5)]  # each the first child of the one before
     # each cube keeps the half of it outside its child: 1/2-sparse, no more
     col = _tree(lat, cubes, [-1, 0, 1, 2, 3])
     assert not sp.is_sparse(col, 0.6)
@@ -130,7 +135,7 @@ def test_is_sparse_nested_chain_fails():
 
 def test_is_sparse_detects_leakage():
     lat = dl.build_lattice(1, 2)
-    Q = dl.Cube(1, (0,))
+    Q = (1, (0,))
     mask = np.zeros(4, dtype=bool)
     mask[2] = True  # outside Q
     # a tree's E_Q lies inside Q by construction; the dense checker sees masks
@@ -149,9 +154,9 @@ def test_stopping_spike_descends():
     spike = dl.GridFunction(lat, 16.0 * (np.arange(16) == 5))
     col = sp.build_sparse_stopping([spike], theta=2.5)
     # the collection follows the spike down to the finest level
-    assert max(Q.level for Q in col.cubes) == 4
-    deepest = [Q for Q in col.cubes if Q.level == 4]
-    assert all(Q.index[0] == 5 for Q in deepest)
+    assert col.level.max() == 4
+    deepest = col.index[col.level == 4]
+    assert all(index[0] == 5 for index in deepest.tolist())
 
 
 def test_stopping_sparsity_random_inputs():
@@ -175,7 +180,7 @@ def test_stopping_rejects_small_theta():
 
 def test_sparse_form_examples():
     lat = dl.build_lattice(1, 3)
-    col = _tree(lat, (lat.top(),), [-1])
+    col = _tree(lat, ((0, (0,)),), [-1])
     assert sp.sparse_form(col, [_ones(lat, 2.0), _ones(lat, 3.0)]) == pytest.approx(6.0)
     empty = _tree(lat, (), [])
     assert sp.sparse_form(empty, [_ones(lat)]) == 0.0
@@ -229,13 +234,14 @@ def _tree_masks(col):
     """Dense witness masks of a cube tree: each cube minus its children."""
     lat = col.lattice
     grid = (lat.cells_per_axis,) * lat.dim
-    masks = [np.zeros(grid, dtype=bool) for _ in col.cubes]
-    for Q, m in zip(col.cubes, masks):
-        m[_cell_block(lat, Q)] = True
-    for Q, p in zip(col.cubes, col.parent):
+    cubes = _cubes(col)
+    masks = [np.zeros(grid, dtype=bool) for _ in cubes]
+    for Q, m in zip(cubes, masks):
+        m[_cell_block(lat, *Q)] = True
+    for Q, p in zip(cubes, col.parent):
         if p >= 0:
-            masks[p][_cell_block(lat, Q)] = False
-    return {Q: m.reshape(-1) for Q, m in zip(col.cubes, masks)}
+            masks[p][_cell_block(lat, *Q)] = False
+    return {Q: m.reshape(-1) for Q, m in zip(cubes, masks)}
 
 
 @pytest.mark.parametrize("d, L", [(1, 1), (1, 6), (2, 2), (2, 4), (3, 1), (3, 3)])
@@ -244,7 +250,7 @@ def test_stopping_tree_matches_recursive_oracle(d, L):
     for fs, theta in _oracle_inputs(d, L):
         col = sp.build_sparse_stopping(fs, theta)
         cubes, masks = sp._stopping_masks(fs, theta)
-        assert col.cubes == tuple(cubes)
+        assert _cubes(col) == cubes
         tree = _tree_masks(col)
         assert all(np.array_equal(tree[Q], masks[Q]) for Q in cubes)
         for eta in (0.0, col.eta, 0.5, 0.75, 0.95):
@@ -258,7 +264,7 @@ def test_stopping_lists_cubes_by_level_and_index_parents_first():
     for d, L in [(1, 6), (2, 4), (3, 3)]:
         for fs, theta in _oracle_inputs(d, L):
             col = sp.build_sparse_stopping(fs, theta)
-            keys = [(Q.level, Q.index) for Q in col.cubes]
+            keys = _cubes(col)
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             assert col.parent[0] == -1 and np.all(col.parent[1:] >= 0)
             assert np.all(col.parent[1:] < np.arange(1, len(col)))
@@ -286,7 +292,7 @@ def test_sparse_form_of_a_built_collection_reads_the_inputs_it_is_given():
     others.append(fs)
     for gs in others:
         assert sp.sparse_form(col, gs) == sp.sparse_form(bare, gs)
-        oracle = sp._sparse_form_per_cube(col.cubes, gs)
+        oracle = sp._sparse_form_per_cube(_cubes(col), gs)
         assert abs(sp.sparse_form(col, gs) - oracle) <= 1e-12 * oracle
     assert sp.sparse_form(col, fs) != expected
 
@@ -316,7 +322,7 @@ def test_is_sparse_agrees_with_masks_on_regrafted_trees():
             tree = sp.SparseCollection(lat, col.level, col.index, parent)
             for eta in (0.0, 0.5):
                 assert sp.is_sparse(tree, eta) == sp._masks_sparse(
-                    lat, tree.cubes, _tree_masks(tree), eta)
+                    lat, _cubes(tree), _tree_masks(tree), eta)
             assert not sp.is_sparse(tree, 0.0)
             moved += 1
     assert moved > 0
@@ -324,8 +330,8 @@ def test_is_sparse_agrees_with_masks_on_regrafted_trees():
 
 def test_is_sparse_rejects_malformed_trees():
     lat = dl.build_lattice(1, 3)
-    top, left, right = lat.top(), dl.Cube(1, (0,)), dl.Cube(1, (1,))
-    quarter = dl.Cube(2, (0,))
+    top, left, right = (0, (0,)), (1, (0,)), (1, (1,))
+    quarter = (2, (0,))
 
     def verdict(cubes, parent, eta=0.25):
         return sp.is_sparse(_tree(lat, cubes, parent), eta)
@@ -339,7 +345,7 @@ def test_is_sparse_rejects_malformed_trees():
     assert not verdict([top, left], [-1, -2])
     assert not verdict([top, left, right], [-1, 0, 0])     # |E_top| = 0
     assert not verdict([top, left, quarter], [-1, 0, 1], eta=0.6)  # |E_Q| = |Q| / 2
-    assert not verdict([dl.Cube(4, (0,))], [-1])           # below the finest level
+    assert not verdict([(4, (0,))], [-1])                  # below the finest level
     assert not sp.is_sparse(sp.SparseCollection(lat, [1], [[2]], [-1]), 0.1)  # outside
     assert sp.is_sparse(_tree(lat, [], []), 0.99)
     with pytest.raises(ValueError):
