@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import operator
 import os
 import sys
@@ -96,7 +95,7 @@ FIELDS = {
     "scale": {"type": "number", "minimum": 0, "maximum": 1},
     "eta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     "complexity": {"type": "array", "items": _nonneg},
-    "cancellative": {"type": "array", "items": _pos, "minItems": 2, "uniqueItems": True},
+    "cancellative": {"type": "array", "items": _pos},
     # a standard error needs two samples; monotonicity compares budgets
     "samples": {"type": "integer", "minimum": 2},
     "budgets": {"type": "array", "items": _pos, "minItems": 2},
@@ -123,7 +122,8 @@ _BOUNDS = {"minimum": (operator.ge, "less than the minimum of"),
 def _checked(value, rule: dict, path: str):
     """value as the command reads it, or SystemExit naming its path.  Reads
     the JSON Schema keywords of FIELDS with their JSON Schema meaning (true
-    is not a number, 3.0 is the integer 3), and a number must be finite."""
+    is not a number, 3.0 is the integer 3), and a number must convert to a
+    finite float."""
     def fail(message):
         raise SystemExit(f"config error at {path}: {message}")
     kind = rule["type"]
@@ -131,7 +131,8 @@ def _checked(value, rule: dict, path: str):
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
         fail(f"{value!r} is not of type {kind!r}")
-    if isinstance(value, float) and not math.isfinite(value):  # JSON parses 1e400 to inf
+    # JSON parses 1e400 to inf and takes NaN; an integer of 400 digits has no float
+    if kind == "number" and not abs(value) <= sys.float_info.max:
         fail(f"{value} is not a finite number")
     for key, (holds, text) in _BOUNDS.items():
         if key in rule and not holds(value, rule[key]):
@@ -140,38 +141,28 @@ def _checked(value, rule: dict, path: str):
         value = [_checked(x, rule["items"], f"{path}/{i}") for i, x in enumerate(value)]
         if len(value) < rule.get("minItems", 0):
             fail(f"{value!r} is too short")
-        if rule.get("uniqueItems") and len(set(value)) < len(value):
-            fail(f"{value!r} has non-unique elements")
     return value
 
 
 def _field_error(config: dict) -> tuple[str, str] | None:
     """(field, message) for a broken rule between fields or between the
-    entries of one field, which the per-field rules of FIELDS cannot see."""
-    # every lattice is built at d = 1 where the command has no d
-    if "L" in config and config.get("d", 1) * config["L"] > lt.MAX_CUBE_BITS:
-        return "L", f"d * L must be at most {lt.MAX_CUBE_BITS}"
-    if "complexity" in config and not config.get("shift_file"):
-        slots = config["n"] + 1
-        if len(config["complexity"]) != slots:
-            return "complexity", f"needs n + 1 = {slots} entries"
-        if max(config["cancellative"]) > slots:
-            return "cancellative", f"slots must lie in 1..n + 1 = {slots}"
-        # modelops.make_random_shift needs a level for its base cubes
-        if mo.max_base_level(config["L"], config["complexity"], config["cancellative"]) < 0:
-            return "L", "too shallow for the complexity and cancellative slots"
+    entries of one field, which the per-field rules of FIELDS cannot see.
+    The library states each rule where it builds the object; this asks it,
+    and names the library's fields dim and depth as the config does."""
+    try:
+        if "L" in config:  # every lattice is built at d = 1 where the command has no d
+            lt._check_size(config.get("d", 1), config["L"])
+        if "complexity" in config and not config.get("shift_file"):
+            mo.check_shift_shape(config["n"], config["complexity"], config["cancellative"],
+                                 config["L"])
+        if "j" in config:
+            rz.decoupling_levels(config["L"], config["j"], config["k"], config["l"])
+    except lt.FieldError as exc:
+        return {"dim": "d", "depth": "L"}.get(exc.field, exc.field), exc.reason
     # kernel-const's monotonicity check compares each budget with the one before
     budgets = config.get("budgets", [])
     if any(a > b for a, b in zip(budgets, budgets[1:])):
         return "budgets", "each budget must be at least the one before"
-    if "j" in config:
-        j, k = config["j"], config["k"]
-        if j > k:
-            return "j", "the residue j must not exceed the step k"
-        if config["l"] > k:
-            return "l", "the order l must not exceed the step k"
-        if not rz.decoupling_levels(config["L"], j, k, config["l"]):
-            return "L", "no decoupling level leaves room for l more levels"
 
 
 def load_config(command: str, path: str | None, seed_override: int | None) -> dict:
@@ -285,13 +276,11 @@ def run_rad_suite(config, out, fmt):
         es = np.array([[_gaussian(rng, N) for _ in range(4)] for _ in range(2)])
         aks = rng.uniform(size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
         products.append((es, aks, [3.0, 3.0, 3.0], rz.SignEnsemble(4)))
-    # one random function per cube, zero off its cube; on this unshifted lattice the
-    # aligned cells of cell_cubes are the physical ones
+    # one random function per cube, which stein_check restricts to its cube
     lat = lt.build_lattice(1, 3)
     level, index = np.array([0, 1, 2]), np.array([[0], [0], [3]])
-    gs = [lt.random_grid_function(lat, seed=int(rng.integers(2 ** 32))) for _ in level]
-    fqs = np.stack([g.values * (lt.cell_cubes(lat, lv) == i)[..., None, None]
-                    for g, lv, (i,) in zip(gs, level, index)])
+    fqs = np.stack([lt.random_grid_function(lat, seed=int(rng.integers(2 ** 32))).values
+                    for _ in level])
 
     con, con_evals = cr.contraction(contractions)
     prod, prod_evals = cr.product_bound(products)

@@ -310,20 +310,21 @@ def dual_norm_attainment(e: np.ndarray, J: list[int], table: nc.ExponentTable,
                   analytic=res.analytic, empirical=res.empirical)
 
 
-def reconstruction_defect(f: lb.TorusFunction, g: lb.TorusFunction, s: float) -> float:
+def reconstruction_defect(f: lb.TorusFunction, g: lb.TorusFunction, s: float) -> float | None:
     """How far the three-part split of D^s(fg) is from D^s(fg), relative
-    to its largest entry (0 when D^s(fg) = 0)."""
+    to its largest entry (None when D^s(fg) = 0: the pair is no evidence)."""
     full = lb.fractional_derivative(lb.product(f, g), s)
     scale = float(np.abs(full.values).max())
     error = float(np.abs(lb.paraproduct_split(f, g, s).total().values - full.values).max())
-    return error / scale if scale > 0 else 0.0
+    return error / scale if scale > 0 else None
 
 
-def paraproduct_reconstruction(defects: list[float]) -> dict:
+def paraproduct_reconstruction(defects: list[float | None]) -> dict:
     """Every reconstruction defect of a pair is below RECONSTRUCTION_TOL
-    (fails with no pair)."""
-    worst = max(defects, default=0.0)
-    return record("paraproduct-reconstruction", HARD, bool(defects) and worst < RECONSTRUCTION_TOL,
+    (fails with no pair whose D^s(fg) is nonzero)."""
+    found = [x for x in defects if x is not None]
+    worst = max(found, default=0.0)
+    return record("paraproduct-reconstruction", HARD, bool(found) and worst < RECONSTRUCTION_TOL,
                   max_defect=worst, tol=RECONSTRUCTION_TOL)
 
 

@@ -34,12 +34,12 @@ class FieldError(ValueError):
     """A value that breaks a rule of the object built from it, named by
     its file field: a header ``field``, or with a ``row`` that field of
     coefficient entry ``row`` (the whole entry for ""); table row r is
-    file entry r.  The message is ``field <path> is rejected: ...``."""
+    file entry r.  The message is ``field <path> is rejected: <reason>``."""
 
     def __init__(self, field: str, reason: str, row: int | None = None):
         path = field if row is None else f"coeffs[{row}]" + (f".{field}" if field else "")
         super().__init__(f"field {path} is rejected: {reason}")
-        self.field, self.row = field, row
+        self.field, self.reason, self.row = field, reason, row
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +555,7 @@ def grid_function_from_json(text: str) -> GridFunction:
         raise ValueError("field kind must be scalar or matrix")
     N = _int(obj, "N") if kind == "matrix" else 1
     shape = (lat.cells_per_axis,) * lat.dim + (N, N)
-    count = np.prod(shape, dtype=int)
+    count = math.prod(shape)  # Python integers: no overflow for a huge N
     flat = _field(obj, "values")
     if isinstance(flat, list) and all(type(v) is list and len(v) == 2 for v in flat):
         flat = _json_array([x for v in flat for x in v], "values", np.float64)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -156,30 +156,46 @@ def _coeff_bound(level: np.ndarray, dim: int, n: int) -> np.ndarray:
     return prod / (2.0 ** (-level[:, 0] * dim)) ** n
 
 
+def check_shift_shape(n: int, complexity: Sequence[int], cancellative: Collection[int],
+                      depth: int) -> int:
+    """The shape rules of an n-linear shift: n >= 1, n + 1 non-negative
+    complexities, two or more distinct cancellative slots in 1..n + 1, and
+    a level on a depth-``depth`` lattice for the base cube K (Q_j lies k_j
+    levels below K, a cancellative Q_j one more).  Returns the deepest such
+    level; a broken rule raises FieldError naming ``n``, ``complexity``,
+    ``cancellative`` or ``depth``."""
+    if n < 1:
+        raise FieldError("n", "must be at least 1")
+    if len(complexity) != n + 1 or any(k < 0 for k in complexity):
+        raise FieldError("complexity", f"needs n + 1 = {n + 1} non-negative integers")
+    canc = set(cancellative)
+    if not 2 <= len(canc) == len(cancellative) or not canc <= set(range(1, n + 2)):
+        raise FieldError("cancellative", f"needs two or more distinct slots in 1..{n + 1}")
+    level = min(depth - k - ((j + 1) in canc) for j, k in enumerate(complexity))
+    if level < 0:
+        raise FieldError("depth", "too shallow for the complexity and cancellative slots")
+    return level
+
+
 class ShiftSpec:
     """An n-linear dyadic shift bound to a lattice.
 
-    ``cancellative`` holds distinct 1-based slot indices (at least two).
-    The coefficients are a ``CoeffTable`` of rows (K, Q_1..Q_{n+1}) with
-    one eta mask per slot and unique keys.  Out-of-bound coefficients
-    are rejected.  A broken rule raises FieldError naming the field.
+    n, complexity and the 1-based ``cancellative`` slots follow
+    ``check_shift_shape`` at the lattice's depth.  The coefficients are a
+    ``CoeffTable`` of rows (K, Q_1..Q_{n+1}) with one eta mask per slot
+    and unique keys.  Out-of-bound coefficients are rejected.  A broken
+    rule raises FieldError naming the field.
     """
 
     def __init__(self, lattice: Lattice, n: int, complexity: Sequence[int],
                  cancellative: Iterable[int], coeffs: CoeffTable):
         complexity = tuple(int(k) for k in complexity)
         slots = [int(j) for j in cancellative]
-        cancellative = frozenset(slots)
-        if n < 1:
-            raise FieldError("n", "must be at least 1")
-        if len(complexity) != n + 1 or any(k < 0 for k in complexity):
-            raise FieldError("complexity", f"needs n + 1 = {n + 1} non-negative integers")
-        if not 2 <= len(cancellative) == len(slots) or not cancellative <= set(range(1, n + 2)):
-            raise FieldError("cancellative", f"needs two or more distinct slots in 1..{n + 1}")
+        check_shift_shape(n, complexity, slots, lattice.depth)
         self.lattice = lattice
         self.n = n
         self.complexity = complexity
-        self.cancellative = cancellative
+        self.cancellative = frozenset(slots)
         self._validate(coeffs)
         self.coeffs = coeffs
 
@@ -294,15 +310,6 @@ class ReducedShiftTerm:
 # random generators
 # ---------------------------------------------------------------------------
 
-def max_base_level(depth: int, complexity: Sequence[int], cancellative: Iterable[int]) -> int:
-    """Deepest level of a base cube K that fits a shift of the given
-    complexity on a depth-``depth`` lattice: Q_j lies k_j levels below K,
-    and a cancellative slot j needs one more level for the children of
-    Q_j.  Negative when no level fits."""
-    canc = set(cancellative)
-    return min(depth - k - ((j + 1) in canc) for j, k in enumerate(complexity))
-
-
 def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
                       cancellative: Iterable[int], seed: int, scale: float = 1.0,
                       blocks: int = 8, tuples_per_block: int = 8) -> ShiftSpec:
@@ -317,14 +324,8 @@ def make_random_shift(lat: Lattice, n: int, complexity: Sequence[int],
     if not 0.0 <= scale <= 1.0:
         raise ValueError("scale must lie in [0, 1]")
     complexity = tuple(int(k) for k in complexity)
-    if len(complexity) != n + 1:
-        raise ValueError("complexity must have n+1 entries")
     canc = frozenset(int(j) for j in cancellative)
-    if len(canc) < 2:
-        raise ValueError("need at least two cancellative slots")
-    max_level = max_base_level(lat.depth, complexity, canc)
-    if max_level < 0:
-        raise ValueError("complexity incompatible with the lattice depth")
+    max_level = check_shift_shape(n, complexity, canc, lat.depth)
     d, k = lat.dim, np.array(complexity)
     etas = np.array(list(itertools.product(
         *(range(1, 1 << d) if (j + 1) in canc else [0] for j in range(n + 1)))))

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import GridFunction, Lattice, _heap_size, cell_cubes, grid_axes, level_blocks
+from .lattice import (FieldError, GridFunction, Lattice, _heap_size, cell_cubes, grid_axes,
+                      level_blocks)
 from .ncspaces import (chain, conjugate_exponent, lp_norm, lp_norms, power_mean, scalar_pow,
                        schatten_norm, schatten_norms)
 
@@ -116,22 +117,21 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
     """Compare E || sum eps_Q E_Q f_Q ||_{L^p(X; S^schatten)} with the same
     moment of the raw sum.
 
-    ``values`` stacks the functions f_Q, shape (M,) + grid + value shape
-    as ``lp_norms`` takes them; row i belongs to the cube (level[i],
-    index[i]) and must be supported in it.  The rows take their signs in
-    the order of their cubes by level, then index, and the norms are
-    taken in aligned cells (``GridFunction.aligned``)."""
+    ``values`` stacks M functions, shape (M,) + grid + value shape as
+    ``lp_norms`` takes them; f_Q is row i restricted to its cube Q =
+    (level[i], index[i]) (zero off Q).  The rows take their signs in the
+    order of their cubes by level, then index, and the norms are taken in
+    aligned cells (``GridFunction.aligned``)."""
     level = np.asarray(level)
     index = np.reshape(index, (len(level), lat.dim))
     if len(level) == 0 or len(values) != len(level):
         raise ValueError("need one function per cube, and at least one cube")
     raw, avg = [], []
     for i in np.lexsort(tuple(index.T[::-1]) + (level,)):
-        a, lv = GridFunction(lat, values[i]).aligned(), int(level[i])
+        lv = int(level[i])
         inside = cell_cubes(lat, lv) == np.ravel_multi_index(index[i], (1 << lv,) * lat.dim)
         inside = inside[..., None, None]
-        if np.abs(np.where(inside, 0, a)).max() > 1e-12 * max(1, np.abs(a).max()):
-            raise ValueError(f"function {i} is not supported in its cube")
+        a = GridFunction(lat, values[i]).aligned() * inside
         raw.append(a)
         avg.append(np.where(inside, level_blocks(lat, a, lv)[0], 0))
     eps = _patterns_for(ens, len(level))
@@ -146,10 +146,19 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
 def decoupling_levels(depth: int, j: int, k: int, l: int) -> list[int]:
     """The cube levels of decoupling at step k, residue j and order l: the
     separated subcollection (side lengths 2^(m(k+1)+j), m an integer, so
-    levels congruent to -j mod k+1) where Delta^l exists, level + l <= depth - 1."""
-    if not 0 <= j <= k:
-        raise ValueError("need 0 <= j <= k")
-    return [lv for lv in range(depth - l) if (lv + j) % (k + 1) == 0]
+    levels congruent to -j mod k+1) where Delta^l exists, level + l <= depth - 1.
+    The rules of a decoupling step: 0 <= j <= k, l <= k and at least one
+    level; a broken rule raises FieldError naming ``j``, ``l`` or ``depth``."""
+    if j < 0:
+        raise FieldError("j", "the residue j must not be negative")
+    if j > k:
+        raise FieldError("j", "the residue j must not exceed the step k")
+    if l > k:
+        raise FieldError("l", "the order l must not exceed the step k")
+    levels = [lv for lv in range(depth - l) if (lv + j) % (k + 1) == 0]
+    if not levels:
+        raise FieldError("depth", "no decoupling level leaves room for l more levels")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -242,14 +251,10 @@ def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
     plain side (normed in aligned cells), and the sampled offsets and
     signs (one row per sample, one column per cube, as
     ``DecouplingSampler.draws`` orders them)."""
-    if l > k:
-        raise ValueError("need l <= k")
     lat = f.lattice
     if sampler.lattice != lat:
         raise ValueError("sampler lattice mismatch")
     levels = decoupling_levels(lat.depth, j, k, l)
-    if not levels:
-        raise ValueError("no admissible cubes at this depth")
     a = f.aligned()
     diffs = {lv: level_blocks(lat, a, lv, l)[1] for lv in levels}
     lhs = lp_norm(sum(diffs.values()), p, schatten) ** p

@@ -16,6 +16,7 @@ import pytest
 import dyadlab as dl
 from dyadlab import criteria as cr
 from dyadlab import lattice as lt
+from dyadlab import leibniz as lb
 from dyadlab import modelops as mo
 from dyadlab import randomized as rz
 
@@ -160,12 +161,16 @@ def _zero_anchor():
     lambda: cr.factorization_roundtrips([], [])[0],
     lambda: cr.factorization_roundtrips([], [])[1],
     lambda: cr.paraproduct_reconstruction([]),
+    # on a one-point grid D^s(fg) = 0, so no pair is evidence
+    lambda: cr.paraproduct_reconstruction([cr.reconstruction_defect(
+        *(lb.random_torus_function(1, 1, 1, N=2, seed=s) for s in (1, 2)), 1.5)]),
     _zero_anchor,
     lambda: cr.shift_form_oracle(*_empty_shift(), 100),
     lambda: cr.shift_rewrite(*_empty_shift())[0],
     lambda: cr.shift_rewrite(*_empty_shift())[1],
 ], ids=["contraction", "product-bound", "positive-factorization", "mixed-factorization",
-        "paraproduct-reconstruction", "decoupling-anchor", "shift-form-oracle",
+        "paraproduct-reconstruction", "paraproduct-reconstruction-zero-derivative",
+        "decoupling-anchor", "shift-form-oracle",
         "shift-rewrite-form-preservation", "shift-rewrite-normalization"])
 def test_hard_checks_fail_without_evidence(no_evidence):
     rec = no_evidence()

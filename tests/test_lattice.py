@@ -594,6 +594,8 @@ def test_aligned_roundtrip():
     pytest.param(lambda o: o.update(depth=0), "depth", id="depth-zero"),
     pytest.param(lambda o: o.update(N=-2), "N", id="N-negative"),
     pytest.param(lambda o: o.update(N=0), "N", id="N-zero"),
+    # the values of 10^60 cells are counted with Python integers, not int64
+    pytest.param(lambda o: o.update(N=10 ** 30), "values", id="N-beyond-int64"),
     # the kinds a file holds are scalar and matrix
     pytest.param(lambda o: o.update(kind="nested", shape=[-1, 2, 2]), "kind",
                  id="nested-shape-negative"),

@@ -120,13 +120,13 @@ def test_make_random_shift_deterministic_and_scaled():
 
 def test_complexity_incompatible_with_depth():
     lat = dl.build_lattice(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError, match="^field depth is rejected: too shallow"):
         mo.make_random_shift(lat, 1, (2, 2), {1, 2}, seed=0)
 
 
 def test_make_random_shift_rejects_complexity_of_wrong_length():
     lat = dl.build_lattice(1, 4)
-    with pytest.raises(ValueError, match="n\\+1 entries"):
+    with pytest.raises(FieldError, match=r"^field complexity is rejected: needs n \+ 1 = 3 "):
         mo.make_random_shift(lat, 2, (1, 0), {1, 3}, seed=0)
 
 
@@ -658,6 +658,9 @@ def _shift_payload():
     pytest.param(lambda o: o.update(cancellative=[1]), "cancellative", id="cancellative-one"),
     pytest.param(lambda o: o.update(cancellative=[1, 1, 2]), "cancellative",
                  id="cancellative-repeat"),
+    # a file without coefficients whose complexity leaves no level for K
+    pytest.param(lambda o: o.update(complexity=[3, 0], coeffs=[]), "depth",
+                 id="complexity-too-deep"),
     pytest.param(lambda o: o.update(shift=[0.3]), "shift", id="shift-not-multiple"),
     pytest.param(lambda o: o.update(shift=[0.0, 0.0]), "shift", id="shift-length"),
     pytest.param(lambda o: o.update(shift="x"), "shift", id="shift-not-numbers"),

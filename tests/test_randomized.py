@@ -6,8 +6,7 @@ import pytest
 import dyadlab as dl
 from dyadlab import ncspaces as nc
 from dyadlab import randomized as rz
-from dyadlab import cli
-from dyadlab.lattice import _cell_block, from_aligned
+from dyadlab.lattice import FieldError, _cell_block, from_aligned
 from conftest import lattice_cubes, random_matrix
 
 
@@ -139,21 +138,17 @@ def test_stein_matches_the_per_cube_expectations(p, schatten):
     assert got[1] > 0 and got[0] != got[1]
 
 
-def test_stein_rejects_unsupported():
+def test_stein_restricts_each_row_to_its_cube():
+    # values off a row's cube do not count, on a shifted lattice too, where
+    # the cube's cells are not its block of aligned cells
     for lat in (dl.build_lattice(1, 3), dl.build_lattice(2, 3, (0.25, 0.5))):
-        cube = (0,) * lat.dim
-        g = dl.random_grid_function(lat, seed=5).values
-        check = lambda v: rz.stein_check(lat, v[None], [1], [cube], 2.0, 2.0, rz.SignEnsemble(1))
-        with pytest.raises(ValueError, match="not supported"):
-            check(g)
-        mask = np.zeros(g.shape[:lat.dim] + (1, 1))
-        mask[_cell_block(lat, 1, cube)] = 1.0
-        check(g * from_aligned(lat, mask).values)
-        if any(lat.shift_cells):
-            # zero off the cube's block of aligned cells, but not rolled onto
-            # the shifted grid: the physical block is another one
-            with pytest.raises(ValueError, match="not supported"):
-                check(g * mask)
+        cubes = [(1, (0,) * lat.dim), (2, (1,) * lat.dim)]
+        level, index = [lv for lv, _ in cubes], [ix for _, ix in cubes]
+        whole = np.stack([dl.random_grid_function(lat, seed=5 + i).values for i in range(2)])
+        inside = np.stack([_supported(lat, lv, ix, 5 + i) for i, (lv, ix) in enumerate(cubes)])
+        check = lambda v: rz.stein_check(lat, v, level, index, 2.0, 2.0, rz.SignEnsemble(2))
+        assert check(whole) == check(inside)
+        assert check(whole) != check(whole[::-1])
 
 
 @pytest.mark.parametrize("d, L, levels", [(1, 5, [0, 2, 4]), (2, 3, [0, 1, 2])])
@@ -270,28 +265,26 @@ def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, 
 def test_decoupling_levels_residues():
     assert rz.decoupling_levels(6, 1, 2, 0) == [2, 5]
     assert rz.decoupling_levels(6, 1, 2, 1) == [2]
-    with pytest.raises(ValueError):
-        rz.decoupling_levels(4, 2, 1, 0)
+    for L, j, k, l, field in ((4, 2, 1, 0, "j"), (4, -1, 1, 0, "j"), (4, 0, 1, 2, "l"),
+                              (2, 1, 2, 0, "depth")):
+        with pytest.raises(FieldError, match=f"^field {field} is rejected: "):
+            rz.decoupling_levels(L, j, k, l)
     for L in range(1, 7):
         for k in range(5):
-            # the residues j = 0..k partition the levels that leave room for l more
             for l in range(k + 1):
-                seen = sorted(lv for j in range(k + 1) for lv in rz.decoupling_levels(L, j, k, l))
-                assert seen == list(range(L - l))
-            for j in range(k + 1):
-                for l in range(6):
+                seen = []
+                for j in range(k + 1):
                     # cubes of side 2^(m(k+1)+j), m an integer, where Delta^l exists
                     side = [lv for lv in range(L + 1) if lv + l <= L - 1
                             and any(-lv == m * (k + 1) + j for m in range(-L - 1, 1))]
-                    assert rz.decoupling_levels(L, j, k, l) == side
-                    # decouple's config fails at load with l above k, or without a level
-                    error = cli._field_error({"L": L, "j": j, "k": k, "l": l})
-                    if l > k:
-                        assert error == ("l", "the order l must not exceed the step k")
-                        continue
-                    assert (error is not None) == (not rz.decoupling_levels(L, j, k, l))
-                    assert error in (None, ("L", "no decoupling level leaves room for l more "
-                                                  "levels"))
+                    if side:
+                        assert rz.decoupling_levels(L, j, k, l) == side
+                    else:
+                        with pytest.raises(FieldError, match="^field depth is rejected: "):
+                            rz.decoupling_levels(L, j, k, l)
+                    seen += side
+                # the residues j = 0..k partition the levels that leave room for l more
+                assert sorted(seen) == list(range(L - l))
 
 
 def test_decoupling_validates_levels():
