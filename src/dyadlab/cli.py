@@ -267,15 +267,14 @@ def run_sparse_verify(config, out, fmt):
 def run_rad_suite(config, out, fmt):
     rng = np.random.default_rng(config["seed"])
     M, N, band = config["M"], config["N"], config["band"]
-    ens = rz.SignEnsemble(M)
     moments, contractions, products = [], [], []
     for _ in range(config["trials"]):
         xs = [_gaussian(rng, N) for _ in range(M)]
-        moments += [(xs, p, q, ens) for p, q in ((1.0, 2.0), (2.0, 4.0))]
-        contractions.append((xs, rng.uniform(-1, 1, size=M), 2.0, ens))
+        moments += [(xs, p, q) for p, q in ((1.0, 2.0), (2.0, 4.0))]
+        contractions.append((xs, rng.uniform(-1, 1, size=M), 2.0))
         es = np.array([[_gaussian(rng, N) for _ in range(4)] for _ in range(2)])
         aks = rng.uniform(size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
-        products.append((es, aks, [3.0, 3.0, 3.0], rz.SignEnsemble(4)))
+        products.append((es, aks, [3.0, 3.0, 3.0]))
     # one random function per cube, which stein_check restricts to its cube
     lat = lt.build_lattice(1, 3)
     level, index = np.array([0, 1, 2]), np.array([[0], [0], [3]])

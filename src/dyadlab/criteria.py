@@ -231,22 +231,22 @@ def sparse_domination(cases: list, eta: float) -> tuple[list[dict], list[dict]]:
 
 def contraction(cases: list) -> tuple[dict, list]:
     """Exact contraction principle (Schatten-2 values) for each
-    (xs, coeffs, p, ens); returns the record and each (ratio, holds)."""
+    (xs, coeffs, p); returns the record and each (ratio, holds)."""
     return _every("contraction-exact", HARD, [
-        _exact(*rz.contraction_check(xs, coeffs, 2.0, p, ens), CONTRACTION_SLACK)
-        for xs, coeffs, p, ens in cases])
+        _exact(*rz.contraction_check(xs, coeffs, 2.0, p), CONTRACTION_SLACK)
+        for xs, coeffs, p in cases])
 
 
 def product_bound(cases: list) -> tuple[dict, list]:
-    """Randomized product bound for each (es, coeffs, exponents, ens)."""
+    """Randomized product bound for each (es, coeffs, exponents)."""
     return _every("randomized-product-bound-exact", HARD, [
-        _exact(*rz.rscalar_check(es, coeffs, ps, ens), PRODUCT_SLACK)
-        for es, coeffs, ps, ens in cases])
+        _exact(*rz.rscalar_check(es, coeffs, ps), PRODUCT_SLACK)
+        for es, coeffs, ps in cases])
 
 
 def moment_band(cases: list, band: float) -> tuple[dict, list]:
-    """Moment-comparison ratio of each (xs, p, q, ens) in [1/band, band]."""
-    ratios = [rz.kk_ratio(xs, 2.0, p, q, ens) for xs, p, q, ens in cases]
+    """Moment-comparison ratio of each (xs, p, q) in [1/band, band]."""
+    ratios = [rz.kk_ratio(xs, 2.0, p, q) for xs, p, q in cases]
     return _every("moment-comparison-band", BAND,
                   [(r, _in_band(r, band)) for r in ratios], band=band)
 
@@ -255,7 +255,7 @@ def conditional_expectation_band(lat: lt.Lattice, values: np.ndarray, level, ind
                                  band: float) -> tuple[dict, tuple]:
     """Stein-type comparison at p = 3 of the cube functions of
     ``randomized.stein_check``; returns the record and (ratio, holds)."""
-    lhs, rhs = rz.stein_check(lat, values, level, index, 3.0, 2.0, rz.SignEnsemble(len(level)))
+    lhs, rhs = rz.stein_check(lat, values, level, index, 3.0, 2.0)
     ratio = lhs / rhs if rhs else 0.0
     return (record("conditional-expectation-band", BAND, ratio <= band, band=band),
             (ratio, ratio <= band))
@@ -285,15 +285,15 @@ def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
     flat = 0.0
     for a, ps in positive:
         a = a / nc.schatten_norm(a, 1.0)
-        factors = nc.factorize_positive(a, 1.0, ps)
+        factors = nc.factorize_positive(a, ps)
         flat = max(flat, _max_dev(nc.chain(factors), a),
                    *(abs(nc.schatten_norm(fac, p) - 1.0) for fac, p in zip(factors, ps)))
     nested = 0.0
     for raw, space in mixed:
-        f = raw / nc.nested_norm(raw, space, 1, column=space.table.q_col([1, 2]))
+        f = raw / nc.nested_norm(raw, space, space.table.q_col([1, 2]))
         facs = nc.factorize_mixed(f, [1, 2], space)
         nested = max(nested, _max_dev(nc.chain(facs), f),
-                     *(abs(nc.nested_norm(fac, space, j) - 1.0)
+                     *(abs(nc.nested_norm(fac, space, space.table.column(j)) - 1.0)
                        for fac, j in zip(facs, (1, 2))))
     return [_within("positive-factorization-roundtrip", flat, POSITIVE_FACTOR_TOL, bool(positive)),
             _within("mixed-factorization-roundtrip", nested, MIXED_FACTOR_TOL, bool(mixed))]

@@ -91,7 +91,7 @@ def _check_size(d: int, L: int) -> None:
     if L < 1:
         raise FieldError("depth", "must be at least 1")
     if d * L > MAX_CUBE_BITS:
-        raise FieldError("depth", f"dim * depth = {d * L} exceeds {MAX_CUBE_BITS}, "
+        raise FieldError("depth", f"dimension * depth = {d * L} exceeds {MAX_CUBE_BITS}, "
                          "the bits of a cube's heap number")
 
 

@@ -148,13 +148,9 @@ def _bridge(t):
 def lowpass_profile(r):
     """Radial profile: 1 on [0,1], 0 beyond 2, smooth in between."""
     r = np.asarray(r, dtype=float)
+    # 2 - r or r - 1 is at least 1/2, so a + b > 0
     a = _bridge(2.0 - r)
-    b = _bridge(r - 1.0)
-    with np.errstate(invalid="ignore"):
-        out = np.where(a + b > 0, a / np.where(a + b > 0, a + b, 1.0), 0.0)
-    out = np.where(r <= 1.0, 1.0, out)
-    out = np.where(r >= 2.0, 0.0, out)
-    return out
+    return a / (a + _bridge(r - 1.0))
 
 
 def annulus_profile(r):

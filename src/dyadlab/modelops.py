@@ -285,18 +285,18 @@ def _carleson_sup(sums: list[np.ndarray], d: int) -> float:
 class ReducedShiftTerm:
     """One term of the depth-zero rewrite of a shift.
 
-    ``levels`` are the per-slot depths below K, ``cancellative`` the
+    ``levels`` are the per-slot depths below K and ``cancellative`` the
     slots carrying cancellative Haar functions (superset of the original
-    ones), and ``labels`` record what each slot became: ("canc",) for an
-    original cancellative slot, ("expect",) for the averaged part at K
-    or ("delta", l) for the cancellative part at depth l.
+    ones).  Together they say what each slot became: an original
+    cancellative slot keeps its depth, a slot outside ``cancellative`` is
+    the averaged part at K (depth 0), and any other slot is the
+    cancellative part at its depth.
     """
 
     lattice: Lattice
     n: int
     levels: tuple[int, ...]
     cancellative: frozenset[int]
-    labels: tuple[tuple, ...]
     coeffs: CoeffTable = field(hash=False)
 
     def check_normalization(self) -> float:
@@ -541,36 +541,34 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
     """
     lat, t = spec.lattice, spec.coeffs
     n1, d, R = spec.n + 1, lat.dim, len(spec.coeffs)
-    expand_slots = [j for j in range(1, n1 + 1)
-                    if j not in spec.cancellative and spec.complexity[j - 1] > 0]
     measure = 2.0 ** (-t.level * d)
     etas = np.arange(1, 1 << d)
+    # per slot, its (depth, cancellative) choices: a cancellative slot stays
+    # at its depth; any other is averaged at K or a delta at each l < k_j
+    options = [[(k, True)] if j in spec.cancellative
+               else [(0, False)] + [(l, True) for l in range(k)]
+               for j, k in enumerate(spec.complexity, start=1)]
     terms = []
-    for combo in itertools.product(*([("expect",)] + [("delta", l) for l in range(
-            spec.complexity[j - 1])] for j in expand_slots)):
-        choice = dict(zip(expand_slots, combo))
-        labels = [choice.get(j, ("canc",) if j in spec.cancellative else ("expect",))
-                  for j in range(1, n1 + 1)]
-        deltas = [j for j, kind in enumerate(labels, start=1) if kind[0] == "delta"]
+    for combo in itertools.product(*options):
+        deltas = [j for j, (_, c) in enumerate(combo, start=1) if c and j not in spec.cancellative]
         # the choices: one eta per delta slot, the last slot varying fastest
         choices = np.array(list(itertools.product(etas, repeat=len(deltas))))
         # per slot and table row: the cube, the eta (None where it is the
         # choice's) and the gamma factors of the choices
         cubes, row_etas, gamma = [(t.level[:, 0], t.index[:, 0])], [], np.ones((R, 1))
-        for j, kind in enumerate(labels, start=1):
+        for j, (l, c) in enumerate(combo, start=1):
             k = spec.complexity[j - 1]
-            if kind[0] == "canc":
+            if j in spec.cancellative:
                 cubes.append((t.level[:, j], t.index[:, j]))
                 row_etas.append(t.eta[:, j - 1])
                 factor = np.ones((R, 1))
-            elif kind[0] == "expect":
+            elif not c:
                 cubes.append((t.level[:, 0], t.index[:, 0]))
                 row_etas.append(np.zeros(R, dtype=np.int64))
                 factor = (measure[:, j:j + 1] / measure[:, :1]) ** 0.5
             else:
                 # L_j is Q's ancestor at depth l below K; the sign of
                 # h^eta_L on Q is its sign on the child of L above Q
-                l = kind[1]
                 anc = t.index[:, j] >> (k - l)
                 child = ((t.index[:, j] >> (k - l - 1)) - 2 * anc) @ (1 << np.arange(d)[::-1])
                 mag = measure[:, j] ** 0.5 / (2.0 ** (-(t.level[:, 0] + l) * d)) ** 0.5
@@ -590,10 +588,9 @@ def reduce_shift(spec: ShiftSpec) -> list[ReducedShiftTerm]:
         table = CoeffTable(np.repeat(np.stack([lv[rows] for lv, _ in cubes], 1), len(choices), 0),
                            np.repeat(np.stack([ix[rows] for _, ix in cubes], 1), len(choices), 0),
                            eta.reshape(-1, n1), value.reshape(-1))
-        levels = tuple(k if kind[0] == "canc" else kind[-1] if kind[0] == "delta" else 0
-                       for k, kind in zip(spec.complexity, labels))
-        canc = spec.cancellative | set(deltas)
-        terms.append(ReducedShiftTerm(lat, spec.n, levels, canc, tuple(labels), table))
+        levels = tuple(l for l, _ in combo)
+        canc = frozenset(j for j, (_, c) in enumerate(combo, start=1) if c)
+        terms.append(ReducedShiftTerm(lat, spec.n, levels, canc, table))
     return terms
 
 

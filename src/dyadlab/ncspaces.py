@@ -314,19 +314,17 @@ def _level_norms(values: np.ndarray, space: MixedSpace,
     return levels
 
 
-def nested_norm(values: np.ndarray, space: MixedSpace, j: int,
-                column: Sequence[float] | None = None) -> float:
-    """Nested mixed norm of a value tree in slot j of the table.
+def nested_norm(values: np.ndarray, space: MixedSpace, column: Sequence[float]) -> float:
+    """Nested mixed norm of a value tree in the exponent ``column``
+    (p^0..p^S), such as ``space.table.column(j)`` or ``space.table.q_col(J)``.
 
-    Level s applies the weighted l^{p_j^s} norm over the level-s atoms
-    to the level-(s-1) norms; level 0 is the Schatten p_j^0 norm.  An
-    explicit exponent ``column`` (p^0..p^S) overrides slot j.
+    Level s applies the weighted l^{p^s} norm over the level-s atoms to
+    the level-(s-1) norms; level 0 is the Schatten p^0 norm.
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.shape != space.value_shape():
         raise ValueError("value tree shape mismatch")
-    col = tuple(column) if column is not None else space.table.column(j)
-    return float(_level_norms(values, space, col)[-1])
+    return float(_level_norms(values, space, column)[-1])
 
 
 def flat_product_norm(values: np.ndarray, space: MixedSpace, p: float) -> float:
@@ -467,15 +465,15 @@ def _best_pairing(e, candidate_lists, perms) -> float:
 UNIT_TOL = 1e-8
 
 
-def factorize_positive(a: np.ndarray, q: float, ps: Sequence[float]) -> list[np.ndarray]:
-    """Split a positive unit-S^q matrix into A^{q/p_u} factors.
+def factorize_positive(a: np.ndarray, ps: Sequence[float]) -> list[np.ndarray]:
+    """Split a positive unit-S^q matrix into A^{q/p_u} factors, where
+    1/q = sum_u 1/p_u.
 
-    Requires sum_u 1/p_u = 1/q and |A|_{S^q} = 1; the factors multiply
-    back to A and have unit S^{p_u} norms.
+    Requires |A|_{S^q} = 1; the factors multiply back to A and have unit
+    S^{p_u} norms.
     """
     ps = [float(p) for p in ps]
-    if abs(sum(1.0 / p for p in ps) - 1.0 / q) > 1e-12:
-        raise ValueError("exponents do not sum to 1/q")
+    q = 1.0 / sum(1.0 / p for p in ps)
     nrm = schatten_norm(a, q)
     if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"input must have unit S^{q} norm (got {nrm})")

@@ -1,12 +1,13 @@
 """Randomized inequalities on finite sign ensembles.
 
-Exhaustive mode enumerates all 2^M sign patterns, so expectations carry
-no sampling error and inequality checks are exact; Monte Carlo mode is
-for larger index sets and reports standard errors.  The checks cover
-moment comparison for randomized sums, the contraction principle,
-conditional-expectation (Stein-type) comparison, martingale decoupling
-against independent resampling, and the randomized product bound for
-Schatten tuples.
+The sign checks (moment comparison for randomized sums, the contraction
+principle, conditional-expectation (Stein-type) comparison and the
+randomized product bound for Schatten tuples) average over all 2^m sign
+patterns of their m inputs, so expectations carry no sampling error and
+the checks are exact.  Martingale decoupling against independent
+resampling and the martingale transform take a ``SignEnsemble``, whose
+Monte Carlo mode serves index sets too large to enumerate; decoupling
+reports its standard error.
 """
 
 from __future__ import annotations
@@ -58,28 +59,21 @@ def _signed_norms(xs: Sequence, eps: np.ndarray, schatten: float) -> np.ndarray:
     return schatten_norms(np.tensordot(eps, stack, axes=(1, 0)), schatten)
 
 
-def _patterns_for(ens: SignEnsemble, count: int) -> np.ndarray:
-    if count > ens.M:
-        raise ValueError(f"ensemble indexes {ens.M} signs, {count} needed")
-    return ens.patterns()[:, :count]
-
-
-def rad_norm(xs: Sequence, schatten: float, ens: SignEnsemble) -> float:
+def rad_norm(xs: Sequence, schatten: float) -> float:
     """(E |sum_m eps_m x_m|_{S^schatten}^2)^(1/2); zero for an empty list."""
     if len(xs) == 0:
         return 0.0
-    vals = _signed_norms(xs, _patterns_for(ens, len(xs)), schatten)
+    vals = _signed_norms(xs, SignEnsemble(len(xs)).patterns(), schatten)
     return float(power_mean(vals, 2.0))
 
 
-def kk_ratio(xs: Sequence, schatten: float, p: float, q: float,
-             ens: SignEnsemble) -> float:
+def kk_ratio(xs: Sequence, schatten: float, p: float, q: float) -> float:
     """Ratio of the p-th and q-th moment norms of the randomized sum, in S^schatten."""
     if len(xs) == 0:
         return 1.0
     if p <= 0 or q <= 0:
         raise ValueError("moments must be positive")
-    vals = _signed_norms(xs, _patterns_for(ens, len(xs)), schatten)
+    vals = _signed_norms(xs, SignEnsemble(len(xs)).patterns(), schatten)
     den = float(power_mean(vals, q))
     num = float(power_mean(vals, p))
     if den == 0.0:
@@ -88,19 +82,19 @@ def kk_ratio(xs: Sequence, schatten: float, p: float, q: float,
 
 
 def contraction_check(xs: Sequence, coeffs: Sequence[float], schatten: float,
-                      p: float, ens: SignEnsemble) -> tuple[float, float]:
+                      p: float) -> tuple[float, float]:
     """S^schatten moments with and without real coefficients |a_m| <= max.
 
     Returns (lhs, rhs) with lhs the coefficient moment and rhs the bare
     moment scaled by max |a_m|; lhs <= rhs holds exactly (not only up
-    to a constant) in exhaustive mode for p >= 1 and real coefficients.
+    to a constant) for p >= 1 and real coefficients.
     """
     if p < 1:
         raise ValueError("contraction regime needs p >= 1")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(xs),):
         raise ValueError("one real coefficient per element")
-    eps = _patterns_for(ens, len(xs))
+    eps = SignEnsemble(len(xs)).patterns()
     scaled = [a * np.asarray(x) for a, x in zip(coeffs, xs)]
     lhs = float(power_mean(_signed_norms(scaled, eps, schatten), p))
     rhs = float(np.abs(coeffs).max(initial=0.0)) * \
@@ -112,8 +106,8 @@ def contraction_check(xs: Sequence, coeffs: Sequence[float], schatten: float,
 # conditional expectations
 # ---------------------------------------------------------------------------
 
-def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatten: float,
-                ens: SignEnsemble) -> tuple[float, float]:
+def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float,
+                schatten: float) -> tuple[float, float]:
     """Compare E || sum eps_Q E_Q f_Q ||_{L^p(X; S^schatten)} with the same
     moment of the raw sum.
 
@@ -134,7 +128,7 @@ def stein_check(lat: Lattice, values: np.ndarray, level, index, p: float, schatt
         a = GridFunction(lat, values[i]).aligned() * inside
         raw.append(a)
         avg.append(np.where(inside, level_blocks(lat, a, lv)[0], 0))
-    eps = _patterns_for(ens, len(level))
+    eps = SignEnsemble(len(level)).patterns()
     sums = [np.tensordot(eps, np.stack(x), axes=(1, 0)) for x in (avg, raw)]
     return tuple(float(np.mean(lp_norms(v, p, schatten))) for v in sums)
 
@@ -284,7 +278,7 @@ def _ratio(lhs: float, vals: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def rscalar_check(es: np.ndarray, coeffs: Sequence[complex],
-                  exponents: Sequence[float], ens: SignEnsemble) -> tuple[float, float]:
+                  exponents: Sequence[float]) -> tuple[float, float]:
     """Randomized bound for products of Schatten tuples.
 
     ``es`` has shape (n, K, N, N) with n >= 2; coefficients lie in the
@@ -309,7 +303,7 @@ def rscalar_check(es: np.ndarray, coeffs: Sequence[complex],
     lhs = schatten_norm(prod.sum(axis=0), conjugate_exponent(ps[n]))
     rhs = 1.0
     for jj in range(n):
-        rhs *= rad_norm(list(es[jj]), ps[jj], ens)
+        rhs *= rad_norm(list(es[jj]), ps[jj])
     return lhs, rhs
 
 

@@ -180,7 +180,7 @@ def test_criterion_2_oracle_equivalence():
         space = nc.MixedSpace((tuple(r.uniform(0.2, 1.0, size=2)),
                                tuple(r.uniform(0.2, 1.0, size=3))), 2, tab)
         vals = r.standard_normal((3, 2, 2, 2)) + 1j * r.standard_normal((3, 2, 2, 2))
-        worst = max(worst, abs(nc.nested_norm(vals, space, 1)
+        worst = max(worst, abs(nc.nested_norm(vals, space, tab.column(1))
                                - nc.flat_product_norm(vals, space, p)))
     _report("criterion 2b nested norm vs product-measure norm (1e-10)",
             worst <= 1e-10, f"max deviation {worst:.2e}")
@@ -230,20 +230,18 @@ def test_criterion_4_randomized_suite():
     # exact contraction, M <= 10
     cases = []
     for M in (2, 5, 8, 10):
-        ens = rz.SignEnsemble(M)
         for N in (1, 2, 3):
             xs = [random_matrix(rng, N) for _ in range(M)]
-            cases += [(xs, rng.uniform(-1, 1, size=M), p, ens) for p in (1.0, 2.0, 3.5)]
+            cases += [(xs, rng.uniform(-1, 1, size=M), p) for p in (1.0, 2.0, 3.5)]
     rec, _ = cr.contraction(cases)
     _report("criterion 4a contraction holds with exact inequality", _holds([rec]))
 
     # moment-comparison band across the grid
     cases = []
     for M in (2, 4, 8, 10):
-        ens = rz.SignEnsemble(M)
         for N in (1, 2, 3):
             xs = [random_matrix(rng, N) for _ in range(M)]
-            cases += [(xs, p, q, ens)
+            cases += [(xs, p, q)
                       for p, q in ((0.5, 2.0), (1.0, 2.0), (2.0, 4.0), (4.0, 1.0))]
     rec, evals = cr.moment_band(cases, band=10.0)
     ratios = [ratio for ratio, _ in evals]
@@ -266,7 +264,7 @@ def test_criterion_4_randomized_suite():
             for N in (2, 3):
                 es = np.array([[random_matrix(rng, N) for _ in range(K)] for _ in range(n)])
                 coeffs = rng.uniform(size=K) * np.exp(2j * np.pi * rng.uniform(size=K))
-                cases += [(es, coeffs, ps, rz.SignEnsemble(K))
+                cases += [(es, coeffs, ps)
                           for ps in ([float(n + 1)] * (n + 1), [2.0] + [2.0 * n] * n)]
     rec, _ = cr.product_bound(cases)
     _report("criterion 4d randomized product bound exact on the grid", _holds([rec]))

@@ -395,7 +395,7 @@ def test_shift_file_skips_the_rules_between_fields(tmp_path):
     (None, r"\[Errno 2\] No such file"),
     pytest.param(lambda obj: obj.update(dim=0), "field dim must be a positive integer",
                  id="dim-zero"),
-    pytest.param(lambda obj: obj.update(depth=80), "field depth is rejected: dim \\* depth",
+    pytest.param(lambda obj: obj.update(depth=80), "field depth is rejected: dimension \\* depth",
                  id="depth-bound"),
 ])
 def test_shift_file_errors_report_the_field(tmp_path, tamper, reason):

@@ -59,7 +59,7 @@ def test_lattice_size_bound(d, L):
     # dim * depth <= 62, so the heap number of every cube fits an int64
     assert dl.build_lattice(d, L).depth == L
     for bad in [(d, L + 1), (d + 1, L)]:
-        with pytest.raises(lt.FieldError, match=r"^field depth is rejected: dim \* depth"):
+        with pytest.raises(lt.FieldError, match=r"^field depth is rejected: dimension \* depth"):
             dl.build_lattice(*bad, 0)
         with pytest.raises(lt.FieldError, match=r"^field depth is rejected"):
             dl.Lattice(*bad, (0,) * bad[0])

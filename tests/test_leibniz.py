@@ -65,6 +65,12 @@ def test_profiles():
     assert lb.lowpass_profile(0.5) == 1.0
     assert lb.lowpass_profile(2.5) == 0.0
     assert 0.0 < lb.lowpass_profile(1.5) < 1.0
+    # the ends of the transition band, and their neighbours inside it, where
+    # exp(-1/t) underflows to 0
+    for r in (1.0, np.nextafter(1.0, 2.0)):
+        assert lb.lowpass_profile(r) == 1.0
+    for r in (2.0, np.nextafter(2.0, 1.0)):
+        assert lb.lowpass_profile(r) == 0.0
     r = np.linspace(0.0, 3.0, 301)
     psi = lb.annulus_profile(r)
     assert np.all(psi[r < 0.5] == 0.0)

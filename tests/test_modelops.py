@@ -319,12 +319,9 @@ def test_reduce_single_noncancellative_depth_one():
     lat = _lat()
     spec = mo.make_random_shift(lat, 2, (1, 0, 1), {2, 3}, seed=4)
     terms = mo.reduce_shift(spec)
-    assert len(terms) == 2
-    kinds = sorted(t.labels[0][0] for t in terms)
-    assert kinds == ["delta", "expect"]
-    for t in terms:
-        assert t.levels[0] == 0
-        assert len(t.cancellative) >= 2
+    # slot 1 is averaged at K, then the delta at depth 0
+    assert [(t.levels, t.cancellative) for t in terms] == [
+        ((0, 0, 1), frozenset({2, 3})), ((0, 0, 1), frozenset({1, 2, 3}))]
 
 
 def test_reduce_preserves_form_and_normalization(rng):
@@ -422,7 +419,7 @@ def _reduce_shift_reference(spec):
                        for k, kind in zip(spec.complexity, labels))
         canc = spec.cancellative | {j for j, kind in choice.items() if kind[0] == "delta"}
         table = _merged_table(*(np.stack(c, axis=1) for c in cols), t.value[src] * gamma)
-        terms.append((tuple(labels), levels, canc, table, len(src)))
+        terms.append((levels, canc, table, len(src)))
     return terms
 
 
@@ -445,8 +442,8 @@ def test_reduce_shift_matches_expand_then_merge(d, L, n, complexity, canc, shift
     got, want = mo.reduce_shift(spec), _reduce_shift_reference(spec)
     assert len(got) == len(want)
     merged = False
-    for term, (labels, levels, cancellative, table, expanded) in zip(got, want):
-        assert (term.labels, term.levels, term.cancellative) == (labels, levels, cancellative)
+    for term, (levels, cancellative, table, expanded) in zip(got, want):
+        assert (term.levels, term.cancellative) == (levels, cancellative)
         for name in ("level", "index", "eta"):
             a, b = getattr(term.coeffs, name), getattr(table, name)
             assert a.shape == b.shape and np.array_equal(a, b), name

@@ -426,43 +426,44 @@ def test_nested_norm_examples():
     sp = nc.MixedSpace(((0.5, 0.5),), 1, tab)
     vals = np.array([[[3.0]], [[4.0]]], dtype=complex)
     expected = math.sqrt((9 + 16) / 2)
-    assert nc.nested_norm(vals, sp, 1) == pytest.approx(expected)
+    assert nc.nested_norm(vals, sp, tab.column(1)) == pytest.approx(expected)
     # constant leaf: norm is the Schatten norm when weights sum to one
     tab2 = nc.ExponentTable(((2.0, 5.0), (2.0, 5.0 / 4.0)))
     sp2 = nc.MixedSpace(((0.25, 0.75),), 2, tab2)
     leaf = np.diag([1.0, 2.0]).astype(complex)
     vals2 = np.stack([leaf, leaf])
-    assert nc.nested_norm(vals2, sp2, 1) == pytest.approx(math.sqrt(5))
+    assert nc.nested_norm(vals2, sp2, tab2.column(1)) == pytest.approx(math.sqrt(5))
 
 
 def test_nested_norm_fubini(rng):
     tab = nc.ExponentTable(((3.0, 3.0, 3.0), (3.0, 3.0, 3.0), (3.0, 3.0, 3.0)))
     sp = nc.MixedSpace(((0.2, 0.8), (0.5, 0.25, 0.25)), 2, tab)
     vals = rng.standard_normal((3, 2, 2, 2)) + 1j * rng.standard_normal((3, 2, 2, 2))
-    assert abs(nc.nested_norm(vals, sp, 1) - nc.flat_product_norm(vals, sp, 3.0)) < 1e-10
+    assert abs(nc.nested_norm(vals, sp, tab.column(1))
+               - nc.flat_product_norm(vals, sp, 3.0)) < 1e-10
 
 
 def test_nested_norm_shape_mismatch():
     tab = nc.ExponentTable(((2.0, 2.0), (2.0, 2.0)))
     sp = nc.MixedSpace(((0.5, 0.5),), 2, tab)
     with pytest.raises(ValueError):
-        nc.nested_norm(np.zeros((3, 2, 2)), sp, 1)
+        nc.nested_norm(np.zeros((3, 2, 2)), sp, tab.column(1))
 
 
 def test_factorize_positive_examples(rng):
     a = np.diag([0.2, 0.8]).astype(complex)
-    f1, f2 = nc.factorize_positive(a, 1.0, [2.0, 2.0])
+    f1, f2 = nc.factorize_positive(a, [2.0, 2.0])
     assert np.abs(f1 - np.diag(np.sqrt([0.2, 0.8]))).max() < 1e-12
     assert np.abs(f1 @ f2 - a).max() < 1e-12
     # single factor
-    (g,) = nc.factorize_positive(a, 1.0, [1.0])
+    (g,) = nc.factorize_positive(a, [1.0])
     assert np.abs(g - a).max() < 1e-12
     # random round trips
     for seed in range(20):
         r = np.random.default_rng(seed)
         a = random_psd(r, 3)
         a = a / nc.schatten_norm(a, 1.0)
-        fs = nc.factorize_positive(a, 1.0, [3.0, 3.0, 3.0])
+        fs = nc.factorize_positive(a, [3.0, 3.0, 3.0])
         prod = fs[0] @ fs[1] @ fs[2]
         assert np.abs(prod - a).max() < 1e-9
         for f in fs:
@@ -471,10 +472,15 @@ def test_factorize_positive_examples(rng):
 
 def test_factorize_positive_rejects_nonunit():
     with pytest.raises(ValueError):
-        nc.factorize_positive(2 * np.eye(2), 1.0, [2.0, 2.0])
-    with pytest.raises(ValueError):
-        nc.factorize_positive(np.eye(2) / nc.schatten_norm(np.eye(2), 1.0),
-                              1.0, [2.0, 3.0])
+        nc.factorize_positive(2 * np.eye(2), [2.0, 2.0])
+    # 1/q = 1/2 + 1/3: a unit trace-norm matrix is not unit in S^(6/5)
+    with pytest.raises(ValueError, match="unit S"):
+        nc.factorize_positive(np.eye(2) / nc.schatten_norm(np.eye(2), 1.0), [2.0, 3.0])
+    a = np.eye(2) / nc.schatten_norm(np.eye(2), 1.2)
+    f1, f2 = nc.factorize_positive(a, [2.0, 3.0])
+    assert np.abs(f1 @ f2 - a).max() < 1e-12
+    assert abs(nc.schatten_norm(f1, 2.0) - 1.0) < 1e-12
+    assert abs(nc.schatten_norm(f2, 3.0) - 1.0) < 1e-12
 
 
 def _mixed_space(N):
@@ -486,12 +492,12 @@ def test_factorize_mixed_roundtrip(rng):
     tab, sp = _mixed_space(2)
     qcol = tab.q_col([1, 2])
     raw = np.stack([random_psd(rng, 2) for _ in range(2)])
-    f = raw / nc.nested_norm(raw, sp, 1, column=qcol)
+    f = raw / nc.nested_norm(raw, sp, qcol)
     facs = nc.factorize_mixed(f, [1, 2], sp)
     prod = np.einsum("tij,tjk->tik", facs[0], facs[1])
     assert np.abs(prod - f).max() < 1e-8
     for fac, j in zip(facs, (1, 2)):
-        assert abs(nc.nested_norm(fac, sp, j) - 1.0) < 1e-8
+        assert abs(nc.nested_norm(fac, sp, sp.table.column(j)) - 1.0) < 1e-8
 
 
 def test_factorize_mixed_constant_in_t(rng):
@@ -499,7 +505,7 @@ def test_factorize_mixed_constant_in_t(rng):
     qcol = tab.q_col([1, 2])
     leaf = random_psd(rng, 2)
     raw = np.stack([leaf, leaf])
-    f = raw / nc.nested_norm(raw, sp, 1, column=qcol)
+    f = raw / nc.nested_norm(raw, sp, qcol)
     facs = nc.factorize_mixed(f, [1, 2], sp)
     for fac in facs:
         assert np.abs(fac[0] - fac[1]).max() < 1e-10
@@ -509,7 +515,7 @@ def test_factorize_mixed_zero_atom(rng):
     tab, sp = _mixed_space(2)
     qcol = tab.q_col([1, 2])
     raw = np.stack([random_psd(rng, 2), np.zeros((2, 2), dtype=complex)])
-    f = raw / nc.nested_norm(raw, sp, 1, column=qcol)
+    f = raw / nc.nested_norm(raw, sp, qcol)
     facs = nc.factorize_mixed(f, [1, 2], sp)
     assert np.abs(facs[0][1]).max() == 0.0
     prod = np.einsum("tij,tjk->tik", facs[0], facs[1])
@@ -521,13 +527,13 @@ def test_factorize_mixed_continuity(rng):
     tab, sp = _mixed_space(2)
     qcol = tab.q_col([1, 2])
     raw = np.stack([random_psd(rng, 2) for _ in range(2)])
-    f = raw / nc.nested_norm(raw, sp, 1, column=qcol)
+    f = raw / nc.nested_norm(raw, sp, qcol)
     base = nc.factorize_mixed(f, [1, 2], sp)
     bump = np.stack([random_psd(rng, 2) for _ in range(2)])
     dists = []
     for k in range(1, 11):
         g = raw + 2.0 ** (-k) * bump
-        g = g / nc.nested_norm(g, sp, 1, column=qcol)
+        g = g / nc.nested_norm(g, sp, qcol)
         facs = nc.factorize_mixed(g, [1, 2], sp)
         dists.append(max(np.abs(facs[u] - base[u]).max() for u in range(2)))
     assert dists[-1] < 0.05
@@ -549,7 +555,7 @@ def _deep_tree(rng, S, J, zero=None):
     raw = np.stack([random_psd(rng, 2) for _ in range(math.prod(shape[:-2]))]).reshape(shape)
     if zero is not None:
         raw[zero] = 0.0
-    return raw / nc.nested_norm(raw, sp, 1, column=tab.q_col(J)), sp
+    return raw / nc.nested_norm(raw, sp, tab.q_col(J)), sp
 
 
 @pytest.mark.parametrize("S", [2, 3])
@@ -559,7 +565,7 @@ def test_factorize_mixed_several_levels(rng, S, J):
     facs = nc.factorize_mixed(f, J, sp)
     assert np.abs(nc.chain(facs) - f).max() < 1e-12
     for fac, j in zip(facs, J):
-        assert abs(nc.nested_norm(fac, sp, j) - 1.0) < 1e-12
+        assert abs(nc.nested_norm(fac, sp, sp.table.column(j)) - 1.0) < 1e-12
 
 
 def test_factorize_mixed_zero_subtree(rng):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,54 +22,74 @@ def test_ensemble_exhaustive_patterns():
 
 
 def test_rad_norm_examples(rng):
-    ens = rz.SignEnsemble(2)
     one = np.ones((1, 1))  # a scalar is a 1 x 1 matrix
-    assert rz.rad_norm([one, one], 2.0, ens) == pytest.approx(math.sqrt(2))
+    assert rz.rad_norm([one, one], 2.0) == pytest.approx(math.sqrt(2))
     e1 = np.diag([1.0, 0.0]).astype(complex)
     e2 = np.diag([0.0, 1.0]).astype(complex)
-    assert rz.rad_norm([e1, e2], math.inf, ens) == pytest.approx(1.0)
-    assert rz.rad_norm([], 2.0, ens) == 0.0
-
-
-def test_rad_norm_monte_carlo_matches_exhaustive(rng):
-    xs = [random_matrix(rng, 2) for _ in range(3)]
-    exact = rz.rad_norm(xs, 2.0, rz.SignEnsemble(3))
-    mc = rz.rad_norm(xs, 2.0,
-                     rz.SignEnsemble(3, "monte_carlo", samples=100_000, seed=4))
-    assert abs(mc - exact) / exact < 0.01
+    assert rz.rad_norm([e1, e2], math.inf) == pytest.approx(1.0)
+    assert rz.rad_norm([], 2.0) == 0.0
 
 
 def test_kk_ratio_degenerate_cases(rng):
-    ens = rz.SignEnsemble(1)
-    assert rz.kk_ratio([np.array([[3.0 + 1j]])], 2.0, 1.0, 2.0, ens) == pytest.approx(1.0)
+    assert rz.kk_ratio([np.array([[3.0 + 1j]])], 2.0, 1.0, 2.0) == pytest.approx(1.0)
     xs = [random_matrix(rng, 2) for _ in range(4)]
-    assert rz.kk_ratio(xs, 2.0, 3.0, 3.0,
-                       rz.SignEnsemble(4)) == pytest.approx(1.0)
+    assert rz.kk_ratio(xs, 2.0, 3.0, 3.0) == pytest.approx(1.0)
 
 
 def test_kk_ratio_khintchine_regime(rng):
     vals = list(rng.standard_normal((10, 1, 1)))
-    r = rz.kk_ratio(vals, 2.0, 1.0, 2.0, rz.SignEnsemble(10))
+    r = rz.kk_ratio(vals, 2.0, 1.0, 2.0)
     assert 1.0 / math.sqrt(2) - 1e-12 <= r <= 1.0 + 1e-12
 
 
 def test_contraction_exact(rng):
-    ens = rz.SignEnsemble(8)
     xs = [random_matrix(rng, 2) for _ in range(8)]
     ones = np.ones(8)
-    lhs, rhs = rz.contraction_check(xs, ones, 2.0, 2.0, ens)
+    lhs, rhs = rz.contraction_check(xs, ones, 2.0, 2.0)
     assert lhs == pytest.approx(rhs)
-    lhs, rhs = rz.contraction_check(xs, np.zeros(8), 2.0, 2.0, ens)
+    lhs, rhs = rz.contraction_check(xs, np.zeros(8), 2.0, 2.0)
     assert lhs == 0.0
     for _ in range(10):
         coeffs = rng.uniform(-1, 1, size=8)
-        lhs, rhs = rz.contraction_check(xs, coeffs, 2.0, 3.0, ens)
+        lhs, rhs = rz.contraction_check(xs, coeffs, 2.0, 3.0)
         assert lhs <= rhs * (1 + 1e-10)
 
 
 def test_contraction_rejects_bad_p(rng):
     with pytest.raises(ValueError):
-        rz.contraction_check([np.ones((1, 1))], [1.0], 2.0, 0.5, rz.SignEnsemble(1))
+        rz.contraction_check([np.ones((1, 1))], [1.0], 2.0, 0.5)
+
+
+def _moment(xs, schatten, p):
+    """(mean of |sum_m eps_m x_m|_{S^schatten}^p)^(1/p) over every sign
+    pattern eps of itertools.product((1, -1), repeat=len(xs))."""
+    vals = [nc.schatten_norm(sum(e * x for e, x in zip(signs, xs)), schatten) ** p
+            for signs in itertools.product((1.0, -1.0), repeat=len(xs))]
+    return (sum(vals) / len(vals)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_sign_checks_average_over_every_pattern_of_their_inputs(rng, m):
+    xs = [random_matrix(rng, 2) for _ in range(m)]
+    coeffs = rng.uniform(-1, 1, size=m)
+    close = lambda a, b: abs(a - b) <= 1e-12 * abs(b)
+    assert close(rz.rad_norm(xs, 3.0), _moment(xs, 3.0, 2.0))
+    assert close(rz.kk_ratio(xs, 2.0, 1.0, 3.0), _moment(xs, 2.0, 1.0) / _moment(xs, 2.0, 3.0))
+    lhs, rhs = rz.contraction_check(xs, coeffs, 2.0, 3.0)
+    assert close(lhs, _moment([a * x for a, x in zip(coeffs, xs)], 2.0, 3.0))
+    assert close(rhs, np.abs(coeffs).max() * _moment(xs, 2.0, 3.0))
+    # stein_check: m cubes of a d = 1 lattice, in (level, index) order
+    lat = dl.build_lattice(1, 3)
+    cubes = [(0, (0,)), (1, (0,)), (1, (1,)), (2, (1,)), (2, (2,))][:m]
+    values = np.stack([_supported(lat, lv, ix, 40 + i, N=2) for i, (lv, ix) in enumerate(cubes)])
+    raw = [dl.GridFunction(lat, v).aligned() for v in values]
+    avg = [dl.expect(dl.GridFunction(lat, v), *Q).aligned() for v, Q in zip(values, cubes)]
+    lhs, rhs = rz.stein_check(lat, values, [lv for lv, _ in cubes], [ix for _, ix in cubes],
+                              3.0, 2.0)
+    for got, fs in ((lhs, avg), (rhs, raw)):
+        want = [nc.lp_norm(sum(e * f for e, f in zip(signs, fs)), 3.0, 2.0)
+                for signs in itertools.product((1.0, -1.0), repeat=m)]
+        assert close(got, sum(want) / len(want))
 
 
 def _supported(lat, level, index, seed, N=1):
@@ -82,17 +103,18 @@ def _supported(lat, level, index, seed, N=1):
 def _stein(lat, cubes, p, seeds, N=1):
     values = np.stack([_supported(lat, lv, ix, seed, N) for (lv, ix), seed in zip(cubes, seeds)])
     level, index = [lv for lv, _ in cubes], [ix for _, ix in cubes]
-    return rz.stein_check(lat, values, level, index, p, 2.0, rz.SignEnsemble(len(cubes)))
+    return rz.stein_check(lat, values, level, index, p, 2.0)
 
 
-def _stein_per_cube(lat, values, level, index, p, schatten, ens):
+def _stein_per_cube(lat, values, level, index, p, schatten):
     """stein_check as a dict of cube functions: E_Q f_Q from ``expect`` on
     each cube, the cubes sorted by (level, index), the norms taken in
     aligned cells as stein_check takes them."""
     fqs = {(int(lv), tuple(int(i) for i in ix)): dl.GridFunction(lat, v)
            for v, lv, ix in zip(values, level, index)}
     cubes = sorted(fqs)
-    eps = ens.patterns()[:, :len(cubes)]
+    # every sign pattern, the first sign varying fastest as in SignEnsemble
+    eps = np.array(list(itertools.product((1.0, -1.0), repeat=len(cubes))))[:, ::-1]
     raw = np.stack([fqs[Q].aligned() for Q in cubes])
     avg = np.stack([dl.expect(fqs[Q], *Q).aligned() for Q in cubes])
     return tuple(float(np.mean(nc.lp_norms(np.tensordot(eps, x, axes=(1, 0)), p, schatten)))
@@ -102,7 +124,7 @@ def _stein_per_cube(lat, values, level, index, p, schatten, ens):
 def test_stein_single_constant_cube():
     lat = dl.build_lattice(1, 3)
     c = np.full((1, 8, 1, 1), 1.5)
-    lhs, rhs = rz.stein_check(lat, c, [0], [[0]], 2.0, 2.0, rz.SignEnsemble(1))
+    lhs, rhs = rz.stein_check(lat, c, [0], [[0]], 2.0, 2.0)
     assert lhs == pytest.approx(rhs)
 
 
@@ -132,9 +154,8 @@ def test_stein_matches_the_per_cube_expectations(p, schatten):
     cubes = [(2, (3, 1)), (0, (0, 0)), (1, (1, 0)), (2, (0, 2)), (1, (0, 1))]
     values = np.stack([_supported(lat, lv, ix, 30 + i, N=2) for i, (lv, ix) in enumerate(cubes)])
     level, index = np.array([lv for lv, _ in cubes]), np.array([ix for _, ix in cubes])
-    ens = rz.SignEnsemble(len(cubes))
-    got = rz.stein_check(lat, values, level, index, p, schatten, ens)
-    assert got == _stein_per_cube(lat, values, level, index, p, schatten, ens)
+    got = rz.stein_check(lat, values, level, index, p, schatten)
+    assert got == _stein_per_cube(lat, values, level, index, p, schatten)
     assert got[1] > 0 and got[0] != got[1]
 
 
@@ -146,7 +167,7 @@ def test_stein_restricts_each_row_to_its_cube():
         level, index = [lv for lv, _ in cubes], [ix for _, ix in cubes]
         whole = np.stack([dl.random_grid_function(lat, seed=5 + i).values for i in range(2)])
         inside = np.stack([_supported(lat, lv, ix, 5 + i) for i, (lv, ix) in enumerate(cubes)])
-        check = lambda v: rz.stein_check(lat, v, level, index, 2.0, 2.0, rz.SignEnsemble(2))
+        check = lambda v: rz.stein_check(lat, v, level, index, 2.0, 2.0)
         assert check(whole) == check(inside)
         assert check(whole) != check(whole[::-1])
 
@@ -298,15 +319,14 @@ def test_decoupling_validates_levels():
 
 def test_rscalar_identity_case():
     es = np.ones((2, 1, 1, 1), dtype=complex)
-    lhs, rhs = rz.rscalar_check(es, [1.0], [3.0, 3.0, 3.0], rz.SignEnsemble(1))
+    lhs, rhs = rz.rscalar_check(es, [1.0], [3.0, 3.0, 3.0])
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
 
 
 def test_rscalar_zero_coeffs(rng):
     es = np.stack([np.stack([random_matrix(rng, 2) for _ in range(3)])
                    for _ in range(2)])
-    lhs, rhs = rz.rscalar_check(es, [0.0, 0.0, 0.0], [3.0, 3.0, 3.0],
-                                rz.SignEnsemble(3))
+    lhs, rhs = rz.rscalar_check(es, [0.0, 0.0, 0.0], [3.0, 3.0, 3.0])
     assert lhs == 0.0 and rhs > 0.0
 
 
@@ -318,17 +338,17 @@ def test_rscalar_exhaustive_grid(rng):
                                for _ in range(n)])
                 coeffs = rng.uniform(size=K) * np.exp(2j * np.pi * rng.uniform(size=K))
                 ps = [float(n + 1)] * (n + 1)
-                lhs, rhs = rz.rscalar_check(es, coeffs, ps, rz.SignEnsemble(K))
+                lhs, rhs = rz.rscalar_check(es, coeffs, ps)
                 assert lhs <= rhs * (1 + 1e-9)
 
 
 def test_rscalar_validates(rng):
     es = np.ones((1, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError):
-        rz.rscalar_check(es, [1.0, 1.0], [2.0, 2.0], rz.SignEnsemble(2))
+        rz.rscalar_check(es, [1.0, 1.0], [2.0, 2.0])
     es2 = np.ones((2, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError):
-        rz.rscalar_check(es2, [2.0, 1.0], [3.0, 3.0, 3.0], rz.SignEnsemble(2))
+        rz.rscalar_check(es2, [2.0, 1.0], [3.0, 3.0, 3.0])
 
 
 def test_key_product_inequality(rng):
