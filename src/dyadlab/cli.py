@@ -252,7 +252,7 @@ def run_sparse_verify(config, out, fmt):
         try:
             spec = mo.make_random_shift(lat, n, complexity, canc, seed,
                                         scale=1.0, blocks=4, tuples_per_block=4)
-        except ValueError:
+        except lt.FieldError:  # check_shift_shape rejects the shape at this L
             continue
         fs = [lt.random_grid_function(lat, N=N, seed=seed + i) for i in range(n + 1)]
         meta.append({"trial": trial, "n": n, "kappa": kappa, "N": N, "L": L, "seed": seed})
@@ -299,9 +299,8 @@ def run_rad_suite(config, out, fmt):
 def run_decouple(config, out, fmt):
     lat = lt.build_lattice(config["d"], config["L"])
     j, k, l = config["j"], config["k"], config["l"]
-    samp = rz.DecouplingSampler(lat, seed=config["seed"] + 1)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=config["samples"],
-                          seed=config["seed"] + 2)
+    samp = rz.DecouplingSampler(seed=config["seed"] + 1)
+    ens = rz.SignEnsemble(0, samples=config["samples"], seed=config["seed"] + 2)
     fsc = lt.random_grid_function(lat, seed=config["seed"])
     fm = lt.random_grid_function(lat, N=config["N"], seed=config["seed"] + 3)
     checks = [cr.decoupling_anchor(fsc, j, k, l, samp, ens),

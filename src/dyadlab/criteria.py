@@ -208,7 +208,7 @@ def sparse_domination(cases: list, eta: float) -> tuple[list[dict], list[dict]]:
     sparse_ok = True
     worst: dict[tuple[int, int], float] = {}
     for spec, fs in cases:
-        rep = sp.verify_sparse_domination(spec, fs, eta=eta)
+        rep = sp.verify_sparse_domination(abs(mo.eval_shift_form(spec, fs)), fs, eta=eta)
         sparse_ok &= rep["sparse"]
         key = (spec.n, spec.kappa)
         worst[key] = max(worst.get(key, 0.0), rep["constant"])
@@ -279,12 +279,13 @@ def decoupling_band(f: lt.GridFunction, j: int, k: int, l: int, p: float,
 
 def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
     """Unit-norm elements factor into unit-norm factors that multiply back:
-    each positive semidefinite a of (a, exponents) scaled to unit trace
-    norm, each stack of (raw, space) to unit nested norm over slots 1, 2.
-    Each record fails when its list is empty."""
+    each positive semidefinite a of (a, exponents) scaled to unit S^q norm
+    (1/q = sum_u 1/p_u, as ``factorize_positive`` reads q), each stack of
+    (raw, space) to unit nested norm over slots 1, 2.  Each record fails
+    when its list is empty."""
     flat = 0.0
     for a, ps in positive:
-        a = a / nc.schatten_norm(a, 1.0)
+        a = a / nc.schatten_norm(a, 1.0 / sum(1.0 / float(p) for p in ps))
         factors = nc.factorize_positive(a, ps)
         flat = max(flat, _max_dev(nc.chain(factors), a),
                    *(abs(nc.schatten_norm(fac, p) - 1.0) for fac, p in zip(factors, ps)))

@@ -462,11 +462,7 @@ class HaarPyramid:
         vs = f.value_shape
         self.lattice = lat
         self.value_shape = vs
-        coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
-        top = coarse << d  # where the finest level starts
-        self.flat = np.empty((top + lat.num_cells,) + vs, dtype=np.complex128)
-        levels = _level_views(self.flat[:top].reshape((coarse, 1 << d) + vs), L - 1, d)
-        fine = self.flat[top:].reshape((lat.cells_per_axis,) * d + vs)
+        self.flat, levels, fine = _pyramid_buffer(lat, vs)
         cur = f.aligned()
         for l in range(L - 1, -1, -1):
             below, cur = cur, np.empty((1 << l,) * d + vs, dtype=cur.dtype)
@@ -488,6 +484,17 @@ class HaarPyramid:
         and eta masks, broadcast together; the result has their shape
         followed by the value shape."""
         return self.flat[_pairing_slots(self.lattice, heap, eta)]
+
+
+def _pyramid_buffer(lat: Lattice, vs: tuple) -> tuple[np.ndarray, list, np.ndarray]:
+    """A zero ``HaarPyramid.flat`` of value shape vs, its ``_level_views``
+    of levels 0..L-1 (2^d eta slots per cube) and its view of the cells."""
+    d, L = lat.dim, lat.depth
+    coarse = _heap_size(L - 1, d)  # cubes of levels 0..L-1
+    top = coarse << d  # where the finest level starts
+    flat = np.zeros((top + lat.num_cells,) + vs, dtype=np.complex128)
+    levels = _level_views(flat[:top].reshape((coarse, 1 << d) + vs), L - 1, d)
+    return flat, levels, flat[top:].reshape((lat.cells_per_axis,) * d + vs)
 
 
 def _pairing_slots(lat: Lattice, heap, eta) -> np.ndarray:
@@ -513,16 +520,13 @@ def _synthesize(lat: Lattice, heap, eta, coef: np.ndarray) -> np.ndarray:
     children by ``_haar_butterfly``, on top of the coarser levels."""
     d, L = lat.dim, lat.depth
     vs = coef.shape[1:]
-    coarse = _heap_size(L - 1, d)
-    top = coarse << d  # where the finest level starts
-    buf = np.zeros((top + lat.num_cells,) + vs, dtype=np.complex128)
+    buf, levels, fine = _pyramid_buffer(lat, vs)
     np.add.at(buf, _pairing_slots(lat, heap, eta), coef)
-    levels = _level_views(buf[:top].reshape((coarse, 1 << d) + vs), L - 1, d)
     out = np.zeros((1,) * d + vs, dtype=np.complex128)
     for l in range(L):
         kids = _haar_butterfly(_eta_interleaved(levels[l], d), d) * 2.0 ** (l * d / 2.0)
         out = (kids + out[(slice(None), None) * d]).reshape((2 << l,) * d + vs)
-    return out + buf[top:].reshape((lat.cells_per_axis,) * d + vs) * 2.0 ** (L * d / 2.0)
+    return out + fine * 2.0 ** (L * d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +538,7 @@ def grid_function_to_json(f: GridFunction) -> str:
     lat = f.lattice
     flat = f.values.reshape(-1)
     payload = {
-        "dim": lat.dim,
-        "depth": lat.depth,
-        "shift": list(lat.shift),
+        **_lattice_header(lat),
         "kind": "matrix",
         "N": f.N,
         "values": [[float(v.real), float(v.imag)] for v in flat],
@@ -549,7 +551,7 @@ def grid_function_from_json(text: str) -> GridFunction:
     lattice rule broken and a non-finite value raise ValueError naming
     the field.  A file of kind "scalar" loads as N = 1."""
     obj = json.loads(text)
-    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
+    lat = _lattice_from_header(obj)
     kind = _field(obj, "kind")
     if kind not in ("scalar", "matrix"):
         raise ValueError("field kind must be scalar or matrix")
@@ -609,12 +611,21 @@ def _ints(x, count: int | None, path: str) -> list[int]:
     return x
 
 
-def _shift(obj) -> list[float]:
-    """The ``shift`` field, a JSON list of numbers (not bools) of finite float value."""
-    x = _field(obj, "shift")
+def _lattice_header(lat: Lattice) -> dict:
+    """The fields that name a file's lattice: ``dim``, ``depth`` and ``shift``."""
+    return {"dim": lat.dim, "depth": lat.depth, "shift": list(lat.shift)}
+
+
+def _lattice_from_header(obj) -> Lattice:
+    """The lattice a file's ``_lattice_header`` fields name, checked in
+    the order dim, depth, shift; the shift is a JSON list of numbers (not
+    bools) of finite float value, and ``build_lattice`` checks the rest."""
+    dim, depth, x = _int(obj, "dim"), _int(obj, "depth"), _field(obj, "shift")
     try:
-        if isinstance(x, list) and all(type(s) in (int, float) and math.isfinite(s) for s in x):
-            return x
+        finite = isinstance(x, list) and all(type(s) in (int, float) and math.isfinite(s)
+                                             for s in x)
     except OverflowError:  # an integer beyond the float range
-        pass
-    raise ValueError("field shift must be a list of finite numbers")
+        finite = False
+    if not finite:
+        raise ValueError("field shift must be a list of finite numbers")
+    return build_lattice(dim, depth, x)

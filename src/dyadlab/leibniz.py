@@ -425,7 +425,6 @@ class DiagonalKernel:
 
     def __init__(self, s: float, quad_points: int = 4000):
         hw, ts, stride = self.halfwidth, self.table_step, self.stride
-        self.s = s
         xs = np.arange(-hw, hw + ts, ts)
         xi = np.linspace(0.0, 2.0, quad_points)
         dxi = xi[1] - xi[0]

@@ -39,8 +39,8 @@ import numpy as np
 
 from .lattice import (_BLOCK, MAX_CUBE_BITS, FieldError, GridFunction, HaarPyramid,
                       Lattice, _Malformed, _child_sums, _field, _haar_signs, _heap_cubes,
-                      _heap_number, _heap_size, _int, _ints, _json_array, _level_views, _shift,
-                      _synthesize, build_lattice, from_aligned, haar, pairing)
+                      _heap_number, _heap_size, _int, _ints, _json_array, _lattice_from_header,
+                      _lattice_header, _level_views, _synthesize, from_aligned, haar, pairing)
 from .ncspaces import chain
 
 NORMALIZATION_SLACK = 1e-12
@@ -371,7 +371,7 @@ def bmo_norm(h: GridFunction | HaarPyramid) -> float:
         raise ValueError(f"BMO norm is for scalar (N = 1) functions, not value shape "
                          f"{h.value_shape}")
     lat = h.lattice
-    pyr = h if isinstance(h, HaarPyramid) else HaarPyramid(h)
+    pyr, = _pyramids([h])
     coefs = _cancellative_pairings(pyr)
     sums = np.zeros(_heap_size(lat.depth, lat.dim))  # the finest level has none
     sums[:len(coefs)] = (np.abs(coefs) ** 2).sum(axis=1)
@@ -604,7 +604,7 @@ def _to_json(spec, header: dict) -> str:
     The bytes are those of ``json.dumps(..., sort_keys=True)`` with one
     dict per entry: each entry is formatted from a template, its integers
     as ``str`` does and its floats as ``json.dumps`` does for one column."""
-    t, lat = spec.coeffs, spec.lattice
+    t = spec.coeffs
     S, d = t.level.shape[1], t.dim
     cube = "[{}, [" + ", ".join(["{}"] * d) + "]]"
     etas = (f'"Qs": [{", ".join([cube] * (S - 1))}], "etas": [{", ".join(["{}"] * (S - 1))}]'
@@ -614,8 +614,7 @@ def _to_json(spec, header: dict) -> str:
                            .reshape(len(t), S * (d + 1)), t.eta], axis=1).tolist()
     entries = ", ".join(entry.format(*row, im, re) for row, im, re in zip(
         ints, _json_floats(t.value.imag), _json_floats(t.value.real)))
-    head = json.dumps({**header, "dim": lat.dim, "depth": lat.depth,
-                       "shift": list(lat.shift), "coeffs": None}, sort_keys=True)
+    head = json.dumps({**header, **_lattice_header(spec.lattice), "coeffs": None}, sort_keys=True)
     return head.replace('"coeffs": null', f'"coeffs": [{entries}]', 1)
 
 
@@ -700,7 +699,7 @@ def shift_from_json(text: str) -> ShiftSpec:
     entries of the file.
     """
     obj = json.loads(text)
-    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
+    lat = _lattice_from_header(obj)
     n = _int(obj, "n")
     canc = _ints(_field(obj, "cancellative"), None, "cancellative")
     complexity = _ints(_field(obj, "complexity"), n + 1, "complexity")
@@ -720,6 +719,6 @@ def paraproduct_from_json(text: str) -> ParaproductSpec:
     lattice, the table or the paraproduct, raise ValueError naming the
     field, as for ``shift_from_json``."""
     obj = json.loads(text)
-    lat = build_lattice(_int(obj, "dim"), _int(obj, "depth"), _shift(obj))
+    lat = _lattice_from_header(obj)
     return ParaproductSpec(lat, _int(obj, "n"), _int(obj, "haar_position"),
                            _table_from_json(obj, lat.dim, 0, "eta", (1 << lat.dim) - 1))

@@ -5,9 +5,9 @@ principle, conditional-expectation (Stein-type) comparison and the
 randomized product bound for Schatten tuples) average over all 2^m sign
 patterns of their m inputs, so expectations carry no sampling error and
 the checks are exact.  Martingale decoupling against independent
-resampling and the martingale transform take a ``SignEnsemble``, whose
-Monte Carlo mode serves index sets too large to enumerate; decoupling
-reports its standard error.
+resampling draws its signs and points from seeds and reports its
+standard error; the martingale transform takes its sign patterns as
+rows of an array.
 """
 
 from __future__ import annotations
@@ -29,27 +29,21 @@ _CHUNK_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class SignEnsemble:
-    """Independent uniform signs over an index set of size M."""
+    """Independent uniform signs over an index set of size M, all 2^M
+    patterns enumerated; ``decoupling_ratio`` draws from ``samples`` and ``seed``."""
 
     M: int
-    mode: str = "exhaustive"          # "exhaustive" | "monte_carlo"
     samples: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "monte_carlo"):
-            raise ValueError("unknown ensemble mode")
-        if self.mode == "exhaustive" and self.M > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive mode limited to M <= {EXHAUSTIVE_LIMIT}")
+        if self.M > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"sign patterns are enumerated only for M <= {EXHAUSTIVE_LIMIT}")
 
     def patterns(self) -> np.ndarray:
-        """Sign patterns, one per row (all 2^M rows in exhaustive mode)."""
-        if self.mode == "exhaustive":
-            m = self.M
-            grid = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1)
-            return 1.0 - 2.0 * grid
-        rng = np.random.default_rng(self.seed)
-        return 1.0 - 2.0 * rng.integers(0, 2, size=(self.samples, self.M))
+        """All 2^M sign patterns, one per row, the first sign varying fastest."""
+        m = self.M
+        return 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1)
 
 
 def _signed_norms(xs: Sequence, eps: np.ndarray, schatten: float) -> np.ndarray:
@@ -159,15 +153,14 @@ def decoupling_levels(depth: int, j: int, k: int, l: int) -> list[int]:
 class DecouplingSampler:
     """Independent uniform points: one finest cell per cube per draw."""
 
-    lattice: Lattice
     seed: int = 0
 
-    def draws(self, levels: Sequence[int], count: int) -> np.ndarray:
-        """Array (count, cubes) of within-cube flat cell offsets, a column
-        per cube of the levels in turn, each level in heap order: the
+    def draws(self, lat: Lattice, levels: Sequence[int], count: int) -> np.ndarray:
+        """Array (count, cubes) of within-cube flat cell offsets on ``lat``,
+        a column per cube of the levels in turn, each level in heap order: the
         stream of one ``integers(0, cells, size=count)`` per cube, in one draw per level."""
         rng = np.random.default_rng(self.seed)
-        d, L = self.lattice.dim, self.lattice.depth
+        d, L = lat.dim, lat.depth
         return np.concatenate([rng.integers(0, 1 << ((L - lv) * d), size=(1 << (lv * d), count))
                                for lv in levels]).T
 
@@ -246,8 +239,6 @@ def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
     signs (one row per sample, one column per cube, as
     ``DecouplingSampler.draws`` orders them)."""
     lat = f.lattice
-    if sampler.lattice != lat:
-        raise ValueError("sampler lattice mismatch")
     levels = decoupling_levels(lat.depth, j, k, l)
     a = f.aligned()
     diffs = {lv: level_blocks(lat, a, lv, l)[1] for lv in levels}
@@ -255,7 +246,7 @@ def _decoupling_inputs(f, j, k, l, p, schatten, sampler, ens):
 
     count = ens.samples
     rng = np.random.default_rng(ens.seed + 1)
-    offsets = sampler.draws(levels, count)
+    offsets = sampler.draws(lat, levels, count)
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=offsets.shape)
     return lat, levels, diffs, lhs, offsets, signs
 
@@ -330,26 +321,26 @@ def key_product_inequality(es: np.ndarray, last: np.ndarray,
 
 
 def martingale_transform_ratio(f: GridFunction, p: float, schatten: float,
-                               ens: SignEnsemble) -> float:
+                               eps: np.ndarray) -> float:
     """Worst sign-pattern ratio || sum eps_Q Delta_Q f || / || f - <f> ||
-    in L^p(X; S^schatten), over the ensemble patterns (cubes above the
-    finest level, ordered by level then index).  A chunk of patterns at a
-    time, each level's Delta f (``level_blocks``) is multiplied cell by cell
-    by the sign of the cell's cube (``cell_cubes``), in aligned cells."""
+    in L^p(X; S^schatten), over the sign patterns that are the rows of
+    ``eps`` (a column per cube above the finest level, ordered by level
+    then index).  A chunk of patterns at a time, each level's Delta f
+    (``level_blocks``) is multiplied cell by cell by the sign of the
+    cell's cube (``cell_cubes``), in aligned cells."""
     lat, d = f.lattice, f.lattice.dim
     # column of each cell's cube in the patterns, level by level, with two
     # unit axes for the value
     cols = [(_heap_size(lv - 1, d) + cell_cubes(lat, lv))[..., None, None]
             for lv in range(lat.depth)]
-    if cols[-1].max() >= ens.M:
-        raise ValueError("ensemble too small for the cube count")
+    if cols[-1].max() >= eps.shape[1]:
+        raise ValueError("too few signs for the cube count")
     aligned = f.aligned()
     deltas = [level_blocks(lat, aligned, lv)[1] for lv in range(lat.depth)]
     base = f.values - np.mean(f.values, axis=grid_axes(lat), keepdims=True)
     den = lp_norm(base, p, schatten)
     if den == 0.0:
         return 1.0
-    eps = ens.patterns()
     rows = max(1, _CHUNK_BYTES // deltas[0].nbytes)
     worst = 0.0
     for a in range(0, len(eps), rows):

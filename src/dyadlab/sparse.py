@@ -21,8 +21,8 @@ before its children.  Each call builds its own pyramid: nothing is kept
 between calls.
 
 The sparse form sum_Q |Q| prod_j <|f_j|>_Q dominates the model-operator
-forms; ``verify_sparse_domination`` measures the constant on concrete
-operators and inputs.
+forms; ``verify_sparse_domination`` measures the constant on a form's
+modulus at concrete inputs, which the caller evaluates.
 
 ``_stopping_masks``, ``_masks_sparse`` and ``_sparse_form_per_cube``
 are the recursive construction with one full-grid witness mask per cube,
@@ -38,7 +38,6 @@ import numpy as np
 
 from .lattice import (GridFunction, Lattice, _cell_block, _child_sums, _expand,
                       _heap_number, _heap_size, _level_views, build_lattice, from_aligned)
-from .modelops import ParaproductSpec, eval_paraproduct_form, eval_shift_form
 from .ncspaces import schatten_norms
 
 MEASURE_SLACK = 1e-12
@@ -331,18 +330,16 @@ def universal_sparse_bound(fs: list[GridFunction], value: float,
 # domination reports
 # ---------------------------------------------------------------------------
 
-def verify_sparse_domination(op, fs: list[GridFunction], eta: float = 0.5) -> dict:
-    """Measure |form(f)| against the sparse form of the pointwise S^{n+1}
-    norms.
+def verify_sparse_domination(lhs: float, fs: list[GridFunction], eta: float = 0.5) -> dict:
+    """Measure ``lhs``, the modulus of an (n+1)-linear form at the n + 1
+    inputs ``fs``, against the sparse form of their pointwise S^{n+1} norms.
 
     The collection is built by the stopping construction at the theta
     matching eta; ``sparse`` is its ``is_sparse`` verdict at eta.  A zero
     sparse form with a nonzero form value is flagged with an infinite
     constant.
     """
-    n1 = op.n + 1
-    form = eval_paraproduct_form if isinstance(op, ParaproductSpec) else eval_shift_form
-    lhs = abs(form(op, fs))
+    n1 = len(fs)
     norms = [GridFunction(f.lattice, schatten_norms(f.values, float(n1))) for f in fs]
     col = build_sparse_stopping(norms, n1 / (1.0 - eta))
     rhs = sparse_form(col, norms)

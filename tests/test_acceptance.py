@@ -251,8 +251,8 @@ def test_criterion_4_randomized_suite():
     # decoupling anchor
     lat = dl.build_lattice(1, 4)
     rec = cr.decoupling_anchor(dl.random_grid_function(lat, seed=8), 0, 1, 1,
-                               rz.DecouplingSampler(lat, seed=3),
-                               rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9))
+                               rz.DecouplingSampler(seed=3),
+                               rz.SignEnsemble(0, samples=10_000, seed=9))
     _report("criterion 4c scalar p=2 decoupling ratio is 1 within "
             f"{cr.ANCHOR_SE:g} standard errors", _holds([rec]),
             f"ratio {rec['ratio']:.4f} +- {rec['stderr']:.4f}")

@@ -107,6 +107,15 @@ def test_sparse_verify_without_evidence_fails(tmp_path):
     assert (tmp_path / "sparse-verify.csv").read_text().splitlines()[1:] == []
 
 
+def test_sparse_verify_skips_only_the_shapes_the_rules_reject(tmp_path, monkeypatch):
+    # a fault inside shift construction is not a rejected shape
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside shift construction")
+    monkeypatch.setattr(cli.mo, "make_random_shift", broken)
+    with pytest.raises(ValueError, match="fault inside shift construction"):
+        run("sparse-verify", tmp_path)
+
+
 def test_sparse_verify_writes_rows(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 12, "L": 4}))

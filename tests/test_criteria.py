@@ -149,8 +149,8 @@ def _zero_anchor():
     # f = 0: both sides vanish, so the ratio is 1 with a zero standard error
     lat = dl.build_lattice(1, 4)
     rec = cr.decoupling_anchor(dl.GridFunction(lat, np.zeros(16)), 0, 1, 1,
-                               rz.DecouplingSampler(lat, seed=3),
-                               rz.SignEnsemble(0, "monte_carlo", samples=100, seed=9))
+                               rz.DecouplingSampler(seed=3),
+                               rz.SignEnsemble(0, samples=100, seed=9))
     assert rec["ratio"] == 1.0 and rec["stderr"] == 0.0
     return rec
 

@@ -58,6 +58,13 @@ def test_value_layers_import_only_the_value_algebra():
     assert _package_modules(PACKAGE / "leibniz.py") == {"ncspaces"}
 
 
+def test_sparse_and_randomized_layers_import_only_lattice_and_ncspaces():
+    # neither evaluates a model-operator form: sparse domination takes the
+    # form's modulus from its caller
+    assert _package_modules(PACKAGE / "sparse.py") == {"lattice", "ncspaces"}
+    assert _package_modules(PACKAGE / "randomized.py") == {"lattice", "ncspaces"}
+
+
 def test_package_module_check_sees_both_import_forms(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import numpy as np\nfrom . import lattice as lt\n"

@@ -483,6 +483,13 @@ def test_factorize_positive_rejects_nonunit():
     assert abs(nc.schatten_norm(f2, 3.0) - 1.0) < 1e-12
 
 
+def test_factorization_roundtrips_scale_to_the_exponents_q():
+    # 1/q = 1/2 + 1/3: the check scales diag(1, 2) to unit S^(6/5) norm, not
+    # unit trace norm, which factorize_positive would reject
+    flat, _ = cr.factorization_roundtrips([(np.diag([1.0, 2.0]), [2.0, 3.0])], [])
+    assert flat["pass"] is True and flat["max_error"] < 1e-12
+
+
 def _mixed_space(N):
     tab = nc.ExponentTable(((3.0, 3.0), (3.0, 3.0), (3.0, 3.0)))
     return tab, nc.MixedSpace(((0.4, 0.6),), N, tab)

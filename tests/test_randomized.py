@@ -179,15 +179,15 @@ def test_sampler_draws_one_stream_per_cube_in_heap_order(d, L, levels):
     rng = np.random.default_rng(11)
     ref = [rng.integers(0, 2 ** ((L - lv) * d), size=count)
            for lv in levels for _ in lattice_cubes(lat, lv)]
-    got = rz.DecouplingSampler(lat, seed=11).draws(levels, count)
+    got = rz.DecouplingSampler(seed=11).draws(lat, levels, count)
     assert got.shape == (count, len(ref))
     assert np.array_equal(got, np.stack(ref, axis=1))
 
 
 def test_sampler_marginal_uniform():
     lat = dl.build_lattice(1, 4)
-    samp = rz.DecouplingSampler(lat, seed=0)
-    draws = samp.draws([0], 20_000)[:, 0]
+    samp = rz.DecouplingSampler(seed=0)
+    draws = samp.draws(lat, [0], 20_000)[:, 0]
     counts = np.bincount(draws, minlength=16)
     expected = 20_000 / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -198,8 +198,8 @@ def test_sampler_marginal_uniform():
 def test_decoupling_scalar_p2_anchor():
     lat = dl.build_lattice(1, 4)
     f = dl.random_grid_function(lat, seed=8)
-    samp = rz.DecouplingSampler(lat, seed=3)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=10_000, seed=9)
+    samp = rz.DecouplingSampler(seed=3)
+    ens = rz.SignEnsemble(0, samples=10_000, seed=9)
     ratio, se = rz.decoupling_ratio(f, 0, 1, 1, 2.0, 2.0, samp, ens)
     assert abs(ratio - 1.0) <= 3.0 * se
 
@@ -207,8 +207,8 @@ def test_decoupling_scalar_p2_anchor():
 def test_decoupling_constant_guarded():
     lat = dl.build_lattice(1, 4)
     c = dl.GridFunction(lat, np.ones(16))
-    samp = rz.DecouplingSampler(lat, seed=3)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=50, seed=9)
+    samp = rz.DecouplingSampler(seed=3)
+    ens = rz.SignEnsemble(0, samples=50, seed=9)
     ratio, se = rz.decoupling_ratio(c, 0, 1, 0, 2.0, 2.0, samp, ens)
     assert ratio == 1.0 and se == 0.0
 
@@ -216,8 +216,8 @@ def test_decoupling_constant_guarded():
 def test_decoupling_matrix_band():
     lat = dl.build_lattice(1, 4)
     f = dl.random_grid_function(lat, N=2, seed=13)
-    samp = rz.DecouplingSampler(lat, seed=5)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=4000, seed=7)
+    samp = rz.DecouplingSampler(seed=5)
+    ens = rz.SignEnsemble(0, samples=4000, seed=7)
     ratio, _ = rz.decoupling_ratio(f, 0, 1, 1, 4.0, 2.0, samp, ens)
     assert 0.1 <= ratio <= 10.0
 
@@ -242,8 +242,8 @@ def test_decoupling_chunks_match_the_per_sample_oracle(monkeypatch, d, L, shift,
     lat = dl.build_lattice(d, L, shift)
     assert (shift is None) == (not any(lat.shift_cells))
     f = _decoupling_input(lat, N, scalar, d + L)
-    samp = rz.DecouplingSampler(lat, seed=4)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=300, seed=6)
+    samp = rz.DecouplingSampler(seed=4)
+    ens = rz.SignEnsemble(0, samples=300, seed=6)
     # 64 samples a chunk, so 300 samples end in a partial chunk
     monkeypatch.setattr(rz, "_CHUNK_BYTES", 64 * lat.num_cells * N * N * 16)
     assert rz.decoupling_ratio(f, *jkl, p, 2.0, samp, ens) == \
@@ -253,9 +253,9 @@ def test_decoupling_chunks_match_the_per_sample_oracle(monkeypatch, d, L, shift,
 def test_decoupling_default_chunk_matches_the_per_sample_oracle():
     lat = dl.build_lattice(1, 4)
     f = dl.random_grid_function(lat, N=2, seed=13)
-    samp = rz.DecouplingSampler(lat, seed=5)
+    samp = rz.DecouplingSampler(seed=5)
     rows = rz._CHUNK_BYTES // (16 * 4 * 16)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=rows + 37, seed=7)
+    ens = rz.SignEnsemble(0, samples=rows + 37, seed=7)
     assert rz.decoupling_ratio(f, 0, 1, 1, 4.0, 2.0, samp, ens) == \
         rz._decoupling_ratio_per_sample(f, 0, 1, 1, 4.0, 2.0, samp, ens)
 
@@ -271,8 +271,8 @@ def test_decoupling_default_chunk_matches_the_per_sample_oracle():
 def test_decoupling_level_arrays_match_the_per_cube_differences(d, L, shift, N, scalar, jkl):
     lat = dl.build_lattice(d, L, shift)
     f = _decoupling_input(lat, N, scalar, d + L)
-    samp = rz.DecouplingSampler(lat, seed=4)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=6)
+    samp = rz.DecouplingSampler(seed=4)
+    ens = rz.SignEnsemble(0, samples=10, seed=6)
     _, levels, diffs, lhs, _, _ = rz._decoupling_inputs(f, *jkl, 3.0, 2.0, samp, ens)
     cubes = [Q for lv in levels for Q in lattice_cubes(lat, lv)]
     per_cube = [dl.martingale_diff(f, *Q, jkl[2]) for Q in cubes]
@@ -311,8 +311,8 @@ def test_decoupling_levels_residues():
 def test_decoupling_validates_levels():
     lat = dl.build_lattice(1, 4)
     f = dl.random_grid_function(lat, seed=8)
-    samp = rz.DecouplingSampler(lat, seed=3)
-    ens = rz.SignEnsemble(0, "monte_carlo", samples=10, seed=0)
+    samp = rz.DecouplingSampler(seed=3)
+    ens = rz.SignEnsemble(0, samples=10, seed=0)
     with pytest.raises(ValueError):
         rz.decoupling_ratio(f, 0, 1, 2, 2.0, 2.0, samp, ens)
 
@@ -366,32 +366,35 @@ def test_key_product_inequality(rng):
 def test_martingale_transform_statistic():
     lat = dl.build_lattice(1, 3)
     f = dl.random_grid_function(lat, seed=21)
-    stat = rz.martingale_transform_ratio(f, 2.0, 2.0, rz.SignEnsemble(7))
+    eps = rz.SignEnsemble(7).patterns()
+    stat = rz.martingale_transform_ratio(f, 2.0, 2.0, eps)
     # p = 2 is an isometry class: every sign choice preserves the norm
     assert stat == pytest.approx(1.0, abs=1e-10)
-    stat3 = rz.martingale_transform_ratio(f, 3.0, 2.0, rz.SignEnsemble(7))
+    stat3 = rz.martingale_transform_ratio(f, 3.0, 2.0, eps)
     assert stat3 >= 1.0 - 1e-12
+    with pytest.raises(ValueError, match="too few signs"):  # 7 cubes above the cells
+        rz.martingale_transform_ratio(f, 2.0, 2.0, eps[:, :6])
 
 
-def _transform_ratio_per_cube(f, p, schatten, ens):
+def _transform_ratio_per_cube(f, p, schatten, eps):
     """martingale_transform_ratio with Delta_Q f from ``martingale_diff`` on each cube."""
     lat = f.lattice
     cubes = [Q for lv in range(lat.depth) for Q in lattice_cubes(lat, lv)]
     diffs = np.stack([dl.martingale_diff(f, *Q).values for Q in cubes])
     base = f.values - f.values.mean(axis=tuple(range(lat.dim)), keepdims=True)
     den = dl.lp_norm(base, p, schatten)
-    signed = np.tensordot(ens.patterns()[:, :len(cubes)], diffs, axes=(1, 0))
+    signed = np.tensordot(eps[:, :len(cubes)], diffs, axes=(1, 0))
     return float(nc.lp_norms(signed, p, schatten).max()) / den
 
 
-@pytest.mark.parametrize("L, ens", [
-    (2, rz.SignEnsemble(5)),
+@pytest.mark.parametrize("L, eps", [
+    (2, rz.SignEnsemble(5).patterns()),
     # 21 cubes: more sample rows than one chunk holds
-    (3, rz.SignEnsemble(21, "monte_carlo", samples=200, seed=1)),
+    (3, 1.0 - 2.0 * np.random.default_rng(1).integers(0, 2, size=(200, 21))),
 ], ids=["exhaustive", "monte-carlo"])
-def test_martingale_transform_matches_the_per_cube_differences(L, ens):
+def test_martingale_transform_matches_the_per_cube_differences(L, eps):
     lat = dl.build_lattice(2, L, (0.25, 0.5))
     f = dl.random_grid_function(lat, N=2, seed=22)
-    got = rz.martingale_transform_ratio(f, 3.0, 2.0, ens)
-    assert got == pytest.approx(_transform_ratio_per_cube(f, 3.0, 2.0, ens), rel=1e-12)
+    got = rz.martingale_transform_ratio(f, 3.0, 2.0, eps)
+    assert got == pytest.approx(_transform_ratio_per_cube(f, 3.0, 2.0, eps), rel=1e-12)
     assert got > 1.0

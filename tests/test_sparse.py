@@ -374,7 +374,7 @@ def test_domination_zero_operator():
     lat = dl.build_lattice(1, 4)
     spec = mo.make_random_shift(lat, 2, (1, 0, 1), {1, 3}, seed=1, scale=0.0)
     fs = [dl.random_grid_function(lat, N=2, seed=i) for i in range(3)]
-    rep = sp.verify_sparse_domination(spec, fs)
+    rep = sp.verify_sparse_domination(abs(mo.eval_shift_form(spec, fs)), fs)
     assert rep["lhs"] == 0.0 and rep["constant"] == 0.0
 
 
@@ -382,9 +382,9 @@ def test_domination_constants_scale_invariant(rng):
     lat = dl.build_lattice(1, 5)
     spec = mo.make_random_shift(lat, 2, (2, 0, 1), {2, 3}, seed=3)
     fs = [dl.random_grid_function(lat, N=2, seed=30 + i) for i in range(3)]
-    rep1 = sp.verify_sparse_domination(spec, fs)
+    rep1 = sp.verify_sparse_domination(abs(mo.eval_shift_form(spec, fs)), fs)
     scaled = [dl.GridFunction(lat, c * f.values) for c, f in zip((2.0, 0.25, 5.0), fs)]
-    rep2 = sp.verify_sparse_domination(spec, scaled)
+    rep2 = sp.verify_sparse_domination(abs(mo.eval_shift_form(spec, scaled)), scaled)
     assert rep1["constant"] == pytest.approx(rep2["constant"], abs=1e-10)
 
 
@@ -410,7 +410,8 @@ def test_domination_constant_paraproduct_constants():
     h = dl.random_grid_function(lat, seed=2)
     pp = mo.ParaproductSpec(lat, 2, 1, mo.make_bmo_coeffs(lat, h))
     eye = dl.GridFunction(lat, np.broadcast_to(np.eye(2), (16, 2, 2)).copy())
-    rep = sp.verify_sparse_domination(pp, [eye, eye, eye])
+    fs = [eye, eye, eye]
+    rep = sp.verify_sparse_domination(abs(mo.eval_paraproduct_form(pp, fs)), fs)
     assert rep["lhs"] < 1e-13
 
 
@@ -419,5 +420,5 @@ def test_domination_report_on_rewrite_terms():
     spec = mo.make_random_shift(lat, 2, (2, 0, 1), {2, 3}, seed=6)
     fs = [dl.random_grid_function(lat, N=2, seed=40 + i) for i in range(3)]
     for term in mo.reduce_shift(spec):
-        rep = sp.verify_sparse_domination(term, fs, eta=0.5)
+        rep = sp.verify_sparse_domination(abs(mo.eval_shift_form(term, fs)), fs, eta=0.5)
         assert math.isfinite(rep["constant"])
