@@ -25,7 +25,6 @@ from . import criteria as cr
 from . import lattice as lt
 from . import leibniz as lb
 from . import modelops as mo
-from . import ncspaces as nc
 from . import randomized as rz
 
 
@@ -311,17 +310,17 @@ def run_decouple(config, out, fmt):
 def run_factorize(config, out, fmt):
     rng = np.random.default_rng(config["seed"])
     N = config["N"]
-    tab = nc.ExponentTable(((3.0, 3.0), (3.0, 3.0), (3.0, 3.0)))
-    space = nc.MixedSpace(((0.4, 0.6),), N, tab)
+    ps = (3.0, 3.0, 3.0)  # a Hoelder tuple: sum 1/p_u = 1
+    # two factors over one level of two atoms, each at p_u on both levels
+    weights, cols = ((0.4, 0.6),), [(p, p) for p in ps[:2]]
     positive, mixed = [], []
     for _ in range(config["trials"]):
         g = _gaussian(rng, N)
-        positive.append((g @ g.conj().T, [3.0, 3.0, 3.0]))
+        positive.append((g @ g.conj().T, ps))
         bs = [_gaussian(rng, N) for _ in range(2)]
-        mixed.append((np.stack([b @ b.conj().T for b in bs]), space))
+        mixed.append((np.stack([b @ b.conj().T for b in bs]), weights, cols))
     checks = cr.factorization_roundtrips(positive, mixed)
-    checks.append(cr.dual_norm_attainment(_gaussian(rng, N), [1, 2],
-                                          nc.holder_tuple([3.0, 3.0, 3.0]),
+    checks.append(cr.dual_norm_attainment(_gaussian(rng, N), ps[:2],
                                           config["budget"], config["seed"] + 1))
     return _finalize("factorize", config, checks, out, fmt)
 

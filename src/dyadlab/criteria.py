@@ -280,32 +280,35 @@ def decoupling_band(f: lt.GridFunction, j: int, k: int, l: int, p: float,
 def factorization_roundtrips(positive: list, mixed: list) -> list[dict]:
     """Unit-norm elements factor into unit-norm factors that multiply back:
     each positive semidefinite a of (a, exponents) scaled to unit S^q norm
-    (1/q = sum_u 1/p_u, as ``factorize_positive`` reads q), each stack of
-    (raw, space) to unit nested norm over slots 1, 2.  Each record fails
-    when its list is empty."""
+    (q = ``nc.holder_exponent`` of its exponents, as ``factorize_positive``
+    reads q), and each value tree raw of (raw, weights, exponent columns)
+    scaled to unit nested norm in the q column (``holder_exponent`` of the
+    columns level by level, as ``factorize_mixed`` reads it).  Each record
+    fails when its list is empty."""
     flat = 0.0
     for a, ps in positive:
-        a = a / nc.schatten_norm(a, 1.0 / sum(1.0 / float(p) for p in ps))
+        a = a / nc.schatten_norm(a, nc.holder_exponent(ps))
         factors = nc.factorize_positive(a, ps)
         flat = max(flat, _max_dev(nc.chain(factors), a),
                    *(abs(nc.schatten_norm(fac, p) - 1.0) for fac, p in zip(factors, ps)))
     nested = 0.0
-    for raw, space in mixed:
-        f = raw / nc.nested_norm(raw, space, space.table.q_col([1, 2]))
-        facs = nc.factorize_mixed(f, [1, 2], space)
+    for raw, weights, cols in mixed:
+        qs = [nc.holder_exponent(ps) for ps in zip(*cols)]
+        f = raw / nc.nested_norm(raw, weights, qs)
+        facs = nc.factorize_mixed(f, weights, cols)
         nested = max(nested, _max_dev(nc.chain(facs), f),
-                     *(abs(nc.nested_norm(fac, space, space.table.column(j)) - 1.0)
-                       for fac, j in zip(facs, (1, 2))))
+                     *(abs(nc.nested_norm(fac, weights, col) - 1.0)
+                       for fac, col in zip(facs, cols)))
     return [_within("positive-factorization-roundtrip", flat, POSITIVE_FACTOR_TOL, bool(positive)),
             _within("mixed-factorization-roundtrip", nested, MIXED_FACTOR_TOL, bool(mixed))]
 
 
-def dual_norm_attainment(e: np.ndarray, J: list[int], table: nc.ExponentTable,
-                         budget: int, seed: int) -> dict:
-    """The best ``y_norm`` proposal reaches ATTAINMENT of the dual norm, never
-    above it.  The first, SVD-aligned proposal attains the norm, so it alone
-    decides the lower bound; the Gaussian proposals meet only the upper."""
-    res = nc.y_norm(e, J, table, budget=budget, seed=seed)
+def dual_norm_attainment(e: np.ndarray, ps: list[float], budget: int, seed: int) -> dict:
+    """The best ``y_norm`` proposal against the spaces S^{p_u} of ``ps``
+    reaches ATTAINMENT of the dual norm, never above it.  The first,
+    SVD-aligned proposal attains the norm, so it alone decides the lower
+    bound; the Gaussian proposals meet only the upper."""
+    res = nc.y_norm(e, ps, budget=budget, seed=seed)
     ok = ATTAINMENT * res.analytic <= res.empirical <= res.analytic * (1 + DUAL_SLACK)
     return record("dual-norm-search-attainment", HARD, ok,
                   analytic=res.analytic, empirical=res.empirical)

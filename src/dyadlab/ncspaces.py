@@ -12,9 +12,13 @@ is a 1x1 matrix, whose one singular value |a| is its norm at every p.
 mean of its cells' Schatten norms, and ``lp_norms`` that of each row of
 a stack.  This module imports no other dyadlab module.
 
+Exponents are plain tuples: ``holder_exponent`` gives the combined
+exponent q of a tuple, 1/q = sum_u 1/p_u, wherever one is needed.
 Mixed-norm spaces stack finitely many weighted atom levels on top of
-the matrix level; the nested norm of a value tree evaluates one weighted
-l^p norm per level, with the Schatten norm at the bottom.
+the matrix level, given by a tuple of atom weights per level; the nested
+norm of a value tree in an exponent column (one exponent per level)
+evaluates one weighted l^p norm per level, with the Schatten norm at the
+bottom.
 
 Duality and factorization are spectral splits: ``dual_maximizers``
 takes the unit-S^p B with tr(AB) = |A|_{p'} of each matrix of a stack
@@ -28,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -213,128 +216,69 @@ def _dual_split(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# exponent tables and mixed spaces
+# Hoelder exponents and mixed norms
 # ---------------------------------------------------------------------------
 
-HOLDER_TOL = 1e-12
+def holder_exponent(ps: Sequence[float]) -> float:
+    """The combined exponent q of the exponents ``ps``, 1/q = sum_u 1/p_u:
+    an infinite p_u adds nothing, and q = inf when the sum is 0."""
+    inv = sum(1.0 / p for p in ps)
+    return 1.0 / inv if inv else math.inf
 
 
-@dataclass(frozen=True)
-class ExponentTable:
-    """Exponents p[j][s] for j = 1..m and levels s = 0..S.
-
-    Each column s must satisfy sum_j 1/p[j][s] = 1 with all entries in
-    (1, inf).  Index sets J select sub-tuples; ``q_col`` gives the
-    combined exponent 1/q_J = sum_{j in J} 1/p_j per level.
-    """
-
-    p: tuple[tuple[float, ...], ...]  # p[j-1][s]
-
-    def __post_init__(self):
-        if not self.p or not self.p[0]:
-            raise ValueError("empty exponent table")
-        cols = len(self.p[0])
-        if any(len(row) != cols for row in self.p):
-            raise ValueError("ragged exponent table")
-        for row in self.p:
-            for x in row:
-                if not (1.0 < x < math.inf):
-                    raise ValueError("exponents must lie in (1, inf)")
-        for s in range(cols):
-            tot = sum(1.0 / row[s] for row in self.p)
-            if abs(tot - 1.0) > HOLDER_TOL * len(self.p):
-                raise ValueError(f"column {s} is not a Holder tuple (sum 1/p = {tot})")
-
-    @property
-    def m(self) -> int:
-        return len(self.p)
-
-    @property
-    def S(self) -> int:
-        return len(self.p[0]) - 1
-
-    def column(self, j: int) -> tuple[float, ...]:
-        """Exponent column (p_j^0, ..., p_j^S) of space j (1-based)."""
-        return self.p[j - 1]
-
-    def q_col(self, J: Sequence[int]) -> tuple[float, ...]:
-        J = sorted(set(J))
-        if not J or any(not 1 <= j <= self.m for j in J):
-            raise ValueError("bad index set")
-        out = []
-        for s in range(self.S + 1):
-            inv = sum(1.0 / self.p[j - 1][s] for j in J)
-            out.append(1.0 / inv)
-        return tuple(out)
+def _value_tree(values: np.ndarray, weights: Sequence[Sequence[float]]) -> np.ndarray:
+    """``values`` as a value tree over the atom levels of ``weights``:
+    ``weights[s-1]`` holds the positive atom weights of level s = 1..S,
+    and the tree has shape (len(weights[S-1]), ..., len(weights[0]), N,
+    N), outermost level first."""
+    if any(min(w, default=0.0) <= 0 for w in weights):
+        raise ValueError("atom weights must be positive")
+    values = np.asarray(values, dtype=np.complex128)
+    atoms = tuple(len(w) for w in reversed(weights))
+    if values.ndim < 2 or values.shape != atoms + values.shape[-1:] * 2:
+        raise ValueError("value tree shape mismatch")
+    return values
 
 
-def holder_tuple(ps: Sequence[float]) -> ExponentTable:
-    """Single-level (S=0) table from a Holder tuple of exponents."""
-    return ExponentTable(tuple((float(p),) for p in ps))
-
-
-@dataclass(frozen=True)
-class MixedSpace:
-    """Finite weighted atom levels over M_N(C).
-
-    ``weights[s-1]`` holds the atom weights of level s = 1..S; value
-    trees are arrays of shape (len(weights[S-1]), ..., len(weights[0]),
-    N, N), outermost level first.
-    """
-
-    weights: tuple[tuple[float, ...], ...]
-    N: int
-    table: ExponentTable
-
-    def __post_init__(self):
-        if len(self.weights) != self.table.S:
-            raise ValueError("weight levels do not match the exponent table depth")
-        for w in self.weights:
-            if not w or any(x <= 0 for x in w):
-                raise ValueError("atom weights must be positive")
-
-    @property
-    def S(self) -> int:
-        return len(self.weights)
-
-    def value_shape(self) -> tuple[int, ...]:
-        return tuple(len(self.weights[s - 1]) for s in range(self.S, 0, -1)) + (self.N, self.N)
-
-
-def _level_norms(values: np.ndarray, space: MixedSpace,
+def _level_norms(values: np.ndarray, weights: Sequence[Sequence[float]],
                  col: Sequence[float]) -> list[np.ndarray]:
     """Nested norms of every subtree of a value tree, in one pass from the
     leaves up.  Entry s holds the level-s norms, shaped like the value
     tree cut after its level-(s+1) axis: entry 0 the Schatten col[0]
-    norm of each leaf, entry S the nested norm of the whole tree."""
+    norm of each leaf, entry S the nested norm of the whole tree.  A
+    level's norm is a root of a weighted sum of powers, so its exponent
+    must be finite (at inf the sum would read 1 for any nonzero tree)."""
+    if len(col) != len(weights) + 1:
+        raise ValueError(f"an exponent column has one entry per level, {len(weights) + 1}, "
+                         f"not {len(col)}")
+    if not all(1 <= p < math.inf for p in col[1:]):
+        raise ValueError("atom-level exponents must lie in [1, inf)")
     levels = [schatten_norms(values, col[0])]
-    for s in range(1, space.S + 1):
-        w = np.asarray(space.weights[s - 1], dtype=float)
+    for s in range(1, len(weights) + 1):
+        w = np.asarray(weights[s - 1], dtype=float)
         levels.append((levels[-1] ** col[s] @ w) ** (1.0 / col[s]))
     return levels
 
 
-def nested_norm(values: np.ndarray, space: MixedSpace, column: Sequence[float]) -> float:
-    """Nested mixed norm of a value tree in the exponent ``column``
-    (p^0..p^S), such as ``space.table.column(j)`` or ``space.table.q_col(J)``.
+def nested_norm(values: np.ndarray, weights: Sequence[Sequence[float]],
+                column: Sequence[float]) -> float:
+    """Nested mixed norm of a value tree (see ``_value_tree``) in the
+    exponent ``column`` (p^0..p^S).
 
     Level s applies the weighted l^{p^s} norm over the level-s atoms to
     the level-(s-1) norms; level 0 is the Schatten p^0 norm.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != space.value_shape():
-        raise ValueError("value tree shape mismatch")
-    return float(_level_norms(values, space, column)[-1])
+    return float(_level_norms(_value_tree(values, weights), weights, column)[-1])
 
 
-def flat_product_norm(values: np.ndarray, space: MixedSpace, p: float) -> float:
+def flat_product_norm(values: np.ndarray, weights: Sequence[Sequence[float]],
+                      p: float) -> float:
     """L^p norm over the product of all atom levels (Fubini reference)."""
-    values = np.asarray(values, dtype=np.complex128)
-    leaves = values.reshape((-1, space.N, space.N))
+    values = _value_tree(values, weights)
     w = np.array([1.0])
-    for s in range(space.S, 0, -1):
-        w = np.kron(w, np.asarray(space.weights[s - 1], dtype=float))
-    norms = schatten_norms(leaves, p)
+    for level in reversed(weights):
+        w = np.kron(w, np.asarray(level, dtype=float))
+    norms = schatten_norms(values.reshape((-1,) + values.shape[-2:]), p)
     return float((w @ norms ** p) ** (1.0 / p))
 
 
@@ -362,15 +306,17 @@ def _aligned_factors(e: np.ndarray, q: float, ps: Sequence[float]) -> list[np.nd
     return [(v * d ** (q / p)) @ right for p, right in zip(ps, rights)]
 
 
-def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
+def y_norm(e: np.ndarray, ps: Sequence[float],
            budget: int = 10_000, seed: int = 0) -> YNormResult:
-    """Dual seminorm of e against the spaces indexed by J (matrix case).
+    """Dual seminorm of e against the product of the spaces S^{p_u}, one
+    for each exponent of ``ps`` (matrix case).
 
     The analytic value is the Schatten norm with the exponent conjugate
-    to q_J^0.  The empirical value is the best of ``budget`` random
-    proposals for sup |tr(e e_{s(1)} ... e_{s(k)})| over unit e_u and
-    permutations s; proposals mix normalized complex Gaussians with
-    factors aligned to the SVD of e, which attain the supremum.
+    to q = ``holder_exponent(ps)``, which must be at least 1.  The
+    empirical value is the best of ``budget`` random proposals for
+    sup |tr(e e_{s(1)} ... e_{s(k)})| over unit e_u and permutations s;
+    proposals mix normalized complex Gaussians with factors aligned to
+    the SVD of e, which attain the supremum.
 
     The aligned proposal is the first.  ``_best_gaussian`` scores the
     other budget - 1 in chunks of arrays: one normal draw per chunk, then
@@ -383,16 +329,15 @@ def y_norm(e: np.ndarray, J: Sequence[int], tab: ExponentTable,
     normalization and score (array and scalar powers and absolute values
     may round differently), within 1e-12.
     """
-    if tab.S != 0:
-        raise ValueError("y_norm handles the matrix case (S = 0) only")
-    J = sorted(set(J))
-    if not J:
-        raise ValueError("index set must be non-empty")
+    ps = [float(p) for p in ps]
+    if not ps:
+        raise ValueError("need at least one exponent")
+    q = holder_exponent(ps)  # pairing exponent
+    if q < 1:
+        raise ValueError("exponents must have sum 1/p_u <= 1")
     e = np.asarray(e, dtype=np.complex128)
-    ps = [tab.column(j)[0] for j in J]
-    q = tab.q_col(J)[0]  # pairing exponent
     analytic = schatten_norm(e, conjugate_exponent(q))
-    perms = list(itertools.permutations(range(len(J))))
+    perms = list(itertools.permutations(range(len(ps))))
     aligned = _best_pairing(e, [_aligned_factors(e, q, ps)], perms)
     return YNormResult(analytic, max(aligned, _best_gaussian(e, ps, perms, budget - 1, seed)))
 
@@ -467,39 +412,36 @@ UNIT_TOL = 1e-8
 
 def factorize_positive(a: np.ndarray, ps: Sequence[float]) -> list[np.ndarray]:
     """Split a positive unit-S^q matrix into A^{q/p_u} factors, where
-    1/q = sum_u 1/p_u.
+    q = ``holder_exponent(ps)``.
 
     Requires |A|_{S^q} = 1; the factors multiply back to A and have unit
     S^{p_u} norms.
     """
     ps = [float(p) for p in ps]
-    q = 1.0 / sum(1.0 / p for p in ps)
+    q = holder_exponent(ps)
     nrm = schatten_norm(a, q)
     if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"input must have unit S^{q} norm (got {nrm})")
     return power_pos(a, [q / p for p in ps])
 
 
-def factorize_mixed(values: np.ndarray, J: Sequence[int],
-                    space: MixedSpace) -> list[np.ndarray]:
+def factorize_mixed(values: np.ndarray, weights: Sequence[Sequence[float]],
+                    cols: Sequence[Sequence[float]]) -> list[np.ndarray]:
     """Level-by-level factorization of a positive nested simple function.
 
-    ``values`` must have unit nested norm in the combined q_J column
-    and positive semidefinite leaves.  Returns one value tree per index
-    in J, each of unit nested norm in its own column, multiplying back
+    ``values`` is a value tree over the atom levels of ``weights`` (see
+    ``_value_tree``) with positive semidefinite leaves and unit nested
+    norm in the q column, q^s = ``holder_exponent`` of the level-s
+    entries of the exponent columns ``cols``.  Returns one value tree
+    per column, each of unit nested norm in its column, multiplying back
     to the input pointwise.  Atoms where the function vanishes get zero
     factors.
     """
-    J = sorted(set(J))
-    if not J:
-        raise ValueError("index set must be non-empty")
-    tab = space.table
-    q_col = tab.q_col(J)
-    cols = [tab.column(j) for j in J]
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != space.value_shape():
-        raise ValueError("value tree shape mismatch")
-    levels = _level_norms(values, space, q_col)
+    if not cols:
+        raise ValueError("need at least one exponent column")
+    values = _value_tree(values, weights)
+    qs = [holder_exponent(ps) for ps in zip(*cols, strict=True)]
+    levels = _level_norms(values, weights, qs)
     total = float(levels[-1])
     if abs(total - 1.0) > UNIT_TOL:
         raise ValueError(f"input must have unit nested norm (got {total})")
@@ -507,18 +449,19 @@ def factorize_mixed(values: np.ndarray, J: Sequence[int],
     # scale[u] at a leaf: the product over levels s of (subtree norm /
     # parent norm)^(q^s/p_u^s); the whole tree counts as norm 1, as the
     # input is unit; a zero subtree gives ratio 0
-    scale = [np.ones(levels[0].shape) for _ in J]
-    for s in range(1, space.S + 1):
-        parent = levels[s][..., None] if s < space.S else 1.0
+    S = len(weights)
+    scale = [np.ones(levels[0].shape) for _ in cols]
+    for s in range(1, S + 1):
+        parent = levels[s][..., None] if s < S else 1.0
         ratio = np.divide(levels[s - 1], parent, out=np.zeros_like(levels[s - 1]),
                           where=parent > 0)
         ratio = ratio.reshape(ratio.shape + (1,) * (s - 1))
-        for u in range(len(J)):
-            scale[u] = scale[u] * ratio ** (q_col[s] / cols[u][s])
-    outs = [np.zeros_like(values) for _ in J]
+        for u, col in enumerate(cols):
+            scale[u] = scale[u] * ratio ** (qs[s] / col[s])
+    outs = [np.zeros_like(values) for _ in cols]
     nz = levels[0] > 0.0
     powers = power_pos(values[nz] / levels[0][nz][:, None, None],
-                       [q_col[0] / col[0] for col in cols])
+                       [qs[0] / col[0] for col in cols])
     for out, sc, pw in zip(outs, scale, powers):
         out[nz] = sc[nz][:, None, None] * pw
     return outs

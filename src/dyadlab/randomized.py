@@ -19,8 +19,8 @@ import numpy as np
 
 from .lattice import (FieldError, GridFunction, Lattice, _heap_size, cell_cubes, grid_axes,
                       level_blocks)
-from .ncspaces import (chain, conjugate_exponent, lp_norm, lp_norms, power_mean, scalar_pow,
-                       schatten_norm, schatten_norms)
+from .ncspaces import (chain, conjugate_exponent, holder_exponent, lp_norm, lp_norms, power_mean,
+                       scalar_pow, schatten_norm, schatten_norms)
 
 EXHAUSTIVE_LIMIT = 20
 # largest accumulator of one chunk of decoupling samples, in bytes
@@ -63,10 +63,10 @@ def rad_norm(xs: Sequence, schatten: float) -> float:
 
 def kk_ratio(xs: Sequence, schatten: float, p: float, q: float) -> float:
     """Ratio of the p-th and q-th moment norms of the randomized sum, in S^schatten."""
-    if len(xs) == 0:
-        return 1.0
     if p <= 0 or q <= 0:
         raise ValueError("moments must be positive")
+    if len(xs) == 0:
+        return 1.0
     vals = _signed_norms(xs, SignEnsemble(len(xs)).patterns(), schatten)
     den = float(power_mean(vals, q))
     num = float(power_mean(vals, p))
@@ -302,7 +302,7 @@ def key_product_inequality(es: np.ndarray, last: np.ndarray,
                            exponents: Sequence[float]) -> tuple[float, float]:
     """Submultiplicative bound peeling one factor off a product sum.
 
-    ``es`` has shape (n-1, K, N, N); returns (lhs, rhs) with
+    ``es`` has shape (n-1, K, N, N) with n >= 2; returns (lhs, rhs) with
     lhs = |sum_k prod_j e_{j,k} last|_{S^{p_{n+1}'}} and
     rhs = |sum_k prod_j e_{j,k}|_{S^{r'}} |last|_{S^{p_n}}, where
     1/r' = 1/p_1 + ... + 1/p_{n-1}.
@@ -310,13 +310,13 @@ def key_product_inequality(es: np.ndarray, last: np.ndarray,
     es = np.asarray(es, dtype=np.complex128)
     ps = [float(p) for p in exponents]
     n = es.shape[0] + 1
+    if n < 2:
+        raise ValueError("need n >= 2")
     if len(ps) != n + 1:
         raise ValueError("exponent tuple length mismatch")
     core = chain(es).sum(axis=0)
     lhs = schatten_norm(chain([core, last]), conjugate_exponent(ps[n]))
-    inv_rp = sum(1.0 / ps[j] for j in range(n - 1))
-    rp = float("inf") if inv_rp == 0 else 1.0 / inv_rp
-    rhs = schatten_norm(core, rp) * schatten_norm(last, ps[n - 1])
+    rhs = schatten_norm(core, holder_exponent(ps[:n - 1])) * schatten_norm(last, ps[n - 1])
     return lhs, rhs
 
 

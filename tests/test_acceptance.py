@@ -139,7 +139,6 @@ def test_criterion_1_exact_identities():
             f"max deviation {worst:.2e}, {watch.lap():.1f}s")
 
     # factorization round trips, 200 seeds including nested cases
-    tab = nc.ExponentTable(((3.0, 3.0), (3.0, 3.0), (3.0, 3.0)))
     positive, mixed = [], []
     for seed in range(200):
         r = np.random.default_rng(seed)
@@ -147,7 +146,7 @@ def test_criterion_1_exact_identities():
         positive.append((random_psd(r, N), [3.0, 3.0, 3.0] if seed % 2 else [2.0, 4.0, 4.0]))
         if seed % 2 == 0:
             raw = np.stack([random_psd(r, N) for _ in range(2)])
-            mixed.append((raw, nc.MixedSpace(((0.4, 0.6),), N, tab)))
+            mixed.append((raw, ((0.4, 0.6),), [(3.0, 3.0), (3.0, 3.0)]))
     flat, nested = recs = cr.factorization_roundtrips(positive, mixed)
     _report("criterion 1g factorization round trips", _holds(recs),
             f"flat {_deviation([flat])}, nested {_deviation([nested])}, {watch.lap():.1f}s")
@@ -176,25 +175,12 @@ def test_criterion_2_oracle_equivalence():
     for seed in range(20):
         r = np.random.default_rng(seed)
         p = float(r.uniform(1.5, 4.0))
-        tab = _constant_table(p)
-        space = nc.MixedSpace((tuple(r.uniform(0.2, 1.0, size=2)),
-                               tuple(r.uniform(0.2, 1.0, size=3))), 2, tab)
+        weights = (tuple(r.uniform(0.2, 1.0, size=2)), tuple(r.uniform(0.2, 1.0, size=3)))
         vals = r.standard_normal((3, 2, 2, 2)) + 1j * r.standard_normal((3, 2, 2, 2))
-        worst = max(worst, abs(nc.nested_norm(vals, space, tab.column(1))
-                               - nc.flat_product_norm(vals, space, p)))
+        worst = max(worst, abs(nc.nested_norm(vals, weights, (p,) * 3)
+                               - nc.flat_product_norm(vals, weights, p)))
     _report("criterion 2b nested norm vs product-measure norm (1e-10)",
             worst <= 1e-10, f"max deviation {worst:.2e}")
-
-
-def _constant_table(p: float, levels: int = 3) -> nc.ExponentTable:
-    """Holder table with every exponent equal to p (m = round(p) slots
-    padded with a closing exponent so each column sums to one)."""
-    m = max(2, int(math.floor(p)))
-    rest = 1.0 - (m - 1) / p
-    q = 1.0 / rest
-    rows = [[p] * levels for _ in range(m - 1)] + [[q] * levels]
-    # ensure all entries in (1, inf)
-    return nc.ExponentTable(tuple(tuple(r) for r in rows))
 
 
 def test_criterion_3_sparse_suite():
@@ -274,15 +260,15 @@ def test_criterion_5_dual_norm():
     rng = np.random.default_rng(6)
     recs = []
     ok_maximizer = True
-    cases = [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
-             ([2.0, 4.0, 4.0], [1, 2]), ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])]
+    # the first slots of the Hoelder tuples (2, 2), (3, 3, 3), (2, 4, 4)
+    # and (4, 4, 4, 4)
+    cases = [[2.0], [3.0, 3.0], [2.0, 4.0], [4.0, 4.0, 4.0]]
     for N in (1, 2, 3):
-        for ps, J in cases:
+        for ps in cases:
             e = random_matrix(rng, N)
-            tab = nc.holder_tuple(ps)
-            recs.append(cr.dual_norm_attainment(e, J, tab, 10_000, int(rng.integers(2 ** 31))))
+            recs.append(cr.dual_norm_attainment(e, ps, 10_000, int(rng.integers(2 ** 31))))
             # duality attained by the aligned maximizer
-            q = tab.q_col(J)[0]
+            q = nc.holder_exponent(ps)
             b = nc.dual_maximizers(e, q)
             target = nc.schatten_norm(e, nc.conjugate_exponent(q))
             ok_maximizer &= abs(abs(np.trace(e @ b)) - target) <= 1e-9 * max(1.0, target)

@@ -246,7 +246,7 @@ def test_aligned_factors_are_unit_and_multiply_to_the_maximizer(rng, ps):
             assert abs(nc.schatten_norm(fac, p) - 1.0) <= 1e-12
 
 
-# the Hoelder cases (table, index set) of criterion 5
+# the Hoelder cases (tuple, index set) of criterion 5
 _HOLDER_CASES = [([2.0, 2.0], [1]), ([3.0, 3.0, 3.0], [1, 2]),
                  ([2.0, 4.0, 4.0], [1, 2]), ([4.0, 4.0, 4.0, 4.0], [1, 2, 3])]
 
@@ -259,11 +259,10 @@ def test_gaussian_search_alone_reaches_most_of_the_dual_norm():
     for N in (1, 2, 3):
         for ps, J in _HOLDER_CASES:
             e = random_matrix(rng, N)
-            tab = nc.holder_tuple(ps)
+            slots, perms = _slots_and_perms(ps, J)
             seed = int(rng.integers(2 ** 31))
-            analytic = nc.y_norm(e, J, tab, budget=1).analytic
-            perms = list(itertools.permutations(range(len(J))))
-            best = nc._best_gaussian(e, [tab.column(j)[0] for j in J], perms, 9_999, seed)
+            analytic = nc.y_norm(e, slots, budget=1).analytic
+            best = nc._best_gaussian(e, slots, perms, 9_999, seed)
             assert 0.6 * analytic <= best <= analytic * (1 + cr.DUAL_SLACK), (N, ps, J)
 
 
@@ -290,8 +289,9 @@ def _unpruned_best_gaussian(e, ps, perms, draws, seed):
 
 
 def _slots_and_perms(ps, J):
-    tab = nc.holder_tuple(ps)
-    return [tab.column(j)[0] for j in J], list(itertools.permutations(range(len(J))))
+    """The exponents of the slots J of the Hoelder tuple ps, and the
+    permutations of those slots."""
+    return [ps[j - 1] for j in J], list(itertools.permutations(range(len(J))))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -373,27 +373,27 @@ def test_zero_proposals_score_the_trace_of_e(monkeypatch):
 
 
 def test_y_norm_single_space():
-    tab = nc.holder_tuple([2.0, 2.0])
-    res = nc.y_norm(np.diag([1.0, 2.0]).astype(complex), [1], tab, budget=200)
+    res = nc.y_norm(np.diag([1.0, 2.0]).astype(complex), [2.0], budget=200)
     assert res.analytic == pytest.approx(math.sqrt(5))
     assert res.empirical == pytest.approx(math.sqrt(5), rel=1e-9)
 
 
 def test_y_norm_pair():
-    tab = nc.holder_tuple([3.0, 3.0, 3.0])
     y = np.diag([1.0, 2.0]).astype(complex)
-    res = nc.y_norm(y, [1, 2], tab, budget=10_000, seed=3)
+    res = nc.y_norm(y, [3.0, 3.0], budget=10_000, seed=3)
     assert res.analytic == pytest.approx(9 ** (1 / 3))
     assert res.empirical >= 0.95 * res.analytic
     assert res.empirical <= res.analytic * (1 + 1e-9)
 
 
 def test_y_norm_zero_and_empty():
-    tab = nc.holder_tuple([2.0, 2.0])
-    res = nc.y_norm(np.zeros((2, 2)), [1], tab, budget=10)
+    res = nc.y_norm(np.zeros((2, 2)), [2.0], budget=10)
     assert res.analytic == 0.0 and res.empirical == 0.0
     with pytest.raises(ValueError):
-        nc.y_norm(np.eye(2), [], tab)
+        nc.y_norm(np.eye(2), [])
+    # 1/2 + 1/2 + 1/2 > 1: the pairing exponent is below 1
+    with pytest.raises(ValueError, match="sum 1/p_u <= 1"):
+        nc.y_norm(np.eye(2), [2.0, 2.0, 2.0])
 
 
 def test_product_trace_bound(rng):
@@ -411,43 +411,51 @@ def test_product_trace_bound(rng):
             assert abs(np.trace(prod)) <= bound * (1 + 1e-10)
 
 
-def test_exponent_table_validation():
-    with pytest.raises(ValueError):
-        nc.ExponentTable(((2.0, 2.0), (3.0, 2.0)))  # first column not Holder
-    with pytest.raises(ValueError):
-        nc.ExponentTable(((1.0,), (math.inf,)))
-    tab = nc.ExponentTable(((2.0, 4.0), (2.0, 4.0 / 3.0)))
-    assert tab.m == 2 and tab.S == 1
-    assert tab.q_col([1, 2]) == pytest.approx((1.0, 1.0))
+def test_holder_exponent():
+    assert nc.holder_exponent((3.0, 3.0)) == 1.0 / (1.0 / 3 + 1.0 / 3)
+    assert nc.holder_exponent((2.0, 4.0, 4.0)) == 1.0
+    # an infinite exponent adds nothing to 1/q; with no finite one, q = inf
+    assert nc.holder_exponent((3.0, math.inf, 3.0)) == nc.holder_exponent((3.0, 3.0))
+    assert nc.holder_exponent((math.inf, math.inf)) == math.inf
+    assert nc.holder_exponent(()) == math.inf
 
 
 def test_nested_norm_examples():
-    tab = nc.ExponentTable(((2.0, 2.0), (2.0, 2.0)))
-    sp = nc.MixedSpace(((0.5, 0.5),), 1, tab)
     vals = np.array([[[3.0]], [[4.0]]], dtype=complex)
     expected = math.sqrt((9 + 16) / 2)
-    assert nc.nested_norm(vals, sp, tab.column(1)) == pytest.approx(expected)
+    assert nc.nested_norm(vals, ((0.5, 0.5),), (2.0, 2.0)) == pytest.approx(expected)
     # constant leaf: norm is the Schatten norm when weights sum to one
-    tab2 = nc.ExponentTable(((2.0, 5.0), (2.0, 5.0 / 4.0)))
-    sp2 = nc.MixedSpace(((0.25, 0.75),), 2, tab2)
     leaf = np.diag([1.0, 2.0]).astype(complex)
     vals2 = np.stack([leaf, leaf])
-    assert nc.nested_norm(vals2, sp2, tab2.column(1)) == pytest.approx(math.sqrt(5))
+    assert nc.nested_norm(vals2, ((0.25, 0.75),), (2.0, 5.0)) == pytest.approx(math.sqrt(5))
 
 
 def test_nested_norm_fubini(rng):
-    tab = nc.ExponentTable(((3.0, 3.0, 3.0), (3.0, 3.0, 3.0), (3.0, 3.0, 3.0)))
-    sp = nc.MixedSpace(((0.2, 0.8), (0.5, 0.25, 0.25)), 2, tab)
+    weights = ((0.2, 0.8), (0.5, 0.25, 0.25))
     vals = rng.standard_normal((3, 2, 2, 2)) + 1j * rng.standard_normal((3, 2, 2, 2))
-    assert abs(nc.nested_norm(vals, sp, tab.column(1))
-               - nc.flat_product_norm(vals, sp, 3.0)) < 1e-10
+    assert abs(nc.nested_norm(vals, weights, (3.0, 3.0, 3.0))
+               - nc.flat_product_norm(vals, weights, 3.0)) < 1e-10
 
 
 def test_nested_norm_shape_mismatch():
-    tab = nc.ExponentTable(((2.0, 2.0), (2.0, 2.0)))
-    sp = nc.MixedSpace(((0.5, 0.5),), 2, tab)
     with pytest.raises(ValueError):
-        nc.nested_norm(np.zeros((3, 2, 2)), sp, tab.column(1))
+        nc.nested_norm(np.zeros((3, 2, 2)), ((0.5, 0.5),), (2.0, 2.0))
+    # the leaves must be square, and every level needs positive atom weights
+    with pytest.raises(ValueError, match="shape"):
+        nc.nested_norm(np.zeros((2, 2, 3)), ((0.5, 0.5),), (2.0, 2.0))
+    with pytest.raises(ValueError, match="shape"):
+        nc.flat_product_norm(np.zeros((2, 2)), ((0.5, 0.5),), 2.0)
+    for weights in (((0.5, 0.0),), ((),)):
+        with pytest.raises(ValueError, match="weights"):
+            nc.nested_norm(np.zeros((2, 2, 2)), weights, (2.0, 2.0))
+
+
+@pytest.mark.parametrize("column", [(2.0,), (2.0, 2.0, 7.0)])
+def test_nested_norm_needs_one_exponent_per_level(column):
+    # a one-level tree takes two exponents: a short column must not index
+    # past its end, and a long one must not have its last entry ignored
+    with pytest.raises(ValueError, match="one entry per level"):
+        nc.nested_norm(np.full((2, 1, 1), 2.0), ((0.5, 0.5),), column)
 
 
 def test_factorize_positive_examples(rng):
@@ -490,40 +498,46 @@ def test_factorization_roundtrips_scale_to_the_exponents_q():
     assert flat["pass"] is True and flat["max_error"] < 1e-12
 
 
-def _mixed_space(N):
-    tab = nc.ExponentTable(((3.0, 3.0), (3.0, 3.0), (3.0, 3.0)))
-    return tab, nc.MixedSpace(((0.4, 0.6),), N, tab)
+@pytest.mark.parametrize("column", [(2.0, math.inf), (2.0, 0.5)])
+def test_nested_norm_atom_levels_take_finite_exponents_from_1(column):
+    # an infinite atom-level exponent would give 1 for any nonzero tree
+    # (3 and 4 at weights 1/2 have sup norm 4), one below 1 no norm
+    with pytest.raises(ValueError, match=r"\[1, inf\)"):
+        nc.nested_norm(np.array([[[3.0]], [[4.0]]]), ((0.5, 0.5),), column)
+    # the Schatten level takes p = inf, the operator norm
+    assert nc.nested_norm(np.array([[[3.0]], [[4.0]]]), ((0.5, 0.5),), (math.inf, 1.0)) == 3.5
+
+
+# one level of two atoms, and two factors each at exponent 3 on both
+# levels, whose q column is (3/2, 3/2)
+_WEIGHTS = ((0.4, 0.6),)
+_COLS = [(3.0, 3.0), (3.0, 3.0)]
+_QS = (nc.holder_exponent((3.0, 3.0)),) * 2
 
 
 def test_factorize_mixed_roundtrip(rng):
-    tab, sp = _mixed_space(2)
-    qcol = tab.q_col([1, 2])
     raw = np.stack([random_psd(rng, 2) for _ in range(2)])
-    f = raw / nc.nested_norm(raw, sp, qcol)
-    facs = nc.factorize_mixed(f, [1, 2], sp)
+    f = raw / nc.nested_norm(raw, _WEIGHTS, _QS)
+    facs = nc.factorize_mixed(f, _WEIGHTS, _COLS)
     prod = np.einsum("tij,tjk->tik", facs[0], facs[1])
     assert np.abs(prod - f).max() < 1e-8
-    for fac, j in zip(facs, (1, 2)):
-        assert abs(nc.nested_norm(fac, sp, sp.table.column(j)) - 1.0) < 1e-8
+    for fac, col in zip(facs, _COLS):
+        assert abs(nc.nested_norm(fac, _WEIGHTS, col) - 1.0) < 1e-8
 
 
 def test_factorize_mixed_constant_in_t(rng):
-    tab, sp = _mixed_space(2)
-    qcol = tab.q_col([1, 2])
     leaf = random_psd(rng, 2)
     raw = np.stack([leaf, leaf])
-    f = raw / nc.nested_norm(raw, sp, qcol)
-    facs = nc.factorize_mixed(f, [1, 2], sp)
+    f = raw / nc.nested_norm(raw, _WEIGHTS, _QS)
+    facs = nc.factorize_mixed(f, _WEIGHTS, _COLS)
     for fac in facs:
         assert np.abs(fac[0] - fac[1]).max() < 1e-10
 
 
 def test_factorize_mixed_zero_atom(rng):
-    tab, sp = _mixed_space(2)
-    qcol = tab.q_col([1, 2])
     raw = np.stack([random_psd(rng, 2), np.zeros((2, 2), dtype=complex)])
-    f = raw / nc.nested_norm(raw, sp, qcol)
-    facs = nc.factorize_mixed(f, [1, 2], sp)
+    f = raw / nc.nested_norm(raw, _WEIGHTS, _QS)
+    facs = nc.factorize_mixed(f, _WEIGHTS, _COLS)
     assert np.abs(facs[0][1]).max() == 0.0
     prod = np.einsum("tij,tjk->tik", facs[0], facs[1])
     assert np.abs(prod - f).max() < 1e-8
@@ -531,17 +545,15 @@ def test_factorize_mixed_zero_atom(rng):
 
 def test_factorize_mixed_continuity(rng):
     # factor distance shrinks along a vanishing perturbation
-    tab, sp = _mixed_space(2)
-    qcol = tab.q_col([1, 2])
     raw = np.stack([random_psd(rng, 2) for _ in range(2)])
-    f = raw / nc.nested_norm(raw, sp, qcol)
-    base = nc.factorize_mixed(f, [1, 2], sp)
+    f = raw / nc.nested_norm(raw, _WEIGHTS, _QS)
+    base = nc.factorize_mixed(f, _WEIGHTS, _COLS)
     bump = np.stack([random_psd(rng, 2) for _ in range(2)])
     dists = []
     for k in range(1, 11):
         g = raw + 2.0 ** (-k) * bump
-        g = g / nc.nested_norm(g, sp, qcol)
-        facs = nc.factorize_mixed(g, [1, 2], sp)
+        g = g / nc.nested_norm(g, _WEIGHTS, _QS)
+        facs = nc.factorize_mixed(g, _WEIGHTS, _COLS)
         dists.append(max(np.abs(facs[u] - base[u]).max() for u in range(2)))
     assert dists[-1] < 0.05
     assert dists[-1] < dists[0]
@@ -554,30 +566,33 @@ _DEEP_WEIGHTS = ((0.5, 0.25, 0.25), (0.3, 0.7), (0.6, 0.4))
 
 
 def _deep_tree(rng, S, J, zero=None):
-    """A positive value tree with S atom levels, of unit nested norm in
-    the q_J column; the outermost subtree ``zero`` is zero."""
-    tab = nc.ExponentTable(tuple(row[:S + 1] for row in _DEEP_TABLE))
-    sp = nc.MixedSpace(_DEEP_WEIGHTS[:S], 2, tab)
-    shape = sp.value_shape()
+    """A positive value tree with S atom levels, its atom weights and the
+    exponent columns of the rows J of ``_DEEP_TABLE``; the tree has unit
+    nested norm in their q column, and its outermost subtree ``zero`` is
+    zero."""
+    weights = _DEEP_WEIGHTS[:S]
+    cols = [_DEEP_TABLE[j - 1][:S + 1] for j in J]
+    shape = tuple(len(w) for w in reversed(weights)) + (2, 2)
     raw = np.stack([random_psd(rng, 2) for _ in range(math.prod(shape[:-2]))]).reshape(shape)
     if zero is not None:
         raw[zero] = 0.0
-    return raw / nc.nested_norm(raw, sp, tab.q_col(J)), sp
+    qs = [nc.holder_exponent(ps) for ps in zip(*cols)]
+    return raw / nc.nested_norm(raw, weights, qs), weights, cols
 
 
 @pytest.mark.parametrize("S", [2, 3])
 @pytest.mark.parametrize("J", [[1, 2], [1, 2, 3]])
 def test_factorize_mixed_several_levels(rng, S, J):
-    f, sp = _deep_tree(rng, S, J)
-    facs = nc.factorize_mixed(f, J, sp)
+    f, weights, cols = _deep_tree(rng, S, J)
+    facs = nc.factorize_mixed(f, weights, cols)
     assert np.abs(nc.chain(facs) - f).max() < 1e-12
-    for fac, j in zip(facs, J):
-        assert abs(nc.nested_norm(fac, sp, sp.table.column(j)) - 1.0) < 1e-12
+    for fac, col in zip(facs, cols):
+        assert abs(nc.nested_norm(fac, weights, col) - 1.0) < 1e-12
 
 
 def test_factorize_mixed_zero_subtree(rng):
-    f, sp = _deep_tree(rng, 2, [1, 2], zero=1)
-    facs = nc.factorize_mixed(f, [1, 2], sp)
+    f, weights, cols = _deep_tree(rng, 2, [1, 2], zero=1)
+    facs = nc.factorize_mixed(f, weights, cols)
     for fac in facs:
         assert np.all(fac[1] == 0.0)
     assert np.abs(nc.chain(facs) - f).max() < 1e-12
@@ -590,14 +605,12 @@ def test_y_norm_chunks_match_the_per_draw_oracle(monkeypatch, ps, J):
     # Gaussian proposal (the SVD-aligned candidate is the first of a budget)
     rng = np.random.default_rng(len(J))
     e = random_matrix(rng, 3)
-    tab = nc.holder_tuple(ps)
-    slots = [tab.column(j)[0] for j in J]
-    perms = list(itertools.permutations(range(len(J))))
+    slots, perms = _slots_and_perms(ps, J)
     monkeypatch.setattr(nc, "_CHUNK_BYTES", 7 * len(J) * 9 * 16)
     for budget in (1, 2, 8, 9, 1000):
         fast = nc._best_gaussian(e, slots, perms, budget - 1, budget)
         oracle = nc._best_gaussian_per_draw(e, slots, perms, budget - 1, budget)
         assert abs(fast - oracle) <= 1e-12 * oracle
         assert (fast == 0.0) == (budget == 1)
-        res = nc.y_norm(e, J, tab, budget=budget, seed=budget)
+        res = nc.y_norm(e, slots, budget=budget, seed=budget)
         assert res.empirical >= fast and res.empirical <= res.analytic * (1 + 1e-12)

@@ -36,6 +36,15 @@ def test_kk_ratio_degenerate_cases(rng):
     assert rz.kk_ratio(xs, 2.0, 3.0, 3.0) == pytest.approx(1.0)
 
 
+def test_kk_ratio_checks_its_moments_before_the_empty_case():
+    # an empty sum has ratio 1 only at valid moments, as with one term
+    assert rz.kk_ratio([], 2.0, 1.0, 2.0) == 1.0
+    for p, q in ((-1.0, 2.0), (2.0, 0.0)):
+        for xs in ([], [np.eye(2)]):
+            with pytest.raises(ValueError, match="moments must be positive"):
+                rz.kk_ratio(xs, 2.0, p, q)
+
+
 def test_kk_ratio_khintchine_regime(rng):
     vals = list(rng.standard_normal((10, 1, 1)))
     r = rz.kk_ratio(vals, 2.0, 1.0, 2.0)
@@ -361,6 +370,12 @@ def test_key_product_inequality(rng):
         ps = [float(n + 1)] * (n + 1)
         lhs, rhs = rz.key_product_inequality(es, last, ps)
         assert lhs <= rhs * (1 + 1e-10)
+
+
+def test_key_product_inequality_needs_two_factors():
+    # n = 1 leaves no product to peel a factor off
+    with pytest.raises(ValueError, match="n >= 2"):
+        rz.key_product_inequality(np.ones((0, 2, 2, 2)), np.eye(2), [2.0, 2.0])
 
 
 def test_martingale_transform_statistic():
