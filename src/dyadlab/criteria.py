@@ -195,8 +195,8 @@ def shift_rewrite(spec: mo.ShiftSpec, fs: list) -> list[dict]:
     worst = max((t.check_normalization() for t in terms), default=0.0)
     return [record("shift-rewrite-form-preservation", HARD, evidence and defect <= REWRITE_TOL,
                    terms=len(terms), defect=defect, tol=REWRITE_TOL),
-            record("shift-rewrite-normalization", HARD, evidence and worst <= 1.0 + IDENTITY_TOL,
-                   worst_ratio=worst)]
+            record("shift-rewrite-normalization", HARD,
+                   evidence and worst <= 1.0 + mo.NORMALIZATION_SLACK, worst_ratio=worst)]
 
 
 def sparse_domination(cases: list, eta: float) -> tuple[list[dict], list[dict]]:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ncspaces import chain, conjugate_exponent, lp_norm
+from .ncspaces import chain, conjugate_exponent, holder_exponent, lp_norm
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +598,7 @@ def leibniz_ratio(f: TorusFunction, g: TorusFunction, s: float,
             raise ValueError("inner exponents must exceed 1")
     if not 0.5 < q3 < math.inf:
         raise ValueError("target exponent out of range")
-    inv = lambda p: 0.0 if math.isinf(p) else 1.0 / p
-    if abs(inv(p1) + inv(p2) - 1.0 / q3) > 1e-12 or abs(inv(r1) + inv(r2) - 1.0 / q3) > 1e-12:
+    if any(abs(holder_exponent(pair) - q3) > 1e-12 * q3 for pair in ((p1, p2), (r1, r2))):
         raise ValueError("exponents do not satisfy the scaling relation")
     if s <= f.dim:
         raise ValueError("derivative order must exceed the dimension")

@@ -24,8 +24,9 @@ Coefficients live in one ``CoeffTable``: integer arrays for the cubes'
 levels, indices and eta masks plus a complex value array.  Validation
 and the rewrite are index arithmetic on them (ancestors are bit shifts);
 a form gathers each slot's pairings from one HaarPyramid sweep and
-contracts them as a batched matrix chain (a scalar is N = 1); the
-Carleson and BMO sups are one bottom-up sweep of level sums of |a|^2.
+contracts them as a batched matrix chain (a scalar is N = 1); every
+Carleson sup, the BMO norm's too, is one bottom-up sweep of the level
+sums of |a|^2 over one table (``_carleson``).
 """
 
 from __future__ import annotations
@@ -261,23 +262,23 @@ class ParaproductSpec:
 
     def carleson_constant(self) -> float:
         """Sup over all lattice cubes K0 of the normalized square function."""
-        lat, t = self.lattice, self.coeffs
-        sums = np.bincount(_heap_number(t.level, t.index, lat.dim)[:, 0],
-                           weights=np.abs(t.value) ** 2,
-                           minlength=_heap_size(lat.depth, lat.dim))
-        return _carleson_sup(_level_views(sums, lat.depth, lat.dim), lat.dim)
+        return _carleson(self.lattice, self.coeffs)
 
 
-def _carleson_sup(sums: list[np.ndarray], d: int) -> float:
-    """sup over cubes K0 of (|K0|^-1 sum_{K <= K0} s_K)^(1/2), from the
-    per-level arrays s of shape (2^l,)*d, in one bottom-up sweep."""
-    best = 0.0
-    below = 0.0
-    for lv in range(len(sums) - 1, -1, -1):
+def _carleson(lat: Lattice, t: CoeffTable) -> float:
+    """sup over cubes K0 of (|K0|^-1 sum_{K <= K0} |a_K|^2)^(1/2) for a
+    paraproduct table t on lat: the level sums of |a|^2, then one
+    bottom-up sweep."""
+    sums = _level_views(np.bincount(_heap_number(t.level, t.index, lat.dim)[:, 0],
+                                    weights=np.abs(t.value) ** 2,
+                                    minlength=_heap_size(lat.depth, lat.dim)),
+                        lat.depth, lat.dim)
+    best = below = 0.0
+    for lv in range(lat.depth, -1, -1):
         total = sums[lv] + below
-        best = max(best, float(total.max()) / 2.0 ** (-lv * d))
+        best = max(best, float(total.max()) / 2.0 ** (-lv * lat.dim))
         if lv:
-            below = _child_sums(total, d)
+            below = _child_sums(total, lat.dim)
     return best ** 0.5
 
 
@@ -362,29 +363,25 @@ def _draw_tuples(rng: np.random.Generator, bases: list[int], bits: list[int],
     return draws
 
 
-def bmo_norm(h: GridFunction | HaarPyramid) -> float:
-    """Dyadic BMO norm: sup over cubes K0 of
-    (|K0|^-1 sum over Haar coefficients inside K0)^(1/2).  h may be
-    given as its ``HaarPyramid``, which is then not swept again.  h must
-    be scalar (N = 1)."""
+def _haar_table(h: GridFunction) -> CoeffTable:
+    """The nonzero cancellative Haar coefficients of a scalar (N = 1) h
+    as a paraproduct table, in heap order (``_heap_cubes``) and eta."""
     if h.value_shape != (1, 1):
         raise ValueError(f"BMO norm is for scalar (N = 1) functions, not value shape "
                          f"{h.value_shape}")
     lat = h.lattice
-    pyr, = _pyramids([h])
-    coefs = _cancellative_pairings(pyr)
-    sums = np.zeros(_heap_size(lat.depth, lat.dim))  # the finest level has none
-    sums[:len(coefs)] = (np.abs(coefs) ** 2).sum(axis=1)
-    return _carleson_sup(_level_views(sums, lat.depth, lat.dim), lat.dim)
+    level, index = _heap_cubes(lat.depth - 1, lat.dim)
+    coefs = HaarPyramid(h).pairings(np.arange(len(level))[:, None],
+                                    np.arange(1, 1 << lat.dim))[..., 0, 0]
+    cube, eta = nz = np.nonzero(coefs)
+    return CoeffTable(level[cube][:, None], index[cube][:, None], eta[:, None] + 1, coefs[nz])
 
 
-def _cancellative_pairings(pyr: HaarPyramid) -> np.ndarray:
-    """The pairings of a scalar (N = 1) pyramid with every cancellative
-    Haar function, of shape (#cubes of levels 0..L-1, 2^d - 1) in heap
-    order."""
-    d = pyr.lattice.dim
-    return pyr.pairings(np.arange(_heap_size(pyr.lattice.depth - 1, d))[:, None],
-                        np.arange(1, 1 << d))[..., 0, 0]
+def bmo_norm(h: GridFunction) -> float:
+    """Dyadic BMO norm: sup over cubes K0 of
+    (|K0|^-1 sum over Haar coefficients inside K0)^(1/2), the Carleson
+    constant of h's Haar coefficients.  h must be scalar (N = 1)."""
+    return _carleson(h.lattice, _haar_table(h))
 
 
 def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
@@ -392,17 +389,15 @@ def make_bmo_coeffs(lat: Lattice, h: GridFunction) -> CoeffTable:
     as a paraproduct table in heap order (``_heap_cubes``) and eta.
 
     The output satisfies the Carleson condition with constant exactly
-    one, attained at the sup cube.  Constant h is rejected.
+    one, attained at the sup cube.  h must live on ``lat``; constant h
+    is rejected.
     """
-    pyr = HaarPyramid(h)
-    nrm = bmo_norm(pyr)
+    _check_inputs(lat, [h], 1)
+    t = _haar_table(h)
+    nrm = _carleson(lat, t)
     if nrm <= 0.0:
         raise ValueError("constant function has zero BMO norm")
-    coefs = _cancellative_pairings(pyr)
-    cube, eta = nz = np.nonzero(coefs)
-    level, index = _heap_cubes(lat.depth - 1, lat.dim)
-    return CoeffTable(level[cube][:, None], index[cube][:, None], eta[:, None] + 1,
-                      coefs[nz] / nrm)
+    return CoeffTable(t.level, t.index, t.eta, t.value / nrm)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ mean of its cells' Schatten norms, and ``lp_norms`` that of each row of
 a stack.  This module imports no other dyadlab module.
 
 Exponents are plain tuples: ``holder_exponent`` gives the combined
-exponent q of a tuple, 1/q = sum_u 1/p_u, wherever one is needed.
+exponent q of a tuple, 1/q = sum_u 1/p_u, wherever one is needed, and
+owns the exponent domain [1, inf] (``conjugate_exponent`` asks it).
 Mixed-norm spaces stack finitely many weighted atom levels on top of
 the matrix level, given by a tuple of atom weights per level; the nested
 norm of a value tree in an exponent column (one exponent per level)
@@ -136,6 +137,8 @@ def lp_norms(stack: np.ndarray, p: float, schatten: float) -> np.ndarray:
 
 
 def conjugate_exponent(p: float) -> float:
+    """p' with 1/p + 1/p' = 1, for p in [1, inf]."""
+    holder_exponent([p])  # rejects p outside [1, inf]
     if np.isinf(p):
         return 1.0
     if p == 1:
@@ -162,30 +165,28 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def power_pos(a: np.ndarray, theta: float | list[float]):
-    """Spectral power A^theta of a positive semidefinite matrix, or of each
-    matrix of a stack over the last two axes.
+def power_pos(a: np.ndarray, thetas: Sequence[float]) -> list[np.ndarray]:
+    """Spectral powers A^theta, one per exponent of ``thetas`` in [0, inf)
+    (A^0 = V V* = I), of a positive semidefinite matrix or of each matrix
+    of a stack over the last two axes, all from one ``eigh``.
 
-    A list of exponents gives the list of powers, all from one ``eigh``.
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything more
     negative, or a non-Hermitian member, is rejected.
     """
     a = np.asarray(a, dtype=np.complex128)
-    thetas = theta if isinstance(theta, list) else [theta]
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     if np.any(asym > HERMITIAN_TOL * scale):
         raise ValueError("power_pos needs a Hermitian matrix")
-    if min(thetas) <= 0:
-        raise ValueError("exponent must be positive")
+    if not all(0 <= t < math.inf for t in thetas):
+        raise ValueError("power exponents must lie in [0, inf)")
     w, v = np.linalg.eigh(a)
     if np.any(w.min(axis=-1, initial=0.0)
               < -POSITIVITY_TOL * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))):
         raise ValueError("matrix is not positive semidefinite")
     w = np.clip(w, 0.0, None)
     vh = v.conj().swapaxes(-2, -1)
-    powers = [(v * (w ** t)[..., None, :]) @ vh for t in thetas]
-    return powers if isinstance(theta, list) else powers[0]
+    return [(v * (w ** t)[..., None, :]) @ vh for t in thetas]
 
 
 def dual_maximizers(stack: np.ndarray, p: float) -> np.ndarray:
@@ -220,8 +221,10 @@ def _dual_split(stack: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np
 # ---------------------------------------------------------------------------
 
 def holder_exponent(ps: Sequence[float]) -> float:
-    """The combined exponent q of the exponents ``ps``, 1/q = sum_u 1/p_u:
-    an infinite p_u adds nothing, and q = inf when the sum is 0."""
+    """The combined exponent q of exponents ``ps`` in [1, inf], 1/q =
+    sum_u 1/p_u: an infinite p_u adds nothing, and q = inf when the sum is 0."""
+    if not all(1 <= p <= math.inf for p in ps):  # NaN fails too
+        raise ValueError(f"exponents {tuple(ps)} must lie in [1, inf]")
     inv = sum(1.0 / p for p in ps)
     return 1.0 / inv if inv else math.inf
 
@@ -415,7 +418,8 @@ def factorize_positive(a: np.ndarray, ps: Sequence[float]) -> list[np.ndarray]:
     q = ``holder_exponent(ps)``.
 
     Requires |A|_{S^q} = 1; the factors multiply back to A and have unit
-    S^{p_u} norms.
+    S^{p_u} norms.  A factor with p_u = inf is I; an all-inf tuple has
+    no power q/p_u, and ``power_pos`` rejects it.
     """
     ps = [float(p) for p in ps]
     q = holder_exponent(ps)

@@ -288,7 +288,7 @@ def rscalar_check(es: np.ndarray, coeffs: Sequence[complex],
     if coeffs.shape != (K,) or np.abs(coeffs).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("need K coefficients in the unit disc")
     ps = [float(p) for p in exponents]
-    if len(ps) != n + 1 or abs(sum(1.0 / p for p in ps) - 1.0) > 1e-9:
+    if len(ps) != n + 1 or abs(holder_exponent(ps) - 1.0) > 1e-9:
         raise ValueError("exponents must form a Holder tuple of length n+1")
     prod = chain([coeffs[:, None, None] * es[0], *es[1:]])
     lhs = schatten_norm(prod.sum(axis=0), conjugate_exponent(ps[n]))

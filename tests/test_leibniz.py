@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dyadlab import cli
 from dyadlab import leibniz as lb
 from dyadlab import ncspaces as nc
 
@@ -321,7 +322,11 @@ def _kernel(halfwidth, s=1.5, quad_points=4000):
 
 
 def _sampler_triples(count, seed):
-    """Triples drawn as cz_kernel_constant draws them."""
+    """Triples like cz_kernel_constant's samples: radii log-uniform in
+    [1e-2, 1e2], a base point x moved in [-1, 1], and y1, y2 centered on
+    x.  Unlike those, they are not stratified by radius, and none is
+    moved as the smoothness quotients move them
+    (``_kernel_const_triples`` has both)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -331,6 +336,26 @@ def _sampler_triples(count, seed):
         pts[1:] += pts[0] - np.mean(pts[1:])
         out.append(tuple(pts))
     return out
+
+
+def _kernel_const_triples(kernel):
+    """Every distinct triple the default kernel-const run evaluates, in
+    call order: the stratified samples of each budget and their moved
+    copies, most of which are not midpoint-centered.  Recorded from
+    cz_kernel_constant's calls to ``kernel``, which must be
+    DiagonalKernel(s) at the default s."""
+    config = cli.DEFAULTS["kernel-const"]
+    assert config["s"] == 1.5
+    calls = []
+
+    def recorded(*t):
+        calls.append(t)
+        return kernel(*t)
+
+    for budget in config["budgets"]:
+        lb.cz_kernel_constant(lb.KernelSample(kernel=recorded, alpha=(config["s"] - 1.0) / 2.0,
+                                              budget=budget, seed=config["seed"]))
+    return list(dict.fromkeys(calls))
 
 
 def _tie_and_order_triples():
@@ -409,6 +434,10 @@ def test_oracle_terms_equal_the_per_scale_loop(halfwidth):
 
 def test_diagonal_kernel_matches_oracle_on_sampled_triples(kernel):
     _assert_matches_oracle(kernel, _sampler_triples(2000, seed=7))
+
+
+def test_diagonal_kernel_matches_oracle_on_kernel_const_triples(kernel):
+    _assert_matches_oracle(kernel, _kernel_const_triples(kernel))
 
 
 def test_diagonal_kernel_matches_oracle_on_ties_and_orders(kernel):

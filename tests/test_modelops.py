@@ -230,8 +230,7 @@ def test_bmo_needs_scalar_values():
     h = dl.random_grid_function(lat, seed=4)
     assert mo.bmo_norm(h) > 0.0 and len(mo.make_bmo_coeffs(lat, h)) > 0
     m = dl.random_grid_function(lat, N=2, seed=4)
-    for run in (lambda: mo.bmo_norm(m), lambda: mo.bmo_norm(dl.HaarPyramid(m)),
-                lambda: mo.make_bmo_coeffs(lat, m)):
+    for run in (lambda: mo.bmo_norm(m), lambda: mo.make_bmo_coeffs(lat, m)):
         with pytest.raises(ValueError, match=r"BMO norm is for scalar \(N = 1\) functions"):
             run()
 
@@ -247,10 +246,17 @@ def test_make_bmo_coeffs_builds_one_pyramid(monkeypatch):
     coeffs = mo.make_bmo_coeffs(lat, h)
     assert [id(f) for f in built] == [id(h)]
     assert np.array_equal(coeffs.value, expected.value)
-    # a pyramid in place of its function: the same norm, no second sweep
-    pyr = dl.HaarPyramid(h)
-    assert mo.bmo_norm(pyr) == mo.bmo_norm(h)
-    assert len(built) == 3
+    # the norm alone sweeps h once too
+    mo.bmo_norm(h)
+    assert [id(f) for f in built] == [id(h)] * 2
+
+
+@pytest.mark.parametrize("lat", [dl.build_lattice(1, 6), dl.build_lattice(1, 4, [0.25]),
+                                 dl.build_lattice(1, 3)], ids=["deeper", "shifted", "shallower"])
+def test_make_bmo_coeffs_needs_h_on_its_lattice(lat):
+    h = dl.random_grid_function(dl.build_lattice(1, 4), seed=5)
+    with pytest.raises(ValueError, match="function lattice does not match the operator"):
+        mo.make_bmo_coeffs(lat, h)
 
 
 def test_carleson_violation_rejected():

@@ -160,14 +160,26 @@ def test_chain_rejects_mismatched_shapes(a, b):
 
 
 def test_power_pos(rng):
-    assert np.allclose(nc.power_pos(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
+    assert np.allclose(nc.power_pos(np.diag([4.0, 9.0]), [0.5])[0], np.diag([2.0, 3.0]))
     a = random_psd(rng, 3)
-    assert np.abs(nc.power_pos(a, 1.0) - a).max() < 1e-12
-    assert np.abs(nc.power_pos(a, 0.3) @ nc.power_pos(a, 0.7) - a).max() < 1e-9
+    one, = nc.power_pos(a, [1.0])
+    assert np.abs(one - a).max() < 1e-12
+    low, high = nc.power_pos(a, [0.3, 0.7])
+    assert np.abs(low @ high - a).max() < 1e-9
     with pytest.raises(ValueError):
-        nc.power_pos(random_matrix(rng, 3), 0.5)
+        nc.power_pos(random_matrix(rng, 3), [0.5])
     with pytest.raises(ValueError):
-        nc.power_pos(-np.eye(2), 0.5)
+        nc.power_pos(-np.eye(2), [0.5])
+    # A^0 = V V* = I, a singular A included
+    for b in (a, np.diag([0.0, 1.0])):
+        zero, = nc.power_pos(b, [0.0])
+        assert np.abs(zero - np.eye(len(b))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [-0.5, math.nan, math.inf])
+def test_power_pos_rejects_exponents_outside_0_inf(rng, theta):
+    with pytest.raises(ValueError, match=r"must lie in \[0, inf\)"):
+        nc.power_pos(random_psd(rng, 2), [1.0, theta])
 
 
 def test_duality_maximizer(rng):
@@ -189,8 +201,8 @@ def test_power_pos_stack_equals_one_call_per_matrix_and_exponent(rng):
     for theta, power in zip(thetas, powers):
         assert power.shape == stack.shape
         for a, got in zip(stack, power):
-            assert nc.power_pos(a, theta).tobytes() == got.tobytes()
-    assert nc.power_pos(stack, 0.5).tobytes() == powers[1].tobytes()
+            assert nc.power_pos(a, [theta])[0].tobytes() == got.tobytes()
+    assert nc.power_pos(stack, [0.5])[0].tobytes() == powers[1].tobytes()
 
 
 @pytest.mark.parametrize("bad", ["Hermitian", "positive semidefinite"])
@@ -198,9 +210,15 @@ def test_power_pos_rejects_one_bad_member_of_a_stack(rng, bad):
     stack = np.stack([random_psd(rng, 3) for _ in range(4)])
     stack[2] = random_matrix(rng, 3) if bad == "Hermitian" else -stack[2]
     with pytest.raises(ValueError, match=bad):
-        nc.power_pos(stack, 0.5)
+        nc.power_pos(stack, [0.5])
     with pytest.raises(ValueError, match=bad):
         nc.power_pos(stack, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+def test_dual_maximizers_reject_exponents_below_1(rng, p):
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\]"):
+        nc.dual_maximizers(random_matrix(rng, 2), p)
 
 
 def _dual_stack(rng):
@@ -420,6 +438,18 @@ def test_holder_exponent():
     assert nc.holder_exponent(()) == math.inf
 
 
+@pytest.mark.parametrize("ps", [(0.0, 2.0), (-2.0, 2.0), (math.nan,), (0.5, math.inf)])
+def test_exponents_outside_1_inf_are_rejected(ps):
+    # at 0 no reciprocal exists, -2 and 2 would cancel to q = inf, and NaN
+    # would pass through every norm
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\]"):
+        nc.holder_exponent(ps)
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\]"):
+        nc.y_norm(np.eye(2), ps, budget=10)
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\]"):
+        nc.conjugate_exponent(ps[0])
+
+
 def test_nested_norm_examples():
     vals = np.array([[[3.0]], [[4.0]]], dtype=complex)
     expected = math.sqrt((9 + 16) / 2)
@@ -476,6 +506,20 @@ def test_factorize_positive_examples(rng):
         assert np.abs(prod - a).max() < 1e-9
         for f in fs:
             assert abs(nc.schatten_norm(f, 3.0) - 1.0) < 1e-9
+
+
+def test_factorize_positive_with_operator_norm_factors(rng):
+    # 1/q = 1/1 + 1/inf: A = A I, with |A|_1 = |I|_inf = 1
+    a = random_psd(rng, 3)
+    a = a / nc.schatten_norm(a, 1.0)
+    f1, f2 = nc.factorize_positive(a, (1.0, math.inf))
+    assert np.abs(f1 - a).max() <= 1e-12 and np.abs(f2 - np.eye(3)).max() <= 1e-12
+    assert abs(nc.schatten_norm(f1, 1.0) - 1.0) <= 1e-12
+    assert abs(nc.schatten_norm(f2, math.inf) - 1.0) <= 1e-12
+    # with q = inf, no factor has a power q/p_u
+    for ps in ((math.inf,), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, inf\)"):
+            nc.factorize_positive(np.eye(3), ps)
 
 
 def test_factorize_positive_rejects_nonunit():

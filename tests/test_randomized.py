@@ -358,6 +358,9 @@ def test_rscalar_validates(rng):
     es2 = np.ones((2, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError):
         rz.rscalar_check(es2, [2.0, 1.0], [3.0, 3.0, 3.0])
+    # 1/p sums to 1 here, but 0.5 and -1 are no Schatten exponents
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\]"):
+        rz.rscalar_check(es2, [1.0, 1.0], [0.5, -1.0, math.inf])
 
 
 def test_key_product_inequality(rng):
